@@ -58,8 +58,15 @@ def redistribution_factors(medium: Medium) -> tuple[float, float]:
     return (n2 - 1.0) / (2.0 * n2), (n2 + 1.0) / (2.0 * n2)
 
 
-def _right_longitudinal(medium: Medium, kap: float, spec: QuadratureSpec) -> float:
-    """int_0^inf dk_z (1 + rR_TM)^2 / (kap^2 + k_z^2)."""
+def _check_charge(q: float, z0: float) -> None:
+    if not math.isfinite(q):
+        raise ValueError(f"q must be finite, got {q!r}")
+    if not (math.isfinite(z0) and z0 > 0.0):
+        raise ValueError(f"z0 must be finite and > 0 (charge outside the dielectric), got {z0!r}")
+
+
+def _right_longitudinal(medium: Medium, kap: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
+    """int_0^inf dk_z (1 + rR_TM)^2 / (kap^2 + k_z^2) for each entry of ``kap``."""
     n = medium.n
 
     def f(kz: np.ndarray) -> np.ndarray:
@@ -67,12 +74,12 @@ def _right_longitudinal(medium: Medium, kap: float, spec: QuadratureSpec) -> flo
         one_plus_r = 2.0 * n * n * kz / (n * n * kz + kzd)
         return one_plus_r**2 / (kap * kap + kz * kz)
 
-    return float(np.real(decaying_halfline_integral(f, max(kap, 1e-12), spec).value))
+    return np.real(decaying_halfline_integral(f, np.maximum(kap, 1e-12), spec).value)
 
 
-def _left_longitudinal(medium: Medium, kap: float, spec: QuadratureSpec) -> float:
-    """int_0^inf dk_zd |tL_TM/n|^2 n^2/(kap^2 + k_zd^2), split at the total
-    internal reflection threshold where the vacuum k_z turns imaginary."""
+def _left_longitudinal(medium: Medium, kap: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
+    """int_0^inf dk_zd |tL_TM/n|^2 n^2/(kap^2 + k_zd^2) per entry of kap, split
+    at the total internal reflection threshold where the vacuum k_z turns imaginary."""
     n = medium.n
     gamma_d = kap * math.sqrt(n * n - 1.0)
 
@@ -88,8 +95,9 @@ def _left_longitudinal(medium: Medium, kap: float, spec: QuadratureSpec) -> floa
         return 4.0 * n * n * kzd * kzd / (denom * denom * (kap * kap + kzd * kzd))
 
     ev = cut_segment_integral(evanescent, gamma_d, spec)
-    tr = decaying_halfline_integral(travelling, max(kap, gamma_d, 1e-12), spec, offset=gamma_d)
-    return float(np.real(ev.value) + np.real(tr.value))
+    scale = np.maximum(np.maximum(kap, gamma_d), 1e-12)
+    tr = decaying_halfline_integral(travelling, scale, spec, offset=gamma_d)
+    return np.real(ev.value) + np.real(tr.value)
 
 
 def second_order_shift(
@@ -97,8 +105,7 @@ def second_order_shift(
 ) -> ShiftResult:
     """Numerical second-order shift of the surface-charge coupling, with the
     image potential and the ratio dE/V^es (analytic target (n^2-1)/2n^2)."""
-    if z0 <= 0.0:
-        raise ValueError("the charge must sit outside the dielectric (z0 > 0)")
+    _check_charge(q, z0)
     n = medium.n
     expected = redistribution_factors(medium)[0]
     v_es = image_potential_ves(q, medium, z0)
@@ -108,11 +115,8 @@ def second_order_shift(
     pref = -(q * q) * chat * chat / (8.0 * math.pi**2)
 
     def radial(kap: np.ndarray) -> np.ndarray:
-        out = np.empty((len(kap), 2))
-        for idx, k in enumerate(kap):
-            out[idx, 0] = k * _left_longitudinal(medium, float(k), spec)
-            out[idx, 1] = k * _right_longitudinal(medium, float(k), spec)
-        return out
+        left, right = _left_longitudinal(medium, kap, spec), _right_longitudinal(medium, kap, spec)
+        return np.stack([kap * left, kap * right], axis=-1)
 
     parts = damped_radial_transform(radial, 2.0 * z0, 0, 0.0, spec)
     left = pref * float(np.real(parts.value[0]))
@@ -138,8 +142,7 @@ def double_commutator_cnumber(
     and the sum collapses onto the same longitudinal integrals as the
     second-order shift with the opposite sign.
     """
-    if z0 <= 0.0:
-        raise ValueError("the charge must sit outside the dielectric (z0 > 0)")
+    _check_charge(q, z0)
     n = medium.n
     if n == 1.0:
         return 0.0
@@ -147,13 +150,8 @@ def double_commutator_cnumber(
     pref = (q * q) * chat * chat / (8.0 * math.pi**2)
 
     def radial(kap: np.ndarray) -> np.ndarray:
-        out = np.empty(len(kap))
-        for idx, k in enumerate(kap):
-            out[idx] = k * (
-                _left_longitudinal(medium, float(k), spec)
-                + _right_longitudinal(medium, float(k), spec)
-            )
-        return out
+        left, right = _left_longitudinal(medium, kap, spec), _right_longitudinal(medium, kap, spec)
+        return kap * (left + right)
 
     total = damped_radial_transform(radial, 2.0 * z0, 0, 0.0, spec)
     return pref * float(np.real(total.value))

@@ -38,6 +38,7 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
+from numpy.typing import ArrayLike
 from scipy.special import jv
 
 from .greens import (
@@ -91,96 +92,103 @@ class KernelAssembly:
 # fixed-k_par profiles: complex arrays [uu, uz, zu, zz, vv]
 # ---------------------------------------------------------------------------
 
-ProfileFn = Callable[[float], "_ProfileValue"]
-
+# Every profile takes kappa = |k_par| of any shape (one value per entry, one
+# engine call for all of them) and returns comps of shape kappa.shape + (5,);
+# travelling integrands reshape their 1-D k_z nodes to broadcast against kappa.
 
 @dataclass
 class _ProfileValue:
-    comps: np.ndarray  # shape (5,) complex
-    error: float
-    nodes: int
+    comps: np.ndarray  # shape kappa.shape + (5,), complex
+    error: float  # max-norm over the kappa batch
+    nodes: int  # integrand evaluations, engine nodes x kappa.size
 
 
-def _reflected_profile(medium: Medium, kap: float, z: float, zp: float,
+def _profile_sum(kap: np.ndarray, halflines: list, segment) -> _ProfileValue:
+    """Travelling half-line results plus the evanescent segment; the half-line
+    engine counts its 1-D k_z nodes, so they are scaled by the batch size."""
+    parts = halflines + [segment]
+    nodes = sum(r.nodes_used for r in halflines) * kap.size + segment.nodes_used
+    err = sum(r.error_estimate for r in parts)
+    return _ProfileValue(sum(np.asarray(r.value) for r in parts), err, nodes)
+
+
+def _reflected_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
                        spec: QuadratureSpec) -> _ProfileValue:
     """Reflected kernel profile for z, z' > 0 (both travelling half-axes plus
     the evanescent segment)."""
     n = medium.n
     s = z + zp
+    kap = np.asarray(kap, dtype=float)
+    kap2, gap2 = kap * kap, (n * n - 1.0) * kap * kap  # once, not per panel
     if n == 1.0:
-        return _ProfileValue(np.zeros(5, dtype=complex), 0.0, 0)
+        return _ProfileValue(np.zeros(kap.shape + (5,), dtype=complex), 0.0, 0)
 
     def travelling(sign: float):
         def f(k: np.ndarray) -> np.ndarray:
+            k = k.reshape(k.shape + (1,) * kap.ndim)
             kz = sign * k
-            kzd = sign * np.sqrt(n * n * k * k + (n * n - 1.0) * kap * kap)
-            kmag2 = kap * kap + k * k
+            kzd = sign * np.sqrt(n * n * k * k + gap2)
+            kmag2 = kap2 + k * k
             rtm = (n * n * kz - kzd) / (n * n * kz + kzd)
             rte = (kz - kzd) / (kz + kzd)
             phase = np.exp(1j * kz * s)
             uu = rtm * (-kz * kz / kmag2) * phase
             uz = rtm * (-kz * kap / kmag2) * phase
             zu = rtm * (kap * kz / kmag2) * phase
-            zz = rtm * (kap * kap / kmag2) * phase
+            zz = rtm * (kap2 / kmag2) * phase
             vv = rte * phase
             return np.stack([uu, uz, zu, zz, vv], axis=-1)
         return f
 
-    r_pos = halfline_oscillatory_integral(travelling(+1.0), s, spec)
-    r_neg = halfline_oscillatory_integral(travelling(-1.0), s, spec)
-
     gamma = evanescent_threshold(medium, kap)
 
     def evanescent(t: np.ndarray) -> np.ndarray:
-        kzd = np.sqrt(np.maximum((n * n - 1.0) * kap * kap - n * n * t * t, 0.0))
-        kmag2 = kap * kap - t * t
+        kzd = np.sqrt(np.maximum(gap2 - n * n * t * t, 0.0))
+        kmag2 = kap2 - t * t
         coef_tm = 4.0 * n * n * t * kzd / (kzd * kzd + n**4 * t * t)
         coef_te = 4.0 * t * kzd / (kzd * kzd + t * t)
         damp = np.exp(-t * s)
         uu = coef_tm * (t * t / kmag2) * damp
         uz = coef_tm * (-1j * t * kap / kmag2) * damp
         zu = coef_tm * (1j * t * kap / kmag2) * damp
-        zz = coef_tm * (kap * kap / kmag2) * damp
+        zz = coef_tm * (kap2 / kmag2) * damp
         vv = coef_te * damp
         return np.stack([uu, uz, zu, zz, vv], axis=-1)
 
-    ev = cut_segment_integral(evanescent, gamma, spec)
-    comps = np.asarray(r_pos.value) + np.asarray(r_neg.value) + np.asarray(ev.value)
-    err = r_pos.error_estimate + r_neg.error_estimate + ev.error_estimate
-    nodes = r_pos.nodes_used + r_neg.nodes_used + ev.nodes_used
-    return _ProfileValue(comps, err, nodes)
+    halves = [halfline_oscillatory_integral(travelling(sign), s, spec) for sign in (1.0, -1.0)]
+    return _profile_sum(kap, halves, cut_segment_integral(evanescent, gamma, spec))
 
 
-def _transmitted_profile(medium: Medium, kap: float, z: float, zp: float,
+def _transmitted_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
                          spec: QuadratureSpec) -> _ProfileValue:
     """Transmitted kernel profile for z < 0, z' > 0."""
     n = medium.n
     s_eff = n * abs(z) + zp
+    kap = np.asarray(kap, dtype=float)
+    kap2, gap2 = kap * kap, (n * n - 1.0) * kap * kap  # once, not per panel
 
     def travelling(sign: float):
         def f(k: np.ndarray) -> np.ndarray:
+            k = k.reshape(k.shape + (1,) * kap.ndim)
             kz = sign * k
-            kzd = sign * np.sqrt(n * n * k * k + (n * n - 1.0) * kap * kap)
-            kmag2 = kap * kap + k * k
+            kzd = sign * np.sqrt(n * n * k * k + gap2)
+            kmag2 = kap2 + k * k
             ttm = 2.0 * n * kz / (n * n * kz + kzd)
             tte = 2.0 * kz / (kz + kzd)
             phase = np.exp(-1j * kzd * z + 1j * kz * zp)
             uu = ttm * (kzd * kz / (n * kmag2)) * phase
             uz = ttm * (kzd * kap / (n * kmag2)) * phase
             zu = ttm * (kap * kz / (n * kmag2)) * phase
-            zz = ttm * (kap * kap / (n * kmag2)) * phase
+            zz = ttm * (kap2 / (n * kmag2)) * phase
             vv = tte * phase
             return np.stack([uu, uz, zu, zz, vv], axis=-1)
         return f
 
-    r_pos = halfline_oscillatory_integral(travelling(+1.0), s_eff, spec)
-    r_neg = halfline_oscillatory_integral(travelling(-1.0), s_eff, spec)
-
     gamma = evanescent_threshold(medium, kap)
 
     def evanescent(t: np.ndarray) -> np.ndarray:
-        kzd = np.sqrt(np.maximum((n * n - 1.0) * kap * kap - n * n * t * t, 0.0))
-        kmag = np.sqrt(kap * kap - t * t)
+        kzd = np.sqrt(np.maximum(gap2 - n * n * t * t, 0.0))
+        kmag = np.sqrt(kap2 - t * t)
         kz = 1j * t
         damp = np.exp(-t * zp)
         rl_tm = -(n * n * kz - kzd) / (n * n * kz + kzd)
@@ -200,36 +208,35 @@ def _transmitted_profile(medium: Medium, kap: float, z: float, zp: float,
         vv = coef_te * (ep + rl_te * em)
         return np.stack([uu, uz, zu, zz, vv], axis=-1)
 
-    ev = cut_segment_integral(evanescent, gamma, spec)
-    comps = np.asarray(r_pos.value) + np.asarray(r_neg.value) + np.asarray(ev.value)
-    err = r_pos.error_estimate + r_neg.error_estimate + ev.error_estimate
-    nodes = r_pos.nodes_used + r_neg.nodes_used + ev.nodes_used
-    return _ProfileValue(comps, err, nodes)
+    halves = [halfline_oscillatory_integral(travelling(sign), s_eff, spec) for sign in (1.0, -1.0)]
+    return _profile_sum(kap, halves, cut_segment_integral(evanescent, gamma, spec))
 
 
-def _free_profile(kap: float, z: float, zp: float) -> _ProfileValue:
+def _free_profile(kap: ArrayLike, z: float, zp: float) -> _ProfileValue:
     """Analytic fixed-k_par profile of -grad grad' G0 (smooth part of the
     transverse delta); standard 2-D Fourier representation of 1/|r - r'|."""
     dz = z - zp
-    damp = math.exp(-kap * abs(dz))
-    if dz >= 0.0:
-        comps = -math.pi * kap * damp * np.array([1.0, 1j, 1j, -1.0, 0.0])
-    else:
-        comps = -math.pi * kap * damp * np.array([1.0, -1j, -1j, -1.0, 0.0])
-    return _ProfileValue(comps.astype(complex), 0.0, 0)
+    kap = np.asarray(kap, dtype=float)
+    damp = np.exp(-kap * abs(dz))
+    sgn = 1.0 if dz >= 0.0 else -1.0
+    comps = np.multiply.outer(-math.pi * kap * damp, [1.0, sgn * 1j, sgn * 1j, -1.0, 0.0])
+    return _ProfileValue(comps, 0.0, 0)
 
 
-def _gauge_difference_profile(medium: Medium, kap: float, z: float, zp: float,
+def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
                               spec: QuadratureSpec) -> _ProfileValue:
     """Mode-sum profile of the gauge-difference kernel (TM surface modes only)."""
     n = medium.n
+    kap = np.asarray(kap, dtype=float)
+    kap2, gap2 = kap * kap, (n * n - 1.0) * kap * kap  # once, not per panel
     if n == 1.0:
-        return _ProfileValue(np.zeros(5, dtype=complex), 0.0, 0)
+        return _ProfileValue(np.zeros(kap.shape + (5,), dtype=complex), 0.0, 0)
     chat = (n * n - 1.0) / (2.0 * n * n)
 
     def right_modes(k: np.ndarray) -> np.ndarray:
-        kzd = np.sqrt(n * n * k * k + (n * n - 1.0) * kap * kap)
-        kmag = np.sqrt(kap * kap + k * k)
+        k = k.reshape(k.shape + (1,) * kap.ndim)
+        kzd = np.sqrt(n * n * k * k + gap2)
+        kmag = np.sqrt(kap2 + k * k)
         r = (n * n * k - kzd) / (n * n * k + kzd)
         pref = (1.0 + r) / kmag  # 1/omega = 1/kmag
         ju = pref * (-k / kmag * np.exp(1j * k * zp) + r * k / kmag * np.exp(-1j * k * zp))
@@ -237,8 +244,9 @@ def _gauge_difference_profile(medium: Medium, kap: float, z: float, zp: float,
         return np.stack([ju, jz], axis=-1)
 
     def left_travelling(k: np.ndarray) -> np.ndarray:
-        kzd = np.sqrt(n * n * k * k + (n * n - 1.0) * kap * kap)
-        kmag = np.sqrt(kap * kap + k * k)
+        k = k.reshape(k.shape + (1,) * kap.ndim)
+        kzd = np.sqrt(n * n * k * k + gap2)
+        kmag = np.sqrt(kap2 + k * k)
         tl = 2.0 * n * kzd / (n * n * k + kzd)
         pref = (k / kzd) * tl * tl / kmag
         phase = np.exp(-1j * k * zp)
@@ -249,24 +257,22 @@ def _gauge_difference_profile(medium: Medium, kap: float, z: float, zp: float,
     gamma = evanescent_threshold(medium, kap)
 
     def left_evanescent(t: np.ndarray) -> np.ndarray:
-        kzd = np.sqrt(np.maximum((n * n - 1.0) * kap * kap - n * n * t * t, 0.0))
-        kmag = np.sqrt(kap * kap - t * t)
+        kzd = np.sqrt(np.maximum(gap2 - n * n * t * t, 0.0))
+        kmag = np.sqrt(kap2 - t * t)
         coef = 4.0 * n * n * t * kzd / (kzd * kzd + n**4 * t * t) / kmag
         damp = np.exp(-t * zp)
         ju = coef * (-1j * t / kmag) * damp
         jz = coef * (-kap / kmag) * damp
         return np.stack([ju, jz], axis=-1)
 
-    jr = halfline_oscillatory_integral(right_modes, zp, spec)
-    jl = halfline_oscillatory_integral(left_travelling, zp, spec)
-    je = cut_segment_integral(left_evanescent, gamma, spec)
-    j = np.asarray(jr.value) + np.asarray(jl.value) + np.asarray(je.value)
+    halves = [halfline_oscillatory_integral(fn, zp, spec) for fn in (right_modes, left_travelling)]
+    j = _profile_sum(kap, halves, cut_segment_integral(left_evanescent, gamma, spec))
+    ju, jz = np.moveaxis(j.comps, -1, 0)
     sgn = 1.0 if z >= 0.0 else -1.0
-    front = 1j * kap * chat * math.exp(-kap * abs(z))
-    comps = front * np.array([j[0], j[1], 1j * sgn * j[0], 1j * sgn * j[1], 0.0])
-    err = abs(front) * (jr.error_estimate + jl.error_estimate + je.error_estimate)
-    nodes = jr.nodes_used + jl.nodes_used + je.nodes_used
-    return _ProfileValue(comps, err, nodes)
+    front = 1j * kap * chat * np.exp(-kap * abs(z))
+    parts = [ju, jz, 1j * sgn * ju, 1j * sgn * jz, np.zeros_like(ju)]
+    comps = front[..., None] * np.stack(parts, axis=-1)
+    return _ProfileValue(comps, float(np.max(np.abs(front))) * j.error, j.nodes)
 
 
 def _residue_profile(medium: Medium, kap: float, z: float, zp: float) -> np.ndarray:
@@ -333,10 +339,11 @@ def residue_closed_form(
 # radial assembly
 # ---------------------------------------------------------------------------
 
-def _bessel_combination(comps: np.ndarray, kap: float, rho: float) -> np.ndarray:
+def _bessel_combination(comps: np.ndarray, kap: np.ndarray, rho: float) -> np.ndarray:
     """Map profile components to the radial integrand of the aligned tensor,
-    returning [xx, yy, zz, xz, zx] including the kappa measure factor."""
-    uu, uz, zu, zz, vv = comps
+    returning [xx, yy, zz, xz, zx] along the last axis, including the kappa
+    measure factor."""
+    uu, uz, zu, zz, vv = np.moveaxis(comps, -1, 0)
     x = kap * rho
     j0 = jv(0, x)
     j1 = jv(1, x)
@@ -347,11 +354,11 @@ def _bessel_combination(comps: np.ndarray, kap: float, rho: float) -> np.ndarray
     w_zz = 2.0 * pi * j0 * zz
     w_xz = 2.0j * pi * j1 * uz
     w_zx = 2.0j * pi * j1 * zu
-    return kap * np.array([w_xx, w_yy, w_zz, w_xz, w_zx])
+    return kap[..., None] * np.stack([w_xx, w_yy, w_zz, w_xz, w_zx], axis=-1)
 
 
 def _radial_assemble(
-    profile_fn: Callable[[float], _ProfileValue],
+    profile_fn: Callable[[np.ndarray], _ProfileValue],
     rho: float,
     damping: float,
     spec: QuadratureSpec,
@@ -368,15 +375,15 @@ def _radial_assemble(
     k_seen_max = 0.0
 
     def integrand(karr: np.ndarray) -> np.ndarray:
+        # one profile call per panel: its error is the max over the panel's
+        # kappa nodes, so the panel's largest kappa bounds every node's rate
         nonlocal nodes_extra, err_inner_rate, k_seen_max
-        out = np.empty((len(karr), 5), dtype=complex)
-        for idx, kap in enumerate(karr):
-            prof = profile_fn(float(kap))
-            nodes_extra += prof.nodes
-            err_inner_rate = max(err_inner_rate, prof.error * float(kap) * 2.0 * math.pi)
-            k_seen_max = max(k_seen_max, float(kap))
-            out[idx] = _bessel_combination(prof.comps, float(kap), rho)
-        return out
+        prof = profile_fn(karr)
+        k_top = float(np.max(karr))
+        nodes_extra += prof.nodes
+        err_inner_rate = max(err_inner_rate, prof.error * k_top * 2.0 * math.pi)
+        k_seen_max = max(k_seen_max, k_top)
+        return _bessel_combination(prof.comps, karr, rho)
 
     use_truncation = rho == 0.0
     if damping > 0.0 and rho > 0.0:
@@ -450,7 +457,7 @@ def assemble_kernel_result(
     rho = float(np.hypot(delta_par[0], delta_par[1]))
     phi0 = math.atan2(delta_par[1], delta_par[0]) if rho > 0.0 else 0.0
 
-    parts: list[tuple[Callable[[float], _ProfileValue], float, float]] = []
+    parts: list[tuple[Callable[[np.ndarray], _ProfileValue], float, float]] = []
     # (profile function, damping scale, sign)
     if kind in (KernelKind.GENERALIZED_DELTA, KernelKind.TRUE_COULOMB):
         if z >= 0.0:

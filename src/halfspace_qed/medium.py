@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 __all__ = [
     "UnitSystem",
@@ -108,10 +109,12 @@ def epsilon_profile(medium: Medium, z: float) -> float:
     return 0.5 * (1.0 + medium.eps_inside)
 
 
-def evanescent_threshold(medium: Medium, kpar_mag: float) -> float:
-    """Branch point Gamma = |k_par| sqrt(n^2-1)/n of the refracted wavenumber."""
-    if kpar_mag < 0.0:
-        raise ValueError("kpar_mag must be >= 0")
+def evanescent_threshold(medium: Medium, kpar_mag: ArrayLike) -> float | np.ndarray:
+    """Branch point Gamma = |k_par| sqrt(n^2-1)/n of the refracted wavenumber,
+    elementwise for an array of |k_par|."""
+    kpar_mag = np.asarray(kpar_mag, dtype=float)
+    if not np.all(np.isfinite(kpar_mag) & (kpar_mag >= 0.0)):
+        raise ValueError(f"kpar_mag must be finite and >= 0, got {kpar_mag!r}")
     n = medium.n
     return kpar_mag * math.sqrt(n * n - 1.0) / n
 

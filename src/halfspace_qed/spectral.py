@@ -22,6 +22,12 @@
 Integrands may return scalars or ndarrays (all components share the node
 set); tolerances always apply to the max-norm.  Everything is deterministic:
 identical inputs produce bit-identical outputs.
+
+Batches: integrands return shape (nodes, *batch, comps), one integral per
+batch entry (a panel of |k_par| values), and the tolerance is the max-norm
+over the whole batch.  The cut segment and decaying half-line take array
+``gamma`` / ``scale`` / ``offset`` and pass nodes of shape (nodes, *batch);
+their ``nodes_used`` counts integrand evaluations, nodes x batch size.
 """
 from __future__ import annotations
 
@@ -32,6 +38,7 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
+from numpy.typing import ArrayLike
 from scipy.special import jv
 
 __all__ = [
@@ -66,14 +73,14 @@ class QuadratureSpec:
     damped_truncation_decades: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        for name in ("abs_tol", "rel_tol", "damped_truncation_decades"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.max_oscillation_periods < 8:
             raise ValueError("max_oscillation_periods must be >= 8")
         if self.acceleration_order < 2:
             raise ValueError("acceleration_order must be >= 2")
-        if self.damped_truncation_decades <= 0.0:
-            raise ValueError("damped_truncation_decades must be positive")
 
     def tolerance(self, scale: float) -> float:
         return max(self.abs_tol, self.rel_tol * scale)
@@ -250,8 +257,8 @@ def halfline_oscillatory_integral(
     The axis is cut at multiples of pi/s and the partial-sum sequence is
     Levin-accelerated; convergence requires two consecutive stable estimates.
     """
-    if oscillation_scale <= 0.0:
-        raise ValueError("oscillation_scale must be positive")
+    if not (math.isfinite(oscillation_scale) and oscillation_scale > 0.0):
+        raise ValueError(f"oscillation_scale must be positive and finite, got {oscillation_scale}")
     h = math.pi / oscillation_scale
     levin = _LevinU(spec.acceleration_order)
     abs_floor = 0.01 * spec.abs_tol
@@ -298,33 +305,34 @@ def halfline_oscillatory_integral(
     )
 
 
-def cut_segment_integral(f: Integrand, gamma: float, spec: QuadratureSpec) -> IntegralResult:
-    """int_0^Gamma f(t) dt across the evanescent branch-cut segment.
+def cut_segment_integral(f: Integrand, gamma: ArrayLike, spec: QuadratureSpec) -> IntegralResult:
+    """int_0^Gamma f(t) dt across the evanescent branch-cut segment, for every
+    entry of the array ``gamma`` at once (f gets t of shape (nodes, *gamma.shape)).
 
     With the trigonometric substitution t = Gamma*sin(u) the integrable
     1/sqrt(Gamma^2 - t^2) endpoint factor becomes smooth; panel nodes never
     touch the endpoints, so f is never called at t = 0 or t = Gamma.
     """
-    if gamma < 0.0:
-        raise ValueError("gamma must be >= 0")
-    if gamma == 0.0:
+    gamma = np.asarray(gamma, dtype=float)
+    if not np.all(np.isfinite(gamma) & (gamma >= 0.0)):
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
+    if not np.any(gamma):
         return IntegralResult(0.0 + 0.0j, 0.0, 0, True)
     if spec.cut_substitution is CutSubstitution.TRIG:
-        def g(u: np.ndarray) -> np.ndarray:
-            t = gamma * np.sin(u)
-            vals = np.asarray(f(t))
-            jac = gamma * np.cos(u)
-            return vals * jac.reshape((-1,) + (1,) * (vals.ndim - 1))
-
-        breaks = np.linspace(0.0, 0.5 * math.pi, 5)
-        total, err, nodes, ok = _adaptive_panels(g, breaks, spec)
+        sub, dsub, breaks = np.sin, np.cos, np.linspace(0.0, 0.5 * math.pi, 5)
     else:
-        breaks = np.linspace(0.0, gamma, 9)
-        total, err, nodes, ok = _adaptive_panels(f, breaks, spec)
+        sub, dsub, breaks = (lambda u: u), np.ones_like, np.linspace(0.0, 1.0, 9)
+
+    def g(u: np.ndarray) -> np.ndarray:
+        vals = np.asarray(f(np.multiply.outer(sub(u), gamma)))
+        jac = np.multiply.outer(dsub(u), gamma)
+        return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - jac.ndim))
+
+    total, err, nodes, ok = _adaptive_panels(g, breaks, spec)
     if not ok:
         raise QuadratureError(f"cut-segment integral stalled at error {err:.3e}")
     value = total if np.asarray(total).shape else complex(total)
-    return IntegralResult(value, err, nodes, True)
+    return IntegralResult(value, err, nodes * gamma.size, True)
 
 
 def damped_radial_transform(
@@ -367,27 +375,30 @@ def damped_radial_transform(
 
 
 def decaying_halfline_integral(
-    f: Integrand, scale: float, spec: QuadratureSpec, offset: float = 0.0
+    f: Integrand, scale: ArrayLike, spec: QuadratureSpec, offset: ArrayLike = 0.0
 ) -> IntegralResult:
     """int_offset^inf f(k) dk for smooth algebraically decaying f (no oscillation).
 
     Plumbing for the longitudinal mode integrals: the map k = offset + scale*tan(v)
     compactifies the half-line, then adaptive panels finish.  ``scale`` sets
-    the k-range over which f varies.
+    the k-range over which f varies; ``scale`` and ``offset`` may be arrays,
+    one integral per entry (f gets k of shape (nodes, *batch)).
     """
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
+    scale, offset = np.broadcast_arrays(np.asarray(scale, dtype=float), offset)
+    if not np.all(np.isfinite(scale) & (scale > 0.0)):
+        raise ValueError(f"scale must be positive and finite, got {scale!r}")
+    if not np.all(np.isfinite(offset)):
+        raise ValueError(f"offset must be finite, got {offset!r}")
 
     def g(v: np.ndarray) -> np.ndarray:
         t = np.tan(v)
-        k = offset + scale * t
-        vals = np.asarray(f(k))
-        jac = scale * (1.0 + t * t)
-        return vals * jac.reshape((-1,) + (1,) * (vals.ndim - 1))
+        vals = np.asarray(f(offset + np.multiply.outer(t, scale)))
+        jac = np.multiply.outer(1.0 + t * t, scale)
+        return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - jac.ndim))
 
     breaks = np.linspace(0.0, 0.5 * math.pi, 9)
     total, err, nodes, ok = _adaptive_panels(g, breaks, spec)
     if not ok:
         raise QuadratureError(f"half-line integral stalled at error {err:.3e}")
     value = total if np.asarray(total).shape else complex(total)
-    return IntegralResult(value, err, nodes, True)
+    return IntegralResult(value, err, nodes * scale.size, True)

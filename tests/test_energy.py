@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from halfspace_qed.energy import (
+    _left_longitudinal,
+    _right_longitudinal,
     double_commutator_cnumber,
     gauge_invariance_sum,
     redistribution_factors,
@@ -65,6 +68,12 @@ def test_shift_grows_with_index():
 def test_shift_rejects_charge_inside():
     with pytest.raises(ValueError):
         second_order_shift(1.0, Medium(2.0), -0.5, SPEC)
+    for fn in (second_order_shift, double_commutator_cnumber):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="z0"):
+                fn(1.0, Medium(2.0), bad, SPEC)
+            with pytest.raises(ValueError, match="q must be finite"):
+                fn(bad, Medium(2.0), 1.0, SPEC)
 
 
 def test_gauge_invariance_sum():
@@ -100,3 +109,14 @@ def test_charge_scaling():
     e1 = second_order_shift(1.0, med, 1.0, SPEC).delta_e
     e2 = second_order_shift(2.0, med, 1.0, SPEC).delta_e
     assert e2 == pytest.approx(4.0 * e1, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1.2, 2.0, 40.0])
+def test_batched_longitudinal_integrals_match_scalar_calls(n):
+    med = Medium(n)
+    kappa = np.geomspace(1e-3, 50.0, 15)
+    for integral in (_left_longitudinal, _right_longitudinal):
+        batch = integral(med, kappa, SPEC)
+        assert batch.shape == kappa.shape
+        singles = np.array([integral(med, k, SPEC) for k in kappa])
+        assert np.max(np.abs(batch - singles)) <= 1e-10 * np.max(np.abs(batch))

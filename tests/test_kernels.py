@@ -5,8 +5,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from halfspace_qed.greens import GreenVariant, PointPair, grad_grad_green_tensor
+from halfspace_qed import kernels
 from halfspace_qed.kernels import (
     KernelKind,
+    _free_profile,
+    _gauge_difference_profile,
+    _reflected_profile,
+    _residue_profile,
+    _transmitted_profile,
     assemble_kernel,
     assemble_kernel_result,
     curl_annihilation_residual,
@@ -20,6 +26,8 @@ from halfspace_qed.medium import Medium, Polarization, Side
 from halfspace_qed.spectral import QuadratureSpec, damped_radial_transform
 
 SPEC = QuadratureSpec()
+# one radial panel's worth of |k_par| values, from near 0 to deep in the damped tail
+KAPPA_PANEL = np.geomspace(1e-3, 50.0, 15)
 
 
 def pair(r, rp):
@@ -109,8 +117,6 @@ def test_gauge_difference_profile_matches_residue_profile_pointwise():
     # residue profile exactly (not only after assembly), including complex
     # off-diagonal structure; the z < 0 branch follows by the profile's
     # z-dependence, so check both signs
-    from halfspace_qed.kernels import _gauge_difference_profile, _residue_profile
-
     med = Medium(2.0)
     for kap, z, zp in [(1.3, 0.7, 0.4), (0.5, 1.1, 0.8), (0.9, -0.6, 0.5)]:
         prof = _gauge_difference_profile(med, kap, z, zp, SPEC)
@@ -223,3 +229,65 @@ def test_perfect_reflector_kernel_is_image_form():
     med = Medium(2.0)
     image = grad_grad_green_tensor(med, GreenVariant.REFLECTED, p) / med.image_strength
     assert_allclose(pr, -(free + image), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1.2, 2.0, 40.0])
+@pytest.mark.parametrize("z, zp", [(0.7, 0.4), (-0.3, 0.5)])
+def test_batched_profiles_match_scalar_calls(n, z, zp):
+    med = Medium(n)
+    builders = [
+        lambda k: _gauge_difference_profile(med, k, z, zp, SPEC),
+        lambda k: _free_profile(k, z, zp),
+    ]
+    if z > 0.0:
+        builders.append(lambda k: _reflected_profile(med, k, z, zp, SPEC))
+    for build in builders:
+        batch = build(KAPPA_PANEL)
+        assert batch.comps.shape == (len(KAPPA_PANEL), 5)
+        singles = np.array([build(k).comps for k in KAPPA_PANEL])
+        assert singles.shape == batch.comps.shape
+        assert np.max(np.abs(batch.comps - singles)) <= 1e-10 * np.max(np.abs(batch.comps))
+
+
+@pytest.mark.parametrize("n", [1.2, 2.0, 40.0])
+def test_batched_transmitted_profile_within_error_estimates(n):
+    # below the interface the travelling and evanescent parts cancel down to
+    # the e^{-kappa (z' - z)} residue profile; in the tail a scalar call's own
+    # error (up to ~1e-10 absolute) is above 1e-10 of the batch max-norm, so
+    # each entry is held to the two error estimates and to the closed form
+    med, z, zp = Medium(n), -0.3, 0.5
+    batch = _transmitted_profile(med, KAPPA_PANEL, z, zp, SPEC)
+    for kap, row in zip(KAPPA_PANEL, batch.comps):
+        single = _transmitted_profile(med, kap, z, zp, SPEC)
+        assert np.max(np.abs(row - single.comps)) <= batch.error + single.error
+        target = _residue_profile(med, float(kap), z, zp)
+        assert np.max(np.abs(row[:4] - target[:4])) <= batch.error
+        assert abs(row[4]) <= batch.error
+
+
+def test_batched_profile_counts_every_kappa_evaluation(monkeypatch):
+    # nodes_used counts integrand evaluations: every engine node is
+    # evaluated once per kappa of the batch
+    abscissae = []
+
+    def counting(engine):
+        def wrapped(f, *args):
+            def g(x):
+                abscissae.append(len(x))
+                return f(x)
+            return engine(g, *args)
+        return wrapped
+
+    for name in ("halfline_oscillatory_integral", "cut_segment_integral"):
+        monkeypatch.setattr(kernels, name, counting(getattr(kernels, name)))
+    med = Medium(2.0)
+    for build in (
+        lambda k: _reflected_profile(med, k, 0.7, 0.4, SPEC),
+        lambda k: _transmitted_profile(med, k, -0.3, 0.5, SPEC),
+        lambda k: _gauge_difference_profile(med, k, 0.7, 0.4, SPEC),
+    ):
+        abscissae.clear()
+        prof = build(KAPPA_PANEL)
+        assert prof.nodes == sum(abscissae) * len(KAPPA_PANEL)
+        abscissae.clear()
+        assert build(KAPPA_PANEL[3]).nodes == sum(abscissae)

@@ -67,6 +67,12 @@ def test_evanescent_threshold_values():
     assert evanescent_threshold(Medium(1.0), 3.0) == 0.0
     assert evanescent_threshold(Medium(1e6), 1.0) == pytest.approx(1.0, abs=1e-12)
     assert evanescent_threshold(Medium(2.0), 1.0) < 1.0
+    kpar = np.array([0.0, 0.5, 2.0])
+    assert np.array_equal(evanescent_threshold(Medium(2.0), kpar),
+                          [evanescent_threshold(Medium(2.0), k) for k in kpar])
+    for bad in (-1.0, math.nan, math.inf, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError, match="kpar_mag"):
+            evanescent_threshold(Medium(2.0), bad)
 
 
 def test_mode_frequency_examples():

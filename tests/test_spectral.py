@@ -25,6 +25,68 @@ def test_spec_validation():
         QuadratureSpec(max_oscillation_periods=4)
     with pytest.raises(ValueError):
         QuadratureSpec(acceleration_order=1)
+    for name in ("abs_tol", "rel_tol", "damped_truncation_decades"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=name):
+                QuadratureSpec(**{name: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_engines_reject_non_finite_geometry(bad):
+    with pytest.raises(ValueError, match="oscillation_scale"):
+        halfline_oscillatory_integral(np.sin, bad, SPEC)
+    with pytest.raises(ValueError, match="gamma"):
+        cut_segment_integral(lambda t: t, bad, SPEC)
+    with pytest.raises(ValueError, match="gamma"):
+        cut_segment_integral(lambda t: t, np.array([1.0, bad]), SPEC)
+    with pytest.raises(ValueError, match="scale"):
+        decaying_halfline_integral(np.exp, np.array([1.0, bad]), SPEC)
+    with pytest.raises(ValueError, match="offset"):
+        decaying_halfline_integral(np.exp, 1.0, SPEC, offset=np.array([0.0, bad]))
+
+
+def test_cut_segment_batched_gamma():
+    gammas = np.geomspace(1e-3, 50.0, 15)
+    abscissae = []
+
+    def integrand(gamma):
+        def f(t):
+            abscissae.append(len(t))
+            return np.stack([1.0 / np.sqrt(gamma * gamma - t * t), t * t * np.exp(-t)], axis=-1)
+        return f
+
+    batch = cut_segment_integral(integrand(gammas), gammas, SPEC)
+    assert batch.value.shape == (15, 2)
+    assert batch.nodes_used == sum(abscissae) * gammas.size
+    assert np.allclose(batch.value[:, 0], math.pi / 2, rtol=0.0, atol=1e-12)
+    singles = np.array([cut_segment_integral(integrand(g), g, SPEC).value for g in gammas])
+    assert np.max(np.abs(batch.value - singles)) <= 1e-10 * np.max(np.abs(batch.value))
+    spec = QuadratureSpec(cut_substitution=CutSubstitution.NONE)
+    plain = cut_segment_integral(lambda t: t * t, gammas[:4], spec)
+    assert np.allclose(plain.value, gammas[:4] ** 3 / 3.0, rtol=1e-12, atol=0.0)
+
+
+def test_decaying_halfline_batched_scale_and_offset():
+    scales = np.geomspace(1e-3, 50.0, 15)
+    offsets = np.linspace(0.0, 2.0, 15)
+    abscissae = []
+
+    def integrand(scale):
+        def f(k):
+            abscissae.append(len(k))
+            return scale / (scale * scale + k * k)
+        return f
+
+    batch = decaying_halfline_integral(integrand(scales), scales, SPEC, offset=offsets)
+    assert batch.value.shape == (15,)
+    assert batch.nodes_used == sum(abscissae) * scales.size
+    exact = np.pi / 2 - np.arctan(offsets / scales)
+    assert np.allclose(batch.value, exact, rtol=1e-9, atol=0.0)
+    singles = np.array([
+        decaying_halfline_integral(integrand(s), s, SPEC, offset=o).value
+        for s, o in zip(scales, offsets)
+    ])
+    assert np.max(np.abs(batch.value - singles)) <= 1e-10 * np.max(np.abs(batch.value))
 
 
 def test_oscillatory_sin_over_x():
