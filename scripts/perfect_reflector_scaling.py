@@ -10,8 +10,8 @@ import sys
 
 import numpy as np
 
-from halfspace_qed.greens import PointPair
-from halfspace_qed.kernels import _image_grad_grad, perfect_reflector_convergence
+from halfspace_qed.greens import PointPair, image_grad_grad_tensor
+from halfspace_qed.kernels import perfect_reflector_convergence
 from halfspace_qed.spectral import QuadratureSpec
 
 
@@ -24,7 +24,7 @@ def main() -> int:
 
     pair = PointPair(np.array(args.r), np.array(args.rprime))
     devs = perfect_reflector_convergence(pair, args.n, QuadratureSpec())
-    image_scale = np.max(np.abs(_image_grad_grad(pair, 1.0)))
+    image_scale = np.max(np.abs(image_grad_grad_tensor(pair, 1.0)))
     print("n,deviation,predicted")
     for n, dev in zip(args.n, devs):
         predicted = 2.0 / (n * n + 1.0) * image_scale

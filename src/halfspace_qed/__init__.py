@@ -5,11 +5,9 @@ of the spectral kernels by independent quadrature."""
 
 from .medium import (
     Medium,
-    NATURAL_UNITS,
     Polarization,
     Side,
     SpectralPoint,
-    UnitSystem,
     epsilon_profile,
     evanescent_threshold,
     mode_frequency,
@@ -24,7 +22,6 @@ from .greens import (
     image_potential_ves,
 )
 from .spectral import (
-    CutSubstitution,
     IntegralResult,
     QuadratureError,
     QuadratureSpec,

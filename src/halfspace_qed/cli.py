@@ -15,13 +15,8 @@ import numpy as np
 
 from .config import ConfigError, load_config
 from .fresnel import fresnel_coefficients
-from .greens import GreenVariant, PointPair, grad_grad_green_tensor
-from .kernels import (
-    KernelKind,
-    _image_grad_grad,
-    assemble_kernel_result,
-    gauge_difference_closed_form,
-)
+from .greens import GreenVariant, PointPair, grad_grad_green_tensor, image_grad_grad_tensor
+from .kernels import KernelKind, assemble_kernel_result, kernel_closed_form
 from .medium import Medium, Polarization, Side, SpectralPoint, refracted_kz
 from .modes import carniglia_mandel_mode
 from .energy import second_order_shift
@@ -132,16 +127,6 @@ def cmd_greens_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _kernel_target(med: Medium, kind: KernelKind, pair: PointPair) -> np.ndarray:
-    if kind is KernelKind.GENERALIZED_DELTA:
-        return -grad_grad_green_tensor(med, GreenVariant.FULL, pair)
-    if kind is KernelKind.GAUGE_DIFFERENCE:
-        return gauge_difference_closed_form(med, pair)
-    if kind is KernelKind.TRUE_COULOMB:
-        return -grad_grad_green_tensor(med, GreenVariant.FREE, pair)
-    raise ValueError(f"no closed-form target for {kind}")
-
-
 def cmd_kernel_verify(args: argparse.Namespace) -> int:
     st = _settings(args)
     med = Medium(args.n)
@@ -166,11 +151,11 @@ def cmd_kernel_verify(args: argparse.Namespace) -> int:
             # finite-n generalized kernel against the image form; the expected
             # deviation is the (1 - alpha)-scaled unit image term, checked exactly
             gen = assemble_kernel_result(med, KernelKind.GENERALIZED_DELTA, pair, st.quad).tensor
-            expected_diff = (1.0 - med.image_strength) * _image_grad_grad(pair, 1.0)
+            expected_diff = (1.0 - med.image_strength) * image_grad_grad_tensor(pair, 1.0)
             resid = float(np.max(np.abs(gen - assembled - expected_diff)))
             scale = float(np.max(np.abs(assembled)))
         else:
-            target = _kernel_target(med, kind, pair)
+            target = kernel_closed_form(med, kind, pair)
             resid = float(np.max(np.abs(assembled - target)))
             scale = float(np.max(np.abs(target)))
         ms = int(round((time.perf_counter() - t0) * 1000.0))

@@ -6,12 +6,18 @@ One `key = value` pair per line, `#` starts a comment, no nesting.  Known keys:
     quad.trunc_decades     -> quadrature engine parameters
     seed                   -> RNG seed for sampled checks (default 42)
     tol.<check family>     -> per-suite tolerance overrides, see DEFAULT_TOLERANCES
+
+Any other key, a tolerance that is not positive and finite, and a seed that is
+not an integer raise a :class:`ConfigError` naming the key.
 """
 from __future__ import annotations
 
+import math
+
 from .spectral import QuadratureSpec
 
-__all__ = ["ConfigError", "load_config", "quadrature_spec_from_config", "DEFAULT_TOLERANCES"]
+__all__ = ["ConfigError", "load_config", "config_value", "quadrature_spec_from_config",
+           "tolerances_from_config", "DEFAULT_TOLERANCES"]
 
 DEFAULT_TOLERANCES = {
     "tol.fresnel": 1e-12,
@@ -25,6 +31,15 @@ DEFAULT_TOLERANCES = {
     "tol.kernels.slope": 0.2,
     "tol.energy": 1e-4,
 }
+
+_QUAD_FIELDS = {  # config key -> (QuadratureSpec field, type)
+    "quad.abs_tol": ("abs_tol", float),
+    "quad.rel_tol": ("rel_tol", float),
+    "quad.max_periods": ("max_oscillation_periods", int),
+    "quad.accel_order": ("acceleration_order", int),
+    "quad.trunc_decades": ("damped_truncation_decades", float),
+}
+_KNOWN_KEYS = frozenset((*_QUAD_FIELDS, "seed", *DEFAULT_TOLERANCES))
 
 
 class ConfigError(ValueError):
@@ -44,11 +59,14 @@ def load_config(path: str) -> dict[str, str]:
             key, value = key.strip(), value.strip()
             if not key or not value:
                 raise ConfigError(f"{path}:{lineno}: empty key or value")
+            if key not in _KNOWN_KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             values[key] = value
     return values
 
 
-def _get(cfg: dict[str, str], key: str, cast, default):
+def config_value(cfg: dict[str, str], key: str, cast, default):
+    """``cast(cfg[key])``, or ``default`` when the key is not set."""
     if key not in cfg:
         return default
     try:
@@ -57,12 +75,18 @@ def _get(cfg: dict[str, str], key: str, cast, default):
         raise ConfigError(f"config key {key}: {exc}") from exc
 
 
+def tolerances_from_config(cfg: dict[str, str]) -> dict[str, float]:
+    """DEFAULT_TOLERANCES with the overrides of the config, each positive and finite."""
+    tolerances = dict(DEFAULT_TOLERANCES)
+    for key in DEFAULT_TOLERANCES:
+        value = config_value(cfg, key, float, tolerances[key])
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"config key {key}: tolerance must be positive and finite, "
+                              f"got {cfg[key]!r}")
+        tolerances[key] = value
+    return tolerances
+
+
 def quadrature_spec_from_config(cfg: dict[str, str]) -> QuadratureSpec:
-    base = QuadratureSpec()
-    return QuadratureSpec(
-        abs_tol=_get(cfg, "quad.abs_tol", float, base.abs_tol),
-        rel_tol=_get(cfg, "quad.rel_tol", float, base.rel_tol),
-        max_oscillation_periods=_get(cfg, "quad.max_periods", int, base.max_oscillation_periods),
-        acceleration_order=_get(cfg, "quad.accel_order", int, base.acceleration_order),
-        damped_truncation_decades=_get(cfg, "quad.trunc_decades", float, base.damped_truncation_decades),
-    )
+    return QuadratureSpec(**{field: config_value(cfg, key, cast, None)
+                             for key, (field, cast) in _QUAD_FIELDS.items() if key in cfg})

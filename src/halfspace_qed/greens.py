@@ -14,6 +14,7 @@ test-suite keeps an independent central finite-difference oracle against them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,6 +27,7 @@ __all__ = [
     "PointPair",
     "electrostatic_green",
     "grad_grad_green_tensor",
+    "image_grad_grad_tensor",
     "image_potential_ves",
 ]
 
@@ -51,6 +53,8 @@ class PointPair:
         rp = np.asarray(self.rprime, dtype=float)
         if r.shape != (3,) or rp.shape != (3,):
             raise ValueError("points must be 3-vectors")
+        if not all(map(math.isfinite, r.tolist() + rp.tolist())):
+            raise ValueError(f"points must be finite, got r={r.tolist()}, r'={rp.tolist()}")
         if rp[2] <= 0.0:
             raise ValueError("the source point must lie outside the dielectric (z' > 0)")
         object.__setattr__(self, "r", r)
@@ -103,14 +107,20 @@ def _grad_grad_inverse_distance(d: np.ndarray) -> np.ndarray:
 _MIRROR = np.diag([1.0, 1.0, -1.0])
 
 
+def image_grad_grad_tensor(pair: PointPair, strength: float) -> np.ndarray:
+    """grad_i grad'_j of the image term -strength/(4 pi |r - rbar'|): alpha for
+    the dielectric, 1 for a perfect mirror.  The primed derivative acts through
+    the image map z' -> -z', which puts the mirror matrix on the second index."""
+    dbar = pair.r - pair.image_point
+    if float(dbar @ dbar) == 0.0:
+        raise ValueError("field point coincides with the image point")
+    return -strength / _FOUR_PI * (_grad_grad_inverse_distance(dbar) @ _MIRROR)
+
+
 def grad_grad_green_tensor(
     medium: Medium, variant: GreenVariant, pair: PointPair
 ) -> np.ndarray:
-    """Closed-form grad_i grad'_j of the chosen variant (3x3 real).
-
-    For the reflected part the primed derivative acts through the image map
-    z' -> -z', which contributes the mirror matrix on the second index.
-    """
+    """Closed-form grad_i grad'_j of the chosen variant (3x3 real)."""
     al = medium.image_strength
     z = pair.r[2]
     _check_region(variant, z)
@@ -125,11 +135,7 @@ def grad_grad_green_tensor(
         return _grad_grad_inverse_distance(pair.r - pair.rprime) / _FOUR_PI
     if variant is GreenVariant.TRANSMITTED:
         return (1.0 - al) * _grad_grad_inverse_distance(pair.r - pair.rprime) / _FOUR_PI
-    # REFLECTED
-    dbar = pair.r - pair.image_point
-    if float(dbar @ dbar) == 0.0:
-        raise ValueError("field point coincides with the image point")
-    return -al / _FOUR_PI * (_grad_grad_inverse_distance(dbar) @ _MIRROR)
+    return image_grad_grad_tensor(pair, al)  # REFLECTED
 
 
 def image_potential_ves(q: float, medium: Medium, z0: float) -> float:

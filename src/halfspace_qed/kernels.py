@@ -41,19 +41,13 @@ import numpy as np
 from numpy.typing import ArrayLike
 from scipy.special import jv
 
-from .greens import (
-    GreenVariant,
-    PointPair,
-    _MIRROR,
-    _grad_grad_inverse_distance,
-    grad_grad_green_tensor,
-)
+from .greens import GreenVariant, PointPair, grad_grad_green_tensor, image_grad_grad_tensor
 from .medium import Medium, Polarization, Side, evanescent_threshold
 from .modes import chi_mode_coefficient, sigma_mode_coefficient
 from .spectral import (
     QuadratureError,
     QuadratureSpec,
-    _adaptive_panels,
+    adaptive_panels,
     cut_segment_integral,
     halfline_oscillatory_integral,
 )
@@ -61,8 +55,11 @@ from .spectral import (
 __all__ = [
     "KernelKind",
     "KernelAssembly",
+    "kz_profile",
     "kz_spectral_kernel",
+    "residue_profile",
     "residue_closed_form",
+    "kernel_closed_form",
     "assemble_kernel",
     "assemble_kernel_result",
     "gauge_difference_closed_form",
@@ -275,7 +272,18 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
     return _ProfileValue(comps, float(np.max(np.abs(front))) * j.error, j.nodes)
 
 
-def _residue_profile(medium: Medium, kap: float, z: float, zp: float) -> np.ndarray:
+def kz_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
+               spec: QuadratureSpec) -> _ProfileValue:
+    """The k_z-integrated kernel profile at fixed kappa: the reflected profile
+    for z >= 0, the transmitted one below the interface."""
+    if zp <= 0.0:
+        raise ValueError("the primed point must lie outside the dielectric (z' > 0)")
+    if z >= 0.0:
+        return _reflected_profile(medium, kap, z, zp, spec)
+    return _transmitted_profile(medium, kap, z, zp, spec)
+
+
+def residue_profile(medium: Medium, kap: float, z: float, zp: float) -> np.ndarray:
     """Closed-form profile from the TM pole at k_z = i|k_par| (TE vanishes)."""
     n = medium.n
     if z >= 0.0:
@@ -315,12 +323,7 @@ def kz_spectral_kernel(
     for z < 0.  k_par points along +x; the (2 pi)^{-3} measure and the
     parallel plane-wave factor of the full assembly are not included.
     """
-    if zprime <= 0.0:
-        raise ValueError("the primed point must lie outside the dielectric (z' > 0)")
-    if z >= 0.0:
-        prof = _reflected_profile(medium, kpar_mag, z, zprime, spec)
-    else:
-        prof = _transmitted_profile(medium, kpar_mag, z, zprime, spec)
+    prof = kz_profile(medium, kpar_mag, z, zprime, spec)
     return complex(_profile_tensor(prof.comps, pol)[i, j])
 
 
@@ -331,7 +334,7 @@ def residue_closed_form(
     integrand is entire in the upper half-plane and integrates to zero)."""
     if zprime <= 0.0:
         raise ValueError("the primed point must lie outside the dielectric (z' > 0)")
-    comps = _residue_profile(medium, kpar_mag, z, zprime)
+    comps = residue_profile(medium, kpar_mag, z, zprime)
     return complex(_profile_tensor(comps, None)[i, j])
 
 
@@ -385,23 +388,17 @@ def _radial_assemble(
         k_seen_max = max(k_seen_max, k_top)
         return _bessel_combination(prof.comps, karr, rho)
 
-    use_truncation = rho == 0.0
-    if damping > 0.0 and rho > 0.0:
-        kmax = spec.damped_truncation_decades * math.log(10.0) / damping
-        # truncation unless the damping scale is so short that the range would
-        # need an unreasonable number of Bessel panels
-        use_truncation = kmax * rho <= 2.0 * math.pi or kmax <= 40.0 * math.pi / rho
-    if use_truncation:
-        if damping <= 0.0:
-            raise ValueError("profile without damping needs rho > 0 for the assembly")
-        kmax = spec.damped_truncation_decades * math.log(10.0) / damping
-        npanels = max(8, min(256, int(math.ceil(kmax * rho / math.pi)) if rho > 0.0 else 8))
+    if damping <= 0.0 and rho == 0.0:
+        raise ValueError("profile without damping needs rho > 0 for the assembly")
+    kmax = spec.damped_truncation_decades * math.log(10.0) / damping if damping > 0.0 else math.inf
+    # truncation unless the damping scale is so short that the range would
+    # need an unreasonable number of Bessel panels
+    if rho == 0.0 or kmax * rho <= 2.0 * math.pi or kmax <= 40.0 * math.pi / rho:
+        npanels = max(8, min(256, int(math.ceil(kmax * rho / math.pi))))
         breaks = np.linspace(0.0, kmax, npanels + 1)
-        total, err, nodes, ok = _adaptive_panels(integrand, breaks, spec, max_panels=600)
+        total, err_total, nodes, ok = adaptive_panels(integrand, breaks, spec, max_panels=600)
         if not ok:
             raise QuadratureError("radial assembly stalled")
-        result = np.asarray(total)
-        err_total = err
     else:
         # undamped profiles converge through the Bessel oscillation alone;
         # a mildly relaxed tolerance keeps the accelerated partial sums well
@@ -413,10 +410,8 @@ def _radial_assemble(
             max_oscillation_periods=max(spec.max_oscillation_periods, 64),
         )
         res = halfline_oscillatory_integral(integrand, rho, osc_spec)
-        result = np.asarray(res.value)
-        err_total = res.error_estimate
-        nodes = res.nodes_used
-    xx, yy, zz, xz, zx = result
+        total, err_total, nodes = res.value, res.error_estimate, res.nodes_used
+    xx, yy, zz, xz, zx = np.asarray(total)
     tensor = np.array(
         [[xx, 0.0, xz], [0.0, yy, 0.0], [zx, 0.0, zz]], dtype=complex
     ) / _TWO_PI_CUBED
@@ -429,12 +424,6 @@ def _rotation_about_z(phi: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _image_grad_grad(pair: PointPair, strength: float) -> np.ndarray:
-    """grad grad' of the image term with explicit strength (alpha or 1)."""
-    dbar = pair.r - pair.image_point
-    return -strength / (4.0 * math.pi) * (_grad_grad_inverse_distance(dbar) @ _MIRROR)
-
-
 def assemble_kernel_result(
     medium: Medium, kind: KernelKind, pair: PointPair, spec: QuadratureSpec
 ) -> KernelAssembly:
@@ -445,43 +434,26 @@ def assemble_kernel_result(
     z, zp = float(pair.r[2]), float(pair.rprime[2])
 
     if kind is KernelKind.PERFECT_REFLECTOR:
-        if z < 0.0:
-            raise ValueError("the perfect-reflector kernel lives in z, z' > 0")
-        tensor = -(
-            _grad_grad_inverse_distance(pair.r - pair.rprime) / (4.0 * math.pi)
-            + _image_grad_grad(pair, 1.0)
-        )
-        return KernelAssembly(tensor.astype(complex), 0.0, 0)
+        return KernelAssembly(kernel_closed_form(medium, kind, pair).astype(complex), 0.0, 0)
 
     delta_par = pair.r[:2] - pair.rprime[:2]
     rho = float(np.hypot(delta_par[0], delta_par[1]))
     phi0 = math.atan2(delta_par[1], delta_par[0]) if rho > 0.0 else 0.0
 
+    # (profile function, damping scale, sign); every interface profile decays
+    # like e^{-kappa (|z| + z')}
     parts: list[tuple[Callable[[np.ndarray], _ProfileValue], float, float]] = []
-    # (profile function, damping scale, sign)
     if kind in (KernelKind.GENERALIZED_DELTA, KernelKind.TRUE_COULOMB):
         if z >= 0.0:
-            parts.append(
-                (lambda kap: _free_profile(kap, z, zp), abs(z - zp), 1.0)
-            )
-            if medium.n > 1.0:
-                parts.append(
-                    (lambda kap: _reflected_profile(medium, kap, z, zp, spec), z + zp, 1.0)
-                )
-        else:
-            parts.append(
-                (lambda kap: _transmitted_profile(medium, kap, z, zp, spec), zp - z, 1.0)
-            )
+            parts.append((lambda kap: _free_profile(kap, z, zp), abs(z - zp), 1.0))
+        if z < 0.0 or medium.n > 1.0:
+            parts.append((lambda kap: kz_profile(medium, kap, z, zp, spec), abs(z) + zp, 1.0))
     if kind is KernelKind.GAUGE_DIFFERENCE or (
         kind is KernelKind.TRUE_COULOMB and medium.n > 1.0
     ):
         sign = -1.0 if kind is KernelKind.TRUE_COULOMB else 1.0
         parts.append(
-            (
-                lambda kap: _gauge_difference_profile(medium, kap, z, zp, spec),
-                abs(z) + zp,
-                sign,
-            )
+            (lambda kap: _gauge_difference_profile(medium, kap, z, zp, spec), abs(z) + zp, sign)
         )
 
     total = np.zeros((3, 3), dtype=complex)
@@ -514,21 +486,25 @@ def gauge_difference_closed_form(medium: Medium, pair: PointPair) -> np.ndarray:
     return al * grad_grad_green_tensor(medium, GreenVariant.FREE, pair)
 
 
+def kernel_closed_form(medium: Medium, kind: KernelKind, pair: PointPair) -> np.ndarray:
+    """Image-charge closed form of each kernel kind at separated points.  The
+    perfect reflector is the free form plus the unit-strength image, whatever
+    the medium."""
+    if kind is KernelKind.GENERALIZED_DELTA:
+        return -grad_grad_green_tensor(medium, GreenVariant.FULL, pair)
+    if kind is KernelKind.GAUGE_DIFFERENCE:
+        return gauge_difference_closed_form(medium, pair)
+    if kind is KernelKind.TRUE_COULOMB:
+        return -grad_grad_green_tensor(medium, GreenVariant.FREE, pair)
+    if pair.r[2] < 0.0:
+        raise ValueError("the perfect-reflector kernel lives in z, z' > 0")
+    free = grad_grad_green_tensor(medium, GreenVariant.FREE, pair)
+    return -(free + image_grad_grad_tensor(pair, 1.0))
+
+
 # ---------------------------------------------------------------------------
 # verification residuals
 # ---------------------------------------------------------------------------
-
-def _fd_first_index_derivatives(
-    tensor_fn: Callable[[np.ndarray], np.ndarray], r: np.ndarray, step: float
-) -> np.ndarray:
-    """Central finite-difference d/dr_l of a tensor field, shape (3, 3, 3) [l, i, j]."""
-    out = np.empty((3, 3, 3))
-    for axis in range(3):
-        dr = np.zeros(3)
-        dr[axis] = step
-        out[axis] = (tensor_fn(r + dr) - tensor_fn(r - dr)) / (2.0 * step)
-    return out
-
 
 def fd_curl_first_index(
     tensor_fn: Callable[[np.ndarray], np.ndarray], r: np.ndarray, step: float
@@ -538,7 +514,11 @@ def fd_curl_first_index(
     Returns the curl matrix and the max first-derivative magnitude, the
     natural scale for a relative residual.
     """
-    d = _fd_first_index_derivatives(tensor_fn, r, step)
+    d = np.empty((3, 3, 3))  # central differences d/dr_l K_ij, indexed [l, i, j]
+    for axis in range(3):
+        dr = np.zeros(3)
+        dr[axis] = step
+        d[axis] = (tensor_fn(r + dr) - tensor_fn(r - dr)) / (2.0 * step)
     curl = np.empty((3, 3))
     curl[0] = d[1, 2] - d[2, 1]
     curl[1] = d[2, 0] - d[0, 2]
@@ -589,11 +569,7 @@ def perfect_reflector_convergence(
     the perfect-reflector image form, for each n; decays like 2/(n^2+1)."""
     if pair.r[2] <= 0.0:
         raise ValueError("the perfect-reflector comparison needs z, z' > 0")
-    target = assemble_kernel(
-        Medium(1.0), KernelKind.PERFECT_REFLECTOR, pair, spec
-    )
-    devs = []
-    for n in n_values:
-        kern = assemble_kernel(Medium(n), KernelKind.GENERALIZED_DELTA, pair, spec)
-        devs.append(float(np.max(np.abs(kern - target))))
-    return devs
+    target = kernel_closed_form(Medium(1.0), KernelKind.PERFECT_REFLECTOR, pair)
+    assembled = (assemble_kernel(Medium(n), KernelKind.GENERALIZED_DELTA, pair, spec)
+                 for n in n_values)
+    return [float(np.max(np.abs(kern - target))) for kern in assembled]

@@ -22,8 +22,6 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 __all__ = [
-    "UnitSystem",
-    "NATURAL_UNITS",
     "Medium",
     "Side",
     "Polarization",
@@ -34,19 +32,6 @@ __all__ = [
     "evanescent_threshold",
     "mode_frequency",
 ]
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Global unit convention; immutable.  Default natural units."""
-
-    hbar: float = 1.0
-    c: float = 1.0
-    eps0: float = 1.0
-    name: str = "natural"
-
-
-NATURAL_UNITS = UnitSystem()
 
 
 class Side(Enum):

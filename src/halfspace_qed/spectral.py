@@ -11,9 +11,10 @@
    evaluation.
 
 2. Branch-cut (evanescent) segment integrals over t in (0, Gamma) with an
-   integrable 1/sqrt(Gamma^2 - t^2) endpoint factor: the substitution
-   t = Gamma*sin(u) removes the endpoint behaviour, then globally adaptive
-   Gauss-Kronrod 7/15 panels finish the job.
+   integrable 1/sqrt(Gamma^2 - t^2) endpoint factor: the segment is always
+   mapped by the trigonometric substitution t = Gamma*sin(u), which removes
+   the endpoint behaviour, then globally adaptive Gauss-Kronrod 7/15 panels
+   finish the job.
 
 3. Exponentially damped radial transforms int_0^inf f(k) e^{-k a} J_nu(k rho):
    truncation after a configured number of decay decades plus adaptive
@@ -34,7 +35,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -42,23 +42,19 @@ from numpy.typing import ArrayLike
 from scipy.special import jv
 
 __all__ = [
-    "CutSubstitution",
     "QuadratureSpec",
     "IntegralResult",
     "QuadratureError",
+    "adaptive_panels",
     "halfline_oscillatory_integral",
     "cut_segment_integral",
     "damped_radial_transform",
+    "decaying_halfline_integral",
 ]
 
 
 class QuadratureError(RuntimeError):
     """Raised when an integral fails to meet its tolerance."""
-
-
-class CutSubstitution(Enum):
-    TRIG = "trig"
-    NONE = "none"
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,6 @@ class QuadratureSpec:
     rel_tol: float = 1e-9
     max_oscillation_periods: int = 48
     acceleration_order: int = 12
-    cut_substitution: CutSubstitution = CutSubstitution.TRIG
     damped_truncation_decades: float = 10.0
 
     def __post_init__(self) -> None:
@@ -170,7 +165,7 @@ def _segment_adaptive(
     return total, sum(p[0] for p in panels), nodes
 
 
-def _adaptive_panels(
+def adaptive_panels(
     f: Integrand,
     breakpoints: np.ndarray,
     spec: QuadratureSpec,
@@ -318,17 +313,14 @@ def cut_segment_integral(f: Integrand, gamma: ArrayLike, spec: QuadratureSpec) -
         raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
     if not np.any(gamma):
         return IntegralResult(0.0 + 0.0j, 0.0, 0, True)
-    if spec.cut_substitution is CutSubstitution.TRIG:
-        sub, dsub, breaks = np.sin, np.cos, np.linspace(0.0, 0.5 * math.pi, 5)
-    else:
-        sub, dsub, breaks = (lambda u: u), np.ones_like, np.linspace(0.0, 1.0, 9)
 
     def g(u: np.ndarray) -> np.ndarray:
-        vals = np.asarray(f(np.multiply.outer(sub(u), gamma)))
-        jac = np.multiply.outer(dsub(u), gamma)
+        vals = np.asarray(f(np.multiply.outer(np.sin(u), gamma)))
+        jac = np.multiply.outer(np.cos(u), gamma)
         return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - jac.ndim))
 
-    total, err, nodes, ok = _adaptive_panels(g, breaks, spec)
+    breaks = np.linspace(0.0, 0.5 * math.pi, 5)
+    total, err, nodes, ok = adaptive_panels(g, breaks, spec)
     if not ok:
         raise QuadratureError(f"cut-segment integral stalled at error {err:.3e}")
     value = total if np.asarray(total).shape else complex(total)
@@ -363,7 +355,7 @@ def damped_radial_transform(
     if radius > 0.0:
         npanels = max(npanels, min(256, int(math.ceil(kmax * radius / math.pi))))
     breaks = np.linspace(0.0, kmax, npanels + 1)
-    total, err, nodes, ok = _adaptive_panels(g, breaks, spec, max_panels=800)
+    total, err, nodes, ok = adaptive_panels(g, breaks, spec, max_panels=800)
     tail = np.asarray(f(np.array([kmax])))[0]
     tail_bound = float(np.max(np.abs(tail))) * math.exp(-kmax * damping) / damping
     err = err + tail_bound
@@ -397,7 +389,7 @@ def decaying_halfline_integral(
         return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - jac.ndim))
 
     breaks = np.linspace(0.0, 0.5 * math.pi, 9)
-    total, err, nodes, ok = _adaptive_panels(g, breaks, spec)
+    total, err, nodes, ok = adaptive_panels(g, breaks, spec)
     if not ok:
         raise QuadratureError(f"half-line integral stalled at error {err:.3e}")
     value = total if np.asarray(total).shape else complex(total)

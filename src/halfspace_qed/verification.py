@@ -13,7 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, quadrature_spec_from_config
+from .config import (
+    DEFAULT_TOLERANCES,
+    config_value,
+    quadrature_spec_from_config,
+    tolerances_from_config,
+)
 from .energy import (
     double_commutator_cnumber,
     gauge_invariance_sum,
@@ -23,15 +28,14 @@ from .fresnel import cancellation_residual, fresnel_coefficients
 from .greens import GreenVariant, PointPair, grad_grad_green_tensor
 from .kernels import (
     KernelKind,
-    _reflected_profile,
-    _residue_profile,
-    _transmitted_profile,
     assemble_kernel,
     curl_annihilation_residual,
     fd_curl_first_index,
-    gauge_difference_closed_form,
+    kernel_closed_form,
+    kz_profile,
     perfect_reflector_convergence,
     poisson_jump_residual,
+    residue_profile,
 )
 from .medium import (
     Medium,
@@ -64,15 +68,10 @@ class SuiteSettings:
 
 def settings_from_config(cfg: dict | None = None, seed: int | None = None) -> SuiteSettings:
     cfg = cfg or {}
-    tolerances = dict(DEFAULT_TOLERANCES)
-    for key, value in cfg.items():
-        if key.startswith("tol."):
-            tolerances[key] = float(value)
-    cfg_seed = int(cfg.get("seed", 42))
     return SuiteSettings(
         quad=quadrature_spec_from_config(cfg),
-        seed=seed if seed is not None else cfg_seed,
-        tolerances=tolerances,
+        seed=seed if seed is not None else config_value(cfg, "seed", int, 42),
+        tolerances=tolerances_from_config(cfg),
     )
 
 
@@ -244,11 +243,8 @@ def kernels_suite(st: SuiteSettings) -> list[CheckReport]:
         t0 = time.perf_counter()
         worst = worst_te = 0.0
         for kpar, z, zp in _residue_points(rng, 51):
-            if z >= 0.0:
-                prof = _reflected_profile(med, kpar, z, zp, quad)
-            else:
-                prof = _transmitted_profile(med, kpar, z, zp, quad)
-            target = _residue_profile(med, kpar, z, zp)
+            prof = kz_profile(med, kpar, z, zp, quad)
+            target = residue_profile(med, kpar, z, zp)
             scale = float(np.max(np.abs(target)))
             worst = max(worst, float(np.max(np.abs(prof.comps[:4] - target[:4]))) / scale)
             worst_te = max(worst_te, abs(prof.comps[4]) / scale)
@@ -257,64 +253,35 @@ def kernels_suite(st: SuiteSettings) -> list[CheckReport]:
         reports.append(make_check("kz_integral_vs_residue", params, worst, 0.0, tol_res, "abs", ms))
         reports.append(make_check("te_kernel_suppression", params, worst_te, 0.0, tol_te, "abs", ms))
 
+    # assembled kernels vs their image-charge closed forms: the generalized
+    # gauge on both halves of the geometry, the gauge-difference mode sum, and
+    # the true-Coulomb kernel (free-space form, then n-independence below)
     pairs = _point_pairs()
-    tol_asm = st.tol("tol.kernels.assembly")
-
-    # generalized-gauge kernel vs -grad grad' G (both halves of the geometry)
-    for n in (1.5, 2.0, 4.0):
-        med = Medium(n)
-        t0 = time.perf_counter()
-        worst = 0.0
-        for pair in pairs:
-            kern = assemble_kernel(med, KernelKind.GENERALIZED_DELTA, pair, quad)
-            target = -grad_grad_green_tensor(med, GreenVariant.FULL, pair)
-            scale = float(np.max(np.abs(target)))
-            worst = max(worst, float(np.max(np.abs(kern - target))) / scale)
-        ms = _elapsed_ms(t0)
-        reports.append(
-            make_check("generalized_delta_closed_form", {"n": n, "pairs": len(pairs)},
-                       worst, 0.0, tol_asm, "abs", ms)
-        )
-
-    # gauge-difference mode sum vs its closed form
-    for n in (1.5, 2.0, 4.0):
-        med = Medium(n)
-        t0 = time.perf_counter()
-        worst = 0.0
-        for pair in pairs:
-            kern = assemble_kernel(med, KernelKind.GAUGE_DIFFERENCE, pair, quad)
-            target = gauge_difference_closed_form(med, pair)
-            scale = float(np.max(np.abs(target)))
-            worst = max(worst, float(np.max(np.abs(kern - target))) / scale)
-        ms = _elapsed_ms(t0)
-        reports.append(
-            make_check("gauge_difference_closed_form", {"n": n, "pairs": len(pairs)},
-                       worst, 0.0, tol_asm, "abs", ms)
-        )
-
-    # true-Coulomb kernel: free-space form and n-independence
     tc_pairs = [pairs[0], pairs[1], pairs[4], pairs[5]]
-    tc_values = {}
-    for n in (1.5, 4.0):
-        med = Medium(n)
-        t0 = time.perf_counter()
-        worst = 0.0
-        tensors = []
-        for pair in tc_pairs:
-            kern = assemble_kernel(med, KernelKind.TRUE_COULOMB, pair, quad)
-            tensors.append(kern)
-            target = -grad_grad_green_tensor(med, GreenVariant.FREE, pair)
-            scale = float(np.max(np.abs(target)))
-            worst = max(worst, float(np.max(np.abs(kern - target))) / scale)
-        tc_values[n] = tensors
-        ms = _elapsed_ms(t0)
-        reports.append(
-            make_check("true_coulomb_free_space_form", {"n": n, "pairs": len(tc_pairs)},
-                       worst, 0.0, tol_asm, "abs", ms)
-        )
+    tol_asm = st.tol("tol.kernels.assembly")
+    assembled: dict[tuple[KernelKind, float], list[np.ndarray]] = {}
+    for name, kind, n_values, kind_pairs in (
+        ("generalized_delta_closed_form", KernelKind.GENERALIZED_DELTA, (1.5, 2.0, 4.0), pairs),
+        ("gauge_difference_closed_form", KernelKind.GAUGE_DIFFERENCE, (1.5, 2.0, 4.0), pairs),
+        ("true_coulomb_free_space_form", KernelKind.TRUE_COULOMB, (1.5, 4.0), tc_pairs),
+    ):
+        for n in n_values:
+            med = Medium(n)
+            t0 = time.perf_counter()
+            kerns = assembled[kind, n] = [assemble_kernel(med, kind, p, quad) for p in kind_pairs]
+            worst = 0.0
+            for kern, pair in zip(kerns, kind_pairs):
+                target = kernel_closed_form(med, kind, pair)
+                scale = float(np.max(np.abs(target)))
+                worst = max(worst, float(np.max(np.abs(kern - target))) / scale)
+            reports.append(
+                make_check(name, {"n": n, "pairs": len(kind_pairs)},
+                           worst, 0.0, tol_asm, "abs", _elapsed_ms(t0))
+            )
     t0 = time.perf_counter()
     worst = 0.0
-    for ta, tb, pair in zip(tc_values[1.5], tc_values[4.0], tc_pairs):
+    tc = KernelKind.TRUE_COULOMB
+    for ta, tb in zip(assembled[tc, 1.5], assembled[tc, 4.0]):
         scale = float(np.max(np.abs(ta)))
         worst = max(worst, float(np.max(np.abs(ta - tb))) / scale)
     reports.append(

@@ -23,6 +23,15 @@ def test_source_must_be_outside():
         pair((0, 0, 1.0), (0, 0, -0.5))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("coord", range(6))
+def test_point_pair_rejects_non_finite_coordinates(coord, bad):
+    coords = [0.3, -0.2, 0.7, 0.1, 0.4, 0.5]
+    coords[coord] = bad
+    with pytest.raises(ValueError, match="finite"):
+        PointPair(np.array(coords[:3]), np.array(coords[3:]))
+
+
 def test_free_space_reduction():
     p = pair((0.3, -0.2, 0.8), (0.0, 0.1, 0.4))
     full = electrostatic_green(Medium(1.0), GreenVariant.FULL, p)

@@ -4,23 +4,30 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from halfspace_qed.greens import GreenVariant, PointPair, grad_grad_green_tensor
+from halfspace_qed.greens import (
+    GreenVariant,
+    PointPair,
+    grad_grad_green_tensor,
+    image_grad_grad_tensor,
+)
 from halfspace_qed import kernels
 from halfspace_qed.kernels import (
     KernelKind,
     _free_profile,
     _gauge_difference_profile,
     _reflected_profile,
-    _residue_profile,
     _transmitted_profile,
     assemble_kernel,
     assemble_kernel_result,
     curl_annihilation_residual,
     gauge_difference_closed_form,
+    kernel_closed_form,
+    kz_profile,
     kz_spectral_kernel,
     perfect_reflector_convergence,
     poisson_jump_residual,
     residue_closed_form,
+    residue_profile,
 )
 from halfspace_qed.medium import Medium, Polarization, Side
 from halfspace_qed.spectral import QuadratureSpec, damped_radial_transform
@@ -121,7 +128,7 @@ def test_gauge_difference_profile_matches_residue_profile_pointwise():
     for kap, z, zp in [(1.3, 0.7, 0.4), (0.5, 1.1, 0.8), (0.9, -0.6, 0.5)]:
         prof = _gauge_difference_profile(med, kap, z, zp, SPEC)
         if z >= 0.0:
-            target = _residue_profile(med, kap, z, zp)
+            target = residue_profile(med, kap, z, zp)
         else:
             al = med.image_strength
             pref = math.pi * al * kap * math.exp(kap * (z - zp))
@@ -203,15 +210,13 @@ def test_poisson_jump_identity():
 
 
 def test_perfect_reflector_deviation_scaling():
-    from halfspace_qed.kernels import _image_grad_grad
-
     p = pair((0.3, 0.0, 0.7), (0.0, 0.2, 0.5))
     devs = perfect_reflector_convergence(p, [10.0, 30.0, 100.0], SPEC)
     assert devs[0] > devs[1] > devs[2]
     slope = np.polyfit(np.log([10.0, 30.0, 100.0]), np.log(devs), 1)[0]
     assert slope == pytest.approx(-2.0, abs=0.2)
     # deviation magnitude is (1 - alpha(n)) = 2/(n^2+1) of the unit image term
-    image_scale = np.max(np.abs(_image_grad_grad(p, 1.0)))
+    image_scale = np.max(np.abs(image_grad_grad_tensor(p, 1.0)))
     for n, dev in zip([10.0, 30.0, 100.0], devs):
         assert dev == pytest.approx(2.0 / (n * n + 1.0) * image_scale, rel=2e-2)
     # n = 1 deviation equals the full image-term magnitude
@@ -229,6 +234,36 @@ def test_perfect_reflector_kernel_is_image_form():
     med = Medium(2.0)
     image = grad_grad_green_tensor(med, GreenVariant.REFLECTED, p) / med.image_strength
     assert_allclose(pr, -(free + image), rtol=1e-12)
+    assert_allclose(image, image_grad_grad_tensor(p, 1.0), rtol=1e-12)
+
+
+def test_kernel_closed_form_table():
+    med = Medium(2.0)
+    upper, lower = pair((0.3, 0.0, 0.7), (0.0, 0.2, 0.5)), pair((0.3, 0.0, -0.7), (0.0, 0.2, 0.5))
+    for p in (upper, lower):
+        assert_allclose(kernel_closed_form(med, KernelKind.GENERALIZED_DELTA, p),
+                        -grad_grad_green_tensor(med, GreenVariant.FULL, p), rtol=1e-15)
+        assert_allclose(kernel_closed_form(med, KernelKind.GAUGE_DIFFERENCE, p),
+                        gauge_difference_closed_form(med, p), rtol=1e-15)
+        assert_allclose(kernel_closed_form(med, KernelKind.TRUE_COULOMB, p),
+                        -grad_grad_green_tensor(med, GreenVariant.FREE, p), rtol=1e-15)
+    # the mirror form does not depend on n and exists only above the interface
+    mirror = kernel_closed_form(Medium(1.0), KernelKind.PERFECT_REFLECTOR, upper)
+    assert_allclose(kernel_closed_form(med, KernelKind.PERFECT_REFLECTOR, upper), mirror)
+    with pytest.raises(ValueError, match="perfect-reflector"):
+        kernel_closed_form(med, KernelKind.PERFECT_REFLECTOR, lower)
+    with pytest.raises(ValueError, match="perfect-reflector"):
+        assemble_kernel(med, KernelKind.PERFECT_REFLECTOR, lower, SPEC)
+
+
+def test_kz_profile_dispatches_on_the_side_of_z():
+    med = Medium(2.0)
+    for z, build in ((0.7, _reflected_profile), (0.0, _reflected_profile),
+                     (-0.3, _transmitted_profile)):
+        assert np.array_equal(kz_profile(med, KAPPA_PANEL[:3], z, 0.5, SPEC).comps,
+                              build(med, KAPPA_PANEL[:3], z, 0.5, SPEC).comps)
+    with pytest.raises(ValueError, match="z' > 0"):
+        kz_profile(med, 1.0, 0.7, 0.0, SPEC)
 
 
 @pytest.mark.parametrize("n", [1.2, 2.0, 40.0])
@@ -260,7 +295,7 @@ def test_batched_transmitted_profile_within_error_estimates(n):
     for kap, row in zip(KAPPA_PANEL, batch.comps):
         single = _transmitted_profile(med, kap, z, zp, SPEC)
         assert np.max(np.abs(row - single.comps)) <= batch.error + single.error
-        target = _residue_profile(med, float(kap), z, zp)
+        target = residue_profile(med, float(kap), z, zp)
         assert np.max(np.abs(row[:4] - target[:4])) <= batch.error
         assert abs(row[4]) <= batch.error
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from halfspace_qed.report import (
     to_csv,
     to_json,
 )
+from halfspace_qed.verification import settings_from_config
 
 
 def test_make_check_modes():
@@ -109,6 +111,33 @@ def test_config_error_has_line_number(tmp_path):
     assert ":2:" in str(err.value)
 
 
+@pytest.mark.parametrize("line, key", [
+    ("quad.abs_tl = 1e-13", "quad.abs_tl"),
+    ("tol.fresnell = 1e-10", "tol.fresnell"),
+    ("tol.fresnel = inf", "tol.fresnel"),
+    ("tol.fresnel = nan", "tol.fresnel"),
+    ("tol.fresnel = -1", "tol.fresnel"),
+    ("tol.energy = 0", "tol.energy"),
+    ("tol.energy = tight", "tol.energy"),
+    ("seed = 1.5", "seed"),
+])
+def test_cli_rejects_bad_config_naming_the_key(tmp_path, capsys, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"quad.abs_tol = 1e-12\n{line}\n")
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "fresnel", "--config", str(cfg), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_settings_reject_bad_tolerances_and_seed():
+    for key, value in (("tol.kernels.te", "inf"), ("tol.kernels.te", "-1e-8"), ("seed", "x")):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            settings_from_config({key: value})
+    st = settings_from_config({"tol.energy": "2e-4", "seed": "7"})
+    assert st.tol("tol.energy") == 2e-4 and st.tol("tol.fresnel") == 1e-12 and st.seed == 7
+
+
 def test_cli_fresnel_table(tmp_path, capsys):
     out = tmp_path / "fresnel.csv"
     assert main(["fresnel", "--n", "1.5", "--pol", "TM", "--kpar", "0.5,1.0",
@@ -155,15 +184,20 @@ def test_cli_greens_eval(capsys):
     assert len(lines) == 5
 
 
-def test_cli_kernel_verify(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "kind", ["generalized_delta", "gauge_difference", "true_coulomb", "perfect_reflector"])
+def test_cli_kernel_verify(tmp_path, capsys, kind):
+    # the perfect reflector is the large-n limit, so it is checked at a large index
+    n = "10.0" if kind == "perfect_reflector" else "2.0"
     points = tmp_path / "points.csv"
     points.write_text("x,y,z,xp,yp,zp\n0.4,-0.2,0.8,0.1,0.3,0.5\n")
     out = tmp_path / "kernel.json"
-    code = main(["kernel", "verify", "--kind", "generalized_delta", "--n", "2.0",
+    code = main(["kernel", "verify", "--kind", kind, "--n", n,
                  "--points", str(points), "--out", str(out)])
     assert code == 0
     reports = from_json(out.read_text())
     assert len(reports) == 1 and reports[0].passed
+    assert reports[0].params["kind"] == kind and reports[0].lhs < 1e-6
 
 
 def test_cli_kernel_verify_bad_header(tmp_path):

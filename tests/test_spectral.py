@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfspace_qed.spectral import (
-    CutSubstitution,
     QuadratureError,
     QuadratureSpec,
     cut_segment_integral,
@@ -61,9 +60,6 @@ def test_cut_segment_batched_gamma():
     assert np.allclose(batch.value[:, 0], math.pi / 2, rtol=0.0, atol=1e-12)
     singles = np.array([cut_segment_integral(integrand(g), g, SPEC).value for g in gammas])
     assert np.max(np.abs(batch.value - singles)) <= 1e-10 * np.max(np.abs(batch.value))
-    spec = QuadratureSpec(cut_substitution=CutSubstitution.NONE)
-    plain = cut_segment_integral(lambda t: t * t, gammas[:4], spec)
-    assert np.allclose(plain.value, gammas[:4] ** 3 / 3.0, rtol=1e-12, atol=0.0)
 
 
 def test_decaying_halfline_batched_scale_and_offset():
@@ -148,12 +144,6 @@ def test_cut_segment_examples():
     res = cut_segment_integral(lambda t: np.zeros_like(t), 1.5, SPEC)
     assert res.value == 0.0
     assert cut_segment_integral(lambda t: t, 0.0, SPEC).value == 0.0
-
-
-def test_cut_segment_without_substitution():
-    spec = QuadratureSpec(cut_substitution=CutSubstitution.NONE)
-    res = cut_segment_integral(lambda t: t * t, 1.5, spec)
-    assert abs(res.value - 1.5**3 / 3) < 1e-12
 
 
 def test_damped_radial_lipschitz():
