@@ -7,12 +7,14 @@ One `key = value` pair per line, `#` starts a comment, no nesting.  Known keys:
     seed                   -> RNG seed for sampled checks (default 42)
     tol.<check family>     -> per-suite tolerance overrides, see DEFAULT_TOLERANCES
 
-Any other key, a tolerance that is not positive and finite, and a seed that is
-not an integer raise a :class:`ConfigError` naming the key.
+Any other key, a tolerance that is not positive and finite, a ``quad.*`` value
+the engine rejects, and a seed that is not a non-negative integer raise a
+:class:`ConfigError` naming the key.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from .spectral import QuadratureSpec
 
@@ -88,5 +90,8 @@ def tolerances_from_config(cfg: dict[str, str]) -> dict[str, float]:
 
 
 def quadrature_spec_from_config(cfg: dict[str, str]) -> QuadratureSpec:
-    return QuadratureSpec(**{field: config_value(cfg, key, cast, None)
-                             for key, (field, cast) in _QUAD_FIELDS.items() if key in cfg})
+    """QuadratureSpec with the ``quad.*`` overrides; a value it rejects names the key."""
+    spec = QuadratureSpec()
+    for key, (field, cast) in _QUAD_FIELDS.items():
+        spec = config_value(cfg, key, lambda text: replace(spec, **{field: cast(text)}), spec)
+    return spec

@@ -118,7 +118,7 @@ def second_order_shift(
         left, right = _left_longitudinal(medium, kap, spec), _right_longitudinal(medium, kap, spec)
         return np.stack([kap * left, kap * right], axis=-1)
 
-    parts = damped_radial_transform(radial, 2.0 * z0, 0, 0.0, spec)
+    parts = damped_radial_transform(radial, 2.0 * z0, spec)
     left = pref * float(np.real(parts.value[0]))
     right = pref * float(np.real(parts.value[1]))
     delta_e = left + right
@@ -153,5 +153,5 @@ def double_commutator_cnumber(
         left, right = _left_longitudinal(medium, kap, spec), _right_longitudinal(medium, kap, spec)
         return kap * (left + right)
 
-    total = damped_radial_transform(radial, 2.0 * z0, 0, 0.0, spec)
+    total = damped_radial_transform(radial, 2.0 * z0, spec)
     return pref * float(np.real(total.value))

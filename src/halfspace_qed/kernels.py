@@ -45,7 +45,7 @@ from .greens import GreenVariant, PointPair, grad_grad_green_tensor, image_grad_
 from .medium import Medium, Polarization, Side, evanescent_threshold
 from .modes import chi_mode_coefficient, sigma_mode_coefficient
 from .spectral import (
-    QuadratureError,
+    IntegralResult,
     QuadratureSpec,
     adaptive_panels,
     cut_segment_integral,
@@ -90,58 +90,58 @@ class KernelAssembly:
 # ---------------------------------------------------------------------------
 
 # Every profile takes kappa = |k_par| of any shape (one value per entry, one
-# engine call for all of them) and returns comps of shape kappa.shape + (5,);
-# travelling integrands reshape their 1-D k_z nodes to broadcast against kappa.
+# engine call for all of them) and returns an IntegralResult whose value has
+# shape kappa.shape + (5,) and whose error is the max-norm over the batch.
 
-@dataclass
-class _ProfileValue:
-    comps: np.ndarray  # shape kappa.shape + (5,), complex
-    error: float  # max-norm over the kappa batch
-    nodes: int  # integrand evaluations, engine nodes x kappa.size
+def _interface_profile(medium: Medium, kap: np.ndarray, scale: float, halflines: list,
+                       evanescent: Callable, spec: QuadratureSpec) -> IntegralResult:
+    """Travelling half-axes plus evanescent segment of an interface profile.
+    Each (body, sign) of ``halflines`` gets (kz, kzd, kmag2) on that k_z
+    half-axis, oscillating on ``scale``; ``evanescent`` gets (t, kzd, kmag2)
+    on the cut.  Half-line nodes are 1-D k_z nodes, scaled by the batch size."""
+    n = medium.n
+    kap2, gap2 = kap * kap, (n * n - 1.0) * kap * kap  # once, not per panel
 
+    def travelling(body: Callable, sign: float) -> Callable[[np.ndarray], np.ndarray]:
+        def f(k: np.ndarray) -> np.ndarray:
+            k = k.reshape(k.shape + (1,) * kap.ndim)
+            return body(sign * k, sign * np.sqrt(n * n * k * k + gap2), kap2 + k * k)
+        return f
 
-def _profile_sum(kap: np.ndarray, halflines: list, segment) -> _ProfileValue:
-    """Travelling half-line results plus the evanescent segment; the half-line
-    engine counts its 1-D k_z nodes, so they are scaled by the batch size."""
-    parts = halflines + [segment]
-    nodes = sum(r.nodes_used for r in halflines) * kap.size + segment.nodes_used
+    def segment(t: np.ndarray) -> np.ndarray:
+        return evanescent(t, np.sqrt(np.maximum(gap2 - n * n * t * t, 0.0)), kap2 - t * t)
+
+    halves = [halfline_oscillatory_integral(travelling(body, sign), scale, spec)
+              for body, sign in halflines]
+    parts = halves + [cut_segment_integral(segment, evanescent_threshold(medium, kap), spec)]
+    nodes = sum(r.nodes_used for r in halves) * kap.size + parts[-1].nodes_used
     err = sum(r.error_estimate for r in parts)
-    return _ProfileValue(sum(np.asarray(r.value) for r in parts), err, nodes)
+    return IntegralResult(sum(np.asarray(r.value) for r in parts), err, nodes)
 
 
 def _reflected_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
-                       spec: QuadratureSpec) -> _ProfileValue:
+                       spec: QuadratureSpec) -> IntegralResult:
     """Reflected kernel profile for z, z' > 0 (both travelling half-axes plus
     the evanescent segment)."""
     n = medium.n
     s = z + zp
     kap = np.asarray(kap, dtype=float)
-    kap2, gap2 = kap * kap, (n * n - 1.0) * kap * kap  # once, not per panel
+    kap2 = kap * kap
     if n == 1.0:
-        return _ProfileValue(np.zeros(kap.shape + (5,), dtype=complex), 0.0, 0)
+        return IntegralResult(np.zeros(kap.shape + (5,), dtype=complex), 0.0, 0)
 
-    def travelling(sign: float):
-        def f(k: np.ndarray) -> np.ndarray:
-            k = k.reshape(k.shape + (1,) * kap.ndim)
-            kz = sign * k
-            kzd = sign * np.sqrt(n * n * k * k + gap2)
-            kmag2 = kap2 + k * k
-            rtm = (n * n * kz - kzd) / (n * n * kz + kzd)
-            rte = (kz - kzd) / (kz + kzd)
-            phase = np.exp(1j * kz * s)
-            uu = rtm * (-kz * kz / kmag2) * phase
-            uz = rtm * (-kz * kap / kmag2) * phase
-            zu = rtm * (kap * kz / kmag2) * phase
-            zz = rtm * (kap2 / kmag2) * phase
-            vv = rte * phase
-            return np.stack([uu, uz, zu, zz, vv], axis=-1)
-        return f
+    def travelling(kz: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
+        rtm = (n * n * kz - kzd) / (n * n * kz + kzd)
+        rte = (kz - kzd) / (kz + kzd)
+        phase = np.exp(1j * kz * s)
+        uu = rtm * (-kz * kz / kmag2) * phase
+        uz = rtm * (-kz * kap / kmag2) * phase
+        zu = rtm * (kap * kz / kmag2) * phase
+        zz = rtm * (kap2 / kmag2) * phase
+        vv = rte * phase
+        return np.stack([uu, uz, zu, zz, vv], axis=-1)
 
-    gamma = evanescent_threshold(medium, kap)
-
-    def evanescent(t: np.ndarray) -> np.ndarray:
-        kzd = np.sqrt(np.maximum(gap2 - n * n * t * t, 0.0))
-        kmag2 = kap2 - t * t
+    def evanescent(t: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
         coef_tm = 4.0 * n * n * t * kzd / (kzd * kzd + n**4 * t * t)
         coef_te = 4.0 * t * kzd / (kzd * kzd + t * t)
         damp = np.exp(-t * s)
@@ -152,40 +152,31 @@ def _reflected_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
         vv = coef_te * damp
         return np.stack([uu, uz, zu, zz, vv], axis=-1)
 
-    halves = [halfline_oscillatory_integral(travelling(sign), s, spec) for sign in (1.0, -1.0)]
-    return _profile_sum(kap, halves, cut_segment_integral(evanescent, gamma, spec))
+    halflines = [(travelling, 1.0), (travelling, -1.0)]
+    return _interface_profile(medium, kap, s, halflines, evanescent, spec)
 
 
 def _transmitted_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
-                         spec: QuadratureSpec) -> _ProfileValue:
+                         spec: QuadratureSpec) -> IntegralResult:
     """Transmitted kernel profile for z < 0, z' > 0."""
     n = medium.n
     s_eff = n * abs(z) + zp
     kap = np.asarray(kap, dtype=float)
-    kap2, gap2 = kap * kap, (n * n - 1.0) * kap * kap  # once, not per panel
+    kap2 = kap * kap
 
-    def travelling(sign: float):
-        def f(k: np.ndarray) -> np.ndarray:
-            k = k.reshape(k.shape + (1,) * kap.ndim)
-            kz = sign * k
-            kzd = sign * np.sqrt(n * n * k * k + gap2)
-            kmag2 = kap2 + k * k
-            ttm = 2.0 * n * kz / (n * n * kz + kzd)
-            tte = 2.0 * kz / (kz + kzd)
-            phase = np.exp(-1j * kzd * z + 1j * kz * zp)
-            uu = ttm * (kzd * kz / (n * kmag2)) * phase
-            uz = ttm * (kzd * kap / (n * kmag2)) * phase
-            zu = ttm * (kap * kz / (n * kmag2)) * phase
-            zz = ttm * (kap2 / (n * kmag2)) * phase
-            vv = tte * phase
-            return np.stack([uu, uz, zu, zz, vv], axis=-1)
-        return f
+    def travelling(kz: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
+        ttm = 2.0 * n * kz / (n * n * kz + kzd)
+        tte = 2.0 * kz / (kz + kzd)
+        phase = np.exp(-1j * kzd * z + 1j * kz * zp)
+        uu = ttm * (kzd * kz / (n * kmag2)) * phase
+        uz = ttm * (kzd * kap / (n * kmag2)) * phase
+        zu = ttm * (kap * kz / (n * kmag2)) * phase
+        zz = ttm * (kap2 / (n * kmag2)) * phase
+        vv = tte * phase
+        return np.stack([uu, uz, zu, zz, vv], axis=-1)
 
-    gamma = evanescent_threshold(medium, kap)
-
-    def evanescent(t: np.ndarray) -> np.ndarray:
-        kzd = np.sqrt(np.maximum(gap2 - n * n * t * t, 0.0))
-        kmag = np.sqrt(kap2 - t * t)
+    def evanescent(t: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
+        kmag = np.sqrt(kmag2)
         kz = 1j * t
         damp = np.exp(-t * zp)
         rl_tm = -(n * n * kz - kzd) / (n * n * kz + kzd)
@@ -205,11 +196,11 @@ def _transmitted_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
         vv = coef_te * (ep + rl_te * em)
         return np.stack([uu, uz, zu, zz, vv], axis=-1)
 
-    halves = [halfline_oscillatory_integral(travelling(sign), s_eff, spec) for sign in (1.0, -1.0)]
-    return _profile_sum(kap, halves, cut_segment_integral(evanescent, gamma, spec))
+    halflines = [(travelling, 1.0), (travelling, -1.0)]
+    return _interface_profile(medium, kap, s_eff, halflines, evanescent, spec)
 
 
-def _free_profile(kap: ArrayLike, z: float, zp: float) -> _ProfileValue:
+def _free_profile(kap: ArrayLike, z: float, zp: float) -> IntegralResult:
     """Analytic fixed-k_par profile of -grad grad' G0 (smooth part of the
     transverse delta); standard 2-D Fourier representation of 1/|r - r'|."""
     dz = z - zp
@@ -217,33 +208,28 @@ def _free_profile(kap: ArrayLike, z: float, zp: float) -> _ProfileValue:
     damp = np.exp(-kap * abs(dz))
     sgn = 1.0 if dz >= 0.0 else -1.0
     comps = np.multiply.outer(-math.pi * kap * damp, [1.0, sgn * 1j, sgn * 1j, -1.0, 0.0])
-    return _ProfileValue(comps, 0.0, 0)
+    return IntegralResult(comps, 0.0, 0)
 
 
 def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
-                              spec: QuadratureSpec) -> _ProfileValue:
+                              spec: QuadratureSpec) -> IntegralResult:
     """Mode-sum profile of the gauge-difference kernel (TM surface modes only)."""
     n = medium.n
     kap = np.asarray(kap, dtype=float)
-    kap2, gap2 = kap * kap, (n * n - 1.0) * kap * kap  # once, not per panel
     if n == 1.0:
-        return _ProfileValue(np.zeros(kap.shape + (5,), dtype=complex), 0.0, 0)
+        return IntegralResult(np.zeros(kap.shape + (5,), dtype=complex), 0.0, 0)
     chat = (n * n - 1.0) / (2.0 * n * n)
 
-    def right_modes(k: np.ndarray) -> np.ndarray:
-        k = k.reshape(k.shape + (1,) * kap.ndim)
-        kzd = np.sqrt(n * n * k * k + gap2)
-        kmag = np.sqrt(kap2 + k * k)
+    def right_modes(k: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
+        kmag = np.sqrt(kmag2)
         r = (n * n * k - kzd) / (n * n * k + kzd)
         pref = (1.0 + r) / kmag  # 1/omega = 1/kmag
         ju = pref * (-k / kmag * np.exp(1j * k * zp) + r * k / kmag * np.exp(-1j * k * zp))
         jz = pref * (-kap / kmag) * (np.exp(1j * k * zp) + r * np.exp(-1j * k * zp))
         return np.stack([ju, jz], axis=-1)
 
-    def left_travelling(k: np.ndarray) -> np.ndarray:
-        k = k.reshape(k.shape + (1,) * kap.ndim)
-        kzd = np.sqrt(n * n * k * k + gap2)
-        kmag = np.sqrt(kap2 + k * k)
+    def left_travelling(k: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
+        kmag = np.sqrt(kmag2)
         tl = 2.0 * n * kzd / (n * n * k + kzd)
         pref = (k / kzd) * tl * tl / kmag
         phase = np.exp(-1j * k * zp)
@@ -251,29 +237,26 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
         jz = pref * (-kap / kmag) * phase
         return np.stack([ju, jz], axis=-1)
 
-    gamma = evanescent_threshold(medium, kap)
-
-    def left_evanescent(t: np.ndarray) -> np.ndarray:
-        kzd = np.sqrt(np.maximum(gap2 - n * n * t * t, 0.0))
-        kmag = np.sqrt(kap2 - t * t)
+    def left_evanescent(t: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
+        kmag = np.sqrt(kmag2)
         coef = 4.0 * n * n * t * kzd / (kzd * kzd + n**4 * t * t) / kmag
         damp = np.exp(-t * zp)
         ju = coef * (-1j * t / kmag) * damp
         jz = coef * (-kap / kmag) * damp
         return np.stack([ju, jz], axis=-1)
 
-    halves = [halfline_oscillatory_integral(fn, zp, spec) for fn in (right_modes, left_travelling)]
-    j = _profile_sum(kap, halves, cut_segment_integral(left_evanescent, gamma, spec))
-    ju, jz = np.moveaxis(j.comps, -1, 0)
+    halflines = [(right_modes, 1.0), (left_travelling, 1.0)]
+    j = _interface_profile(medium, kap, zp, halflines, left_evanescent, spec)
+    ju, jz = np.moveaxis(j.value, -1, 0)
     sgn = 1.0 if z >= 0.0 else -1.0
     front = 1j * kap * chat * np.exp(-kap * abs(z))
     parts = [ju, jz, 1j * sgn * ju, 1j * sgn * jz, np.zeros_like(ju)]
     comps = front[..., None] * np.stack(parts, axis=-1)
-    return _ProfileValue(comps, float(np.max(np.abs(front))) * j.error, j.nodes)
+    return IntegralResult(comps, float(np.max(np.abs(front))) * j.error_estimate, j.nodes_used)
 
 
 def kz_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
-               spec: QuadratureSpec) -> _ProfileValue:
+               spec: QuadratureSpec) -> IntegralResult:
     """The k_z-integrated kernel profile at fixed kappa: the reflected profile
     for z >= 0, the transmitted one below the interface."""
     if zp <= 0.0:
@@ -324,7 +307,7 @@ def kz_spectral_kernel(
     parallel plane-wave factor of the full assembly are not included.
     """
     prof = kz_profile(medium, kpar_mag, z, zprime, spec)
-    return complex(_profile_tensor(prof.comps, pol)[i, j])
+    return complex(_profile_tensor(prof.value, pol)[i, j])
 
 
 def residue_closed_form(
@@ -361,32 +344,41 @@ def _bessel_combination(comps: np.ndarray, kap: np.ndarray, rho: float) -> np.nd
 
 
 def _radial_assemble(
-    profile_fn: Callable[[np.ndarray], _ProfileValue],
+    profile_fn: Callable[[np.ndarray], IntegralResult],
     rho: float,
     damping: float,
     spec: QuadratureSpec,
-) -> tuple[np.ndarray, float, int]:
-    """Integrate the profile against the Bessel weights over kappa in (0, inf).
+) -> IntegralResult:
+    """Integrate the profile against the Bessel weights over kappa in (0, inf)
+    into the aligned 3x3 tensor.
 
     Exponentially damped profiles are truncated after the configured number
-    of decay decades; profiles whose damping scale is much shorter than the
-    Bessel period instead go through the oscillatory engine with the Bessel
-    zeros as partition (the free-space part at z ~ z' needs this).
+    of decay decades, and the truncated tail is bounded from the profile at
+    the largest kappa evaluated; profiles whose damping scale is much shorter
+    than the Bessel period instead go through the oscillatory engine with the
+    Bessel zeros as partition (the free-space part at z ~ z' needs this).
     """
     nodes_extra = 0
     err_inner_rate = 0.0  # peak of (inner error x Bessel weight scale) over kappa
     k_seen_max = 0.0
+    tail_rate = 0.0  # bound on the radial integrand at k_seen_max
 
     def integrand(karr: np.ndarray) -> np.ndarray:
         # one profile call per panel: its error is the max over the panel's
         # kappa nodes, so the panel's largest kappa bounds every node's rate
-        nonlocal nodes_extra, err_inner_rate, k_seen_max
+        nonlocal nodes_extra, err_inner_rate, k_seen_max, tail_rate
         prof = profile_fn(karr)
-        k_top = float(np.max(karr))
-        nodes_extra += prof.nodes
-        err_inner_rate = max(err_inner_rate, prof.error * k_top * 2.0 * math.pi)
-        k_seen_max = max(k_seen_max, k_top)
-        return _bessel_combination(prof.comps, karr, rho)
+        top = int(np.argmax(karr))
+        k_top = float(karr[top])
+        nodes_extra += prof.nodes_used
+        err_inner_rate = max(err_inner_rate, prof.error_estimate * k_top * 2.0 * math.pi)
+        if k_top > k_seen_max:
+            k_seen_max = k_top
+            # with |J_nu| <= 1 the weights of _bessel_combination are at most
+            # 2 pi (|uu| + |vv|) for xx and yy, 2 pi |comp| for zz, xz and zx
+            uu, uz, zu, zz, vv = np.abs(prof.value[top])
+            tail_rate = 2.0 * math.pi * k_top * float(max(uu + vv, uz, zu, zz))
+        return _bessel_combination(prof.value, karr, rho)
 
     if damping <= 0.0 and rho == 0.0:
         raise ValueError("profile without damping needs rho > 0 for the assembly")
@@ -395,10 +387,9 @@ def _radial_assemble(
     # need an unreasonable number of Bessel panels
     if rho == 0.0 or kmax * rho <= 2.0 * math.pi or kmax <= 40.0 * math.pi / rho:
         npanels = max(8, min(256, int(math.ceil(kmax * rho / math.pi))))
-        breaks = np.linspace(0.0, kmax, npanels + 1)
-        total, err_total, nodes, ok = adaptive_panels(integrand, breaks, spec, max_panels=600)
-        if not ok:
-            raise QuadratureError("radial assembly stalled")
+        res = adaptive_panels(integrand, np.linspace(0.0, kmax, npanels + 1), spec)
+        # beyond kmax the profile decays like e^{-kappa * damping} (up to powers of kappa)
+        tail = tail_rate / damping
     else:
         # undamped profiles converge through the Bessel oscillation alone;
         # a mildly relaxed tolerance keeps the accelerated partial sums well
@@ -410,13 +401,13 @@ def _radial_assemble(
             max_oscillation_periods=max(spec.max_oscillation_periods, 64),
         )
         res = halfline_oscillatory_integral(integrand, rho, osc_spec)
-        total, err_total, nodes = res.value, res.error_estimate, res.nodes_used
-    xx, yy, zz, xz, zx = np.asarray(total)
+        tail = 0.0
+    xx, yy, zz, xz, zx = res.value
     tensor = np.array(
         [[xx, 0.0, xz], [0.0, yy, 0.0], [zx, 0.0, zz]], dtype=complex
     ) / _TWO_PI_CUBED
-    err_total = (err_total + err_inner_rate * k_seen_max) / _TWO_PI_CUBED
-    return tensor, err_total, nodes + nodes_extra
+    err_total = (res.error_estimate + err_inner_rate * k_seen_max + tail) / _TWO_PI_CUBED
+    return IntegralResult(tensor, err_total, res.nodes_used + nodes_extra)
 
 
 def _rotation_about_z(phi: float) -> np.ndarray:
@@ -442,7 +433,7 @@ def assemble_kernel_result(
 
     # (profile function, damping scale, sign); every interface profile decays
     # like e^{-kappa (|z| + z')}
-    parts: list[tuple[Callable[[np.ndarray], _ProfileValue], float, float]] = []
+    parts: list[tuple[Callable[[np.ndarray], IntegralResult], float, float]] = []
     if kind in (KernelKind.GENERALIZED_DELTA, KernelKind.TRUE_COULOMB):
         if z >= 0.0:
             parts.append((lambda kap: _free_profile(kap, z, zp), abs(z - zp), 1.0))
@@ -456,16 +447,11 @@ def assemble_kernel_result(
             (lambda kap: _gauge_difference_profile(medium, kap, z, zp, spec), abs(z) + zp, sign)
         )
 
-    total = np.zeros((3, 3), dtype=complex)
-    err = 0.0
-    nodes = 0
-    for profile_fn, damping, sign in parts:
-        t, e, nd = _radial_assemble(profile_fn, rho, damping, spec)
-        total += sign * t
-        err += e
-        nodes += nd
+    radial = [(sign, _radial_assemble(fn, rho, damping, spec)) for fn, damping, sign in parts]
+    total = sum(sign * r.value for sign, r in radial)
+    err = sum(r.error_estimate for _, r in radial)
     rot = _rotation_about_z(phi0)
-    return KernelAssembly(rot @ total @ rot.T, err, nodes)
+    return KernelAssembly(rot @ total @ rot.T, err, sum(r.nodes_used for _, r in radial))
 
 
 def assemble_kernel(

@@ -15,6 +15,7 @@ import numpy as np
 
 from .config import (
     DEFAULT_TOLERANCES,
+    ConfigError,
     config_value,
     quadrature_spec_from_config,
     tolerances_from_config,
@@ -68,9 +69,12 @@ class SuiteSettings:
 
 def settings_from_config(cfg: dict | None = None, seed: int | None = None) -> SuiteSettings:
     cfg = cfg or {}
+    seed = seed if seed is not None else config_value(cfg, "seed", int, 42)
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     return SuiteSettings(
         quad=quadrature_spec_from_config(cfg),
-        seed=seed if seed is not None else config_value(cfg, "seed", int, 42),
+        seed=seed,
         tolerances=tolerances_from_config(cfg),
     )
 
@@ -246,8 +250,8 @@ def kernels_suite(st: SuiteSettings) -> list[CheckReport]:
             prof = kz_profile(med, kpar, z, zp, quad)
             target = residue_profile(med, kpar, z, zp)
             scale = float(np.max(np.abs(target)))
-            worst = max(worst, float(np.max(np.abs(prof.comps[:4] - target[:4]))) / scale)
-            worst_te = max(worst_te, abs(prof.comps[4]) / scale)
+            worst = max(worst, float(np.max(np.abs(prof.value[:4] - target[:4]))) / scale)
+            worst_te = max(worst_te, abs(prof.value[4]) / scale)
         ms = _elapsed_ms(t0)
         params = {"n": n, "points": 51, "seed": st.seed}
         reports.append(make_check("kz_integral_vs_residue", params, worst, 0.0, tol_res, "abs", ms))

@@ -30,7 +30,7 @@ from halfspace_qed.kernels import (
     residue_profile,
 )
 from halfspace_qed.medium import Medium, Polarization, Side
-from halfspace_qed.spectral import QuadratureSpec, damped_radial_transform
+from halfspace_qed.spectral import IntegralResult, QuadratureSpec
 
 SPEC = QuadratureSpec()
 # one radial panel's worth of |k_par| values, from near 0 to deep in the damped tail
@@ -76,27 +76,38 @@ def test_kz_kernel_rejects_source_inside():
 
 
 def test_residue_form_assembles_to_reflected_green_tensor():
-    # radial Bessel transform of the closed spectral profile reproduces
-    # -grad grad' GR componentwise (zz and xz flavours exercise J0 and J1)
+    # the radial Bessel assembly of the closed spectral profile reproduces
+    # -grad grad' GR in every component (J0, J1 and J2 weights), and the
+    # truncated kappa tail is inside the assembly's error estimate
     med = Medium(2.0)
     z, zp, rho = 0.8, 0.5, 0.7
     p = pair((rho, 0.0, z), (0.0, 0.0, zp))
     target = -grad_grad_green_tensor(med, GreenVariant.REFLECTED, p)
-    pref = 1.0 / (2 * math.pi) ** 3
-    # un-damping the profile leaves polynomial growth, so push the truncation
-    spec = QuadratureSpec(damped_truncation_decades=14.0)
 
-    def f_zz(kap):
-        return np.array([residue_closed_form(med, 2, 2, float(k), z, zp) for k in kap]) * kap * 2 * math.pi * np.exp(kap * (z + zp))
+    def profile(kap):
+        comps = np.array([residue_profile(med, float(k), z, zp) for k in kap])
+        return IntegralResult(comps, 0.0, 0)
 
-    res = damped_radial_transform(f_zz, z + zp, 0, rho, spec)
-    assert abs(pref * res.value - target[2, 2]) < 1e-6 * np.max(np.abs(target))
+    res = kernels._radial_assemble(profile, rho, z + zp, SPEC)
+    observed = np.max(np.abs(res.value - target))
+    assert observed < 1e-6 * np.max(np.abs(target))
+    assert observed <= res.error_estimate
 
-    def f_xz(kap):
-        return np.array([residue_closed_form(med, 0, 2, float(k), z, zp) for k in kap]) * kap * 2j * math.pi * np.exp(kap * (z + zp))
 
-    res = damped_radial_transform(f_xz, z + zp, 1, rho, spec)
-    assert abs(pref * res.value - target[0, 2]) < 1e-6 * np.max(np.abs(target))
+def test_radial_assemble_lipschitz():
+    # int_0^inf e^{-kappa a} J0(kappa rho) dkappa = 1/sqrt(a^2 + rho^2),
+    # through the zz weight 2 pi kappa J0
+    a, rho = 2.0, 1.5
+
+    def profile(kap):
+        comps = np.zeros(kap.shape + (5,), dtype=complex)
+        comps[..., 3] = np.exp(-kap * a) / (2.0 * math.pi * kap)
+        return IntegralResult(comps, 0.0, 0)
+
+    res = kernels._radial_assemble(profile, rho, a, QuadratureSpec(damped_truncation_decades=13.0))
+    observed = abs((2.0 * math.pi) ** 3 * res.value[2, 2] - 1.0 / math.hypot(a, rho))
+    assert observed < 1e-10
+    assert observed <= (2.0 * math.pi) ** 3 * res.error_estimate
 
 
 def test_assembled_generalized_delta_both_regions():
@@ -134,7 +145,7 @@ def test_gauge_difference_profile_matches_residue_profile_pointwise():
             pref = math.pi * al * kap * math.exp(kap * (z - zp))
             target = pref * np.array([1.0, -1j, -1j, -1.0, 0.0])
         scale = np.max(np.abs(target))
-        assert np.max(np.abs(prof.comps - target)) < 1e-8 * scale
+        assert np.max(np.abs(prof.value - target)) < 1e-8 * scale
 
 
 def test_assembled_gauge_difference_matches_closed_form():
@@ -260,8 +271,8 @@ def test_kz_profile_dispatches_on_the_side_of_z():
     med = Medium(2.0)
     for z, build in ((0.7, _reflected_profile), (0.0, _reflected_profile),
                      (-0.3, _transmitted_profile)):
-        assert np.array_equal(kz_profile(med, KAPPA_PANEL[:3], z, 0.5, SPEC).comps,
-                              build(med, KAPPA_PANEL[:3], z, 0.5, SPEC).comps)
+        assert np.array_equal(kz_profile(med, KAPPA_PANEL[:3], z, 0.5, SPEC).value,
+                              build(med, KAPPA_PANEL[:3], z, 0.5, SPEC).value)
     with pytest.raises(ValueError, match="z' > 0"):
         kz_profile(med, 1.0, 0.7, 0.0, SPEC)
 
@@ -278,10 +289,10 @@ def test_batched_profiles_match_scalar_calls(n, z, zp):
         builders.append(lambda k: _reflected_profile(med, k, z, zp, SPEC))
     for build in builders:
         batch = build(KAPPA_PANEL)
-        assert batch.comps.shape == (len(KAPPA_PANEL), 5)
-        singles = np.array([build(k).comps for k in KAPPA_PANEL])
-        assert singles.shape == batch.comps.shape
-        assert np.max(np.abs(batch.comps - singles)) <= 1e-10 * np.max(np.abs(batch.comps))
+        assert batch.value.shape == (len(KAPPA_PANEL), 5)
+        singles = np.array([build(k).value for k in KAPPA_PANEL])
+        assert singles.shape == batch.value.shape
+        assert np.max(np.abs(batch.value - singles)) <= 1e-10 * np.max(np.abs(batch.value))
 
 
 @pytest.mark.parametrize("n", [1.2, 2.0, 40.0])
@@ -292,12 +303,12 @@ def test_batched_transmitted_profile_within_error_estimates(n):
     # each entry is held to the two error estimates and to the closed form
     med, z, zp = Medium(n), -0.3, 0.5
     batch = _transmitted_profile(med, KAPPA_PANEL, z, zp, SPEC)
-    for kap, row in zip(KAPPA_PANEL, batch.comps):
+    for kap, row in zip(KAPPA_PANEL, batch.value):
         single = _transmitted_profile(med, kap, z, zp, SPEC)
-        assert np.max(np.abs(row - single.comps)) <= batch.error + single.error
+        assert np.max(np.abs(row - single.value)) <= batch.error_estimate + single.error_estimate
         target = residue_profile(med, float(kap), z, zp)
-        assert np.max(np.abs(row[:4] - target[:4])) <= batch.error
-        assert abs(row[4]) <= batch.error
+        assert np.max(np.abs(row[:4] - target[:4])) <= batch.error_estimate
+        assert abs(row[4]) <= batch.error_estimate
 
 
 def test_batched_profile_counts_every_kappa_evaluation(monkeypatch):
@@ -323,6 +334,6 @@ def test_batched_profile_counts_every_kappa_evaluation(monkeypatch):
     ):
         abscissae.clear()
         prof = build(KAPPA_PANEL)
-        assert prof.nodes == sum(abscissae) * len(KAPPA_PANEL)
+        assert prof.nodes_used == sum(abscissae) * len(KAPPA_PANEL)
         abscissae.clear()
-        assert build(KAPPA_PANEL[3]).nodes == sum(abscissae)
+        assert build(KAPPA_PANEL[3]).nodes_used == sum(abscissae)

@@ -120,6 +120,9 @@ def test_config_error_has_line_number(tmp_path):
     ("tol.energy = 0", "tol.energy"),
     ("tol.energy = tight", "tol.energy"),
     ("seed = 1.5", "seed"),
+    ("seed = -3", "seed"),
+    ("quad.abs_tol = inf", "quad.abs_tol"),
+    ("quad.max_periods = 4", "quad.max_periods"),
 ])
 def test_cli_rejects_bad_config_naming_the_key(tmp_path, capsys, line, key):
     cfg = tmp_path / "bad.cfg"
@@ -131,9 +134,12 @@ def test_cli_rejects_bad_config_naming_the_key(tmp_path, capsys, line, key):
 
 
 def test_settings_reject_bad_tolerances_and_seed():
-    for key, value in (("tol.kernels.te", "inf"), ("tol.kernels.te", "-1e-8"), ("seed", "x")):
+    for key, value in (("tol.kernels.te", "inf"), ("tol.kernels.te", "-1e-8"), ("seed", "x"),
+                       ("seed", "-3"), ("quad.abs_tol", "inf"), ("quad.max_periods", "4")):
         with pytest.raises(ConfigError, match=re.escape(key)):
             settings_from_config({key: value})
+    with pytest.raises(ConfigError, match="seed"):
+        settings_from_config({}, seed=-1)
     st = settings_from_config({"tol.energy": "2e-4", "seed": "7"})
     assert st.tol("tol.energy") == 2e-4 and st.tol("tol.fresnel") == 1e-12 and st.seed == 7
 

@@ -88,7 +88,6 @@ def test_decaying_halfline_batched_scale_and_offset():
 def test_oscillatory_sin_over_x():
     res = halfline_oscillatory_integral(lambda x: np.sinc(x / np.pi), 1.0, SPEC)
     assert abs(res.value - math.pi / 2) < 1e-10
-    assert res.converged
 
 
 def test_oscillatory_cos_lorentzian():
@@ -99,7 +98,6 @@ def test_oscillatory_cos_lorentzian():
 def test_oscillatory_zero_integrand_minimal_nodes():
     res = halfline_oscillatory_integral(lambda x: np.zeros_like(x), 1.0, SPEC)
     assert res.value == 0.0
-    assert res.converged
     assert res.nodes_used <= 60
 
 
@@ -120,7 +118,6 @@ def test_oscillatory_scaled_frequency():
 def test_oscillatory_converged_error_contract():
     for f, s in [(lambda x: np.sinc(x / np.pi), 1.0), (lambda x: np.cos(x) / (1 + x * x), 1.0)]:
         res = halfline_oscillatory_integral(f, s, SPEC)
-        assert res.converged
         assert res.error_estimate <= max(SPEC.abs_tol, SPEC.rel_tol * abs(res.value))
 
 
@@ -136,6 +133,18 @@ def test_oscillatory_nonconvergence_raises():
         halfline_oscillatory_integral(lambda x: x**6 * np.exp(1j * x), 1.0, spec)
 
 
+@pytest.mark.parametrize("engine, args", [
+    (cut_segment_integral, (lambda t: 1.0 / t, 1.0, SPEC)),
+    (decaying_halfline_integral, (lambda k: 1.0 / (1.0 + k), 1.0, SPEC)),
+    (damped_radial_transform, (lambda k: 1.0 / k, 1.0, SPEC)),
+], ids=["cut_segment", "decaying_halfline", "damped_radial"])
+def test_divergent_integrals_raise(engine, args):
+    # logarithmically divergent integrands exhaust the panel cap
+    with pytest.raises(QuadratureError) as err:
+        engine(*args)
+    assert "nan" not in str(err.value)
+
+
 def test_cut_segment_examples():
     res = cut_segment_integral(lambda t: 1.0 / np.sqrt(1.0 - t * t), 1.0, SPEC)
     assert abs(res.value - math.pi / 2) < 1e-12
@@ -146,22 +155,16 @@ def test_cut_segment_examples():
     assert cut_segment_integral(lambda t: t, 0.0, SPEC).value == 0.0
 
 
-def test_damped_radial_lipschitz():
-    a, rho = 2.0, 1.5
-    res = damped_radial_transform(lambda k: np.ones_like(k), a, 0, rho, TIGHT)
-    assert abs(res.value - 1.0 / math.hypot(a, rho)) < 1e-10
-
-
 def test_damped_radial_moment():
-    res = damped_radial_transform(lambda k: k, 1.3, 0, 0.0, TIGHT)
+    res = damped_radial_transform(lambda k: k, 1.3, TIGHT)
     assert abs(res.value - 1.0 / 1.3**2) < 1e-10
-    res = damped_radial_transform(lambda k: np.zeros_like(k), 1.0, 0, 0.5, TIGHT)
+    res = damped_radial_transform(lambda k: np.zeros_like(k), 1.0, TIGHT)
     assert res.value == 0.0
 
 
 def test_damped_radial_rejects_zero_damping():
     with pytest.raises(ValueError):
-        damped_radial_transform(lambda k: np.ones_like(k), 0.0, 0, 1.0, SPEC)
+        damped_radial_transform(lambda k: np.ones_like(k), 0.0, SPEC)
 
 
 def test_decaying_halfline():
@@ -208,7 +211,7 @@ def test_deterministic_bit_identical():
     runs = [
         (halfline_oscillatory_integral, (f, 0.7, SPEC)),
         (cut_segment_integral, (lambda t: t / np.sqrt(2.25 - t * t), 1.5, SPEC)),
-        (damped_radial_transform, (lambda k: 1.0 / (1 + k), 0.8, 1, 0.6, SPEC)),
+        (damped_radial_transform, (lambda k: 1.0 / (1 + k), 0.8, SPEC)),
     ]
     for fn, args in runs:
         a = fn(*args)
