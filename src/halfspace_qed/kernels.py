@@ -255,12 +255,19 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
     return IntegralResult(comps, float(np.max(np.abs(front))) * j.error_estimate, j.nodes_used)
 
 
+def _check_heights(z: float, zp: float) -> None:
+    for name, value in (("z", z), ("z'", zp)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if zp <= 0.0:
+        raise ValueError("the primed point must lie outside the dielectric (z' > 0)")
+
+
 def kz_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
                spec: QuadratureSpec) -> IntegralResult:
     """The k_z-integrated kernel profile at fixed kappa: the reflected profile
     for z >= 0, the transmitted one below the interface."""
-    if zp <= 0.0:
-        raise ValueError("the primed point must lie outside the dielectric (z' > 0)")
+    _check_heights(z, zp)
     if z >= 0.0:
         return _reflected_profile(medium, kap, z, zp, spec)
     return _transmitted_profile(medium, kap, z, zp, spec)
@@ -268,6 +275,7 @@ def kz_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
 
 def residue_profile(medium: Medium, kap: float, z: float, zp: float) -> np.ndarray:
     """Closed-form profile from the TM pole at k_z = i|k_par| (TE vanishes)."""
+    _check_heights(z, zp)
     n = medium.n
     if z >= 0.0:
         al = medium.image_strength
@@ -315,8 +323,6 @@ def residue_closed_form(
 ) -> complex:
     """Residue-theorem value of the same k_z integral (TM pole only; the TE
     integrand is entire in the upper half-plane and integrates to zero)."""
-    if zprime <= 0.0:
-        raise ValueError("the primed point must lie outside the dielectric (z' > 0)")
     comps = residue_profile(medium, kpar_mag, z, zprime)
     return complex(_profile_tensor(comps, None)[i, j])
 
@@ -363,7 +369,7 @@ def _radial_assemble(
     k_seen_max = 0.0
     tail_rate = 0.0  # bound on the radial integrand at k_seen_max
 
-    def integrand(karr: np.ndarray) -> np.ndarray:
+    def panel(karr: np.ndarray) -> np.ndarray:
         # one profile call per panel: its error is the max over the panel's
         # kappa nodes, so the panel's largest kappa bounds every node's rate
         nonlocal nodes_extra, err_inner_rate, k_seen_max, tail_rate
@@ -379,6 +385,12 @@ def _radial_assemble(
             uu, uz, zu, zz, vv = np.abs(prof.value[top])
             tail_rate = 2.0 * math.pi * k_top * float(max(uu + vv, uz, zu, zz))
         return _bessel_combination(prof.value, karr, rho)
+
+    def integrand(karr: np.ndarray) -> np.ndarray:
+        # the oscillatory engine evaluates several 15-node Gauss-Kronrod panels
+        # in one call, while a batched profile's values depend on which kappa
+        # share its call
+        return np.concatenate([panel(k) for k in karr.reshape(-1, 15)])
 
     if damping <= 0.0 and rho == 0.0:
         raise ValueError("profile without damping needs rho > 0 for the assembly")

@@ -5,10 +5,15 @@
    by internally adaptive Gauss-Kronrod panels (so sub-oscillation structure
    such as branch features near k = 0 is resolved), and the sequence of
    partial sums is accelerated with a sliding-window Levin u-transformation.
-   This converges to the Abel-regularised value for bounded non-decaying
-   oscillatory amplitudes, which is exactly the value selected by closing the
-   spectral contour; the numerical path stays independent of any residue
-   evaluation.
+   The first panel of each half-period is evaluated in blocks of consecutive
+   half-periods, one integrand call per block, and the two halves of a
+   bisected panel share one call, so the integrand must give each 15-node
+   panel of a call the values it would give that panel alone; ``nodes_used``
+   counts every node evaluated, including those of prefetched half-periods
+   that the converged sum never reached.  This converges to the
+   Abel-regularised value for bounded non-decaying oscillatory amplitudes,
+   which is exactly the value selected by closing the spectral contour; the
+   numerical path stays independent of any residue evaluation.
 
 2. Branch-cut (evanescent) segment integrals over t in (0, Gamma) with an
    integrable 1/sqrt(Gamma^2 - t^2) endpoint factor: the segment is always
@@ -34,8 +39,10 @@ their ``nodes_used`` counts integrand evaluations, nodes x batch size.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -73,10 +80,12 @@ class QuadratureSpec:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if self.max_oscillation_periods < 8:
-            raise ValueError("max_oscillation_periods must be >= 8")
-        if self.acceleration_order < 2:
-            raise ValueError("acceleration_order must be >= 2")
+        for name, least in (("max_oscillation_periods", 8), ("acceleration_order", 2)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
 
     def tolerance(self, scale: float) -> float:
         return max(self.abs_tol, self.rel_tol * scale)
@@ -122,48 +131,66 @@ Integrand = Callable[[np.ndarray], np.ndarray]
 # bounds the work spent on a non-convergent integrand.
 _MAX_PANELS = 800
 _SEGMENT_MAX_PANELS = 48
+# Half-periods whose first panel shares one integrand call.  Four keeps an
+# integrand that vanishes (two quiet half-periods) at 60 nodes.
+_HALF_PERIOD_BLOCK = 4
+
+
+def _rule(vals: np.ndarray, half: float):
+    """Kronrod-15 value and |K15-G7| error estimate from the 15 node values
+    of a panel of half-width ``half``.  One matmul per rule: a stacked (2, 15)
+    rule matrix rounds differently."""
+    cols = vals.reshape(15, -1)
+    k15 = half * (_K15_W @ cols).reshape(vals.shape[1:])
+    g7 = half * (_G7_W @ cols).reshape(vals.shape[1:])
+    return k15, float(np.abs(k15 - g7).max())
 
 
 def _eval_panel(f: Integrand, a: float, b: float):
     """Kronrod-15 value and |K15-G7| error estimate on [a, b]."""
     half = 0.5 * (b - a)
-    x = half * _K15_X + 0.5 * (a + b)
-    vals = np.asarray(f(x))
-    k15 = half * np.tensordot(_K15_W, vals, axes=(0, 0))
-    g7 = half * np.tensordot(_G7_W, vals, axes=(0, 0))
-    err = float(np.max(np.abs(k15 - g7)))
-    return k15, err
+    return _rule(np.asarray(f(half * _K15_X + 0.5 * (a + b))), half)
+
+
+def _panels(f: Integrand, a: np.ndarray, b: np.ndarray) -> list:
+    """``_eval_panel`` on every [a[i], b[i]], from one integrand call on all
+    their nodes, panel after panel."""
+    half = 0.5 * (b - a)
+    vals = np.asarray(f((np.multiply.outer(half, _K15_X) + (0.5 * (a + b))[:, None]).ravel()))
+    vals = vals.reshape((len(a), 15) + vals.shape[1:])
+    return [_rule(v, hv) for v, hv in zip(vals, half.tolist())]
 
 
 def _segment_adaptive(
     f: Integrand,
     a: float,
     b: float,
+    whole: tuple,
     abs_floor: float,
     rel_seg: float,
     scale_hint: float,
 ):
-    """One oscillation segment, bisected until the K15/G7 error is small
-    against the segment's own L1 content (cancellation-robust), so that
-    sub-oscillation structure (e.g. Fresnel branch features near k = 0) is
-    resolved regardless of the partition width."""
-    val, err = _eval_panel(f, a, b)
-    panels = [(err, a, b, val)]
-    nodes = 15
+    """One oscillation segment, whose whole-segment panel ``whole`` is
+    given, bisected until the K15/G7 error is small against the segment's own
+    L1 content (cancellation-robust), so that sub-oscillation structure (e.g.
+    Fresnel branch features near k = 0) is resolved regardless of the
+    partition width.  Returns the nodes of the bisections only."""
+    val, err = whole
+    panels = [(err, a, b, val, float(np.abs(val).max()))]  # (err, left, right, value, norm)
+    nodes = 0
     while len(panels) < _SEGMENT_MAX_PANELS:
-        content = sum(float(np.max(np.abs(p[3]))) for p in panels)
+        content = sum(p[4] for p in panels)
         tol = max(abs_floor, rel_seg * max(content, 0.1 * scale_hint))
         total_err = sum(p[0] for p in panels)
         if total_err <= tol:
             break
         worst = max(range(len(panels)), key=lambda i: panels[i][0])
-        _, pa, pb, _ = panels.pop(worst)
+        _, pa, pb, _, _ = panels.pop(worst)
         mid = 0.5 * (pa + pb)
-        vl, el = _eval_panel(f, pa, mid)
-        vr, er = _eval_panel(f, mid, pb)
+        halves = _panels(f, np.array([pa, mid]), np.array([mid, pb]))
+        for (v, e), lo, hi in zip(halves, (pa, mid), (mid, pb)):
+            panels.append((e, lo, hi, v, float(np.abs(v).max())))
         nodes += 30
-        panels.append((el, pa, mid, vl))
-        panels.append((er, mid, pb, vr))
     total = panels[0][3]
     for p in panels[1:]:
         total = total + p[3]
@@ -190,7 +217,7 @@ def adaptive_panels(
     while True:
         total = np.sum(np.asarray(values), axis=0)
         total_err = float(np.sum(errors))
-        if total_err <= spec.tolerance(float(np.max(np.abs(total)))):
+        if total_err <= spec.tolerance(float(np.abs(total).max())):
             value = total if np.asarray(total).shape else complex(total)
             return IntegralResult(value, total_err, nodes)
         if len(values) >= _MAX_PANELS or panels[0][0] >= 0.0:
@@ -213,37 +240,45 @@ def adaptive_panels(
 # Levin u-transformation (sliding diagonal scheme)
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1024)
+def _levin_weights(n: int, kmax: int) -> np.ndarray:
+    """Recursion weights b_k, k = 1 .. kmax, of the n-th diagonal (beta = 1)."""
+    b = np.array([(1.0 + (n - k)) * n ** (k - 2) / (n + 1.0) ** (k - 1)
+                  for k in range(1, kmax + 1)])
+    b.flags.writeable = False
+    return b
+
+
 class _LevinU:
     """Sequence transformation of partial sums, array-valued, beta = 1."""
 
     def __init__(self, order: int):
         self.order = order
-        self.num: list[np.ndarray] = []
-        self.den: list[np.ndarray] = []
+        self.diag: np.ndarray | None = None  # (k, 2, *shape): [:, 0] numerators, [:, 1] denominators
         self.count = 0
 
     def add(self, s: np.ndarray, delta: np.ndarray, floor: float) -> np.ndarray:
         """Feed partial sum ``s`` with increment ``delta``; return the estimate."""
         mag = np.abs(delta)
-        tiny = 1e-280  # below this the phase is meaningless (denormal territory)
-        phase = np.where(mag > tiny, delta / np.where(mag > tiny, mag, 1.0), 1.0)
-        safe = np.where(mag >= floor, delta, phase * floor)
-        omega = (self.count + 1.0) * safe  # u-variant remainder estimate
+        if not (mag >= floor).all():  # lift increments below the floor, keeping their phase
+            tiny = 1e-280  # below this the phase is meaningless (denormal territory)
+            phase = np.where(mag > tiny, delta / np.where(mag > tiny, mag, 1.0), 1.0)
+            delta = np.where(mag >= floor, delta, phase * floor)
+        omega = (self.count + 1.0) * delta  # u-variant remainder estimate
         n = self.count
-        new_num = [s / omega]
-        new_den = [1.0 / omega]
+        first = np.stack([s / omega, 1.0 / omega])[None]
         kmax = min(n, self.order)
-        for k in range(1, kmax + 1):
-            j = n - k  # window start of the new diagonal entry (beta = 1)
-            b = (1.0 + j) * (j + k) ** (k - 2) / (j + k + 1.0) ** (k - 1)
-            new_num.append(new_num[k - 1] - b * self.num[k - 1])
-            new_den.append(new_den[k - 1] - b * self.den[k - 1])
-        self.num = new_num
-        self.den = new_den
+        if kmax:
+            # entry k is entry k - 1 minus b_k times entry k - 1 of the old diagonal
+            b = _levin_weights(n, kmax).reshape((kmax,) + (1,) * (first.ndim - 1))
+            first = np.subtract.accumulate(np.concatenate([first, b * self.diag[:kmax]]), axis=0)
+        self.diag = first
         self.count += 1
-        den = self.den[-1]
+        num, den = first[-1]
         guard = np.abs(den) > 1e-300
-        return np.where(guard, self.num[-1] / np.where(guard, den, 1.0), s)
+        if guard.all():
+            return num / den
+        return np.where(guard, num / np.where(guard, den, 1.0), s)
 
 
 def halfline_oscillatory_integral(
@@ -267,19 +302,24 @@ def halfline_oscillatory_integral(
     seg_err_total = 0.0
     quiet = 0
     inc_scale = 0.0
+    wholes: list = []  # prefetched whole-segment panels of the coming half-periods
     for m in range(spec.max_oscillation_periods):
+        if not wholes:
+            count = min(_HALF_PERIOD_BLOCK, spec.max_oscillation_periods - m)
+            wholes = _panels(f, np.arange(m, m + count) * h, np.arange(m + 1, m + count + 1) * h)
+            nodes += 15 * count
         seg, seg_err, seg_nodes = _segment_adaptive(
-            f, m * h, (m + 1) * h, abs_floor, rel_seg, inc_scale
+            f, m * h, (m + 1) * h, wholes.pop(0), abs_floor, rel_seg, inc_scale
         )
         nodes += seg_nodes
         seg_err_total += seg_err
         seg = np.asarray(seg, dtype=complex)
         partial = seg if partial is None else partial + seg
-        seg_mag = float(np.max(np.abs(seg)))
+        seg_mag = float(np.abs(seg).max())
         inc_scale = max(inc_scale, seg_mag)
         # raw-sum early exit for integrands that die without oscillating
         raw_err = seg_mag + seg_err_total
-        if raw_err <= 0.5 * spec.tolerance(float(np.max(np.abs(partial)))):
+        if raw_err <= 0.5 * spec.tolerance(float(np.abs(partial).max())):
             quiet += 1
             if quiet >= 2:
                 value = partial if partial.shape else complex(partial)
@@ -288,8 +328,8 @@ def halfline_oscillatory_integral(
             quiet = 0
         est = levin.add(partial, seg, floor=1e-16 * max(inc_scale, 1e-30))
         if m >= 2 and est_prev is not None:
-            delta = float(np.max(np.abs(est - est_prev)))
-            tol = spec.tolerance(float(np.max(np.abs(est))))
+            delta = float(np.abs(est - est_prev).max())
+            tol = spec.tolerance(float(np.abs(est).max()))
             err = max(delta, 0.25 * err_prev) + seg_err_total
             if err <= tol and err_prev <= 4.0 * tol:
                 value = est if est.shape else complex(est)
@@ -332,8 +372,8 @@ def damped_radial_transform(f: Integrand, damping: float, spec: QuadratureSpec) 
     ``spec.damped_truncation_decades`` decades; the truncated tail bound is
     folded into the error estimate.
     """
-    if damping <= 0.0:
-        raise ValueError(f"damping must be positive, got {damping!r}")
+    if not (math.isfinite(damping) and damping > 0.0):
+        raise ValueError(f"damping must be positive and finite, got {damping!r}")
     kmax = spec.damped_truncation_decades * math.log(10.0) / damping
 
     def g(k: np.ndarray) -> np.ndarray:
@@ -343,8 +383,8 @@ def damped_radial_transform(f: Integrand, damping: float, spec: QuadratureSpec) 
 
     res = adaptive_panels(g, np.linspace(0.0, kmax, 9), spec)
     tail = np.asarray(f(np.array([kmax])))[0]
-    err = res.error_estimate + float(np.max(np.abs(tail))) * math.exp(-kmax * damping) / damping
-    if err > spec.tolerance(float(np.max(np.abs(res.value)))):
+    err = res.error_estimate + float(np.abs(tail).max()) * math.exp(-kmax * damping) / damping
+    if err > spec.tolerance(float(np.abs(res.value).max())):
         raise QuadratureError(f"damped radial transform: truncated tail leaves error {err:.3e}")
     return replace(res, error_estimate=err)
 

@@ -10,7 +10,7 @@ from halfspace_qed.greens import (
     grad_grad_green_tensor,
     image_grad_grad_tensor,
 )
-from halfspace_qed import kernels
+from halfspace_qed import kernels, spectral
 from halfspace_qed.kernels import (
     KernelKind,
     _free_profile,
@@ -75,6 +75,16 @@ def test_kz_kernel_rejects_source_inside():
         kz_spectral_kernel(Medium(2.0), Polarization.TM, 0, 0, 1.0, 0.5, -0.5, SPEC)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kz_kernel_and_residue_reject_non_finite_heights(bad):
+    med = Medium(2.0)
+    for z, zp, name in ((bad, 0.5, "z must"), (0.5, bad, "z' must")):
+        with pytest.raises(ValueError, match=name):
+            kz_spectral_kernel(med, Polarization.TM, 0, 0, 1.0, z, zp, SPEC)
+        with pytest.raises(ValueError, match=name):
+            residue_closed_form(med, 0, 0, 1.0, z, zp)
+
+
 def test_residue_form_assembles_to_reflected_green_tensor():
     # the radial Bessel assembly of the closed spectral profile reproduces
     # -grad grad' GR in every component (J0, J1 and J2 weights), and the
@@ -128,6 +138,17 @@ def test_assembled_kernel_equal_heights_path():
     kern = assemble_kernel(med, KernelKind.GENERALIZED_DELTA, p, SPEC)
     target = -grad_grad_green_tensor(med, GreenVariant.FULL, p)
     assert np.max(np.abs(kern - target)) < 1e-4 * np.max(np.abs(target))
+
+
+def test_near_interface_assembly_is_independent_of_half_period_blocks(monkeypatch):
+    # |z| + z' this small sends the interface profile through the Bessel-
+    # oscillation route, whose engine evaluates several kappa panels in one
+    # call; the profile still sees one panel per call, so no value moves
+    p = pair((1.0, 0.0, 0.01), (0.0, 0.0, 0.01))
+    blocked = assemble_kernel(Medium(2.0), KernelKind.GENERALIZED_DELTA, p, SPEC)
+    monkeypatch.setattr(spectral, "_HALF_PERIOD_BLOCK", 1)
+    single = assemble_kernel(Medium(2.0), KernelKind.GENERALIZED_DELTA, p, SPEC)
+    assert np.array_equal(blocked, single)
 
 
 def test_gauge_difference_profile_matches_residue_profile_pointwise():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from halfspace_qed import spectral
 from halfspace_qed.spectral import (
     QuadratureError,
     QuadratureSpec,
@@ -28,6 +29,22 @@ def test_spec_validation():
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=name):
                 QuadratureSpec(**{name: bad})
+    for name, bad in (("max_oscillation_periods", 8.5), ("acceleration_order", 2.5),
+                      ("max_oscillation_periods", 48.0), ("acceleration_order", "12")):
+        with pytest.raises(ValueError, match=name):
+            QuadratureSpec(**{name: bad})
+    assert QuadratureSpec(max_oscillation_periods=np.int64(16)).max_oscillation_periods == 16
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["abs_tol", "rel_tol", "damped_truncation_decades"]),
+    bad=st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+                  st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)),
+)
+def test_spec_rejects_non_finite_or_non_positive_floats(name, bad):
+    with pytest.raises(ValueError, match=name):
+        QuadratureSpec(**{name: bad})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -163,8 +180,9 @@ def test_damped_radial_moment():
 
 
 def test_damped_radial_rejects_zero_damping():
-    with pytest.raises(ValueError):
-        damped_radial_transform(lambda k: np.ones_like(k), 0.0, SPEC)
+    for bad in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="damping"):
+            damped_radial_transform(lambda k: np.ones_like(k), bad, SPEC)
 
 
 def test_decaying_halfline():
@@ -219,3 +237,111 @@ def test_deterministic_bit_identical():
         assert a.value == b.value
         assert a.error_estimate == b.error_estimate
         assert a.nodes_used == b.nodes_used
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the engine's vectorised steps against their plain forms
+# ---------------------------------------------------------------------------
+
+def _random_values(rng, shape, dtype):
+    vals = rng.standard_normal(shape)
+    return vals + 1j * rng.standard_normal(shape) if dtype is complex else vals
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape", [(), (5,), (15, 5)])
+def test_eval_panel_matches_tensordot_bitwise(shape, dtype):
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        a, b = sorted(rng.uniform(-3.0, 3.0, 2))
+        vals = _random_values(rng, (15,) + shape, dtype)
+        k15, err = spectral._eval_panel(lambda x: vals, a, b)
+        half = 0.5 * (b - a)
+        ref = half * np.tensordot(spectral._K15_W, vals, axes=(0, 0))
+        g7 = half * np.tensordot(spectral._G7_W, vals, axes=(0, 0))
+        assert np.shape(k15) == shape
+        assert np.array_equal(k15, ref)
+        assert err == float(np.max(np.abs(ref - g7)))
+
+
+class _LevinLoop:
+    """The u-transformation with one Python step per order, as a reference."""
+
+    def __init__(self, order):
+        self.order, self.num, self.den, self.count = order, [], [], 0
+
+    def add(self, s, delta, floor):
+        mag = np.abs(delta)
+        phase = np.where(mag > 1e-280, delta / np.where(mag > 1e-280, mag, 1.0), 1.0)
+        omega = (self.count + 1.0) * np.where(mag >= floor, delta, phase * floor)
+        n = self.count
+        new_num, new_den = [s / omega], [1.0 / omega]
+        for k in range(1, min(n, self.order) + 1):
+            j = n - k
+            b = (1.0 + j) * (j + k) ** (k - 2) / (j + k + 1.0) ** (k - 1)
+            new_num.append(new_num[k - 1] - b * self.num[k - 1])
+            new_den.append(new_den[k - 1] - b * self.den[k - 1])
+        self.num, self.den, self.count = new_num, new_den, self.count + 1
+        guard = np.abs(self.den[-1]) > 1e-300
+        return np.where(guard, self.num[-1] / np.where(guard, self.den[-1], 1.0), s)
+
+
+@pytest.mark.parametrize("floor", [1e-16, 1e-2], ids=["tiny_floor", "terms_below_floor"])
+@pytest.mark.parametrize("shape", [(), (15, 5)])
+def test_levin_diagonal_matches_per_order_loop_bitwise(shape, floor):
+    rng = np.random.default_rng(11)
+    amp = _random_values(rng, shape, complex)
+    if shape:
+        amp[0, :2] = 0.0  # increments that vanish take the floor with a unit phase
+    stacked, loop = spectral._LevinU(12), _LevinLoop(12)
+    partial = np.zeros(shape, dtype=complex)
+    for m in range(30):
+        term = amp * (-1.0) ** m / (m + 1.0) ** 1.5  # alternating series
+        partial = partial + term
+        est = stacked.add(partial, term, floor)
+        assert np.array_equal(est, loop.add(partial, term, floor))
+    assert not np.array_equal(est, partial)  # the transformation did act
+
+
+def test_half_period_block_matches_single_panels_bitwise():
+    f = lambda x: np.stack([np.exp(17.3j * x) * x, np.cos(x) / (1 + x * x)], axis=-1)
+    h = math.pi / 0.37
+    for first in (0, 3, 44):
+        block = spectral._panels(f, np.arange(first, first + 4) * h, np.arange(first + 1, first + 5) * h)
+        for m, (val, err) in enumerate(block, start=first):
+            ref_val, ref_err = spectral._eval_panel(f, m * h, (m + 1) * h)
+            assert np.array_equal(val, ref_val)
+            assert err == ref_err
+
+
+_HALFLINE_CASES = [
+    (lambda x: np.cos(x) / (1 + x * x), 1.0),
+    (lambda x: np.exp(1j * x), 1.0),
+    (lambda x: np.stack([np.sinc(x / np.pi), np.cos(x) / (1 + x * x)], axis=-1), 1.0),
+    (lambda x: np.zeros_like(x), 1.0),
+]
+
+
+@pytest.mark.parametrize("f, scale", _HALFLINE_CASES, ids=["lorentz", "abel", "vector", "zero"])
+def test_halfline_blocks_leave_results_bitwise_unchanged(f, scale, monkeypatch):
+    block = spectral._HALF_PERIOD_BLOCK
+    blocked = halfline_oscillatory_integral(f, scale, SPEC)
+    monkeypatch.setattr(spectral, "_HALF_PERIOD_BLOCK", 1)
+    single = halfline_oscillatory_integral(f, scale, SPEC)
+    assert np.array_equal(blocked.value, single.value)
+    assert blocked.error_estimate == single.error_estimate
+    # only the half-periods prefetched past convergence add nodes
+    assert single.nodes_used <= blocked.nodes_used <= single.nodes_used + 15 * (block - 1)
+
+
+@pytest.mark.parametrize("f, scale", _HALFLINE_CASES, ids=["lorentz", "abel", "vector", "zero"])
+def test_halfline_nodes_used_counts_every_abscissa(f, scale):
+    abscissae = []
+
+    def counted(x):
+        abscissae.append(len(x))
+        return f(x)
+
+    res = halfline_oscillatory_integral(counted, scale, SPEC)
+    assert res.nodes_used == sum(abscissae)
+    assert 15 * spectral._HALF_PERIOD_BLOCK in abscissae  # a block shared one call
