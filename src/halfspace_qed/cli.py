@@ -17,7 +17,7 @@ from .config import ConfigError, load_config
 from .fresnel import fresnel_coefficients
 from .greens import GreenVariant, PointPair, grad_grad_green_tensor, image_grad_grad_tensor
 from .kernels import KernelKind, assemble_kernel_result, kernel_closed_form
-from .medium import Medium, Polarization, Side, SpectralPoint, refracted_kz
+from .medium import Medium, Polarization, Side, SpectralPoint
 from .modes import carniglia_mandel_mode
 from .energy import second_order_shift
 from .report import (
@@ -76,11 +76,9 @@ def cmd_fresnel(args: argparse.Namespace) -> int:
     for pol in pols:
         for kpar in _parse_grid(args.kpar):
             for kz_val in _parse_grid(args.kz):
-                kz = complex(kz_val)
-                kzd = refracted_kz(med, float(kpar), kz)
-                c = fresnel_coefficients(med, pol, float(kpar), kz)
-                row = [pol.value, _fmt(kpar), _fmt(kz.real), _fmt(kz.imag),
-                       _fmt(kzd.real), _fmt(kzd.imag)]
+                c = fresnel_coefficients(med, pol, float(kpar), kz_val)
+                row = [pol.value, _fmt(kpar), _fmt(c.kz.real), _fmt(c.kz.imag),
+                       _fmt(c.kzd.real), _fmt(c.kzd.imag)]
                 for val in (c.rR, c.tR, c.rL, c.tL):
                     row += [_fmt(val.real), _fmt(val.imag)]
                 lines.append(",".join(row))

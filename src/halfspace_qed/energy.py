@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .greens import image_potential_ves
-from .medium import Medium
+from .medium import Medium, Side
+from .modes import surface_charge_mode
 from .spectral import (
     QuadratureSpec,
     cut_segment_integral,
@@ -54,8 +55,7 @@ class ShiftResult:
 
 def redistribution_factors(medium: Medium) -> tuple[float, float]:
     """((n^2-1)/2n^2, (n^2+1)/2n^2); the two shares sum to exactly 1."""
-    n2 = medium.n * medium.n
-    return (n2 - 1.0) / (2.0 * n2), (n2 + 1.0) / (2.0 * n2)
+    return medium.surface_charge_share, (medium.n**2 + 1.0) / (2.0 * medium.n**2)
 
 
 def _check_charge(q: float, z0: float) -> None:
@@ -66,37 +66,32 @@ def _check_charge(q: float, z0: float) -> None:
 
 
 def _right_longitudinal(medium: Medium, kap: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
-    """int_0^inf dk_z (1 + rR_TM)^2 / (kap^2 + k_z^2) for each entry of ``kap``."""
+    """int_0^inf dk_z |g^R|^2/omega^2, omega^2 = kap^2 + k_z^2, for each entry of ``kap``."""
     n = medium.n
 
     def f(kz: np.ndarray) -> np.ndarray:
         kzd = np.sqrt(n * n * kz * kz + (n * n - 1.0) * kap * kap)
-        one_plus_r = 2.0 * n * n * kz / (n * n * kz + kzd)
-        return one_plus_r**2 / (kap * kap + kz * kz)
+        g = surface_charge_mode(medium, Side.RIGHT, kap, kz, kzd)
+        return np.abs(g) ** 2 / (kap * kap + kz * kz)
 
     return np.real(decaying_halfline_integral(f, np.maximum(kap, 1e-12), spec).value)
 
 
 def _left_longitudinal(medium: Medium, kap: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
-    """int_0^inf dk_zd |tL_TM/n|^2 n^2/(kap^2 + k_zd^2) per entry of kap, split
-    at the total internal reflection threshold where the vacuum k_z turns imaginary."""
+    """int_0^inf dk_zd |g^L|^2/omega^2, omega^2 = (kap^2 + k_zd^2)/n^2, per entry
+    of kap.  The vacuum k_z = sqrt(k_zd^2 - gamma_d^2)/n turns imaginary below
+    the total internal reflection threshold gamma_d, where the range is split."""
     n = medium.n
     gamma_d = kap * math.sqrt(n * n - 1.0)
 
-    def evanescent(kzd: np.ndarray) -> np.ndarray:
-        # vacuum kz = i t, t = sqrt(gamma_d^2 - kzd^2)/n; |n^2 kz + kzd|^2
-        t2 = np.maximum(gamma_d * gamma_d - kzd * kzd, 0.0) / (n * n)
-        denom2 = kzd * kzd + n**4 * t2
-        return 4.0 * n * n * kzd * kzd / (denom2 * (kap * kap + kzd * kzd))
+    def f(kzd: np.ndarray) -> np.ndarray:
+        kz = np.sqrt(kzd * kzd - gamma_d * gamma_d + 0j) / n
+        g = surface_charge_mode(medium, Side.LEFT, kap, kzd, kz)
+        return np.abs(g) ** 2 * (n * n) / (kap * kap + kzd * kzd)
 
-    def travelling(kzd: np.ndarray) -> np.ndarray:
-        kz = np.sqrt(np.maximum(kzd * kzd - gamma_d * gamma_d, 0.0)) / n
-        denom = n * n * kz + kzd
-        return 4.0 * n * n * kzd * kzd / (denom * denom * (kap * kap + kzd * kzd))
-
-    ev = cut_segment_integral(evanescent, gamma_d, spec)
+    ev = cut_segment_integral(f, gamma_d, spec)
     scale = np.maximum(np.maximum(kap, gamma_d), 1e-12)
-    tr = decaying_halfline_integral(travelling, scale, spec, offset=gamma_d)
+    tr = decaying_halfline_integral(f, scale, spec, offset=gamma_d)
     return np.real(ev.value) + np.real(tr.value)
 
 
@@ -111,8 +106,7 @@ def second_order_shift(
     v_es = image_potential_ves(q, medium, z0)
     if n == 1.0:
         return ShiftResult(0.0, v_es, 0.0, expected, 0.0, 0.0, n, z0, q)
-    chat = (n * n - 1.0) / (2.0 * n * n)
-    pref = -(q * q) * chat * chat / (8.0 * math.pi**2)
+    pref = -math.pi * q * q  # -(q^2/2) times the 2 pi of d^2k_par = 2 pi kap dkap
 
     def radial(kap: np.ndarray) -> np.ndarray:
         left, right = _left_longitudinal(medium, kap, spec), _right_longitudinal(medium, kap, spec)
@@ -143,11 +137,9 @@ def double_commutator_cnumber(
     second-order shift with the opposite sign.
     """
     _check_charge(q, z0)
-    n = medium.n
-    if n == 1.0:
+    if medium.n == 1.0:
         return 0.0
-    chat = (n * n - 1.0) / (2.0 * n * n)
-    pref = (q * q) * chat * chat / (8.0 * math.pi**2)
+    pref = math.pi * q * q
 
     def radial(kap: np.ndarray) -> np.ndarray:
         left, right = _left_longitudinal(medium, kap, spec), _right_longitudinal(medium, kap, spec)

@@ -1,49 +1,53 @@
 """Fresnel reflection/transmission coefficients for the half-space interface.
 
-Coefficients follow the amplitude convention of the half-space mode functions:
+One elementwise formula serves both polarizations.  With (a, b) = (1, 1) for
+TE and (n^2, n) for TM, and den = a kz + kzd,
 
-    TE:  rR = (kz - kzd)/(kz + kzd)        tR = 2 kz/(kz + kzd)
-    TM:  rR = (n^2 kz - kzd)/(n^2 kz + kzd) tR = 2 n kz/(n^2 kz + kzd)
+    rR = (a kz - kzd)/den    tR = 2 b kz/den    rL = -rR    tL = 2 b kzd/den,
 
-with the left-incidence set given exactly by rL = -rR and tL = (kzd/kz) tR.
-kz may sit anywhere on the travelling axis (real, nonzero) or the evanescent
-segment (i*t, 0 < t < Gamma); kzd is taken from the refraction law with the
-branch rule of :mod:`halfspace_qed.medium`.
+so tL = (kzd/kz) tR is an identity, not a definition.  kz is real (nonzero,
+travelling) or i*t on the evanescent segment 0 < t < Gamma.  A scalar kz
+takes kzd from the refraction law of :mod:`halfspace_qed.medium` and kz = 0
+is rejected; a caller that has kzd passes it, and then kz and kzd may be
+arrays, unchecked.  Each coefficient is computed when it is read, so an
+integrand pays only for the ones it uses.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .medium import Medium, Polarization, refracted_kz
 
 __all__ = ["FresnelSet", "fresnel_coefficients", "cancellation_residual"]
 
 
-@dataclass(frozen=True)
 class FresnelSet:
-    """The four coefficients of one polarization at one (kpar, kz)."""
+    """The four coefficients of one polarization at one (kz, kzd), or
+    elementwise over arrays of them."""
 
-    rR: complex
-    tR: complex
-    rL: complex
-    tL: complex
+    __slots__ = ("_akz", "kz", "kzd", "_b", "_den")
+
+    def __init__(self, akz, kz, kzd, b: float) -> None:
+        self._akz, self.kz, self.kzd, self._b = akz, kz, kzd, b
+        self._den = akz + kzd
+
+    rR = property(lambda c: (c._akz - c.kzd) / c._den)
+    rL = property(lambda c: -c.rR)
+    tR = property(lambda c: 2.0 * c._b * c.kz / c._den)
+    tL = property(lambda c: 2.0 * c._b * c.kzd / c._den)
 
 
 def fresnel_coefficients(
-    medium: Medium, pol: Polarization, kpar_mag: float, kz: complex
+    medium: Medium, pol: Polarization, kpar_mag: float, kz, kzd=None
 ) -> FresnelSet:
-    kz = complex(kz)
-    if kz == 0:
-        raise ValueError("kz = 0 is excluded (tL diverges); quadrature rules must not sample it")
-    n = medium.n
-    kzd = refracted_kz(medium, kpar_mag, kz)
+    if kzd is None:
+        kz = complex(kz)
+        if kz == 0:
+            raise ValueError("kz = 0 is excluded (tL = (kzd/kz) tR is singular); "
+                             "quadrature rules must not sample it")
+        kzd = refracted_kz(medium, kpar_mag, kz)
     if pol is Polarization.TE:
-        rR = (kz - kzd) / (kz + kzd)
-        tR = 2.0 * kz / (kz + kzd)
-    else:
-        rR = (n * n * kz - kzd) / (n * n * kz + kzd)
-        tR = 2.0 * n * kz / (n * n * kz + kzd)
-    return FresnelSet(rR=rR, tR=tR, rL=-rR, tL=kzd / kz * tR)
+        return FresnelSet(kz, kz, kzd, 1.0)
+    n = medium.n
+    return FresnelSet(n * n * kz, kz, kzd, n)
 
 
 def cancellation_residual(
@@ -52,9 +56,8 @@ def cancellation_residual(
     """(kz/kzd) tL rL + rR tR; vanishes identically and kills the cross terms
     that would otherwise obstruct closing the spectral contour."""
     c = fresnel_coefficients(medium, pol, kpar_mag, kz)
-    kzd = refracted_kz(medium, kpar_mag, complex(kz))
-    if kzd == 0:
+    if c.kzd == 0:
         raise ValueError("branch point kz = i*Gamma is excluded from the residual")
     if medium.n == 1.0:
         return 0.0
-    return (complex(kz) / kzd) * c.tL * c.rL + c.rR * c.tR
+    return (c.kz / c.kzd) * c.tL * c.rL + c.rR * c.tR

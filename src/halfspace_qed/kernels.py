@@ -41,9 +41,10 @@ import numpy as np
 from numpy.typing import ArrayLike
 from scipy.special import jv
 
+from .fresnel import fresnel_coefficients
 from .greens import GreenVariant, PointPair, grad_grad_green_tensor, image_grad_grad_tensor
 from .medium import Medium, Polarization, Side, evanescent_threshold
-from .modes import chi_mode_coefficient, sigma_mode_coefficient
+from .modes import chi_mode_coefficient, sigma_mode_coefficient, surface_charge_mode
 from .spectral import (
     IntegralResult,
     QuadratureSpec,
@@ -123,16 +124,15 @@ def _reflected_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
                        spec: QuadratureSpec) -> IntegralResult:
     """Reflected kernel profile for z, z' > 0 (both travelling half-axes plus
     the evanescent segment)."""
-    n = medium.n
     s = z + zp
     kap = np.asarray(kap, dtype=float)
     kap2 = kap * kap
-    if n == 1.0:
+    if medium.n == 1.0:
         return IntegralResult(np.zeros(kap.shape + (5,), dtype=complex), 0.0, 0)
 
     def travelling(kz: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
-        rtm = (n * n * kz - kzd) / (n * n * kz + kzd)
-        rte = (kz - kzd) / (kz + kzd)
+        rtm = fresnel_coefficients(medium, Polarization.TM, kap, kz, kzd).rR
+        rte = fresnel_coefficients(medium, Polarization.TE, kap, kz, kzd).rR
         phase = np.exp(1j * kz * s)
         uu = rtm * (-kz * kz / kmag2) * phase
         uz = rtm * (-kz * kap / kmag2) * phase
@@ -142,8 +142,9 @@ def _reflected_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
         return np.stack([uu, uz, zu, zz, vv], axis=-1)
 
     def evanescent(t: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
-        coef_tm = 4.0 * n * n * t * kzd / (kzd * kzd + n**4 * t * t)
-        coef_te = 4.0 * t * kzd / (kzd * kzd + t * t)
+        # the jump of rR across the cut, free of 1/kzd
+        coef_tm = 2.0 * fresnel_coefficients(medium, Polarization.TM, kap, 1j * t, kzd).rR.imag
+        coef_te = 2.0 * fresnel_coefficients(medium, Polarization.TE, kap, 1j * t, kzd).rR.imag
         damp = np.exp(-t * s)
         uu = coef_tm * (t * t / kmag2) * damp
         uz = coef_tm * (-1j * t * kap / kmag2) * damp
@@ -165,8 +166,8 @@ def _transmitted_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
     kap2 = kap * kap
 
     def travelling(kz: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
-        ttm = 2.0 * n * kz / (n * n * kz + kzd)
-        tte = 2.0 * kz / (kz + kzd)
+        ttm = fresnel_coefficients(medium, Polarization.TM, kap, kz, kzd).tR
+        tte = fresnel_coefficients(medium, Polarization.TE, kap, kz, kzd).tR
         phase = np.exp(-1j * kzd * z + 1j * kz * zp)
         uu = ttm * (kzd * kz / (n * kmag2)) * phase
         uz = ttm * (kzd * kap / (n * kmag2)) * phase
@@ -177,13 +178,13 @@ def _transmitted_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
 
     def evanescent(t: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
         kmag = np.sqrt(kmag2)
-        kz = 1j * t
         damp = np.exp(-t * zp)
-        rl_tm = -(n * n * kz - kzd) / (n * n * kz + kzd)
-        rl_te = -(kz - kzd) / (kz + kzd)
-        # (t/kzd) T^{L*} with the kzd of T^{L*} cancelled analytically
-        coef_tm = 2.0 * n * t / (kzd - 1j * n * n * t) * damp
-        coef_te = 2.0 * t / (kzd - 1j * t) * damp
+        tm = fresnel_coefficients(medium, Polarization.TM, kap, 1j * t, kzd)
+        te = fresnel_coefficients(medium, Polarization.TE, kap, 1j * t, kzd)
+        rl_tm, rl_te = tm.rL, te.rL
+        # (t/kzd) tL* = i tR*, free of 1/kzd
+        coef_tm = 1j * np.conj(tm.tR) * damp
+        coef_te = 1j * np.conj(te.tR) * damp
         ep, em = np.exp(1j * kzd * z), np.exp(-1j * kzd * z)
         au = kzd / (n * kmag) * (ep - rl_tm * em)
         az = -kap / (n * kmag) * (ep + rl_tm * em)
@@ -213,25 +214,27 @@ def _free_profile(kap: ArrayLike, z: float, zp: float) -> IntegralResult:
 
 def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
                               spec: QuadratureSpec) -> IntegralResult:
-    """Mode-sum profile of the gauge-difference kernel (TM surface modes only)."""
+    """Mode-sum profile of the gauge-difference kernel: each TM mode's surface
+    charge g times its vacuum amplitude at z' over omega, by dk_z or dk_zd."""
     n = medium.n
     kap = np.asarray(kap, dtype=float)
     if n == 1.0:
         return IntegralResult(np.zeros(kap.shape + (5,), dtype=complex), 0.0, 0)
-    chat = (n * n - 1.0) / (2.0 * n * n)
 
     def right_modes(k: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
         kmag = np.sqrt(kmag2)
-        r = (n * n * k - kzd) / (n * n * k + kzd)
-        pref = (1.0 + r) / kmag  # 1/omega = 1/kmag
-        ju = pref * (-k / kmag * np.exp(1j * k * zp) + r * k / kmag * np.exp(-1j * k * zp))
-        jz = pref * (-kap / kmag) * (np.exp(1j * k * zp) + r * np.exp(-1j * k * zp))
+        r = fresnel_coefficients(medium, Polarization.TM, kap, k, kzd).rR
+        pref = surface_charge_mode(medium, Side.RIGHT, kap, k, kzd) / kmag
+        ep, em = np.exp(1j * k * zp), np.exp(-1j * k * zp)
+        ju = pref * (k / kmag) * (r * em - ep)
+        jz = pref * (-kap / kmag) * (ep + r * em)
         return np.stack([ju, jz], axis=-1)
 
     def left_travelling(k: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
         kmag = np.sqrt(kmag2)
-        tl = 2.0 * n * kzd / (n * n * k + kzd)
-        pref = (k / kzd) * tl * tl / kmag
+        # n^2 (k/kzd) tL/n = n tR
+        tr = fresnel_coefficients(medium, Polarization.TM, kap, k, kzd).tR
+        pref = surface_charge_mode(medium, Side.LEFT, kap, kzd, k) * n * tr / kmag
         phase = np.exp(-1j * k * zp)
         ju = pref * (k / kmag) * phase
         jz = pref * (-kap / kmag) * phase
@@ -239,7 +242,9 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
 
     def left_evanescent(t: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
         kmag = np.sqrt(kmag2)
-        coef = 4.0 * n * n * t * kzd / (kzd * kzd + n**4 * t * t) / kmag
+        # on the cut n^2 (t/kzd) tL*/n = i n tR*, free of 1/kzd
+        tr_conj = np.conj(fresnel_coefficients(medium, Polarization.TM, kap, 1j * t, kzd).tR)
+        coef = surface_charge_mode(medium, Side.LEFT, kap, kzd, 1j * t) * 1j * n * tr_conj / kmag
         damp = np.exp(-t * zp)
         ju = coef * (-1j * t / kmag) * damp
         jz = coef * (-kap / kmag) * damp
@@ -249,7 +254,8 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
     j = _interface_profile(medium, kap, zp, halflines, left_evanescent, spec)
     ju, jz = np.moveaxis(j.value, -1, 0)
     sgn = 1.0 if z >= 0.0 else -1.0
-    front = 1j * kap * chat * np.exp(-kap * abs(z))
+    # (2 pi)^{3/2} undoes g's mode normalisation; the profile measure has the (2 pi)^{-3}
+    front = 1j * kap * math.sqrt(_TWO_PI_CUBED) * np.exp(-kap * abs(z))
     parts = [ju, jz, 1j * sgn * ju, 1j * sgn * jz, np.zeros_like(ju)]
     comps = front[..., None] * np.stack(parts, axis=-1)
     return IntegralResult(comps, float(np.max(np.abs(front))) * j.error_estimate, j.nodes_used)

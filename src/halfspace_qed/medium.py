@@ -65,6 +65,11 @@ class Medium:
         """Image-charge strength (n^2-1)/(n^2+1); 0 in free space, 1 for a mirror."""
         return (self.n * self.n - 1.0) / (self.n * self.n + 1.0)
 
+    @property
+    def surface_charge_share(self) -> float:
+        """Share (n^2-1)/(2n^2) of V^es carried by the fluctuating surface charge."""
+        return (self.n * self.n - 1.0) / (2.0 * self.n * self.n)
+
 
 @dataclass(frozen=True)
 class SpectralPoint:

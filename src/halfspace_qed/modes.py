@@ -16,13 +16,13 @@ the polarization operator acts per exponential, never on the step function).
 Values exactly at z = 0 use the vacuum-side representation.
 
 The gauge transformation to the everywhere-transverse gauge is generated by a
-scalar whose mode data are TM-only surface quantities: the surface-charge
-coefficients g, the generating-function coefficients and the induced surface
-charge density.  Their relative signs are fixed by requiring that the
-generating function solve the Poisson equation sourced by the surface charge
-and that subtracting its gradient from the vector potential reproduce the
-free-space transverse commutator; the coefficients here satisfy both (the
-test-suite checks them numerically).
+scalar whose TM-only surface mode data are the surface-charge coefficients g
+(the share (n^2-1)/(2n^2) times 1 + rR, or times tL/n with the direct tL of
+:mod:`halfspace_qed.fresnel`; elementwise over arrays like the Fresnel set),
+the generating-function coefficients and the surface charge density.  Their
+signs make the generating function solve the Poisson equation sourced by the
+surface charge and leave the free-space transverse commutator once its
+gradient is subtracted; the test-suite checks both numerically.
 """
 from __future__ import annotations
 
@@ -115,25 +115,27 @@ def carniglia_mandel_mode(medium: Medium, point: SpectralPoint, r: np.ndarray) -
 
 
 def surface_charge_mode(
-    medium: Medium, side: Side, kpar_mag: float, kz_or_kzd: complex
-) -> complex:
+    medium: Medium, side: Side, kpar_mag: float, kz_or_kzd, other_kz=None
+):
     """Surface-charge mode coefficient g at r_par = 0 (TM only by construction).
 
     g^R = (2 pi)^{-3/2} (n^2-1)/(2 n^2) (1 + rR_TM)
     g^L = (2 pi)^{-3/2} (n^2-1)/(2 n^2) tL_TM / n
+
+    A scalar label takes the other side's wavenumber from the refraction law.
+    A caller that has it passes it as ``other_kz`` (k_zd for a right label,
+    the vacuum k_z for a left one); then g is elementwise over arrays.
     """
-    n = medium.n
-    if n == 1.0:
+    if medium.n == 1.0:
         return 0.0
-    chat = (n * n - 1.0) / (2.0 * n * n)
+    if side is Side.LEFT and other_kz is None:
+        other_kz = vacuum_kz_from_kzd(medium, kpar_mag, _real_kzd(kz_or_kzd))
+    kz, kzd = (kz_or_kzd, other_kz) if side is Side.RIGHT else (other_kz, kz_or_kzd)
+    coef = fresnel_coefficients(medium, Polarization.TM, kpar_mag, kz, kzd)
+    pref = _NORM * medium.surface_charge_share
     if side is Side.RIGHT:
-        kz = complex(kz_or_kzd)
-    else:
-        kz = vacuum_kz_from_kzd(medium, kpar_mag, _real_kzd(kz_or_kzd))
-    coef = fresnel_coefficients(medium, Polarization.TM, kpar_mag, kz)
-    if side is Side.RIGHT:
-        return _NORM * chat * (1.0 + coef.rR)
-    return _NORM * chat * coef.tL / n
+        return pref * (1.0 + coef.rR)
+    return pref / medium.n * coef.tL
 
 
 def _label_frequency(medium: Medium, side: Side, kpar_mag: float, kz_or_kzd: complex) -> float:

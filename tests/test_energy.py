@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halfspace_qed.energy import (
     _left_longitudinal,
@@ -65,15 +66,18 @@ def test_shift_grows_with_index():
     assert vals[0] < vals[1] < vals[2]
 
 
-def test_shift_rejects_charge_inside():
-    with pytest.raises(ValueError):
-        second_order_shift(1.0, Medium(2.0), -0.5, SPEC)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=50, deadline=None)
+@given(q=st.floats(-5.0, 5.0), z0=st.floats(0.01, 10.0),
+       bad_z0=st.floats(max_value=0.0) | NON_FINITE, bad_q=NON_FINITE)
+def test_shift_rejects_charge_inside(q, z0, bad_z0, bad_q):
     for fn in (second_order_shift, double_commutator_cnumber):
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="z0"):
-                fn(1.0, Medium(2.0), bad, SPEC)
-            with pytest.raises(ValueError, match="q must be finite"):
-                fn(bad, Medium(2.0), 1.0, SPEC)
+        with pytest.raises(ValueError, match="z0"):
+            fn(q, Medium(2.0), bad_z0, SPEC)
+        with pytest.raises(ValueError, match="q must be finite"):
+            fn(bad_q, Medium(2.0), z0, SPEC)
 
 
 def test_gauge_invariance_sum():

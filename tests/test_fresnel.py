@@ -1,8 +1,19 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfspace_qed.fresnel import cancellation_residual, fresnel_coefficients
-from halfspace_qed.medium import Medium, Polarization, evanescent_threshold, refracted_kz
+from halfspace_qed.medium import (
+    Medium,
+    Polarization,
+    Side,
+    evanescent_threshold,
+    refracted_kz,
+    vacuum_kz_from_kzd,
+)
+from halfspace_qed.modes import surface_charge_mode
 
 
 def test_free_space_is_trivial():
@@ -88,8 +99,54 @@ def test_identities_property(n, kpar, u, travelling, pol):
     c = fresnel_coefficients(med, pol, kpar, kz)
     kzd = refracted_kz(med, kpar, kz)
     assert abs(c.rL + c.rR) == 0.0
-    assert abs(c.tL - kzd / kz * c.tR) == 0.0
+    # tL = 2 b kzd/den and (kzd/kz) tR are two formulas: they agree to rounding
+    assert abs(c.tL - kzd / kz * c.tR) <= 4.0 * math.ulp(abs(c.tL))
     assert abs(cancellation_residual(med, pol, kpar, kz)) < 1e-13
+
+
+def _assert_within_ulps(array_values, scalar_values, scale=None, ulps=2.0):
+    # real and imaginary parts within ``ulps`` ulp of |value|, or of a bound
+    # on it where a sum like 1 + rR may cancel
+    for a, s in zip(np.ravel(array_values), scalar_values):
+        bound = ulps * math.ulp(abs(s) if scale is None else scale)
+        assert abs((a - s).real) <= bound and abs((a - s).imag) <= bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.floats(1.0, 5.0),
+    kpar=st.floats(0.05, 4.0),
+    us=st.lists(st.floats(0.02, 0.98), min_size=1, max_size=6),
+    travelling=st.booleans(),
+)
+def test_array_calls_match_scalar_calls(n, kpar, us, travelling):
+    # integrands pass the kzd they already have and get coefficients and
+    # surface charges elementwise; each entry is the scalar call's value
+    med = Medium(n)
+    gamma = evanescent_threshold(med, kpar)
+    cut = not travelling and gamma > 1e-9
+    kz = [1j * u * gamma if cut else complex(0.05 + 4.0 * u) for u in us]
+    kzd = [refracted_kz(med, kpar, k) for k in kz]
+    kz_arr = np.array(kz) if cut else np.real(kz)
+    kzd_arr = np.real(kzd)
+    for pol in Polarization:
+        arr = fresnel_coefficients(med, pol, kpar, kz_arr, kzd_arr)
+        singles = [fresnel_coefficients(med, pol, kpar, k) for k in kz]
+        for name in ("rR", "tR", "rL", "tL"):
+            _assert_within_ulps(getattr(arr, name), [getattr(c, name) for c in singles])
+    # |1 + rR| <= 2 and |tL/n| <= 2 bound |g| by twice the normalised share
+    g_max = 2.0 * (2.0 * math.pi) ** -1.5 * med.surface_charge_share
+    g_right = surface_charge_mode(med, Side.RIGHT, kpar, kz_arr, kzd_arr)
+    _assert_within_ulps(np.broadcast_to(g_right, kz_arr.shape),
+                        [surface_charge_mode(med, Side.RIGHT, kpar, k) for k in kz], g_max)
+    # left labels are dielectric-side k_zd, below the total internal reflection
+    # threshold on the cut and above it travelling
+    gamma_d = kpar * math.sqrt(n * n - 1.0)
+    labels = [u * gamma_d if cut else gamma_d + 0.05 + 4.0 * u for u in us]
+    partners = np.array([vacuum_kz_from_kzd(med, kpar, k) for k in labels])
+    g_left = surface_charge_mode(med, Side.LEFT, kpar, np.array(labels), partners)
+    _assert_within_ulps(np.broadcast_to(g_left, partners.shape),
+                        [surface_charge_mode(med, Side.LEFT, kpar, k) for k in labels], g_max)
 
 
 def test_interface_matching_built_in():

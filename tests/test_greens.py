@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from halfspace_qed.greens import (
@@ -25,8 +26,10 @@ def test_source_must_be_outside():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("coord", range(6))
-def test_point_pair_rejects_non_finite_coordinates(coord, bad):
-    coords = [0.3, -0.2, 0.7, 0.1, 0.4, 0.5]
+@settings(max_examples=20, deadline=None)
+@given(coords=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6))
+def test_point_pair_rejects_non_finite_coordinates(coord, bad, coords):
+    # one non-finite coordinate among any finite ones, whatever side z' is on
     coords[coord] = bad
     with pytest.raises(ValueError, match="finite"):
         PointPair(np.array(coords[:3]), np.array(coords[3:]))

@@ -1,10 +1,19 @@
 import json
+import math
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halfspace_qed.cli import main
-from halfspace_qed.config import ConfigError, load_config, quadrature_spec_from_config
+from halfspace_qed.config import (
+    DEFAULT_TOLERANCES,
+    ConfigError,
+    load_config,
+    quadrature_spec_from_config,
+)
 from halfspace_qed.report import (
     all_passed,
     export_results,
@@ -133,7 +142,27 @@ def test_cli_rejects_bad_config_naming_the_key(tmp_path, capsys, line, key):
     assert not out.exists()
 
 
-def test_settings_reject_bad_tolerances_and_seed():
+KNOWN_KEYS = {*DEFAULT_TOLERANCES, "seed", "quad.abs_tol", "quad.rel_tol", "quad.max_periods",
+              "quad.accel_order", "quad.trunc_decades"}
+
+
+@settings(max_examples=50, deadline=None)
+@given(key=st.text("abcdefghijklmnopqrstuvwxyz0123456789._-", min_size=1, max_size=20)
+       .filter(lambda k: k not in KNOWN_KEYS))
+def test_load_config_rejects_unknown_keys_by_name(key):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "unknown.cfg"
+        path.write_text(f"quad.abs_tol = 1e-12\n{key} = 1\n")
+        with pytest.raises(ConfigError, match=re.escape(f":2: unknown config key {key!r}")):
+            load_config(str(path))
+
+
+@settings(max_examples=50, deadline=None)
+@given(tol_key=st.sampled_from(sorted(DEFAULT_TOLERANCES)),
+       bad_tol=st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf]))
+def test_settings_reject_bad_tolerances_and_seed(tol_key, bad_tol):
+    with pytest.raises(ConfigError, match=re.escape(tol_key)):
+        settings_from_config({tol_key: repr(bad_tol)})
     for key, value in (("tol.kernels.te", "inf"), ("tol.kernels.te", "-1e-8"), ("seed", "x"),
                        ("seed", "-3"), ("quad.abs_tol", "inf"), ("quad.max_periods", "4")):
         with pytest.raises(ConfigError, match=re.escape(key)):
