@@ -18,8 +18,8 @@ from dataclasses import replace
 
 from .spectral import QuadratureSpec
 
-__all__ = ["ConfigError", "load_config", "config_value", "quadrature_spec_from_config",
-           "tolerances_from_config", "DEFAULT_TOLERANCES"]
+__all__ = ["ConfigError", "load_config", "check_keys", "config_value",
+           "quadrature_spec_from_config", "tolerances_from_config", "DEFAULT_TOLERANCES"]
 
 DEFAULT_TOLERANCES = {
     "tol.fresnel": 1e-12,
@@ -65,6 +65,13 @@ def load_config(path: str) -> dict[str, str]:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             values[key] = value
     return values
+
+
+def check_keys(cfg: dict[str, str]) -> None:
+    """Raise ConfigError naming the first key of ``cfg`` that is not a config key."""
+    for key in cfg:
+        if key not in _KNOWN_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
 
 
 def config_value(cfg: dict[str, str], key: str, cast, default):

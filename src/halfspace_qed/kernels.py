@@ -92,32 +92,45 @@ class KernelAssembly:
 
 # Every profile takes kappa = |k_par| of any shape (one value per entry, one
 # engine call for all of them) and returns an IntegralResult whose value has
-# shape kappa.shape + (5,) and whose error is the max-norm over the batch.
+# shape kappa.shape + (5,) and whose error bounds every entry's.
 
 def _interface_profile(medium: Medium, kap: np.ndarray, scale: float, halflines: list,
                        evanescent: Callable, spec: QuadratureSpec) -> IntegralResult:
     """Travelling half-axes plus evanescent segment of an interface profile.
-    Each (body, sign) of ``halflines`` gets (kz, kzd, kmag2) on that k_z
-    half-axis, oscillating on ``scale``; ``evanescent`` gets (t, kzd, kmag2)
-    on the cut.  Half-line nodes are 1-D k_z nodes, scaled by the batch size."""
+    Each (body, sign) of ``halflines`` gets (kz, kzd, kappa, kmag2) on that
+    k_z half-axis, oscillating on ``scale``, for the kappa entries still
+    running in the half-line batch, which holds every (half-axis, kappa)
+    pair; ``evanescent`` gets (t, kzd, kappa, kmag2) on the cut for every
+    entry."""
     n = medium.n
-    kap2, gap2 = kap * kap, (n * n - 1.0) * kap * kap  # once, not per panel
+    flat = kap.ravel()
+    kap2, gap2 = flat * flat, (n * n - 1.0) * flat * flat  # once, not per panel
 
-    def travelling(body: Callable, sign: float) -> Callable[[np.ndarray], np.ndarray]:
-        def f(k: np.ndarray) -> np.ndarray:
-            k = k.reshape(k.shape + (1,) * kap.ndim)
-            return body(sign * k, sign * np.sqrt(n * n * k * k + gap2), kap2 + k * k)
-        return f
+    def travelling(k: np.ndarray, active: np.ndarray) -> np.ndarray:
+        axis, entry = np.divmod(active, flat.size)
+        out = None
+        for a, (body, sign) in enumerate(halflines):
+            cols = np.flatnonzero(axis == a)
+            if not cols.size:
+                continue
+            ka, e = k[:, cols], entry[cols]
+            vals = body(sign * ka, sign * np.sqrt(n * n * ka * ka + gap2[e]), flat[e],
+                        kap2[e] + ka * ka)
+            if out is None:
+                out = np.empty(k.shape + vals.shape[2:], dtype=vals.dtype)
+            out[:, cols] = vals
+        return out
 
     def segment(t: np.ndarray) -> np.ndarray:
-        return evanescent(t, np.sqrt(np.maximum(gap2 - n * n * t * t, 0.0)), kap2 - t * t)
+        return evanescent(t, np.sqrt(np.maximum(gap2 - n * n * t * t, 0.0)), flat, kap2 - t * t)
 
-    halves = [halfline_oscillatory_integral(travelling(body, sign), scale, spec)
-              for body, sign in halflines]
-    parts = halves + [cut_segment_integral(segment, evanescent_threshold(medium, kap), spec)]
-    nodes = sum(r.nodes_used for r in halves) * kap.size + parts[-1].nodes_used
-    err = sum(r.error_estimate for r in parts)
-    return IntegralResult(sum(np.asarray(r.value) for r in parts), err, nodes)
+    axes = halfline_oscillatory_integral(travelling, np.full(len(halflines) * flat.size, scale),
+                                         spec)
+    cut = cut_segment_integral(segment, evanescent_threshold(medium, flat), spec)
+    value = axes.value.reshape((len(halflines),) + flat.shape + (-1,)).sum(axis=0) + cut.value
+    # each kappa sums one entry of every half-axis, each within the batch's error
+    err = len(halflines) * axes.error_estimate + cut.error_estimate
+    return IntegralResult(value.reshape(kap.shape + (-1,)), err, axes.nodes_used + cut.nodes_used)
 
 
 def _reflected_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
@@ -126,22 +139,23 @@ def _reflected_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
     the evanescent segment)."""
     s = z + zp
     kap = np.asarray(kap, dtype=float)
-    kap2 = kap * kap
     if medium.n == 1.0:
         return IntegralResult(np.zeros(kap.shape + (5,), dtype=complex), 0.0, 0)
 
-    def travelling(kz: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
+    def travelling(kz: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
+                   kmag2: np.ndarray) -> np.ndarray:
         rtm = fresnel_coefficients(medium, Polarization.TM, kap, kz, kzd).rR
         rte = fresnel_coefficients(medium, Polarization.TE, kap, kz, kzd).rR
         phase = np.exp(1j * kz * s)
         uu = rtm * (-kz * kz / kmag2) * phase
         uz = rtm * (-kz * kap / kmag2) * phase
         zu = rtm * (kap * kz / kmag2) * phase
-        zz = rtm * (kap2 / kmag2) * phase
+        zz = rtm * (kap * kap / kmag2) * phase
         vv = rte * phase
         return np.stack([uu, uz, zu, zz, vv], axis=-1)
 
-    def evanescent(t: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
+    def evanescent(t: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
+                   kmag2: np.ndarray) -> np.ndarray:
         # the jump of rR across the cut, free of 1/kzd
         coef_tm = 2.0 * fresnel_coefficients(medium, Polarization.TM, kap, 1j * t, kzd).rR.imag
         coef_te = 2.0 * fresnel_coefficients(medium, Polarization.TE, kap, 1j * t, kzd).rR.imag
@@ -149,7 +163,7 @@ def _reflected_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
         uu = coef_tm * (t * t / kmag2) * damp
         uz = coef_tm * (-1j * t * kap / kmag2) * damp
         zu = coef_tm * (1j * t * kap / kmag2) * damp
-        zz = coef_tm * (kap2 / kmag2) * damp
+        zz = coef_tm * (kap * kap / kmag2) * damp
         vv = coef_te * damp
         return np.stack([uu, uz, zu, zz, vv], axis=-1)
 
@@ -163,20 +177,21 @@ def _transmitted_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
     n = medium.n
     s_eff = n * abs(z) + zp
     kap = np.asarray(kap, dtype=float)
-    kap2 = kap * kap
 
-    def travelling(kz: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
+    def travelling(kz: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
+                   kmag2: np.ndarray) -> np.ndarray:
         ttm = fresnel_coefficients(medium, Polarization.TM, kap, kz, kzd).tR
         tte = fresnel_coefficients(medium, Polarization.TE, kap, kz, kzd).tR
         phase = np.exp(-1j * kzd * z + 1j * kz * zp)
         uu = ttm * (kzd * kz / (n * kmag2)) * phase
         uz = ttm * (kzd * kap / (n * kmag2)) * phase
         zu = ttm * (kap * kz / (n * kmag2)) * phase
-        zz = ttm * (kap2 / (n * kmag2)) * phase
+        zz = ttm * (kap * kap / (n * kmag2)) * phase
         vv = tte * phase
         return np.stack([uu, uz, zu, zz, vv], axis=-1)
 
-    def evanescent(t: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
+    def evanescent(t: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
+                   kmag2: np.ndarray) -> np.ndarray:
         kmag = np.sqrt(kmag2)
         damp = np.exp(-t * zp)
         tm = fresnel_coefficients(medium, Polarization.TM, kap, 1j * t, kzd)
@@ -221,7 +236,8 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
     if n == 1.0:
         return IntegralResult(np.zeros(kap.shape + (5,), dtype=complex), 0.0, 0)
 
-    def right_modes(k: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
+    def right_modes(k: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
+                    kmag2: np.ndarray) -> np.ndarray:
         kmag = np.sqrt(kmag2)
         r = fresnel_coefficients(medium, Polarization.TM, kap, k, kzd).rR
         pref = surface_charge_mode(medium, Side.RIGHT, kap, k, kzd) / kmag
@@ -230,7 +246,8 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
         jz = pref * (-kap / kmag) * (ep + r * em)
         return np.stack([ju, jz], axis=-1)
 
-    def left_travelling(k: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
+    def left_travelling(k: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
+                        kmag2: np.ndarray) -> np.ndarray:
         kmag = np.sqrt(kmag2)
         # n^2 (k/kzd) tL/n = n tR
         tr = fresnel_coefficients(medium, Polarization.TM, kap, k, kzd).tR
@@ -240,7 +257,8 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
         jz = pref * (-kap / kmag) * phase
         return np.stack([ju, jz], axis=-1)
 
-    def left_evanescent(t: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
+    def left_evanescent(t: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
+                        kmag2: np.ndarray) -> np.ndarray:
         kmag = np.sqrt(kmag2)
         # on the cut n^2 (t/kzd) tL*/n = i n tR*, free of 1/kzd
         tr_conj = np.conj(fresnel_coefficients(medium, Polarization.TM, kap, 1j * t, kzd).tR)
@@ -375,9 +393,11 @@ def _radial_assemble(
     k_seen_max = 0.0
     tail_rate = 0.0  # bound on the radial integrand at k_seen_max
 
-    def panel(karr: np.ndarray) -> np.ndarray:
-        # one profile call per panel: its error is the max over the panel's
-        # kappa nodes, so the panel's largest kappa bounds every node's rate
+    def integrand(karr: np.ndarray) -> np.ndarray:
+        # every kappa of a refinement level goes to one profile call (on the
+        # Bessel-oscillation branch, every kappa of a block of half-periods
+        # or of a bisection level); the call's error bounds each of its
+        # kappa, so the call's largest kappa bounds every node's rate
         nonlocal nodes_extra, err_inner_rate, k_seen_max, tail_rate
         prof = profile_fn(karr)
         top = int(np.argmax(karr))
@@ -391,12 +411,6 @@ def _radial_assemble(
             uu, uz, zu, zz, vv = np.abs(prof.value[top])
             tail_rate = 2.0 * math.pi * k_top * float(max(uu + vv, uz, zu, zz))
         return _bessel_combination(prof.value, karr, rho)
-
-    def integrand(karr: np.ndarray) -> np.ndarray:
-        # the oscillatory engine evaluates several 15-node Gauss-Kronrod panels
-        # in one call, while a batched profile's values depend on which kappa
-        # share its call
-        return np.concatenate([panel(k) for k in karr.reshape(-1, 15)])
 
     if damping <= 0.0 and rho == 0.0:
         raise ValueError("profile without damping needs rho > 0 for the assembly")

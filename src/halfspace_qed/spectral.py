@@ -1,16 +1,25 @@
 """Quadrature engine for the three spectral integral classes.
 
+Every class refines by one routine: globally adaptive Gauss-Kronrod 7/15
+panels with the QUADPACK |K15 - G7| error estimate, refined one whole level
+at a time.  All panels of a level are evaluated in one integrand call, and
+each level bisects the fewest worst panels whose errors together exceed the
+excess over the tolerance (a heap that splits the worst panel first would
+split at least these).  Each panel's rule is summed on its own, so a panel
+depends on the other panels of its call only through the integrand.  A panel
+whose value or error is not finite raises :class:`QuadratureError` at once,
+naming the panel.
+
 1. Semi-infinite oscillatory k_z integrals: the axis is partitioned at the
    oscillation zeros (half-period pi/s segments), each segment is integrated
    by internally adaptive Gauss-Kronrod panels (so sub-oscillation structure
    such as branch features near k = 0 is resolved), and the sequence of
    partial sums is accelerated with a sliding-window Levin u-transformation.
-   The first panel of each half-period is evaluated in blocks of consecutive
-   half-periods, one integrand call per block, and the two halves of a
-   bisected panel share one call, so the integrand must give each 15-node
-   panel of a call the values it would give that panel alone; ``nodes_used``
-   counts every node evaluated, including those of prefetched half-periods
-   that the converged sum never reached.  This converges to the
+   The whole-segment panels of a block of consecutive half-periods share one
+   integrand call, and the half-periods of the block whose error is large
+   against their own L1 content are bisected together, level by level.
+   ``nodes_used`` counts every node evaluated, including those of prefetched
+   half-periods that the converged sum never reached.  This converges to the
    Abel-regularised value for bounded non-decaying oscillatory amplitudes,
    which is exactly the value selected by closing the spectral contour; the
    numerical path stays independent of any residue evaluation.
@@ -18,8 +27,7 @@
 2. Branch-cut (evanescent) segment integrals over t in (0, Gamma) with an
    integrable 1/sqrt(Gamma^2 - t^2) endpoint factor: the segment is always
    mapped by the trigonometric substitution t = Gamma*sin(u), which removes
-   the endpoint behaviour, then globally adaptive Gauss-Kronrod 7/15 panels
-   finish the job.
+   the endpoint behaviour, then adaptive panels finish the job.
 
 3. Exponentially damped half-line transforms int_0^inf f(k) e^{-k a} dk:
    truncation after a configured number of decay decades, with the truncated
@@ -31,16 +39,22 @@ set); tolerances always apply to the max-norm.  Everything is deterministic:
 identical inputs produce bit-identical outputs.  An integral that misses its
 tolerance raises :class:`QuadratureError`; a returned result always met it.
 
-Batches: integrands return shape (nodes, *batch, comps), one integral per
-batch entry (a panel of |k_par| values), and the tolerance is the max-norm
-over the whole batch.  The cut segment and decaying half-line take array
-``gamma`` / ``scale`` / ``offset`` and pass nodes of shape (nodes, *batch);
-their ``nodes_used`` counts integrand evaluations, nodes x batch size.
+Batches compute one integral per entry (a |k_par| value, say) under one
+batch tolerance: max(abs_tol, rel_tol x the max-norm over the whole batch),
+so the returned error, the largest over the entries, is within the same
+bound as a single call's.  The cut segment and decaying half-line take array
+``gamma`` / ``scale`` / ``offset``, pass nodes of shape (nodes, *batch) and
+refine all entries on shared panels.  The oscillatory half-line takes an
+array ``oscillation_scale``; each entry then runs its own partial sums,
+bisections and Levin sequence, and leaves the batch as soon as it meets the
+batch tolerance, so the integrand is called as f(k, active) with the flat
+indices of the entries still running.  ``nodes_used`` counts integrand
+evaluations: nodes x batch size on shared panels, and on the half-line
+nodes x the entries that were active for them.
 """
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -117,12 +131,12 @@ _K15_W = np.array([
     0.190350578064785, 0.169004726639267, 0.140653259715525,
     0.104790010322250, 0.063092092629979, 0.022935322010529,
 ])
-_G7_W = np.zeros(15)
-_G7_W[1::2] = [
+# Gauss-7 weights of the odd Kronrod abscissae _K15_X[1::2].
+_G7_W = np.array([
     0.129484966168870, 0.279705391489277, 0.381830050505119,
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
-]
+])
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 
@@ -132,69 +146,101 @@ Integrand = Callable[[np.ndarray], np.ndarray]
 _MAX_PANELS = 800
 _SEGMENT_MAX_PANELS = 48
 # Half-periods whose first panel shares one integrand call.  Four keeps an
-# integrand that vanishes (two quiet half-periods) at 60 nodes.
+# integrand that vanishes (two quiet half-periods) at 60 nodes.  A batch
+# prefetches fewer, down to one, once a call would hold more than
+# _BLOCK_PANELS panels: the call's overhead is amortised by then, and the
+# prefetched panels would only add memory and nodes.
 _HALF_PERIOD_BLOCK = 4
+_BLOCK_PANELS = 64
 
 
-def _rule(vals: np.ndarray, half: float):
-    """Kronrod-15 value and |K15-G7| error estimate from the 15 node values
-    of a panel of half-width ``half``.  One matmul per rule: a stacked (2, 15)
-    rule matrix rounds differently."""
+def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
+    """Kronrod-15 values and max-norm |K15-G7| errors of the panels
+    [lo[i], hi[i]] of entries owner[i], from one integrand call
+    ``f(x, owner)`` on nodes x of shape (15, panels).  Each rule is summed
+    node by node in a fixed order (a cumulative sum), so a panel's value does
+    not depend on the panels that share its call.  A panel whose value or
+    error is not finite raises QuadratureError naming it."""
+    half = 0.5 * (hi - lo)
+    vals = np.asarray(f(np.multiply.outer(_K15_X, half) + 0.5 * (lo + hi), owner))
+    shape = vals.shape[1:]
     cols = vals.reshape(15, -1)
-    k15 = half * (_K15_W @ cols).reshape(vals.shape[1:])
-    g7 = half * (_G7_W @ cols).reshape(vals.shape[1:])
-    return k15, float(np.abs(k15 - g7).max())
+    half = half.reshape(half.shape + (1,) * (len(shape) - 1))
+    terms = _K15_W[:, None] * cols
+    k15 = half * np.cumsum(terms, axis=0, out=terms)[-1].reshape(shape)
+    terms = _G7_W[:, None] * cols[1::2]
+    g7 = half * np.cumsum(terms, axis=0, out=terms)[-1].reshape(shape)
+    err = np.abs(k15 - g7).reshape(len(lo), -1).max(axis=1)
+    if not np.isfinite(err).all():  # so is it wherever a node value is not finite
+        i = int(np.argmin(np.isfinite(err)))
+        raise QuadratureError(f"non-finite integrand on the panel [{lo[i]:.6g}, {hi[i]:.6g}]")
+    return k15, err
 
 
-def _eval_panel(f: Integrand, a: float, b: float):
-    """Kronrod-15 value and |K15-G7| error estimate on [a, b]."""
-    half = 0.5 * (b - a)
-    return _rule(np.asarray(f(half * _K15_X + 0.5 * (a + b))), half)
+def _refine(f, lo, hi, owner, val, err, tolerance: Callable, cap: int):
+    """Level-synchronous K15/G7 refinement of evaluated panels: panel
+    [lo[i], hi[i]] with value val[i] and error err[i] belongs to integral
+    owner[i], and every integral 0, 1, ... has at least one panel.
 
-
-def _panels(f: Integrand, a: np.ndarray, b: np.ndarray) -> list:
-    """``_eval_panel`` on every [a[i], b[i]], from one integrand call on all
-    their nodes, panel after panel."""
-    half = 0.5 * (b - a)
-    vals = np.asarray(f((np.multiply.outer(half, _K15_X) + (0.5 * (a + b))[:, None]).ravel()))
-    vals = vals.reshape((len(a), 15) + vals.shape[1:])
-    return [_rule(v, hv) for v, hv in zip(vals, half.tolist())]
-
-
-def _segment_adaptive(
-    f: Integrand,
-    a: float,
-    b: float,
-    whole: tuple,
-    abs_floor: float,
-    rel_seg: float,
-    scale_hint: float,
-):
-    """One oscillation segment, whose whole-segment panel ``whole`` is
-    given, bisected until the K15/G7 error is small against the segment's own
-    L1 content (cancellation-robust), so that sub-oscillation structure (e.g.
-    Fresnel branch features near k = 0) is resolved regardless of the
-    partition width.  Returns the nodes of the bisections only."""
-    val, err = whole
-    panels = [(err, a, b, val, float(np.abs(val).max()))]  # (err, left, right, value, norm)
+    Each level bisects, per integral, the fewest worst panels whose errors
+    together exceed its excess over ``tolerance(ids, totals, contents)``,
+    where ``ids`` are the integrals still running and ``contents`` their sums
+    of panel max-norms.  All new panels of a level are evaluated in one call
+    ``f(x, owner)``.  An integral stops when its error sum is within its
+    tolerance or it holds ``cap`` panels.  Returns the totals, the error sums
+    and the nodes of the new panels."""
+    entries = int(owner.max()) + 1
+    total = np.zeros((entries,) + val.shape[1:], dtype=val.dtype)
+    error = np.zeros(entries)
+    ids = np.arange(entries)  # the running entries, which owner numbers 0, 1, ...
+    box = np.stack([lo, hi, err], axis=1)  # (left, right, error) of each panel
     nodes = 0
-    while len(panels) < _SEGMENT_MAX_PANELS:
-        content = sum(p[4] for p in panels)
-        tol = max(abs_floor, rel_seg * max(content, 0.1 * scale_hint))
-        total_err = sum(p[0] for p in panels)
-        if total_err <= tol:
-            break
-        worst = max(range(len(panels)), key=lambda i: panels[i][0])
-        _, pa, pb, _, _ = panels.pop(worst)
-        mid = 0.5 * (pa + pb)
-        halves = _panels(f, np.array([pa, mid]), np.array([mid, pb]))
-        for (v, e), lo, hi in zip(halves, (pa, mid), (mid, pb)):
-            panels.append((e, lo, hi, v, float(np.abs(v).max())))
-        nodes += 30
-    total = panels[0][3]
-    for p in panels[1:]:
-        total = total + p[3]
-    return total, sum(p[0] for p in panels), nodes
+    while True:
+        # panels grouped by entry, worst first within each entry
+        order = np.lexsort((-box[:, 2], owner))
+        box, owner, val = box[order], owner[order], val[order]
+        err = box[:, 2]
+        count = np.bincount(owner)
+        first = np.cumsum(count) - count
+        errsum = np.add.reduceat(err, first)
+        tot = np.add.reduceat(val, first)
+        content = np.add.reduceat(np.abs(val).reshape(len(val), -1).max(axis=1), first)
+        excess = errsum - tolerance(ids, tot, content)
+        # split a panel while the worse panels of its entry leave an excess
+        start = first[owner]
+        worse = np.cumsum(err) - err
+        worse -= worse[start]
+        pick = (worse < excess[owner]) & (np.arange(len(err)) - start < cap - count[owner])
+        stop = ~np.logical_or.reduceat(pick, first)
+        if stop.any():
+            total[ids[stop]] = tot[stop]
+            error[ids[stop]] = errsum[stop]
+            if stop.all():
+                return total, error, nodes
+            keep = ~stop[owner]
+            ids = ids[~stop]
+            box, val, pick = box[keep], val[keep], pick[keep]
+            owner = (np.cumsum(~stop) - 1)[owner[keep]]
+        split = box[pick]
+        mid = 0.5 * (split[:, 0] + split[:, 1])
+        new_lo = np.concatenate((split[:, 0], mid))
+        new_hi = np.concatenate((mid, split[:, 1]))
+        new_owner = np.concatenate((owner[pick], owner[pick]))
+        new_val, new_err = _gauss_kronrod(f, new_lo, new_hi, ids[new_owner])
+        nodes += 15 * len(new_lo)
+        rest = ~pick
+        box = np.concatenate((box[rest], np.stack([new_lo, new_hi, new_err], axis=1)))
+        owner = np.concatenate((owner[rest], new_owner))
+        val = np.concatenate((val[rest], new_val))
+
+
+def _flat_integrand(f: Integrand):
+    """The panel protocol ``g(x, owner)`` for an integrand of 1-D nodes that
+    returns (nodes, *shape)."""
+    def g(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        vals = np.asarray(f(x.ravel()))
+        return vals.reshape(x.shape + vals.shape[1:])
+    return g
 
 
 def adaptive_panels(
@@ -202,38 +248,23 @@ def adaptive_panels(
     breakpoints: np.ndarray,
     spec: QuadratureSpec,
 ) -> IntegralResult:
-    """Globally adaptive K15/G7 integration over the given initial panels;
-    raises QuadratureError when the panel cap is reached first."""
-    panels = []  # heap of (-err, left, right, value-index)
-    values = []
-    errors = []
-    nodes = 0
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        val, err = _eval_panel(f, float(a), float(b))
-        nodes += 15
-        values.append(val)
-        errors.append(err)
-        heapq.heappush(panels, (-err, float(a), float(b), len(values) - 1))
-    while True:
-        total = np.sum(np.asarray(values), axis=0)
-        total_err = float(np.sum(errors))
-        if total_err <= spec.tolerance(float(np.abs(total).max())):
-            value = total if np.asarray(total).shape else complex(total)
-            return IntegralResult(value, total_err, nodes)
-        if len(values) >= _MAX_PANELS or panels[0][0] >= 0.0:
-            raise QuadratureError(f"adaptive panels stalled at error {total_err:.3e} "
-                                  f"after {len(values)} panels")
-        _, a, b, idx = heapq.heappop(panels)
-        mid = 0.5 * (a + b)
-        val_l, err_l = _eval_panel(f, a, mid)
-        val_r, err_r = _eval_panel(f, mid, b)
-        nodes += 30
-        values[idx] = val_l
-        errors[idx] = err_l
-        heapq.heappush(panels, (-err_l, a, mid, idx))
-        values.append(val_r)
-        errors.append(err_r)
-        heapq.heappush(panels, (-err_r, mid, b, len(values) - 1))
+    """Globally adaptive K15/G7 integration over the given initial panels,
+    one integrand call per refinement level; raises QuadratureError when the
+    panel cap is reached first."""
+    g = _flat_integrand(f)
+    lo, hi = np.asarray(breakpoints[:-1], dtype=float), np.asarray(breakpoints[1:], dtype=float)
+    owner = np.zeros(len(lo), dtype=int)
+    val, err = _gauss_kronrod(g, lo, hi, owner)
+    total, error, nodes = _refine(
+        g, lo, hi, owner, val, err,
+        lambda ids, tot, content: spec.tolerance(float(np.abs(tot).max())), _MAX_PANELS,
+    )
+    value = total[0]
+    if error[0] > spec.tolerance(float(np.abs(value).max())):  # stopped by the cap
+        raise QuadratureError(f"adaptive panels stalled at error {error[0]:.3e} "
+                              f"after {_MAX_PANELS} panels")
+    return IntegralResult(value if value.shape else complex(value), float(error[0]),
+                          nodes + 15 * len(lo))
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +288,9 @@ class _LevinU:
         self.diag: np.ndarray | None = None  # (k, 2, *shape): [:, 0] numerators, [:, 1] denominators
         self.count = 0
 
-    def add(self, s: np.ndarray, delta: np.ndarray, floor: float) -> np.ndarray:
-        """Feed partial sum ``s`` with increment ``delta``; return the estimate."""
+    def add(self, s: np.ndarray, delta: np.ndarray, floor) -> np.ndarray:
+        """Feed partial sum ``s`` with increment ``delta``; return the estimate.
+        ``floor`` is a scalar or broadcasts against ``delta``, one per entry."""
         mag = np.abs(delta)
         if not (mag >= floor).all():  # lift increments below the floor, keeping their phase
             tiny = 1e-280  # below this the phase is meaningless (denormal territory)
@@ -280,65 +312,129 @@ class _LevinU:
             return num / den
         return np.where(guard, num / np.where(guard, den, 1.0), s)
 
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the batch entries (first axis of the sums) where ``mask`` is False."""
+        self.diag = self.diag[:, :, mask]
+
 
 def halfline_oscillatory_integral(
-    f: Integrand, oscillation_scale: float, spec: QuadratureSpec
+    f: Callable, oscillation_scale: ArrayLike, spec: QuadratureSpec
 ) -> IntegralResult:
     """int_0^inf f(k) dk for f oscillating like e^{i k s}, s = oscillation_scale.
 
     The axis is cut at multiples of pi/s and the partial-sum sequence is
     Levin-accelerated; convergence requires two consecutive stable estimates.
+    An array ``oscillation_scale`` asks for one integral per entry: f is then
+    called as f(k, active), k of shape (nodes, len(active)) and ``active`` the
+    flat indices of the entries k belongs to, column by column, and returns
+    (nodes, len(active), *comps); an entry leaves the batch once converged.
     """
-    if not (math.isfinite(oscillation_scale) and oscillation_scale > 0.0):
-        raise ValueError(f"oscillation_scale must be positive and finite, got {oscillation_scale}")
-    h = math.pi / oscillation_scale
+    scale = np.asarray(oscillation_scale, dtype=float)
+    if not (scale.size and np.all(np.isfinite(scale) & (scale > 0.0))):
+        raise ValueError(
+            f"oscillation_scale must be positive and finite, got {oscillation_scale!r}")
+    if scale.ndim:
+        res = _levin_halfline(f, scale.ravel(), spec)
+        return replace(res, value=res.value.reshape(scale.shape + res.value.shape[1:]))
+    res = _levin_halfline(_flat_integrand(f), scale.reshape(1), spec)
+    value = res.value[0]
+    return replace(res, value=value if value.shape else complex(value))
+
+
+def _levin_halfline(f, scale: np.ndarray, spec: QuadratureSpec) -> IntegralResult:
+    """The half-line integrals of the entries of ``scale`` under the panel
+    protocol f(k, entry).  Every entry is held to one tolerance, scaled by the
+    max-norm of the whole batch, and leaves the batch when it meets it."""
+    h = math.pi / scale
+    entries = len(scale)
+    periods = spec.max_oscillation_periods
+    live = np.arange(entries)  # entries still running
     levin = _LevinU(spec.acceleration_order)
     abs_floor = 0.01 * spec.abs_tol
     rel_seg = 0.002 * spec.rel_tol
-    partial = None
-    est_prev = None
-    err_prev = math.inf
+    value = error = None
+    done_scale = 0.0  # max-norm of the values of the entries that left
+    partial = est_prev = None
+    err_prev = np.full(entries, math.inf)
+    quiet = np.zeros(entries, dtype=bool)  # the last raw sum was quiet
+    seg_err_total = np.zeros(entries)  # up to the end of the block
+    inc_scale = np.zeros(entries)  # largest half-period of each entry, ditto
+    hint = 0.0  # largest half-period of the batch, ditto
     nodes = 0
-    seg_err_total = 0.0
-    quiet = 0
-    inc_scale = 0.0
-    wholes: list = []  # prefetched whole-segment panels of the coming half-periods
-    for m in range(spec.max_oscillation_periods):
-        if not wholes:
-            count = min(_HALF_PERIOD_BLOCK, spec.max_oscillation_periods - m)
-            wholes = _panels(f, np.arange(m, m + count) * h, np.arange(m + 1, m + count + 1) * h)
-            nodes += 15 * count
-        seg, seg_err, seg_nodes = _segment_adaptive(
-            f, m * h, (m + 1) * h, wholes.pop(0), abs_floor, rel_seg, inc_scale
-        )
-        nodes += seg_nodes
-        seg_err_total += seg_err
-        seg = np.asarray(seg, dtype=complex)
+    block: list = []  # the coming half-periods of the live entries
+    for m in range(periods):
+        n_live = len(live)
+        if not block:
+            rows = np.arange(m, m + min(_HALF_PERIOD_BLOCK, max(1, _BLOCK_PANELS // n_live),
+                                        periods - m))
+            owner = np.broadcast_to(live, (len(rows), n_live)).ravel()
+            lo = np.multiply.outer(rows, h[live]).ravel()
+            hi = np.multiply.outer(rows + 1, h[live]).ravel()
+            val, err = _gauss_kronrod(f, lo, hi, owner)
+            nodes += 15 * len(lo)
+            mag = np.abs(val).reshape(len(lo), -1).max(axis=1)
+            # a half-period is bisected while its error is large against both
+            # its L1 content (cancellation-robust) and the batch's largest
+            # half-period before it
+            before = np.maximum.accumulate(
+                np.concatenate(([hint], mag.reshape(len(rows), n_live).max(axis=1)[:-1])))
+            seg_floor = np.maximum(abs_floor, 0.1 * rel_seg * np.repeat(before, n_live))
+            need = np.flatnonzero(err > np.maximum(seg_floor, rel_seg * mag))
+            if need.size:
+                val[need], err[need], more = _refine(
+                    lambda x, own: f(x, owner[need[own]]), lo[need], hi[need],
+                    np.arange(need.size), val[need], err[need],
+                    lambda ids, tot, content: np.maximum(seg_floor[need[ids]], rel_seg * content),
+                    _SEGMENT_MAX_PANELS,
+                )
+                nodes += more
+                mag[need] = np.abs(val[need]).reshape(need.size, -1).max(axis=1)
+            mag = mag.reshape(len(rows), n_live)
+            hint = max(hint, float(mag.max()))
+            totals = seg_err_total + np.cumsum(err.reshape(len(rows), n_live), axis=0)
+            incs = np.maximum(inc_scale, np.maximum.accumulate(mag, axis=0))
+            seg_err_total, inc_scale = totals[-1], incs[-1]
+            # per half-period: value, error sum so far, raw-sum error, Levin floor
+            floors = 1e-16 * np.maximum(incs, 1e-30)
+            block = list(zip(val.reshape((len(rows), n_live) + val.shape[1:]), totals, mag + totals,
+                             floors.reshape(floors.shape + (1,) * (val.ndim - 1))))
+            if value is None:
+                value = np.zeros((entries,) + val.shape[1:], dtype=complex)
+                error = np.zeros(entries)
+        seg, err_sum, raw_err, floor = block.pop(0)
         partial = seg if partial is None else partial + seg
-        seg_mag = float(np.abs(seg).max())
-        inc_scale = max(inc_scale, seg_mag)
         # raw-sum early exit for integrands that die without oscillating
-        raw_err = seg_mag + seg_err_total
-        if raw_err <= 0.5 * spec.tolerance(float(np.abs(partial).max())):
-            quiet += 1
-            if quiet >= 2:
-                value = partial if partial.shape else complex(partial)
-                return IntegralResult(value, raw_err, nodes)
-        else:
-            quiet = 0
-        est = levin.add(partial, seg, floor=1e-16 * max(inc_scale, 1e-30))
-        if m >= 2 and est_prev is not None:
-            delta = float(np.abs(est - est_prev).max())
-            tol = spec.tolerance(float(np.abs(est).max()))
-            err = max(delta, 0.25 * err_prev) + seg_err_total
-            if err <= tol and err_prev <= 4.0 * tol:
-                value = est if est.shape else complex(est)
-                return IntegralResult(value, err, nodes)
+        was_quiet = quiet
+        quiet = raw_err <= 0.5 * spec.tolerance(max(done_scale, float(np.abs(partial).max())))
+        out = was_quiet & quiet
+        est = levin.add(partial, seg, floor=floor)
+        conv = None
+        if m >= 2:
+            delta = np.abs(est - est_prev).reshape(n_live, -1).max(axis=1)
+            tol = spec.tolerance(max(done_scale, float(np.abs(est).max())))
+            err = np.maximum(delta, 0.25 * err_prev) + err_sum
+            conv = (err <= tol) & (err_prev <= 4.0 * tol)
             err_prev = delta
+            out = out | conv
+        if out.any():
+            if conv is not None:
+                value[live[conv]] = est[conv]
+                error[live[conv]] = err[conv]
+            stopped = was_quiet & quiet  # the raw sum takes precedence
+            value[live[stopped]] = partial[stopped]
+            error[live[stopped]] = raw_err[stopped]
+            done_scale = max(done_scale, float(np.abs(value[live[out]]).max()))
+            keep = ~out
+            if not keep.any():
+                return IntegralResult(value, float(error.max()), nodes)
+            live, partial, est, err_prev = live[keep], partial[keep], est[keep], err_prev[keep]
+            quiet, seg_err_total, inc_scale = quiet[keep], seg_err_total[keep], inc_scale[keep]
+            levin.keep(keep)
+            block = [tuple(x[keep] for x in row) for row in block]
         est_prev = est
     raise QuadratureError(
         f"oscillatory integral did not converge within {spec.max_oscillation_periods} "
-        f"half-periods (last delta {err_prev:.3e})"
+        f"half-periods (last delta {float(err_prev.max()):.3e})"
     )
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from .config import (
     DEFAULT_TOLERANCES,
     ConfigError,
+    check_keys,
     config_value,
     quadrature_spec_from_config,
     tolerances_from_config,
@@ -68,6 +69,7 @@ class SuiteSettings:
 
 def settings_from_config(cfg: dict | None = None, seed: int | None = None) -> SuiteSettings:
     cfg = cfg or {}
+    check_keys(cfg)
     seed = seed if seed is not None else config_value(cfg, "seed", int, 42)
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")

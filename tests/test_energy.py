@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from halfspace_qed import energy
 from halfspace_qed.energy import (
     _left_longitudinal,
     _right_longitudinal,
@@ -124,3 +125,21 @@ def test_batched_longitudinal_integrals_match_scalar_calls(n):
         assert batch.shape == kappa.shape
         singles = np.array([integral(med, k, SPEC) for k in kappa])
         assert np.max(np.abs(batch - singles)) <= 1e-10 * np.max(np.abs(batch))
+
+
+def test_shift_integrates_each_radial_level_in_one_call(monkeypatch):
+    # the radial transform hands every kappa node of a refinement level to one
+    # call of each longitudinal integral; at n = 2, z0 = 1 the first level
+    # (8 panels, 120 kappa) converges, and the truncated tail adds one call
+    # each.  One call per 15-node radial panel would make 18.
+    batches = []
+    engine = energy.decaying_halfline_integral
+
+    def counted(f, scale, *args, **kwargs):
+        batches.append(np.size(scale))
+        return engine(f, scale, *args, **kwargs)
+
+    monkeypatch.setattr(energy, "decaying_halfline_integral", counted)
+    shift = second_order_shift(1.0, Medium(2.0), 1.0, SPEC)
+    assert batches == [120, 120, 1, 1]
+    assert abs(shift.ratio - 0.375) < 1e-9

@@ -142,13 +142,21 @@ def test_assembled_kernel_equal_heights_path():
 
 def test_near_interface_assembly_is_independent_of_half_period_blocks(monkeypatch):
     # |z| + z' this small sends the interface profile through the Bessel-
-    # oscillation route, whose engine evaluates several kappa panels in one
-    # call; the profile still sees one panel per call, so no value moves
+    # oscillation route, whose engine hands each block of half-periods to one
+    # batched profile call; the batch's shared tolerance moves the values
+    # within the error estimates, never off the closed form
+    med = Medium(2.0)
     p = pair((1.0, 0.0, 0.01), (0.0, 0.0, 0.01))
-    blocked = assemble_kernel(Medium(2.0), KernelKind.GENERALIZED_DELTA, p, SPEC)
+    target = kernel_closed_form(med, KernelKind.GENERALIZED_DELTA, p)
+    blocked = assemble_kernel_result(med, KernelKind.GENERALIZED_DELTA, p, SPEC)
     monkeypatch.setattr(spectral, "_HALF_PERIOD_BLOCK", 1)
-    single = assemble_kernel(Medium(2.0), KernelKind.GENERALIZED_DELTA, p, SPEC)
-    assert np.array_equal(blocked, single)
+    single = assemble_kernel_result(med, KernelKind.GENERALIZED_DELTA, p, SPEC)
+    budget = blocked.error_estimate + single.error_estimate
+    assert np.max(np.abs(blocked.tensor - single.tensor)) <= budget
+    for res in (blocked, single):
+        observed = np.max(np.abs(res.tensor - target))
+        assert observed < 1e-6 * np.max(np.abs(target))
+        assert observed <= res.error_estimate
 
 
 def test_gauge_difference_profile_matches_residue_profile_pointwise():
@@ -298,6 +306,29 @@ def test_kz_profile_dispatches_on_the_side_of_z():
         kz_profile(med, 1.0, 0.7, 0.0, SPEC)
 
 
+@pytest.mark.parametrize("r, rp, batches", [
+    ((0.4, -0.2, 0.8), (0.1, 0.3, 0.5), [120]),
+    ((2.0, 0.0, 0.1), (0.0, 0.0, 0.2), [60, 60, 60]),
+], ids=["damped", "bessel_oscillation"])
+def test_assembly_calls_the_profile_once_per_level(r, rp, batches, monkeypatch):
+    # the damped branch's first level (8 panels, 120 kappa) converges; the
+    # Bessel-oscillation branch takes its half-periods four to a call.  One
+    # call per 15-node radial panel would make 8 and 12 calls.
+    seen = []
+    profile = kernels.kz_profile
+
+    def counted(medium, kap, *args):
+        seen.append(np.size(kap))
+        return profile(medium, kap, *args)
+
+    monkeypatch.setattr(kernels, "kz_profile", counted)
+    p = pair(r, rp)
+    res = assemble_kernel_result(Medium(2.0), KernelKind.GENERALIZED_DELTA, p, SPEC)
+    assert seen == batches
+    target = kernel_closed_form(Medium(2.0), KernelKind.GENERALIZED_DELTA, p)
+    assert np.max(np.abs(res.tensor - target)) <= res.error_estimate
+
+
 @pytest.mark.parametrize("n", [1.2, 2.0, 40.0])
 @pytest.mark.parametrize("z, zp", [(0.7, 0.4), (-0.3, 0.5)])
 def test_batched_profiles_match_scalar_calls(n, z, zp):
@@ -333,15 +364,16 @@ def test_batched_transmitted_profile_within_error_estimates(n):
 
 
 def test_batched_profile_counts_every_kappa_evaluation(monkeypatch):
-    # nodes_used counts integrand evaluations: every engine node is
-    # evaluated once per kappa of the batch
-    abscissae = []
+    # nodes_used counts integrand evaluations: the cut segment gets each node
+    # once per kappa of the batch (t of shape (nodes, kappa)), the half-lines
+    # once per kappa still running (k of shape (nodes, active entries))
+    evaluations = []
 
     def counting(engine):
         def wrapped(f, *args):
-            def g(x):
-                abscissae.append(len(x))
-                return f(x)
+            def g(x, *active):
+                evaluations.append(x.size)
+                return f(x, *active)
             return engine(g, *args)
         return wrapped
 
@@ -353,8 +385,8 @@ def test_batched_profile_counts_every_kappa_evaluation(monkeypatch):
         lambda k: _transmitted_profile(med, k, -0.3, 0.5, SPEC),
         lambda k: _gauge_difference_profile(med, k, 0.7, 0.4, SPEC),
     ):
-        abscissae.clear()
+        evaluations.clear()
         prof = build(KAPPA_PANEL)
-        assert prof.nodes_used == sum(abscissae) * len(KAPPA_PANEL)
-        abscissae.clear()
-        assert build(KAPPA_PANEL[3]).nodes_used == sum(abscissae)
+        assert prof.nodes_used == sum(evaluations)
+        evaluations.clear()
+        assert build(KAPPA_PANEL[3]).nodes_used == sum(evaluations)

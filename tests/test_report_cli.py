@@ -158,6 +158,18 @@ def test_load_config_rejects_unknown_keys_by_name(key):
 
 
 @settings(max_examples=50, deadline=None)
+@given(key=st.text("abcdefghijklmnopqrstuvwxyz0123456789._-", min_size=1, max_size=20)
+       .filter(lambda k: k not in KNOWN_KEYS))
+def test_settings_reject_unknown_keys_by_name(key):
+    # a misspelt key passed as a dict through the Python API must not fall
+    # back to the defaults
+    with pytest.raises(ConfigError, match=re.escape(f"unknown config key {key!r}")):
+        settings_from_config({"quad.abs_tol": "1e-12", key: "1"})
+    with pytest.raises(ConfigError, match=re.escape("'tol.fresnell'")):
+        settings_from_config({"tol.fresnell": "1e-3", "quad.abs_tl": "1"})
+
+
+@settings(max_examples=50, deadline=None)
 @given(tol_key=st.sampled_from(sorted(DEFAULT_TOLERANCES)),
        bad_tol=st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf]))
 def test_settings_reject_bad_tolerances_and_seed(tol_key, bad_tol):

@@ -51,6 +51,9 @@ def test_spec_rejects_non_finite_or_non_positive_floats(name, bad):
 def test_engines_reject_non_finite_geometry(bad):
     with pytest.raises(ValueError, match="oscillation_scale"):
         halfline_oscillatory_integral(np.sin, bad, SPEC)
+    for scales in (np.array([1.0, bad]), np.array([])):
+        with pytest.raises(ValueError, match="oscillation_scale"):
+            halfline_oscillatory_integral(lambda k, active: np.sin(k), scales, SPEC)
     with pytest.raises(ValueError, match="gamma"):
         cut_segment_integral(lambda t: t, bad, SPEC)
     with pytest.raises(ValueError, match="gamma"):
@@ -226,15 +229,20 @@ def test_tightening_tolerance_stays_within_estimate():
 
 def test_deterministic_bit_identical():
     f = lambda x: np.cos(0.7 * x) / (1 + x * x)
+    widths = np.array([0.1, 1.0, 3.0])
     runs = [
         (halfline_oscillatory_integral, (f, 0.7, SPEC)),
+        (halfline_oscillatory_integral,
+         (lambda k, active: np.cos(0.7 * k) / (1 + (widths[active] * k) ** 2),
+          np.full(3, 0.7), SPEC)),
         (cut_segment_integral, (lambda t: t / np.sqrt(2.25 - t * t), 1.5, SPEC)),
         (damped_radial_transform, (lambda k: 1.0 / (1 + k), 0.8, SPEC)),
+        (decaying_halfline_integral, (lambda k: widths / (widths ** 2 + k * k), widths, SPEC)),
     ]
     for fn, args in runs:
         a = fn(*args)
         b = fn(*args)
-        assert a.value == b.value
+        assert np.array_equal(a.value, b.value)
         assert a.error_estimate == b.error_estimate
         assert a.nodes_used == b.nodes_used
 
@@ -251,17 +259,28 @@ def _random_values(rng, shape, dtype):
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("shape", [(), (5,), (15, 5)])
 def test_eval_panel_matches_tensordot_bitwise(shape, dtype):
+    # the level rule evaluates several panels from one call; each panel's
+    # K15 sum is bitwise the node-by-node sum, and within a few ulp of the
+    # BLAS tensordot
     rng = np.random.default_rng(5)
     for _ in range(20):
-        a, b = sorted(rng.uniform(-3.0, 3.0, 2))
-        vals = _random_values(rng, (15,) + shape, dtype)
-        k15, err = spectral._eval_panel(lambda x: vals, a, b)
-        half = 0.5 * (b - a)
-        ref = half * np.tensordot(spectral._K15_W, vals, axes=(0, 0))
-        g7 = half * np.tensordot(spectral._G7_W, vals, axes=(0, 0))
-        assert np.shape(k15) == shape
-        assert np.array_equal(k15, ref)
-        assert err == float(np.max(np.abs(ref - g7)))
+        lo = np.sort(rng.uniform(-3.0, 3.0, 3))
+        hi = lo + rng.uniform(0.1, 2.0, 3)
+        vals = _random_values(rng, (15, 3) + shape, dtype)
+        k15, err = spectral._gauss_kronrod(lambda x, owner: vals, lo, hi, np.zeros(3, dtype=int))
+        assert k15.shape == (3,) + shape and err.shape == (3,)
+        for i in range(3):
+            half = 0.5 * (hi[i] - lo[i])
+            ref = g7 = 0.0
+            for node in range(15):
+                ref = ref + spectral._K15_W[node] * vals[node, i]
+            for node in range(1, 15, 2):
+                g7 = g7 + spectral._G7_W[node // 2] * vals[node, i]
+            ref, g7 = half * ref, half * g7
+            assert np.array_equal(k15[i], ref)
+            assert err[i] == float(np.max(np.abs(ref - g7)))
+            blas = half * np.tensordot(spectral._K15_W, vals[:, i], axes=(0, 0))
+            assert np.max(np.abs(k15[i] - blas)) <= 16 * np.finfo(float).eps * np.max(np.abs(vals))
 
 
 class _LevinLoop:
@@ -304,14 +323,18 @@ def test_levin_diagonal_matches_per_order_loop_bitwise(shape, floor):
 
 
 def test_half_period_block_matches_single_panels_bitwise():
-    f = lambda x: np.stack([np.exp(17.3j * x) * x, np.cos(x) / (1 + x * x)], axis=-1)
+    f = spectral._flat_integrand(
+        lambda x: np.stack([np.exp(17.3j * x) * x, np.cos(x) / (1 + x * x)], axis=-1))
     h = math.pi / 0.37
+    owner = np.zeros(4, dtype=int)
     for first in (0, 3, 44):
-        block = spectral._panels(f, np.arange(first, first + 4) * h, np.arange(first + 1, first + 5) * h)
-        for m, (val, err) in enumerate(block, start=first):
-            ref_val, ref_err = spectral._eval_panel(f, m * h, (m + 1) * h)
-            assert np.array_equal(val, ref_val)
-            assert err == ref_err
+        rows = np.arange(first, first + 4)
+        vals, errs = spectral._gauss_kronrod(f, rows * h, (rows + 1) * h, owner)
+        for m, val, err in zip(rows, vals, errs):
+            ref_val, ref_err = spectral._gauss_kronrod(
+                f, np.array([m * h]), np.array([(m + 1) * h]), owner[:1])
+            assert np.array_equal(val, ref_val[0])
+            assert err == ref_err[0]
 
 
 _HALFLINE_CASES = [
@@ -345,3 +368,121 @@ def test_halfline_nodes_used_counts_every_abscissa(f, scale):
     res = halfline_oscillatory_integral(counted, scale, SPEC)
     assert res.nodes_used == sum(abscissae)
     assert 15 * spectral._HALF_PERIOD_BLOCK in abscissae  # a block shared one call
+
+
+# ---------------------------------------------------------------------------
+# the level-synchronous refinement
+# ---------------------------------------------------------------------------
+
+def _reference_levels(f, breakpoints, spec):
+    """Plain-loop form of the level rule: per level, split the fewest worst
+    panels whose errors exceed the excess over the tolerance; every level is
+    one integrand call.  Returns (value, error, calls, panels evaluated)."""
+    def rule(a, b):
+        val, err = spectral._gauss_kronrod(spectral._flat_integrand(f), np.array([a]),
+                                           np.array([b]), np.zeros(1, dtype=int))
+        return val[0], float(err[0])
+
+    leaves = [(a, b, *rule(a, b)) for a, b in zip(breakpoints[:-1], breakpoints[1:])]
+    calls, panels = 1, len(leaves)
+    while True:
+        total = sum(p[2] for p in leaves)
+        excess = sum(p[3] for p in leaves) - spec.tolerance(float(np.max(np.abs(total))))
+        if excess <= 0.0:
+            return total, sum(p[3] for p in leaves), calls, panels
+        leaves.sort(key=lambda p: -p[3])
+        worse, picks = 0.0, 0
+        while worse < excess:
+            worse += leaves[picks][3]
+            picks += 1
+        children = []
+        for a, b, _, _ in leaves[:picks]:
+            mid = 0.5 * (a + b)
+            children += [(a, mid, *rule(a, mid)), (mid, b, *rule(mid, b))]
+        leaves = leaves[picks:] + children
+        calls, panels = calls + 1, panels + len(children)
+
+
+@pytest.mark.parametrize("f, breakpoints", [
+    (lambda x: np.sin(40.0 * x) * np.exp(-x), np.linspace(0.0, math.pi, 3)),
+    (lambda x: np.sqrt(x) * np.cos(3.0 * x), np.linspace(0.0, 2.0, 5)),
+    (lambda x: np.stack([1.0 / (1e-3 + x * x), np.exp(1j * 9.0 * x)], axis=-1),
+     np.linspace(-1.0, 1.0, 3)),
+], ids=["oscillating", "endpoint_sqrt", "vector_peak"])
+def test_adaptive_panels_makes_one_integrand_call_per_level(f, breakpoints):
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return f(x)
+
+    res = spectral.adaptive_panels(counted, breakpoints, SPEC)
+    ref_value, ref_error, ref_calls, ref_panels = _reference_levels(f, breakpoints, SPEC)
+    assert len(calls) == ref_calls > 2
+    assert res.nodes_used == sum(calls) == 15 * ref_panels
+    # one call per panel pair at most: a level's splits share one call
+    assert len(calls) <= 1 + (ref_panels - (len(breakpoints) - 1)) / 2
+    assert np.max(np.abs(res.value - ref_value)) <= res.error_estimate + ref_error
+    assert res.error_estimate <= SPEC.tolerance(float(np.max(np.abs(res.value))))
+
+
+def test_adaptive_panels_raises_at_the_panel_cap(monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_PANELS", 24)
+    evaluated = []
+
+    def divergent(x):
+        evaluated.append(len(x) // 15)
+        return 1.0 / x
+
+    with pytest.raises(QuadratureError, match="stalled at error .* after 24 panels"):
+        spectral.adaptive_panels(divergent, np.linspace(0.0, 1.0, 5), SPEC)
+    # every split replaces one panel by two, and the cap bounds the leaves
+    assert sum(evaluated) <= 4 + 2 * (24 - 4)
+
+
+@pytest.mark.parametrize("engine, args", [
+    (spectral.adaptive_panels, (np.linspace(0.0, 1.0, 5), SPEC)),
+    (halfline_oscillatory_integral, (1.0, SPEC)),
+    (cut_segment_integral, (np.array([0.5, 1.0]), SPEC)),
+    (decaying_halfline_integral, (1.0, SPEC)),
+    (damped_radial_transform, (1.0, SPEC)),
+], ids=["adaptive_panels", "halfline", "cut_segment", "decaying_halfline", "damped_radial"])
+def test_non_finite_panel_raises_after_one_call(engine, args):
+    calls = []
+
+    def poisoned(x):
+        calls.append(len(x))
+        return np.nan * x
+
+    with pytest.raises(QuadratureError, match=r"non-finite integrand on the panel \[0, "):
+        engine(poisoned, *args)
+    assert len(calls) == 1
+
+
+def test_kappa_batch_entries_leave_when_converged():
+    # the entries decay on different scales, so their Levin sums converge at
+    # different half-periods; each is held to the batch tolerance, which is
+    # no tighter than its own
+    widths = np.array([0.05, 0.3, 1.0, 4.0])
+    last_period = {}
+    evaluations = []
+
+    def batch(k, active):
+        evaluations.append(k.size)
+        for col, entry in enumerate(active):
+            last_period[entry] = max(last_period.get(entry, 0), int(k[:, col].max() // math.pi))
+        w = widths[active]
+        return np.stack([np.cos(k) / (1.0 + (w * k) ** 2), np.sin(k) * np.exp(-w * k)], axis=-1)
+
+    res = halfline_oscillatory_integral(batch, np.ones(len(widths)), SPEC)
+    assert res.value.shape == (len(widths), 2)
+    assert res.nodes_used == sum(evaluations)
+    assert len(set(last_period.values())) > 1
+    singles = [halfline_oscillatory_integral(
+        lambda k, w=w: np.stack([np.cos(k) / (1.0 + (w * k) ** 2), np.sin(k) * np.exp(-w * k)],
+                                axis=-1), 1.0, SPEC) for w in widths]
+    for row, single in zip(res.value, singles):
+        assert np.max(np.abs(row - single.value)) <= res.error_estimate + single.error_estimate
+    assert res.nodes_used <= sum(single.nodes_used for single in singles)
+    exact = math.pi / (2.0 * widths) * np.exp(-1.0 / widths)
+    assert np.max(np.abs(res.value[:, 0] - exact)) <= res.error_estimate
