@@ -61,17 +61,17 @@ def load_config(path: str) -> dict[str, str]:
             key, value = key.strip(), value.strip()
             if not key or not value:
                 raise ConfigError(f"{path}:{lineno}: empty key or value")
-            if key not in _KNOWN_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            check_keys((key,), f"{path}:{lineno}: ")
             values[key] = value
     return values
 
 
-def check_keys(cfg: dict[str, str]) -> None:
-    """Raise ConfigError naming the first key of ``cfg`` that is not a config key."""
-    for key in cfg:
+def check_keys(keys, where: str = "") -> None:
+    """Raise ConfigError naming the first of ``keys`` that is not a config
+    key, after the location prefix ``where``."""
+    for key in keys:
         if key not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(f"{where}unknown config key {key!r}")
 
 
 def config_value(cfg: dict[str, str], key: str, cast, default):

@@ -70,6 +70,12 @@ __all__ = [
 ]
 
 _TWO_PI_CUBED = (2.0 * math.pi) ** 3
+# Radial panels (15 kappa each) per profile call.  The largest radial level of
+# the benchmark workloads has 14 panels, so each of their levels is one call.
+# Near the radial panel cap a level holds hundreds of panels; one call for all
+# of them peaked at 4.4 GB resident on an n = 40 assembly that this bound
+# keeps at 203 MB.
+_PROFILE_PANELS = 16
 
 
 class KernelKind(Enum):
@@ -92,22 +98,22 @@ class KernelAssembly:
 
 # Every profile takes kappa = |k_par| of any shape (one value per entry, one
 # engine call for all of them) and returns an IntegralResult whose value has
-# shape kappa.shape + (5,) and whose error bounds every entry's.
+# shape kappa.shape + (5,), whose error bounds every entry's and whose
+# entry_errors, where set, bound each entry's on its own.
 
 def _interface_profile(medium: Medium, kap: np.ndarray, scale: float, halflines: list,
                        evanescent: Callable, spec: QuadratureSpec) -> IntegralResult:
     """Travelling half-axes plus evanescent segment of an interface profile.
     Each (body, sign) of ``halflines`` gets (kz, kzd, kappa, kmag2) on that
-    k_z half-axis, oscillating on ``scale``, for the kappa entries still
-    running in the half-line batch, which holds every (half-axis, kappa)
-    pair; ``evanescent`` gets (t, kzd, kappa, kmag2) on the cut for every
-    entry."""
+    k_z half-axis, oscillating on ``scale``, for the kappa entries that the
+    half-line batch evaluates, which holds every (half-axis, kappa) pair;
+    ``evanescent`` gets (t, kzd, kappa, kmag2) on the cut for every entry."""
     n = medium.n
     flat = kap.ravel()
     kap2, gap2 = flat * flat, (n * n - 1.0) * flat * flat  # once, not per panel
 
-    def travelling(k: np.ndarray, active: np.ndarray) -> np.ndarray:
-        axis, entry = np.divmod(active, flat.size)
+    def travelling(k: np.ndarray, entries: np.ndarray) -> np.ndarray:
+        axis, entry = np.divmod(entries, flat.size)
         out = None
         for a, (body, sign) in enumerate(halflines):
             cols = np.flatnonzero(axis == a)
@@ -128,9 +134,10 @@ def _interface_profile(medium: Medium, kap: np.ndarray, scale: float, halflines:
                                          spec)
     cut = cut_segment_integral(segment, evanescent_threshold(medium, flat), spec)
     value = axes.value.reshape((len(halflines),) + flat.shape + (-1,)).sum(axis=0) + cut.value
-    # each kappa sums one entry of every half-axis, each within the batch's error
-    err = len(halflines) * axes.error_estimate + cut.error_estimate
-    return IntegralResult(value.reshape(kap.shape + (-1,)), err, axes.nodes_used + cut.nodes_used)
+    # each kappa sums one entry of every half-axis, and the cut within its bound
+    err = axes.entry_errors.reshape(len(halflines), -1).sum(axis=0) + cut.error_estimate
+    return IntegralResult(value.reshape(kap.shape + (-1,)), float(err.max()),
+                          axes.nodes_used + cut.nodes_used, err.reshape(kap.shape))
 
 
 def _reflected_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
@@ -276,7 +283,8 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
     front = 1j * kap * math.sqrt(_TWO_PI_CUBED) * np.exp(-kap * abs(z))
     parts = [ju, jz, 1j * sgn * ju, 1j * sgn * jz, np.zeros_like(ju)]
     comps = front[..., None] * np.stack(parts, axis=-1)
-    return IntegralResult(comps, float(np.max(np.abs(front))) * j.error_estimate, j.nodes_used)
+    err = np.abs(front) * j.entry_errors
+    return IntegralResult(comps, float(err.max()), j.nodes_used, err)
 
 
 def _check_heights(z: float, zp: float) -> None:
@@ -394,23 +402,34 @@ def _radial_assemble(
     tail_rate = 0.0  # bound on the radial integrand at k_seen_max
 
     def integrand(karr: np.ndarray) -> np.ndarray:
-        # every kappa of a refinement level goes to one profile call (on the
-        # Bessel-oscillation branch, every kappa of a block of half-periods
-        # or of a bisection level); the call's error bounds each of its
-        # kappa, so the call's largest kappa bounds every node's rate
+        # the engine hands over the 15 nodes of each panel of a refinement
+        # level (on the Bessel-oscillation branch, of a block of half-periods
+        # or of a bisection level), node-major; up to _PROFILE_PANELS whole
+        # panels go to one profile call, so the kappa of a panel share one
+        # half-line convergence and the profile is smooth across the panel
+        cols = karr.reshape(15, -1)
+        return np.concatenate(
+            [profile_part(cols[:, i:i + _PROFILE_PANELS]) for i in
+             range(0, cols.shape[1], _PROFILE_PANELS)], axis=1).reshape(karr.size, -1)
+
+    def profile_part(karr: np.ndarray) -> np.ndarray:
+        # each kappa's profile error is weighted by that kappa; where the
+        # profile reports one error for the whole call, it bounds each kappa's
         nonlocal nodes_extra, err_inner_rate, k_seen_max, tail_rate
+        karr = karr.ravel()
         prof = profile_fn(karr)
         top = int(np.argmax(karr))
         k_top = float(karr[top])
         nodes_extra += prof.nodes_used
-        err_inner_rate = max(err_inner_rate, prof.error_estimate * k_top * 2.0 * math.pi)
+        errs = prof.error_estimate if prof.entry_errors is None else prof.entry_errors
+        err_inner_rate = max(err_inner_rate, float(np.max(errs * karr)) * 2.0 * math.pi)
         if k_top > k_seen_max:
             k_seen_max = k_top
             # with |J_nu| <= 1 the weights of _bessel_combination are at most
             # 2 pi (|uu| + |vv|) for xx and yy, 2 pi |comp| for zz, xz and zx
             uu, uz, zu, zz, vv = np.abs(prof.value[top])
             tail_rate = 2.0 * math.pi * k_top * float(max(uu + vv, uz, zu, zz))
-        return _bessel_combination(prof.value, karr, rho)
+        return _bessel_combination(prof.value, karr, rho).reshape(15, -1, 5)
 
     if damping <= 0.0 and rho == 0.0:
         raise ValueError("profile without damping needs rho > 0 for the assembly")

@@ -4,8 +4,8 @@ Every class refines by one routine: globally adaptive Gauss-Kronrod 7/15
 panels with the QUADPACK |K15 - G7| error estimate, refined one whole level
 at a time.  All panels of a level are evaluated in one integrand call, and
 each level bisects the fewest worst panels whose errors together exceed the
-excess over the tolerance (a heap that splits the worst panel first would
-split at least these).  Each panel's rule is summed on its own, so a panel
+excess over the tolerance (any refinement that splits the worst panel first
+splits at least these).  Each panel's rule is summed on its own, so a panel
 depends on the other panels of its call only through the integrand.  A panel
 whose value or error is not finite raises :class:`QuadratureError` at once,
 naming the panel.
@@ -46,11 +46,16 @@ bound as a single call's.  The cut segment and decaying half-line take array
 ``gamma`` / ``scale`` / ``offset``, pass nodes of shape (nodes, *batch) and
 refine all entries on shared panels.  The oscillatory half-line takes an
 array ``oscillation_scale``; each entry then runs its own partial sums,
-bisections and Levin sequence, and leaves the batch as soon as it meets the
-batch tolerance, so the integrand is called as f(k, active) with the flat
-indices of the entries still running.  ``nodes_used`` counts integrand
-evaluations: nodes x batch size on shared panels, and on the half-line
-nodes x the entries that were active for them.
+bisections and Levin sequence and reports its own error in
+``entry_errors``, and the integrand is called as f(k, entries) with the flat
+indices of the entries each column of k belongs to (a bisection evaluates
+only the entries whose half-period needs it).  The batch still converges as
+a whole: every entry takes as many half-periods as the slowest one, so an
+entry's value varies smoothly with the parameters of its integrand, and an
+outer quadrature over those parameters does not see per-entry stopping
+points as roughness.  ``nodes_used`` counts integrand evaluations: nodes x
+batch size on shared panels, and on the half-line nodes x the entries
+evaluated on them.
 """
 from __future__ import annotations
 
@@ -110,6 +115,9 @@ class IntegralResult:
     value: complex | np.ndarray
     error_estimate: float
     nodes_used: int
+    # the error of each entry of a batch whose entries are refined apart
+    # (shape of the batch); None where only the batch-wide bound is known
+    entry_errors: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +154,10 @@ Integrand = Callable[[np.ndarray], np.ndarray]
 _MAX_PANELS = 800
 _SEGMENT_MAX_PANELS = 48
 # Half-periods whose first panel shares one integrand call.  Four keeps an
-# integrand that vanishes (two quiet half-periods) at 60 nodes.  A batch
-# prefetches fewer, down to one, once a call would hold more than
-# _BLOCK_PANELS panels: the call's overhead is amortised by then, and the
-# prefetched panels would only add memory and nodes.
+# integrand that vanishes (two quiet half-periods) at 60 nodes per entry.  A
+# batch of more than _BLOCK_PANELS / 4 entries prefetches fewer, down to one:
+# on the kernel-assembly benchmark (240-entry batches) four rows ran 7% faster
+# but peaked at 61.7 MB resident against 60.2 MB.
 _HALF_PERIOD_BLOCK = 4
 _BLOCK_PANELS = 64
 
@@ -312,10 +320,6 @@ class _LevinU:
             return num / den
         return np.where(guard, num / np.where(guard, den, 1.0), s)
 
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop the batch entries (first axis of the sums) where ``mask`` is False."""
-        self.diag = self.diag[:, :, mask]
-
 
 def halfline_oscillatory_integral(
     f: Callable, oscillation_scale: ArrayLike, spec: QuadratureSpec
@@ -325,9 +329,9 @@ def halfline_oscillatory_integral(
     The axis is cut at multiples of pi/s and the partial-sum sequence is
     Levin-accelerated; convergence requires two consecutive stable estimates.
     An array ``oscillation_scale`` asks for one integral per entry: f is then
-    called as f(k, active), k of shape (nodes, len(active)) and ``active`` the
-    flat indices of the entries k belongs to, column by column, and returns
-    (nodes, len(active), *comps); an entry leaves the batch once converged.
+    called as f(k, entries), k of shape (nodes, len(entries)) and ``entries``
+    the flat indices of the entries k belongs to, column by column, and
+    returns (nodes, len(entries), *comps).
     """
     scale = np.asarray(oscillation_scale, dtype=float)
     if not (scale.size and np.all(np.isfinite(scale) & (scale > 0.0))):
@@ -335,41 +339,40 @@ def halfline_oscillatory_integral(
             f"oscillation_scale must be positive and finite, got {oscillation_scale!r}")
     if scale.ndim:
         res = _levin_halfline(f, scale.ravel(), spec)
-        return replace(res, value=res.value.reshape(scale.shape + res.value.shape[1:]))
+        return replace(res, value=res.value.reshape(scale.shape + res.value.shape[1:]),
+                       entry_errors=res.entry_errors.reshape(scale.shape))
     res = _levin_halfline(_flat_integrand(f), scale.reshape(1), spec)
     value = res.value[0]
-    return replace(res, value=value if value.shape else complex(value))
+    return replace(res, value=value if value.shape else complex(value), entry_errors=None)
 
 
 def _levin_halfline(f, scale: np.ndarray, spec: QuadratureSpec) -> IntegralResult:
     """The half-line integrals of the entries of ``scale`` under the panel
-    protocol f(k, entry).  Every entry is held to one tolerance, scaled by the
-    max-norm of the whole batch, and leaves the batch when it meets it."""
+    protocol f(k, entry).  Each entry keeps its own partial sums, bisections,
+    Levin sequence and error, but the batch converges as a whole: every entry
+    runs until all of them meet one tolerance, scaled by the max-norm of the
+    whole batch."""
     h = math.pi / scale
     entries = len(scale)
     periods = spec.max_oscillation_periods
-    live = np.arange(entries)  # entries still running
+    depth = min(_HALF_PERIOD_BLOCK, max(1, _BLOCK_PANELS // entries))  # half-periods per call
     levin = _LevinU(spec.acceleration_order)
     abs_floor = 0.01 * spec.abs_tol
     rel_seg = 0.002 * spec.rel_tol
-    value = error = None
-    done_scale = 0.0  # max-norm of the values of the entries that left
     partial = est_prev = None
     err_prev = np.full(entries, math.inf)
-    quiet = np.zeros(entries, dtype=bool)  # the last raw sum was quiet
+    quiet = 0  # consecutive quiet raw sums
     seg_err_total = np.zeros(entries)  # up to the end of the block
     inc_scale = np.zeros(entries)  # largest half-period of each entry, ditto
     hint = 0.0  # largest half-period of the batch, ditto
     nodes = 0
-    block: list = []  # the coming half-periods of the live entries
+    block: list = []  # the coming half-periods
     for m in range(periods):
-        n_live = len(live)
         if not block:
-            rows = np.arange(m, m + min(_HALF_PERIOD_BLOCK, max(1, _BLOCK_PANELS // n_live),
-                                        periods - m))
-            owner = np.broadcast_to(live, (len(rows), n_live)).ravel()
-            lo = np.multiply.outer(rows, h[live]).ravel()
-            hi = np.multiply.outer(rows + 1, h[live]).ravel()
+            rows = np.arange(m, min(m + depth, periods))
+            owner = np.tile(np.arange(entries), len(rows))
+            lo = np.multiply.outer(rows, h).ravel()
+            hi = np.multiply.outer(rows + 1, h).ravel()
             val, err = _gauss_kronrod(f, lo, hi, owner)
             nodes += 15 * len(lo)
             mag = np.abs(val).reshape(len(lo), -1).max(axis=1)
@@ -377,8 +380,8 @@ def _levin_halfline(f, scale: np.ndarray, spec: QuadratureSpec) -> IntegralResul
             # its L1 content (cancellation-robust) and the batch's largest
             # half-period before it
             before = np.maximum.accumulate(
-                np.concatenate(([hint], mag.reshape(len(rows), n_live).max(axis=1)[:-1])))
-            seg_floor = np.maximum(abs_floor, 0.1 * rel_seg * np.repeat(before, n_live))
+                np.concatenate(([hint], mag.reshape(len(rows), entries).max(axis=1)[:-1])))
+            seg_floor = np.maximum(abs_floor, 0.1 * rel_seg * np.repeat(before, entries))
             need = np.flatnonzero(err > np.maximum(seg_floor, rel_seg * mag))
             if need.size:
                 val[need], err[need], more = _refine(
@@ -389,48 +392,32 @@ def _levin_halfline(f, scale: np.ndarray, spec: QuadratureSpec) -> IntegralResul
                 )
                 nodes += more
                 mag[need] = np.abs(val[need]).reshape(need.size, -1).max(axis=1)
-            mag = mag.reshape(len(rows), n_live)
+            mag = mag.reshape(len(rows), entries)
             hint = max(hint, float(mag.max()))
-            totals = seg_err_total + np.cumsum(err.reshape(len(rows), n_live), axis=0)
+            totals = seg_err_total + np.cumsum(err.reshape(len(rows), entries), axis=0)
             incs = np.maximum(inc_scale, np.maximum.accumulate(mag, axis=0))
             seg_err_total, inc_scale = totals[-1], incs[-1]
             # per half-period: value, error sum so far, raw-sum error, Levin floor
             floors = 1e-16 * np.maximum(incs, 1e-30)
-            block = list(zip(val.reshape((len(rows), n_live) + val.shape[1:]), totals, mag + totals,
+            block = list(zip(val.reshape((len(rows), entries) + val.shape[1:]), totals, mag + totals,
                              floors.reshape(floors.shape + (1,) * (val.ndim - 1))))
-            if value is None:
-                value = np.zeros((entries,) + val.shape[1:], dtype=complex)
-                error = np.zeros(entries)
         seg, err_sum, raw_err, floor = block.pop(0)
         partial = seg if partial is None else partial + seg
         # raw-sum early exit for integrands that die without oscillating
-        was_quiet = quiet
-        quiet = raw_err <= 0.5 * spec.tolerance(max(done_scale, float(np.abs(partial).max())))
-        out = was_quiet & quiet
+        if raw_err.max() <= 0.5 * spec.tolerance(float(np.abs(partial).max())):
+            quiet += 1
+            if quiet >= 2:
+                return IntegralResult(partial, float(raw_err.max()), nodes, raw_err)
+        else:
+            quiet = 0
         est = levin.add(partial, seg, floor=floor)
-        conv = None
         if m >= 2:
-            delta = np.abs(est - est_prev).reshape(n_live, -1).max(axis=1)
-            tol = spec.tolerance(max(done_scale, float(np.abs(est).max())))
+            delta = np.abs(est - est_prev).reshape(entries, -1).max(axis=1)
+            tol = spec.tolerance(float(np.abs(est).max()))
             err = np.maximum(delta, 0.25 * err_prev) + err_sum
-            conv = (err <= tol) & (err_prev <= 4.0 * tol)
+            if err.max() <= tol and err_prev.max() <= 4.0 * tol:
+                return IntegralResult(est, float(err.max()), nodes, err)
             err_prev = delta
-            out = out | conv
-        if out.any():
-            if conv is not None:
-                value[live[conv]] = est[conv]
-                error[live[conv]] = err[conv]
-            stopped = was_quiet & quiet  # the raw sum takes precedence
-            value[live[stopped]] = partial[stopped]
-            error[live[stopped]] = raw_err[stopped]
-            done_scale = max(done_scale, float(np.abs(value[live[out]]).max()))
-            keep = ~out
-            if not keep.any():
-                return IntegralResult(value, float(error.max()), nodes)
-            live, partial, est, err_prev = live[keep], partial[keep], est[keep], err_prev[keep]
-            quiet, seg_err_total, inc_scale = quiet[keep], seg_err_total[keep], inc_scale[keep]
-            levin.keep(keep)
-            block = [tuple(x[keep] for x in row) for row in block]
         est_prev = est
     raise QuadratureError(
         f"oscillatory integral did not converge within {spec.max_oscillation_periods} "

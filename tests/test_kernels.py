@@ -347,6 +347,35 @@ def test_batched_profiles_match_scalar_calls(n, z, zp):
         assert np.max(np.abs(batch.value - singles)) <= 1e-10 * np.max(np.abs(batch.value))
 
 
+@pytest.mark.parametrize("z, zp", [(0.7, 0.4), (-0.3, 0.5)])
+def test_profile_entry_errors_bound_each_kappa(z, zp):
+    # each kappa's error comes from its own half-line entries and the shared
+    # cut, so it bounds that kappa's distance to the residue profile
+    med = Medium(2.0)
+    prof = kz_profile(med, KAPPA_PANEL, z, zp, SPEC)
+    assert prof.entry_errors.shape == KAPPA_PANEL.shape
+    assert prof.error_estimate == prof.entry_errors.max()
+    assert prof.entry_errors.min() < prof.error_estimate
+    for kap, row, err in zip(KAPPA_PANEL, prof.value, prof.entry_errors):
+        target = residue_profile(med, float(kap), z, zp)
+        assert np.max(np.abs(row[:4] - target[:4])) <= err
+        assert abs(row[4]) <= err
+
+
+def test_large_n_assembly_below_the_interface_converges():
+    # at n = 40 below the interface the radial layer integrates the profiles
+    # at their own tolerance; because the half-line batch of each profile
+    # call converges as a whole, a profile is smooth in kappa and the radial
+    # K15/G7 estimate does not chase per-kappa stopping noise to the panel cap
+    med = Medium(40.0)
+    p = pair((0.5, 0.2, -0.6), (0.0, -0.3, 0.7))
+    res = assemble_kernel_result(med, KernelKind.GENERALIZED_DELTA, p, SPEC)
+    target = kernel_closed_form(med, KernelKind.GENERALIZED_DELTA, p)
+    observed = np.max(np.abs(res.tensor - target))
+    assert observed < 1e-6 * np.max(np.abs(target))
+    assert observed <= res.error_estimate
+
+
 @pytest.mark.parametrize("n", [1.2, 2.0, 40.0])
 def test_batched_transmitted_profile_within_error_estimates(n):
     # below the interface the travelling and evanescent parts cancel down to
@@ -366,14 +395,14 @@ def test_batched_transmitted_profile_within_error_estimates(n):
 def test_batched_profile_counts_every_kappa_evaluation(monkeypatch):
     # nodes_used counts integrand evaluations: the cut segment gets each node
     # once per kappa of the batch (t of shape (nodes, kappa)), the half-lines
-    # once per kappa still running (k of shape (nodes, active entries))
+    # once per entry evaluated (k of shape (nodes, entries))
     evaluations = []
 
     def counting(engine):
         def wrapped(f, *args):
-            def g(x, *active):
+            def g(x, *entries):
                 evaluations.append(x.size)
-                return f(x, *active)
+                return f(x, *entries)
             return engine(g, *args)
         return wrapped
 

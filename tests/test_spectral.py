@@ -53,7 +53,7 @@ def test_engines_reject_non_finite_geometry(bad):
         halfline_oscillatory_integral(np.sin, bad, SPEC)
     for scales in (np.array([1.0, bad]), np.array([])):
         with pytest.raises(ValueError, match="oscillation_scale"):
-            halfline_oscillatory_integral(lambda k, active: np.sin(k), scales, SPEC)
+            halfline_oscillatory_integral(lambda k, entries: np.sin(k), scales, SPEC)
     with pytest.raises(ValueError, match="gamma"):
         cut_segment_integral(lambda t: t, bad, SPEC)
     with pytest.raises(ValueError, match="gamma"):
@@ -233,7 +233,7 @@ def test_deterministic_bit_identical():
     runs = [
         (halfline_oscillatory_integral, (f, 0.7, SPEC)),
         (halfline_oscillatory_integral,
-         (lambda k, active: np.cos(0.7 * k) / (1 + (widths[active] * k) ** 2),
+         (lambda k, entries: np.cos(0.7 * k) / (1 + (widths[entries] * k) ** 2),
           np.full(3, 0.7), SPEC)),
         (cut_segment_integral, (lambda t: t / np.sqrt(2.25 - t * t), 1.5, SPEC)),
         (damped_radial_transform, (lambda k: 1.0 / (1 + k), 0.8, SPEC)),
@@ -459,30 +459,44 @@ def test_non_finite_panel_raises_after_one_call(engine, args):
     assert len(calls) == 1
 
 
-def test_kappa_batch_entries_leave_when_converged():
-    # the entries decay on different scales, so their Levin sums converge at
-    # different half-periods; each is held to the batch tolerance, which is
-    # no tighter than its own
-    widths = np.array([0.05, 0.3, 1.0, 4.0])
-    last_period = {}
-    evaluations = []
+def _two_widths(k, w):
+    return np.stack([np.cos(k) / (1.0 + (w * k) ** 2), np.sin(k) * np.exp(-w * k)], axis=-1)
 
-    def batch(k, active):
-        evaluations.append(k.size)
-        for col, entry in enumerate(active):
+
+def test_kappa_batch_converges_as_a_whole():
+    # alone, the entries' Levin sums converge at different half-periods; in
+    # a batch every entry runs to the same one, so a value does not jump
+    # where a neighbouring entry would stop, while a bisection evaluates only
+    # the entries whose own half-period needs it
+    widths = np.array([0.05, 0.3, 1.0, 4.0])
+    last_period, columns = {}, []
+
+    def batch(k, entries):
+        columns.append(len(entries))
+        for col, entry in enumerate(entries):
             last_period[entry] = max(last_period.get(entry, 0), int(k[:, col].max() // math.pi))
-        w = widths[active]
-        return np.stack([np.cos(k) / (1.0 + (w * k) ** 2), np.sin(k) * np.exp(-w * k)], axis=-1)
+        return _two_widths(k, widths[entries])
 
     res = halfline_oscillatory_integral(batch, np.ones(len(widths)), SPEC)
     assert res.value.shape == (len(widths), 2)
-    assert res.nodes_used == sum(evaluations)
-    assert len(set(last_period.values())) > 1
-    singles = [halfline_oscillatory_integral(
-        lambda k, w=w: np.stack([np.cos(k) / (1.0 + (w * k) ** 2), np.sin(k) * np.exp(-w * k)],
-                                axis=-1), 1.0, SPEC) for w in widths]
-    for row, single in zip(res.value, singles):
-        assert np.max(np.abs(row - single.value)) <= res.error_estimate + single.error_estimate
-    assert res.nodes_used <= sum(single.nodes_used for single in singles)
+    assert res.nodes_used == 15 * sum(columns)
+    assert len(set(last_period.values())) == 1
+    assert 0 < min(columns) < len(widths)
+    assert res.entry_errors.shape == widths.shape
+    assert res.error_estimate == res.entry_errors.max()
+    assert len(set(res.entry_errors)) == len(widths)
+    single_periods = set()
+    for w, row, err in zip(widths, res.value, res.entry_errors):
+        reached = []
+
+        def single_f(k, w=w):
+            reached.append(int(k.max() // math.pi))
+            return _two_widths(k, w)
+
+        single = halfline_oscillatory_integral(single_f, 1.0, SPEC)
+        single_periods.add(max(reached))
+        assert single.entry_errors is None
+        assert np.max(np.abs(row - single.value)) <= err + single.error_estimate
+    assert len(single_periods) > 1
     exact = math.pi / (2.0 * widths) * np.exp(-1.0 / widths)
-    assert np.max(np.abs(res.value[:, 0] - exact)) <= res.error_estimate
+    assert np.all(np.abs(res.value[:, 0] - exact) <= res.entry_errors)
