@@ -33,6 +33,7 @@ residue-theorem closed forms are verified against.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
@@ -101,49 +102,47 @@ class KernelAssembly:
 # shape kappa.shape + (5,), whose error bounds every entry's and whose
 # entry_errors, where set, bound each entry's on its own.
 
-def _interface_profile(medium: Medium, kap: np.ndarray, scale: float, halflines: list,
-                       evanescent: Callable, spec: QuadratureSpec) -> IntegralResult:
-    """Travelling half-axes plus evanescent segment of an interface profile.
-    Each (body, sign) of ``halflines`` gets (kz, kzd, kappa, kmag2) on that
-    k_z half-axis, oscillating on ``scale``, for the kappa entries that the
-    half-line batch evaluates, which holds every (half-axis, kappa) pair;
+# On the travelling axis the Fresnel coefficients are real and even under
+# (k_z, k_zd) -> (-k_z, -k_zd) and the plane-wave phases go to their
+# conjugates, so the k_z < 0 half of a reflected or transmitted profile is the
+# conjugate of its k_z > 0 half, with a sign on the odd dyads uz and zu.
+_PARITY = np.array([1.0, -1.0, -1.0, 1.0, 1.0])
+
+
+def _interface_profile(medium: Medium, kap: np.ndarray, scale: float, travelling: Callable,
+                       evanescent: Callable, spec: QuadratureSpec,
+                       mirror: bool) -> IntegralResult:
+    """Travelling axis plus evanescent segment of an interface profile.
+    ``travelling`` gets (kz, kzd, kappa, kmag2) on k_z > 0, oscillating on
+    ``scale``, for the kappa entries that the half-line batch evaluates (one
+    entry per kappa); with ``mirror`` the k_z < 0 half-axis adds _PARITY times
+    the conjugate of that integral, and each kappa's half-line error doubles.
     ``evanescent`` gets (t, kzd, kappa, kmag2) on the cut for every entry."""
     n = medium.n
     flat = kap.ravel()
     kap2, gap2 = flat * flat, (n * n - 1.0) * flat * flat  # once, not per panel
 
-    def travelling(k: np.ndarray, entries: np.ndarray) -> np.ndarray:
-        axis, entry = np.divmod(entries, flat.size)
-        out = None
-        for a, (body, sign) in enumerate(halflines):
-            cols = np.flatnonzero(axis == a)
-            if not cols.size:
-                continue
-            ka, e = k[:, cols], entry[cols]
-            vals = body(sign * ka, sign * np.sqrt(n * n * ka * ka + gap2[e]), flat[e],
-                        kap2[e] + ka * ka)
-            if out is None:
-                out = np.empty(k.shape + vals.shape[2:], dtype=vals.dtype)
-            out[:, cols] = vals
-        return out
+    def body(k: np.ndarray, entries: np.ndarray) -> np.ndarray:
+        return travelling(k, np.sqrt(n * n * k * k + gap2[entries]), flat[entries],
+                          kap2[entries] + k * k)
 
     def segment(t: np.ndarray) -> np.ndarray:
         return evanescent(t, np.sqrt(np.maximum(gap2 - n * n * t * t, 0.0)), flat, kap2 - t * t)
 
-    axes = halfline_oscillatory_integral(travelling, np.full(len(halflines) * flat.size, scale),
-                                         spec)
+    axis = halfline_oscillatory_integral(body, np.full(flat.size, scale), spec)
+    value, err = axis.value, axis.entry_errors
+    if mirror:
+        value, err = value + _PARITY * np.conj(value), 2.0 * err
     cut = cut_segment_integral(segment, evanescent_threshold(medium, flat), spec)
-    value = axes.value.reshape((len(halflines),) + flat.shape + (-1,)).sum(axis=0) + cut.value
-    # each kappa sums one entry of every half-axis, and the cut within its bound
-    err = axes.entry_errors.reshape(len(halflines), -1).sum(axis=0) + cut.error_estimate
-    return IntegralResult(value.reshape(kap.shape + (-1,)), float(err.max()),
-                          axes.nodes_used + cut.nodes_used, err.reshape(kap.shape))
+    err = err + cut.error_estimate  # each kappa's own, and the cut within its bound
+    return IntegralResult((value + cut.value).reshape(kap.shape + (-1,)), float(err.max()),
+                          axis.nodes_used + cut.nodes_used, err.reshape(kap.shape))
 
 
 def _reflected_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
                        spec: QuadratureSpec) -> IntegralResult:
-    """Reflected kernel profile for z, z' > 0 (both travelling half-axes plus
-    the evanescent segment)."""
+    """Reflected kernel profile for z, z' > 0: the travelling half-axis k_z > 0,
+    its mirror image on k_z < 0 and the evanescent segment."""
     s = z + zp
     kap = np.asarray(kap, dtype=float)
     if medium.n == 1.0:
@@ -174,13 +173,13 @@ def _reflected_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
         vv = coef_te * damp
         return np.stack([uu, uz, zu, zz, vv], axis=-1)
 
-    halflines = [(travelling, 1.0), (travelling, -1.0)]
-    return _interface_profile(medium, kap, s, halflines, evanescent, spec)
+    return _interface_profile(medium, kap, s, travelling, evanescent, spec, mirror=True)
 
 
 def _transmitted_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
                          spec: QuadratureSpec) -> IntegralResult:
-    """Transmitted kernel profile for z < 0, z' > 0."""
+    """Transmitted kernel profile for z < 0, z' > 0, integrated like the
+    reflected one (k_z > 0, its mirror image and the evanescent segment)."""
     n = medium.n
     s_eff = n * abs(z) + zp
     kap = np.asarray(kap, dtype=float)
@@ -219,8 +218,7 @@ def _transmitted_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
         vv = coef_te * (ep + rl_te * em)
         return np.stack([uu, uz, zu, zz, vv], axis=-1)
 
-    halflines = [(travelling, 1.0), (travelling, -1.0)]
-    return _interface_profile(medium, kap, s_eff, halflines, evanescent, spec)
+    return _interface_profile(medium, kap, s_eff, travelling, evanescent, spec, mirror=True)
 
 
 def _free_profile(kap: ArrayLike, z: float, zp: float) -> IntegralResult:
@@ -237,31 +235,26 @@ def _free_profile(kap: ArrayLike, z: float, zp: float) -> IntegralResult:
 def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
                               spec: QuadratureSpec) -> IntegralResult:
     """Mode-sum profile of the gauge-difference kernel: each TM mode's surface
-    charge g times its vacuum amplitude at z' over omega, by dk_z or dk_zd."""
+    charge g times its vacuum amplitude at z' over omega, by dk_z or dk_zd.
+    The right-incident and the travelling left-incident modes share the vacuum
+    k_z > 0 axis as one body, which has no mirror half; the evanescent
+    left-incident modes fill the cut."""
     n = medium.n
     kap = np.asarray(kap, dtype=float)
     if n == 1.0:
         return IntegralResult(np.zeros(kap.shape + (5,), dtype=complex), 0.0, 0)
 
-    def right_modes(k: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
-                    kmag2: np.ndarray) -> np.ndarray:
+    def travelling(k: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
+                   kmag2: np.ndarray) -> np.ndarray:
+        # the right-incident modes plus the travelling left-incident ones, by
+        # dk_z: n^2 (k/kzd) tL/n = n tR
         kmag = np.sqrt(kmag2)
-        r = fresnel_coefficients(medium, Polarization.TM, kap, k, kzd).rR
-        pref = surface_charge_mode(medium, Side.RIGHT, kap, k, kzd) / kmag
+        tm = fresnel_coefficients(medium, Polarization.TM, kap, k, kzd)
+        right = surface_charge_mode(medium, Side.RIGHT, kap, k, kzd) / kmag
+        left = surface_charge_mode(medium, Side.LEFT, kap, kzd, k) * n * tm.tR / kmag
         ep, em = np.exp(1j * k * zp), np.exp(-1j * k * zp)
-        ju = pref * (k / kmag) * (r * em - ep)
-        jz = pref * (-kap / kmag) * (ep + r * em)
-        return np.stack([ju, jz], axis=-1)
-
-    def left_travelling(k: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
-                        kmag2: np.ndarray) -> np.ndarray:
-        kmag = np.sqrt(kmag2)
-        # n^2 (k/kzd) tL/n = n tR
-        tr = fresnel_coefficients(medium, Polarization.TM, kap, k, kzd).tR
-        pref = surface_charge_mode(medium, Side.LEFT, kap, kzd, k) * n * tr / kmag
-        phase = np.exp(-1j * k * zp)
-        ju = pref * (k / kmag) * phase
-        jz = pref * (-kap / kmag) * phase
+        ju = (k / kmag) * (right * (tm.rR * em - ep) + left * em)
+        jz = (-kap / kmag) * (right * (ep + tm.rR * em) + left * em)
         return np.stack([ju, jz], axis=-1)
 
     def left_evanescent(t: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
@@ -275,8 +268,7 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
         jz = coef * (-kap / kmag) * damp
         return np.stack([ju, jz], axis=-1)
 
-    halflines = [(right_modes, 1.0), (left_travelling, 1.0)]
-    j = _interface_profile(medium, kap, zp, halflines, left_evanescent, spec)
+    j = _interface_profile(medium, kap, zp, travelling, left_evanescent, spec, mirror=False)
     ju, jz = np.moveaxis(j.value, -1, 0)
     sgn = 1.0 if z >= 0.0 else -1.0
     # (2 pi)^{3/2} undoes g's mode normalisation; the profile measure has the (2 pi)^{-3}
@@ -287,7 +279,13 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
     return IntegralResult(comps, float(err.max()), j.nodes_used, err)
 
 
-def _check_heights(z: float, zp: float) -> None:
+def _check_point(kap: ArrayLike, z: float, zp: float) -> None:
+    """Reject, before any engine call, kappa that is not finite and >= 0,
+    non-finite heights and z' <= 0."""
+    k = np.asarray(kap, dtype=float)
+    bad = ~(np.isfinite(k) & (k >= 0.0))
+    if bad.any():
+        raise ValueError(f"kpar_mag must be finite and >= 0, got {float(k[bad][0])!r}")
     for name, value in (("z", z), ("z'", zp)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -299,7 +297,7 @@ def kz_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
                spec: QuadratureSpec) -> IntegralResult:
     """The k_z-integrated kernel profile at fixed kappa: the reflected profile
     for z >= 0, the transmitted one below the interface."""
-    _check_heights(z, zp)
+    _check_point(kap, z, zp)
     if z >= 0.0:
         return _reflected_profile(medium, kap, z, zp, spec)
     return _transmitted_profile(medium, kap, z, zp, spec)
@@ -307,7 +305,7 @@ def kz_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
 
 def residue_profile(medium: Medium, kap: float, z: float, zp: float) -> np.ndarray:
     """Closed-form profile from the TM pole at k_z = i|k_par| (TE vanishes)."""
-    _check_heights(z, zp)
+    _check_point(kap, z, zp)
     n = medium.n
     if z >= 0.0:
         al = medium.image_strength
@@ -317,46 +315,41 @@ def residue_profile(medium: Medium, kap: float, z: float, zp: float) -> np.ndarr
     return pref * np.array([1.0, -1j, -1j, -1.0, 0.0])
 
 
-def _profile_tensor(comps: np.ndarray, pol: Polarization | None) -> np.ndarray:
-    """Reconstruct the 3x3 tensor from dyadic components (k_par along +x)."""
-    uu, uz, zu, zz, vv = comps
-    t = np.zeros((3, 3), dtype=complex)
-    if pol is not Polarization.TE:
-        t[0, 0] = uu
-        t[0, 2] = uz
-        t[2, 0] = zu
-        t[2, 2] = zz
-    if pol is not Polarization.TM:
-        t[1, 1] = vv
-    return t
+# tensor entry (i, j), k_par along +x -> its dyad in [uu, uz, zu, zz, vv]
+_DYADS = {(0, 0): 0, (0, 2): 1, (2, 0): 2, (2, 2): 3, (1, 1): 4}
 
 
-def kz_spectral_kernel(
-    medium: Medium,
-    pol: Polarization,
-    i: int,
-    j: int,
-    kpar_mag: float,
-    z: float,
-    zprime: float,
-    spec: QuadratureSpec,
-) -> complex:
+def _dyad(pol: Polarization | None, i: int, j: int) -> int | None:
+    """The dyad of tensor entry (i, j) in polarization ``pol`` (None for both),
+    or None where that entry vanishes; rejects indices other than 0, 1, 2."""
+    for name, index in (("i", i), ("j", j)):
+        if not (isinstance(index, numbers.Integral) and 0 <= index <= 2):
+            raise ValueError(f"{name} must be a tensor index 0, 1 or 2, got {index!r}")
+    dyad = _DYADS.get((i, j))
+    if dyad is None or pol is (Polarization.TM if dyad == 4 else Polarization.TE):
+        return None
+    return dyad
+
+
+def kz_spectral_kernel(medium: Medium, pol: Polarization, i: int, j: int, kpar_mag: float,
+                       z: float, zprime: float, spec: QuadratureSpec) -> complex:
     """Numerically assembled k_z integral at fixed k_par for one polarization
     and tensor component: the reflected kernel for z > 0, the transmitted one
     for z < 0.  k_par points along +x; the (2 pi)^{-3} measure and the
     parallel plane-wave factor of the full assembly are not included.
     """
+    dyad = _dyad(pol, i, j)
     prof = kz_profile(medium, kpar_mag, z, zprime, spec)
-    return complex(_profile_tensor(prof.value, pol)[i, j])
+    return 0j if dyad is None else complex(prof.value[dyad])
 
 
-def residue_closed_form(
-    medium: Medium, i: int, j: int, kpar_mag: float, z: float, zprime: float
-) -> complex:
+def residue_closed_form(medium: Medium, i: int, j: int, kpar_mag: float, z: float,
+                        zprime: float) -> complex:
     """Residue-theorem value of the same k_z integral (TM pole only; the TE
     integrand is entire in the upper half-plane and integrates to zero)."""
+    dyad = _dyad(None, i, j)
     comps = residue_profile(medium, kpar_mag, z, zprime)
-    return complex(_profile_tensor(comps, None)[i, j])
+    return 0j if dyad is None else complex(comps[dyad])
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from halfspace_qed.kernels import (
     kz_profile,
     residue_profile,
 )
-from halfspace_qed.medium import Medium, Polarization, Side
+from halfspace_qed.medium import Medium, Polarization, Side, SpectralPoint, vacuum_kz_from_kzd
 from halfspace_qed.spectral import QuadratureSpec
 
 SPEC = QuadratureSpec()
@@ -65,11 +65,32 @@ def _electrostatic_shift_ratio():
     return abs(shift.ratio - shift.expected_ratio), DEFAULT_TOLERANCES["tol.energy"]
 
 
+def _mode_normalisation():
+    # each TM mode's surface charge from the E_z jump of its mode function
+    # across z = 0 at r_par = 0: g = -(k / (2 kappa)) (E_z(0+) - E_z(0-)),
+    # k = sqrt(kappa^2 + k_z^2) with the vacuum k_z and the principal root
+    med, kap = Medium(2.0), 1.0
+    below = np.array([0.0, 0.0, np.nextafter(0.0, -1.0)])
+    worst = 0.0
+    # right labels travelling and evanescent, left labels travelling and
+    # evanescent on the vacuum side
+    for side, label in ((Side.RIGHT, 0.7), (Side.RIGHT, 0.5j), (Side.LEFT, 1.9), (Side.LEFT, 0.4)):
+        point = SpectralPoint((kap, 0.0), complex(label), side, Polarization.TM)
+        kz = complex(label) if side is Side.RIGHT else vacuum_kz_from_kzd(med, kap, label)
+        jump = (modes.carniglia_mandel_mode(med, point, np.zeros(3))[2]
+                - modes.carniglia_mandel_mode(med, point, below)[2])
+        g = -np.sqrt(kap * kap + kz * kz) / (2.0 * kap) * jump
+        target = modes.surface_charge_mode(med, side, kap, complex(label))
+        worst = max(worst, abs(g - target) / abs(target))
+    return worst, DEFAULT_TOLERANCES["tol.modes.matching"]
+
+
 CHECKS = {
     "kz_integral_vs_residue": _kz_integral_vs_residue,
     "generalized_delta_closed_form": lambda: _assembled_error(KernelKind.GENERALIZED_DELTA),
     "gauge_difference_closed_form": lambda: _assembled_error(KernelKind.GAUGE_DIFFERENCE),
     "electrostatic_shift_ratio": _electrostatic_shift_ratio,
+    "mode_normalisation": _mode_normalisation,
 }
 
 
@@ -121,6 +142,16 @@ def _left_charge_without_one_over_n(monkeypatch):
     _patch_everywhere(monkeypatch, original, faulty)
 
 
+def _left_modes_without_one_over_n(monkeypatch):
+    original = modes.carniglia_mandel_mode
+
+    def faulty(medium, point, r):
+        f = original(medium, point, r)
+        return f * medium.n if point.side is Side.LEFT else f
+
+    _patch_everywhere(monkeypatch, original, faulty)
+
+
 def _share_with_n2_plus_one(monkeypatch):
     monkeypatch.setattr(Medium, "surface_charge_share",
                         property(lambda m: (m.n * m.n + 1.0) / (2.0 * m.n * m.n)))
@@ -132,6 +163,7 @@ FAULTS = {
     "right_charge_one_minus_r": (_right_charge_with_one_minus_r, ("electrostatic_shift_ratio",)),
     "left_charge_without_one_over_n": (_left_charge_without_one_over_n,
                                        ("electrostatic_shift_ratio",)),
+    "left_modes_without_one_over_n": (_left_modes_without_one_over_n, ("mode_normalisation",)),
     "share_n2_plus_one": (_share_with_n2_plus_one, ("gauge_difference_closed_form",)),
 }
 

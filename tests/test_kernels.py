@@ -85,6 +85,32 @@ def test_kz_kernel_and_residue_reject_non_finite_heights(bad):
             residue_closed_form(med, 0, 0, 1.0, z, zp)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_profiles_reject_bad_kappa_before_any_engine_call(bad, monkeypatch):
+    def engine(*args):
+        raise AssertionError("engine called")
+
+    for name in ("halfline_oscillatory_integral", "cut_segment_integral"):
+        monkeypatch.setattr(kernels, name, engine)
+    med = Medium(2.0)
+    for z in (0.7, -0.3):
+        with pytest.raises(ValueError, match="kpar_mag"):
+            kz_profile(med, np.array([0.5, bad, 1.0]), z, 0.5, SPEC)
+        with pytest.raises(ValueError, match="kpar_mag"):
+            kz_spectral_kernel(med, Polarization.TM, 0, 0, bad, z, 0.5, SPEC)
+        with pytest.raises(ValueError, match="kpar_mag"):
+            residue_profile(med, bad, z, 0.5)
+
+
+@pytest.mark.parametrize("i, j, name", [(5, 0, "i"), (0, 3, "j"), (-1, 0, "i"), (0, 1.0, "j")])
+def test_kz_kernel_and_residue_reject_bad_tensor_indices(i, j, name):
+    med = Medium(2.0)
+    with pytest.raises(ValueError, match=f"{name} must"):
+        kz_spectral_kernel(med, Polarization.TM, i, j, 1.0, 0.7, 0.5, SPEC)
+    with pytest.raises(ValueError, match=f"{name} must"):
+        residue_closed_form(med, i, j, 1.0, 0.7, 0.5)
+
+
 def test_residue_form_assembles_to_reflected_green_tensor():
     # the radial Bessel assembly of the closed spectral profile reproduces
     # -grad grad' GR in every component (J0, J1 and J2 weights), and the
@@ -419,3 +445,66 @@ def test_batched_profile_counts_every_kappa_evaluation(monkeypatch):
         assert prof.nodes_used == sum(evaluations)
         evaluations.clear()
         assert build(KAPPA_PANEL[3]).nodes_used == sum(evaluations)
+
+
+def _captured_bodies(monkeypatch) -> list:
+    """Record (kappa, scale, travelling body, mirror) of every interface profile."""
+    seen = []
+    original = kernels._interface_profile
+
+    def capture(medium, kap, scale, travelling, evanescent, spec, mirror):
+        seen.append((kap, scale, travelling, mirror))
+        return original(medium, kap, scale, travelling, evanescent, spec, mirror)
+
+    monkeypatch.setattr(kernels, "_interface_profile", capture)
+    return seen
+
+
+def _halfline(body, medium, kap, scale, sign=1.0):
+    """A travelling body integrated over sign * k_z in (0, inf), one entry per kappa."""
+    gap2 = (medium.n ** 2 - 1.0) * kap * kap
+
+    def f(k, entries):
+        kzd = np.sqrt(medium.n ** 2 * k * k + gap2[entries])
+        return body(sign * k, sign * kzd, kap[entries], kap[entries] ** 2 + k * k)
+
+    return spectral.halfline_oscillatory_integral(f, np.full(kap.size, scale), SPEC)
+
+
+@pytest.mark.parametrize("n", [1.2, 2.0, 40.0])
+@pytest.mark.parametrize("z, zp", [(0.7, 0.4), (-0.3, 0.5)])
+def test_negative_kz_half_axis_is_the_parity_mirror(n, z, zp, monkeypatch):
+    # the reflected and transmitted bodies integrated on k_z < 0 give the
+    # conjugate of their k_z > 0 integral with the odd dyads uz, zu flipped
+    seen = _captured_bodies(monkeypatch)
+    med = Medium(n)
+    kz_profile(med, KAPPA_PANEL, z, zp, SPEC)
+    (kap, scale, body, mirror), = seen
+    assert mirror
+    upper = _halfline(body, med, kap, scale)
+    lower = _halfline(body, med, kap, scale, sign=-1.0)
+    gap = np.max(np.abs(lower.value - kernels._PARITY * np.conj(upper.value)))
+    assert gap <= 1e-15 * np.max(np.abs(upper.value))
+
+
+@pytest.mark.parametrize("n", [1.2, 2.0, 40.0])
+def test_gauge_profile_body_is_its_right_and_left_modes(n, monkeypatch):
+    # the one travelling body of the gauge-difference profile integrates to its
+    # right- and left-incident modes integrated apart; each family is the body
+    # with the other family's surface charge switched off
+    seen = _captured_bodies(monkeypatch)
+    med = Medium(n)
+    _gauge_difference_profile(med, KAPPA_PANEL, 0.7, 0.4, SPEC)
+    (kap, scale, body, mirror), = seen
+    assert not mirror and scale == 0.4
+    joint = _halfline(body, med, kap, scale)
+    charge = kernels.surface_charge_mode
+    apart = []
+    for side in Side:
+        monkeypatch.setattr(kernels, "surface_charge_mode",
+                            lambda medium, s, *args, side=side:
+                            charge(medium, s, *args) if s is side else 0.0)
+        apart.append(_halfline(body, med, kap, scale))
+    gap = np.max(np.abs(joint.value - apart[0].value - apart[1].value), axis=-1)
+    assert np.all(gap <= joint.entry_errors + apart[0].entry_errors + apart[1].entry_errors)
+    assert np.max(np.abs(apart[0].value)) > 0.0 and np.max(np.abs(apart[1].value)) > 0.0

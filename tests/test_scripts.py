@@ -1,0 +1,20 @@
+"""Smoke tests of the experiment scripts: each runs end to end on a small input."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_perfect_reflector_scaling_script_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "perfect_reflector_scaling.py"), "--n", "3", "10"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == "n,deviation,predicted" and len(lines) == 4
+    assert lines[-1].startswith("# log-log slope: ")
