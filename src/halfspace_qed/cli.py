@@ -45,16 +45,23 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """'start:stop:count' inclusive grid, or a comma list of values."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError(f"grid must be start:stop:count, got {text!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise argparse.ArgumentTypeError("grid count must be >= 1")
-        return np.linspace(start, stop, count)
-    return np.array([float(v) for v in text.split(",")])
+    """'start:stop:count' inclusive grid, or a comma list of values; the
+    argparse type of the grid flags, so a bad grid is a usage error."""
+    parts = text.split(":")
+    try:
+        if len(parts) == 1:
+            values = [float(v) for v in text.split(",")]
+            count = len(values)
+        else:
+            start, stop, count = parts
+            values, count = [float(start), float(stop)], int(count)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected start:stop:count or a comma list of numbers, got {text!r}") from None
+    if count < 1 or not np.isfinite(values).all():
+        raise argparse.ArgumentTypeError(
+            f"grid needs a count >= 1 and finite values, got {text!r}")
+    return np.array(values) if len(parts) == 1 else np.linspace(*values, count)
 
 
 def _parse_vec3(text: str) -> np.ndarray:
@@ -74,8 +81,8 @@ def cmd_fresnel(args: argparse.Namespace) -> int:
     pols = [Polarization.TE, Polarization.TM] if args.pol == "both" else [Polarization(args.pol)]
     lines = ["pol,kpar,kz_re,kz_im,kzd_re,kzd_im,rR_re,rR_im,tR_re,tR_im,rL_re,rL_im,tL_re,tL_im"]
     for pol in pols:
-        for kpar in _parse_grid(args.kpar):
-            for kz_val in _parse_grid(args.kz):
+        for kpar in args.kpar:
+            for kz_val in args.kz:
                 c = fresnel_coefficients(med, pol, float(kpar), kz_val)
                 row = [pol.value, _fmt(kpar), _fmt(c.kz.real), _fmt(c.kz.imag),
                        _fmt(c.kzd.real), _fmt(c.kzd.imag)]
@@ -185,8 +192,8 @@ def cmd_energy_shift(args: argparse.Namespace) -> int:
 def cmd_energy_sweep(args: argparse.Namespace) -> int:
     st = _settings(args)
     lines = ["n,z0,q,delta_e,v_es,ratio,expected_ratio,left_part,right_part"]
-    for n in _parse_grid(args.n_grid):
-        for z0 in _parse_grid(args.z0_grid):
+    for n in args.n_grid:
+        for z0 in args.z0_grid:
             s = second_order_shift(args.q, Medium(float(n)), float(z0), st.quad)
             lines.append(",".join(_fmt(v) for v in (
                 s.n, s.z0, s.q, s.delta_e, s.v_es, s.ratio, s.expected_ratio,
@@ -229,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fresnel", help="Fresnel coefficient table over a (kpar, kz) grid")
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--pol", choices=["TE", "TM", "both"], default="both")
-    p.add_argument("--kpar", default="0.2:2:5", help="grid start:stop:count or comma list")
-    p.add_argument("--kz", default="0.2:2:5")
+    p.add_argument("--kpar", type=_parse_grid, default="0.2:2:5",
+                   help="grid start:stop:count or comma list")
+    p.add_argument("--kz", type=_parse_grid, default="0.2:2:5")
     _add_common(p)
     p.set_defaults(func=cmd_fresnel)
 
@@ -283,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_energy_shift)
     p = sub_energy.add_parser("sweep", help="shift results over (n, z0) grids as CSV")
-    p.add_argument("--n-grid", default="1.5:4:3")
-    p.add_argument("--z0-grid", default="0.5:2:3")
+    p.add_argument("--n-grid", type=_parse_grid, default="1.5:4:3")
+    p.add_argument("--z0-grid", type=_parse_grid, default="0.5:2:3")
     p.add_argument("--q", type=float, default=1.0)
     _add_common(p)
     p.set_defaults(func=cmd_energy_sweep)

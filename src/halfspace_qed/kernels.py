@@ -100,7 +100,7 @@ class KernelAssembly:
 # Every profile takes kappa = |k_par| of any shape (one value per entry, one
 # engine call for all of them) and returns an IntegralResult whose value has
 # shape kappa.shape + (5,), whose error bounds every entry's and whose
-# entry_errors, where set, bound each entry's on its own.
+# entry_errors bound each entry's on its own.
 
 # On the travelling axis the Fresnel coefficients are real and even under
 # (k_z, k_zd) -> (-k_z, -k_zd) and the plane-wave phases go to their
@@ -110,14 +110,17 @@ _PARITY = np.array([1.0, -1.0, -1.0, 1.0, 1.0])
 
 
 def _interface_profile(medium: Medium, kap: np.ndarray, scale: float, travelling: Callable,
-                       evanescent: Callable, spec: QuadratureSpec,
-                       mirror: bool) -> IntegralResult:
+                       spec: QuadratureSpec, evanescent: Callable | None = None) -> IntegralResult:
     """Travelling axis plus evanescent segment of an interface profile.
     ``travelling`` gets (kz, kzd, kappa, kmag2) on k_z > 0, oscillating on
     ``scale``, for the kappa entries that the half-line batch evaluates (one
-    entry per kappa); with ``mirror`` the k_z < 0 half-axis adds _PARITY times
-    the conjugate of that integral, and each kappa's half-line error doubles.
-    ``evanescent`` gets (t, kzd, kappa, kmag2) on the cut for every entry."""
+    entry per kappa).  Without ``evanescent`` the profile integrates
+    ``travelling`` over the whole real k_z axis: the k_z < 0 half adds _PARITY
+    times the conjugate of the k_z > 0 integral (each kappa's half-line error
+    doubles), and the cut k_z = i t, 0 < t < Gamma, holds the body's jump
+    across it, -i [f(it, kzd) - f(it, -kzd)].  With ``evanescent``, which gets
+    (t, kzd, kappa, kmag2) on the cut for every entry, the profile is the
+    k_z > 0 integral plus the cut integral of that body: no mirror, no jump."""
     n = medium.n
     flat = kap.ravel()
     kap2, gap2 = flat * flat, (n * n - 1.0) * flat * flat  # once, not per panel
@@ -127,11 +130,15 @@ def _interface_profile(medium: Medium, kap: np.ndarray, scale: float, travelling
                           kap2[entries] + k * k)
 
     def segment(t: np.ndarray) -> np.ndarray:
-        return evanescent(t, np.sqrt(np.maximum(gap2 - n * n * t * t, 0.0)), flat, kap2 - t * t)
+        kzd = np.sqrt(np.maximum(gap2 - n * n * t * t, 0.0))
+        if evanescent is not None:
+            return evanescent(t, kzd, flat, kap2 - t * t)
+        both = travelling(1j * t, np.stack([kzd, -kzd]), flat, kap2 - t * t)
+        return -1j * (both[0] - both[1])
 
     axis = halfline_oscillatory_integral(body, np.full(flat.size, scale), spec)
     value, err = axis.value, axis.entry_errors
-    if mirror:
+    if evanescent is None:
         value, err = value + _PARITY * np.conj(value), 2.0 * err
     cut = cut_segment_integral(segment, evanescent_threshold(medium, flat), spec)
     err = err + cut.error_estimate  # each kappa's own, and the cut within its bound
@@ -141,12 +148,12 @@ def _interface_profile(medium: Medium, kap: np.ndarray, scale: float, travelling
 
 def _reflected_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
                        spec: QuadratureSpec) -> IntegralResult:
-    """Reflected kernel profile for z, z' > 0: the travelling half-axis k_z > 0,
-    its mirror image on k_z < 0 and the evanescent segment."""
+    """Reflected kernel profile for z, z' > 0 over the whole k_z axis."""
     s = z + zp
     kap = np.asarray(kap, dtype=float)
     if medium.n == 1.0:
-        return IntegralResult(np.zeros(kap.shape + (5,), dtype=complex), 0.0, 0)
+        return IntegralResult(np.zeros(kap.shape + (5,), dtype=complex), 0.0, 0,
+                              np.zeros(kap.shape))
 
     def travelling(kz: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
                    kmag2: np.ndarray) -> np.ndarray:
@@ -160,26 +167,12 @@ def _reflected_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
         vv = rte * phase
         return np.stack([uu, uz, zu, zz, vv], axis=-1)
 
-    def evanescent(t: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
-                   kmag2: np.ndarray) -> np.ndarray:
-        # the jump of rR across the cut, free of 1/kzd
-        coef_tm = 2.0 * fresnel_coefficients(medium, Polarization.TM, kap, 1j * t, kzd).rR.imag
-        coef_te = 2.0 * fresnel_coefficients(medium, Polarization.TE, kap, 1j * t, kzd).rR.imag
-        damp = np.exp(-t * s)
-        uu = coef_tm * (t * t / kmag2) * damp
-        uz = coef_tm * (-1j * t * kap / kmag2) * damp
-        zu = coef_tm * (1j * t * kap / kmag2) * damp
-        zz = coef_tm * (kap * kap / kmag2) * damp
-        vv = coef_te * damp
-        return np.stack([uu, uz, zu, zz, vv], axis=-1)
-
-    return _interface_profile(medium, kap, s, travelling, evanescent, spec, mirror=True)
+    return _interface_profile(medium, kap, s, travelling, spec)
 
 
 def _transmitted_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
                          spec: QuadratureSpec) -> IntegralResult:
-    """Transmitted kernel profile for z < 0, z' > 0, integrated like the
-    reflected one (k_z > 0, its mirror image and the evanescent segment)."""
+    """Transmitted kernel profile for z < 0, z' > 0 over the whole k_z axis."""
     n = medium.n
     s_eff = n * abs(z) + zp
     kap = np.asarray(kap, dtype=float)
@@ -196,29 +189,7 @@ def _transmitted_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
         vv = tte * phase
         return np.stack([uu, uz, zu, zz, vv], axis=-1)
 
-    def evanescent(t: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
-                   kmag2: np.ndarray) -> np.ndarray:
-        kmag = np.sqrt(kmag2)
-        damp = np.exp(-t * zp)
-        tm = fresnel_coefficients(medium, Polarization.TM, kap, 1j * t, kzd)
-        te = fresnel_coefficients(medium, Polarization.TE, kap, 1j * t, kzd)
-        rl_tm, rl_te = tm.rL, te.rL
-        # (t/kzd) tL* = i tR*, free of 1/kzd
-        coef_tm = 1j * np.conj(tm.tR) * damp
-        coef_te = 1j * np.conj(te.tR) * damp
-        ep, em = np.exp(1j * kzd * z), np.exp(-1j * kzd * z)
-        au = kzd / (n * kmag) * (ep - rl_tm * em)
-        az = -kap / (n * kmag) * (ep + rl_tm * em)
-        bu = -1j * t / kmag
-        bz = -kap / kmag
-        uu = coef_tm * au * bu
-        uz = coef_tm * au * bz
-        zu = coef_tm * az * bu
-        zz = coef_tm * az * bz
-        vv = coef_te * (ep + rl_te * em)
-        return np.stack([uu, uz, zu, zz, vv], axis=-1)
-
-    return _interface_profile(medium, kap, s_eff, travelling, evanescent, spec, mirror=True)
+    return _interface_profile(medium, kap, s_eff, travelling, spec)
 
 
 def _free_profile(kap: ArrayLike, z: float, zp: float) -> IntegralResult:
@@ -229,7 +200,7 @@ def _free_profile(kap: ArrayLike, z: float, zp: float) -> IntegralResult:
     damp = np.exp(-kap * abs(dz))
     sgn = 1.0 if dz >= 0.0 else -1.0
     comps = np.multiply.outer(-math.pi * kap * damp, [1.0, sgn * 1j, sgn * 1j, -1.0, 0.0])
-    return IntegralResult(comps, 0.0, 0)
+    return IntegralResult(comps, 0.0, 0, np.zeros(kap.shape))
 
 
 def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
@@ -237,12 +208,13 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
     """Mode-sum profile of the gauge-difference kernel: each TM mode's surface
     charge g times its vacuum amplitude at z' over omega, by dk_z or dk_zd.
     The right-incident and the travelling left-incident modes share the vacuum
-    k_z > 0 axis as one body, which has no mirror half; the evanescent
-    left-incident modes fill the cut."""
+    k_z > 0 axis as one body, which has no mirror half; the cut holds the
+    evanescent left-incident modes, not that body's jump."""
     n = medium.n
     kap = np.asarray(kap, dtype=float)
     if n == 1.0:
-        return IntegralResult(np.zeros(kap.shape + (5,), dtype=complex), 0.0, 0)
+        return IntegralResult(np.zeros(kap.shape + (5,), dtype=complex), 0.0, 0,
+                              np.zeros(kap.shape))
 
     def travelling(k: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
                    kmag2: np.ndarray) -> np.ndarray:
@@ -268,7 +240,7 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
         jz = coef * (-kap / kmag) * damp
         return np.stack([ju, jz], axis=-1)
 
-    j = _interface_profile(medium, kap, zp, travelling, left_evanescent, spec, mirror=False)
+    j = _interface_profile(medium, kap, zp, travelling, spec, left_evanescent)
     ju, jz = np.moveaxis(j.value, -1, 0)
     sgn = 1.0 if z >= 0.0 else -1.0
     # (2 pi)^{3/2} undoes g's mode normalisation; the profile measure has the (2 pi)^{-3}
@@ -406,16 +378,15 @@ def _radial_assemble(
              range(0, cols.shape[1], _PROFILE_PANELS)], axis=1).reshape(karr.size, -1)
 
     def profile_part(karr: np.ndarray) -> np.ndarray:
-        # each kappa's profile error is weighted by that kappa; where the
-        # profile reports one error for the whole call, it bounds each kappa's
+        # each kappa's profile error is weighted by that kappa
         nonlocal nodes_extra, err_inner_rate, k_seen_max, tail_rate
         karr = karr.ravel()
         prof = profile_fn(karr)
         top = int(np.argmax(karr))
         k_top = float(karr[top])
         nodes_extra += prof.nodes_used
-        errs = prof.error_estimate if prof.entry_errors is None else prof.entry_errors
-        err_inner_rate = max(err_inner_rate, float(np.max(errs * karr)) * 2.0 * math.pi)
+        rate = float(np.max(prof.entry_errors * karr)) * 2.0 * math.pi
+        err_inner_rate = max(err_inner_rate, rate)
         if k_top > k_seen_max:
             k_seen_max = k_top
             # with |J_nu| <= 1 the weights of _bessel_combination are at most

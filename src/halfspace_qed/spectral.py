@@ -154,12 +154,8 @@ Integrand = Callable[[np.ndarray], np.ndarray]
 _MAX_PANELS = 800
 _SEGMENT_MAX_PANELS = 48
 # Half-periods whose first panel shares one integrand call.  Four keeps an
-# integrand that vanishes (two quiet half-periods) at 60 nodes per entry.  A
-# batch of more than _BLOCK_PANELS / 4 entries prefetches fewer, down to one:
-# on the kernel-assembly benchmark (240-entry batches) four rows ran 7% faster
-# but peaked at 61.7 MB resident against 60.2 MB.
+# integrand that vanishes (two quiet half-periods) at 60 nodes per entry.
 _HALF_PERIOD_BLOCK = 4
-_BLOCK_PANELS = 64
 
 
 def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
@@ -355,7 +351,6 @@ def _levin_halfline(f, scale: np.ndarray, spec: QuadratureSpec) -> IntegralResul
     h = math.pi / scale
     entries = len(scale)
     periods = spec.max_oscillation_periods
-    depth = min(_HALF_PERIOD_BLOCK, max(1, _BLOCK_PANELS // entries))  # half-periods per call
     levin = _LevinU(spec.acceleration_order)
     abs_floor = 0.01 * spec.abs_tol
     rel_seg = 0.002 * spec.rel_tol
@@ -364,61 +359,56 @@ def _levin_halfline(f, scale: np.ndarray, spec: QuadratureSpec) -> IntegralResul
     quiet = 0  # consecutive quiet raw sums
     seg_err_total = np.zeros(entries)  # up to the end of the block
     inc_scale = np.zeros(entries)  # largest half-period of each entry, ditto
-    hint = 0.0  # largest half-period of the batch, ditto
     nodes = 0
-    block: list = []  # the coming half-periods
-    for m in range(periods):
-        if not block:
-            rows = np.arange(m, min(m + depth, periods))
-            owner = np.tile(np.arange(entries), len(rows))
-            lo = np.multiply.outer(rows, h).ravel()
-            hi = np.multiply.outer(rows + 1, h).ravel()
-            val, err = _gauss_kronrod(f, lo, hi, owner)
-            nodes += 15 * len(lo)
+    for first in range(0, periods, _HALF_PERIOD_BLOCK):
+        rows = np.arange(first, min(first + _HALF_PERIOD_BLOCK, periods))
+        owner = np.tile(np.arange(entries), len(rows))
+        lo = np.multiply.outer(rows, h).ravel()
+        hi = np.multiply.outer(rows + 1, h).ravel()
+        val, err = _gauss_kronrod(f, lo, hi, owner)
+        nodes += 15 * len(lo)
+        mag = np.abs(val).reshape(len(lo), -1).max(axis=1)
+        # a half-period is bisected while its error is large against both its
+        # L1 content (cancellation-robust) and the batch's largest half-period
+        # before it
+        before = np.maximum.accumulate(
+            np.concatenate(([inc_scale.max()], mag.reshape(len(rows), entries).max(axis=1)[:-1])))
+        seg_floor = np.maximum(abs_floor, 0.1 * rel_seg * np.repeat(before, entries))
+        if (err > np.maximum(seg_floor, rel_seg * mag)).any():
+            # the panels within their bound stop unrefined at the first level
+            val, err, more = _refine(
+                lambda x, own: f(x, owner[own]), lo, hi, np.arange(len(lo)), val, err,
+                lambda ids, tot, content: np.maximum(seg_floor[ids], rel_seg * content),
+                _SEGMENT_MAX_PANELS,
+            )
+            nodes += more
             mag = np.abs(val).reshape(len(lo), -1).max(axis=1)
-            # a half-period is bisected while its error is large against both
-            # its L1 content (cancellation-robust) and the batch's largest
-            # half-period before it
-            before = np.maximum.accumulate(
-                np.concatenate(([hint], mag.reshape(len(rows), entries).max(axis=1)[:-1])))
-            seg_floor = np.maximum(abs_floor, 0.1 * rel_seg * np.repeat(before, entries))
-            need = np.flatnonzero(err > np.maximum(seg_floor, rel_seg * mag))
-            if need.size:
-                val[need], err[need], more = _refine(
-                    lambda x, own: f(x, owner[need[own]]), lo[need], hi[need],
-                    np.arange(need.size), val[need], err[need],
-                    lambda ids, tot, content: np.maximum(seg_floor[need[ids]], rel_seg * content),
-                    _SEGMENT_MAX_PANELS,
-                )
-                nodes += more
-                mag[need] = np.abs(val[need]).reshape(need.size, -1).max(axis=1)
-            mag = mag.reshape(len(rows), entries)
-            hint = max(hint, float(mag.max()))
-            totals = seg_err_total + np.cumsum(err.reshape(len(rows), entries), axis=0)
-            incs = np.maximum(inc_scale, np.maximum.accumulate(mag, axis=0))
-            seg_err_total, inc_scale = totals[-1], incs[-1]
-            # per half-period: value, error sum so far, raw-sum error, Levin floor
-            floors = 1e-16 * np.maximum(incs, 1e-30)
-            block = list(zip(val.reshape((len(rows), entries) + val.shape[1:]), totals, mag + totals,
-                             floors.reshape(floors.shape + (1,) * (val.ndim - 1))))
-        seg, err_sum, raw_err, floor = block.pop(0)
-        partial = seg if partial is None else partial + seg
-        # raw-sum early exit for integrands that die without oscillating
-        if raw_err.max() <= 0.5 * spec.tolerance(float(np.abs(partial).max())):
-            quiet += 1
-            if quiet >= 2:
-                return IntegralResult(partial, float(raw_err.max()), nodes, raw_err)
-        else:
-            quiet = 0
-        est = levin.add(partial, seg, floor=floor)
-        if m >= 2:
-            delta = np.abs(est - est_prev).reshape(entries, -1).max(axis=1)
-            tol = spec.tolerance(float(np.abs(est).max()))
-            err = np.maximum(delta, 0.25 * err_prev) + err_sum
-            if err.max() <= tol and err_prev.max() <= 4.0 * tol:
-                return IntegralResult(est, float(err.max()), nodes, err)
-            err_prev = delta
-        est_prev = est
+        mag = mag.reshape(len(rows), entries)
+        totals = seg_err_total + np.cumsum(err.reshape(len(rows), entries), axis=0)
+        incs = np.maximum(inc_scale, np.maximum.accumulate(mag, axis=0))
+        seg_err_total, inc_scale = totals[-1], incs[-1]
+        # per half-period: value, error sum so far, raw-sum error, Levin floor
+        floors = 1e-16 * np.maximum(incs, 1e-30)
+        floors = floors.reshape(floors.shape + (1,) * (val.ndim - 1))
+        segs = val.reshape((len(rows), entries) + val.shape[1:])
+        for m, seg, err_sum, raw_err, floor in zip(rows, segs, totals, mag + totals, floors):
+            partial = seg if partial is None else partial + seg
+            # raw-sum early exit for integrands that die without oscillating
+            if raw_err.max() <= 0.5 * spec.tolerance(float(np.abs(partial).max())):
+                quiet += 1
+                if quiet >= 2:
+                    return IntegralResult(partial, float(raw_err.max()), nodes, raw_err)
+            else:
+                quiet = 0
+            est = levin.add(partial, seg, floor=floor)
+            if m >= 2:
+                delta = np.abs(est - est_prev).reshape(entries, -1).max(axis=1)
+                tol = spec.tolerance(float(np.abs(est).max()))
+                err = np.maximum(delta, 0.25 * err_prev) + err_sum
+                if err.max() <= tol and err_prev.max() <= 4.0 * tol:
+                    return IntegralResult(est, float(err.max()), nodes, err)
+                err_prev = delta
+            est_prev = est
     raise QuadratureError(
         f"oscillatory integral did not converge within {spec.max_oscillation_periods} "
         f"half-periods (last delta {float(err_prev.max()):.3e})"

@@ -44,8 +44,8 @@ def _patch_everywhere(monkeypatch, original, replacement):
 # reduced checks: (observed error, tolerance)
 # ---------------------------------------------------------------------------
 
-def _kz_integral_vs_residue():
-    med, kpar, z, zp = Medium(2.0), 1.3, 0.7, 0.4
+def _kz_integral_vs_residue(z):
+    med, kpar, zp = Medium(2.0), 1.3, 0.4
     prof = kz_profile(med, kpar, z, zp, SPEC).value
     target = residue_profile(med, kpar, z, zp)
     err = np.max(np.abs(prof[:4] - target[:4])) / np.max(np.abs(target))
@@ -86,7 +86,9 @@ def _mode_normalisation():
 
 
 CHECKS = {
-    "kz_integral_vs_residue": _kz_integral_vs_residue,
+    "kz_integral_vs_residue": lambda: _kz_integral_vs_residue(0.7),
+    # below the interface: the transmitted profile, travelling axis and cut
+    "kz_integral_vs_residue_below": lambda: _kz_integral_vs_residue(-0.6),
     "generalized_delta_closed_form": lambda: _assembled_error(KernelKind.GENERALIZED_DELTA),
     "gauge_difference_closed_form": lambda: _assembled_error(KernelKind.GAUGE_DIFFERENCE),
     "electrostatic_shift_ratio": _electrostatic_shift_ratio,
@@ -98,24 +100,23 @@ CHECKS = {
 # faults
 # ---------------------------------------------------------------------------
 
-class _FlippedReflection:
-    """A Fresnel set whose rR, and with it rL = -rR, has the wrong sign."""
+class _Flipped:
+    """A Fresnel set with the named coefficients of the wrong sign."""
 
-    def __init__(self, coef):
-        self._coef = coef
+    def __init__(self, coef, names):
+        self._coef, self._names = coef, names
 
-    rR = property(lambda self: -self._coef.rR)
-    rL = property(lambda self: self._coef.rR)
-    tR = property(lambda self: self._coef.tR)
-    tL = property(lambda self: self._coef.tL)
+    def __getattr__(self, name):
+        value = getattr(self._coef, name)
+        return -value if name in self._names else value
 
 
-def _flip_tm_reflection(monkeypatch):
+def _flip_tm(monkeypatch, names):
     original = fresnel.fresnel_coefficients
 
     def faulty(medium, pol, kpar_mag, kz, kzd=None):
         coef = original(medium, pol, kpar_mag, kz, kzd)
-        return _FlippedReflection(coef) if pol is Polarization.TM else coef
+        return _Flipped(coef, names) if pol is Polarization.TM else coef
 
     _patch_everywhere(monkeypatch, original, faulty)
 
@@ -158,8 +159,11 @@ def _share_with_n2_plus_one(monkeypatch):
 
 
 FAULTS = {
-    "tm_reflection_sign": (_flip_tm_reflection,
+    # rR, and with it rL = -rR
+    "tm_reflection_sign": (lambda mp: _flip_tm(mp, ("rR", "rL")),
                            ("kz_integral_vs_residue", "generalized_delta_closed_form")),
+    "tm_transmission_sign": (lambda mp: _flip_tm(mp, ("tR", "tL")),
+                             ("kz_integral_vs_residue_below", "mode_normalisation")),
     "right_charge_one_minus_r": (_right_charge_with_one_minus_r, ("electrostatic_shift_ratio",)),
     "left_charge_without_one_over_n": (_left_charge_without_one_over_n,
                                        ("electrostatic_shift_ratio",)),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from halfspace_qed.fresnel import fresnel_coefficients
 from halfspace_qed.greens import (
     GreenVariant,
     PointPair,
@@ -122,7 +123,7 @@ def test_residue_form_assembles_to_reflected_green_tensor():
 
     def profile(kap):
         comps = np.array([residue_profile(med, float(k), z, zp) for k in kap])
-        return IntegralResult(comps, 0.0, 0)
+        return IntegralResult(comps, 0.0, 0, np.zeros(kap.shape))
 
     res = kernels._radial_assemble(profile, rho, z + zp, SPEC)
     observed = np.max(np.abs(res.value - target))
@@ -138,7 +139,7 @@ def test_radial_assemble_lipschitz():
     def profile(kap):
         comps = np.zeros(kap.shape + (5,), dtype=complex)
         comps[..., 3] = np.exp(-kap * a) / (2.0 * math.pi * kap)
-        return IntegralResult(comps, 0.0, 0)
+        return IntegralResult(comps, 0.0, 0, np.zeros(kap.shape))
 
     res = kernels._radial_assemble(profile, rho, a, QuadratureSpec(damped_truncation_decades=13.0))
     observed = abs((2.0 * math.pi) ** 3 * res.value[2, 2] - 1.0 / math.hypot(a, rho))
@@ -373,11 +374,12 @@ def test_batched_profiles_match_scalar_calls(n, z, zp):
         assert np.max(np.abs(batch.value - singles)) <= 1e-10 * np.max(np.abs(batch.value))
 
 
+@pytest.mark.parametrize("n", [1.01, 2.0, 40.0])
 @pytest.mark.parametrize("z, zp", [(0.7, 0.4), (-0.3, 0.5)])
-def test_profile_entry_errors_bound_each_kappa(z, zp):
+def test_profile_entry_errors_bound_each_kappa(z, zp, n):
     # each kappa's error comes from its own half-line entries and the shared
     # cut, so it bounds that kappa's distance to the residue profile
-    med = Medium(2.0)
+    med = Medium(n)
     prof = kz_profile(med, KAPPA_PANEL, z, zp, SPEC)
     assert prof.entry_errors.shape == KAPPA_PANEL.shape
     assert prof.error_estimate == prof.entry_errors.max()
@@ -448,13 +450,14 @@ def test_batched_profile_counts_every_kappa_evaluation(monkeypatch):
 
 
 def _captured_bodies(monkeypatch) -> list:
-    """Record (kappa, scale, travelling body, mirror) of every interface profile."""
+    """Record (kappa, scale, travelling body, evanescent body) of every
+    interface profile."""
     seen = []
     original = kernels._interface_profile
 
-    def capture(medium, kap, scale, travelling, evanescent, spec, mirror):
-        seen.append((kap, scale, travelling, mirror))
-        return original(medium, kap, scale, travelling, evanescent, spec, mirror)
+    def capture(medium, kap, scale, travelling, spec, evanescent=None):
+        seen.append((kap, scale, travelling, evanescent))
+        return original(medium, kap, scale, travelling, spec, evanescent)
 
     monkeypatch.setattr(kernels, "_interface_profile", capture)
     return seen
@@ -479,8 +482,8 @@ def test_negative_kz_half_axis_is_the_parity_mirror(n, z, zp, monkeypatch):
     seen = _captured_bodies(monkeypatch)
     med = Medium(n)
     kz_profile(med, KAPPA_PANEL, z, zp, SPEC)
-    (kap, scale, body, mirror), = seen
-    assert mirror
+    (kap, scale, body, evanescent), = seen
+    assert evanescent is None
     upper = _halfline(body, med, kap, scale)
     lower = _halfline(body, med, kap, scale, sign=-1.0)
     gap = np.max(np.abs(lower.value - kernels._PARITY * np.conj(upper.value)))
@@ -495,8 +498,8 @@ def test_gauge_profile_body_is_its_right_and_left_modes(n, monkeypatch):
     seen = _captured_bodies(monkeypatch)
     med = Medium(n)
     _gauge_difference_profile(med, KAPPA_PANEL, 0.7, 0.4, SPEC)
-    (kap, scale, body, mirror), = seen
-    assert not mirror and scale == 0.4
+    (kap, scale, body, evanescent), = seen
+    assert evanescent is not None and scale == 0.4
     joint = _halfline(body, med, kap, scale)
     charge = kernels.surface_charge_mode
     apart = []
@@ -508,3 +511,35 @@ def test_gauge_profile_body_is_its_right_and_left_modes(n, monkeypatch):
     gap = np.max(np.abs(joint.value - apart[0].value - apart[1].value), axis=-1)
     assert np.all(gap <= joint.entry_errors + apart[0].entry_errors + apart[1].entry_errors)
     assert np.max(np.abs(apart[0].value)) > 0.0 and np.max(np.abs(apart[1].value)) > 0.0
+
+
+@pytest.mark.parametrize("n", [1.01, 2.0, 40.0])
+@pytest.mark.parametrize("z, zp", [(0.7, 0.4), (-0.6, 0.4)])
+def test_cut_is_the_travelling_body_jump(n, z, zp, monkeypatch):
+    # on the cut k_z = i t the reflected and transmitted profiles integrate
+    # -i [f(it, kzd) - f(it, -kzd)] of their travelling body; its TE dyad is
+    # the closed jump 2 Im rR e^{-t s} above the interface and
+    # i tR* e^{-t z'} (e^{i kzd z} + rL e^{-i kzd z}) below it, up to the
+    # branch point Gamma where kzd = 0
+    seen = []
+    cut = kernels.cut_segment_integral
+
+    def capture(f, gamma, spec):
+        seen.append((f, gamma))
+        return cut(f, gamma, spec)
+
+    monkeypatch.setattr(kernels, "cut_segment_integral", capture)
+    med, kappa = Medium(n), np.array([0.3, 1.3, 7.0])
+    kz_profile(med, kappa, z, zp, SPEC)
+    (segment, gamma), = seen
+    frac = np.array([1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-9])
+    t = np.multiply.outer(frac, gamma)
+    vv = segment(t)[..., 4]
+    for ti, kap, value in zip(t.ravel(), np.tile(kappa, len(frac)), vv.ravel()):
+        te = fresnel_coefficients(med, Polarization.TE, float(kap), 1j * ti)
+        if z >= 0.0:
+            target = 2.0 * te.rR.imag * math.exp(-ti * (z + zp))
+        else:
+            target = (1j * np.conj(te.tR) * math.exp(-ti * zp)
+                      * (np.exp(1j * te.kzd * z) + te.rL * np.exp(-1j * te.kzd * z)))
+        assert abs(value - target) <= 1e-10 * abs(target)

@@ -268,6 +268,22 @@ def test_cli_energy_shift_and_sweep(tmp_path, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["fresnel", "--n", "2", "--kpar", "1:2"], "--kpar"),
+    (["fresnel", "--n", "2", "--kz", "0.2:2:0"], "--kz"),
+    (["energy", "sweep", "--n-grid", "1.5,abc"], "--n-grid"),
+    (["energy", "sweep", "--z0-grid", "1:2:x"], "--z0-grid"),
+    (["fresnel", "--n", "2", "--kpar", "nan"], "--kpar"),
+    (["energy", "sweep", "--z0-grid", "0.5:inf:3"], "--z0-grid"),
+])
+def test_cli_bad_grid_is_a_usage_error_naming_the_flag(capsys, argv, flag):
+    # a grid is parsed by argparse: exit 2 with the flag named, before any work
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
 def test_cli_verify_suite(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", "fresnel", "--out", str(out)]) == 0
