@@ -44,31 +44,37 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _checked(kind, ok, expected: str):
+    """An argparse type: ``kind(text)`` when ``ok`` accepts it, else a usage
+    error (exit 2) that names the flag."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_finite = _checked(float, np.isfinite, "a finite number")
+_finite_complex = _checked(complex, np.isfinite, "a finite complex number")
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+
+
 def _parse_grid(text: str) -> np.ndarray:
-    """'start:stop:count' inclusive grid, or a comma list of values; the
-    argparse type of the grid flags, so a bad grid is a usage error."""
+    """'start:stop:count' inclusive grid, or a comma list of finite values."""
     parts = text.split(":")
-    try:
-        if len(parts) == 1:
-            values = [float(v) for v in text.split(",")]
-            count = len(values)
-        else:
-            start, stop, count = parts
-            values, count = [float(start), float(stop)], int(count)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected start:stop:count or a comma list of numbers, got {text!r}") from None
-    if count < 1 or not np.isfinite(values).all():
-        raise argparse.ArgumentTypeError(
-            f"grid needs a count >= 1 and finite values, got {text!r}")
-    return np.array(values) if len(parts) == 1 else np.linspace(*values, count)
+    if len(parts) == 1:
+        return np.array([_finite(v) for v in text.split(",")])
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected start:stop:count, got {text!r}")
+    return np.linspace(_finite(parts[0]), _finite(parts[1]), _count(parts[2]))
 
 
-def _parse_vec3(text: str) -> np.ndarray:
-    vals = [float(v) for v in text.split(",")]
-    if len(vals) != 3:
-        raise argparse.ArgumentTypeError(f"expected x,y,z, got {text!r}")
-    return np.array(vals)
+_parse_vec3 = _checked(lambda text: np.array([float(v) for v in text.split(",")]),
+                       lambda v: v.shape == (3,) and np.isfinite(v).all(), "finite x,y,z")
 
 
 def _settings(args: argparse.Namespace):
@@ -95,18 +101,12 @@ def cmd_fresnel(args: argparse.Namespace) -> int:
 
 def cmd_modes_eval(args: argparse.Namespace) -> int:
     med = Medium(args.n)
-    point = SpectralPoint(
-        kpar=(args.kpar, 0.0),
-        kz=complex(args.klong),
-        side=Side.LEFT if args.side == "L" else Side.RIGHT,
-        pol=Polarization(args.pol),
-    )
+    side = Side.LEFT if args.side == "L" else Side.RIGHT
+    point = SpectralPoint((args.kpar, 0.0), args.klong, side, Polarization(args.pol))
     lines = ["z,fx_re,fx_im,fy_re,fy_im,fz_re,fz_im"]
     for z in np.linspace(args.zmin, args.zmax, args.steps):
         f = carniglia_mandel_mode(med, point, np.array([args.x, args.y, z]))
-        row = [_fmt(z)]
-        for comp in f:
-            row += [_fmt(comp.real), _fmt(comp.imag)]
+        row = [_fmt(z)] + [_fmt(x) for comp in f for x in (comp.real, comp.imag)]
         lines.append(",".join(row))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -248,14 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--side", choices=["L", "R"], default="R")
     p.add_argument("--pol", choices=["TE", "TM"], default="TM")
-    p.add_argument("--kpar", type=float, required=True)
-    p.add_argument("--klong", required=True,
+    p.add_argument("--kpar", type=_finite, required=True)
+    p.add_argument("--klong", type=_finite_complex, required=True,
                    help="kz for side R (complex like 0.5j for evanescent), kzd for side L")
-    p.add_argument("--zmin", type=float, default=-2.0)
-    p.add_argument("--zmax", type=float, default=2.0)
-    p.add_argument("--steps", type=int, default=81)
-    p.add_argument("--x", type=float, default=0.0)
-    p.add_argument("--y", type=float, default=0.0)
+    p.add_argument("--zmin", type=_finite, default=-2.0)
+    p.add_argument("--zmax", type=_finite, default=2.0)
+    p.add_argument("--steps", type=_count, default=81)
+    p.add_argument("--x", type=_finite, default=0.0)
+    p.add_argument("--y", type=_finite, default=0.0)
     _add_common(p)
     p.set_defaults(func=cmd_modes_eval)
 
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", type=_parse_vec3, required=True, help="source point x,y,z (z>0)")
     p.add_argument("--start", type=_parse_vec3, required=True)
     p.add_argument("--stop", type=_parse_vec3, required=True)
-    p.add_argument("--steps", type=int, default=21)
+    p.add_argument("--steps", type=_count, default=21)
     _add_common(p)
     p.set_defaults(func=cmd_greens_eval)
 

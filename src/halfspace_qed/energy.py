@@ -13,6 +13,12 @@ perturbative shift of the fluctuating surface-charge coupling,
 replaced by the photon frequency, so mass and momentum drop out).  The
 particle self-energy is an r0-independent constant and is dropped throughout.
 Left- and right-incident contributions are reported separately.
+
+The right-incident and the travelling left-incident modes are one body on the
+vacuum k_z > 0 axis, the left ones by dk_zd = (n^2 k_z/k_zd) dk_z: on the k_zd
+axis k_z = sqrt(k_zd^2 - gamma_d^2)/n has a square-root endpoint at
+gamma_d = |k_par| sqrt(n^2-1).  The evanescent left-incident modes,
+0 < k_zd < gamma_d, are integrated by dk_zd on the cut segment.
 """
 from __future__ import annotations
 
@@ -65,34 +71,31 @@ def _check_charge(q: float, z0: float) -> None:
         raise ValueError(f"z0 must be finite and > 0 (charge outside the dielectric), got {z0!r}")
 
 
-def _right_longitudinal(medium: Medium, kap: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
-    """int_0^inf dk_z |g^R|^2/omega^2, omega^2 = kap^2 + k_z^2, for each entry of ``kap``."""
+def _longitudinal(medium: Medium, kap: np.ndarray,
+                  spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(int_0^inf dk_zd |g^L|^2/omega^2, int_0^inf dk_z |g^R|^2/omega^2),
+    omega^2 = kap^2 + k_z^2, for each entry of ``kap``: the travelling modes
+    as one body on the vacuum k_z axis, the evanescent left-incident ones on
+    the cut segment."""
     n = medium.n
+    n2 = n * n
+    gamma_d = kap * math.sqrt(n2 - 1.0)
 
-    def f(kz: np.ndarray) -> np.ndarray:
-        kzd = np.sqrt(n * n * kz * kz + (n * n - 1.0) * kap * kap)
-        g = surface_charge_mode(medium, Side.RIGHT, kap, kz, kzd)
-        return np.abs(g) ** 2 / (kap * kap + kz * kz)
+    def travelling(kz: np.ndarray) -> np.ndarray:
+        kzd = np.sqrt(n2 * kz * kz + gamma_d * gamma_d)
+        left = surface_charge_mode(medium, Side.LEFT, kap, kzd, kz)
+        right = surface_charge_mode(medium, Side.RIGHT, kap, kz, kzd)
+        parts = np.stack([np.abs(left) ** 2 * (n2 * kz / kzd), np.abs(right) ** 2], axis=-1)
+        return parts / (kap * kap + kz * kz)[..., None]
 
-    return np.real(decaying_halfline_integral(f, np.maximum(kap, 1e-12), spec).value)
-
-
-def _left_longitudinal(medium: Medium, kap: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
-    """int_0^inf dk_zd |g^L|^2/omega^2, omega^2 = (kap^2 + k_zd^2)/n^2, per entry
-    of kap.  The vacuum k_z = sqrt(k_zd^2 - gamma_d^2)/n turns imaginary below
-    the total internal reflection threshold gamma_d, where the range is split."""
-    n = medium.n
-    gamma_d = kap * math.sqrt(n * n - 1.0)
-
-    def f(kzd: np.ndarray) -> np.ndarray:
+    def evanescent(kzd: np.ndarray) -> np.ndarray:
         kz = np.sqrt(kzd * kzd - gamma_d * gamma_d + 0j) / n
         g = surface_charge_mode(medium, Side.LEFT, kap, kzd, kz)
-        return np.abs(g) ** 2 * (n * n) / (kap * kap + kzd * kzd)
+        return np.abs(g) ** 2 * n2 / (kap * kap + kzd * kzd)
 
-    ev = cut_segment_integral(f, gamma_d, spec)
-    scale = np.maximum(np.maximum(kap, gamma_d), 1e-12)
-    tr = decaying_halfline_integral(f, scale, spec, offset=gamma_d)
-    return np.real(ev.value) + np.real(tr.value)
+    both = np.real(decaying_halfline_integral(travelling, np.maximum(kap, 1e-12), spec).value)
+    ev = np.real(cut_segment_integral(evanescent, gamma_d, spec).value)
+    return ev + both[..., 0], both[..., 1]
 
 
 def second_order_shift(
@@ -109,12 +112,10 @@ def second_order_shift(
     pref = -math.pi * q * q  # -(q^2/2) times the 2 pi of d^2k_par = 2 pi kap dkap
 
     def radial(kap: np.ndarray) -> np.ndarray:
-        left, right = _left_longitudinal(medium, kap, spec), _right_longitudinal(medium, kap, spec)
-        return np.stack([kap * left, kap * right], axis=-1)
+        return kap[..., None] * np.stack(_longitudinal(medium, kap, spec), axis=-1)
 
     parts = damped_radial_transform(radial, 2.0 * z0, spec)
-    left = pref * float(np.real(parts.value[0]))
-    right = pref * float(np.real(parts.value[1]))
+    left, right = (pref * float(part) for part in np.real(parts.value))
     delta_e = left + right
     return ShiftResult(delta_e, v_es, delta_e / v_es, expected, left, right, n, z0, q)
 
@@ -142,8 +143,7 @@ def double_commutator_cnumber(
     pref = math.pi * q * q
 
     def radial(kap: np.ndarray) -> np.ndarray:
-        left, right = _left_longitudinal(medium, kap, spec), _right_longitudinal(medium, kap, spec)
-        return kap * (left + right)
+        return kap * sum(_longitudinal(medium, kap, spec))
 
     total = damped_radial_transform(radial, 2.0 * z0, spec)
     return pref * float(np.real(total.value))

@@ -6,16 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from halfspace_qed import energy
 from halfspace_qed.energy import (
-    _left_longitudinal,
-    _right_longitudinal,
+    _longitudinal,
     double_commutator_cnumber,
     gauge_invariance_sum,
     redistribution_factors,
     second_order_shift,
 )
 from halfspace_qed.greens import image_potential_ves
-from halfspace_qed.medium import Medium
-from halfspace_qed.spectral import QuadratureSpec
+from halfspace_qed.medium import Medium, Side
+from halfspace_qed.modes import surface_charge_mode
+from halfspace_qed.spectral import IntegralResult, QuadratureSpec
 
 SPEC = QuadratureSpec()
 
@@ -120,18 +120,41 @@ def test_charge_scaling():
 def test_batched_longitudinal_integrals_match_scalar_calls(n):
     med = Medium(n)
     kappa = np.geomspace(1e-3, 50.0, 15)
-    for integral in (_left_longitudinal, _right_longitudinal):
-        batch = integral(med, kappa, SPEC)
-        assert batch.shape == kappa.shape
-        singles = np.array([integral(med, k, SPEC) for k in kappa])
-        assert np.max(np.abs(batch - singles)) <= 1e-10 * np.max(np.abs(batch))
+    batch = np.stack(_longitudinal(med, kappa, SPEC))
+    assert batch.shape == (2,) + kappa.shape
+    singles = np.stack([_longitudinal(med, k, SPEC) for k in kappa], axis=-1)
+    for b, single in zip(batch, singles):  # the left and the right part
+        assert np.max(np.abs(b - single)) <= 1e-10 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("n", [1.01, 2.0, 40.0])
+@pytest.mark.parametrize("kap", [1e-3, 1.0, 50.0])
+def test_travelling_left_part_on_the_vacuum_axis_matches_kzd_form(monkeypatch, n, kap):
+    # the travelling left-incident modes integrated by dk_z, with the Jacobian
+    # n^2 k_z/k_zd, against int_{gamma_d}^inf dk_zd |g^L|^2 n^2/(kap^2 + k_zd^2)
+    # by scipy; the cut segment (the evanescent modes) is switched off
+    quad = pytest.importorskip("scipy.integrate").quad
+    monkeypatch.setattr(energy, "cut_segment_integral",
+                        lambda f, gamma, spec: IntegralResult(0.0, 0.0, 0))
+    med = Medium(n)
+    left, _ = _longitudinal(med, np.array(kap), SPEC)
+
+    def kzd_form(kzd):
+        g = surface_charge_mode(med, Side.LEFT, kap, kzd)
+        return abs(g) ** 2 * n * n / (kap * kap + kzd * kzd)
+
+    gamma_d = kap * math.sqrt(n * n - 1.0)
+    # the sqrt endpoint at gamma_d on a finite panel, then the tail
+    near = quad(kzd_form, gamma_d, gamma_d + kap, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    tail = quad(kzd_form, gamma_d + kap, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    assert float(left) == pytest.approx(near + tail, rel=1e-10)
 
 
 def test_shift_integrates_each_radial_level_in_one_call(monkeypatch):
     # the radial transform hands every kappa node of a refinement level to one
-    # call of each longitudinal integral; at n = 2, z0 = 1 the first level
-    # (8 panels, 120 kappa) converges, and the truncated tail adds one call
-    # each.  One call per 15-node radial panel would make 18.
+    # call of the longitudinal half-line; at n = 2, z0 = 1 the first level
+    # (8 panels, 120 kappa) converges, and the truncated tail adds one call.
+    # One call per 15-node radial panel would make 9.
     batches = []
     engine = energy.decaying_halfline_integral
 
@@ -141,5 +164,23 @@ def test_shift_integrates_each_radial_level_in_one_call(monkeypatch):
 
     monkeypatch.setattr(energy, "decaying_halfline_integral", counted)
     shift = second_order_shift(1.0, Medium(2.0), 1.0, SPEC)
-    assert batches == [120, 120, 1, 1]
+    assert batches == [120, 1]
     assert abs(shift.ratio - 0.375) < 1e-9
+
+
+def test_inner_integrals_converge_at_their_first_level(monkeypatch):
+    # smooth integrands on both inner axes: every half-line and cut-segment
+    # call stops at its initial panels (8 and 4 of 15 nodes per kappa), so an
+    # endpoint singularity that forces bisection cannot come back unseen
+    seen = []
+    for name in ("decaying_halfline_integral", "cut_segment_integral"):
+        def counted(f, width, spec, engine=getattr(energy, name), name=name):
+            res = engine(f, width, spec)
+            seen.append((name, res.nodes_used / np.size(width)))
+            return res
+
+        monkeypatch.setattr(energy, name, counted)
+    shift = second_order_shift(1.0, Medium(2.0), 1.0, SPEC)
+    assert abs(shift.ratio - 0.375) < 1e-9
+    assert sorted(seen) == (2 * [("cut_segment_integral", 60)]
+                            + 2 * [("decaying_halfline_integral", 120)])

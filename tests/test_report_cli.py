@@ -284,6 +284,32 @@ def test_cli_bad_grid_is_a_usage_error_naming_the_flag(capsys, argv, flag):
     assert f"argument {flag}:" in capsys.readouterr().err
 
 
+MODES = ["modes", "eval", "--n", "2"]
+GREENS = ["greens", "eval", "--n", "2", "--source", "0,0,1", "--start", "0,0,0.5",
+          "--stop", "0,0,2"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (MODES + ["--kpar", "nan", "--klong", "0.5"], "--kpar"),
+    (MODES + ["--kpar", "1", "--klong", "abc"], "--klong"),
+    (MODES + ["--kpar", "1", "--klong", "inf+1j"], "--klong"),
+    (MODES + ["--kpar", "1", "--klong", "0.5", "--x", "inf"], "--x"),
+    (MODES + ["--kpar", "1", "--klong", "0.5", "--y", "abc"], "--y"),
+    (MODES + ["--kpar", "1", "--klong", "0.5", "--zmin", "nan"], "--zmin"),
+    (MODES + ["--kpar", "1", "--klong", "0.5", "--zmax", "-inf"], "--zmax"),
+    (MODES + ["--kpar", "1", "--klong", "0.5", "--steps", "-1"], "--steps"),
+    (MODES + ["--kpar", "1", "--klong", "0.5", "--steps", "2.5"], "--steps"),
+    (GREENS + ["--steps", "0"], "--steps"),
+    (GREENS + ["--stop", "0,0"], "--stop"),
+    (GREENS + ["--stop", "0,nan,1"], "--stop"),
+])
+def test_cli_bad_scalar_is_a_usage_error_naming_the_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
 def test_cli_verify_suite(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", "fresnel", "--out", str(out)]) == 0
