@@ -26,9 +26,10 @@ Delta r_par = rho * uhat and arguments kappa*rho,
     zz -> 2 pi J0       into zz,
 
 after which the tensor is rotated about z to restore the actual azimuth.
-The inner k_z quadrature (travelling axis through the oscillatory engine,
-evanescent segment through the cut rule) is the numerical path that the
-residue-theorem closed forms are verified against.
+The inner k_z quadrature (the travelling axis along the damped ray
+k_z = u e^{i pi/4} of ``spectral.ray_integral``, the evanescent segment
+through the cut rule) is the numerical path that the residue-theorem closed
+forms are verified against.
 """
 from __future__ import annotations
 
@@ -52,6 +53,7 @@ from .spectral import (
     adaptive_panels,
     cut_segment_integral,
     halfline_oscillatory_integral,
+    ray_integral,
 )
 
 __all__ = [
@@ -112,15 +114,20 @@ _PARITY = np.array([1.0, -1.0, -1.0, 1.0, 1.0])
 def _interface_profile(medium: Medium, kap: np.ndarray, scale: float, travelling: Callable,
                        spec: QuadratureSpec, evanescent: Callable | None = None) -> IntegralResult:
     """Travelling axis plus evanescent segment of an interface profile.
-    ``travelling`` gets (kz, kzd, kappa, kmag2) on k_z > 0, oscillating on
-    ``scale``, for the kappa entries that the half-line batch evaluates (one
-    entry per kappa).  Without ``evanescent`` the profile integrates
+    ``travelling`` gets (kz, kzd, kappa, kmag2) for k_z > 0 and its
+    continuation into the first quadrant, where it goes like e^{i k_z scale};
+    its k_z > 0 integral is taken on the damped ray (one entry per kappa, each
+    with its own panels).  Without ``evanescent`` the profile integrates
     ``travelling`` over the whole real k_z axis: the k_z < 0 half adds _PARITY
-    times the conjugate of the k_z > 0 integral (each kappa's half-line error
-    doubles), and the cut k_z = i t, 0 < t < Gamma, holds the body's jump
-    across it, -i [f(it, kzd) - f(it, -kzd)].  With ``evanescent``, which gets
-    (t, kzd, kappa, kmag2) on the cut for every entry, the profile is the
-    k_z > 0 integral plus the cut integral of that body: no mirror, no jump."""
+    times the conjugate of the k_z > 0 integral, and the cut k_z = i t,
+    0 < t < Gamma, holds the body's jump across it, -i [f(it, kzd) - f(it, -kzd)].
+    With ``evanescent``, which gets (t, kzd, kappa, kmag2) on the cut for every
+    entry, the profile is the k_z > 0 integral plus the cut integral of that
+    body: no mirror, no jump.  Its travelling body then returns [the terms in
+    e^{+i k_z z'}, the Schwarz partners of the terms in e^{-i k_z z'}]: a
+    partner has e^{+i k_z z'} in place of e^{-i k_z z'}, and as the
+    coefficients are real on the travelling axis, a term's k_z > 0 integral is
+    the conjugate of its partner's.  Either way each kappa's ray error doubles."""
     n = medium.n
     flat = kap.ravel()
     kap2, gap2 = flat * flat, (n * n - 1.0) * flat * flat  # once, not per panel
@@ -136,14 +143,17 @@ def _interface_profile(medium: Medium, kap: np.ndarray, scale: float, travelling
         both = travelling(1j * t, np.stack([kzd, -kzd]), flat, kap2 - t * t)
         return -1j * (both[0] - both[1])
 
-    axis = halfline_oscillatory_integral(body, np.full(flat.size, scale), spec)
-    value, err = axis.value, axis.entry_errors
+    ray = ray_integral(body, scale, flat.size, spec)
+    value = ray.value
     if evanescent is None:
-        value, err = value + _PARITY * np.conj(value), 2.0 * err
+        value = value + _PARITY * np.conj(value)
+    else:
+        half = value.shape[-1] // 2
+        value = value[:, :half] + np.conj(value[:, half:])
     cut = cut_segment_integral(segment, evanescent_threshold(medium, flat), spec)
-    err = err + cut.error_estimate  # each kappa's own, and the cut within its bound
+    err = 2.0 * ray.entry_errors + cut.error_estimate  # the cut within its bound
     return IntegralResult((value + cut.value).reshape(kap.shape + (-1,)), float(err.max()),
-                          axis.nodes_used + cut.nodes_used, err.reshape(kap.shape))
+                          ray.nodes_used + cut.nodes_used, err.reshape(kap.shape))
 
 
 def _reflected_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
@@ -208,8 +218,9 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
     """Mode-sum profile of the gauge-difference kernel: each TM mode's surface
     charge g times its vacuum amplitude at z' over omega, by dk_z or dk_zd.
     The right-incident and the travelling left-incident modes share the vacuum
-    k_z > 0 axis as one body, which has no mirror half; the cut holds the
-    evanescent left-incident modes, not that body's jump."""
+    k_z > 0 axis as one body, which has no mirror half; its e^{-ik_z z'} terms
+    go on the ray as their Schwarz partners.  The cut holds the evanescent
+    left-incident modes, not that body's jump."""
     n = medium.n
     kap = np.asarray(kap, dtype=float)
     if n == 1.0:
@@ -219,15 +230,15 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
     def travelling(k: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
                    kmag2: np.ndarray) -> np.ndarray:
         # the right-incident modes plus the travelling left-incident ones, by
-        # dk_z: n^2 (k/kzd) tL/n = n tR
+        # dk_z: n^2 (k/kzd) tL/n = n tR; [ju, jz] of the e^{+ik z'} terms, then
+        # of the partners of the e^{-ik z'} terms
         kmag = np.sqrt(kmag2)
         tm = fresnel_coefficients(medium, Polarization.TM, kap, k, kzd)
         right = surface_charge_mode(medium, Side.RIGHT, kap, k, kzd) / kmag
         left = surface_charge_mode(medium, Side.LEFT, kap, kzd, k) * n * tm.tR / kmag
-        ep, em = np.exp(1j * k * zp), np.exp(-1j * k * zp)
-        ju = (k / kmag) * (right * (tm.rR * em - ep) + left * em)
-        jz = (-kap / kmag) * (right * (ep + tm.rR * em) + left * em)
-        return np.stack([ju, jz], axis=-1)
+        back = right * tm.rR + left
+        parts = np.stack([-k * right, -kap * right, k * back, -kap * back], axis=-1)
+        return parts * (np.exp(1j * k * zp) / kmag)[..., None]
 
     def left_evanescent(t: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
                         kmag2: np.ndarray) -> np.ndarray:
@@ -370,8 +381,7 @@ def _radial_assemble(
         # the engine hands over the 15 nodes of each panel of a refinement
         # level (on the Bessel-oscillation branch, of a block of half-periods
         # or of a bisection level), node-major; up to _PROFILE_PANELS whole
-        # panels go to one profile call, so the kappa of a panel share one
-        # half-line convergence and the profile is smooth across the panel
+        # panels go to one profile call
         cols = karr.reshape(15, -1)
         return np.concatenate(
             [profile_part(cols[:, i:i + _PROFILE_PANELS]) for i in

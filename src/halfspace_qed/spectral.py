@@ -10,10 +10,19 @@ depends on the other panels of its call only through the integrand.  A panel
 whose value or error is not finite raises :class:`QuadratureError` at once,
 naming the panel.
 
-1. Semi-infinite oscillatory k_z integrals: the axis is partitioned at the
-   oscillation zeros (half-period pi/s segments), each segment is integrated
-   by internally adaptive Gauss-Kronrod panels (so sub-oscillation structure
-   such as branch features near k = 0 is resolved), and the sequence of
+1. Semi-infinite oscillatory k_z integrals int_0^inf f(k) dk of a body f
+   that goes like e^{i k s}.  Where f is analytic in the open first quadrant
+   (every k_z profile: its poles, zeros and branch points lie on the
+   imaginary axis), Cauchy and Jordan turn the Abel-regularised real-axis
+   integral into the integral along the ray k = u e^{i theta}, theta = pi/4,
+   where f decays like e^{-u s sin theta} (the path deformation of
+   Sommerfeld-type integrals).  ``ray_integral`` maps the ray by
+   u = l tan(v), l = 1/(s sin theta), and refines adaptive panels on
+   v in (0, pi/2); the numerical path stays independent of any residue
+   evaluation.  An integrand that is not analytic there (the undamped Bessel
+   branch of the radial assembly) stays on the real axis: the axis is
+   partitioned at the oscillation zeros (half-period pi/s segments), each
+   segment is integrated by internally adaptive panels, and the sequence of
    partial sums is accelerated with a sliding-window Levin u-transformation.
    The whole-segment panels of a block of consecutive half-periods share one
    integrand call, and the half-periods of the block whose error is large
@@ -21,8 +30,7 @@ naming the panel.
    ``nodes_used`` counts every node evaluated, including those of prefetched
    half-periods that the converged sum never reached.  This converges to the
    Abel-regularised value for bounded non-decaying oscillatory amplitudes,
-   which is exactly the value selected by closing the spectral contour; the
-   numerical path stays independent of any residue evaluation.
+   the value that the ray selects.
 
 2. Branch-cut (evanescent) segment integrals over t in (0, Gamma) with an
    integrable 1/sqrt(Gamma^2 - t^2) endpoint factor: the segment is always
@@ -43,19 +51,13 @@ Batches compute one integral per entry (a |k_par| value, say) under one
 batch tolerance: max(abs_tol, rel_tol x the max-norm over the whole batch),
 so the returned error, the largest over the entries, is within the same
 bound as a single call's.  The cut segment and decaying half-line take array
-``gamma`` / ``scale`` / ``offset``, pass nodes of shape (nodes, *batch) and
-refine all entries on shared panels.  The oscillatory half-line takes an
-array ``oscillation_scale``; each entry then runs its own partial sums,
-bisections and Levin sequence and reports its own error in
-``entry_errors``, and the integrand is called as f(k, entries) with the flat
-indices of the entries each column of k belongs to (a bisection evaluates
-only the entries whose half-period needs it).  The batch still converges as
-a whole: every entry takes as many half-periods as the slowest one, so an
-entry's value varies smoothly with the parameters of its integrand, and an
-outer quadrature over those parameters does not see per-entry stopping
-points as roughness.  ``nodes_used`` counts integrand evaluations: nodes x
-batch size on shared panels, and on the half-line nodes x the entries
-evaluated on them.
+``gamma`` / ``scale``, pass nodes of shape (nodes, *batch) and refine all
+entries on shared panels.  The ray gives each entry its own panels, so an
+entry that converges stops refining while the others go on: the integrand
+is called as f(k, entries), k of shape (nodes, panels) and ``entries`` the
+entry of each panel column, and each entry's own error is reported in
+``entry_errors``.  ``nodes_used`` counts integrand evaluations: nodes x
+batch size on shared panels, nodes on an entry's own panels.
 """
 from __future__ import annotations
 
@@ -74,6 +76,7 @@ __all__ = [
     "QuadratureError",
     "adaptive_panels",
     "halfline_oscillatory_integral",
+    "ray_integral",
     "cut_segment_integral",
     "damped_radial_transform",
     "decaying_halfline_integral",
@@ -153,6 +156,9 @@ Integrand = Callable[[np.ndarray], np.ndarray]
 # bounds the work spent on a non-convergent integrand.
 _MAX_PANELS = 800
 _SEGMENT_MAX_PANELS = 48
+# First panels of each entry of a ray integral.  Eight save a level on a lone
+# kappa but cost the many-kappa profile calls of an assembly more nodes.
+_RAY_PANELS = 4
 # Half-periods whose first panel shares one integrand call.  Four keeps an
 # integrand that vanishes (two quiet half-periods) at 60 nodes per entry.
 _HALF_PERIOD_BLOCK = 4
@@ -318,101 +324,129 @@ class _LevinU:
 
 
 def halfline_oscillatory_integral(
-    f: Callable, oscillation_scale: ArrayLike, spec: QuadratureSpec
+    f: Integrand, oscillation_scale: float, spec: QuadratureSpec
 ) -> IntegralResult:
     """int_0^inf f(k) dk for f oscillating like e^{i k s}, s = oscillation_scale.
 
     The axis is cut at multiples of pi/s and the partial-sum sequence is
     Levin-accelerated; convergence requires two consecutive stable estimates.
-    An array ``oscillation_scale`` asks for one integral per entry: f is then
-    called as f(k, entries), k of shape (nodes, len(entries)) and ``entries``
-    the flat indices of the entries k belongs to, column by column, and
-    returns (nodes, len(entries), *comps).
     """
-    scale = np.asarray(oscillation_scale, dtype=float)
-    if not (scale.size and np.all(np.isfinite(scale) & (scale > 0.0))):
-        raise ValueError(
-            f"oscillation_scale must be positive and finite, got {oscillation_scale!r}")
-    if scale.ndim:
-        res = _levin_halfline(f, scale.ravel(), spec)
-        return replace(res, value=res.value.reshape(scale.shape + res.value.shape[1:]),
-                       entry_errors=res.entry_errors.reshape(scale.shape))
-    res = _levin_halfline(_flat_integrand(f), scale.reshape(1), spec)
-    value = res.value[0]
-    return replace(res, value=value if value.shape else complex(value), entry_errors=None)
+    return _levin_halfline(_flat_integrand(f), _oscillation_scale(oscillation_scale), spec)
 
 
-def _levin_halfline(f, scale: np.ndarray, spec: QuadratureSpec) -> IntegralResult:
-    """The half-line integrals of the entries of ``scale`` under the panel
-    protocol f(k, entry).  Each entry keeps its own partial sums, bisections,
-    Levin sequence and error, but the batch converges as a whole: every entry
-    runs until all of them meet one tolerance, scaled by the max-norm of the
-    whole batch."""
+def _oscillation_scale(value) -> float:
+    scale = np.asarray(value, dtype=float)
+    if not (scale.ndim == 0 and math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"oscillation_scale must be positive and finite, got {value!r}")
+    return float(scale)
+
+
+def _levin_halfline(f, scale: float, spec: QuadratureSpec) -> IntegralResult:
+    """The half-line integral under the panel protocol f(k, owner)."""
     h = math.pi / scale
-    entries = len(scale)
     periods = spec.max_oscillation_periods
     levin = _LevinU(spec.acceleration_order)
     abs_floor = 0.01 * spec.abs_tol
     rel_seg = 0.002 * spec.rel_tol
     partial = est_prev = None
-    err_prev = np.full(entries, math.inf)
+    err_prev = math.inf
     quiet = 0  # consecutive quiet raw sums
-    seg_err_total = np.zeros(entries)  # up to the end of the block
-    inc_scale = np.zeros(entries)  # largest half-period of each entry, ditto
+    seg_err_total = 0.0  # up to the end of the block
+    inc_scale = 0.0  # largest half-period, ditto
     nodes = 0
     for first in range(0, periods, _HALF_PERIOD_BLOCK):
         rows = np.arange(first, min(first + _HALF_PERIOD_BLOCK, periods))
-        owner = np.tile(np.arange(entries), len(rows))
-        lo = np.multiply.outer(rows, h).ravel()
-        hi = np.multiply.outer(rows + 1, h).ravel()
-        val, err = _gauss_kronrod(f, lo, hi, owner)
+        lo, hi = rows * h, (rows + 1) * h
+        val, err = _gauss_kronrod(f, lo, hi, np.zeros(len(rows), dtype=int))
         nodes += 15 * len(lo)
         mag = np.abs(val).reshape(len(lo), -1).max(axis=1)
         # a half-period is bisected while its error is large against both its
-        # L1 content (cancellation-robust) and the batch's largest half-period
-        # before it
-        before = np.maximum.accumulate(
-            np.concatenate(([inc_scale.max()], mag.reshape(len(rows), entries).max(axis=1)[:-1])))
-        seg_floor = np.maximum(abs_floor, 0.1 * rel_seg * np.repeat(before, entries))
+        # L1 content (cancellation-robust) and the largest half-period before it
+        before = np.maximum.accumulate(np.concatenate(([inc_scale], mag[:-1])))
+        seg_floor = np.maximum(abs_floor, 0.1 * rel_seg * before)
         if (err > np.maximum(seg_floor, rel_seg * mag)).any():
             # the panels within their bound stop unrefined at the first level
             val, err, more = _refine(
-                lambda x, own: f(x, owner[own]), lo, hi, np.arange(len(lo)), val, err,
+                f, lo, hi, np.arange(len(lo)), val, err,
                 lambda ids, tot, content: np.maximum(seg_floor[ids], rel_seg * content),
                 _SEGMENT_MAX_PANELS,
             )
             nodes += more
             mag = np.abs(val).reshape(len(lo), -1).max(axis=1)
-        mag = mag.reshape(len(rows), entries)
-        totals = seg_err_total + np.cumsum(err.reshape(len(rows), entries), axis=0)
-        incs = np.maximum(inc_scale, np.maximum.accumulate(mag, axis=0))
+        totals = seg_err_total + np.cumsum(err)
+        incs = np.maximum(inc_scale, np.maximum.accumulate(mag))
         seg_err_total, inc_scale = totals[-1], incs[-1]
         # per half-period: value, error sum so far, raw-sum error, Levin floor
         floors = 1e-16 * np.maximum(incs, 1e-30)
         floors = floors.reshape(floors.shape + (1,) * (val.ndim - 1))
-        segs = val.reshape((len(rows), entries) + val.shape[1:])
-        for m, seg, err_sum, raw_err, floor in zip(rows, segs, totals, mag + totals, floors):
+        for m, seg, err_sum, raw_err, floor in zip(rows, val, totals, mag + totals, floors):
             partial = seg if partial is None else partial + seg
             # raw-sum early exit for integrands that die without oscillating
-            if raw_err.max() <= 0.5 * spec.tolerance(float(np.abs(partial).max())):
+            if raw_err <= 0.5 * spec.tolerance(float(np.abs(partial).max())):
                 quiet += 1
                 if quiet >= 2:
-                    return IntegralResult(partial, float(raw_err.max()), nodes, raw_err)
+                    return _result(partial, raw_err, nodes)
             else:
                 quiet = 0
             est = levin.add(partial, seg, floor=floor)
             if m >= 2:
-                delta = np.abs(est - est_prev).reshape(entries, -1).max(axis=1)
+                delta = float(np.abs(est - est_prev).max())
                 tol = spec.tolerance(float(np.abs(est).max()))
-                err = np.maximum(delta, 0.25 * err_prev) + err_sum
-                if err.max() <= tol and err_prev.max() <= 4.0 * tol:
-                    return IntegralResult(est, float(err.max()), nodes, err)
+                err = max(delta, 0.25 * err_prev) + err_sum
+                if err <= tol and err_prev <= 4.0 * tol:
+                    return _result(est, err, nodes)
                 err_prev = delta
             est_prev = est
     raise QuadratureError(
         f"oscillatory integral did not converge within {spec.max_oscillation_periods} "
-        f"half-periods (last delta {float(err_prev.max()):.3e})"
+        f"half-periods (last delta {err_prev:.3e})"
     )
+
+
+def _result(value, error, nodes: int) -> IntegralResult:
+    value = np.asarray(value)
+    return IntegralResult(value if value.shape else complex(value), float(error), nodes)
+
+
+def ray_integral(f: Callable, oscillation_scale: float, entries: int,
+                 spec: QuadratureSpec) -> IntegralResult:
+    """int_0^inf f(k) dk for each of ``entries`` integrands f(., entry) that are
+    analytic in the open first quadrant and go like e^{i k s} there,
+    s = oscillation_scale: the Abel-regularised real-axis integral, taken along
+    the ray k = u e^{i pi/4} where f decays like e^{-u s sin(pi/4)}.
+
+    The map u = l tan(v), l = 1/(s sin(pi/4)), compactifies the ray, so that
+    k = (1 + i) tan(v)/s.  f is called as f(k, entries), k of shape (nodes,
+    panels) and ``entries`` the entry of each panel column, and returns
+    (nodes, panels, *comps).  Each entry refines its own panels to the batch
+    tolerance, max(abs_tol, rel_tol x the max-norm over all entries), and
+    reports its error in ``entry_errors``.
+    """
+    step = (1.0 + 1.0j) / _oscillation_scale(oscillation_scale)  # e^{i pi/4} l
+    if not (isinstance(entries, numbers.Integral) and entries >= 1):
+        raise ValueError(f"entries must be an integer >= 1, got {entries!r}")
+
+    def g(v: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        t = np.tan(v)
+        vals = np.asarray(f(step * t, owner))
+        jac = step * (1.0 + t * t)
+        return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - jac.ndim))
+
+    breaks = np.linspace(0.0, 0.5 * math.pi, _RAY_PANELS + 1)
+    lo, hi = np.tile(breaks[:-1], entries), np.tile(breaks[1:], entries)
+    owner = np.repeat(np.arange(entries), _RAY_PANELS)
+    val, err = _gauss_kronrod(g, lo, hi, owner)
+    norm = np.zeros(entries)  # each entry's max-norm, final once it stops
+
+    def tolerance(ids, tot, content):
+        norm[ids] = np.abs(tot).reshape(len(ids), -1).max(axis=1)
+        return spec.tolerance(float(norm.max()))
+
+    total, error, nodes = _refine(g, lo, hi, owner, val, err, tolerance, _MAX_PANELS)
+    if error.max() > spec.tolerance(float(norm.max())):  # stopped by the cap
+        raise QuadratureError(f"ray integral stalled at error {error.max():.3e} "
+                              f"after {_MAX_PANELS} panels")
+    return IntegralResult(total, float(error.max()), nodes + 15 * len(lo), error)
 
 
 def cut_segment_integral(f: Integrand, gamma: ArrayLike, spec: QuadratureSpec) -> IntegralResult:
@@ -462,25 +496,21 @@ def damped_radial_transform(f: Integrand, damping: float, spec: QuadratureSpec) 
     return replace(res, error_estimate=err)
 
 
-def decaying_halfline_integral(
-    f: Integrand, scale: ArrayLike, spec: QuadratureSpec, offset: ArrayLike = 0.0
-) -> IntegralResult:
-    """int_offset^inf f(k) dk for smooth algebraically decaying f (no oscillation).
+def decaying_halfline_integral(f: Integrand, scale: ArrayLike, spec: QuadratureSpec) -> IntegralResult:
+    """int_0^inf f(k) dk for smooth algebraically decaying f (no oscillation).
 
-    Plumbing for the longitudinal mode integrals: the map k = offset + scale*tan(v)
+    Plumbing for the longitudinal mode integrals: the map k = scale*tan(v)
     compactifies the half-line, then adaptive panels finish.  ``scale`` sets
-    the k-range over which f varies; ``scale`` and ``offset`` may be arrays,
-    one integral per entry (f gets k of shape (nodes, *batch)).
+    the k-range over which f varies; it may be an array, one integral per
+    entry (f gets k of shape (nodes, *scale.shape)).
     """
-    scale, offset = np.broadcast_arrays(np.asarray(scale, dtype=float), offset)
+    scale = np.asarray(scale, dtype=float)
     if not np.all(np.isfinite(scale) & (scale > 0.0)):
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
-    if not np.all(np.isfinite(offset)):
-        raise ValueError(f"offset must be finite, got {offset!r}")
 
     def g(v: np.ndarray) -> np.ndarray:
         t = np.tan(v)
-        vals = np.asarray(f(offset + np.multiply.outer(t, scale)))
+        vals = np.asarray(f(np.multiply.outer(t, scale)))
         jac = np.multiply.outer(1.0 + t * t, scale)
         return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - jac.ndim))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from halfspace_qed.config import DEFAULT_TOLERANCES
 from halfspace_qed.fresnel import fresnel_coefficients
 from halfspace_qed.greens import (
     GreenVariant,
@@ -91,7 +92,7 @@ def test_profiles_reject_bad_kappa_before_any_engine_call(bad, monkeypatch):
     def engine(*args):
         raise AssertionError("engine called")
 
-    for name in ("halfline_oscillatory_integral", "cut_segment_integral"):
+    for name in ("halfline_oscillatory_integral", "ray_integral", "cut_segment_integral"):
         monkeypatch.setattr(kernels, name, engine)
     med = Medium(2.0)
     for z in (0.7, -0.3):
@@ -392,9 +393,10 @@ def test_profile_entry_errors_bound_each_kappa(z, zp, n):
 
 def test_large_n_assembly_below_the_interface_converges():
     # at n = 40 below the interface the radial layer integrates the profiles
-    # at their own tolerance; because the half-line batch of each profile
-    # call converges as a whole, a profile is smooth in kappa and the radial
-    # K15/G7 estimate does not chase per-kappa stopping noise to the panel cap
+    # at their own tolerance; the observed errors of the ray integrals sit far
+    # below their batch tolerance, so a profile is smooth in kappa and the
+    # radial K15/G7 estimate does not chase per-kappa stopping noise to the
+    # panel cap
     med = Medium(40.0)
     p = pair((0.5, 0.2, -0.6), (0.0, -0.3, 0.7))
     res = assemble_kernel_result(med, KernelKind.GENERALIZED_DELTA, p, SPEC)
@@ -422,8 +424,8 @@ def test_batched_transmitted_profile_within_error_estimates(n):
 
 def test_batched_profile_counts_every_kappa_evaluation(monkeypatch):
     # nodes_used counts integrand evaluations: the cut segment gets each node
-    # once per kappa of the batch (t of shape (nodes, kappa)), the half-lines
-    # once per entry evaluated (k of shape (nodes, entries))
+    # once per kappa of the batch (t of shape (nodes, kappa)), the ray once
+    # per panel, each panel a single kappa's (k of shape (nodes, panels))
     evaluations = []
 
     def counting(engine):
@@ -434,7 +436,7 @@ def test_batched_profile_counts_every_kappa_evaluation(monkeypatch):
             return engine(g, *args)
         return wrapped
 
-    for name in ("halfline_oscillatory_integral", "cut_segment_integral"):
+    for name in ("ray_integral", "cut_segment_integral"):
         monkeypatch.setattr(kernels, name, counting(getattr(kernels, name)))
     med = Medium(2.0)
     for build in (
@@ -463,15 +465,24 @@ def _captured_bodies(monkeypatch) -> list:
     return seen
 
 
-def _halfline(body, medium, kap, scale, sign=1.0):
-    """A travelling body integrated over sign * k_z in (0, inf), one entry per kappa."""
+def _body(body, medium, kap, sign=1.0):
+    """The travelling body at sign * k_z, under the ray's protocol f(k, entries)."""
     gap2 = (medium.n ** 2 - 1.0) * kap * kap
 
     def f(k, entries):
         kzd = np.sqrt(medium.n ** 2 * k * k + gap2[entries])
         return body(sign * k, sign * kzd, kap[entries], kap[entries] ** 2 + k * k)
 
-    return spectral.halfline_oscillatory_integral(f, np.full(kap.size, scale), SPEC)
+    return f
+
+
+def _halfline(f, kap, scale):
+    """int_0^inf f(k, kappa entry) dk on the real axis (the Levin route), one
+    call per kappa: the values and the errors."""
+    runs = [spectral.halfline_oscillatory_integral(
+        lambda k, entry=entry: f(k, np.full(k.shape, entry)), scale, SPEC)
+        for entry in range(kap.size)]
+    return np.array([r.value for r in runs]), np.array([r.error_estimate for r in runs])
 
 
 @pytest.mark.parametrize("n", [1.2, 2.0, 40.0])
@@ -484,33 +495,116 @@ def test_negative_kz_half_axis_is_the_parity_mirror(n, z, zp, monkeypatch):
     kz_profile(med, KAPPA_PANEL, z, zp, SPEC)
     (kap, scale, body, evanescent), = seen
     assert evanescent is None
-    upper = _halfline(body, med, kap, scale)
-    lower = _halfline(body, med, kap, scale, sign=-1.0)
-    gap = np.max(np.abs(lower.value - kernels._PARITY * np.conj(upper.value)))
-    assert gap <= 1e-15 * np.max(np.abs(upper.value))
+    upper, _ = _halfline(_body(body, med, kap), kap, scale)
+    lower, _ = _halfline(_body(body, med, kap, sign=-1.0), kap, scale)
+    gap = np.max(np.abs(lower - kernels._PARITY * np.conj(upper)))
+    assert gap <= 1e-15 * np.max(np.abs(upper))
 
 
 @pytest.mark.parametrize("n", [1.2, 2.0, 40.0])
 def test_gauge_profile_body_is_its_right_and_left_modes(n, monkeypatch):
-    # the one travelling body of the gauge-difference profile integrates to its
-    # right- and left-incident modes integrated apart; each family is the body
-    # with the other family's surface charge switched off
+    # the one travelling body of the gauge-difference profile integrates on the
+    # ray to its right- and left-incident modes integrated apart; each family
+    # is the body with the other family's surface charge switched off
     seen = _captured_bodies(monkeypatch)
     med = Medium(n)
     _gauge_difference_profile(med, KAPPA_PANEL, 0.7, 0.4, SPEC)
     (kap, scale, body, evanescent), = seen
     assert evanescent is not None and scale == 0.4
-    joint = _halfline(body, med, kap, scale)
+    joint = spectral.ray_integral(_body(body, med, kap), scale, kap.size, SPEC)
     charge = kernels.surface_charge_mode
     apart = []
     for side in Side:
         monkeypatch.setattr(kernels, "surface_charge_mode",
                             lambda medium, s, *args, side=side:
                             charge(medium, s, *args) if s is side else 0.0)
-        apart.append(_halfline(body, med, kap, scale))
+        apart.append(spectral.ray_integral(_body(body, med, kap), scale, kap.size, SPEC))
     gap = np.max(np.abs(joint.value - apart[0].value - apart[1].value), axis=-1)
     assert np.all(gap <= joint.entry_errors + apart[0].entry_errors + apart[1].entry_errors)
     assert np.max(np.abs(apart[0].value)) > 0.0 and np.max(np.abs(apart[1].value)) > 0.0
+
+
+def _gauge_real_axis_body(medium, zp):
+    """The gauge-difference body [ju, jz] on the real k_z > 0 axis, written
+    with both of its exponentials e^{+-i k_z z'}."""
+    n = medium.n
+
+    def body(k, kzd, kap, kmag2):
+        kmag = np.sqrt(kmag2)
+        tm = fresnel_coefficients(medium, Polarization.TM, kap, k, kzd)
+        right = kernels.surface_charge_mode(medium, Side.RIGHT, kap, k, kzd) / kmag
+        left = kernels.surface_charge_mode(medium, Side.LEFT, kap, kzd, k) * n * tm.tR / kmag
+        ep, em = np.exp(1j * k * zp), np.exp(-1j * k * zp)
+        ju = (k / kmag) * (right * (tm.rR * em - ep) + left * em)
+        jz = (-kap / kmag) * (right * (ep + tm.rR * em) + left * em)
+        return np.stack([ju, jz], axis=-1)
+
+    return body
+
+
+@pytest.mark.parametrize("n", [1.01, 2.0, 40.0])
+@pytest.mark.parametrize("profile", ["reflected", "transmitted", "gauge_difference"])
+def test_ray_route_matches_the_levin_real_axis(profile, n, monkeypatch):
+    # with the cut switched off an interface profile is its travelling part:
+    # the ray integral of the body, mirrored by parity (reflected,
+    # transmitted) or with the Schwarz partners conjugated (gauge difference).
+    # The same body integrated on the real axis by the Levin route, and the
+    # gauge-difference body written with e^{-ik z'} itself, agree with it
+    # within the summed estimates
+    seen = _captured_bodies(monkeypatch)
+    monkeypatch.setattr(kernels, "cut_segment_integral",
+                        lambda f, gamma, spec: IntegralResult(0.0, 0.0, 0))
+    med = Medium(n)
+    z, zp = {"reflected": (0.7, 0.4), "transmitted": (-0.3, 0.5),
+             "gauge_difference": (0.7, 0.4)}[profile]
+    if profile == "gauge_difference":
+        _gauge_difference_profile(med, KAPPA_PANEL, z, zp, SPEC)
+    else:
+        kz_profile(med, KAPPA_PANEL, z, zp, SPEC)
+    (kap, scale, body, evanescent), = seen
+    ray = kernels._interface_profile(med, kap, scale, body, SPEC, evanescent)
+    if evanescent is None:
+        upper, err = _halfline(_body(body, med, kap), kap, scale)
+        levin, err = upper + kernels._PARITY * np.conj(upper), 2.0 * err
+    else:
+        levin, err = _halfline(_body(_gauge_real_axis_body(med, zp), med, kap), kap, scale)
+    gap = np.max(np.abs(ray.value - levin), axis=-1)
+    assert np.all(gap <= ray.entry_errors + err)
+    assert np.max(np.abs(ray.value)) > 1e3 * np.max(ray.entry_errors + err)
+
+
+def test_profiles_never_call_the_levin_halfline(monkeypatch):
+    # every k_z profile integrates its travelling body on the damped ray
+    def refuse(*args, **kwargs):
+        raise AssertionError("Levin half-line called")
+
+    monkeypatch.setattr(kernels, "halfline_oscillatory_integral", refuse)
+    monkeypatch.setattr(spectral, "halfline_oscillatory_integral", refuse)
+    monkeypatch.setattr(spectral, "_levin_halfline", refuse)
+    med = Medium(2.0)
+    for kap, z, zp in [(1.3, 0.7, 0.4), (0.6, -0.8, 0.6)]:
+        prof = kz_profile(med, kap, z, zp, SPEC)
+        assert np.max(np.abs(prof.value - residue_profile(med, kap, z, zp))) <= prof.error_estimate
+    prof = _gauge_difference_profile(med, KAPPA_PANEL, 0.7, 0.4, SPEC)
+    assert prof.value.shape == (len(KAPPA_PANEL), 5)
+    p = pair((0.5, 0.2, -0.6), (0.0, -0.3, 0.7))
+    for kind in (KernelKind.GENERALIZED_DELTA, KernelKind.GAUGE_DIFFERENCE):
+        res = assemble_kernel_result(med, kind, p, SPEC)
+        assert np.max(np.abs(res.tensor - kernel_closed_form(med, kind, p))) <= res.error_estimate
+
+
+@pytest.mark.parametrize("kind", [KernelKind.GENERALIZED_DELTA, KernelKind.TRUE_COULOMB])
+def test_large_n_lower_pair_meets_its_closed_form(kind):
+    # at this n = 40 pair below the interface, per-kappa stopping noise of the
+    # transmitted profiles at the 1e-11 level drives the radial layer to its
+    # panel cap
+    med = Medium(40.0)
+    p = pair((0.2, 0.6, -1.0), (-0.1, 0.0, 0.5))
+    res = assemble_kernel_result(med, kind, p, SPEC)
+    target = kernel_closed_form(med, kind, p)
+    observed = np.max(np.abs(res.tensor - target))
+    assert observed <= DEFAULT_TOLERANCES["tol.kernels.assembly"] * np.max(np.abs(target))
+    assert observed <= res.error_estimate
 
 
 @pytest.mark.parametrize("n", [1.01, 2.0, 40.0])

@@ -310,6 +310,17 @@ def test_cli_bad_scalar_is_a_usage_error_naming_the_flag(capsys, argv, flag):
     assert f"argument {flag}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("klong", ["5j", "-0.5j", "1+0.5j", "-0.5", "0"])
+def test_cli_rejects_right_labels_off_the_label_set(capsys, klong):
+    # right-incident labels are kz > 0 or i t; at n = 2, |k_par| = 1 the
+    # evanescent segment is 0 < t <= Gamma = sqrt(3)/2
+    assert main(MODES + ["--kpar", "1", f"--klong={klong}"]) == 2
+    captured = capsys.readouterr()
+    assert "--klong" in captured.err and "Gamma" in captured.err
+    assert captured.out == ""
+    assert main(MODES + ["--kpar", "1", f"--klong={math.sqrt(3.0) / 2.0}j", "--steps", "2"]) == 0
+
+
 def test_cli_verify_suite(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", "fresnel", "--out", str(out)]) == 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import exp1
 
 from halfspace_qed import spectral
 from halfspace_qed.spectral import (
@@ -12,6 +13,7 @@ from halfspace_qed.spectral import (
     damped_radial_transform,
     decaying_halfline_integral,
     halfline_oscillatory_integral,
+    ray_integral,
 )
 
 SPEC = QuadratureSpec()
@@ -54,14 +56,19 @@ def test_engines_reject_non_finite_geometry(bad):
     for scales in (np.array([1.0, bad]), np.array([])):
         with pytest.raises(ValueError, match="oscillation_scale"):
             halfline_oscillatory_integral(lambda k, entries: np.sin(k), scales, SPEC)
+        with pytest.raises(ValueError, match="oscillation_scale"):
+            ray_integral(lambda k, entries: np.exp(1j * k), scales, 2, SPEC)
+    with pytest.raises(ValueError, match="oscillation_scale"):
+        ray_integral(lambda k, entries: np.exp(1j * k), bad, 1, SPEC)
+    for entries in (0, 2.0, None):
+        with pytest.raises(ValueError, match="entries"):
+            ray_integral(lambda k, entries: np.exp(1j * k), 1.0, entries, SPEC)
     with pytest.raises(ValueError, match="gamma"):
         cut_segment_integral(lambda t: t, bad, SPEC)
     with pytest.raises(ValueError, match="gamma"):
         cut_segment_integral(lambda t: t, np.array([1.0, bad]), SPEC)
     with pytest.raises(ValueError, match="scale"):
         decaying_halfline_integral(np.exp, np.array([1.0, bad]), SPEC)
-    with pytest.raises(ValueError, match="offset"):
-        decaying_halfline_integral(np.exp, 1.0, SPEC, offset=np.array([0.0, bad]))
 
 
 def test_cut_segment_batched_gamma():
@@ -83,23 +90,24 @@ def test_cut_segment_batched_gamma():
 
 
 def test_decaying_halfline_batched_scale_and_offset():
+    # the Lorentzians of each entry are shifted by its offset
     scales = np.geomspace(1e-3, 50.0, 15)
     offsets = np.linspace(0.0, 2.0, 15)
     abscissae = []
 
-    def integrand(scale):
+    def integrand(scale, offset):
         def f(k):
             abscissae.append(len(k))
-            return scale / (scale * scale + k * k)
+            return scale / (scale * scale + (k + offset) ** 2)
         return f
 
-    batch = decaying_halfline_integral(integrand(scales), scales, SPEC, offset=offsets)
+    batch = decaying_halfline_integral(integrand(scales, offsets), scales, SPEC)
     assert batch.value.shape == (15,)
     assert batch.nodes_used == sum(abscissae) * scales.size
     exact = np.pi / 2 - np.arctan(offsets / scales)
     assert np.allclose(batch.value, exact, rtol=1e-9, atol=0.0)
     singles = np.array([
-        decaying_halfline_integral(integrand(s), s, SPEC, offset=o).value
+        decaying_halfline_integral(integrand(s, o), s, SPEC).value
         for s, o in zip(scales, offsets)
     ])
     assert np.max(np.abs(batch.value - singles)) <= 1e-10 * np.max(np.abs(batch.value))
@@ -191,7 +199,7 @@ def test_damped_radial_rejects_zero_damping():
 def test_decaying_halfline():
     res = decaying_halfline_integral(lambda k: 1.0 / (1.0 + k * k), 1.0, SPEC)
     assert abs(res.value - math.pi / 2) < 1e-12
-    res = decaying_halfline_integral(lambda k: np.exp(-k), 1.0, SPEC, offset=2.0)
+    res = decaying_halfline_integral(lambda k: np.exp(-(k + 2.0)), 1.0, SPEC)
     assert abs(res.value - math.exp(-2.0)) < 1e-12
 
 
@@ -232,9 +240,8 @@ def test_deterministic_bit_identical():
     widths = np.array([0.1, 1.0, 3.0])
     runs = [
         (halfline_oscillatory_integral, (f, 0.7, SPEC)),
-        (halfline_oscillatory_integral,
-         (lambda k, entries: np.cos(0.7 * k) / (1 + (widths[entries] * k) ** 2),
-          np.full(3, 0.7), SPEC)),
+        (ray_integral,
+         (lambda k, entries: np.exp(0.7j * k) / (1 + (widths[entries] * k) ** 2), 0.7, 3, SPEC)),
         (cut_segment_integral, (lambda t: t / np.sqrt(2.25 - t * t), 1.5, SPEC)),
         (damped_radial_transform, (lambda k: 1.0 / (1 + k), 0.8, SPEC)),
         (decaying_halfline_integral, (lambda k: widths / (widths ** 2 + k * k), widths, SPEC)),
@@ -443,14 +450,16 @@ def test_adaptive_panels_raises_at_the_panel_cap(monkeypatch):
 @pytest.mark.parametrize("engine, args", [
     (spectral.adaptive_panels, (np.linspace(0.0, 1.0, 5), SPEC)),
     (halfline_oscillatory_integral, (1.0, SPEC)),
+    (ray_integral, (1.0, 2, SPEC)),
     (cut_segment_integral, (np.array([0.5, 1.0]), SPEC)),
     (decaying_halfline_integral, (1.0, SPEC)),
     (damped_radial_transform, (1.0, SPEC)),
-], ids=["adaptive_panels", "halfline", "cut_segment", "decaying_halfline", "damped_radial"])
+], ids=["adaptive_panels", "halfline", "ray", "cut_segment", "decaying_halfline",
+        "damped_radial"])
 def test_non_finite_panel_raises_after_one_call(engine, args):
     calls = []
 
-    def poisoned(x):
+    def poisoned(x, *entries):
         calls.append(len(x))
         return np.nan * x
 
@@ -459,44 +468,66 @@ def test_non_finite_panel_raises_after_one_call(engine, args):
     assert len(calls) == 1
 
 
+# ---------------------------------------------------------------------------
+# the damped ray
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("s", [0.3, 1.0, 7.0])
+def test_ray_integral_meets_closed_forms(s):
+    # int_0^inf e^{iks} dk = i/s (Abel) and int_0^inf e^{iks}/(k + i a) dk =
+    # e^{as} E1(as): the pole at k = -i a lies outside the first quadrant
+    a = np.array([0.05, 1.0, 20.0])
+
+    def f(k, entries):
+        return np.stack([np.exp(1j * k * s), np.exp(1j * k * s) / (k + 1j * a[entries])], axis=-1)
+
+    res = ray_integral(f, s, a.size, SPEC)
+    assert res.value.shape == (a.size, 2)
+    exact = np.stack([np.full(a.size, 1j / s), np.exp(a * s) * exp1(a * s)], axis=-1)
+    observed = np.max(np.abs(res.value - exact), axis=1)
+    assert np.all(observed <= res.entry_errors)
+    assert res.error_estimate == res.entry_errors.max()
+    assert res.error_estimate <= SPEC.tolerance(float(np.max(np.abs(res.value))))
+
+
 def _two_widths(k, w):
-    return np.stack([np.cos(k) / (1.0 + (w * k) ** 2), np.sin(k) * np.exp(-w * k)], axis=-1)
+    return np.stack([np.exp(1j * k) / (1.0 + (w * k) ** 2), np.exp(1j * k) * w / (k + 1j * w)],
+                    axis=-1)
 
 
-def test_kappa_batch_converges_as_a_whole():
-    # alone, the entries' Levin sums converge at different half-periods; in
-    # a batch every entry runs to the same one, so a value does not jump
-    # where a neighbouring entry would stop, while a bisection evaluates only
-    # the entries whose own half-period needs it
-    widths = np.array([0.05, 0.3, 1.0, 4.0])
-    last_period, columns = {}, []
+def test_ray_gives_each_entry_its_own_panels():
+    # each entry refines only its own panels, to the batch tolerance from the
+    # max-norm over all entries: the last entry, the third scaled by 1e-8,
+    # stops at its first panels in the batch but refines further alone
+    widths = np.array([0.05, 1.0, 30.0, 30.0])
+    amps = np.array([1.0, 1.0, 1.0, 1e-8])
+    columns = {}
 
     def batch(k, entries):
-        columns.append(len(entries))
-        for col, entry in enumerate(entries):
-            last_period[entry] = max(last_period.get(entry, 0), int(k[:, col].max() // math.pi))
-        return _two_widths(k, widths[entries])
+        for entry in entries:
+            columns[entry] = columns.get(entry, 0) + 1
+        return amps[entries, None] * _two_widths(k, widths[entries])
 
-    res = halfline_oscillatory_integral(batch, np.ones(len(widths)), SPEC)
-    assert res.value.shape == (len(widths), 2)
-    assert res.nodes_used == 15 * sum(columns)
-    assert len(set(last_period.values())) == 1
-    assert 0 < min(columns) < len(widths)
+    res = ray_integral(batch, 1.0, len(widths), SPEC)
+    assert res.nodes_used == 15 * sum(columns.values())
     assert res.entry_errors.shape == widths.shape
     assert res.error_estimate == res.entry_errors.max()
-    assert len(set(res.entry_errors)) == len(widths)
-    single_periods = set()
-    for w, row, err in zip(widths, res.value, res.entry_errors):
-        reached = []
+    assert len(set(columns.values())) > 2
+    assert columns[3] == spectral._RAY_PANELS < columns[2]
+    assert res.error_estimate <= SPEC.tolerance(float(np.max(np.abs(res.value))))
+    for w, amp, row, err in zip(widths, amps, res.value, res.entry_errors):
+        single = ray_integral(lambda k, entries, w=w: amp * _two_widths(k, w), 1.0, 1, SPEC)
+        assert single.value.shape == (1, 2)
+        assert single.nodes_used > 15 * spectral._RAY_PANELS
+        assert np.max(np.abs(row - single.value[0])) <= err + single.error_estimate
+        # and the real-axis route agrees
+        levin = halfline_oscillatory_integral(lambda k, w=w: amp * _two_widths(k, w), 1.0, SPEC)
+        assert np.max(np.abs(row - levin.value)) <= err + levin.error_estimate
 
-        def single_f(k, w=w):
-            reached.append(int(k.max() // math.pi))
-            return _two_widths(k, w)
 
-        single = halfline_oscillatory_integral(single_f, 1.0, SPEC)
-        single_periods.add(max(reached))
-        assert single.entry_errors is None
-        assert np.max(np.abs(row - single.value)) <= err + single.error_estimate
-    assert len(single_periods) > 1
-    exact = math.pi / (2.0 * widths) * np.exp(-1.0 / widths)
-    assert np.all(np.abs(res.value[:, 0] - exact) <= res.entry_errors)
+def test_ray_raises_at_the_panel_cap(monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_PANELS", 24)
+    with pytest.raises(QuadratureError, match="ray integral stalled at error .* after 24 panels"):
+        # a pole at k = 1e-6 (i - 1), off the first quadrant, sits next to the ray's origin
+        ray_integral(lambda k, entries: 1.0 / (k - 1e-6 * (1j - 1.0)) + 0.0 * entries,
+                     1.0, 2, SPEC)
