@@ -17,8 +17,8 @@ from .config import ConfigError, load_config
 from .fresnel import fresnel_coefficients
 from .greens import GreenVariant, PointPair, grad_grad_green_tensor, image_grad_grad_tensor
 from .kernels import KernelKind, assemble_kernel_result, kernel_closed_form
-from .medium import Medium, Polarization, Side, SpectralPoint, evanescent_threshold
-from .modes import carniglia_mandel_mode
+from .medium import Medium, Polarization, Side, SpectralPoint
+from .modes import carniglia_mandel_mode, label_kz
 from .energy import second_order_shift
 from .report import (
     CheckReport,
@@ -102,14 +102,11 @@ def cmd_fresnel(args: argparse.Namespace) -> int:
 def cmd_modes_eval(args: argparse.Namespace) -> int:
     med = Medium(args.n)
     side = Side.LEFT if args.side == "L" else Side.RIGHT
-    if side is Side.RIGHT:
-        # a right-incident label is a travelling kz > 0 or i t on the
-        # evanescent segment 0 < t <= Gamma
-        kz, gamma = args.klong, float(evanescent_threshold(med, args.kpar))
-        if not (kz.real > 0.0 and kz.imag == 0.0 or kz.real == 0.0 and 0.0 < kz.imag <= gamma):
-            raise ValueError(f"argument --klong: expected kz > 0 or i t with 0 < t <= "
-                             f"Gamma = {gamma:.6g}, got {kz!r}")
     point = SpectralPoint((args.kpar, 0.0), args.klong, side, Polarization(args.pol))
+    try:
+        label_kz(med, point)
+    except ValueError as exc:
+        raise ValueError(f"argument --klong: {exc}") from None
     lines = ["z,fx_re,fx_im,fy_re,fy_im,fz_re,fz_im"]
     for z in np.linspace(args.zmin, args.zmax, args.steps):
         f = carniglia_mandel_mode(med, point, np.array([args.x, args.y, z]))

@@ -36,6 +36,7 @@ from .medium import (
     Polarization,
     Side,
     SpectralPoint,
+    evanescent_threshold,
     mode_frequency,
     refracted_kz,
     vacuum_kz_from_kzd,
@@ -43,6 +44,7 @@ from .medium import (
 
 __all__ = [
     "polarization_vector",
+    "label_kz",
     "carniglia_mandel_mode",
     "surface_charge_mode",
     "sigma_mode_coefficient",
@@ -80,18 +82,28 @@ def _real_kzd(kz_or_kzd: complex) -> float:
     return kzd.real
 
 
-def _label_kz(medium: Medium, point: SpectralPoint) -> complex:
-    """Vacuum-side k_z of a label (inverting refraction for left incidence)."""
-    if point.side is Side.RIGHT:
-        return complex(point.kz)
-    return vacuum_kz_from_kzd(medium, point.kpar_mag, _real_kzd(point.kz))
+def label_kz(medium: Medium, point: SpectralPoint) -> complex:
+    """Vacuum-side k_z of a label (inverting refraction for left incidence).
+    A right-incident label is a travelling k_z > 0 or i t on the evanescent
+    segment 0 < t <= Gamma, a left-incident one a real k_zd >= 0; any other
+    label raises ValueError naming it."""
+    if point.side is Side.LEFT:
+        return vacuum_kz_from_kzd(medium, point.kpar_mag, _real_kzd(point.kz))
+    kz = complex(point.kz)
+    if kz.real > 0.0 and kz.imag == 0.0:
+        return kz
+    gamma = float(evanescent_threshold(medium, point.kpar_mag))
+    if kz.real == 0.0 and 0.0 < kz.imag <= gamma:
+        return kz
+    raise ValueError(f"right-incident label kz = {kz!r} is neither kz > 0 nor i t with "
+                     f"0 < t <= Gamma = {gamma:.6g}")
 
 
 def carniglia_mandel_mode(medium: Medium, point: SpectralPoint, r: np.ndarray) -> np.ndarray:
     """Evaluate the mode function of ``point`` at position r (complex 3-vector)."""
     r = np.asarray(r, dtype=float)
     kx, ky = point.kpar
-    kz = _label_kz(medium, point)
+    kz = label_kz(medium, point)
     kzd = refracted_kz(medium, point.kpar_mag, kz)
     coef = fresnel_coefficients(medium, point.pol, point.kpar_mag, kz)
     phase_par = np.exp(1j * (kx * r[0] + ky * r[1]))

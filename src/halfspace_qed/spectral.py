@@ -17,13 +17,21 @@ naming the panel.
    integral into the integral along the ray k = u e^{i theta}, theta = pi/4,
    where f decays like e^{-u s sin theta} (the path deformation of
    Sommerfeld-type integrals).  ``ray_integral`` maps the ray by
-   u = l tan(v), l = 1/(s sin theta), and refines adaptive panels on
-   v in (0, pi/2); the numerical path stays independent of any residue
-   evaluation.  An integrand that is not analytic there (the undamped Bessel
-   branch of the radial assembly) stays on the real axis: the axis is
-   partitioned at the oscillation zeros (half-period pi/s segments), each
-   segment is integrated by internally adaptive panels, and the sequence of
-   partial sums is accelerated with a sliding-window Levin u-transformation.
+   u = l tan(v), l = 1/(s sin theta), so that x = u s sin theta = tan(v)
+   and f goes like e^{(i-1) x}, and refines adaptive panels on
+   v in (0, pi/2).  Its first panels end at x = 0.3, 0.9, 2, 4, 8, 16 and
+   infinity: past x ~ 1 each is twice as wide in x as the one before, so
+   each holds about the same share of the damped oscillation, and a lone
+   entry mostly converges after one refinement level.  An entry stops once
+   its error is within the batch tolerance of its level and is not
+   reopened if that tolerance falls later; the ray raises only for an entry
+   that reached the panel cap.  The numerical path stays independent of any
+   residue evaluation.  An integrand that is not analytic there (the
+   undamped Bessel branch of the radial assembly) stays on the real axis:
+   the axis is partitioned at the oscillation zeros (half-period pi/s
+   segments), each segment is integrated by internally adaptive panels, and
+   the sequence of partial sums is accelerated with a sliding-window Levin
+   u-transformation.
    The whole-segment panels of a block of consecutive half-periods share one
    integrand call, and the half-periods of the block whose error is large
    against their own L1 content are bisected together, level by level.
@@ -45,7 +53,8 @@ naming the panel.
 Integrands may return scalars or ndarrays (all components share the node
 set); tolerances always apply to the max-norm.  Everything is deterministic:
 identical inputs produce bit-identical outputs.  An integral that misses its
-tolerance raises :class:`QuadratureError`; a returned result always met it.
+tolerance raises :class:`QuadratureError`; a returned result always met it
+(on the ray, the tolerance at the level where its entry stopped).
 
 Batches compute one integral per entry (a |k_par| value, say) under one
 batch tolerance: max(abs_tol, rel_tol x the max-norm over the whole batch),
@@ -156,9 +165,10 @@ Integrand = Callable[[np.ndarray], np.ndarray]
 # bounds the work spent on a non-convergent integrand.
 _MAX_PANELS = 800
 _SEGMENT_MAX_PANELS = 48
-# First panels of each entry of a ray integral.  Eight save a level on a lone
-# kappa but cost the many-kappa profile calls of an assembly more nodes.
-_RAY_PANELS = 4
+# First panels of each entry of a ray integral, v = atan(x) at x = u s sin(pi/4):
+# each holds about the same share of the e^{(i-1)x} decay of the body.
+_RAY_BREAKS = np.arctan([0.0, 0.3, 0.9, 2.0, 4.0, 8.0, 16.0, np.inf])
+_RAY_PANELS = len(_RAY_BREAKS) - 1
 # Half-periods whose first panel shares one integrand call.  Four keeps an
 # integrand that vanishes (two quiet half-periods) at 60 nodes per entry.
 _HALF_PERIOD_BLOCK = 4
@@ -418,9 +428,15 @@ def ray_integral(f: Callable, oscillation_scale: float, entries: int,
     The map u = l tan(v), l = 1/(s sin(pi/4)), compactifies the ray, so that
     k = (1 + i) tan(v)/s.  f is called as f(k, entries), k of shape (nodes,
     panels) and ``entries`` the entry of each panel column, and returns
-    (nodes, panels, *comps).  Each entry refines its own panels to the batch
-    tolerance, max(abs_tol, rel_tol x the max-norm over all entries), and
-    reports its error in ``entry_errors``.
+    (nodes, panels, *comps).  Each entry starts on the panels of _RAY_BREAKS,
+    which end at x = tan(v) = 0.3, 0.9, 2, 4, 8, 16 and infinity, and refines
+    them to the batch tolerance, max(abs_tol, rel_tol x the max-norm over all
+    entries), and reports its error in ``entry_errors``.  The max-norm is
+    taken level by level, and an entry stops for good once its error is
+    within the tolerance of that level, even if the tolerance falls later as
+    the other entries' norms settle.  So an entry's error is bounded by the
+    tolerance it stopped at, not always by the final one, and QuadratureError
+    is raised only for an entry that reached the panel cap.
     """
     step = (1.0 + 1.0j) / _oscillation_scale(oscillation_scale)  # e^{i pi/4} l
     if not (isinstance(entries, numbers.Integral) and entries >= 1):
@@ -432,19 +448,21 @@ def ray_integral(f: Callable, oscillation_scale: float, entries: int,
         jac = step * (1.0 + t * t)
         return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - jac.ndim))
 
-    breaks = np.linspace(0.0, 0.5 * math.pi, _RAY_PANELS + 1)
-    lo, hi = np.tile(breaks[:-1], entries), np.tile(breaks[1:], entries)
+    lo, hi = np.tile(_RAY_BREAKS[:-1], entries), np.tile(_RAY_BREAKS[1:], entries)
     owner = np.repeat(np.arange(entries), _RAY_PANELS)
     val, err = _gauss_kronrod(g, lo, hi, owner)
     norm = np.zeros(entries)  # each entry's max-norm, final once it stops
+    bound = np.zeros(entries)  # the batch tolerance each entry saw last
 
     def tolerance(ids, tot, content):
         norm[ids] = np.abs(tot).reshape(len(ids), -1).max(axis=1)
-        return spec.tolerance(float(norm.max()))
+        bound[ids] = spec.tolerance(float(norm.max()))
+        return bound[ids]
 
     total, error, nodes = _refine(g, lo, hi, owner, val, err, tolerance, _MAX_PANELS)
-    if error.max() > spec.tolerance(float(norm.max())):  # stopped by the cap
-        raise QuadratureError(f"ray integral stalled at error {error.max():.3e} "
+    capped = error > bound  # stopped by the cap, not within its last tolerance
+    if capped.any():
+        raise QuadratureError(f"ray integral stalled at error {error[capped].max():.3e} "
                               f"after {_MAX_PANELS} panels")
     return IntegralResult(total, float(error.max()), nodes + 15 * len(lo), error)
 

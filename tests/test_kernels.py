@@ -33,6 +33,7 @@ from halfspace_qed.kernels import (
 )
 from halfspace_qed.medium import Medium, Polarization, Side
 from halfspace_qed.spectral import IntegralResult, QuadratureSpec
+from halfspace_qed.verification import _PAIRS_LOWER, _residue_points
 
 SPEC = QuadratureSpec()
 # one radial panel's worth of |k_par| values, from near 0 to deep in the damped tail
@@ -573,6 +574,30 @@ def test_ray_route_matches_the_levin_real_axis(profile, n, monkeypatch):
     assert np.max(np.abs(ray.value)) > 1e3 * np.max(ray.entry_errors + err)
 
 
+def test_lone_kappa_rays_converge_after_one_level(monkeypatch):
+    # the ray's first panels each hold about the same share of the
+    # e^{(i-1)x} decay, so a lone-kappa profile at a verify residue point
+    # converges after one refinement level: two integrand calls, at most four
+    calls = []
+    ray = kernels.ray_integral
+
+    def counted(f, scale, entries, spec):
+        def g(k, owner):
+            calls[-1] += 1
+            return f(k, owner)
+        calls.append(0)
+        return ray(g, scale, entries, spec)
+
+    monkeypatch.setattr(kernels, "ray_integral", counted)
+    rng = np.random.default_rng(42)  # the verify seed
+    for n in (1.5, 2.0, 4.0):
+        for kap, z, zp in _residue_points(rng, 51):
+            kz_profile(Medium(n), kap, z, zp, SPEC)
+    assert len(calls) == 153
+    assert np.median(calls) == 2
+    assert max(calls) <= 4
+
+
 def test_profiles_never_call_the_levin_halfline(monkeypatch):
     # every k_z profile integrates its travelling body on the damped ray
     def refuse(*args, **kwargs):
@@ -594,12 +619,13 @@ def test_profiles_never_call_the_levin_halfline(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", [KernelKind.GENERALIZED_DELTA, KernelKind.TRUE_COULOMB])
-def test_large_n_lower_pair_meets_its_closed_form(kind):
-    # at this n = 40 pair below the interface, per-kappa stopping noise of the
-    # transmitted profiles at the 1e-11 level drives the radial layer to its
-    # panel cap
+@pytest.mark.parametrize("r, rp", _PAIRS_LOWER, ids=[f"lower{i}" for i in range(4)])
+def test_large_n_lower_pair_meets_its_closed_form(r, rp, kind):
+    # at n = 40 on every lower verify pair; on (0.2, 0.6, -1)/(-0.1, 0, 0.5),
+    # per-kappa stopping noise of the transmitted profiles at the 1e-11 level
+    # once drove the radial layer to its panel cap
     med = Medium(40.0)
-    p = pair((0.2, 0.6, -1.0), (-0.1, 0.0, 0.5))
+    p = pair(r, rp)
     res = assemble_kernel_result(med, kind, p, SPEC)
     target = kernel_closed_form(med, kind, p)
     observed = np.max(np.abs(res.tensor - target))

@@ -110,6 +110,16 @@ def test_mode_plane_wave_pieces_satisfy_helmholtz():
         assert np.max(np.abs(resid)) < 1e-6 * eps * omega**2 * np.max(np.abs(f0))
 
 
+@pytest.mark.parametrize("kz", [5j, -0.5, 0.9j, 0.0])
+def test_right_labels_off_the_label_set_raise(kz):
+    # right-incident labels are kz > 0 or i t with 0 < t <= Gamma = sqrt(3)/2
+    # at n = 2, |k_par| = 1; 5j once gave |E_x| ~ 1427 at z = 2
+    med = Medium(2.0)
+    bad = SpectralPoint((1.0, 0.0), kz, Side.RIGHT, Polarization.TM)
+    with pytest.raises(ValueError, match="right-incident label kz = .*Gamma"):
+        carniglia_mandel_mode(med, bad, np.array([0.0, 0.0, 2.0]))
+
+
 def test_left_labels_reject_imaginary_kzd():
     med = Medium(2.0)
     bad = SpectralPoint((1.0, 0.0), 0.5j, Side.LEFT, Polarization.TM)

@@ -525,6 +525,35 @@ def test_ray_gives_each_entry_its_own_panels():
         assert np.max(np.abs(row - levin.value)) <= err + levin.error_estimate
 
 
+def test_ray_entry_within_the_tolerance_it_stopped_at_is_returned(monkeypatch):
+    # the batch tolerance follows the max-norm of the running entries.  On
+    # four equal first panels in v the narrow peak of entry 0 reads 2.36 in
+    # norm, 1.74 once resolved; entry 1 stops on its first panels with an
+    # error of 2.05e-9, within the first tolerance 2.36e-9 but above the final
+    # 1.74e-9.  It met the tolerance it stopped at, so the ray does not stall
+    monkeypatch.setattr(spectral, "_RAY_BREAKS", np.linspace(0.0, 0.5 * math.pi, 5),
+                        raising=False)
+    monkeypatch.setattr(spectral, "_RAY_PANELS", 4)
+    amp = 1.424e-4
+    columns = np.zeros(2, dtype=int)
+
+    def peak(k):
+        return np.exp(1j * k) / ((k * np.exp(-0.25j * math.pi) - 4.0) ** 2 + 0.1 ** 2)
+
+    def batch(k, entries):
+        np.add.at(columns, entries, 1)
+        return np.where(entries == 0, peak(k), amp * np.exp(1j * k) / (1.0 + k) ** 2)
+
+    res = ray_integral(batch, 1.0, 2, SPEC)
+    assert columns[1] == 4 < columns[0]
+    assert SPEC.tolerance(float(np.max(np.abs(res.value)))) < res.entry_errors[1] < 2.1e-9
+    # int_0^inf e^{ik}/(1+k)^2 dk = 1 + i e^{-i} E1(-i), by parts
+    exact = amp * (1.0 + 1j * np.exp(-1j) * exp1(-1j))
+    assert abs(res.value[1] - exact) <= res.entry_errors[1]
+    single = ray_integral(lambda k, entries: peak(k), 1.0, 1, SPEC)
+    assert abs(res.value[0] - single.value[0]) <= res.entry_errors[0] + single.error_estimate
+
+
 def test_ray_raises_at_the_panel_cap(monkeypatch):
     monkeypatch.setattr(spectral, "_MAX_PANELS", 24)
     with pytest.raises(QuadratureError, match="ray integral stalled at error .* after 24 panels"):
