@@ -52,6 +52,7 @@ from .spectral import (
     QuadratureSpec,
     adaptive_panels,
     cut_segment_integral,
+    damped_breakpoints,
     halfline_oscillatory_integral,
     ray_integral,
 )
@@ -73,11 +74,12 @@ __all__ = [
 ]
 
 _TWO_PI_CUBED = (2.0 * math.pi) ** 3
-# Radial panels (15 kappa each) per profile call.  The largest radial level of
-# the benchmark workloads has 14 panels, so each of their levels is one call.
-# Near the radial panel cap a level holds hundreds of panels; one call for all
-# of them peaked at 4.4 GB resident on an n = 40 assembly that this bound
-# keeps at 203 MB.
+# Radial panels (15 kappa each) per profile call.  The first level of a damped
+# radial integral holds the five decay panels of spectral.damped_breakpoints,
+# split at the Bessel half-period: at most 16 on the verify pairs, so each of
+# them is one call.  Near the radial panel cap a level holds hundreds of
+# panels; one call for all of them peaked at 4.4 GB resident on an n = 40
+# assembly that this bound keeps at 203 MB.
 _PROFILE_PANELS = 16
 
 
@@ -368,9 +370,12 @@ def _radial_assemble(
 
     Exponentially damped profiles are truncated after the configured number
     of decay decades, and the truncated tail is bounded from the profile at
-    the largest kappa evaluated; profiles whose damping scale is much shorter
-    than the Bessel period instead go through the oscillatory engine with the
-    Bessel zeros as partition (the free-space part at z ~ z' needs this).
+    the largest kappa evaluated.  They start on the panels of
+    ``spectral.damped_breakpoints``, which follow the e^{-kappa*damping}
+    decay and are split at the Bessel half-period pi/rho.  Profiles whose
+    truncated range would span more than 40 Bessel half-periods instead go
+    through the oscillatory engine with the Bessel zeros as partition (the
+    free-space part at z ~ z' needs this).
     """
     nodes_extra = 0
     err_inner_rate = 0.0  # peak of (inner error x Bessel weight scale) over kappa
@@ -409,10 +414,9 @@ def _radial_assemble(
         raise ValueError("profile without damping needs rho > 0 for the assembly")
     kmax = spec.damped_truncation_decades * math.log(10.0) / damping if damping > 0.0 else math.inf
     # truncation unless the damping scale is so short that the range would
-    # need an unreasonable number of Bessel panels
-    if rho == 0.0 or kmax * rho <= 2.0 * math.pi or kmax <= 40.0 * math.pi / rho:
-        npanels = max(8, min(256, int(math.ceil(kmax * rho / math.pi))))
-        res = adaptive_panels(integrand, np.linspace(0.0, kmax, npanels + 1), spec)
+    # span more than 40 Bessel half-periods
+    if kmax * rho <= 40.0 * math.pi:
+        res = adaptive_panels(integrand, damped_breakpoints(damping, spec, rho), spec)
         # beyond kmax the profile decays like e^{-kappa * damping} (up to powers of kappa)
         tail = tail_rate / damping
     else:

@@ -47,8 +47,11 @@ naming the panel.
 
 3. Exponentially damped half-line transforms int_0^inf f(k) e^{-k a} dk:
    truncation after a configured number of decay decades, with the truncated
-   tail bound folded into the error estimate, plus adaptive panels.  (The
-   Bessel-weighted radial assembly of the kernels lives in ``kernels``.)
+   tail bound folded into the error estimate, plus adaptive panels.  The
+   first panels (``damped_breakpoints``) end at x = k a = 1.5, 4, 8, 14 and
+   the truncation, where a damped radial integral mostly converges.  The
+   Bessel-weighted radial assembly of the kernels (in ``kernels``) starts on
+   the same panels, each split at the Bessel half-period.
 
 Integrands may return scalars or ndarrays (all components share the node
 set); tolerances always apply to the max-norm.  Everything is deterministic:
@@ -87,6 +90,7 @@ __all__ = [
     "halfline_oscillatory_integral",
     "ray_integral",
     "cut_segment_integral",
+    "damped_breakpoints",
     "damped_radial_transform",
     "decaying_halfline_integral",
 ]
@@ -169,6 +173,9 @@ _SEGMENT_MAX_PANELS = 48
 # each holds about the same share of the e^{(i-1)x} decay of the body.
 _RAY_BREAKS = np.arctan([0.0, 0.3, 0.9, 2.0, 4.0, 8.0, 16.0, np.inf])
 _RAY_PANELS = len(_RAY_BREAKS) - 1
+# First-panel ends of a damped radial transform in x = k * damping, below its
+# truncation (see damped_breakpoints).
+_DAMPED_BREAKS = (0.0, 1.5, 4.0, 8.0, 14.0)
 # Half-periods whose first panel shares one integrand call.  Four keeps an
 # integrand that vanishes (two quiet half-periods) at 60 nodes per entry.
 _HALF_PERIOD_BLOCK = 4
@@ -490,23 +497,42 @@ def cut_segment_integral(f: Integrand, gamma: ArrayLike, spec: QuadratureSpec) -
     return replace(res, nodes_used=res.nodes_used * gamma.size)
 
 
+def damped_breakpoints(damping: float, spec: QuadratureSpec, rho: float = 0.0) -> np.ndarray:
+    """First-panel breakpoints in k of a damped radial transform over
+    (0, kmax), kmax the truncation after ``spec.damped_truncation_decades``
+    decades of e^{-k*damping}.  In x = k*damping the panels end at 1.5, 4, 8,
+    14 (those below x_max) and x_max: narrow where the x^2 e^{-x} weight of a
+    radial integrand (measure k times a profile ~ k e^{-x}) peaks, wider down
+    its tail.  With rho > 0 a panel wider than the Bessel half-period pi/rho
+    is split into equal panels no wider than it."""
+    if not (math.isfinite(damping) and damping > 0.0):
+        raise ValueError(f"damping must be positive and finite, got {damping!r}")
+    x_max = spec.damped_truncation_decades * math.log(10.0)
+    x = [b for b in _DAMPED_BREAKS if b < x_max] + [x_max]
+    if rho > 0.0:
+        half = math.pi * damping / rho  # the half-period in x
+        x = np.concatenate([np.linspace(a, b, max(1, math.ceil((b - a) / half)) + 1)[:-1]
+                            for a, b in zip(x[:-1], x[1:])] + [[x_max]])
+    return np.asarray(x) / damping
+
+
 def damped_radial_transform(f: Integrand, damping: float, spec: QuadratureSpec) -> IntegralResult:
-    """int_0^inf f(k) e^{-k*damping} dk.
+    """int_0^inf f(k) e^{-k*damping} dk on the first panels of
+    ``damped_breakpoints``.
 
     The integral is truncated once the damping factor has fallen through
     ``spec.damped_truncation_decades`` decades; the truncated tail bound is
     folded into the error estimate.
     """
-    if not (math.isfinite(damping) and damping > 0.0):
-        raise ValueError(f"damping must be positive and finite, got {damping!r}")
-    kmax = spec.damped_truncation_decades * math.log(10.0) / damping
+    breaks = damped_breakpoints(damping, spec)
+    kmax = float(breaks[-1])
 
     def g(k: np.ndarray) -> np.ndarray:
         vals = np.asarray(f(k))
         weight = np.exp(-k * damping)
         return vals * weight.reshape((-1,) + (1,) * (vals.ndim - 1))
 
-    res = adaptive_panels(g, np.linspace(0.0, kmax, 9), spec)
+    res = adaptive_panels(g, breaks, spec)
     tail = np.asarray(f(np.array([kmax])))[0]
     err = res.error_estimate + float(np.abs(tail).max()) * math.exp(-kmax * damping) / damping
     if err > spec.tolerance(float(np.abs(res.value).max())):

@@ -152,20 +152,25 @@ def test_travelling_left_part_on_the_vacuum_axis_matches_kzd_form(monkeypatch, n
 
 def test_shift_integrates_each_radial_level_in_one_call(monkeypatch):
     # the radial transform hands every kappa node of a refinement level to one
-    # call of the longitudinal half-line; at n = 2, z0 = 1 the first level
-    # (8 panels, 120 kappa) converges, and the truncated tail adds one call.
-    # One call per 15-node radial panel would make 9.
+    # call of the longitudinal half-line.  Its first panels follow the
+    # e^{-2 kappa z0} decay, so at every verify index and over the heights the
+    # first level (the five decay panels, 75 kappa) converges, and the
+    # truncated tail adds one call.  One call per 15-node radial panel would
+    # make 6; a coarser layout bisects, and its next level is a third call.
     batches = []
     engine = energy.decaying_halfline_integral
 
     def counted(f, scale, *args, **kwargs):
-        batches.append(np.size(scale))
+        batches[-1].append(np.size(scale))
         return engine(f, scale, *args, **kwargs)
 
     monkeypatch.setattr(energy, "decaying_halfline_integral", counted)
-    shift = second_order_shift(1.0, Medium(2.0), 1.0, SPEC)
-    assert batches == [120, 1]
-    assert abs(shift.ratio - 0.375) < 1e-9
+    for n in (1.5, 2.0, 4.0):
+        for z0 in (0.37, 0.5, 1.0, 2.0, 2.9):
+            batches.append([])
+            shift = second_order_shift(1.0, Medium(n), z0, SPEC)
+            assert abs(shift.ratio - shift.expected_ratio) < 1e-9
+    assert batches == 15 * [[75, 1]]
 
 
 def test_inner_integrals_converge_at_their_first_level(monkeypatch):

@@ -33,7 +33,7 @@ from halfspace_qed.kernels import (
 )
 from halfspace_qed.medium import Medium, Polarization, Side
 from halfspace_qed.spectral import IntegralResult, QuadratureSpec
-from halfspace_qed.verification import _PAIRS_LOWER, _residue_points
+from halfspace_qed.verification import _PAIRS_LOWER, _point_pairs, _residue_points
 
 SPEC = QuadratureSpec()
 # one radial panel's worth of |k_par| values, from near 0 to deep in the damped tail
@@ -336,13 +336,14 @@ def test_kz_profile_dispatches_on_the_side_of_z():
 
 
 @pytest.mark.parametrize("r, rp, batches", [
-    ((0.4, -0.2, 0.8), (0.1, 0.3, 0.5), [120]),
+    ((0.4, -0.2, 0.8), (0.1, 0.3, 0.5), [90]),
     ((2.0, 0.0, 0.1), (0.0, 0.0, 0.2), [60, 60, 60]),
 ], ids=["damped", "bessel_oscillation"])
 def test_assembly_calls_the_profile_once_per_level(r, rp, batches, monkeypatch):
-    # the damped branch's first level (8 panels, 120 kappa) converges; the
+    # the damped branch's first level (the five decay panels, the last split
+    # at the Bessel half-period: 6 panels, 90 kappa) converges; the
     # Bessel-oscillation branch takes its half-periods four to a call.  One
-    # call per 15-node radial panel would make 8 and 12 calls.
+    # call per 15-node radial panel would make 6 and 12 calls.
     seen = []
     profile = kernels.kz_profile
 
@@ -596,6 +597,57 @@ def test_lone_kappa_rays_converge_after_one_level(monkeypatch):
     assert len(calls) == 153
     assert np.median(calls) == 2
     assert max(calls) <= 4
+
+
+def test_damped_assemblies_converge_at_their_first_level(monkeypatch):
+    # the first radial panels follow the e^{-kappa d} decay, split at the
+    # Bessel half-period, so every damped radial integral of the verify pairs
+    # converges on them: one profile call.  A coarser layout bisects, and its
+    # next level is a second call.
+    calls = []  # [profile calls, damped] per radial integral
+    assemble, levin = kernels._radial_assemble, kernels.halfline_oscillatory_integral
+
+    def counted(profile_fn, rho, damping, spec):
+        record = [0, True]
+        calls.append(record)
+
+        def fn(kap):
+            record[0] += 1
+            return profile_fn(kap)
+        return assemble(fn, rho, damping, spec)
+
+    def undamped(*args):
+        calls[-1][1] = False
+        return levin(*args)
+
+    monkeypatch.setattr(kernels, "_radial_assemble", counted)
+    monkeypatch.setattr(kernels, "halfline_oscillatory_integral", undamped)
+    for n in (1.5, 2.0, 4.0, 40.0):
+        for kind in (KernelKind.GENERALIZED_DELTA, KernelKind.GAUGE_DIFFERENCE,
+                     KernelKind.TRUE_COULOMB):
+            for p in _point_pairs():
+                assemble_kernel_result(Medium(n), kind, p, SPEC)
+    assert [count for count, damped in calls if damped] == [1] * 152
+
+
+@pytest.mark.parametrize("z, zp, kap", [(-0.6, 0.5, 50.0), (-1.0, 1.0, 23.0), (-1.0, 1.0, 50.0)])
+def test_large_n_transmitted_profile_converges_deep_in_kappa(z, zp, kap):
+    # at n = 40 the transmitted phase n|z| sqrt(k_z^2 + kappa^2) chirps for
+    # kappa >> k_z; a real-axis partition at pi/(n|z| + z') never reached its
+    # linear regime there and raised after 48 half-periods
+    med = Medium(40.0)
+    prof = kz_profile(med, kap, z, zp, SPEC)
+    assert np.max(np.abs(prof.value - residue_profile(med, kap, z, zp))) <= prof.error_estimate
+
+
+def test_thin_margin_gauge_difference_pair_within_its_estimate():
+    # the thinnest estimate/observed margin of a random sweep of assemblies
+    # (rho ~ 0.05 below the interface); it read 1.37 once
+    med = Medium(2.179)
+    p = pair((-0.369, -0.367, -0.811), (-0.369, -0.419, 0.262))
+    res = assemble_kernel_result(med, KernelKind.GAUGE_DIFFERENCE, p, SPEC)
+    observed = np.max(np.abs(res.tensor - kernel_closed_form(med, KernelKind.GAUGE_DIFFERENCE, p)))
+    assert observed <= res.error_estimate
 
 
 def test_profiles_never_call_the_levin_halfline(monkeypatch):

@@ -10,6 +10,7 @@ from halfspace_qed.spectral import (
     QuadratureError,
     QuadratureSpec,
     cut_segment_integral,
+    damped_breakpoints,
     damped_radial_transform,
     decaying_halfline_integral,
     halfline_oscillatory_integral,
@@ -194,6 +195,38 @@ def test_damped_radial_rejects_zero_damping():
     for bad in (0.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="damping"):
             damped_radial_transform(lambda k: np.ones_like(k), bad, SPEC)
+        with pytest.raises(ValueError, match="damping"):
+            damped_breakpoints(bad, SPEC)
+
+
+@given(damping=st.floats(0.05, 20.0), rho=st.floats(0.0, 10.0),
+       decades=st.floats(2.0, 16.0))
+def test_damped_breakpoints_follow_the_decay_and_the_bessel_period(damping, rho, decades):
+    spec = QuadratureSpec(damped_truncation_decades=decades)
+    kmax = decades * math.log(10.0) / damping
+    breaks = damped_breakpoints(damping, spec, rho)
+    assert breaks[0] == 0.0 and breaks[-1] == kmax
+    assert np.all(np.diff(breaks) > 0.0)
+    if rho > 0.0:
+        assert np.diff(breaks).max() <= math.pi / rho * (1.0 + 1e-12)
+    # splitting adds at most one panel per decay panel to the half-periods
+    assert len(breaks) - 1 <= math.ceil(kmax * rho / math.pi) + 5
+
+
+def test_damped_breakpoints_are_the_decay_breaks_without_bessel_weight():
+    x = np.array([0.0, 1.5, 4.0, 8.0, 14.0, 10.0 * math.log(10.0)])
+    assert np.array_equal(damped_breakpoints(1.3, SPEC), x / 1.3)
+    assert np.array_equal(damped_breakpoints(1.3, SPEC, 0.0), x / 1.3)
+    # a truncation below x = 14 ends the layout there
+    short = QuadratureSpec(damped_truncation_decades=3.0)
+    assert np.array_equal(damped_breakpoints(2.0, short),
+                          np.array([0.0, 1.5, 4.0, 3.0 * math.log(10.0)]) / 2.0)
+    # at rho = 3 every decay panel is split at the Bessel half-period: 19
+    # panels, two more than the 17 half-periods of (0, kmax)
+    kmax = 10.0 * math.log(10.0) / 1.3
+    breaks = damped_breakpoints(1.3, SPEC, 3.0)
+    assert len(breaks) - 1 == 19 <= math.ceil(kmax * 3.0 / math.pi) + 5
+    assert np.all(np.isin(x / 1.3, breaks))
 
 
 def test_decaying_halfline():
