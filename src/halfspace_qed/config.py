@@ -2,10 +2,10 @@
 
 One `key = value` pair per line, `#` starts a comment, no nesting.  Known keys:
 
-    quad.abs_tol, quad.rel_tol, quad.max_periods, quad.accel_order,
-    quad.trunc_decades     -> quadrature engine parameters
-    seed                   -> RNG seed for sampled checks (default 42)
-    tol.<check family>     -> per-suite tolerance overrides, see DEFAULT_TOLERANCES
+    quad.abs_tol, quad.rel_tol -> quadrature tolerances
+    quad.trunc_decades         -> decay decades kept by the damped transforms
+    seed                       -> RNG seed for sampled checks (default 42)
+    tol.<check family>         -> per-suite tolerance overrides, see DEFAULT_TOLERANCES
 
 Any other key, a tolerance that is not positive and finite, a ``quad.*`` value
 the engine rejects, and a seed that is not a non-negative integer raise a
@@ -34,12 +34,10 @@ DEFAULT_TOLERANCES = {
     "tol.energy": 1e-4,
 }
 
-_QUAD_FIELDS = {  # config key -> (QuadratureSpec field, type)
-    "quad.abs_tol": ("abs_tol", float),
-    "quad.rel_tol": ("rel_tol", float),
-    "quad.max_periods": ("max_oscillation_periods", int),
-    "quad.accel_order": ("acceleration_order", int),
-    "quad.trunc_decades": ("damped_truncation_decades", float),
+_QUAD_FIELDS = {  # config key -> QuadratureSpec field
+    "quad.abs_tol": "abs_tol",
+    "quad.rel_tol": "rel_tol",
+    "quad.trunc_decades": "damped_truncation_decades",
 }
 _KNOWN_KEYS = frozenset((*_QUAD_FIELDS, "seed", *DEFAULT_TOLERANCES))
 
@@ -99,6 +97,6 @@ def tolerances_from_config(cfg: dict[str, str]) -> dict[str, float]:
 def quadrature_spec_from_config(cfg: dict[str, str]) -> QuadratureSpec:
     """QuadratureSpec with the ``quad.*`` overrides; a value it rejects names the key."""
     spec = QuadratureSpec()
-    for key, (field, cast) in _QUAD_FIELDS.items():
-        spec = config_value(cfg, key, lambda text: replace(spec, **{field: cast(text)}), spec)
+    for key, field in _QUAD_FIELDS.items():
+        spec = config_value(cfg, key, lambda text: replace(spec, **{field: float(text)}), spec)
     return spec

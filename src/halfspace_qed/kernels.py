@@ -384,9 +384,9 @@ def _radial_assemble(
 
     def integrand(karr: np.ndarray) -> np.ndarray:
         # the engine hands over the 15 nodes of each panel of a refinement
-        # level (on the Bessel-oscillation branch, of a block of half-periods
-        # or of a bisection level), node-major; up to _PROFILE_PANELS whole
-        # panels go to one profile call
+        # level (on the Bessel-oscillation branch, of one half-period or of
+        # a bisection level), node-major; up to _PROFILE_PANELS whole panels
+        # go to one profile call
         cols = karr.reshape(15, -1)
         return np.concatenate(
             [profile_part(cols[:, i:i + _PROFILE_PANELS]) for i in
@@ -423,12 +423,7 @@ def _radial_assemble(
         # undamped profiles converge through the Bessel oscillation alone;
         # a mildly relaxed tolerance keeps the accelerated partial sums well
         # inside the assembly target without demanding engine-level precision
-        osc_spec = replace(
-            spec,
-            abs_tol=spec.abs_tol * 30.0,
-            rel_tol=spec.rel_tol * 30.0,
-            max_oscillation_periods=max(spec.max_oscillation_periods, 64),
-        )
+        osc_spec = replace(spec, abs_tol=spec.abs_tol * 30.0, rel_tol=spec.rel_tol * 30.0)
         res = halfline_oscillatory_integral(integrand, rho, osc_spec)
         tail = 0.0
     xx, yy, zz, xz, zx = res.value

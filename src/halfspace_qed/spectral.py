@@ -32,13 +32,11 @@ naming the panel.
    segments), each segment is integrated by internally adaptive panels, and
    the sequence of partial sums is accelerated with a sliding-window Levin
    u-transformation.
-   The whole-segment panels of a block of consecutive half-periods share one
-   integrand call, and the half-periods of the block whose error is large
-   against their own L1 content are bisected together, level by level.
-   ``nodes_used`` counts every node evaluated, including those of prefetched
-   half-periods that the converged sum never reached.  This converges to the
-   Abel-regularised value for bounded non-decaying oscillatory amplitudes,
-   the value that the ray selects.
+   Each half-period is one integrand call, bisected level by level while its
+   error is large against its own L1 content, so the integrand never sees a
+   node past the half-period where the accelerated sum converged.  This
+   converges to the Abel-regularised value for bounded non-decaying
+   oscillatory amplitudes, the value that the ray selects.
 
 2. Branch-cut (evanescent) segment integrals over t in (0, Gamma) with an
    integrable 1/sqrt(Gamma^2 - t^2) endpoint factor: the segment is always
@@ -102,12 +100,10 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances, truncation and acceleration parameters."""
+    """Tolerances and the truncation of damped transforms."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-9
-    max_oscillation_periods: int = 48
-    acceleration_order: int = 12
     damped_truncation_decades: float = 10.0
 
     def __post_init__(self) -> None:
@@ -115,12 +111,6 @@ class QuadratureSpec:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        for name, least in (("max_oscillation_periods", 8), ("acceleration_order", 2)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}")
 
     def tolerance(self, scale: float) -> float:
         return max(self.abs_tol, self.rel_tol * scale)
@@ -176,9 +166,10 @@ _RAY_PANELS = len(_RAY_BREAKS) - 1
 # First-panel ends of a damped radial transform in x = k * damping, below its
 # truncation (see damped_breakpoints).
 _DAMPED_BREAKS = (0.0, 1.5, 4.0, 8.0, 14.0)
-# Half-periods whose first panel shares one integrand call.  Four keeps an
-# integrand that vanishes (two quiet half-periods) at 60 nodes per entry.
-_HALF_PERIOD_BLOCK = 4
+# Half-periods of a Levin half-line before it raises, and the order of its
+# u-transformation.
+_MAX_HALF_PERIODS = 64
+_ACCELERATION_ORDER = 12
 
 
 def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
@@ -345,8 +336,9 @@ def halfline_oscillatory_integral(
 ) -> IntegralResult:
     """int_0^inf f(k) dk for f oscillating like e^{i k s}, s = oscillation_scale.
 
-    The axis is cut at multiples of pi/s and the partial-sum sequence is
-    Levin-accelerated; convergence requires two consecutive stable estimates.
+    The axis is cut at multiples of pi/s, one half-period per integrand call,
+    and the partial-sum sequence is Levin-accelerated; convergence requires
+    two consecutive stable estimates within _MAX_HALF_PERIODS half-periods.
     """
     return _levin_halfline(_flat_integrand(f), _oscillation_scale(oscillation_scale), spec)
 
@@ -361,68 +353,48 @@ def _oscillation_scale(value) -> float:
 def _levin_halfline(f, scale: float, spec: QuadratureSpec) -> IntegralResult:
     """The half-line integral under the panel protocol f(k, owner)."""
     h = math.pi / scale
-    periods = spec.max_oscillation_periods
-    levin = _LevinU(spec.acceleration_order)
+    levin = _LevinU(_ACCELERATION_ORDER)
     abs_floor = 0.01 * spec.abs_tol
     rel_seg = 0.002 * spec.rel_tol
+    owner = np.zeros(1, dtype=int)
     partial = est_prev = None
     err_prev = math.inf
-    quiet = 0  # consecutive quiet raw sums
-    seg_err_total = 0.0  # up to the end of the block
-    inc_scale = 0.0  # largest half-period, ditto
+    err_sum = 0.0  # of the half-periods so far
+    inc_scale = 0.0  # the largest half-period so far
     nodes = 0
-    for first in range(0, periods, _HALF_PERIOD_BLOCK):
-        rows = np.arange(first, min(first + _HALF_PERIOD_BLOCK, periods))
-        lo, hi = rows * h, (rows + 1) * h
-        val, err = _gauss_kronrod(f, lo, hi, np.zeros(len(rows), dtype=int))
-        nodes += 15 * len(lo)
-        mag = np.abs(val).reshape(len(lo), -1).max(axis=1)
-        # a half-period is bisected while its error is large against both its
-        # L1 content (cancellation-robust) and the largest half-period before it
-        before = np.maximum.accumulate(np.concatenate(([inc_scale], mag[:-1])))
-        seg_floor = np.maximum(abs_floor, 0.1 * rel_seg * before)
-        if (err > np.maximum(seg_floor, rel_seg * mag)).any():
-            # the panels within their bound stop unrefined at the first level
+    for m in range(_MAX_HALF_PERIODS):
+        lo, hi = np.array([m * h]), np.array([(m + 1) * h])
+        val, err = _gauss_kronrod(f, lo, hi, owner)
+        nodes += 15
+        # the half-period is bisected while its error is large against both
+        # its L1 content (cancellation-robust) and the largest half-period
+        # before it
+        seg_floor = max(abs_floor, 0.1 * rel_seg * inc_scale)
+        if err[0] > max(seg_floor, rel_seg * float(np.abs(val).max())):
             val, err, more = _refine(
-                f, lo, hi, np.arange(len(lo)), val, err,
-                lambda ids, tot, content: np.maximum(seg_floor[ids], rel_seg * content),
+                f, lo, hi, owner, val, err,
+                lambda ids, tot, content: np.maximum(seg_floor, rel_seg * content),
                 _SEGMENT_MAX_PANELS,
             )
             nodes += more
-            mag = np.abs(val).reshape(len(lo), -1).max(axis=1)
-        totals = seg_err_total + np.cumsum(err)
-        incs = np.maximum(inc_scale, np.maximum.accumulate(mag))
-        seg_err_total, inc_scale = totals[-1], incs[-1]
-        # per half-period: value, error sum so far, raw-sum error, Levin floor
-        floors = 1e-16 * np.maximum(incs, 1e-30)
-        floors = floors.reshape(floors.shape + (1,) * (val.ndim - 1))
-        for m, seg, err_sum, raw_err, floor in zip(rows, val, totals, mag + totals, floors):
-            partial = seg if partial is None else partial + seg
-            # raw-sum early exit for integrands that die without oscillating
-            if raw_err <= 0.5 * spec.tolerance(float(np.abs(partial).max())):
-                quiet += 1
-                if quiet >= 2:
-                    return _result(partial, raw_err, nodes)
-            else:
-                quiet = 0
-            est = levin.add(partial, seg, floor=floor)
-            if m >= 2:
-                delta = float(np.abs(est - est_prev).max())
-                tol = spec.tolerance(float(np.abs(est).max()))
-                err = max(delta, 0.25 * err_prev) + err_sum
-                if err <= tol and err_prev <= 4.0 * tol:
-                    return _result(est, err, nodes)
-                err_prev = delta
-            est_prev = est
+        seg = val[0]
+        err_sum += err[0]
+        inc_scale = max(inc_scale, float(np.abs(seg).max()))
+        partial = seg if partial is None else partial + seg
+        est = levin.add(partial, seg, floor=1e-16 * max(inc_scale, 1e-30))
+        if m >= 2:
+            delta = float(np.abs(est - est_prev).max())
+            tol = spec.tolerance(float(np.abs(est).max()))
+            err = max(delta, 0.25 * err_prev) + err_sum
+            if err <= tol and err_prev <= 4.0 * tol:
+                est = np.asarray(est)
+                return IntegralResult(est if est.shape else complex(est), float(err), nodes)
+            err_prev = delta
+        est_prev = est
     raise QuadratureError(
-        f"oscillatory integral did not converge within {spec.max_oscillation_periods} "
+        f"oscillatory integral did not converge within {_MAX_HALF_PERIODS} "
         f"half-periods (last delta {err_prev:.3e})"
     )
-
-
-def _result(value, error, nodes: int) -> IntegralResult:
-    value = np.asarray(value)
-    return IntegralResult(value if value.shape else complex(value), float(error), nodes)
 
 
 def ray_integral(f: Callable, oscillation_scale: float, entries: int,
@@ -521,20 +493,25 @@ def damped_radial_transform(f: Integrand, damping: float, spec: QuadratureSpec) 
     ``damped_breakpoints``.
 
     The integral is truncated once the damping factor has fallen through
-    ``spec.damped_truncation_decades`` decades; the truncated tail bound is
+    ``spec.damped_truncation_decades`` decades; the truncated tail is bounded
+    from the weighted integrand at the largest k evaluated, and that bound is
     folded into the error estimate.
     """
-    breaks = damped_breakpoints(damping, spec)
-    kmax = float(breaks[-1])
+    k_top = tail_rate = 0.0  # the largest k evaluated, the weighted integrand there
 
     def g(k: np.ndarray) -> np.ndarray:
+        nonlocal k_top, tail_rate
         vals = np.asarray(f(k))
         weight = np.exp(-k * damping)
-        return vals * weight.reshape((-1,) + (1,) * (vals.ndim - 1))
+        vals = vals * weight.reshape((-1,) + (1,) * (vals.ndim - 1))
+        top = int(np.argmax(k))
+        if k[top] > k_top:
+            k_top, tail_rate = float(k[top]), float(np.abs(vals[top]).max())
+        return vals
 
-    res = adaptive_panels(g, breaks, spec)
-    tail = np.asarray(f(np.array([kmax])))[0]
-    err = res.error_estimate + float(np.abs(tail).max()) * math.exp(-kmax * damping) / damping
+    res = adaptive_panels(g, damped_breakpoints(damping, spec), spec)
+    # beyond the truncation the integrand decays like e^{-k * damping} (up to powers of k)
+    err = res.error_estimate + tail_rate / damping
     if err > spec.tolerance(float(np.abs(res.value).max())):
         raise QuadratureError(f"damped radial transform: truncated tail leaves error {err:.3e}")
     return replace(res, error_estimate=err)

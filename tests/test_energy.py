@@ -155,8 +155,9 @@ def test_shift_integrates_each_radial_level_in_one_call(monkeypatch):
     # call of the longitudinal half-line.  Its first panels follow the
     # e^{-2 kappa z0} decay, so at every verify index and over the heights the
     # first level (the five decay panels, 75 kappa) converges, and the
-    # truncated tail adds one call.  One call per 15-node radial panel would
-    # make 6; a coarser layout bisects, and its next level is a third call.
+    # truncated tail is bounded from those kappa, without a call of its own.
+    # One call per 15-node radial panel would make 5; a coarser layout
+    # bisects, and its next level is a second call.
     batches = []
     engine = energy.decaying_halfline_integral
 
@@ -170,13 +171,14 @@ def test_shift_integrates_each_radial_level_in_one_call(monkeypatch):
             batches.append([])
             shift = second_order_shift(1.0, Medium(n), z0, SPEC)
             assert abs(shift.ratio - shift.expected_ratio) < 1e-9
-    assert batches == 15 * [[75, 1]]
+    assert batches == 15 * [[75]]
 
 
 def test_inner_integrals_converge_at_their_first_level(monkeypatch):
-    # smooth integrands on both inner axes: every half-line and cut-segment
-    # call stops at its initial panels (8 and 4 of 15 nodes per kappa), so an
-    # endpoint singularity that forces bisection cannot come back unseen
+    # smooth integrands on both inner axes: the one half-line and the one
+    # cut-segment call (the first radial level; the truncated tail makes no
+    # call) stop at their initial panels (8 and 4 of 15 nodes per kappa), so
+    # an endpoint singularity that forces bisection cannot come back unseen
     seen = []
     for name in ("decaying_halfline_integral", "cut_segment_integral"):
         def counted(f, width, spec, engine=getattr(energy, name), name=name):
@@ -187,5 +189,4 @@ def test_inner_integrals_converge_at_their_first_level(monkeypatch):
         monkeypatch.setattr(energy, name, counted)
     shift = second_order_shift(1.0, Medium(2.0), 1.0, SPEC)
     assert abs(shift.ratio - 0.375) < 1e-9
-    assert sorted(seen) == (2 * [("cut_segment_integral", 60)]
-                            + 2 * [("decaying_halfline_integral", 120)])
+    assert sorted(seen) == [("cut_segment_integral", 60), ("decaying_halfline_integral", 120)]

@@ -169,23 +169,36 @@ def test_assembled_kernel_equal_heights_path():
     assert np.max(np.abs(kern - target)) < 1e-4 * np.max(np.abs(target))
 
 
-def test_near_interface_assembly_is_independent_of_half_period_blocks(monkeypatch):
+@pytest.mark.parametrize("r, rp, calls", [
+    ((1.0, 0.0, 0.01), (0.0, 0.0, 0.01), 13),
+    ((2.0, 0.0, 0.1), (0.0, 0.0, 0.2), 12),
+], ids=["z0.01_rho1", "z0.1_rho2"])
+def test_near_interface_assembly_evaluates_only_the_half_periods_it_sums(r, rp, calls,
+                                                                        monkeypatch):
     # |z| + z' this small sends the interface profile through the Bessel-
-    # oscillation route, whose engine hands each block of half-periods to one
-    # batched profile call; the batch's shared tolerance moves the values
-    # within the error estimates, never off the closed form
-    med = Medium(2.0)
-    p = pair((1.0, 0.0, 0.01), (0.0, 0.0, 0.01))
+    # oscillation route.  Each profile call holds the 15 kappa of the next
+    # half-period [m pi/rho, (m+1) pi/rho], so the inner-error and tail bounds,
+    # taken over every kappa evaluated, count no kappa past the one where the
+    # accelerated sum converged
+    seen = []
+    profile = kernels.kz_profile
+
+    def counted(medium, kap, *args):
+        seen.append(np.array(kap, dtype=float))
+        return profile(medium, kap, *args)
+
+    monkeypatch.setattr(kernels, "kz_profile", counted)
+    med, p = Medium(2.0), pair(r, rp)
+    res = assemble_kernel_result(med, KernelKind.GENERALIZED_DELTA, p, SPEC)
+    half = math.pi / math.hypot(r[0] - rp[0], r[1] - rp[1])
+    assert len(seen) == calls
+    for m, kap in enumerate(seen):
+        assert kap.size == 15
+        assert (m * half < kap).all() and (kap < (m + 1) * half).all()
     target = kernel_closed_form(med, KernelKind.GENERALIZED_DELTA, p)
-    blocked = assemble_kernel_result(med, KernelKind.GENERALIZED_DELTA, p, SPEC)
-    monkeypatch.setattr(spectral, "_HALF_PERIOD_BLOCK", 1)
-    single = assemble_kernel_result(med, KernelKind.GENERALIZED_DELTA, p, SPEC)
-    budget = blocked.error_estimate + single.error_estimate
-    assert np.max(np.abs(blocked.tensor - single.tensor)) <= budget
-    for res in (blocked, single):
-        observed = np.max(np.abs(res.tensor - target))
-        assert observed < 1e-6 * np.max(np.abs(target))
-        assert observed <= res.error_estimate
+    observed = np.max(np.abs(res.tensor - target))
+    assert observed < 1e-6 * np.max(np.abs(target))
+    assert observed <= res.error_estimate
 
 
 def test_gauge_difference_profile_matches_residue_profile_pointwise():
@@ -337,13 +350,14 @@ def test_kz_profile_dispatches_on_the_side_of_z():
 
 @pytest.mark.parametrize("r, rp, batches", [
     ((0.4, -0.2, 0.8), (0.1, 0.3, 0.5), [90]),
-    ((2.0, 0.0, 0.1), (0.0, 0.0, 0.2), [60, 60, 60]),
+    ((2.0, 0.0, 0.1), (0.0, 0.0, 0.2), 12 * [15]),
 ], ids=["damped", "bessel_oscillation"])
 def test_assembly_calls_the_profile_once_per_level(r, rp, batches, monkeypatch):
     # the damped branch's first level (the five decay panels, the last split
-    # at the Bessel half-period: 6 panels, 90 kappa) converges; the
-    # Bessel-oscillation branch takes its half-periods four to a call.  One
-    # call per 15-node radial panel would make 6 and 12 calls.
+    # at the Bessel half-period: 6 panels, 90 kappa) converges in one call
+    # where one call per 15-node radial panel would make 6; the Bessel-
+    # oscillation branch takes one half-period (one panel) per call, none
+    # of them bisected.
     seen = []
     profile = kernels.kz_profile
 

@@ -102,13 +102,13 @@ def test_all_passed():
 def test_config_parsing(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(
-        "# comment\nquad.abs_tol = 1e-13\nquad.max_periods = 64\nseed = 7\ntol.energy = 2e-4\n"
+        "# comment\nquad.abs_tol = 1e-13\nquad.trunc_decades = 12\nseed = 7\ntol.energy = 2e-4\n"
     )
     cfg = load_config(str(cfg_file))
     assert cfg["seed"] == "7"
     spec = quadrature_spec_from_config(cfg)
     assert spec.abs_tol == 1e-13
-    assert spec.max_oscillation_periods == 64
+    assert spec.damped_truncation_decades == 12.0
     assert spec.rel_tol == 1e-9  # default preserved
 
 
@@ -131,7 +131,8 @@ def test_config_error_has_line_number(tmp_path):
     ("seed = 1.5", "seed"),
     ("seed = -3", "seed"),
     ("quad.abs_tol = inf", "quad.abs_tol"),
-    ("quad.max_periods = 4", "quad.max_periods"),
+    ("quad.trunc_decades = 0", "quad.trunc_decades"),
+    ("quad.max_periods = 4", "quad.max_periods"),  # a retired key is an unknown one
 ])
 def test_cli_rejects_bad_config_naming_the_key(tmp_path, capsys, line, key):
     cfg = tmp_path / "bad.cfg"
@@ -142,8 +143,18 @@ def test_cli_rejects_bad_config_naming_the_key(tmp_path, capsys, line, key):
     assert not out.exists()
 
 
-KNOWN_KEYS = {*DEFAULT_TOLERANCES, "seed", "quad.abs_tol", "quad.rel_tol", "quad.max_periods",
-              "quad.accel_order", "quad.trunc_decades"}
+@pytest.mark.parametrize("key", ["quad.max_periods", "quad.accel_order"])
+def test_cli_rejects_the_retired_engine_keys(tmp_path, capsys, key):
+    # the Levin half-period cap and acceleration order are engine constants
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"quad.abs_tol = 1e-12\n{key} = 64\n")
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "fresnel", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+KNOWN_KEYS = {*DEFAULT_TOLERANCES, "seed", "quad.abs_tol", "quad.rel_tol", "quad.trunc_decades"}
 
 
 @settings(max_examples=50, deadline=None)
@@ -176,7 +187,7 @@ def test_settings_reject_bad_tolerances_and_seed(tol_key, bad_tol):
     with pytest.raises(ConfigError, match=re.escape(tol_key)):
         settings_from_config({tol_key: repr(bad_tol)})
     for key, value in (("tol.kernels.te", "inf"), ("tol.kernels.te", "-1e-8"), ("seed", "x"),
-                       ("seed", "-3"), ("quad.abs_tol", "inf"), ("quad.max_periods", "4")):
+                       ("seed", "-3"), ("quad.abs_tol", "inf"), ("quad.trunc_decades", "0")):
         with pytest.raises(ConfigError, match=re.escape(key)):
             settings_from_config({key: value})
     with pytest.raises(ConfigError, match="seed"):

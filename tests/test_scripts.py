@@ -1,8 +1,14 @@
-"""Smoke tests of the experiment scripts: each runs end to end on a small input."""
+"""Smoke tests of the experiment scripts and configs: each script runs end to end on a
+small input, and each config loads."""
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from halfspace_qed.config import load_config
+from halfspace_qed.verification import settings_from_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -18,3 +24,8 @@ def test_perfect_reflector_scaling_script_runs():
     lines = run.stdout.splitlines()
     assert lines[0] == "n,deviation,predicted" and len(lines) == 4
     assert lines[-1].startswith("# log-log slope: ")
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "scripts").glob("*.cfg")), ids=lambda p: p.name)
+def test_script_configs_load(path):
+    settings_from_config(load_config(str(path)))

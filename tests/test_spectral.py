@@ -24,19 +24,10 @@ TIGHT = QuadratureSpec(damped_truncation_decades=13.0)
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_oscillation_periods=4)
-    with pytest.raises(ValueError):
-        QuadratureSpec(acceleration_order=1)
     for name in ("abs_tol", "rel_tol", "damped_truncation_decades"):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=name):
                 QuadratureSpec(**{name: bad})
-    for name, bad in (("max_oscillation_periods", 8.5), ("acceleration_order", 2.5),
-                      ("max_oscillation_periods", 48.0), ("acceleration_order", "12")):
-        with pytest.raises(ValueError, match=name):
-            QuadratureSpec(**{name: bad})
-    assert QuadratureSpec(max_oscillation_periods=np.int64(16)).max_oscillation_periods == 16
 
 
 @settings(max_examples=60, deadline=None)
@@ -155,10 +146,12 @@ def test_oscillatory_requires_positive_scale():
         halfline_oscillatory_integral(lambda x: np.sin(x), 0.0, SPEC)
 
 
-def test_oscillatory_nonconvergence_raises():
+def test_oscillatory_nonconvergence_raises(monkeypatch):
     # amplitude growing too fast for the declared order within few periods
-    spec = QuadratureSpec(max_oscillation_periods=8, acceleration_order=2, rel_tol=1e-13)
-    with pytest.raises(QuadratureError):
+    monkeypatch.setattr(spectral, "_MAX_HALF_PERIODS", 8)
+    monkeypatch.setattr(spectral, "_ACCELERATION_ORDER", 2)
+    spec = QuadratureSpec(rel_tol=1e-13)
+    with pytest.raises(QuadratureError, match="within 8 half-periods"):
         halfline_oscillatory_integral(lambda x: x**6 * np.exp(1j * x), 1.0, spec)
 
 
@@ -386,18 +379,6 @@ _HALFLINE_CASES = [
 
 
 @pytest.mark.parametrize("f, scale", _HALFLINE_CASES, ids=["lorentz", "abel", "vector", "zero"])
-def test_halfline_blocks_leave_results_bitwise_unchanged(f, scale, monkeypatch):
-    block = spectral._HALF_PERIOD_BLOCK
-    blocked = halfline_oscillatory_integral(f, scale, SPEC)
-    monkeypatch.setattr(spectral, "_HALF_PERIOD_BLOCK", 1)
-    single = halfline_oscillatory_integral(f, scale, SPEC)
-    assert np.array_equal(blocked.value, single.value)
-    assert blocked.error_estimate == single.error_estimate
-    # only the half-periods prefetched past convergence add nodes
-    assert single.nodes_used <= blocked.nodes_used <= single.nodes_used + 15 * (block - 1)
-
-
-@pytest.mark.parametrize("f, scale", _HALFLINE_CASES, ids=["lorentz", "abel", "vector", "zero"])
 def test_halfline_nodes_used_counts_every_abscissa(f, scale):
     abscissae = []
 
@@ -407,7 +388,6 @@ def test_halfline_nodes_used_counts_every_abscissa(f, scale):
 
     res = halfline_oscillatory_integral(counted, scale, SPEC)
     assert res.nodes_used == sum(abscissae)
-    assert 15 * spectral._HALF_PERIOD_BLOCK in abscissae  # a block shared one call
 
 
 # ---------------------------------------------------------------------------
