@@ -144,6 +144,8 @@ def image_potential_ves(q: float, medium: Medium, z0: float) -> float:
     Half the charge-image Coulomb energy: the image is not an independent
     charge but is induced by q itself.
     """
-    if z0 <= 0.0:
-        raise ValueError("the charge must sit outside the dielectric (z0 > 0)")
+    if not math.isfinite(q):
+        raise ValueError(f"q must be finite, got {q!r}")
+    if not (math.isfinite(z0) and z0 > 0.0):
+        raise ValueError(f"z0 must be finite and > 0 (charge outside the dielectric), got {z0!r}")
     return -(q * q) / _FOUR_PI * medium.image_strength / (4.0 * z0)

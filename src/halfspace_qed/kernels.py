@@ -29,7 +29,13 @@ after which the tensor is rotated about z to restore the actual azimuth.
 The inner k_z quadrature (the travelling axis along the damped ray
 k_z = u e^{i pi/4} of ``spectral.ray_integral``, the evanescent segment
 through the cut rule) is the numerical path that the residue-theorem closed
-forms are verified against.
+forms are verified against.  The bodies' branch points lie on the imaginary
+k_z axis; continued with the principal root of kzd, the TM denominator
+n^2 k_z + kzd vanishes at k_z = -kappa/n, on the negative real axis.  That
+pole is outside the first quadrant, so the ray holds, but it sets the scale
+of each kappa's body next to k_z = 0.  Each kappa's first ray panel is
+graded from it, and the cut's end panels from it and from the TE pole at
+k_z = i kappa, just past the branch point (``_interface_profile``).
 """
 from __future__ import annotations
 
@@ -113,6 +119,16 @@ class KernelAssembly:
 _PARITY = np.array([1.0, -1.0, -1.0, 1.0, 1.0])
 
 
+def _cut_scales(n: float) -> tuple[float, float]:
+    """Where the cut t = Gamma sin(u) of an interface body varies fastest, the
+    same u for every kappa: the TM shoulder t = kappa/n at u = asin(1/sqrt(n^2-1))
+    (inside the cut for n > sqrt 2), and the TE pole t = kappa just past the
+    branch point, at distance acosh(n/sqrt(n^2-1)) from u = pi/2."""
+    gap = math.sqrt(n * n - 1.0)
+    low = math.asin(1.0 / gap) if gap > 1.0 else math.inf
+    return low, (math.acosh(n / gap) if gap > 0.0 else math.inf)
+
+
 def _interface_profile(medium: Medium, kap: np.ndarray, scale: float, travelling: Callable,
                        spec: QuadratureSpec, evanescent: Callable | None = None) -> IntegralResult:
     """Travelling axis plus evanescent segment of an interface profile.
@@ -129,7 +145,13 @@ def _interface_profile(medium: Medium, kap: np.ndarray, scale: float, travelling
     e^{+i k_z z'}, the Schwarz partners of the terms in e^{-i k_z z'}]: a
     partner has e^{+i k_z z'} in place of e^{-i k_z z'}, and as the
     coefficients are real on the travelling axis, a term's k_z > 0 integral is
-    the conjugate of its partner's.  Either way each kappa's ray error doubles."""
+    the conjugate of its partner's.  Either way each kappa's ray error doubles.
+
+    Continued with the principal root of kzd, every interface body has the TM
+    pole n^2 k_z + kzd = 0 at k_z = -kappa/n: outside the first quadrant, so
+    the ray holds, but a distance kappa/n from its origin, so each kappa's
+    first ray panel is graded from that scale (``near``).  The cut gets the
+    graded first and last panels of ``_cut_scales``."""
     n = medium.n
     flat = kap.ravel()
     kap2, gap2 = flat * flat, (n * n - 1.0) * flat * flat  # once, not per panel
@@ -145,14 +167,15 @@ def _interface_profile(medium: Medium, kap: np.ndarray, scale: float, travelling
         both = travelling(1j * t, np.stack([kzd, -kzd]), flat, kap2 - t * t)
         return -1j * (both[0] - both[1])
 
-    ray = ray_integral(body, scale, flat.size, spec)
+    ray = ray_integral(body, scale, flat.size, spec, near=flat / n)
     value = ray.value
     if evanescent is None:
         value = value + _PARITY * np.conj(value)
     else:
         half = value.shape[-1] // 2
         value = value[:, :half] + np.conj(value[:, half:])
-    cut = cut_segment_integral(segment, evanescent_threshold(medium, flat), spec)
+    cut = cut_segment_integral(segment, evanescent_threshold(medium, flat), spec,
+                               near=_cut_scales(n))
     err = 2.0 * ray.entry_errors + cut.error_estimate  # the cut within its bound
     return IntegralResult((value + cut.value).reshape(kap.shape + (-1,)), float(err.max()),
                           ray.nodes_used + cut.nodes_used, err.reshape(kap.shape))
@@ -236,8 +259,8 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
         # of the partners of the e^{-ik z'} terms
         kmag = np.sqrt(kmag2)
         tm = fresnel_coefficients(medium, Polarization.TM, kap, k, kzd)
-        right = surface_charge_mode(medium, Side.RIGHT, kap, k, kzd) / kmag
-        left = surface_charge_mode(medium, Side.LEFT, kap, kzd, k) * n * tm.tR / kmag
+        right = surface_charge_mode(medium, Side.RIGHT, kap, k, kzd, tm) / kmag
+        left = surface_charge_mode(medium, Side.LEFT, kap, kzd, k, tm) * n * tm.tR / kmag
         back = right * tm.rR + left
         parts = np.stack([-k * right, -kap * right, k * back, -kap * back], axis=-1)
         return parts * (np.exp(1j * k * zp) / kmag)[..., None]
@@ -246,8 +269,9 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
                         kmag2: np.ndarray) -> np.ndarray:
         kmag = np.sqrt(kmag2)
         # on the cut n^2 (t/kzd) tL*/n = i n tR*, free of 1/kzd
-        tr_conj = np.conj(fresnel_coefficients(medium, Polarization.TM, kap, 1j * t, kzd).tR)
-        coef = surface_charge_mode(medium, Side.LEFT, kap, kzd, 1j * t) * 1j * n * tr_conj / kmag
+        tm = fresnel_coefficients(medium, Polarization.TM, kap, 1j * t, kzd)
+        g = surface_charge_mode(medium, Side.LEFT, kap, kzd, 1j * t, tm)
+        coef = g * 1j * n * np.conj(tm.tR) / kmag
         damp = np.exp(-t * zp)
         ju = coef * (-1j * t / kmag) * damp
         jz = coef * (-kap / kmag) * damp
@@ -541,6 +565,8 @@ def curl_annihilation_residual(
 ) -> float:
     """Relative FD-curl residual of the gauge-difference kernel over its first
     index; the kernel is a pure gradient there, so the residual is FD noise."""
+    if fd_step is not None and not (math.isfinite(fd_step) and fd_step > 0.0):
+        raise ValueError(f"fd_step must be positive and finite, got {fd_step!r}")
     if medium.n == 1.0:
         return 0.0
     step = fd_step if fd_step is not None else 1e-3 * pair.separation
@@ -560,7 +586,8 @@ def poisson_jump_residual(
     """Per-mode check of the Poisson equation for the gauge potential: away
     from the interface the e^{-|k_par||z|} profile is harmonic exactly, and
     the derivative jump must reproduce the surface-charge coefficient:
-    2 |k_par| * chidot(0) = sigma / eps0.  Returns the normalised residual."""
+    2 |k_par| * chidot(0) = sigma / eps0.  Returns the normalised residual;
+    a non-finite kpar_mag or label raises ValueError naming it."""
     chidot0 = chi_mode_coefficient(
         medium, side, kpar_mag, kz_or_kzd, z=0.0, time_derivative=True
     )

@@ -26,11 +26,12 @@ gradient is subtracted; the test-suite checks both numerically.
 """
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
-from .fresnel import fresnel_coefficients
+from .fresnel import FresnelSet, fresnel_coefficients
 from .medium import (
     Medium,
     Polarization,
@@ -127,7 +128,8 @@ def carniglia_mandel_mode(medium: Medium, point: SpectralPoint, r: np.ndarray) -
 
 
 def surface_charge_mode(
-    medium: Medium, side: Side, kpar_mag: float, kz_or_kzd, other_kz=None
+    medium: Medium, side: Side, kpar_mag: float, kz_or_kzd, other_kz=None,
+    tm: FresnelSet | None = None,
 ):
     """Surface-charge mode coefficient g at r_par = 0 (TM only by construction).
 
@@ -136,18 +138,28 @@ def surface_charge_mode(
 
     A scalar label takes the other side's wavenumber from the refraction law.
     A caller that has it passes it as ``other_kz`` (k_zd for a right label,
-    the vacuum k_z for a left one); then g is elementwise over arrays.
+    the vacuum k_z for a left one); then g is elementwise over arrays.  A
+    caller that already holds the TM Fresnel set at these wavenumbers passes
+    it as ``tm``, and g is computed from it.
     """
     if medium.n == 1.0:
         return 0.0
-    if side is Side.LEFT and other_kz is None:
-        other_kz = vacuum_kz_from_kzd(medium, kpar_mag, _real_kzd(kz_or_kzd))
-    kz, kzd = (kz_or_kzd, other_kz) if side is Side.RIGHT else (other_kz, kz_or_kzd)
-    coef = fresnel_coefficients(medium, Polarization.TM, kpar_mag, kz, kzd)
+    if tm is None:
+        if side is Side.LEFT and other_kz is None:
+            other_kz = vacuum_kz_from_kzd(medium, kpar_mag, _real_kzd(kz_or_kzd))
+        kz, kzd = (kz_or_kzd, other_kz) if side is Side.RIGHT else (other_kz, kz_or_kzd)
+        tm = fresnel_coefficients(medium, Polarization.TM, kpar_mag, kz, kzd)
     pref = _NORM * medium.surface_charge_share
     if side is Side.RIGHT:
-        return pref * (1.0 + coef.rR)
-    return pref / medium.n * coef.tL
+        return pref * (1.0 + tm.rR)
+    return pref / medium.n * tm.tL
+
+
+def _check_mode_point(kpar_mag: float, kz_or_kzd: complex) -> None:
+    if not (math.isfinite(kpar_mag) and kpar_mag >= 0.0):
+        raise ValueError(f"kpar_mag must be finite and >= 0, got {kpar_mag!r}")
+    if not cmath.isfinite(kz_or_kzd):
+        raise ValueError(f"kz_or_kzd must be finite, got {kz_or_kzd!r}")
 
 
 def _label_frequency(medium: Medium, side: Side, kpar_mag: float, kz_or_kzd: complex) -> float:
@@ -161,7 +173,10 @@ def sigma_mode_coefficient(
     medium: Medium, side: Side, kpar_mag: float, kz_or_kzd: complex
 ) -> complex:
     """Coefficient of the annihilation operator in the surface charge density,
-    at r_par = 0: sigma_k = -2i |k_par| sqrt(1/2 omega) g_k (natural units)."""
+    at r_par = 0: sigma_k = -2i |k_par| sqrt(1/2 omega) g_k (natural units).
+    Raises ValueError for a non-finite or negative kpar_mag or a non-finite
+    label."""
+    _check_mode_point(kpar_mag, kz_or_kzd)
     g = surface_charge_mode(medium, side, kpar_mag, kz_or_kzd)
     if g == 0.0:
         return 0.0
@@ -186,7 +201,12 @@ def chi_mode_coefficient(
     Symmetric in z; the ratio chi-dot/chi is -i*omega (harmonic time
     dependence).  The overall sign is the one consistent with the surface
     charge density and the Poisson equation, see the module docstring.
+    Raises ValueError for a non-finite or negative kpar_mag, or a non-finite
+    label or z.
     """
+    _check_mode_point(kpar_mag, kz_or_kzd)
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z!r}")
     g = surface_charge_mode(medium, side, kpar_mag, kz_or_kzd)
     if g == 0.0:
         return 0.0

@@ -12,26 +12,30 @@ naming the panel.
 
 1. Semi-infinite oscillatory k_z integrals int_0^inf f(k) dk of a body f
    that goes like e^{i k s}.  Where f is analytic in the open first quadrant
-   (every k_z profile: its poles, zeros and branch points lie on the
-   imaginary axis), Cauchy and Jordan turn the Abel-regularised real-axis
-   integral into the integral along the ray k = u e^{i theta}, theta = pi/4,
-   where f decays like e^{-u s sin theta} (the path deformation of
-   Sommerfeld-type integrals).  ``ray_integral`` maps the ray by
-   u = l tan(v), l = 1/(s sin theta), so that x = u s sin theta = tan(v)
-   and f goes like e^{(i-1) x}, and refines adaptive panels on
+   (every k_z profile: its branch points lie on the imaginary axis, and
+   the TM pole of its continuation, n^2 k + k_zd = 0, on the negative real
+   axis at k = -kappa/n), Cauchy and Jordan turn the Abel-regularised
+   real-axis integral into the integral along the ray k = u e^{i theta},
+   theta = pi/4, where f decays like e^{-u s sin theta} (the path
+   deformation of Sommerfeld-type integrals).  ``ray_integral`` maps the
+   ray by u = l tan(v), l = 1/(s sin theta), so that x = u s sin theta =
+   tan(v) and f goes like e^{(i-1) x}, and refines adaptive panels on
    v in (0, pi/2).  Its first panels end at x = 0.3, 0.9, 2, 4, 8, 16 and
    infinity: past x ~ 1 each is twice as wide in x as the one before, so
    each holds about the same share of the damped oscillation, and a lone
-   entry mostly converges after one refinement level.  An entry stops once
-   its error is within the batch tolerance of its level and is not
-   reopened if that tolerance falls later; the ray raises only for an entry
-   that reached the panel cap.  The numerical path stays independent of any
-   residue evaluation.  An integrand that is not analytic there (the
-   undamped Bessel branch of the radial assembly) stays on the real axis:
-   the axis is partitioned at the oscillation zeros (half-period pi/s
-   segments), each segment is integrated by internally adaptive panels, and
-   the sequence of partial sums is accelerated with a sliding-window Levin
-   u-transformation.
+   entry mostly converges after one refinement level.  A singularity next
+   to the ray's origin (that TM pole, a distance kappa/n away) sets the
+   scale on which f varies near k = 0, so an entry given such a scale has
+   its first panel split at x_e 2^j below x = 0.3, x_e = (kappa/n) s sin
+   theta.  An entry stops once its error is within the batch tolerance of
+   its level and is not reopened if that tolerance falls later; the ray
+   raises only for an entry that reached the panel cap.  The numerical path
+   stays independent of any residue evaluation.  An integrand that is not
+   analytic there (the undamped Bessel branch of the radial assembly) stays
+   on the real axis: the axis is partitioned at the oscillation zeros
+   (half-period pi/s segments), each segment is integrated by internally
+   adaptive panels, and the sequence of partial sums is accelerated with a
+   sliding-window Levin u-transformation.
    Each half-period is one integrand call, bisected level by level while its
    error is large against its own L1 content, so the integrand never sees a
    node past the half-period where the accelerated sum converged.  This
@@ -41,7 +45,12 @@ naming the panel.
 2. Branch-cut (evanescent) segment integrals over t in (0, Gamma) with an
    integrable 1/sqrt(Gamma^2 - t^2) endpoint factor: the segment is always
    mapped by the trigonometric substitution t = Gamma*sin(u), which removes
-   the endpoint behaviour, then adaptive panels finish the job.
+   the endpoint behaviour, then adaptive panels finish the job.  They start
+   on four equal panels in u; near-singularity scales at either end (for an
+   interface body the TM shoulder at t = kappa/n, the scale of that TM
+   pole, and the TE pole at t = kappa, just past the branch point, both at
+   the same u for every kappa) split the end panels at geometric breaks
+   towards them.
 
 3. Exponentially damped half-line transforms int_0^inf f(k) e^{-k a} dk:
    truncation after a configured number of decay decades, with the truncated
@@ -163,6 +172,13 @@ _SEGMENT_MAX_PANELS = 48
 # each holds about the same share of the e^{(i-1)x} decay of the body.
 _RAY_BREAKS = np.arctan([0.0, 0.3, 0.9, 2.0, 4.0, 8.0, 16.0, np.inf])
 _RAY_PANELS = len(_RAY_BREAKS) - 1
+# Graded breaks (ratio 2) that a near-singularity scale adds below the first
+# end of a ray or inside the end panels of a cut, at most this many per end:
+# a scale below 2^-16 of that end (a kappa = 0 entry, say) starts from there.
+_GRADED_MAX = 16
+_GRADED_STEPS = 2.0 ** np.arange(_GRADED_MAX)
+# First panels of a cut segment in u, t = Gamma sin(u) (see cut_segment_integral).
+_CUT_BREAKS = np.linspace(0.0, 0.5 * math.pi, 5)
 # First-panel ends of a damped radial transform in x = k * damping, below its
 # truncation (see damped_breakpoints).
 _DAMPED_BREAKS = (0.0, 1.5, 4.0, 8.0, 14.0)
@@ -397,8 +413,39 @@ def _levin_halfline(f, scale: float, spec: QuadratureSpec) -> IntegralResult:
     )
 
 
+def _near_scales(near, size: int) -> np.ndarray:
+    """``near`` as ``size`` scales, each >= 0; inf (no near-singularity) for
+    None."""
+    if near is None:
+        return np.full(size, np.inf)
+    scales = np.asarray(near, dtype=float)
+    if not (scales.shape == (size,) and (scales >= 0.0).all()):
+        raise ValueError(f"near must be {size} scales >= 0, got {near!r}")
+    return scales
+
+
+def _graded(scale, end: float):
+    """Breaks scale x 2^j, j = 0 .. _GRADED_MAX - 1 (one row per scale of an
+    array); a scale below end 2^-_GRADED_MAX starts from there.  The caller
+    drops the breaks past ``end``."""
+    return np.multiply.outer(np.maximum(scale, end * 2.0 ** -_GRADED_MAX), _GRADED_STEPS)
+
+
+def _ray_panels(near: np.ndarray, scale: float):
+    """First panels (lo, hi, owner) in v of each entry of a ray with
+    oscillation scale ``scale``: those of _RAY_BREAKS, the first split at
+    v = atan(x) for the graded breaks x from x_e = near s sin(pi/4) up."""
+    x_near = near * (scale * math.sin(0.25 * math.pi))
+    graded = np.arctan(_graded(x_near, math.tan(_RAY_BREAKS[1])))
+    rows = np.hstack([np.zeros((len(near), 1)), np.minimum(graded, _RAY_BREAKS[1]),
+                      np.broadcast_to(_RAY_BREAKS[1:], (len(near), _RAY_PANELS))])
+    lo, hi = rows[:, :-1], rows[:, 1:]
+    keep = lo < hi  # a graded break put at the first end leaves an empty panel
+    return lo[keep], hi[keep], np.nonzero(keep)[0]
+
+
 def ray_integral(f: Callable, oscillation_scale: float, entries: int,
-                 spec: QuadratureSpec) -> IntegralResult:
+                 spec: QuadratureSpec, near: ArrayLike | None = None) -> IntegralResult:
     """int_0^inf f(k) dk for each of ``entries`` integrands f(., entry) that are
     analytic in the open first quadrant and go like e^{i k s} there,
     s = oscillation_scale: the Abel-regularised real-axis integral, taken along
@@ -408,16 +455,21 @@ def ray_integral(f: Callable, oscillation_scale: float, entries: int,
     k = (1 + i) tan(v)/s.  f is called as f(k, entries), k of shape (nodes,
     panels) and ``entries`` the entry of each panel column, and returns
     (nodes, panels, *comps).  Each entry starts on the panels of _RAY_BREAKS,
-    which end at x = tan(v) = 0.3, 0.9, 2, 4, 8, 16 and infinity, and refines
-    them to the batch tolerance, max(abs_tol, rel_tol x the max-norm over all
-    entries), and reports its error in ``entry_errors``.  The max-norm is
-    taken level by level, and an entry stops for good once its error is
-    within the tolerance of that level, even if the tolerance falls later as
-    the other entries' norms settle.  So an entry's error is bounded by the
-    tolerance it stopped at, not always by the final one, and QuadratureError
-    is raised only for an entry that reached the panel cap.
+    which end at x = tan(v) = 0.3, 0.9, 2, 4, 8, 16 and infinity.  ``near``
+    gives, per entry, the distance |k| of a singularity of f next to the
+    ray's origin (outside the first quadrant); f varies on that scale near
+    k = 0, so the entry's first panel is split at x_e 2^j below x = 0.3,
+    from x_e = near s sin(pi/4) up (at most _GRADED_MAX breaks).  Each entry
+    refines its panels to the batch tolerance, max(abs_tol, rel_tol x the
+    max-norm over all entries), and reports its error in ``entry_errors``.
+    The max-norm is taken level by level, and an entry stops for good once
+    its error is within the tolerance of that level, even if the tolerance
+    falls later as the other entries' norms settle.  So an entry's error is
+    bounded by the tolerance it stopped at, not always by the final one, and
+    QuadratureError is raised only for an entry that reached the panel cap.
     """
-    step = (1.0 + 1.0j) / _oscillation_scale(oscillation_scale)  # e^{i pi/4} l
+    scale = _oscillation_scale(oscillation_scale)
+    step = (1.0 + 1.0j) / scale  # e^{i pi/4} l
     if not (isinstance(entries, numbers.Integral) and entries >= 1):
         raise ValueError(f"entries must be an integer >= 1, got {entries!r}")
 
@@ -427,8 +479,7 @@ def ray_integral(f: Callable, oscillation_scale: float, entries: int,
         jac = step * (1.0 + t * t)
         return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - jac.ndim))
 
-    lo, hi = np.tile(_RAY_BREAKS[:-1], entries), np.tile(_RAY_BREAKS[1:], entries)
-    owner = np.repeat(np.arange(entries), _RAY_PANELS)
+    lo, hi, owner = _ray_panels(_near_scales(near, entries), scale)
     val, err = _gauss_kronrod(g, lo, hi, owner)
     norm = np.zeros(entries)  # each entry's max-norm, final once it stops
     bound = np.zeros(entries)  # the batch tolerance each entry saw last
@@ -446,17 +497,35 @@ def ray_integral(f: Callable, oscillation_scale: float, entries: int,
     return IntegralResult(total, float(error.max()), nodes + 15 * len(lo), error)
 
 
-def cut_segment_integral(f: Integrand, gamma: ArrayLike, spec: QuadratureSpec) -> IntegralResult:
+def _cut_breaks(near) -> np.ndarray:
+    """First panels in u of a cut: _CUT_BREAKS, the end panels split at the
+    graded breaks of the near-singularity scales (u from 0, distance from
+    pi/2)."""
+    low, high = _graded(_near_scales(near, 2), _CUT_BREAKS[1])
+    high = _CUT_BREAKS[-1] - high[::-1]
+    return np.concatenate([_CUT_BREAKS[:1], low[low < _CUT_BREAKS[1]], _CUT_BREAKS[1:-1],
+                           high[high > _CUT_BREAKS[-2]], _CUT_BREAKS[-1:]])
+
+
+def cut_segment_integral(f: Integrand, gamma: ArrayLike, spec: QuadratureSpec,
+                         near: tuple[float, float] | None = None) -> IntegralResult:
     """int_0^Gamma f(t) dt across the evanescent branch-cut segment, for every
     entry of the array ``gamma`` at once (f gets t of shape (nodes, *gamma.shape)).
 
     With the trigonometric substitution t = Gamma*sin(u) the integrable
     1/sqrt(Gamma^2 - t^2) endpoint factor becomes smooth; panel nodes never
-    touch the endpoints, so f is never called at t = 0 or t = Gamma.
+    touch the endpoints, so f is never called at t = 0 or t = Gamma.  The
+    first panels are four equal ones in u.  ``near`` = (a, b) gives the
+    scales, the same for every entry, on which f(Gamma sin u) varies next to
+    u = 0 (a) and to u = pi/2 (b, the distance of a singularity past the
+    branch point): the first panel is split at u = a 2^j below pi/8 and the
+    last at u = pi/2 - b 2^j above 3 pi/8 (at most _GRADED_MAX breaks each;
+    inf adds none).
     """
     gamma = np.asarray(gamma, dtype=float)
     if not np.all(np.isfinite(gamma) & (gamma >= 0.0)):
         raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
+    breaks = _cut_breaks(near)
     if not np.any(gamma):
         return IntegralResult(0.0 + 0.0j, 0.0, 0)
 
@@ -465,7 +534,7 @@ def cut_segment_integral(f: Integrand, gamma: ArrayLike, spec: QuadratureSpec) -
         jac = np.multiply.outer(np.cos(u), gamma)
         return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - jac.ndim))
 
-    res = adaptive_panels(g, np.linspace(0.0, 0.5 * math.pi, 5), spec)
+    res = adaptive_panels(g, breaks, spec)
     return replace(res, nodes_used=res.nodes_used * gamma.size)
 
 

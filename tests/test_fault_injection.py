@@ -124,11 +124,13 @@ def _flip_tm(monkeypatch, names):
 def _right_charge_with_one_minus_r(monkeypatch):
     original = modes.surface_charge_mode
 
-    def faulty(medium, side, kpar_mag, kz_or_kzd, other_kz=None):
+    def faulty(medium, side, kpar_mag, kz_or_kzd, other_kz=None, tm=None):
         if side is Side.LEFT:
-            return original(medium, side, kpar_mag, kz_or_kzd, other_kz)
-        coef = fresnel.fresnel_coefficients(medium, Polarization.TM, kpar_mag, kz_or_kzd, other_kz)
-        return (2.0 * math.pi) ** -1.5 * medium.surface_charge_share * (1.0 - coef.rR)
+            return original(medium, side, kpar_mag, kz_or_kzd, other_kz, tm)
+        if tm is None:
+            tm = fresnel.fresnel_coefficients(medium, Polarization.TM, kpar_mag, kz_or_kzd,
+                                              other_kz)
+        return (2.0 * math.pi) ** -1.5 * medium.surface_charge_share * (1.0 - tm.rR)
 
     _patch_everywhere(monkeypatch, original, faulty)
 
@@ -136,8 +138,8 @@ def _right_charge_with_one_minus_r(monkeypatch):
 def _left_charge_without_one_over_n(monkeypatch):
     original = modes.surface_charge_mode
 
-    def faulty(medium, side, kpar_mag, kz_or_kzd, other_kz=None):
-        g = original(medium, side, kpar_mag, kz_or_kzd, other_kz)
+    def faulty(medium, side, kpar_mag, kz_or_kzd, other_kz=None, tm=None):
+        g = original(medium, side, kpar_mag, kz_or_kzd, other_kz, tm)
         return g * medium.n if side is Side.LEFT else g
 
     _patch_everywhere(monkeypatch, original, faulty)

@@ -185,3 +185,13 @@ def test_coincident_points_rejected():
     p = pair((0.1, 0.2, 0.5), (0.1, 0.2, 0.5))
     with pytest.raises(ValueError):
         grad_grad_green_tensor(Medium(2.0), GreenVariant.FREE, p)
+
+
+def test_image_potential_rejects_non_finite_inputs():
+    med = Medium(2.3)
+    for bad in (math.nan, math.inf, 0.0, -0.5):
+        with pytest.raises(ValueError, match="z0"):
+            image_potential_ves(1.0, med, bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="q must be finite"):
+            image_potential_ves(bad, med, 0.7)

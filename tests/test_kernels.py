@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from halfspace_qed.config import DEFAULT_TOLERANCES
@@ -12,7 +13,7 @@ from halfspace_qed.greens import (
     grad_grad_green_tensor,
     image_grad_grad_tensor,
 )
-from halfspace_qed import kernels, spectral
+from halfspace_qed import kernels, modes, spectral
 from halfspace_qed.kernels import (
     KernelKind,
     _free_profile,
@@ -445,11 +446,11 @@ def test_batched_profile_counts_every_kappa_evaluation(monkeypatch):
     evaluations = []
 
     def counting(engine):
-        def wrapped(f, *args):
+        def wrapped(f, *args, **kwargs):
             def g(x, *entries):
                 evaluations.append(x.size)
                 return f(x, *entries)
-            return engine(g, *args)
+            return engine(g, *args, **kwargs)
         return wrapped
 
     for name in ("ray_integral", "cut_segment_integral"):
@@ -569,7 +570,7 @@ def test_ray_route_matches_the_levin_real_axis(profile, n, monkeypatch):
     # within the summed estimates
     seen = _captured_bodies(monkeypatch)
     monkeypatch.setattr(kernels, "cut_segment_integral",
-                        lambda f, gamma, spec: IntegralResult(0.0, 0.0, 0))
+                        lambda f, gamma, spec, near=None: IntegralResult(0.0, 0.0, 0))
     med = Medium(n)
     z, zp = {"reflected": (0.7, 0.4), "transmitted": (-0.3, 0.5),
              "gauge_difference": (0.7, 0.4)}[profile]
@@ -596,12 +597,12 @@ def test_lone_kappa_rays_converge_after_one_level(monkeypatch):
     calls = []
     ray = kernels.ray_integral
 
-    def counted(f, scale, entries, spec):
+    def counted(f, scale, entries, spec, near=None):
         def g(k, owner):
             calls[-1] += 1
             return f(k, owner)
         calls.append(0)
-        return ray(g, scale, entries, spec)
+        return ray(g, scale, entries, spec, near=near)
 
     monkeypatch.setattr(kernels, "ray_integral", counted)
     rng = np.random.default_rng(42)  # the verify seed
@@ -710,9 +711,9 @@ def test_cut_is_the_travelling_body_jump(n, z, zp, monkeypatch):
     seen = []
     cut = kernels.cut_segment_integral
 
-    def capture(f, gamma, spec):
+    def capture(f, gamma, spec, near=None):
         seen.append((f, gamma))
-        return cut(f, gamma, spec)
+        return cut(f, gamma, spec, near=near)
 
     monkeypatch.setattr(kernels, "cut_segment_integral", capture)
     med, kappa = Medium(n), np.array([0.3, 1.3, 7.0])
@@ -729,3 +730,216 @@ def test_cut_is_the_travelling_body_jump(n, z, zp, monkeypatch):
             target = (1j * np.conj(te.tR) * math.exp(-ti * zp)
                       * (np.exp(1j * te.kzd * z) + te.rL * np.exp(-1j * te.kzd * z)))
         assert abs(value - target) <= 1e-10 * abs(target)
+
+
+# ---------------------------------------------------------------------------
+# the first panels graded from each profile's near-singularity scales
+# ---------------------------------------------------------------------------
+
+RAY_X = np.array([0.0, 0.3, 0.9, 2.0, 4.0, 8.0, 16.0, np.inf])
+
+
+def _entry_breaks(near, scale):
+    """Each entry's first ray breaks in v, as ray_integral lays them out."""
+    lo, hi, owner = spectral._ray_panels(np.asarray(near, dtype=float), scale)
+    assert np.array_equal(owner, np.sort(owner))
+    rows = []
+    for entry in range(len(near)):
+        mine = owner == entry
+        assert np.array_equal(hi[mine][:-1], lo[mine][1:])  # panels tile the ray
+        rows.append(np.append(lo[mine], hi[mine][-1]))
+    return rows
+
+
+def test_ray_layout_is_graded_from_the_tm_pole():
+    # kappa/n = 0.05 at s = 1: x_e = 0.05 sin(pi/4) = 0.0354, so the first
+    # panel splits at x_e, 2 x_e, 4 x_e and 8 x_e = 0.283 below x = 0.3; a
+    # scale at or past 0.3 keeps the old breaks, and kappa = 0 starts at
+    # 0.3 / 2^16
+    x_e = 0.05 * math.sin(0.25 * math.pi)
+    graded, far, at_end, zero = _entry_breaks([0.05, 2.0, 0.3 / math.sin(0.25 * math.pi), 0.0],
+                                              1.0)
+    assert np.array_equal(graded, np.arctan(np.concatenate(
+        [[0.0], x_e * np.array([1.0, 2.0, 4.0, 8.0]), RAY_X[1:]])))
+    assert np.array_equal(far, spectral._RAY_BREAKS)
+    assert np.array_equal(at_end, spectral._RAY_BREAKS)
+    assert np.array_equal(zero, np.arctan(np.concatenate(
+        [[0.0], 0.3 * 2.0 ** np.arange(-16, 0), RAY_X[1:]])))
+
+
+def test_cut_layout_is_graded_from_the_tm_shoulder_and_the_te_pole():
+    # at n = 40 the TM shoulder t = kappa/n sits at u_lo = asin(1/sqrt(1599))
+    # = 0.0250 and the TE pole t = kappa at u_hi = acosh(40/sqrt(1599)) =
+    # 0.0250 from pi/2: four graded breaks at each end (8 u < pi/8 < 16 u)
+    n = 40.0
+    u_lo, u_hi = math.asin(1.0 / math.sqrt(n * n - 1.0)), math.acosh(n / math.sqrt(n * n - 1.0))
+    assert kernels._cut_scales(n) == (u_lo, u_hi)
+    steps = np.array([1.0, 2.0, 4.0, 8.0])
+    base = np.linspace(0.0, 0.5 * math.pi, 5)
+    expected = np.concatenate([[0.0], u_lo * steps, base[1:-1], base[-1] - u_hi * steps[::-1],
+                               [base[-1]]])
+    assert np.array_equal(spectral._cut_breaks(kernels._cut_scales(n)), expected)
+    # below n = 2.68 both scales are wider than pi/8: the four equal panels
+    for n in (1.0, 1.01, math.sqrt(2.0), 2.0):
+        assert np.array_equal(spectral._cut_breaks(kernels._cut_scales(n)), base)
+    assert np.array_equal(spectral._cut_breaks(None), base)
+
+
+def _doubling(start, end, inside):
+    """The loop the graded layouts replace: start, 2 start, ... while
+    ``inside``, at most _GRADED_MAX breaks, from end 2^-_GRADED_MAX at least."""
+    x, out = max(start, end * 2.0 ** -spectral._GRADED_MAX), []
+    while inside(x) and len(out) < spectral._GRADED_MAX:
+        out.append(x)
+        x *= 2.0
+    return out
+
+
+def _reference_layouts(near, s, n):
+    ray = np.arctan([0.0] + _doubling(near * (s * math.sin(0.25 * math.pi)), 0.3,
+                                      lambda x: x < 0.3) + list(RAY_X[1:]))
+    low, high = kernels._cut_scales(n)
+    end = math.pi / 8.0
+    cut = ([0.0] + _doubling(low, end, lambda u: u < end) + [end, 2.0 * end, 3.0 * end]
+           + [4.0 * end - d for d in _doubling(high, end, lambda d: 4.0 * end - d > 3.0 * end)][::-1]
+           + [4.0 * end])
+    return np.unique(ray), np.array(cut)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kap=st.one_of(st.sampled_from([0.0, 5e-324, 1e-300]),
+                     st.floats(0.0, 1e4, allow_subnormal=True)),
+       n=st.one_of(st.sampled_from([1.0, 1.01, math.sqrt(2.0), 100.0]), st.floats(1.0, 100.0)),
+       s=st.floats(1e-3, 1e3))
+def test_graded_layouts_keep_the_old_breaks_and_stay_finite(kap, n, s):
+    breaks, = _entry_breaks([kap / n], s)
+    assert np.all(np.isfinite(breaks)) and np.all(np.diff(breaks) > 0.0)
+    assert breaks[0] == 0.0 and breaks[-1] == 0.5 * math.pi
+    assert np.all(np.isin(spectral._RAY_BREAKS, breaks))
+    assert len(breaks) - 1 <= spectral._RAY_PANELS + spectral._GRADED_MAX
+    cut = spectral._cut_breaks(kernels._cut_scales(n))
+    base = np.linspace(0.0, 0.5 * math.pi, 5)
+    assert np.all(np.isfinite(cut)) and np.all(np.diff(cut) > 0.0)
+    assert cut[0] == 0.0 and cut[-1] == 0.5 * math.pi
+    assert np.all(np.isin(base, cut))
+    assert len(cut) - 1 <= 4 + 2 * spectral._GRADED_MAX
+    if n <= math.sqrt(2.0):
+        assert np.array_equal(cut, base)
+    ray_loop, cut_loop = _reference_layouts(kap / n, s, n)
+    assert np.array_equal(breaks, ray_loop)
+    assert np.array_equal(cut, cut_loop)
+
+
+def test_profiles_pass_their_near_singularity_scales(monkeypatch):
+    # the ray gets kappa/n for each kappa, the cut the scales of n
+    seen = []
+    ray, cut = kernels.ray_integral, kernels.cut_segment_integral
+
+    def ray_spy(f, scale, entries, spec, near=None):
+        seen.append(("ray", near))
+        return ray(f, scale, entries, spec, near=near)
+
+    def cut_spy(f, gamma, spec, near=None):
+        seen.append(("cut", near))
+        return cut(f, gamma, spec, near=near)
+
+    monkeypatch.setattr(kernels, "ray_integral", ray_spy)
+    monkeypatch.setattr(kernels, "cut_segment_integral", cut_spy)
+    med = Medium(40.0)
+    for build in (lambda: kz_profile(med, KAPPA_PANEL, 0.7, 0.4, SPEC),
+                  lambda: kz_profile(med, KAPPA_PANEL, -0.3, 0.5, SPEC),
+                  lambda: _gauge_difference_profile(med, KAPPA_PANEL, 0.7, 0.4, SPEC)):
+        seen.clear()
+        build()
+        (_, near_ray), (_, near_cut) = seen
+        assert np.array_equal(near_ray, KAPPA_PANEL / 40.0)
+        assert near_cut == kernels._cut_scales(40.0)
+
+
+# the kernel-assembly benchmark items of seed 1: (kind, n, r, r')
+_ASSEMBLY_SEED_1 = [
+    (KernelKind.GENERALIZED_DELTA, 1.789411672255598, (0.363273208694115, 0.035949992214662926,
+     0.7447583894582634), (-0.2539783026395787, -0.03755447608462009, 0.7447583894582634)),
+    (KernelKind.GENERALIZED_DELTA, 47.89670684800342, (-0.3871849532543724, 0.07307781045750666,
+     0.6139729425091325), (-0.2827132708938959, -0.2967889395549715, 0.8257728007553409)),
+    (KernelKind.GAUGE_DIFFERENCE, 3.0705647628795205, (0.5849367114994716, -0.1688509101652481,
+     0.8914678331400407), (0.16672890659358242, -0.22941134504794508, 0.8458700848415759)),
+    (KernelKind.TRUE_COULOMB, 1.7286290088918899, (0.355564398335639, 0.025730028336893085,
+     -0.6948836897477573), (-0.08091693664650787, 0.24275861713483587, 0.7837476956615708)),
+]
+
+
+def test_graded_rays_and_cuts_converge_in_few_levels(monkeypatch):
+    # with the first panels graded from the near-singularity scales, every
+    # ray of these assemblies finishes after at most two refinement levels
+    # (three integrand calls) and the cut of the perfect-reflector pair
+    # (n = 47.9) after at most one; fixed first panels took up to 11 and 6
+    counts = []  # (engine, n, integrand calls)
+
+    def counted(name, n):
+        engine = getattr(kernels, name)
+
+        def wrapped(f, *args, **kwargs):
+            record = [name, n, 0]
+            counts.append(record)
+
+            def g(x, *rest):
+                record[2] += 1
+                return f(x, *rest)
+            return engine(g, *args, **kwargs)
+        return wrapped
+
+    for kind, n, r, rp in _ASSEMBLY_SEED_1:
+        with monkeypatch.context() as mp:
+            for name in ("ray_integral", "cut_segment_integral"):
+                mp.setattr(kernels, name, counted(name, n))
+            p = pair(r, rp)
+            res = assemble_kernel_result(Medium(n), kind, p, SPEC)
+        target = kernel_closed_form(Medium(n), kind, p)
+        assert np.max(np.abs(res.tensor - target)) <= res.error_estimate
+    rays = [calls for name, _, calls in counts if name == "ray_integral"]
+    assert len(rays) == 5 and max(rays) <= 3
+    cuts = [calls for name, n, calls in counts if name == "cut_segment_integral" and n > 20.0]
+    assert len(cuts) == 1 and cuts[0] <= 2
+
+
+def test_gauge_bodies_evaluate_the_tm_fresnel_set_once(monkeypatch):
+    # the travelling and the evanescent body of the gauge-difference profile
+    # each take one TM Fresnel set per call and hand it to both surface charges
+    seen = _captured_bodies(monkeypatch)
+    med = Medium(2.0)
+    _gauge_difference_profile(med, KAPPA_PANEL, 0.7, 0.4, SPEC)
+    (kap, scale, travelling, evanescent), = seen
+    calls = []
+    original = fresnel_coefficients
+
+    def counting(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(kernels, "fresnel_coefficients", counting)
+    monkeypatch.setattr(modes, "fresnel_coefficients", counting)
+    k = np.array([[0.3 + 0.3j, 2.0 + 2.0j]])
+    kzd = np.sqrt(4.0 * k * k + 3.0 * kap[:2] ** 2)
+    travelling(k, kzd, kap[:2], kap[:2] ** 2 + k * k)
+    assert calls == [Polarization.TM]
+    calls.clear()
+    t = 0.5 * kap[:2] * math.sqrt(3.0) / 2.0
+    evanescent(t, np.sqrt(3.0 * kap[:2] ** 2 - 4.0 * t * t), kap[:2], kap[:2] ** 2 - t * t)
+    assert calls == [Polarization.TM]
+
+
+def test_curl_residual_rejects_a_bad_fd_step():
+    p = pair((0.1, 0.05, 1.0), (0.0, 0.0, 1.2))
+    for bad in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="fd_step"):
+            curl_annihilation_residual(Medium(2.0), p, fd_step=bad)
+
+
+def test_poisson_jump_residual_rejects_non_finite_labels():
+    med = Medium(2.0)
+    with pytest.raises(ValueError, match="kpar_mag"):
+        poisson_jump_residual(med, math.nan, 0.7, Side.RIGHT)
+    for bad in (math.nan, complex(0.0, math.inf)):
+        with pytest.raises(ValueError, match="kz_or_kzd"):
+            poisson_jump_residual(med, 1.0, bad, Side.RIGHT)

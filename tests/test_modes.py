@@ -187,3 +187,26 @@ def test_sigma_coefficient_te_free_cases():
     s = sigma_mode_coefficient(Medium(2.0), Side.RIGHT, 0.7, 1.0)
     assert s != 0.0
     assert s.real == pytest.approx(0.0, abs=1e-15)  # -2i kpar g / sqrt(2 omega), g real here
+
+
+@pytest.mark.parametrize("side, label", [(Side.RIGHT, 0.7), (Side.LEFT, 1.9)])
+def test_sigma_coefficient_rejects_non_finite_inputs(side, label):
+    med = Medium(2.0)
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="kpar_mag"):
+            sigma_mode_coefficient(med, side, bad, label)
+    for bad in (math.nan, complex(math.inf, 0.0)):
+        with pytest.raises(ValueError, match="kz_or_kzd"):
+            sigma_mode_coefficient(med, side, 1.0, bad)
+
+
+@pytest.mark.parametrize("side, label", [(Side.RIGHT, 0.7), (Side.LEFT, 1.9)])
+def test_chi_coefficient_rejects_non_finite_inputs(side, label):
+    med = Medium(2.0)
+    with pytest.raises(ValueError, match="kpar_mag"):
+        chi_mode_coefficient(med, side, math.nan, label, 0.5)
+    with pytest.raises(ValueError, match="kz_or_kzd"):
+        chi_mode_coefficient(med, side, 1.0, math.nan, 0.5)
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="z must be finite"):
+            chi_mode_coefficient(med, side, 1.0, label, bad, time_derivative=True)

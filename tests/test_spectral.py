@@ -503,6 +503,33 @@ def test_ray_integral_meets_closed_forms(s):
     assert res.error_estimate <= SPEC.tolerance(float(np.max(np.abs(res.value))))
 
 
+def test_ray_graded_from_a_near_pole_converges_on_its_first_panels():
+    # int_0^inf e^{ik}/(k + a) dk = e^{-ia} E1(-ia): the pole at k = -a lies
+    # outside the first quadrant, a distance a from the ray's origin.  Graded
+    # from that scale every entry converges on its first panels; the fixed
+    # panels bisect towards the origin for 13 levels
+    a = np.array([1e-4, 1e-2, 0.5])
+    exact = np.exp(-1j * a) * exp1(-1j * a)
+    for near, levels in ((a, 1), (None, 13)):
+        calls = []
+
+        def f(k, entries):
+            calls.append(k.shape)
+            return np.exp(1j * k) / (k + a[entries])
+
+        res = ray_integral(f, 1.0, a.size, SPEC, near=near)
+        assert len(calls) == levels
+        assert np.all(np.abs(res.value - exact) <= res.entry_errors)
+
+
+@pytest.mark.parametrize("near", [[-1.0, 1.0], [math.nan, 1.0], [1.0], [[1.0, 1.0]]])
+def test_near_scales_must_be_one_non_negative_number_per_entry(near):
+    with pytest.raises(ValueError, match="near must be 2 scales"):
+        ray_integral(lambda k, entries: np.exp(1j * k), 1.0, 2, SPEC, near=near)
+    with pytest.raises(ValueError, match="near must be 2 scales"):
+        cut_segment_integral(lambda t: t, 1.0, SPEC, near=near)
+
+
 def _two_widths(k, w):
     return np.stack([np.exp(1j * k) / (1.0 + (w * k) ** 2), np.exp(1j * k) * w / (k + 1j * w)],
                     axis=-1)
