@@ -38,7 +38,7 @@ from .modes import (
 )
 from .kernels import (
     KernelKind,
-    assemble_kernel,
+    assemble_kernel_result,
     curl_annihilation_residual,
     gauge_difference_closed_form,
     kz_spectral_kernel,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -69,30 +70,38 @@ class PointPair:
         return self.rprime * np.array([1.0, 1.0, -1.0])
 
 
-def _check_region(variant: GreenVariant, z: float) -> None:
+# (direct, image) strengths of each variant, from alpha and whether z >= 0
+_STRENGTHS = {
+    GreenVariant.FREE: lambda al, above: (1.0, None),
+    GreenVariant.REFLECTED: lambda al, above: (None, al),
+    GreenVariant.TRANSMITTED: lambda al, above: (1.0 - al, None),
+    GreenVariant.FULL: lambda al, above: (1.0, al) if above else (1.0 - al, None),
+}
+
+
+def _combine(medium: Medium, variant: GreenVariant, pair: PointPair,
+             direct_term: Callable, image_term: Callable):
+    """direct_term(direct) + image_term(image) for the ``_STRENGTHS`` of
+    ``variant``, which is direct/(4 pi |r - r'|) - image/(4 pi |r - rbar'|).
+    A term of strength None is skipped, not weighted by zero: REFLECTED keeps
+    its -0.0 at n = 1, and FULL below the interface never builds the image
+    term, which is singular at the image point."""
+    z = pair.r[2]
     if variant is GreenVariant.REFLECTED and z < 0.0:
         raise ValueError("reflected variant is defined for z >= 0 only")
     if variant is GreenVariant.TRANSMITTED and z > 0.0:
         raise ValueError("transmitted variant is defined for z <= 0 only")
+    direct, image = _STRENGTHS[variant](medium.image_strength, z >= 0.0)
+    if image is None:
+        return direct_term(direct)
+    if direct is None:
+        return image_term(image)
+    return direct_term(direct) + image_term(image)
 
 
 def electrostatic_green(medium: Medium, variant: GreenVariant, pair: PointPair) -> float:
-    al = medium.image_strength
-    z = pair.r[2]
-    _check_region(variant, z)
-    d = pair.separation
-    if variant is GreenVariant.FULL:
-        if z < 0.0:
-            variant = GreenVariant.TRANSMITTED
-        else:
-            dbar = float(np.linalg.norm(pair.r - pair.image_point))
-            return 1.0 / (_FOUR_PI * d) - al / (_FOUR_PI * dbar)
-    if variant is GreenVariant.FREE:
-        return 1.0 / (_FOUR_PI * d)
-    if variant is GreenVariant.TRANSMITTED:
-        return (1.0 - al) / (_FOUR_PI * d)
-    dbar = float(np.linalg.norm(pair.r - pair.image_point))
-    return -al / (_FOUR_PI * dbar)
+    return _combine(medium, variant, pair, lambda s: s / (_FOUR_PI * pair.separation),
+                    lambda s: -s / (_FOUR_PI * float(np.linalg.norm(pair.r - pair.image_point))))
 
 
 def _grad_grad_inverse_distance(d: np.ndarray) -> np.ndarray:
@@ -117,25 +126,11 @@ def image_grad_grad_tensor(pair: PointPair, strength: float) -> np.ndarray:
     return -strength / _FOUR_PI * (_grad_grad_inverse_distance(dbar) @ _MIRROR)
 
 
-def grad_grad_green_tensor(
-    medium: Medium, variant: GreenVariant, pair: PointPair
-) -> np.ndarray:
+def grad_grad_green_tensor(medium: Medium, variant: GreenVariant, pair: PointPair) -> np.ndarray:
     """Closed-form grad_i grad'_j of the chosen variant (3x3 real)."""
-    al = medium.image_strength
-    z = pair.r[2]
-    _check_region(variant, z)
-    if variant is GreenVariant.FULL:
-        if z < 0.0:
-            variant = GreenVariant.TRANSMITTED
-        else:
-            return grad_grad_green_tensor(
-                medium, GreenVariant.FREE, pair
-            ) + grad_grad_green_tensor(medium, GreenVariant.REFLECTED, pair)
-    if variant is GreenVariant.FREE:
-        return _grad_grad_inverse_distance(pair.r - pair.rprime) / _FOUR_PI
-    if variant is GreenVariant.TRANSMITTED:
-        return (1.0 - al) * _grad_grad_inverse_distance(pair.r - pair.rprime) / _FOUR_PI
-    return image_grad_grad_tensor(pair, al)  # REFLECTED
+    return _combine(medium, variant, pair,
+                    lambda s: s * _grad_grad_inverse_distance(pair.r - pair.rprime) / _FOUR_PI,
+                    lambda s: image_grad_grad_tensor(pair, s))
 
 
 def image_potential_ves(q: float, medium: Medium, z0: float) -> float:

@@ -26,10 +26,13 @@ Delta r_par = rho * uhat and arguments kappa*rho,
     zz -> 2 pi J0       into zz,
 
 after which the tensor is rotated about z to restore the actual azimuth.
-The inner k_z quadrature (the travelling axis along the damped ray
-k_z = u e^{i pi/4} of ``spectral.ray_integral``, the evanescent segment
-through the cut rule) is the numerical path that the residue-theorem closed
-forms are verified against.  The bodies' branch points lie on the imaginary
+The two sides of the interface share one travelling k_z body (``kz_profile``):
+the side only picks its coefficients, rR or tR, the lead of the TM u-row,
+the scale of the TM dyads and the plane-wave phase.  The inner k_z
+quadrature (the travelling axis along the damped ray k_z = u e^{i pi/4} of
+``spectral.ray_integral``, the evanescent segment through the cut rule) is
+the numerical path that the residue-theorem closed forms are verified
+against.  The bodies' branch points lie on the imaginary
 k_z axis; continued with the principal root of kzd, the TM denominator
 n^2 k_z + kzd vanishes at k_z = -kappa/n, on the negative real axis.  That
 pole is outside the first quadrant, so the ray holds, but it sets the scale
@@ -71,7 +74,6 @@ __all__ = [
     "residue_profile",
     "residue_closed_form",
     "kernel_closed_form",
-    "assemble_kernel",
     "assemble_kernel_result",
     "gauge_difference_closed_form",
     "curl_annihilation_residual",
@@ -181,52 +183,6 @@ def _interface_profile(medium: Medium, kap: np.ndarray, scale: float, travelling
                           ray.nodes_used + cut.nodes_used, err.reshape(kap.shape))
 
 
-def _reflected_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
-                       spec: QuadratureSpec) -> IntegralResult:
-    """Reflected kernel profile for z, z' > 0 over the whole k_z axis."""
-    s = z + zp
-    kap = np.asarray(kap, dtype=float)
-    if medium.n == 1.0:
-        return IntegralResult(np.zeros(kap.shape + (5,), dtype=complex), 0.0, 0,
-                              np.zeros(kap.shape))
-
-    def travelling(kz: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
-                   kmag2: np.ndarray) -> np.ndarray:
-        rtm = fresnel_coefficients(medium, Polarization.TM, kap, kz, kzd).rR
-        rte = fresnel_coefficients(medium, Polarization.TE, kap, kz, kzd).rR
-        phase = np.exp(1j * kz * s)
-        uu = rtm * (-kz * kz / kmag2) * phase
-        uz = rtm * (-kz * kap / kmag2) * phase
-        zu = rtm * (kap * kz / kmag2) * phase
-        zz = rtm * (kap * kap / kmag2) * phase
-        vv = rte * phase
-        return np.stack([uu, uz, zu, zz, vv], axis=-1)
-
-    return _interface_profile(medium, kap, s, travelling, spec)
-
-
-def _transmitted_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
-                         spec: QuadratureSpec) -> IntegralResult:
-    """Transmitted kernel profile for z < 0, z' > 0 over the whole k_z axis."""
-    n = medium.n
-    s_eff = n * abs(z) + zp
-    kap = np.asarray(kap, dtype=float)
-
-    def travelling(kz: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
-                   kmag2: np.ndarray) -> np.ndarray:
-        ttm = fresnel_coefficients(medium, Polarization.TM, kap, kz, kzd).tR
-        tte = fresnel_coefficients(medium, Polarization.TE, kap, kz, kzd).tR
-        phase = np.exp(-1j * kzd * z + 1j * kz * zp)
-        uu = ttm * (kzd * kz / (n * kmag2)) * phase
-        uz = ttm * (kzd * kap / (n * kmag2)) * phase
-        zu = ttm * (kap * kz / (n * kmag2)) * phase
-        zz = ttm * (kap * kap / (n * kmag2)) * phase
-        vv = tte * phase
-        return np.stack([uu, uz, zu, zz, vv], axis=-1)
-
-    return _interface_profile(medium, kap, s_eff, travelling, spec)
-
-
 def _free_profile(kap: ArrayLike, z: float, zp: float) -> IntegralResult:
     """Analytic fixed-k_par profile of -grad grad' G0 (smooth part of the
     transverse delta); standard 2-D Fourier representation of 1/|r - r'|."""
@@ -304,12 +260,33 @@ def _check_point(kap: ArrayLike, z: float, zp: float) -> None:
 
 def kz_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
                spec: QuadratureSpec) -> IntegralResult:
-    """The k_z-integrated kernel profile at fixed kappa: the reflected profile
-    for z >= 0, the transmitted one below the interface."""
+    """The k_z-integrated kernel profile at fixed kappa: reflected for z >= 0,
+    transmitted below.  One travelling body serves both; the side picks its
+    amplitudes, TM u-row lead, TM dyad scale and phase: (rR, -k_z, |k|^2,
+    e^{i k_z (z + z')}) for z >= 0, (tR, k_zd, n |k|^2, e^{-i k_zd z + i k_z z'}) below."""
     _check_point(kap, z, zp)
-    if z >= 0.0:
-        return _reflected_profile(medium, kap, z, zp, spec)
-    return _transmitted_profile(medium, kap, z, zp, spec)
+    n = medium.n
+    kap = np.asarray(kap, dtype=float)
+    above = z >= 0.0
+    if above and n == 1.0:
+        return IntegralResult(np.zeros(kap.shape + (5,), dtype=complex), 0.0, 0,
+                              np.zeros(kap.shape))
+    s = z + zp if above else n * abs(z) + zp
+
+    def travelling(kz: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
+                   kmag2: np.ndarray) -> np.ndarray:
+        tm = fresnel_coefficients(medium, Polarization.TM, kap, kz, kzd)
+        te = fresnel_coefficients(medium, Polarization.TE, kap, kz, kzd)
+        if above:
+            ctm, cte, lead, scale, phase = tm.rR, te.rR, -kz, kmag2, np.exp(1j * kz * s)
+        else:
+            ctm, cte, lead, scale = tm.tR, te.tR, kzd, n * kmag2
+            phase = np.exp(-1j * kzd * z + 1j * kz * zp)
+        uu, uz, zu, zz = (ctm * (a * b / scale) * phase
+                          for a, b in ((lead, kz), (lead, kap), (kap, kz), (kap, kap)))
+        return np.stack([uu, uz, zu, zz, cte * phase], axis=-1)
+
+    return _interface_profile(medium, kap, s, travelling, spec)
 
 
 def residue_profile(medium: Medium, kap: float, z: float, zp: float) -> np.ndarray:
@@ -502,12 +479,6 @@ def assemble_kernel_result(
     return KernelAssembly(rot @ total @ rot.T, err, sum(r.nodes_used for _, r in radial))
 
 
-def assemble_kernel(
-    medium: Medium, kind: KernelKind, pair: PointPair, spec: QuadratureSpec
-) -> np.ndarray:
-    return assemble_kernel_result(medium, kind, pair, spec).tensor
-
-
 def gauge_difference_closed_form(medium: Medium, pair: PointPair) -> np.ndarray:
     """Closed form of the gauge-difference kernel in the -i*hbar convention:
     -grad grad' GR for z > 0, +alpha grad grad' G0 for z < 0 (primed
@@ -607,6 +578,6 @@ def perfect_reflector_convergence(
     if pair.r[2] <= 0.0:
         raise ValueError("the perfect-reflector comparison needs z, z' > 0")
     target = kernel_closed_form(Medium(1.0), KernelKind.PERFECT_REFLECTOR, pair)
-    assembled = (assemble_kernel(Medium(n), KernelKind.GENERALIZED_DELTA, pair, spec)
+    assembled = (assemble_kernel_result(Medium(n), KernelKind.GENERALIZED_DELTA, pair, spec)
                  for n in n_values)
-    return [float(np.max(np.abs(kern - target))) for kern in assembled]
+    return [float(np.max(np.abs(res.tensor - target))) for res in assembled]

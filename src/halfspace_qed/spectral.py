@@ -356,19 +356,8 @@ def halfline_oscillatory_integral(
     and the partial-sum sequence is Levin-accelerated; convergence requires
     two consecutive stable estimates within _MAX_HALF_PERIODS half-periods.
     """
-    return _levin_halfline(_flat_integrand(f), _oscillation_scale(oscillation_scale), spec)
-
-
-def _oscillation_scale(value) -> float:
-    scale = np.asarray(value, dtype=float)
-    if not (scale.ndim == 0 and math.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"oscillation_scale must be positive and finite, got {value!r}")
-    return float(scale)
-
-
-def _levin_halfline(f, scale: float, spec: QuadratureSpec) -> IntegralResult:
-    """The half-line integral under the panel protocol f(k, owner)."""
-    h = math.pi / scale
+    f = _flat_integrand(f)  # under the panel protocol f(k, owner)
+    h = math.pi / _oscillation_scale(oscillation_scale)
     levin = _LevinU(_ACCELERATION_ORDER)
     abs_floor = 0.01 * spec.abs_tol
     rel_seg = 0.002 * spec.rel_tol
@@ -411,6 +400,13 @@ def _levin_halfline(f, scale: float, spec: QuadratureSpec) -> IntegralResult:
         f"oscillatory integral did not converge within {_MAX_HALF_PERIODS} "
         f"half-periods (last delta {err_prev:.3e})"
     )
+
+
+def _oscillation_scale(value) -> float:
+    scale = np.asarray(value, dtype=float)
+    if not (scale.ndim == 0 and math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"oscillation_scale must be positive and finite, got {value!r}")
+    return float(scale)
 
 
 def _near_scales(near, size: int) -> np.ndarray:

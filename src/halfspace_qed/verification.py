@@ -30,7 +30,7 @@ from .fresnel import cancellation_residual, fresnel_coefficients
 from .greens import GreenVariant, PointPair, grad_grad_green_tensor
 from .kernels import (
     KernelKind,
-    assemble_kernel,
+    assemble_kernel_result,
     curl_annihilation_residual,
     fd_curl_first_index,
     kernel_closed_form,
@@ -272,7 +272,8 @@ def kernels_suite(st: SuiteSettings) -> list[CheckReport]:
         for n in n_values:
             med = Medium(n)
             t0 = time.perf_counter()
-            kerns = assembled[kind, n] = [assemble_kernel(med, kind, p, quad) for p in kind_pairs]
+            kerns = assembled[kind, n] = [assemble_kernel_result(med, kind, p, quad).tensor
+                                          for p in kind_pairs]
             worst = 0.0
             for kern, pair in zip(kerns, kind_pairs):
                 target = kernel_closed_form(med, kind, pair)

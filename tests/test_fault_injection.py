@@ -19,7 +19,7 @@ from halfspace_qed.energy import second_order_shift
 from halfspace_qed.greens import PointPair
 from halfspace_qed.kernels import (
     KernelKind,
-    assemble_kernel,
+    assemble_kernel_result,
     kernel_closed_form,
     kz_profile,
     residue_profile,
@@ -55,7 +55,7 @@ def _kz_integral_vs_residue(z):
 def _assembled_error(kind):
     med = Medium(2.0)
     target = kernel_closed_form(med, kind, UPPER_PAIR)
-    kern = assemble_kernel(med, kind, UPPER_PAIR, SPEC)
+    kern = assemble_kernel_result(med, kind, UPPER_PAIR, SPEC).tensor
     err = np.max(np.abs(kern - target)) / np.max(np.abs(target))
     return float(err), DEFAULT_TOLERANCES["tol.kernels.assembly"]
 

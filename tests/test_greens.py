@@ -59,6 +59,31 @@ def test_region_mismatch_rejected():
         electrostatic_green(Medium(2.0), GreenVariant.TRANSMITTED, p_above)
 
 
+@pytest.mark.parametrize("n", [1.0, 2.0, 40.0])
+def test_full_green_is_its_side_terms_exactly(n):
+    # FULL is FREE + REFLECTED above the interface (z = 0 included) and
+    # TRANSMITTED below, to the last bit; below, at the image point too, where
+    # the image tensor is singular
+    med, rp = Medium(n), (0.1, -0.2, 0.6)
+    for r in ((0.4, 0.3, 0.9), (-0.2, 0.5, 0.0), (0.3, 0.1, 0.6)):
+        p = pair(r, rp)
+        free, reflected = (electrostatic_green(med, v, p)
+                           for v in (GreenVariant.FREE, GreenVariant.REFLECTED))
+        assert electrostatic_green(med, GreenVariant.FULL, p) == free + reflected
+        free, reflected = (grad_grad_green_tensor(med, v, p)
+                           for v in (GreenVariant.FREE, GreenVariant.REFLECTED))
+        assert np.array_equal(grad_grad_green_tensor(med, GreenVariant.FULL, p), free + reflected)
+    for r in ((0.4, 0.3, -0.9), (0.1, -0.2, -0.6)):
+        p = pair(r, rp)
+        assert (electrostatic_green(med, GreenVariant.FULL, p)
+                == electrostatic_green(med, GreenVariant.TRANSMITTED, p))
+        assert np.array_equal(grad_grad_green_tensor(med, GreenVariant.FULL, p),
+                              grad_grad_green_tensor(med, GreenVariant.TRANSMITTED, p))
+    # at n = 1 the image has strength zero and the reflected Green is -0.0
+    reflected = electrostatic_green(Medium(1.0), GreenVariant.REFLECTED, pair((0.4, 0.3, 0.9), rp))
+    assert reflected == 0.0 and math.copysign(1.0, reflected) == -1.0
+
+
 def test_full_green_continuous_at_interface():
     med = Medium(1.8)
     rp = (0.1, -0.2, 0.7)

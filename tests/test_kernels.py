@@ -18,9 +18,6 @@ from halfspace_qed.kernels import (
     KernelKind,
     _free_profile,
     _gauge_difference_profile,
-    _reflected_profile,
-    _transmitted_profile,
-    assemble_kernel,
     assemble_kernel_result,
     curl_annihilation_residual,
     gauge_difference_closed_form,
@@ -165,7 +162,7 @@ def test_assembled_kernel_equal_heights_path():
     # z = z' sends the free-space part through the Bessel-oscillation route
     med = Medium(1.5)
     p = pair((0.6, 0.4, 0.7), (-0.2, 0.2, 0.7))
-    kern = assemble_kernel(med, KernelKind.GENERALIZED_DELTA, p, SPEC)
+    kern = assemble_kernel_result(med, KernelKind.GENERALIZED_DELTA, p, SPEC).tensor
     target = -grad_grad_green_tensor(med, GreenVariant.FULL, p)
     assert np.max(np.abs(kern - target)) < 1e-4 * np.max(np.abs(target))
 
@@ -234,7 +231,7 @@ def test_true_coulomb_reduces_to_free_transverse_kernel():
     p = pair((0.4, -0.2, 0.8), (0.1, 0.3, 0.5))
     results = {}
     for n in (1.5, 4.0):
-        kern = assemble_kernel(Medium(n), KernelKind.TRUE_COULOMB, p, SPEC)
+        kern = assemble_kernel_result(Medium(n), KernelKind.TRUE_COULOMB, p, SPEC).tensor
         target = -grad_grad_green_tensor(Medium(n), GreenVariant.FREE, p)
         assert np.max(np.abs(kern - target)) < 1e-4 * np.max(np.abs(target))
         results[n] = kern
@@ -246,8 +243,8 @@ def test_transmitted_sum_rule():
     # (the prefactors 2/(n^2+1) and (n^2-1)/(n^2+1) sum to 1)
     med = Medium(2.0)
     p = pair((0.2, 0.6, -1.0), (-0.1, 0.0, 0.5))
-    gen = assemble_kernel(med, KernelKind.GENERALIZED_DELTA, p, SPEC)
-    gauge = assemble_kernel(med, KernelKind.GAUGE_DIFFERENCE, p, SPEC)
+    gen = assemble_kernel_result(med, KernelKind.GENERALIZED_DELTA, p, SPEC).tensor
+    gauge = assemble_kernel_result(med, KernelKind.GAUGE_DIFFERENCE, p, SPEC).tensor
     free = -grad_grad_green_tensor(med, GreenVariant.FREE, p)
     assert np.max(np.abs(gen - gauge - free)) < 1e-4 * np.max(np.abs(free))
 
@@ -266,17 +263,17 @@ def test_gauge_difference_closed_form_branches():
 def test_rotation_invariance_about_z():
     med = Medium(2.0)
     p = pair((0.5, -0.3, 0.8), (0.1, 0.2, 0.5))
-    kern = assemble_kernel(med, KernelKind.GENERALIZED_DELTA, p, SPEC)
+    kern = assemble_kernel_result(med, KernelKind.GENERALIZED_DELTA, p, SPEC).tensor
     rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     p_rot = PointPair(rot @ p.r, rot @ p.rprime)
-    kern_rot = assemble_kernel(med, KernelKind.GENERALIZED_DELTA, p_rot, SPEC)
+    kern_rot = assemble_kernel_result(med, KernelKind.GENERALIZED_DELTA, p_rot, SPEC).tensor
     assert np.max(np.abs(kern_rot - rot @ kern @ rot.T)) < 1e-7 * np.max(np.abs(kern))
 
 
 def test_coincident_points_rejected():
     p = PointPair(np.array([0.1, 0.2, 0.5]), np.array([0.1, 0.2, 0.5]))
     with pytest.raises(ValueError):
-        assemble_kernel(Medium(2.0), KernelKind.GENERALIZED_DELTA, p, SPEC)
+        assemble_kernel_result(Medium(2.0), KernelKind.GENERALIZED_DELTA, p, SPEC).tensor
 
 
 def test_curl_annihilation():
@@ -303,7 +300,7 @@ def test_perfect_reflector_deviation_scaling():
     for n, dev in zip([10.0, 30.0, 100.0], devs):
         assert dev == pytest.approx(2.0 / (n * n + 1.0) * image_scale, rel=2e-2)
     # n = 1 deviation equals the full image-term magnitude
-    pr = assemble_kernel(Medium(1.0), KernelKind.PERFECT_REFLECTOR, p, SPEC)
+    pr = assemble_kernel_result(Medium(1.0), KernelKind.PERFECT_REFLECTOR, p, SPEC).tensor
     free = -grad_grad_green_tensor(Medium(1.0), GreenVariant.FREE, p)
     dev_n1 = perfect_reflector_convergence(p, [1.0], SPEC)[0]
     assert dev_n1 == pytest.approx(np.max(np.abs(pr - free)), rel=1e-6)
@@ -311,7 +308,7 @@ def test_perfect_reflector_deviation_scaling():
 
 def test_perfect_reflector_kernel_is_image_form():
     p = pair((0.3, 0.0, 0.7), (0.0, 0.2, 0.5))
-    pr = assemble_kernel(Medium(2.0), KernelKind.PERFECT_REFLECTOR, p, SPEC)
+    pr = assemble_kernel_result(Medium(2.0), KernelKind.PERFECT_REFLECTOR, p, SPEC).tensor
     free = grad_grad_green_tensor(Medium(2.0), GreenVariant.FREE, p)
     # image term with unit strength: reflected tensor scaled by 1/alpha
     med = Medium(2.0)
@@ -336,13 +333,44 @@ def test_kernel_closed_form_table():
     with pytest.raises(ValueError, match="perfect-reflector"):
         kernel_closed_form(med, KernelKind.PERFECT_REFLECTOR, lower)
     with pytest.raises(ValueError, match="perfect-reflector"):
-        assemble_kernel(med, KernelKind.PERFECT_REFLECTOR, lower, SPEC)
+        assemble_kernel_result(med, KernelKind.PERFECT_REFLECTOR, lower, SPEC).tensor
+
+
+def _side_profile(reflected: bool):
+    """One side's profile with its own body spelled out: the reflected body
+    for z >= 0, the transmitted one below (kz_profile writes both as one)."""
+    def build(med, kap, z, zp, spec):
+        n = med.n
+
+        def travelling(kz, kzd, kap, kmag2):
+            tm = fresnel_coefficients(med, Polarization.TM, kap, kz, kzd)
+            te = fresnel_coefficients(med, Polarization.TE, kap, kz, kzd)
+            if reflected:
+                phase = np.exp(1j * kz * (z + zp))
+                uu = tm.rR * (-kz * kz / kmag2) * phase
+                uz = tm.rR * (-kz * kap / kmag2) * phase
+                zu = tm.rR * (kap * kz / kmag2) * phase
+                zz = tm.rR * (kap * kap / kmag2) * phase
+                return np.stack([uu, uz, zu, zz, te.rR * phase], axis=-1)
+            phase = np.exp(-1j * kzd * z + 1j * kz * zp)
+            uu = tm.tR * (kzd * kz / (n * kmag2)) * phase
+            uz = tm.tR * (kzd * kap / (n * kmag2)) * phase
+            zu = tm.tR * (kap * kz / (n * kmag2)) * phase
+            zz = tm.tR * (kap * kap / (n * kmag2)) * phase
+            return np.stack([uu, uz, zu, zz, te.tR * phase], axis=-1)
+
+        s = z + zp if reflected else n * abs(z) + zp
+        return kernels._interface_profile(med, np.asarray(kap, dtype=float), s, travelling, spec)
+    return build
+
+
+_reflected_reference, _transmitted_reference = _side_profile(True), _side_profile(False)
 
 
 def test_kz_profile_dispatches_on_the_side_of_z():
     med = Medium(2.0)
-    for z, build in ((0.7, _reflected_profile), (0.0, _reflected_profile),
-                     (-0.3, _transmitted_profile)):
+    for z, build in ((0.7, _reflected_reference), (0.0, _reflected_reference),
+                     (-0.3, _transmitted_reference)):
         assert np.array_equal(kz_profile(med, KAPPA_PANEL[:3], z, 0.5, SPEC).value,
                               build(med, KAPPA_PANEL[:3], z, 0.5, SPEC).value)
     with pytest.raises(ValueError, match="z' > 0"):
@@ -383,7 +411,7 @@ def test_batched_profiles_match_scalar_calls(n, z, zp):
         lambda k: _free_profile(k, z, zp),
     ]
     if z > 0.0:
-        builders.append(lambda k: _reflected_profile(med, k, z, zp, SPEC))
+        builders.append(lambda k: kz_profile(med, k, z, zp, SPEC))
     for build in builders:
         batch = build(KAPPA_PANEL)
         assert batch.value.shape == (len(KAPPA_PANEL), 5)
@@ -430,9 +458,9 @@ def test_batched_transmitted_profile_within_error_estimates(n):
     # error (up to ~1e-10 absolute) is above 1e-10 of the batch max-norm, so
     # each entry is held to the two error estimates and to the closed form
     med, z, zp = Medium(n), -0.3, 0.5
-    batch = _transmitted_profile(med, KAPPA_PANEL, z, zp, SPEC)
+    batch = kz_profile(med, KAPPA_PANEL, z, zp, SPEC)
     for kap, row in zip(KAPPA_PANEL, batch.value):
-        single = _transmitted_profile(med, kap, z, zp, SPEC)
+        single = kz_profile(med, kap, z, zp, SPEC)
         assert np.max(np.abs(row - single.value)) <= batch.error_estimate + single.error_estimate
         target = residue_profile(med, float(kap), z, zp)
         assert np.max(np.abs(row[:4] - target[:4])) <= batch.error_estimate
@@ -457,8 +485,8 @@ def test_batched_profile_counts_every_kappa_evaluation(monkeypatch):
         monkeypatch.setattr(kernels, name, counting(getattr(kernels, name)))
     med = Medium(2.0)
     for build in (
-        lambda k: _reflected_profile(med, k, 0.7, 0.4, SPEC),
-        lambda k: _transmitted_profile(med, k, -0.3, 0.5, SPEC),
+        lambda k: kz_profile(med, k, 0.7, 0.4, SPEC),
+        lambda k: kz_profile(med, k, -0.3, 0.5, SPEC),
         lambda k: _gauge_difference_profile(med, k, 0.7, 0.4, SPEC),
     ):
         evaluations.clear()
@@ -672,7 +700,6 @@ def test_profiles_never_call_the_levin_halfline(monkeypatch):
 
     monkeypatch.setattr(kernels, "halfline_oscillatory_integral", refuse)
     monkeypatch.setattr(spectral, "halfline_oscillatory_integral", refuse)
-    monkeypatch.setattr(spectral, "_levin_halfline", refuse)
     med = Medium(2.0)
     for kap, z, zp in [(1.3, 0.7, 0.4), (0.6, -0.8, 0.6)]:
         prof = kz_profile(med, kap, z, zp, SPEC)
