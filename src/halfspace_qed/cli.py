@@ -3,7 +3,8 @@
 Subcommands: ``fresnel``, ``modes eval``, ``greens eval``, ``kernel verify``,
 ``energy shift``, ``energy sweep``, ``verify``.  Tables are emitted as CSV
 (UTF-8, LF), verification results as JSON/CSV check reports; all files are
-written atomically.  ``verify`` exits 0 iff every check passes.
+written atomically.  Only the commands that run the quadrature engine take
+``--config``.  ``verify`` exits 0 iff every check passes.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import time
 
 import numpy as np
 
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, settings_from_config
 from .fresnel import fresnel_coefficients
 from .greens import GreenVariant, PointPair, grad_grad_green_tensor, image_grad_grad_tensor
 from .kernels import KernelKind, assemble_kernel_result, kernel_closed_form
@@ -28,7 +29,7 @@ from .report import (
     to_json,
     write_atomic,
 )
-from .verification import SUITE_NAMES, run_suite, settings_from_config
+from .verification import SUITE_NAMES, run_suite
 
 __all__ = ["main"]
 
@@ -78,7 +79,7 @@ _parse_vec3 = _checked(lambda text: np.array([float(v) for v in text.split(",")]
 
 
 def _settings(args: argparse.Namespace):
-    cfg = load_config(args.config) if getattr(args, "config", None) else {}
+    cfg = load_config(args.config) if args.config else {}
     return settings_from_config(cfg, seed=getattr(args, "seed", None))
 
 
@@ -222,8 +223,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _add_common(parser: argparse.ArgumentParser, seed: bool = False) -> None:
-    parser.add_argument("--config", help="flat key-value config file")
+def _add_common(parser: argparse.ArgumentParser, config: bool = False,
+                seed: bool = False) -> None:
+    if config:
+        parser.add_argument("--config", help="flat key-value config file")
     parser.add_argument("--out", help="output path (default: stdout)")
     if seed:
         parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 42)")
@@ -283,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--points", required=True, help="CSV of point pairs with header x,y,z,xp,yp,zp")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_common(p, seed=True)
+    _add_common(p, config=True, seed=True)
     p.set_defaults(func=cmd_kernel_verify)
 
     p_energy = sub.add_parser("energy", help="electrostatic energy identities")
@@ -292,19 +295,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--z0", type=float, required=True)
     p.add_argument("--q", type=float, default=1.0)
-    _add_common(p)
+    _add_common(p, config=True)
     p.set_defaults(func=cmd_energy_shift)
     p = sub_energy.add_parser("sweep", help="shift results over (n, z0) grids as CSV")
     p.add_argument("--n-grid", type=_parse_grid, default="1.5:4:3")
     p.add_argument("--z0-grid", type=_parse_grid, default="0.5:2:3")
     p.add_argument("--q", type=float, default=1.0)
-    _add_common(p)
+    _add_common(p, config=True)
     p.set_defaults(func=cmd_energy_sweep)
 
     p = sub.add_parser("verify", help="run a verification suite and export check reports")
     p.add_argument("--suite", choices=list(SUITE_NAMES), default="all")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_common(p, seed=True)
+    _add_common(p, config=True, seed=True)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -89,6 +89,9 @@ _TWO_PI_CUBED = (2.0 * math.pi) ** 3
 # panels; one call for all of them peaked at 4.4 GB resident on an n = 40
 # assembly that this bound keeps at 203 MB.
 _PROFILE_PANELS = 16
+# The least kappa > 0 of a profile.  Below about 1e-150 kappa^2 and the cut's
+# kappa^2 - t^2 underflow; from 1e-140 up the profiles integrate (n <= 1e4).
+_KAPPA_MIN = 1e-100
 
 
 class KernelKind(Enum):
@@ -155,7 +158,8 @@ def _interface_profile(medium: Medium, kap: np.ndarray, scale: float, travelling
     first ray panel is graded from that scale (``near``).  The cut gets the
     graded first and last panels of ``_cut_scales``."""
     n = medium.n
-    flat = kap.ravel()
+    live = kap.ravel() > 0.0  # a kappa = 0 entry holds every profile's limit, 0
+    flat = kap.ravel()[live]
     kap2, gap2 = flat * flat, (n * n - 1.0) * flat * flat  # once, not per panel
 
     def body(k: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -179,8 +183,10 @@ def _interface_profile(medium: Medium, kap: np.ndarray, scale: float, travelling
     cut = cut_segment_integral(segment, evanescent_threshold(medium, flat), spec,
                                near=_cut_scales(n))
     err = 2.0 * ray.entry_errors + cut.error_estimate  # the cut within its bound
-    return IntegralResult((value + cut.value).reshape(kap.shape + (-1,)), float(err.max()),
-                          ray.nodes_used + cut.nodes_used, err.reshape(kap.shape))
+    out, errs = np.zeros(live.shape + value.shape[1:], dtype=complex), np.zeros(live.shape)
+    out[live], errs[live] = value + cut.value, err
+    return IntegralResult(out.reshape(kap.shape + (-1,)), float(err.max()),
+                          ray.nodes_used + cut.nodes_used, errs.reshape(kap.shape))
 
 
 def _free_profile(kap: ArrayLike, z: float, zp: float) -> IntegralResult:
@@ -202,9 +208,10 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
     k_z > 0 axis as one body, which has no mirror half; its e^{-ik_z z'} terms
     go on the ray as their Schwarz partners.  The cut holds the evanescent
     left-incident modes, not that body's jump."""
+    _check_point(kap, z, zp)
     n = medium.n
     kap = np.asarray(kap, dtype=float)
-    if n == 1.0:
+    if n == 1.0 or not kap.any():
         return IntegralResult(np.zeros(kap.shape + (5,), dtype=complex), 0.0, 0,
                               np.zeros(kap.shape))
 
@@ -245,12 +252,13 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
 
 
 def _check_point(kap: ArrayLike, z: float, zp: float) -> None:
-    """Reject, before any engine call, kappa that is not finite and >= 0,
-    non-finite heights and z' <= 0."""
+    """Reject, before any engine call, kappa that is neither 0 nor a finite
+    value >= _KAPPA_MIN, non-finite heights and z' <= 0."""
     k = np.asarray(kap, dtype=float)
-    bad = ~(np.isfinite(k) & (k >= 0.0))
+    bad = ~(np.isfinite(k) & ((k == 0.0) | (k >= _KAPPA_MIN)))
     if bad.any():
-        raise ValueError(f"kpar_mag must be finite and >= 0, got {float(k[bad][0])!r}")
+        raise ValueError(f"kpar_mag must be 0 or a finite value >= {_KAPPA_MIN:g}, "
+                         f"got {float(k[bad][0])!r}")
     for name, value in (("z", z), ("z'", zp)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -268,7 +276,7 @@ def kz_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
     n = medium.n
     kap = np.asarray(kap, dtype=float)
     above = z >= 0.0
-    if above and n == 1.0:
+    if (above and n == 1.0) or not kap.any():
         return IntegralResult(np.zeros(kap.shape + (5,), dtype=complex), 0.0, 0,
                               np.zeros(kap.shape))
     s = z + zp if above else n * abs(z) + zp
@@ -369,14 +377,14 @@ def _radial_assemble(
     """Integrate the profile against the Bessel weights over kappa in (0, inf)
     into the aligned 3x3 tensor.
 
-    Exponentially damped profiles are truncated after the configured number
-    of decay decades, and the truncated tail is bounded from the profile at
-    the largest kappa evaluated.  They start on the panels of
-    ``spectral.damped_breakpoints``, which follow the e^{-kappa*damping}
-    decay and are split at the Bessel half-period pi/rho.  Profiles whose
-    truncated range would span more than 40 Bessel half-periods instead go
-    through the oscillatory engine with the Bessel zeros as partition (the
-    free-space part at z ~ z' needs this).
+    Exponentially damped profiles are truncated at the kappa_max of
+    ``spectral.damped_breakpoints`` (e^{-kappa*damping} one decade below
+    rel_tol), and the truncated tail is bounded from the profile at the
+    largest kappa evaluated.  They start on the panels of that layout, which
+    follow the decay and are split at the Bessel half-period pi/rho.
+    Profiles whose truncated range would span more than 40 Bessel
+    half-periods instead go through the oscillatory engine with the Bessel
+    zeros as partition (the free-space part at z ~ z' needs this).
     """
     nodes_extra = 0
     err_inner_rate = 0.0  # peak of (inner error x Bessel weight scale) over kappa
@@ -413,7 +421,7 @@ def _radial_assemble(
 
     if damping <= 0.0 and rho == 0.0:
         raise ValueError("profile without damping needs rho > 0 for the assembly")
-    kmax = spec.damped_truncation_decades * math.log(10.0) / damping if damping > 0.0 else math.inf
+    kmax = damped_breakpoints(damping, spec)[-1] if damping > 0.0 else math.inf
     # truncation unless the damping scale is so short that the range would
     # span more than 40 Bessel half-periods
     if kmax * rho <= 40.0 * math.pi:
@@ -424,7 +432,9 @@ def _radial_assemble(
         # undamped profiles converge through the Bessel oscillation alone;
         # a mildly relaxed tolerance keeps the accelerated partial sums well
         # inside the assembly target without demanding engine-level precision
-        osc_spec = replace(spec, abs_tol=spec.abs_tol * 30.0, rel_tol=spec.rel_tol * 30.0)
+        # (held to the largest tolerances a spec accepts)
+        osc_spec = replace(spec, abs_tol=min(spec.abs_tol * 30.0, np.finfo(float).max),
+                           rel_tol=min(spec.rel_tol * 30.0, 1.0))
         res = halfline_oscillatory_integral(integrand, rho, osc_spec)
         tail = 0.0
     xx, yy, zz, xz, zx = res.value

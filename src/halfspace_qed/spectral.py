@@ -53,10 +53,10 @@ naming the panel.
    towards them.
 
 3. Exponentially damped half-line transforms int_0^inf f(k) e^{-k a} dk:
-   truncation after a configured number of decay decades, with the truncated
-   tail bound folded into the error estimate, plus adaptive panels.  The
-   first panels (``damped_breakpoints``) end at x = k a = 1.5, 4, 8, 14 and
-   the truncation, where a damped radial integral mostly converges.  The
+   truncation where e^{-k a} has fallen one decade below rel_tol, with the
+   truncated tail bound folded into the error estimate, plus adaptive panels.
+   The first panels (``damped_breakpoints``) end at x = k a = 1.5, 4, 8, 14
+   and the truncation, where a damped radial integral mostly converges.  The
    Bessel-weighted radial assembly of the kernels (in ``kernels``) starts on
    the same panels, each split at the Bessel half-period.
 
@@ -109,17 +109,18 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and the truncation of damped transforms."""
+    """Tolerances of an integral, max(abs_tol, rel_tol x its max-norm).
+    rel_tol also sets where a damped transform truncates
+    (``damped_breakpoints``); at most 1, it keeps a decade of the decay."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-9
-    damped_truncation_decades: float = 10.0
 
     def __post_init__(self) -> None:
-        for name in ("abs_tol", "rel_tol", "damped_truncation_decades"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not 0.0 < self.abs_tol < math.inf:
+            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol!r}")
+        if not 0.0 < self.rel_tol <= 1.0:
+            raise ValueError(f"rel_tol must be positive and at most 1, got {self.rel_tol!r}")
 
     def tolerance(self, scale: float) -> float:
         return max(self.abs_tol, self.rel_tol * scale)
@@ -391,7 +392,7 @@ def halfline_oscillatory_integral(
             delta = float(np.abs(est - est_prev).max())
             tol = spec.tolerance(float(np.abs(est).max()))
             err = max(delta, 0.25 * err_prev) + err_sum
-            if err <= tol and err_prev <= 4.0 * tol:
+            if err <= tol and 0.25 * err_prev <= tol:
                 est = np.asarray(est)
                 return IntegralResult(est if est.shape else complex(est), float(err), nodes)
             err_prev = delta
@@ -536,15 +537,16 @@ def cut_segment_integral(f: Integrand, gamma: ArrayLike, spec: QuadratureSpec,
 
 def damped_breakpoints(damping: float, spec: QuadratureSpec, rho: float = 0.0) -> np.ndarray:
     """First-panel breakpoints in k of a damped radial transform over
-    (0, kmax), kmax the truncation after ``spec.damped_truncation_decades``
-    decades of e^{-k*damping}.  In x = k*damping the panels end at 1.5, 4, 8,
-    14 (those below x_max) and x_max: narrow where the x^2 e^{-x} weight of a
+    (0, kmax), kmax the truncation where e^{-k*damping} has fallen one decade
+    below rel_tol: x_max = kmax*damping = (1 - log10 rel_tol) ln 10 (10 ln 10
+    at the default 1e-9).  In x = k*damping the panels end at 1.5, 4, 8, 14
+    (those below x_max) and x_max: narrow where the x^2 e^{-x} weight of a
     radial integrand (measure k times a profile ~ k e^{-x}) peaks, wider down
     its tail.  With rho > 0 a panel wider than the Bessel half-period pi/rho
     is split into equal panels no wider than it."""
     if not (math.isfinite(damping) and damping > 0.0):
         raise ValueError(f"damping must be positive and finite, got {damping!r}")
-    x_max = spec.damped_truncation_decades * math.log(10.0)
+    x_max = (1.0 - math.log10(spec.rel_tol)) * math.log(10.0)
     x = [b for b in _DAMPED_BREAKS if b < x_max] + [x_max]
     if rho > 0.0:
         half = math.pi * damping / rho  # the half-period in x
@@ -557,10 +559,10 @@ def damped_radial_transform(f: Integrand, damping: float, spec: QuadratureSpec) 
     """int_0^inf f(k) e^{-k*damping} dk on the first panels of
     ``damped_breakpoints``.
 
-    The integral is truncated once the damping factor has fallen through
-    ``spec.damped_truncation_decades`` decades; the truncated tail is bounded
-    from the weighted integrand at the largest k evaluated, and that bound is
-    folded into the error estimate.
+    The integral is truncated once the damping factor has fallen one decade
+    below ``spec.rel_tol``; the truncated tail is bounded from the weighted
+    integrand at the largest k evaluated, and that bound is folded into the
+    error estimate.
     """
     k_top = tail_rate = 0.0  # the largest k evaluated, the weighted integrand there
 

@@ -9,18 +9,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import (
-    DEFAULT_TOLERANCES,
-    ConfigError,
-    check_keys,
-    config_value,
-    quadrature_spec_from_config,
-    tolerances_from_config,
-)
+from .config import SuiteSettings
 from .energy import (
     double_commutator_cnumber,
     gauge_invariance_sum,
@@ -50,34 +42,10 @@ from .medium import (
 )
 from .modes import carniglia_mandel_mode
 from .report import CheckReport, make_check
-from .spectral import QuadratureSpec
 
-__all__ = ["SuiteSettings", "settings_from_config", "run_suite", "SUITE_NAMES"]
+__all__ = ["run_suite", "SUITE_NAMES"]
 
 SUITE_NAMES = ("fresnel", "modes", "kernels", "energy", "all")
-
-
-@dataclass
-class SuiteSettings:
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
-    seed: int = 42
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-
-    def tol(self, key: str) -> float:
-        return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
-
-
-def settings_from_config(cfg: dict | None = None, seed: int | None = None) -> SuiteSettings:
-    cfg = cfg or {}
-    check_keys(cfg)
-    seed = seed if seed is not None else config_value(cfg, "seed", int, 42)
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    return SuiteSettings(
-        quad=quadrature_spec_from_config(cfg),
-        seed=seed,
-        tolerances=tolerances_from_config(cfg),
-    )
 
 
 def _elapsed_ms(t0: float) -> int:

@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from halfspace_qed.verification import SuiteSettings, run_suite
+from halfspace_qed.config import SuiteSettings
+from halfspace_qed.verification import run_suite
 
 BUDGETS_S = {
     "fresnel_identities": 1.0,

@@ -103,6 +103,49 @@ def test_profiles_reject_bad_kappa_before_any_engine_call(bad, monkeypatch):
             residue_profile(med, bad, z, 0.5)
 
 
+@pytest.mark.parametrize("profile", [kz_profile, _gauge_difference_profile],
+                         ids=["kz_profile", "gauge_difference"])
+@pytest.mark.parametrize("z", [0.5, -0.5])
+def test_profiles_near_kappa_zero_integrate_or_fail_at_the_boundary(profile, z):
+    # kappa = 0 is every profile's limit, 0, alone and next to kappa = 1, and
+    # leaves the kappa = 1 rows as they are; a kappa > 0 whose square
+    # underflows is rejected by name before any engine call, alone and in a batch
+    med = Medium(2.0)
+    ref = profile(med, np.array([1.0]), z, 0.4, SPEC)
+    for kap in (0.0, 5e-324, 1e-300, 1e-160):
+        if kap == 0.0:
+            alone = profile(med, np.array([kap]), z, 0.4, SPEC)
+            batch = profile(med, np.array([kap, 1.0]), z, 0.4, SPEC)
+            assert np.array_equal(alone.value, np.zeros((1, 5)))
+            assert np.array_equal(batch.value[0], np.zeros(5)) and batch.entry_errors[0] == 0.0
+            assert np.array_equal(batch.value[1:], ref.value)
+            assert np.array_equal(batch.entry_errors[1:], ref.entry_errors)
+            continue
+        for kaps in ([kap], [kap, 1.0]):
+            with pytest.raises(ValueError, match="kpar_mag"):
+                profile(med, np.array(kaps), z, 0.4, SPEC)
+    # the least kappa accepted integrates, to about its limit, and leaves the
+    # kappa = 1 rows as they are too
+    least = kernels._KAPPA_MIN
+    batch = profile(med, np.array([least, 1.0]), z, 0.4, SPEC)
+    assert np.abs(batch.value[0]).max() <= 2.0 * math.pi * least + batch.entry_errors[0]
+    assert np.array_equal(batch.value[1:], ref.value)
+    assert np.array_equal(profile(med, np.array([least]), z, 0.4, SPEC).value, batch.value[:1])
+
+
+@pytest.mark.parametrize("spec", [QuadratureSpec(rel_tol=1.0), QuadratureSpec(abs_tol=1e308),
+                                  QuadratureSpec(abs_tol=1e308, rel_tol=0.5)],
+                         ids=["rel_tol=1", "abs_tol=1e308", "both"])
+def test_loosest_specs_assemble_without_a_value_error(spec):
+    # the undamped (Levin) branch relaxes the spec 30-fold, held to what a
+    # spec accepts; the damped truncation keeps a decade at rel_tol = 1
+    med = Medium(2.0)
+    for p in (pair((0.6, 0.4, 0.7), (-0.2, 0.2, 0.7)), pair((0.5, 0.2, -0.6), (0.0, -0.3, 0.7))):
+        for kind in (KernelKind.GENERALIZED_DELTA, KernelKind.GAUGE_DIFFERENCE,
+                     KernelKind.TRUE_COULOMB):
+            assert np.isfinite(assemble_kernel_result(med, kind, p, spec).tensor).all()
+
+
 @pytest.mark.parametrize("i, j, name", [(5, 0, "i"), (0, 3, "j"), (-1, 0, "i"), (0, 1.0, "j")])
 def test_kz_kernel_and_residue_reject_bad_tensor_indices(i, j, name):
     med = Medium(2.0)
@@ -141,7 +184,7 @@ def test_radial_assemble_lipschitz():
         comps[..., 3] = np.exp(-kap * a) / (2.0 * math.pi * kap)
         return IntegralResult(comps, 0.0, 0, np.zeros(kap.shape))
 
-    res = kernels._radial_assemble(profile, rho, a, QuadratureSpec(damped_truncation_decades=13.0))
+    res = kernels._radial_assemble(profile, rho, a, QuadratureSpec(rel_tol=1e-12))
     observed = abs((2.0 * math.pi) ** 3 * res.value[2, 2] - 1.0 / math.hypot(a, rho))
     assert observed < 1e-10
     assert observed <= (2.0 * math.pi) ** 3 * res.error_estimate

@@ -1,6 +1,7 @@
 """Module boundaries of the package: no module imports another one's private names,
 and the package exports only names its modules declare public."""
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -41,3 +42,21 @@ def test_package_exports_are_declared_public():
     missing = [f"{stem}.{name}" for stem, module in modules.items()
                for name in module.__all__ if not hasattr(module, name)]
     assert missing == [], "__all__ entries that do not exist: " + ", ".join(missing)
+
+
+def test_each_quadrature_knob_has_one_config_key():
+    # every quad.* key sets exactly one QuadratureSpec field and every field
+    # has one key, so a knob cannot be retired in one place and left in the
+    # other; the config module exports only its format, not its helpers
+    from halfspace_qed import config
+    from halfspace_qed.spectral import QuadratureSpec
+
+    quad_keys = sorted(key for key in config._KNOWN_KEYS if key.startswith("quad."))
+    assert quad_keys == sorted(config._QUAD_FIELDS)
+    mapped = sorted(config._QUAD_FIELDS.values())
+    assert mapped == sorted(f.name for f in dataclasses.fields(QuadratureSpec))
+    assert len(set(mapped)) == len(mapped)
+    helpers = {"check_keys", "config_value", "quadrature_spec_from_config",
+               "tolerances_from_config"}
+    assert helpers.isdisjoint(config.__all__)
+    assert not any(hasattr(config, name) for name in helpers)

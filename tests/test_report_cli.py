@@ -12,8 +12,9 @@ from halfspace_qed.config import (
     DEFAULT_TOLERANCES,
     ConfigError,
     load_config,
-    quadrature_spec_from_config,
+    settings_from_config,
 )
+from halfspace_qed.spectral import damped_breakpoints
 from halfspace_qed.report import (
     all_passed,
     export_results,
@@ -22,7 +23,6 @@ from halfspace_qed.report import (
     to_csv,
     to_json,
 )
-from halfspace_qed.verification import settings_from_config
 
 
 def test_make_check_modes():
@@ -102,14 +102,18 @@ def test_all_passed():
 def test_config_parsing(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(
-        "# comment\nquad.abs_tol = 1e-13\nquad.trunc_decades = 12\nseed = 7\ntol.energy = 2e-4\n"
+        "# comment\nquad.abs_tol = 1e-13\nseed = 7\ntol.energy = 2e-4\n"
     )
     cfg = load_config(str(cfg_file))
     assert cfg["seed"] == "7"
-    spec = quadrature_spec_from_config(cfg)
+    spec = settings_from_config(cfg).quad
     assert spec.abs_tol == 1e-13
-    assert spec.damped_truncation_decades == 12.0
     assert spec.rel_tol == 1e-9  # default preserved
+    # rel_tol, not a key of its own, sets the damped truncation: 12 decades at 1e-11
+    cfg_file.write_text("quad.rel_tol = 1e-11\n")
+    spec = settings_from_config(load_config(str(cfg_file))).quad
+    assert spec.rel_tol == 1e-11 and spec.abs_tol == 1e-12  # default preserved
+    assert damped_breakpoints(1.0, spec)[-1] == 12.0 * math.log(10.0)
 
 
 def test_config_error_has_line_number(tmp_path):
@@ -131,7 +135,8 @@ def test_config_error_has_line_number(tmp_path):
     ("seed = 1.5", "seed"),
     ("seed = -3", "seed"),
     ("quad.abs_tol = inf", "quad.abs_tol"),
-    ("quad.trunc_decades = 0", "quad.trunc_decades"),
+    ("quad.rel_tol = 10", "quad.rel_tol"),  # no decade of the damped decay to keep
+    ("quad.trunc_decades = 0", "quad.trunc_decades"),  # a retired key is an unknown one
     ("quad.max_periods = 4", "quad.max_periods"),  # a retired key is an unknown one
 ])
 def test_cli_rejects_bad_config_naming_the_key(tmp_path, capsys, line, key):
@@ -143,9 +148,10 @@ def test_cli_rejects_bad_config_naming_the_key(tmp_path, capsys, line, key):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["quad.max_periods", "quad.accel_order"])
+@pytest.mark.parametrize("key", ["quad.max_periods", "quad.accel_order", "quad.trunc_decades"])
 def test_cli_rejects_the_retired_engine_keys(tmp_path, capsys, key):
-    # the Levin half-period cap and acceleration order are engine constants
+    # the Levin half-period cap and acceleration order are engine constants,
+    # and rel_tol sets the damped truncation
     cfg = tmp_path / "old.cfg"
     cfg.write_text(f"quad.abs_tol = 1e-12\n{key} = 64\n")
     out = tmp_path / "report.json"
@@ -154,7 +160,7 @@ def test_cli_rejects_the_retired_engine_keys(tmp_path, capsys, key):
     assert not out.exists()
 
 
-KNOWN_KEYS = {*DEFAULT_TOLERANCES, "seed", "quad.abs_tol", "quad.rel_tol", "quad.trunc_decades"}
+KNOWN_KEYS = {*DEFAULT_TOLERANCES, "seed", "quad.abs_tol", "quad.rel_tol"}
 
 
 @settings(max_examples=50, deadline=None)
@@ -187,7 +193,8 @@ def test_settings_reject_bad_tolerances_and_seed(tol_key, bad_tol):
     with pytest.raises(ConfigError, match=re.escape(tol_key)):
         settings_from_config({tol_key: repr(bad_tol)})
     for key, value in (("tol.kernels.te", "inf"), ("tol.kernels.te", "-1e-8"), ("seed", "x"),
-                       ("seed", "-3"), ("quad.abs_tol", "inf"), ("quad.trunc_decades", "0")):
+                       ("seed", "-3"), ("quad.abs_tol", "inf"), ("quad.trunc_decades", "0"),
+                       ("quad.rel_tol", "10"), ("quad.rel_tol", "1.5")):
         with pytest.raises(ConfigError, match=re.escape(key)):
             settings_from_config({key: value})
     with pytest.raises(ConfigError, match="seed"):
@@ -319,6 +326,21 @@ def test_cli_bad_scalar_is_a_usage_error_naming_the_flag(capsys, argv, flag):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fresnel", "--n", "2"],
+    MODES + ["--kpar", "1", "--klong", "0.5"],
+    GREENS,
+], ids=["fresnel", "modes-eval", "greens-eval"])
+def test_cli_tables_take_no_config(tmp_path, capsys, argv):
+    # the closed-form tables run no quadrature, so they have no settings to read
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("quad.abs_tol = 1e-12\n")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("klong", ["5j", "-0.5j", "1+0.5j", "-0.5", "0"])

@@ -18,21 +18,37 @@ from halfspace_qed.spectral import (
 )
 
 SPEC = QuadratureSpec()
-TIGHT = QuadratureSpec(damped_truncation_decades=13.0)
+# truncates after 14 decades, where the tail bound of k e^{-1.3 k} (1.9e-13)
+# is inside the default abs_tol
+TIGHT = QuadratureSpec(rel_tol=1e-13)
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=0.0)
-    for name in ("abs_tol", "rel_tol", "damped_truncation_decades"):
+    for name in ("abs_tol", "rel_tol"):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=name):
                 QuadratureSpec(**{name: bad})
 
 
+def test_spec_rejects_a_rel_tol_with_no_decade_to_keep():
+    # the damped truncation keeps 1 - log10(rel_tol) decades: none at 10
+    for bad in (10.0, 1.5, 1.0 + 2.0 ** -52):
+        with pytest.raises(ValueError, match="rel_tol"):
+            QuadratureSpec(rel_tol=bad)
+    assert damped_breakpoints(1.0, QuadratureSpec(rel_tol=1.0))[-1] == math.log(10.0)
+
+
+def test_damped_truncation_follows_rel_tol_exactly():
+    assert damped_breakpoints(1.0, SPEC)[-1] == 10.0 * math.log(10.0)
+    assert damped_breakpoints(1.0, TIGHT)[-1] == 14.0 * math.log(10.0)
+    assert damped_breakpoints(2.0, TIGHT)[-1] == 14.0 * math.log(10.0) / 2.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    name=st.sampled_from(["abs_tol", "rel_tol", "damped_truncation_decades"]),
+    name=st.sampled_from(["abs_tol", "rel_tol"]),
     bad=st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
                   st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)),
 )
@@ -195,8 +211,10 @@ def test_damped_radial_rejects_zero_damping():
 @given(damping=st.floats(0.05, 20.0), rho=st.floats(0.0, 10.0),
        decades=st.floats(2.0, 16.0))
 def test_damped_breakpoints_follow_the_decay_and_the_bessel_period(damping, rho, decades):
-    spec = QuadratureSpec(damped_truncation_decades=decades)
-    kmax = decades * math.log(10.0) / damping
+    # rel_tol = 10^(1 - decades) keeps ``decades`` decades of the decay
+    spec = QuadratureSpec(rel_tol=10.0 ** (1.0 - decades))
+    kmax = (1.0 - math.log10(spec.rel_tol)) * math.log(10.0) / damping
+    assert kmax * damping / math.log(10.0) == pytest.approx(decades, rel=1e-12)
     breaks = damped_breakpoints(damping, spec, rho)
     assert breaks[0] == 0.0 and breaks[-1] == kmax
     assert np.all(np.diff(breaks) > 0.0)
@@ -211,7 +229,7 @@ def test_damped_breakpoints_are_the_decay_breaks_without_bessel_weight():
     assert np.array_equal(damped_breakpoints(1.3, SPEC), x / 1.3)
     assert np.array_equal(damped_breakpoints(1.3, SPEC, 0.0), x / 1.3)
     # a truncation below x = 14 ends the layout there
-    short = QuadratureSpec(damped_truncation_decades=3.0)
+    short = QuadratureSpec(rel_tol=1e-2)
     assert np.array_equal(damped_breakpoints(2.0, short),
                           np.array([0.0, 1.5, 4.0, 3.0 * math.log(10.0)]) / 2.0)
     # at rho = 3 every decay panel is split at the Bessel half-period: 19
