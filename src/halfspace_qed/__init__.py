@@ -53,6 +53,6 @@ from .energy import (
     redistribution_factors,
     second_order_shift,
 )
-from .report import CheckReport, export_results, make_check
+from .report import CheckReport, make_check
 
 __version__ = "0.1.0"

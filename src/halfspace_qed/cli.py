@@ -4,7 +4,9 @@ Subcommands: ``fresnel``, ``modes eval``, ``greens eval``, ``kernel verify``,
 ``energy shift``, ``energy sweep``, ``verify``.  Tables are emitted as CSV
 (UTF-8, LF), verification results as JSON/CSV check reports; all files are
 written atomically.  Only the commands that run the quadrature engine take
-``--config``.  ``verify`` exits 0 iff every check passes.
+``--config``, and only ``verify`` samples, so only it takes ``--seed``.
+``verify`` and ``kernel verify`` exit 0 iff every check passes and 1 if one
+fails; bad input of any command exits 2.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import time
 
 import numpy as np
 
-from .config import ConfigError, load_config, settings_from_config
+from .config import DEFAULT_TOLERANCES, ConfigError, load_config, spec_from_config
 from .fresnel import fresnel_coefficients
 from .greens import GreenVariant, PointPair, grad_grad_green_tensor, image_grad_grad_tensor
 from .kernels import KernelKind, assemble_kernel_result, kernel_closed_form
@@ -62,6 +64,7 @@ def _checked(kind, ok, expected: str):
 _finite = _checked(float, np.isfinite, "a finite number")
 _finite_complex = _checked(complex, np.isfinite, "a finite complex number")
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -78,9 +81,35 @@ _parse_vec3 = _checked(lambda text: np.array([float(v) for v in text.split(",")]
                        lambda v: v.shape == (3,) and np.isfinite(v).all(), "finite x,y,z")
 
 
-def _settings(args: argparse.Namespace):
-    cfg = load_config(args.config) if args.config else {}
-    return settings_from_config(cfg, seed=getattr(args, "seed", None))
+def _spec(args: argparse.Namespace):
+    return spec_from_config(load_config(args.config) if args.config else {})
+
+
+_POINTS_HEADER = ["x", "y", "z", "xp", "yp", "zp"]
+
+
+def _read_pairs(path: str) -> list[PointPair]:
+    """The point pairs of a CSV file with header x,y,z,xp,yp,zp; a bad line
+    raises a ValueError that names the file and the line."""
+    pairs = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = [v.strip() for v in line.split(",")]
+            if lineno == 1:
+                if fields != _POINTS_HEADER:
+                    raise ValueError(f"{path}:1: expected header {','.join(_POINTS_HEADER)}, "
+                                     f"got {line.strip()!r}")
+            elif line.strip():
+                try:
+                    if len(fields) != 6:
+                        raise ValueError(f"expected 6 values, got {len(fields)}")
+                    vals = [float(v) for v in fields]
+                    pairs.append(PointPair(np.array(vals[:3]), np.array(vals[3:])))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if not pairs:
+        raise ValueError(f"{path}: no point pairs")
+    return pairs
 
 
 def cmd_fresnel(args: argparse.Namespace) -> int:
@@ -138,29 +167,19 @@ def cmd_greens_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel_verify(args: argparse.Namespace) -> int:
-    st = _settings(args)
+    spec = _spec(args)
     med = Medium(args.n)
     kind = KernelKind(args.kind.replace("-", "_"))
-    pairs = []
-    with open(args.points, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        expected = ["x", "y", "z", "xp", "yp", "zp"]
-        if [h.strip() for h in header] != expected:
-            raise SystemExit(f"points file must have header {','.join(expected)}")
-        for line in fh:
-            if not line.strip():
-                continue
-            vals = [float(v) for v in line.split(",")]
-            pairs.append(PointPair(np.array(vals[:3]), np.array(vals[3:])))
+    pairs = _read_pairs(args.points)
     reports: list[CheckReport] = []
-    tol = st.tol("tol.kernels.assembly")
+    tol = DEFAULT_TOLERANCES["tol.kernels.assembly"]
     for idx, pair in enumerate(pairs):
         t0 = time.perf_counter()
-        assembled = assemble_kernel_result(med, kind, pair, st.quad).tensor
+        assembled = assemble_kernel_result(med, kind, pair, spec).tensor
         if kind is KernelKind.PERFECT_REFLECTOR:
             # finite-n generalized kernel against the image form; the expected
             # deviation is the (1 - alpha)-scaled unit image term, checked exactly
-            gen = assemble_kernel_result(med, KernelKind.GENERALIZED_DELTA, pair, st.quad).tensor
+            gen = assemble_kernel_result(med, KernelKind.GENERALIZED_DELTA, pair, spec).tensor
             expected_diff = (1.0 - med.image_strength) * image_grad_grad_tensor(pair, 1.0)
             resid = float(np.max(np.abs(gen - assembled - expected_diff)))
             scale = float(np.max(np.abs(assembled)))
@@ -170,7 +189,7 @@ def cmd_kernel_verify(args: argparse.Namespace) -> int:
             scale = float(np.max(np.abs(target)))
         ms = int(round((time.perf_counter() - t0) * 1000.0))
         params = {
-            "kind": kind.value, "n": med.n, "pair": idx, "seed": st.seed,
+            "kind": kind.value, "n": med.n, "pair": idx,
             "r": list(map(float, pair.r)), "rprime": list(map(float, pair.rprime)),
         }
         reports.append(
@@ -182,8 +201,7 @@ def cmd_kernel_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_energy_shift(args: argparse.Namespace) -> int:
-    st = _settings(args)
-    shift = second_order_shift(args.q, Medium(args.n), args.z0, st.quad)
+    shift = second_order_shift(args.q, Medium(args.n), args.z0, _spec(args))
     fields = [
         ("delta_e", shift.delta_e), ("v_es", shift.v_es), ("ratio", shift.ratio),
         ("expected_ratio", shift.expected_ratio), ("left_part", shift.left_part),
@@ -195,11 +213,11 @@ def cmd_energy_shift(args: argparse.Namespace) -> int:
 
 
 def cmd_energy_sweep(args: argparse.Namespace) -> int:
-    st = _settings(args)
+    spec = _spec(args)
     lines = ["n,z0,q,delta_e,v_es,ratio,expected_ratio,left_part,right_part"]
     for n in args.n_grid:
         for z0 in args.z0_grid:
-            s = second_order_shift(args.q, Medium(float(n)), float(z0), st.quad)
+            s = second_order_shift(args.q, Medium(float(n)), float(z0), spec)
             lines.append(",".join(_fmt(v) for v in (
                 s.n, s.z0, s.q, s.delta_e, s.v_es, s.ratio, s.expected_ratio,
                 s.left_part, s.right_part,
@@ -209,8 +227,7 @@ def cmd_energy_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    st = _settings(args)
-    reports = run_suite(args.suite, st)
+    reports = run_suite(args.suite, _spec(args), args.seed)
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         err = r.abs_err if r.params.get("mode") == "abs" else r.rel_err
@@ -223,13 +240,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _add_common(parser: argparse.ArgumentParser, config: bool = False,
-                seed: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser, config: bool = False) -> None:
     if config:
         parser.add_argument("--config", help="flat key-value config file")
     parser.add_argument("--out", help="output path (default: stdout)")
-    if seed:
-        parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 42)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--points", required=True, help="CSV of point pairs with header x,y,z,xp,yp,zp")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_common(p, config=True, seed=True)
+    _add_common(p, config=True)
     p.set_defaults(func=cmd_kernel_verify)
 
     p_energy = sub.add_parser("energy", help="electrostatic energy identities")
@@ -307,7 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite and export check reports")
     p.add_argument("--suite", choices=list(SUITE_NAMES), default="all")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_common(p, config=True, seed=True)
+    p.add_argument("--seed", type=_seed, default=42,
+                   help="RNG seed of the sampled checks (default 42)")
+    _add_common(p, config=True)
     p.set_defaults(func=cmd_verify)
     return parser
 

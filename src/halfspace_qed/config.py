@@ -1,27 +1,26 @@
-"""Flat key-value run configuration: the one module that reads config keys.
+"""Flat key-value run configuration and the check bounds of the verifier.
 
-One `key = value` pair per line, `#` starts a comment, no nesting.  Known keys:
+A run is a :class:`QuadratureSpec` plus an RNG seed; the seed is the
+``verify --seed`` flag.  A config file sets the spec: one ``key = value``
+pair per line, ``#`` starts a comment, no nesting.  The known keys are
 
     quad.abs_tol, quad.rel_tol -> quadrature tolerances (rel_tol also sets
                                   where the damped transforms truncate)
-    seed                       -> RNG seed for sampled checks (default 42)
-    tol.<check family>         -> per-suite tolerance overrides, see DEFAULT_TOLERANCES
 
 ``load_config`` reads a file into a dict of key -> text, and
-``settings_from_config`` turns that into the :class:`SuiteSettings` of a run.
-Any other key, a tolerance that is not positive and finite, a ``quad.*``
-value the engine rejects, and a seed that is not a non-negative integer raise
-a :class:`ConfigError` naming the key.
+``spec_from_config`` turns that into the spec of a run.  Any other key and a
+value the spec rejects raise a :class:`ConfigError` naming the key.
+
+``DEFAULT_TOLERANCES`` is the one table of check bounds: every check of the
+verifier reads its bound from it, and no run can change one.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 from .spectral import QuadratureSpec
 
-__all__ = ["ConfigError", "load_config", "SuiteSettings", "settings_from_config",
-           "DEFAULT_TOLERANCES"]
+__all__ = ["ConfigError", "load_config", "spec_from_config", "DEFAULT_TOLERANCES"]
 
 DEFAULT_TOLERANCES = {
     "tol.fresnel": 1e-12,
@@ -34,27 +33,17 @@ DEFAULT_TOLERANCES = {
     "tol.kernels.curl": 1e-6,
     "tol.kernels.slope": 0.2,
     "tol.energy": 1e-4,
+    "tol.energy.image": 1e-12,
 }
 
 _QUAD_FIELDS = {  # config key -> QuadratureSpec field
     "quad.abs_tol": "abs_tol",
     "quad.rel_tol": "rel_tol",
 }
-_KNOWN_KEYS = frozenset((*_QUAD_FIELDS, "seed", *DEFAULT_TOLERANCES))
 
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class SuiteSettings:
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
-    seed: int = 42
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-
-    def tol(self, key: str) -> float:
-        return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -75,40 +64,22 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
-def settings_from_config(cfg: dict | None = None, seed: int | None = None) -> SuiteSettings:
-    """The settings of a run from a loaded config; ``seed`` overrides the
-    config's seed."""
-    cfg = cfg or {}
+def spec_from_config(cfg: dict[str, str]) -> QuadratureSpec:
+    """The quadrature spec of a run from a loaded config."""
     _check_keys(cfg)
-    seed = seed if seed is not None else _config_value(cfg, "seed", int, 42)
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    spec = QuadratureSpec()  # a quad.* value that the spec rejects names its key
+    spec = QuadratureSpec()
     for key, name in _QUAD_FIELDS.items():
-        spec = _config_value(cfg, key, lambda text: replace(spec, **{name: float(text)}), spec)
-    tolerances = dict(DEFAULT_TOLERANCES)
-    for key in DEFAULT_TOLERANCES:
-        tolerances[key] = value = _config_value(cfg, key, float, tolerances[key])
-        if not (math.isfinite(value) and value > 0.0):
-            raise ConfigError(f"config key {key}: tolerance must be positive and finite, "
-                              f"got {cfg[key]!r}")
-    return SuiteSettings(spec, seed, tolerances)
+        if key in cfg:  # a value that the spec rejects names its key
+            try:
+                spec = replace(spec, **{name: float(cfg[key])})
+            except ValueError as exc:
+                raise ConfigError(f"config key {key}: {exc}") from exc
+    return spec
 
 
 def _check_keys(keys, where: str = "") -> None:
     """Raise ConfigError naming the first of ``keys`` that is not a config
     key, after the location prefix ``where``."""
     for key in keys:
-        if key not in _KNOWN_KEYS:
+        if key not in _QUAD_FIELDS:
             raise ConfigError(f"{where}unknown config key {key!r}")
-
-
-def _config_value(cfg: dict[str, str], key: str, cast, default):
-    """``cast(cfg[key])``, or ``default`` when the key is not set."""
-    if key not in cfg:
-        return default
-    try:
-        return cast(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"config key {key}: {exc}") from exc
-

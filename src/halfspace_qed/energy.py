@@ -64,11 +64,17 @@ def redistribution_factors(medium: Medium) -> tuple[float, float]:
     return medium.surface_charge_share, (medium.n**2 + 1.0) / (2.0 * medium.n**2)
 
 
+# heights whose damped sums the engine integrates at every index: beyond them
+# the radial integrands over- or underflow
+_Z0_MIN, _Z0_MAX = 1e-100, 1e100
+
+
 def _check_charge(q: float, z0: float) -> None:
-    if not math.isfinite(q):
-        raise ValueError(f"q must be finite, got {q!r}")
-    if not (math.isfinite(z0) and z0 > 0.0):
-        raise ValueError(f"z0 must be finite and > 0 (charge outside the dielectric), got {z0!r}")
+    if not math.isfinite(q * q):
+        raise ValueError(f"q must be finite with a finite q**2, got {q!r}")
+    if not _Z0_MIN <= z0 <= _Z0_MAX:
+        raise ValueError(f"z0 must lie in [{_Z0_MIN:g}, {_Z0_MAX:g}] (charge outside the "
+                         f"dielectric), got {z0!r}")
 
 
 def _longitudinal(medium: Medium, kap: np.ndarray,
@@ -114,10 +120,12 @@ def second_order_shift(
     def radial(kap: np.ndarray) -> np.ndarray:
         return kap[..., None] * np.stack(_longitudinal(medium, kap, spec), axis=-1)
 
-    parts = damped_radial_transform(radial, 2.0 * z0, spec)
-    left, right = (pref * float(part) for part in np.real(parts.value))
-    delta_e = left + right
-    return ShiftResult(delta_e, v_es, delta_e / v_es, expected, left, right, n, z0, q)
+    sums = damped_radial_transform(radial, 2.0 * z0, spec)
+    parts = [float(part) for part in np.real(sums.value)]
+    left, right = (pref * part for part in parts)
+    # the ratio of the unit-charge sums, in which q^2 cancels exactly
+    ratio = sum(-math.pi * part for part in parts) / image_potential_ves(1.0, medium, z0)
+    return ShiftResult(left + right, v_es, ratio, expected, left, right, n, z0, q)
 
 
 def gauge_invariance_sum(q: float, medium: Medium, z0: float, spec: QuadratureSpec) -> float:

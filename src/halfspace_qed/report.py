@@ -15,7 +15,7 @@ import tempfile
 from dataclasses import dataclass
 
 __all__ = ["CheckReport", "make_check", "to_json", "from_json", "to_csv",
-           "write_atomic", "export_results", "all_passed"]
+           "write_atomic", "all_passed"]
 
 Number = float | int
 Values = Number | list
@@ -174,15 +174,6 @@ def write_atomic(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def export_results(reports: list[CheckReport], path: str, fmt: str = "json") -> None:
-    if fmt == "json":
-        write_atomic(path, to_json(reports))
-    elif fmt == "csv":
-        write_atomic(path, to_csv(reports))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
 
 
 def all_passed(reports: list[CheckReport]) -> bool:

@@ -2,8 +2,10 @@
 
 Each suite compares independently assembled quantities (quadrature, mode
 sums, finite differences) against closed forms or invariants and emits one
-:class:`CheckReport` per criterion.  The same functions back the CLI
-``verify`` subcommand and the acceptance test module.
+:class:`CheckReport` per criterion.  A suite takes the run's quadrature spec
+and RNG seed; every bound is a constant of ``config.DEFAULT_TOLERANCES``.
+The same functions back the CLI ``verify`` subcommand and the acceptance
+test module.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import time
 
 import numpy as np
 
-from .config import SuiteSettings
+from .config import DEFAULT_TOLERANCES as _TOL
 from .energy import (
     double_commutator_cnumber,
     gauge_invariance_sum,
@@ -42,6 +44,7 @@ from .medium import (
 )
 from .modes import carniglia_mandel_mode
 from .report import CheckReport, make_check
+from .spectral import QuadratureSpec
 
 __all__ = ["run_suite", "SUITE_NAMES"]
 
@@ -56,9 +59,9 @@ def _elapsed_ms(t0: float) -> int:
 # fresnel suite
 # ---------------------------------------------------------------------------
 
-def fresnel_suite(st: SuiteSettings) -> list[CheckReport]:
-    rng = np.random.default_rng(st.seed)
-    tol = st.tol("tol.fresnel")
+def fresnel_suite(spec: QuadratureSpec, seed: int) -> list[CheckReport]:
+    rng = np.random.default_rng(seed)
+    tol = _TOL["tol.fresnel"]
     worst_rl = worst_tl = worst_cancel = 0.0
     t0 = time.perf_counter()
     for i in range(1000):
@@ -76,7 +79,7 @@ def fresnel_suite(st: SuiteSettings) -> list[CheckReport]:
         worst_tl = max(worst_tl, abs(c.tL - c.kzd / kz * c.tR))
         worst_cancel = max(worst_cancel, abs(cancellation_residual(med, pol, kpar, kz)))
     ms = _elapsed_ms(t0)
-    params = {"samples": 1000, "seed": st.seed}
+    params = {"samples": 1000, "seed": seed}
     return [
         make_check("fresnel_left_right_reflection", params, worst_rl, 0.0, tol, "abs", ms),
         make_check("fresnel_left_transmission_link", params, worst_tl, 0.0, tol, "abs", ms),
@@ -100,7 +103,7 @@ def _mode_grid(n: float) -> list[SpectralPoint]:
     return points
 
 
-def modes_suite(st: SuiteSettings) -> list[CheckReport]:
+def modes_suite(spec: QuadratureSpec, seed: int) -> list[CheckReport]:
     med = Medium(2.0)
     eps_in = med.eps_inside
     t0 = time.perf_counter()
@@ -113,7 +116,7 @@ def modes_suite(st: SuiteSettings) -> list[CheckReport]:
         worst_tan = max(worst_tan, float(np.max(np.abs(above[:2] - below[:2]))) / scale)
         worst_epsz = max(worst_epsz, abs(above[2] - eps_in * below[2]) / scale)
     ms = _elapsed_ms(t0)
-    tol_match = st.tol("tol.modes.matching")
+    tol_match = _TOL["tol.modes.matching"]
     reports = [
         make_check("mode_tangential_continuity", {"n": med.n, "grid": 100}, worst_tan, 0.0,
                    tol_match, "abs", ms),
@@ -155,7 +158,7 @@ def modes_suite(st: SuiteSettings) -> list[CheckReport]:
             resid = lap + eps * omega * omega * f0
             worst_helm = max(worst_helm, float(np.max(np.abs(resid))) / (eps * omega * omega * scale))
     ms = _elapsed_ms(t0)
-    tol_div = st.tol("tol.modes.divergence")
+    tol_div = _TOL["tol.modes.divergence"]
     reports.append(
         make_check("mode_gauge_divergence_fd", {"n": med.n, "modes": len(subset)},
                    worst_div, 0.0, tol_div, "abs", ms)
@@ -202,26 +205,25 @@ def _residue_points(rng: np.random.Generator, count: int) -> list[tuple[float, f
     return pts
 
 
-def kernels_suite(st: SuiteSettings) -> list[CheckReport]:
+def kernels_suite(spec: QuadratureSpec, seed: int) -> list[CheckReport]:
     reports: list[CheckReport] = []
-    rng = np.random.default_rng(st.seed)
-    quad = st.quad
+    rng = np.random.default_rng(seed)
 
     # residue theorem vs travelling+evanescent quadrature
-    tol_res = st.tol("tol.kernels.residue")
-    tol_te = st.tol("tol.kernels.te")
+    tol_res = _TOL["tol.kernels.residue"]
+    tol_te = _TOL["tol.kernels.te"]
     for n in (1.5, 2.0, 4.0):
         med = Medium(n)
         t0 = time.perf_counter()
         worst = worst_te = 0.0
         for kpar, z, zp in _residue_points(rng, 51):
-            prof = kz_profile(med, kpar, z, zp, quad)
+            prof = kz_profile(med, kpar, z, zp, spec)
             target = residue_profile(med, kpar, z, zp)
             scale = float(np.max(np.abs(target)))
             worst = max(worst, float(np.max(np.abs(prof.value[:4] - target[:4]))) / scale)
             worst_te = max(worst_te, abs(prof.value[4]) / scale)
         ms = _elapsed_ms(t0)
-        params = {"n": n, "points": 51, "seed": st.seed}
+        params = {"n": n, "points": 51, "seed": seed}
         reports.append(make_check("kz_integral_vs_residue", params, worst, 0.0, tol_res, "abs", ms))
         reports.append(make_check("te_kernel_suppression", params, worst_te, 0.0, tol_te, "abs", ms))
 
@@ -230,7 +232,7 @@ def kernels_suite(st: SuiteSettings) -> list[CheckReport]:
     # the true-Coulomb kernel (free-space form, then n-independence below)
     pairs = _point_pairs()
     tc_pairs = [pairs[0], pairs[1], pairs[4], pairs[5]]
-    tol_asm = st.tol("tol.kernels.assembly")
+    tol_asm = _TOL["tol.kernels.assembly"]
     assembled: dict[tuple[KernelKind, float], list[np.ndarray]] = {}
     for name, kind, n_values, kind_pairs in (
         ("generalized_delta_closed_form", KernelKind.GENERALIZED_DELTA, (1.5, 2.0, 4.0), pairs),
@@ -240,7 +242,7 @@ def kernels_suite(st: SuiteSettings) -> list[CheckReport]:
         for n in n_values:
             med = Medium(n)
             t0 = time.perf_counter()
-            kerns = assembled[kind, n] = [assemble_kernel_result(med, kind, p, quad).tensor
+            kerns = assembled[kind, n] = [assemble_kernel_result(med, kind, p, spec).tensor
                                           for p in kind_pairs]
             worst = 0.0
             for kern, pair in zip(kerns, kind_pairs):
@@ -275,14 +277,14 @@ def kernels_suite(st: SuiteSettings) -> list[CheckReport]:
     worst = max(worst, poisson_jump_residual(Medium(1e4), 1.0, 0.7 + 0.0j, Side.RIGHT))
     reports.append(
         make_check("poisson_jump_identity", {"n": 2.0, "modes": len(labels) + 1},
-                   worst, 0.0, st.tol("tol.kernels.poisson"), "abs", _elapsed_ms(t0))
+                   worst, 0.0, _TOL["tol.kernels.poisson"], "abs", _elapsed_ms(t0))
     )
 
     # FD curl annihilation and gauge independence of the physical commutator
-    tol_curl = st.tol("tol.kernels.curl")
+    tol_curl = _TOL["tol.kernels.curl"]
     med = Medium(2.0)
     curl_pairs = []
-    rng2 = np.random.default_rng(st.seed + 1)
+    rng2 = np.random.default_rng(seed + 1)
     while len(curl_pairs) < 10:
         base = np.array([rng2.uniform(-0.5, 0.5), rng2.uniform(-0.5, 0.5), rng2.uniform(0.8, 1.4)])
         offset = rng2.uniform(-0.2, 0.2, size=3)
@@ -321,11 +323,11 @@ def kernels_suite(st: SuiteSettings) -> list[CheckReport]:
     t0 = time.perf_counter()
     pr_pair = PointPair(np.array([0.3, 0.0, 0.7]), np.array([0.0, 0.2, 0.5]))
     n_values = [10.0, 30.0, 100.0]
-    devs = perfect_reflector_convergence(pr_pair, n_values, quad)
+    devs = perfect_reflector_convergence(pr_pair, n_values, spec)
     slope = np.polyfit(np.log(n_values), np.log(devs), 1)[0]
     reports.append(
         make_check("perfect_reflector_slope", {"n_values": "10/30/100"},
-                   float(slope), -2.0, st.tol("tol.kernels.slope"), "abs", _elapsed_ms(t0))
+                   float(slope), -2.0, _TOL["tol.kernels.slope"], "abs", _elapsed_ms(t0))
     )
     return reports
 
@@ -334,30 +336,29 @@ def kernels_suite(st: SuiteSettings) -> list[CheckReport]:
 # energy suite
 # ---------------------------------------------------------------------------
 
-def energy_suite(st: SuiteSettings) -> list[CheckReport]:
+def energy_suite(spec: QuadratureSpec, seed: int) -> list[CheckReport]:
     reports: list[CheckReport] = []
-    tol = st.tol("tol.energy")
-    quad = st.quad
+    tol = _TOL["tol.energy"]
     shifts = {}  # (n, z0) -> shift; the checks below reuse those at z0 = 1
     for n in (1.5, 2.0, 4.0):
         med = Medium(n)
         for z0 in (0.5, 1.0, 2.0):
             t0 = time.perf_counter()
-            shift = shifts[n, z0] = second_order_shift(1.0, med, z0, quad)
+            shift = shifts[n, z0] = second_order_shift(1.0, med, z0, spec)
             reports.append(
                 make_check("electrostatic_shift_ratio", {"n": n, "z0": z0, "q": 1.0},
                            shift.ratio, shift.expected_ratio, tol, "abs", _elapsed_ms(t0))
             )
     for n in (1.5, 2.0, 4.0):
         t0 = time.perf_counter()
-        total = gauge_invariance_sum(1.0, Medium(n), 1.0, quad)
+        total = gauge_invariance_sum(1.0, Medium(n), 1.0, spec)
         reports.append(
             make_check("gauge_invariance_energy_sum", {"n": n, "z0": 1.0, "q": 1.0},
                        total / shifts[n, 1.0].v_es, 1.0, tol, "abs", _elapsed_ms(t0))
         )
     for n in (1.5, 2.0, 4.0):
         t0 = time.perf_counter()
-        cnum = double_commutator_cnumber(1.0, Medium(n), 1.0, quad)
+        cnum = double_commutator_cnumber(1.0, Medium(n), 1.0, spec)
         reports.append(
             make_check("double_commutator_cnumber", {"n": n, "z0": 1.0, "q": 1.0},
                        cnum, -shifts[n, 1.0].delta_e, tol, "rel", _elapsed_ms(t0))
@@ -370,7 +371,7 @@ def energy_suite(st: SuiteSettings) -> list[CheckReport]:
     )
     reports.append(
         make_check("image_potential_n2_reference", {"n": 2.0, "z0": 1.0, "q": 1.0},
-                   shift.v_es, -3.0 / (80.0 * math.pi), 1e-12, "rel")
+                   shift.v_es, -3.0 / (80.0 * math.pi), _TOL["tol.energy.image"], "rel")
     )
     return reports
 
@@ -383,21 +384,23 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, settings: SuiteSettings | None = None) -> list[CheckReport]:
-    """Run one suite (or 'all'); returns the collected check reports.
+def run_suite(name: str, spec: QuadratureSpec | None = None,
+              seed: int = 42) -> list[CheckReport]:
+    """Run one suite (or 'all') at quadrature ``spec`` with RNG ``seed``;
+    returns the collected check reports.
 
-    The RNG seed is recorded in every report, including the deterministic
+    The seed is recorded in every report, including the deterministic
     (non-sampled) checks.
     """
-    st = settings or SuiteSettings()
+    spec = spec or QuadratureSpec()
     if name == "all":
         reports = []
         for suite in ("fresnel", "modes", "kernels", "energy"):
-            reports.extend(run_suite(suite, st))
+            reports.extend(run_suite(suite, spec, seed))
         return reports
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
-    reports = _SUITES[name](st)
+    reports = _SUITES[name](spec, seed)
     for r in reports:
-        r.params.setdefault("seed", st.seed)
+        r.params.setdefault("seed", seed)
     return reports

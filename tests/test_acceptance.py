@@ -8,7 +8,6 @@ import time
 
 import pytest
 
-from halfspace_qed.config import SuiteSettings
 from halfspace_qed.verification import run_suite
 
 BUDGETS_S = {
@@ -26,33 +25,28 @@ BUDGETS_S = {
 
 
 @pytest.fixture(scope="module")
-def settings():
-    return SuiteSettings()
-
-
-@pytest.fixture(scope="module")
-def fresnel_reports(settings):
+def fresnel_reports():
     t0 = time.perf_counter()
-    reports = run_suite("fresnel", settings)
+    reports = run_suite("fresnel")
     return reports, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
-def modes_reports(settings):
+def modes_reports():
     t0 = time.perf_counter()
-    reports = run_suite("modes", settings)
+    reports = run_suite("modes")
     return reports, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
-def kernels_reports(settings):
-    return run_suite("kernels", settings)
+def kernels_reports():
+    return run_suite("kernels")
 
 
 @pytest.fixture(scope="module")
-def energy_reports(settings):
+def energy_reports():
     t0 = time.perf_counter()
-    reports = run_suite("energy", settings)
+    reports = run_suite("energy")
     return reports, time.perf_counter() - t0
 
 

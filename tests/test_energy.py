@@ -81,6 +81,37 @@ def test_shift_rejects_charge_inside(q, z0, bad_z0, bad_q):
             fn(bad_q, Medium(2.0), z0, SPEC)
 
 
+@pytest.mark.parametrize("n", [1.0005, 2.0, 40.0])
+def test_shift_ratio_is_that_of_the_unit_charge(n):
+    # q^2 cancels exactly in the ratio: no ZeroDivisionError at q = 0 or where
+    # q^2 underflows, and no subnormal energies in it at q = 1e-155
+    med = Medium(n)
+    unit = second_order_shift(1.0, med, 1.0, SPEC).ratio
+    for q in (0.0, 1e-170, 1e-155, 0.5, 2.0, 1e100):
+        assert second_order_shift(q, med, 1.0, SPEC).ratio == unit
+    assert gauge_invariance_sum(0.0, med, 1.0, SPEC) == 0.0
+
+
+@pytest.mark.parametrize("q, z0, name", [
+    (1e200, 1.0, "q"), (-1e155, 1.0, "q"),
+    (1.0, 1e-300, "z0"), (1.0, 1e300, "z0"), (1.0, 9e-101, "z0"), (1.0, 2e100, "z0"),
+])
+def test_energies_reject_charges_and_heights_off_the_engine_range(q, z0, name):
+    # q^2 must be finite, and z0 within [1e-100, 1e100], where the damped sums
+    # integrate at every index
+    for fn in (second_order_shift, gauge_invariance_sum, double_commutator_cnumber):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            fn(q, Medium(2.0), z0, SPEC)
+
+
+@pytest.mark.parametrize("n", [1.0005, 2.0, 40.0])
+def test_shift_integrates_at_the_height_bounds(n):
+    med = Medium(n)
+    for z0 in (1e-100, 1e100):
+        shift = second_order_shift(1.0, med, z0, SPEC)
+        assert abs(shift.ratio - shift.expected_ratio) < 1e-4
+
+
 def test_gauge_invariance_sum():
     for n in (1.5, 2.0):
         med = Medium(n)

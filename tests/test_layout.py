@@ -5,6 +5,8 @@ import dataclasses
 import importlib
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "halfspace_qed"
 
 
@@ -44,19 +46,45 @@ def test_package_exports_are_declared_public():
     assert missing == [], "__all__ entries that do not exist: " + ", ".join(missing)
 
 
+def _make_check_bounds(path: Path) -> list[tuple[int, ast.expr]]:
+    """(line, bound) of each make_check(...) call of a module; the bound is
+    the fifth argument or ``tol=``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [(node.lineno, bound) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "make_check"
+            for bound in node.args[4:5] + [kw.value for kw in node.keywords if kw.arg == "tol"]]
+
+
+def _is_number(node: ast.expr) -> bool:
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+
+
 def test_each_quadrature_knob_has_one_config_key():
-    # every quad.* key sets exactly one QuadratureSpec field and every field
-    # has one key, so a knob cannot be retired in one place and left in the
-    # other; the config module exports only its format, not its helpers
+    # the config accepts exactly the quad.* keys, one per QuadratureSpec field,
+    # so a knob cannot be retired in one place and left in the other; a run is
+    # a spec and a seed, with no settings object of its own; and every check
+    # bound of the verifier is a DEFAULT_TOLERANCES constant, never a literal
     from halfspace_qed import config
     from halfspace_qed.spectral import QuadratureSpec
 
-    quad_keys = sorted(key for key in config._KNOWN_KEYS if key.startswith("quad."))
-    assert quad_keys == sorted(config._QUAD_FIELDS)
-    mapped = sorted(config._QUAD_FIELDS.values())
-    assert mapped == sorted(f.name for f in dataclasses.fields(QuadratureSpec))
-    assert len(set(mapped)) == len(mapped)
+    fields = sorted(f.name for f in dataclasses.fields(QuadratureSpec))
+    assert sorted(config._QUAD_FIELDS) == [f"quad.{name}" for name in fields]
+    assert sorted(config._QUAD_FIELDS.values()) == fields
+    for key in config._QUAD_FIELDS:
+        config.spec_from_config({key: "1e-6"})
+    for key in ("seed", *config.DEFAULT_TOLERANCES):
+        with pytest.raises(config.ConfigError, match="unknown config key"):
+            config.spec_from_config({key: "1e-6"})
     helpers = {"check_keys", "config_value", "quadrature_spec_from_config",
-               "tolerances_from_config"}
+               "tolerances_from_config", "SuiteSettings", "settings_from_config"}
     assert helpers.isdisjoint(config.__all__)
     assert not any(hasattr(config, name) for name in helpers)
+    found = []
+    for name in ("verification.py", "cli.py"):
+        bounds = _make_check_bounds(PACKAGE / name)
+        assert bounds, f"no make_check call found in {name}"
+        found += [f"{name}:{line}: {ast.unparse(b)}" for line, b in bounds if _is_number(b)]
+    assert found == [], "check bounds outside DEFAULT_TOLERANCES:\n" + "\n".join(found)

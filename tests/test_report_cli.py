@@ -12,16 +12,16 @@ from halfspace_qed.config import (
     DEFAULT_TOLERANCES,
     ConfigError,
     load_config,
-    settings_from_config,
+    spec_from_config,
 )
 from halfspace_qed.spectral import damped_breakpoints
 from halfspace_qed.report import (
     all_passed,
-    export_results,
     from_json,
     make_check,
     to_csv,
     to_json,
+    write_atomic,
 )
 
 
@@ -83,12 +83,14 @@ def test_csv_format():
 def test_atomic_write_and_export(tmp_path):
     target = tmp_path / "out.json"
     reports = [make_check("a", {}, 0.0, 0.0, 1.0, "abs")]
-    export_results(reports, str(target), "json")
+    write_atomic(str(target), to_json(reports))
     assert from_json(target.read_text())[0].check_name == "a"
-    export_results(reports, str(target), "csv")
+    write_atomic(str(target), to_csv(reports))
     assert target.read_text().startswith("check_name,")
-    with pytest.raises(ValueError):
-        export_results(reports, str(target), "yaml")
+    # a write that fails keeps the old file whole
+    with pytest.raises(TypeError):
+        write_atomic(str(target), None)
+    assert target.read_text() == to_csv(reports)
     # no stray temp files left behind
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
@@ -101,17 +103,15 @@ def test_all_passed():
 
 def test_config_parsing(tmp_path):
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text(
-        "# comment\nquad.abs_tol = 1e-13\nseed = 7\ntol.energy = 2e-4\n"
-    )
+    cfg_file.write_text("# comment\nquad.abs_tol = 1e-13  # trailing comment\n\n")
     cfg = load_config(str(cfg_file))
-    assert cfg["seed"] == "7"
-    spec = settings_from_config(cfg).quad
+    assert cfg == {"quad.abs_tol": "1e-13"}
+    spec = spec_from_config(cfg)
     assert spec.abs_tol == 1e-13
     assert spec.rel_tol == 1e-9  # default preserved
     # rel_tol, not a key of its own, sets the damped truncation: 12 decades at 1e-11
     cfg_file.write_text("quad.rel_tol = 1e-11\n")
-    spec = settings_from_config(load_config(str(cfg_file))).quad
+    spec = spec_from_config(load_config(str(cfg_file)))
     assert spec.rel_tol == 1e-11 and spec.abs_tol == 1e-12  # default preserved
     assert damped_breakpoints(1.0, spec)[-1] == 12.0 * math.log(10.0)
 
@@ -127,6 +127,8 @@ def test_config_error_has_line_number(tmp_path):
 @pytest.mark.parametrize("line, key", [
     ("quad.abs_tl = 1e-13", "quad.abs_tl"),
     ("tol.fresnell = 1e-10", "tol.fresnell"),
+    # check bounds are constants and the seed is a verify flag, so these
+    # retired keys are unknown ones whatever their value
     ("tol.fresnel = inf", "tol.fresnel"),
     ("tol.fresnel = nan", "tol.fresnel"),
     ("tol.fresnel = -1", "tol.fresnel"),
@@ -148,10 +150,12 @@ def test_cli_rejects_bad_config_naming_the_key(tmp_path, capsys, line, key):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["quad.max_periods", "quad.accel_order", "quad.trunc_decades"])
+@pytest.mark.parametrize("key", ["quad.max_periods", "quad.accel_order", "quad.trunc_decades",
+                                 "seed", "tol.energy", "tol.energy.image"])
 def test_cli_rejects_the_retired_engine_keys(tmp_path, capsys, key):
     # the Levin half-period cap and acceleration order are engine constants,
-    # and rel_tol sets the damped truncation
+    # rel_tol sets the damped truncation, the seed is the verify --seed flag
+    # and every check bound is a constant of DEFAULT_TOLERANCES
     cfg = tmp_path / "old.cfg"
     cfg.write_text(f"quad.abs_tol = 1e-12\n{key} = 64\n")
     out = tmp_path / "report.json"
@@ -160,7 +164,7 @@ def test_cli_rejects_the_retired_engine_keys(tmp_path, capsys, key):
     assert not out.exists()
 
 
-KNOWN_KEYS = {*DEFAULT_TOLERANCES, "seed", "quad.abs_tol", "quad.rel_tol"}
+KNOWN_KEYS = {"quad.abs_tol", "quad.rel_tol"}
 
 
 @settings(max_examples=50, deadline=None)
@@ -181,26 +185,24 @@ def test_settings_reject_unknown_keys_by_name(key):
     # a misspelt key passed as a dict through the Python API must not fall
     # back to the defaults
     with pytest.raises(ConfigError, match=re.escape(f"unknown config key {key!r}")):
-        settings_from_config({"quad.abs_tol": "1e-12", key: "1"})
+        spec_from_config({"quad.abs_tol": "1e-12", key: "1"})
     with pytest.raises(ConfigError, match=re.escape("'tol.fresnell'")):
-        settings_from_config({"tol.fresnell": "1e-3", "quad.abs_tl": "1"})
+        spec_from_config({"tol.fresnell": "1e-3", "quad.abs_tl": "1"})
 
 
 @settings(max_examples=50, deadline=None)
 @given(tol_key=st.sampled_from(sorted(DEFAULT_TOLERANCES)),
        bad_tol=st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf]))
 def test_settings_reject_bad_tolerances_and_seed(tol_key, bad_tol):
-    with pytest.raises(ConfigError, match=re.escape(tol_key)):
-        settings_from_config({tol_key: repr(bad_tol)})
-    for key, value in (("tol.kernels.te", "inf"), ("tol.kernels.te", "-1e-8"), ("seed", "x"),
-                       ("seed", "-3"), ("quad.abs_tol", "inf"), ("quad.trunc_decades", "0"),
+    # no config sets a check bound or the seed, bad value or good
+    for key in (tol_key, "seed"):
+        for value in (repr(bad_tol), "1e-3", "7"):
+            with pytest.raises(ConfigError, match=re.escape(f"unknown config key {key!r}")):
+                spec_from_config({key: value})
+    for key, value in (("quad.abs_tol", "inf"), ("quad.abs_tol", "x"), ("quad.trunc_decades", "0"),
                        ("quad.rel_tol", "10"), ("quad.rel_tol", "1.5")):
         with pytest.raises(ConfigError, match=re.escape(key)):
-            settings_from_config({key: value})
-    with pytest.raises(ConfigError, match="seed"):
-        settings_from_config({}, seed=-1)
-    st = settings_from_config({"tol.energy": "2e-4", "seed": "7"})
-    assert st.tol("tol.energy") == 2e-4 and st.tol("tol.fresnel") == 1e-12 and st.seed == 7
+            spec_from_config({key: value})
 
 
 def test_cli_fresnel_table(tmp_path, capsys):
@@ -263,14 +265,47 @@ def test_cli_kernel_verify(tmp_path, capsys, kind):
     reports = from_json(out.read_text())
     assert len(reports) == 1 and reports[0].passed
     assert reports[0].params["kind"] == kind and reports[0].lhs < 1e-6
+    assert "seed" not in reports[0].params  # nothing is sampled
 
 
-def test_cli_kernel_verify_bad_header(tmp_path):
+def test_cli_kernel_verify_bad_header(tmp_path, capsys):
     points = tmp_path / "points.csv"
-    points.write_text("a,b,c\n")
-    with pytest.raises(SystemExit):
+    points.write_text("a,b,c\n0.4,-0.2,0.8,0.1,0.3,0.5\n")
+    assert main(["kernel", "verify", "--kind", "true_coulomb", "--n", "2.0",
+                 "--points", str(points)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {points}:1: expected header x,y,z,xp,yp,zp" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("body, where", [
+    ("", ": no point pairs"),
+    ("\n", ": no point pairs"),
+    ("0.4,-0.2,0.8,0.1,0.3\n", ":2: expected 6 values, got 5"),
+    ("0.4,-0.2,0.8,0.1,0.3,0.5\n\n0.4,-0.2,0.8,0.1,0.3,0.5,1\n", ":4: expected 6 values, got 7"),
+    ("0.4,-0.2,0.8,0.1,0.3,abc\n", ":2: could not convert string to float: 'abc'"),
+    ("0.4,-0.2,0.8,0.1,0.3,-0.5\n", ":2: the source point must lie outside the dielectric"),
+], ids=["empty", "blank-line", "short", "long", "non-numeric", "source-inside"])
+def test_cli_kernel_verify_rejects_bad_points_naming_the_line(tmp_path, capsys, body, where):
+    # a points file with no pair, or a row that is not one, is bad input (exit
+    # 2), never a pass over nothing or a failed check (exit 1)
+    points = tmp_path / "points.csv"
+    points.write_text("x,y,z,xp,yp,zp\n" + body)
+    out = tmp_path / "kernel.json"
+    assert main(["kernel", "verify", "--kind", "true_coulomb", "--n", "2.0",
+                 "--points", str(points), "--out", str(out)]) == 2
+    assert f"error: {points}{where}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_kernel_verify_takes_no_seed(tmp_path, capsys):
+    points = tmp_path / "points.csv"
+    points.write_text("x,y,z,xp,yp,zp\n0.4,-0.2,0.8,0.1,0.3,0.5\n")
+    with pytest.raises(SystemExit) as exc:
         main(["kernel", "verify", "--kind", "true_coulomb", "--n", "2.0",
-              "--points", str(points)])
+              "--points", str(points), "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_cli_energy_shift_and_sweep(tmp_path, capsys):
@@ -284,6 +319,26 @@ def test_cli_energy_shift_and_sweep(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("n,z0,q,delta_e")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["energy", "shift", "--n", "2", "--z0", "1", "--q", "1e200"], "q"),
+    (["energy", "shift", "--n", "2", "--z0", "1e-300"], "z0"),
+    (["energy", "sweep", "--n-grid", "2", "--z0-grid", "1,1e300"], "z0"),
+])
+def test_cli_energy_rejects_inputs_off_the_engine_range(capsys, argv, name):
+    # exit 2 naming the parameter: no traceback, and no -inf energies or nan
+    # ratio with exit 0
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {name} must" in captured.err and captured.out == ""
+
+
+def test_cli_energy_sweep_at_zero_charge(capsys):
+    assert main(["energy", "sweep", "--q", "0", "--n-grid", "2", "--z0-grid", "1"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert float(row[3]) == 0.0 and float(row[4]) == 0.0  # delta_e and v_es
+    assert abs(float(row[5]) - 0.375) < 1e-4  # the ratio of the unit-charge sums
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -320,6 +375,8 @@ GREENS = ["greens", "eval", "--n", "2", "--source", "0,0,1", "--start", "0,0,0.5
     (GREENS + ["--steps", "0"], "--steps"),
     (GREENS + ["--stop", "0,0"], "--stop"),
     (GREENS + ["--stop", "0,nan,1"], "--stop"),
+    (["verify", "--suite", "fresnel", "--seed", "-1"], "--seed"),
+    (["verify", "--suite", "fresnel", "--seed", "1.5"], "--seed"),
 ])
 def test_cli_bad_scalar_is_a_usage_error_naming_the_flag(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -392,14 +449,14 @@ def test_cli_verify_csv_format(tmp_path):
     assert all(line.split(",")[7] == "true" for line in lines[1:])
 
 
-def test_cli_config_plumbs_tolerances(tmp_path):
-    cfg = tmp_path / "loose.cfg"
-    cfg.write_text("tol.fresnel = 1e-30\n")
+def test_cli_failing_check_fails_the_run(tmp_path, monkeypatch):
+    # the suites read their bounds from DEFAULT_TOLERANCES when they run, and
+    # a single failing row makes verify exit 1
+    monkeypatch.setitem(DEFAULT_TOLERANCES, "tol.fresnel", 1e-30)
     out = tmp_path / "report.json"
-    code = main(["verify", "--suite", "fresnel", "--config", str(cfg), "--out", str(out)])
-    assert code == 1  # impossible tolerance flips the exit status
+    assert main(["verify", "--suite", "fresnel", "--out", str(out)]) == 1
     reports = from_json(out.read_text())
-    assert any(not r.passed for r in reports)
+    assert all(r.tol == 1e-30 for r in reports) and any(not r.passed for r in reports)
 
 
 def test_cli_error_paths(capsys):
