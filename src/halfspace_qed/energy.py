@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import image_potential_ves
+from .greens import check_charge, image_potential_ves
 from .medium import Medium, Side
 from .modes import surface_charge_mode
 from .spectral import (
@@ -64,19 +64,6 @@ def redistribution_factors(medium: Medium) -> tuple[float, float]:
     return medium.surface_charge_share, (medium.n**2 + 1.0) / (2.0 * medium.n**2)
 
 
-# heights whose damped sums the engine integrates at every index: beyond them
-# the radial integrands over- or underflow
-_Z0_MIN, _Z0_MAX = 1e-100, 1e100
-
-
-def _check_charge(q: float, z0: float) -> None:
-    if not math.isfinite(q * q):
-        raise ValueError(f"q must be finite with a finite q**2, got {q!r}")
-    if not _Z0_MIN <= z0 <= _Z0_MAX:
-        raise ValueError(f"z0 must lie in [{_Z0_MIN:g}, {_Z0_MAX:g}] (charge outside the "
-                         f"dielectric), got {z0!r}")
-
-
 def _longitudinal(medium: Medium, kap: np.ndarray,
                   spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     """(int_0^inf dk_zd |g^L|^2/omega^2, int_0^inf dk_z |g^R|^2/omega^2),
@@ -109,7 +96,7 @@ def second_order_shift(
 ) -> ShiftResult:
     """Numerical second-order shift of the surface-charge coupling, with the
     image potential and the ratio dE/V^es (analytic target (n^2-1)/2n^2)."""
-    _check_charge(q, z0)
+    check_charge(q, z0)
     n = medium.n
     expected = redistribution_factors(medium)[0]
     v_es = image_potential_ves(q, medium, z0)
@@ -145,7 +132,7 @@ def double_commutator_cnumber(
     and the sum collapses onto the same longitudinal integrals as the
     second-order shift with the opposite sign.
     """
-    _check_charge(q, z0)
+    check_charge(q, z0)
     if medium.n == 1.0:
         return 0.0
     pref = math.pi * q * q

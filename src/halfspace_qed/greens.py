@@ -26,6 +26,7 @@ from .medium import Medium
 __all__ = [
     "GreenVariant",
     "PointPair",
+    "check_charge",
     "electrostatic_green",
     "grad_grad_green_tensor",
     "image_grad_grad_tensor",
@@ -133,14 +134,26 @@ def grad_grad_green_tensor(medium: Medium, variant: GreenVariant, pair: PointPai
                     lambda s: image_grad_grad_tensor(pair, s))
 
 
+# heights whose damped energy sums the engine integrates at every index:
+# beyond them the radial integrands over- or underflow
+_Z0_MIN, _Z0_MAX = 1e-100, 1e100
+
+
+def check_charge(q: float, z0: float) -> None:
+    """Reject a charge q whose q**2 is not finite and a height z0 outside
+    [_Z0_MIN, _Z0_MAX] (or outside the dielectric), naming the parameter."""
+    if not math.isfinite(q * q):
+        raise ValueError(f"q must be finite with a finite q**2, got {q!r}")
+    if not _Z0_MIN <= z0 <= _Z0_MAX:
+        raise ValueError(f"z0 must lie in [{_Z0_MIN:g}, {_Z0_MAX:g}] (charge outside the "
+                         f"dielectric), got {z0!r}")
+
+
 def image_potential_ves(q: float, medium: Medium, z0: float) -> float:
     """Charge-surface interaction energy V^es = -(q^2/4 pi) alpha/(4 z0).
 
     Half the charge-image Coulomb energy: the image is not an independent
     charge but is induced by q itself.
     """
-    if not math.isfinite(q):
-        raise ValueError(f"q must be finite, got {q!r}")
-    if not (math.isfinite(z0) and z0 > 0.0):
-        raise ValueError(f"z0 must be finite and > 0 (charge outside the dielectric), got {z0!r}")
+    check_charge(q, z0)
     return -(q * q) / _FOUR_PI * medium.image_strength / (4.0 * z0)

@@ -2,41 +2,45 @@
 
 Every class refines by one routine: globally adaptive Gauss-Kronrod 7/15
 panels with the QUADPACK |K15 - G7| error estimate, refined one whole level
-at a time.  All panels of a level are evaluated in one integrand call, and
-each level bisects the fewest worst panels whose errors together exceed the
-excess over the tolerance (any refinement that splits the worst panel first
-splits at least these).  Each panel's rule is summed on its own, so a panel
-depends on the other panels of its call only through the integrand.  A panel
-whose value or error is not finite raises :class:`QuadratureError` at once,
-naming the panel.
+at a time.  All panels of a level are evaluated in one integrand call (one
+per body where a ray run also takes cuts), and each level bisects the fewest
+worst panels whose errors together exceed the excess over the tolerance (any
+refinement that splits the worst panel first splits at least these).  Each
+panel's rule is summed on its own, so a panel depends on the other panels of
+its call only through the integrand.  A panel whose value or error is not
+finite raises :class:`QuadratureError` at once, naming the panel.
 
 1. Semi-infinite oscillatory k_z integrals int_0^inf f(k) dk of a body f
    that goes like e^{i k s}.  Where f is analytic in the open first quadrant
-   (every k_z profile: its branch points lie on the imaginary axis, and
-   the TM pole of its continuation, n^2 k + k_zd = 0, on the negative real
-   axis at k = -kappa/n), Cauchy and Jordan turn the Abel-regularised
-   real-axis integral into the integral along the ray k = u e^{i theta},
-   theta = pi/4, where f decays like e^{-u s sin theta} (the path
-   deformation of Sommerfeld-type integrals).  ``ray_integral`` maps the
-   ray by u = l tan(v), l = 1/(s sin theta), so that x = u s sin theta =
-   tan(v) and f goes like e^{(i-1) x}, and refines adaptive panels on
-   v in (0, pi/2).  Its first panels end at x = 0.3, 0.9, 2, 4, 8, 16 and
-   infinity: past x ~ 1 each is twice as wide in x as the one before, so
-   each holds about the same share of the damped oscillation, and a lone
-   entry mostly converges after one refinement level.  A singularity next
-   to the ray's origin (that TM pole, a distance kappa/n away) sets the
-   scale on which f varies near k = 0, so an entry given such a scale has
-   its first panel split at x_e 2^j below x = 0.3, x_e = (kappa/n) s sin
-   theta.  An entry stops once its error is within the batch tolerance of
-   its level and is not reopened if that tolerance falls later; the ray
-   raises only for an entry that reached the panel cap.  The numerical path
-   stays independent of any residue evaluation.  An integrand that is not
-   analytic there (the undamped Bessel branch of the radial assembly) stays
-   on the real axis: the axis is partitioned at the oscillation zeros
-   (half-period pi/s segments), each segment is integrated by internally
-   adaptive panels, and the sequence of partial sums is accelerated with a
-   sliding-window Levin u-transformation.
-   Each half-period is one integrand call, bisected level by level while its
+   (every k_z profile: its branch points lie on the imaginary axis, and the
+   TM pole of its continuation, n^2 k + k_zd = 0, on the negative real axis
+   at k = -kappa/n), Cauchy and Jordan turn the Abel-regularised real-axis
+   integral into the integral along the ray k = u e^{i theta}, theta = pi/4,
+   where f decays like e^{-u s sin theta} (the path deformation of
+   Sommerfeld-type integrals).  ``ray_integral`` maps the ray by
+   u = l tan(v), l = 1/(s sin theta), so that x = u s sin theta = tan(v) and
+   f goes like e^{(i-1) x}, and refines adaptive panels on v in (0, pi/2).
+   Its first panels end at x = 0.3, 0.9, 2, 4, 8, 16 and infinity: past
+   x ~ 1 each is twice as wide in x as the one before, so each holds about the
+   same share of the damped oscillation, and a lone entry mostly converges
+   after one refinement level.  A body whose amplitude beside e^{iks} tends
+   to a constant at large |k| (the reflected and transmitted profiles) also
+   starts on the panels that level adds, at x = 0.56, 5.35, 10.68 and 32.03,
+   and mostly converges on them.  A singularity next to the ray's origin
+   (that TM pole, a distance kappa/n away) sets the scale on which f varies
+   near k = 0, so an entry given such a scale has its first panel split at
+   x_e 2^j below x = 0.3, x_e = (kappa/n) s sin theta.  An entry stops once
+   its error is within the batch tolerance of its level and is not reopened
+   if that tolerance falls later; the ray raises only for an entry that
+   reached the panel cap.  The numerical path stays independent of any
+   residue evaluation.  The same run integrates each entry's branch-cut
+   segment (class 2), if it has one, on panels of its own.  An integrand
+   that is not analytic there (the undamped Bessel branch of the radial
+   assembly) stays on the real axis: the axis is partitioned at the
+   oscillation zeros (half-period pi/s segments), each segment is integrated
+   by internally adaptive panels, and the sequence of partial sums is
+   accelerated with a sliding-window Levin u-transformation.  Each
+   half-period is one integrand call, bisected level by level while its
    error is large against its own L1 content, so the integrand never sees a
    node past the half-period where the accelerated sum converged.  This
    converges to the Abel-regularised value for bounded non-decaying
@@ -46,11 +50,12 @@ naming the panel.
    integrable 1/sqrt(Gamma^2 - t^2) endpoint factor: the segment is always
    mapped by the trigonometric substitution t = Gamma*sin(u), which removes
    the endpoint behaviour, then adaptive panels finish the job.  They start
-   on four equal panels in u; near-singularity scales at either end (for an
-   interface body the TM shoulder at t = kappa/n, the scale of that TM
-   pole, and the TE pole at t = kappa, just past the branch point, both at
-   the same u for every kappa) split the end panels at geometric breaks
-   towards them.
+   on four equal panels in u.  The cuts of a k_z profile ride in its ray
+   run, one per kappa on its own panels; there near-singularity scales at
+   either end (for an interface body the TM shoulder at t = kappa/n, the
+   scale of that TM pole, and the TE pole at t = kappa, just past the branch
+   point, both at the same u for every kappa) split the end panels at
+   geometric breaks towards them.
 
 3. Exponentially damped half-line transforms int_0^inf f(k) e^{-k a} dk:
    truncation where e^{-k a} has fallen one decade below rel_tol, with the
@@ -71,12 +76,14 @@ batch tolerance: max(abs_tol, rel_tol x the max-norm over the whole batch),
 so the returned error, the largest over the entries, is within the same
 bound as a single call's.  The cut segment and decaying half-line take array
 ``gamma`` / ``scale``, pass nodes of shape (nodes, *batch) and refine all
-entries on shared panels.  The ray gives each entry its own panels, so an
-entry that converges stops refining while the others go on: the integrand
-is called as f(k, entries), k of shape (nodes, panels) and ``entries`` the
-entry of each panel column, and each entry's own error is reported in
-``entry_errors``.  ``nodes_used`` counts integrand evaluations: nodes x
-batch size on shared panels, nodes on an entry's own panels.
+entries on shared panels.  The ray run gives each entry's ray, and each
+entry's cut, its own panels, so an integral that converges stops refining
+while the others go on: a body is called as f(k, entries), k of shape
+(nodes, panels) and ``entries`` the entry of each panel column, and each
+integral's own error is reported in ``entry_errors``.  Its rays share one
+batch tolerance and its cuts another, each from the max-norm over its own
+family.  ``nodes_used`` counts integrand evaluations: nodes x batch size on
+shared panels, nodes on an integral's own panels.
 """
 from __future__ import annotations
 
@@ -173,6 +180,11 @@ _SEGMENT_MAX_PANELS = 48
 # each holds about the same share of the e^{(i-1)x} decay of the body.
 _RAY_BREAKS = np.arctan([0.0, 0.3, 0.9, 2.0, 4.0, 8.0, 16.0, np.inf])
 _RAY_PANELS = len(_RAY_BREAKS) - 1
+# The same with (0.3, 0.9), (4, 8), (8, 16) and (16, inf) halved in v, at
+# x = 0.56, 5.35, 10.68 and 32.03, where the first level splits a body whose
+# amplitude tends to a constant at large |k|.
+_RAY_BREAKS_FLAT = np.sort(np.concatenate(
+    [_RAY_BREAKS, 0.5 * (_RAY_BREAKS[[1, 4, 5, 6]] + _RAY_BREAKS[[2, 5, 6, 7]])]))
 # Graded breaks (ratio 2) that a near-singularity scale adds below the first
 # end of a ray or inside the end panels of a cut, at most this many per end:
 # a scale below 2^-16 of that end (a kappa = 0 entry, say) starts from there.
@@ -212,18 +224,19 @@ def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
     return k15, err
 
 
-def _refine(f, lo, hi, owner, val, err, tolerance: Callable, cap: int):
+def _refine(rule: Callable, lo, hi, owner, val, err, tolerance: Callable, cap: int):
     """Level-synchronous K15/G7 refinement of evaluated panels: panel
     [lo[i], hi[i]] with value val[i] and error err[i] belongs to integral
     owner[i], and every integral 0, 1, ... has at least one panel.
 
     Each level bisects, per integral, the fewest worst panels whose errors
     together exceed its excess over ``tolerance(ids, totals, contents)``,
-    where ``ids`` are the integrals still running and ``contents`` their sums
+    where ``ids`` are the integrals still running and ``contents()`` their sums
     of panel max-norms.  All new panels of a level are evaluated in one call
-    ``f(x, owner)``.  An integral stops when its error sum is within its
-    tolerance or it holds ``cap`` panels.  Returns the totals, the error sums
-    and the nodes of the new panels."""
+    ``rule(lo, hi, owner)``, which returns their values and errors (the rule
+    of ``_gauss_kronrod``).  An integral stops when its error sum is within
+    its tolerance or it holds ``cap`` panels.  Returns the totals, the error
+    sums and the nodes of the new panels."""
     entries = int(owner.max()) + 1
     total = np.zeros((entries,) + val.shape[1:], dtype=val.dtype)
     error = np.zeros(entries)
@@ -239,8 +252,11 @@ def _refine(f, lo, hi, owner, val, err, tolerance: Callable, cap: int):
         first = np.cumsum(count) - count
         errsum = np.add.reduceat(err, first)
         tot = np.add.reduceat(val, first)
-        content = np.add.reduceat(np.abs(val).reshape(len(val), -1).max(axis=1), first)
-        excess = errsum - tolerance(ids, tot, content)
+
+        def contents():  # on demand: only the half-line's tolerance reads them
+            return np.add.reduceat(np.abs(val).reshape(len(val), -1).max(axis=1), first)
+
+        excess = errsum - tolerance(ids, tot, contents)
         # split a panel while the worse panels of its entry leave an excess
         start = first[owner]
         worse = np.cumsum(err) - err
@@ -261,7 +277,7 @@ def _refine(f, lo, hi, owner, val, err, tolerance: Callable, cap: int):
         new_lo = np.concatenate((split[:, 0], mid))
         new_hi = np.concatenate((mid, split[:, 1]))
         new_owner = np.concatenate((owner[pick], owner[pick]))
-        new_val, new_err = _gauss_kronrod(f, new_lo, new_hi, ids[new_owner])
+        new_val, new_err = rule(new_lo, new_hi, ids[new_owner])
         nodes += 15 * len(new_lo)
         rest = ~pick
         box = np.concatenate((box[rest], np.stack([new_lo, new_hi, new_err], axis=1)))
@@ -286,12 +302,12 @@ def adaptive_panels(
     """Globally adaptive K15/G7 integration over the given initial panels,
     one integrand call per refinement level; raises QuadratureError when the
     panel cap is reached first."""
-    g = _flat_integrand(f)
+    rule = functools.partial(_gauss_kronrod, _flat_integrand(f))
     lo, hi = np.asarray(breakpoints[:-1], dtype=float), np.asarray(breakpoints[1:], dtype=float)
     owner = np.zeros(len(lo), dtype=int)
-    val, err = _gauss_kronrod(g, lo, hi, owner)
+    val, err = rule(lo, hi, owner)
     total, error, nodes = _refine(
-        g, lo, hi, owner, val, err,
+        rule, lo, hi, owner, val, err,
         lambda ids, tot, content: spec.tolerance(float(np.abs(tot).max())), _MAX_PANELS,
     )
     value = total[0]
@@ -378,8 +394,8 @@ def halfline_oscillatory_integral(
         seg_floor = max(abs_floor, 0.1 * rel_seg * inc_scale)
         if err[0] > max(seg_floor, rel_seg * float(np.abs(val).max())):
             val, err, more = _refine(
-                f, lo, hi, owner, val, err,
-                lambda ids, tot, content: np.maximum(seg_floor, rel_seg * content),
+                functools.partial(_gauss_kronrod, f), lo, hi, owner, val, err,
+                lambda ids, tot, content: np.maximum(seg_floor, rel_seg * content()),
                 _SEGMENT_MAX_PANELS,
             )
             nodes += more
@@ -428,70 +444,17 @@ def _graded(scale, end: float):
     return np.multiply.outer(np.maximum(scale, end * 2.0 ** -_GRADED_MAX), _GRADED_STEPS)
 
 
-def _ray_panels(near: np.ndarray, scale: float):
+def _ray_panels(near: np.ndarray, scale: float, breaks: np.ndarray = _RAY_BREAKS):
     """First panels (lo, hi, owner) in v of each entry of a ray with
-    oscillation scale ``scale``: those of _RAY_BREAKS, the first split at
+    oscillation scale ``scale``: those of ``breaks``, the first split at
     v = atan(x) for the graded breaks x from x_e = near s sin(pi/4) up."""
     x_near = near * (scale * math.sin(0.25 * math.pi))
-    graded = np.arctan(_graded(x_near, math.tan(_RAY_BREAKS[1])))
-    rows = np.hstack([np.zeros((len(near), 1)), np.minimum(graded, _RAY_BREAKS[1]),
-                      np.broadcast_to(_RAY_BREAKS[1:], (len(near), _RAY_PANELS))])
+    graded = np.arctan(_graded(x_near, math.tan(breaks[1])))
+    rows = np.hstack([np.zeros((len(near), 1)), np.minimum(graded, breaks[1]),
+                      np.broadcast_to(breaks[1:], (len(near), len(breaks) - 1))])
     lo, hi = rows[:, :-1], rows[:, 1:]
     keep = lo < hi  # a graded break put at the first end leaves an empty panel
     return lo[keep], hi[keep], np.nonzero(keep)[0]
-
-
-def ray_integral(f: Callable, oscillation_scale: float, entries: int,
-                 spec: QuadratureSpec, near: ArrayLike | None = None) -> IntegralResult:
-    """int_0^inf f(k) dk for each of ``entries`` integrands f(., entry) that are
-    analytic in the open first quadrant and go like e^{i k s} there,
-    s = oscillation_scale: the Abel-regularised real-axis integral, taken along
-    the ray k = u e^{i pi/4} where f decays like e^{-u s sin(pi/4)}.
-
-    The map u = l tan(v), l = 1/(s sin(pi/4)), compactifies the ray, so that
-    k = (1 + i) tan(v)/s.  f is called as f(k, entries), k of shape (nodes,
-    panels) and ``entries`` the entry of each panel column, and returns
-    (nodes, panels, *comps).  Each entry starts on the panels of _RAY_BREAKS,
-    which end at x = tan(v) = 0.3, 0.9, 2, 4, 8, 16 and infinity.  ``near``
-    gives, per entry, the distance |k| of a singularity of f next to the
-    ray's origin (outside the first quadrant); f varies on that scale near
-    k = 0, so the entry's first panel is split at x_e 2^j below x = 0.3,
-    from x_e = near s sin(pi/4) up (at most _GRADED_MAX breaks).  Each entry
-    refines its panels to the batch tolerance, max(abs_tol, rel_tol x the
-    max-norm over all entries), and reports its error in ``entry_errors``.
-    The max-norm is taken level by level, and an entry stops for good once
-    its error is within the tolerance of that level, even if the tolerance
-    falls later as the other entries' norms settle.  So an entry's error is
-    bounded by the tolerance it stopped at, not always by the final one, and
-    QuadratureError is raised only for an entry that reached the panel cap.
-    """
-    scale = _oscillation_scale(oscillation_scale)
-    step = (1.0 + 1.0j) / scale  # e^{i pi/4} l
-    if not (isinstance(entries, numbers.Integral) and entries >= 1):
-        raise ValueError(f"entries must be an integer >= 1, got {entries!r}")
-
-    def g(v: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        t = np.tan(v)
-        vals = np.asarray(f(step * t, owner))
-        jac = step * (1.0 + t * t)
-        return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - jac.ndim))
-
-    lo, hi, owner = _ray_panels(_near_scales(near, entries), scale)
-    val, err = _gauss_kronrod(g, lo, hi, owner)
-    norm = np.zeros(entries)  # each entry's max-norm, final once it stops
-    bound = np.zeros(entries)  # the batch tolerance each entry saw last
-
-    def tolerance(ids, tot, content):
-        norm[ids] = np.abs(tot).reshape(len(ids), -1).max(axis=1)
-        bound[ids] = spec.tolerance(float(norm.max()))
-        return bound[ids]
-
-    total, error, nodes = _refine(g, lo, hi, owner, val, err, tolerance, _MAX_PANELS)
-    capped = error > bound  # stopped by the cap, not within its last tolerance
-    if capped.any():
-        raise QuadratureError(f"ray integral stalled at error {error[capped].max():.3e} "
-                              f"after {_MAX_PANELS} panels")
-    return IntegralResult(total, float(error.max()), nodes + 15 * len(lo), error)
 
 
 def _cut_breaks(near) -> np.ndarray:
@@ -504,25 +467,125 @@ def _cut_breaks(near) -> np.ndarray:
                            high[high > _CUT_BREAKS[-2]], _CUT_BREAKS[-1:]])
 
 
-def cut_segment_integral(f: Integrand, gamma: ArrayLike, spec: QuadratureSpec,
-                         near: tuple[float, float] | None = None) -> IntegralResult:
+def ray_integral(f: Callable, oscillation_scale: float, entries: int,
+                 spec: QuadratureSpec, near: ArrayLike | None = None,
+                 cut: Callable | None = None, gamma: ArrayLike | None = None,
+                 cut_near: tuple[float, float] | None = None,
+                 flat: bool = False) -> IntegralResult:
+    """int_0^inf f(k) dk for each of ``entries`` integrands f(., entry) that are
+    analytic in the open first quadrant and go like e^{i k s} there,
+    s = oscillation_scale: the Abel-regularised real-axis integral, taken along
+    the ray k = u e^{i pi/4} where f decays like e^{-u s sin(pi/4)}.  With
+    ``cut``, the same run also takes int_0^Gamma cut(t) dt of each entry.
+
+    The map u = l tan(v), l = 1/(s sin(pi/4)), compactifies the ray, so that
+    k = (1 + i) tan(v)/s.  f is called as f(k, entries), k of shape (nodes,
+    panels) and ``entries`` the entry of each panel column, and returns
+    (nodes, panels, *comps).  Each entry starts on the panels of _RAY_BREAKS,
+    which end at x = tan(v) = 0.3, 0.9, 2, 4, 8, 16 and infinity, or with
+    ``flat`` (f's amplitude beside e^{iks} tends to a constant at large |k|)
+    on _RAY_BREAKS_FLAT, which halves (0.3, 0.9) and the last three in v.
+    ``near`` gives, per entry, the distance |k| of a singularity of f next to
+    the ray's origin (outside the first quadrant); f varies on that scale near
+    k = 0, so the entry's first panel is split at x_e 2^j below x = 0.3,
+    from x_e = near s sin(pi/4) up (at most _GRADED_MAX breaks).
+
+    ``cut`` is called as cut(t, entries) on t = Gamma sin(u), ``gamma`` one
+    Gamma > 0 per entry, and may return fewer trailing components than f
+    (the rest read 0).  Each cut starts on the panels of
+    ``cut_segment_integral``, the end panels split towards the scales
+    ``cut_near`` = (a, b), the same u for every entry, on which
+    cut(Gamma sin u) varies next to u = 0 and to u = pi/2: at u = a 2^j below
+    pi/8 and at pi/2 - b 2^j above 3 pi/8 (at most _GRADED_MAX breaks each;
+    inf adds none).  Rows 0 .. entries - 1 of the result hold the rays, the
+    next ``entries`` rows the cuts.
+
+    Each integral refines its own panels, level by level, to the tolerance
+    of its family, max(abs_tol, rel_tol x the max-norm over the rays or over
+    the cuts), and reports its error in ``entry_errors``.  The max-norm is
+    taken level by level, and an integral stops for good once its error is
+    within the tolerance of that level, even if the tolerance falls later.
+    So an integral's error is bounded by the tolerance it stopped at, and
+    QuadratureError is raised only for one that reached the panel cap.
+    """
+    scale = _oscillation_scale(oscillation_scale)
+    step = (1.0 + 1.0j) / scale  # e^{i pi/4} l
+    if not (isinstance(entries, numbers.Integral) and entries >= 1):
+        raise ValueError(f"entries must be an integer >= 1, got {entries!r}")
+    lo, hi, owner = _ray_panels(_near_scales(near, entries), scale,
+                                _RAY_BREAKS_FLAT if flat else _RAY_BREAKS)
+    rows = entries
+    if cut is not None:
+        gamma = np.asarray(gamma, dtype=float)
+        if not (gamma.shape == (entries,) and np.all(np.isfinite(gamma) & (gamma > 0.0))):
+            raise ValueError(f"gamma must be {entries} finite values > 0, got {gamma!r}")
+        breaks = _cut_breaks(cut_near)
+        lo = np.concatenate((lo, np.tile(breaks[:-1], entries)))
+        hi = np.concatenate((hi, np.tile(breaks[1:], entries)))
+        owner = np.concatenate((owner, np.repeat(np.arange(entries, 2 * entries),
+                                                 len(breaks) - 1)))
+        rows = 2 * entries
+
+    def on_ray(v: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        t = np.tan(v)
+        vals = np.asarray(f(step * t, owner))
+        jac = step * (1.0 + t * t)
+        return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - jac.ndim))
+
+    def on_cut(u: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        entry = owner - entries
+        vals = np.asarray(cut(gamma[entry] * np.sin(u), entry))
+        jac = gamma[entry] * np.cos(u)
+        return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - jac.ndim))
+
+    shape = None  # of a ray value, from the first level
+
+    def rule(lo, hi, owner):
+        # each body once per level, on its own panels; a cut value's trailing
+        # components are padded to a ray value's
+        nonlocal shape
+        if shape is not None and owner.max() < entries:
+            return _gauss_kronrod(on_ray, lo, hi, owner)
+        val, err = None, np.empty(len(lo))
+        for on, body in ((owner < entries, on_ray), (owner >= entries, on_cut)):
+            if on.any():
+                part, err[on] = _gauss_kronrod(body, lo[on], hi[on], owner[on])
+                shape = part.shape[1:] if shape is None else shape
+                val = np.zeros((len(lo),) + shape, dtype=complex) if val is None else val
+                val[(on,) + tuple(slice(k) for k in part.shape[1:])] = part
+        return val, err
+
+    val, err = rule(lo, hi, owner)
+    norm = np.zeros(rows)  # each integral's max-norm, final once it stops
+    bound = np.zeros(rows)  # the tolerance each integral saw last
+
+    def tolerance(ids, tot, content):
+        norm[ids] = np.abs(tot).reshape(len(ids), -1).max(axis=1)
+        bound[ids] = np.where(ids < entries, spec.tolerance(float(norm[:entries].max())),
+                              spec.tolerance(float(norm[entries:].max(initial=0.0))))
+        return bound[ids]
+
+    total, error, nodes = _refine(rule, lo, hi, owner, val, err, tolerance, _MAX_PANELS)
+    capped = error > bound  # stopped by the cap, not within its last tolerance
+    if capped.any():
+        part = "ray" if capped[:entries].any() else "cut"
+        raise QuadratureError(f"{part} integral stalled at error {error[capped].max():.3e} "
+                              f"after {_MAX_PANELS} panels")
+    return IntegralResult(total, float(error.max()), nodes + 15 * len(lo), error)
+
+
+def cut_segment_integral(f: Integrand, gamma: ArrayLike, spec: QuadratureSpec) -> IntegralResult:
     """int_0^Gamma f(t) dt across the evanescent branch-cut segment, for every
     entry of the array ``gamma`` at once (f gets t of shape (nodes, *gamma.shape)).
 
     With the trigonometric substitution t = Gamma*sin(u) the integrable
     1/sqrt(Gamma^2 - t^2) endpoint factor becomes smooth; panel nodes never
     touch the endpoints, so f is never called at t = 0 or t = Gamma.  The
-    first panels are four equal ones in u.  ``near`` = (a, b) gives the
-    scales, the same for every entry, on which f(Gamma sin u) varies next to
-    u = 0 (a) and to u = pi/2 (b, the distance of a singularity past the
-    branch point): the first panel is split at u = a 2^j below pi/8 and the
-    last at u = pi/2 - b 2^j above 3 pi/8 (at most _GRADED_MAX breaks each;
-    inf adds none).
+    first panels are four equal ones in u.
     """
     gamma = np.asarray(gamma, dtype=float)
     if not np.all(np.isfinite(gamma) & (gamma >= 0.0)):
         raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
-    breaks = _cut_breaks(near)
     if not np.any(gamma):
         return IntegralResult(0.0 + 0.0j, 0.0, 0)
 
@@ -531,7 +594,7 @@ def cut_segment_integral(f: Integrand, gamma: ArrayLike, spec: QuadratureSpec,
         jac = np.multiply.outer(np.cos(u), gamma)
         return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - jac.ndim))
 
-    res = adaptive_panels(g, breaks, spec)
+    res = adaptive_panels(g, _CUT_BREAKS, spec)
     return replace(res, nodes_used=res.nodes_used * gamma.size)
 
 

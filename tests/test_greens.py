@@ -220,3 +220,12 @@ def test_image_potential_rejects_non_finite_inputs():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="q must be finite"):
             image_potential_ves(bad, med, 0.7)
+
+
+@pytest.mark.parametrize("q, z0, name", [(1e200, 1.0, "q"), (1.0, 1e-320, "z0"),
+                                         (1.0, 1e308, "z0")])
+def test_image_potential_rejects_what_the_energy_sums_reject(q, z0, name):
+    # q**2 overflows, or z0 lies off [1e-100, 1e100]: these read -inf, -inf
+    # and -0.0 before; the image energy and the energy sums share one check
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        image_potential_ves(q, Medium(2.0), z0)

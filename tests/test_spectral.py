@@ -75,6 +75,10 @@ def test_engines_reject_non_finite_geometry(bad):
         cut_segment_integral(lambda t: t, bad, SPEC)
     with pytest.raises(ValueError, match="gamma"):
         cut_segment_integral(lambda t: t, np.array([1.0, bad]), SPEC)
+    for gamma in ([1.0, bad], [1.0, 0.0], [1.0]):
+        with pytest.raises(ValueError, match="gamma must be 2 finite values > 0"):
+            ray_integral(lambda k, entries: np.exp(1j * k), 1.0, 2, SPEC,
+                         cut=lambda t, entries: t, gamma=gamma)
     with pytest.raises(ValueError, match="scale"):
         decaying_halfline_integral(np.exp, np.array([1.0, bad]), SPEC)
 
@@ -545,7 +549,8 @@ def test_near_scales_must_be_one_non_negative_number_per_entry(near):
     with pytest.raises(ValueError, match="near must be 2 scales"):
         ray_integral(lambda k, entries: np.exp(1j * k), 1.0, 2, SPEC, near=near)
     with pytest.raises(ValueError, match="near must be 2 scales"):
-        cut_segment_integral(lambda t: t, 1.0, SPEC, near=near)
+        ray_integral(lambda k, entries: np.exp(1j * k), 1.0, 1, SPEC,
+                     cut=lambda t, entries: t, gamma=[1.0], cut_near=near)
 
 
 def _two_widths(k, w):
@@ -553,26 +558,47 @@ def _two_widths(k, w):
                     axis=-1)
 
 
+def _peak(t, w):
+    return np.stack([np.exp(-t) / (w * w + t * t), t / (w + t)], axis=-1)
+
+
 def test_ray_gives_each_entry_its_own_panels():
     # each entry refines only its own panels, to the batch tolerance from the
     # max-norm over all entries: the last entry, the third scaled by 1e-8,
-    # stops at its first panels in the batch but refines further alone
+    # stops at its first panels in the batch but refines further alone.  A
+    # cut in the same run gives each segment its own panels too, held to the
+    # max-norm over the segments, and leaves every ray's panels as they were
     widths = np.array([0.05, 1.0, 30.0, 30.0])
     amps = np.array([1.0, 1.0, 1.0, 1e-8])
-    columns = {}
+    gamma = np.array([0.5, 2.0, 2.0, 2.0])
+    peaks = np.array([0.01, 0.1, 0.03, 0.03])
+    for with_cut in (False, True):
+        columns = {}
 
-    def batch(k, entries):
-        for entry in entries:
-            columns[entry] = columns.get(entry, 0) + 1
-        return amps[entries, None] * _two_widths(k, widths[entries])
+        def batch(k, entries):
+            for entry in entries:
+                columns[entry] = columns.get(entry, 0) + 1
+            return amps[entries, None] * _two_widths(k, widths[entries])
 
-    res = ray_integral(batch, 1.0, len(widths), SPEC)
-    assert res.nodes_used == 15 * sum(columns.values())
-    assert res.entry_errors.shape == widths.shape
-    assert res.error_estimate == res.entry_errors.max()
-    assert len(set(columns.values())) > 2
-    assert columns[3] == spectral._RAY_PANELS < columns[2]
-    assert res.error_estimate <= SPEC.tolerance(float(np.max(np.abs(res.value))))
+        def cut(t, entries):
+            for entry in entries + len(widths):
+                columns[entry] = columns.get(entry, 0) + 1
+            return amps[entries, None] * _peak(t, peaks[entries])
+
+        if with_cut:
+            res = ray_integral(batch, 1.0, len(widths), SPEC, cut=cut, gamma=gamma)
+            assert res.value.shape == (2 * len(widths), 2)
+            assert {entry: columns[entry] for entry in range(len(widths))} == ray_columns
+        else:
+            res = ray_integral(batch, 1.0, len(widths), SPEC)
+            ray_columns = dict(columns)
+        assert res.nodes_used == 15 * sum(columns.values())
+        assert res.entry_errors.shape == res.value.shape[:1]
+        assert res.error_estimate == res.entry_errors.max()
+    assert len(set(ray_columns.values())) > 2
+    assert ray_columns[3] == spectral._RAY_PANELS < ray_columns[2]
+    cut_panels = len(spectral._CUT_BREAKS) - 1
+    assert columns[7] == cut_panels < columns[6]
     for w, amp, row, err in zip(widths, amps, res.value, res.entry_errors):
         single = ray_integral(lambda k, entries, w=w: amp * _two_widths(k, w), 1.0, 1, SPEC)
         assert single.value.shape == (1, 2)
@@ -581,6 +607,11 @@ def test_ray_gives_each_entry_its_own_panels():
         # and the real-axis route agrees
         levin = halfline_oscillatory_integral(lambda k, w=w: amp * _two_widths(k, w), 1.0, SPEC)
         assert np.max(np.abs(row - levin.value)) <= err + levin.error_estimate
+    for g, w, amp, row, err in zip(gamma, peaks, amps, res.value[len(widths):],
+                                   res.entry_errors[len(widths):]):
+        single = cut_segment_integral(lambda t, w=w: amp * _peak(t, w), g, SPEC)
+        assert single.nodes_used > 15 * cut_panels
+        assert np.max(np.abs(row - single.value)) <= err + single.error_estimate
 
 
 def test_ray_entry_within_the_tolerance_it_stopped_at_is_returned(monkeypatch):
@@ -618,3 +649,13 @@ def test_ray_raises_at_the_panel_cap(monkeypatch):
         # a pole at k = 1e-6 (i - 1), off the first quadrant, sits next to the ray's origin
         ray_integral(lambda k, entries: 1.0 / (k - 1e-6 * (1j - 1.0)) + 0.0 * entries,
                      1.0, 2, SPEC)
+
+
+def test_ray_run_names_a_cut_that_reaches_the_panel_cap(monkeypatch):
+    # the ray converges; the cut's 1/t is not integrable at t = 0, so it
+    # bisects towards u = 0 until its entry holds the cap
+    monkeypatch.setattr(spectral, "_MAX_PANELS", 24)
+    with pytest.raises(QuadratureError, match="cut integral stalled at error .* after 24 panels"):
+        ray_integral(lambda k, entries: np.exp(1j * k) + 0.0 * entries, 1.0, 2, SPEC,
+                     cut=lambda t, entries: 1.0 / t, gamma=[1.0, 2.0])
+
