@@ -72,6 +72,8 @@ def _longitudinal(medium: Medium, kap: np.ndarray,
     the cut segment."""
     n = medium.n
     n2 = n * n
+    # one 1-D batch: inner node arrays of a (15, panels) radial block cost ~3% more
+    shape, kap = np.shape(kap), np.ravel(kap)
     gamma_d = kap * math.sqrt(n2 - 1.0)
 
     def travelling(kz: np.ndarray) -> np.ndarray:
@@ -88,7 +90,7 @@ def _longitudinal(medium: Medium, kap: np.ndarray,
 
     both = np.real(decaying_halfline_integral(travelling, np.maximum(kap, 1e-12), spec).value)
     ev = np.real(cut_segment_integral(evanescent, gamma_d, spec).value)
-    return ev + both[..., 0], both[..., 1]
+    return (ev + both[..., 0]).reshape(shape), both[..., 1].reshape(shape)
 
 
 def second_order_shift(

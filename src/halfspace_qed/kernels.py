@@ -406,20 +406,17 @@ def _radial_assemble(
     k_seen_max = 0.0
     tail_rate = 0.0  # bound on the radial integrand at k_seen_max
 
-    def integrand(karr: np.ndarray) -> np.ndarray:
-        # the engine hands over the 15 nodes of each panel of a refinement
-        # level (on the Bessel-oscillation branch, of one half-period or of
-        # a bisection level), node-major; up to _PROFILE_PANELS whole panels
-        # go to one profile call
-        cols = karr.reshape(15, -1)
-        return np.concatenate(
-            [profile_part(cols[:, i:i + _PROFILE_PANELS]) for i in
-             range(0, cols.shape[1], _PROFILE_PANELS)], axis=1).reshape(karr.size, -1)
+    def integrand(cols: np.ndarray) -> np.ndarray:
+        # the nodes of a refinement level (on the Bessel-oscillation branch,
+        # of a half-period or a level of its bisection), one panel a column;
+        # up to _PROFILE_PANELS whole panels go to one profile call
+        return np.concatenate([profile_part(cols[:, i:i + _PROFILE_PANELS]) for i in
+                               range(0, cols.shape[1], _PROFILE_PANELS)], axis=1)
 
-    def profile_part(karr: np.ndarray) -> np.ndarray:
+    def profile_part(cols: np.ndarray) -> np.ndarray:
         # each kappa's profile error is weighted by that kappa
         nonlocal nodes_extra, err_inner_rate, k_seen_max, tail_rate
-        karr = karr.ravel()
+        karr = cols.ravel()
         prof = profile_fn(karr)
         top = int(np.argmax(karr))
         k_top = float(karr[top])
@@ -432,7 +429,7 @@ def _radial_assemble(
             # 2 pi (|uu| + |vv|) for xx and yy, 2 pi |comp| for zz, xz and zx
             uu, uz, zu, zz, vv = np.abs(prof.value[top])
             tail_rate = 2.0 * math.pi * k_top * float(max(uu + vv, uz, zu, zz))
-        return _bessel_combination(prof.value, karr, rho).reshape(15, -1, 5)
+        return _bessel_combination(prof.value, karr, rho).reshape(cols.shape + (5,))
 
     if damping <= 0.0 and rho == 0.0:
         raise ValueError("profile without damping needs rho > 0 for the assembly")

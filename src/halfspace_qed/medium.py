@@ -14,6 +14,7 @@ with the branch fixed by sgn(Re k_zd) = sgn(Re k_z) on the real axis.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -26,6 +27,7 @@ __all__ = [
     "Side",
     "Polarization",
     "SpectralPoint",
+    "check_label",
     "epsilon_profile",
     "refracted_kz",
     "vacuum_kz_from_kzd",
@@ -109,6 +111,15 @@ def evanescent_threshold(medium: Medium, kpar_mag: ArrayLike) -> float | np.ndar
     return kpar_mag * math.sqrt(n * n - 1.0) / n
 
 
+def check_label(kpar_mag: float, name: str, kz: complex) -> None:
+    """Reject a non-finite or negative |k_par| and a non-finite wavenumber
+    ``name`` (kz, kzd or kz_or_kzd), naming the parameter."""
+    if not (math.isfinite(kpar_mag) and kpar_mag >= 0.0):
+        raise ValueError(f"kpar_mag must be finite and >= 0, got {kpar_mag!r}")
+    if not cmath.isfinite(kz):
+        raise ValueError(f"{name} must be finite, got {kz!r}")
+
+
 def refracted_kz(medium: Medium, kpar_mag: float, kz: complex) -> complex:
     """Dielectric-side wavenumber k_zd = sqrt(n^2 kz^2 + (n^2-1) kpar^2).
 
@@ -116,8 +127,7 @@ def refracted_kz(medium: Medium, kpar_mag: float, kz: complex) -> complex:
     sgn(Re k_z) on the real axis; on the evanescent segment kz = i*t,
     0 < t <= Gamma, the value is real non-negative (zero at the branch point).
     """
-    if kpar_mag < 0.0:
-        raise ValueError("kpar_mag must be >= 0")
+    check_label(kpar_mag, "kz", kz)
     n = medium.n
     kz = complex(kz)
     val = np.sqrt(complex(n * n * kz * kz + (n * n - 1.0) * kpar_mag * kpar_mag))
@@ -135,6 +145,7 @@ def vacuum_kz_from_kzd(medium: Medium, kpar_mag: float, kzd: float) -> complex:
     internal reflection threshold |k_par| sqrt(n^2-1), else i*t with
     0 < t <= Gamma (the transmitted wave is evanescent in the vacuum).
     """
+    check_label(kpar_mag, "kzd", kzd)
     if kzd < 0.0:
         raise ValueError("left-incident labels require kzd >= 0")
     n = medium.n
@@ -147,6 +158,7 @@ def vacuum_kz_from_kzd(medium: Medium, kpar_mag: float, kzd: float) -> complex:
 def mode_frequency(medium: Medium, point: SpectralPoint) -> float:
     """Mode frequency (c = 1): omega = |k| in vacuum, |k_d|/n in the dielectric."""
     kp = point.kpar_mag
+    check_label(kp, "kz" if point.side is Side.RIGHT else "kzd", point.kz)
     if point.side is Side.RIGHT:
         w2 = complex(kp * kp + point.kz * point.kz)
         if abs(w2.imag) > 1e-12 * max(1.0, abs(w2.real)) or w2.real <= 0.0:

@@ -26,7 +26,6 @@ gradient is subtracted; the test-suite checks both numerically.
 """
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -37,6 +36,7 @@ from .medium import (
     Polarization,
     Side,
     SpectralPoint,
+    check_label,
     evanescent_threshold,
     mode_frequency,
     refracted_kz,
@@ -103,6 +103,8 @@ def label_kz(medium: Medium, point: SpectralPoint) -> complex:
 def carniglia_mandel_mode(medium: Medium, point: SpectralPoint, r: np.ndarray) -> np.ndarray:
     """Evaluate the mode function of ``point`` at position r (complex 3-vector)."""
     r = np.asarray(r, dtype=float)
+    if not np.isfinite(r).all():
+        raise ValueError(f"r must be finite, got {r!r}")
     kx, ky = point.kpar
     kz = label_kz(medium, point)
     kzd = refracted_kz(medium, point.kpar_mag, kz)
@@ -155,13 +157,6 @@ def surface_charge_mode(
     return pref / medium.n * tm.tL
 
 
-def _check_mode_point(kpar_mag: float, kz_or_kzd: complex) -> None:
-    if not (math.isfinite(kpar_mag) and kpar_mag >= 0.0):
-        raise ValueError(f"kpar_mag must be finite and >= 0, got {kpar_mag!r}")
-    if not cmath.isfinite(kz_or_kzd):
-        raise ValueError(f"kz_or_kzd must be finite, got {kz_or_kzd!r}")
-
-
 def _label_frequency(medium: Medium, side: Side, kpar_mag: float, kz_or_kzd: complex) -> float:
     point = SpectralPoint(
         kpar=(kpar_mag, 0.0), kz=complex(kz_or_kzd), side=side, pol=Polarization.TM
@@ -176,7 +171,7 @@ def sigma_mode_coefficient(
     at r_par = 0: sigma_k = -2i |k_par| sqrt(1/2 omega) g_k (natural units).
     Raises ValueError for a non-finite or negative kpar_mag or a non-finite
     label."""
-    _check_mode_point(kpar_mag, kz_or_kzd)
+    check_label(kpar_mag, "kz_or_kzd", kz_or_kzd)
     g = surface_charge_mode(medium, side, kpar_mag, kz_or_kzd)
     if g == 0.0:
         return 0.0
@@ -204,7 +199,7 @@ def chi_mode_coefficient(
     Raises ValueError for a non-finite or negative kpar_mag, or a non-finite
     label or z.
     """
-    _check_mode_point(kpar_mag, kz_or_kzd)
+    check_label(kpar_mag, "kz_or_kzd", kz_or_kzd)
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
     g = surface_charge_mode(medium, side, kpar_mag, kz_or_kzd)

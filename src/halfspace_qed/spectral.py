@@ -65,25 +65,23 @@ finite raises :class:`QuadratureError` at once, naming the panel.
    Bessel-weighted radial assembly of the kernels (in ``kernels``) starts on
    the same panels, each split at the Bessel half-period.
 
-Integrands may return scalars or ndarrays (all components share the node
-set); tolerances always apply to the max-norm.  Everything is deterministic:
-identical inputs produce bit-identical outputs.  An integral that misses its
-tolerance raises :class:`QuadratureError`; a returned result always met it
-(on the ray, the tolerance at the level where its entry stopped).
-
-Batches compute one integral per entry (a |k_par| value, say) under one
-batch tolerance: max(abs_tol, rel_tol x the max-norm over the whole batch),
-so the returned error, the largest over the entries, is within the same
-bound as a single call's.  The cut segment and decaying half-line take array
-``gamma`` / ``scale``, pass nodes of shape (nodes, *batch) and refine all
-entries on shared panels.  The ray run gives each entry's ray, and each
-entry's cut, its own panels, so an integral that converges stops refining
-while the others go on: a body is called as f(k, entries), k of shape
-(nodes, panels) and ``entries`` the entry of each panel column, and each
-integral's own error is reported in ``entry_errors``.  Its rays share one
-batch tolerance and its cuts another, each from the max-norm over its own
-family.  ``nodes_used`` counts integrand evaluations: nodes x batch size on
-shared panels, nodes on an integral's own panels.
+Every integrand gets the nodes of a refinement level as one (15, panels)
+block, a panel's 15 Kronrod nodes down its column, followed by any batch
+axes, and returns values of that shape followed by any components (which
+share the node set).  The cut segment and decaying half-line take array
+``gamma`` / ``scale``, one integral per entry (a |k_par| value, say), all on
+shared panels under one tolerance, max(abs_tol, rel_tol x the max-norm over
+the batch), so the returned error, the largest over the entries, is within a
+single call's bound.  The ray run gives each entry's ray, and each entry's
+cut, its own panels, so an integral that converges stops refining while the
+others go on: its bodies also get ``entries``, the entry of each panel
+column, its rays share one tolerance and its cuts another, and each
+integral's error is in ``entry_errors``.  ``nodes_used`` counts integrand
+evaluations, nodes x batch size on shared panels.  Tolerances always apply
+to the max-norm.  Everything is deterministic: identical inputs produce
+bit-identical outputs.  An integral that misses its tolerance raises
+:class:`QuadratureError`; a returned result always met it (on the ray, the
+tolerance at the level where its entry stopped).
 """
 from __future__ import annotations
 
@@ -179,7 +177,6 @@ _SEGMENT_MAX_PANELS = 48
 # First panels of each entry of a ray integral, v = atan(x) at x = u s sin(pi/4):
 # each holds about the same share of the e^{(i-1)x} decay of the body.
 _RAY_BREAKS = np.arctan([0.0, 0.3, 0.9, 2.0, 4.0, 8.0, 16.0, np.inf])
-_RAY_PANELS = len(_RAY_BREAKS) - 1
 # The same with (0.3, 0.9), (4, 8), (8, 16) and (16, inf) halved in v, at
 # x = 0.56, 5.35, 10.68 and 32.03, where the first level splits a body whose
 # amplitude tends to a constant at large |k|.
@@ -199,6 +196,12 @@ _DAMPED_BREAKS = (0.0, 1.5, 4.0, 8.0, 14.0)
 # u-transformation.
 _MAX_HALF_PERIODS = 64
 _ACCELERATION_ORDER = 12
+
+
+def _weighted(vals, w: np.ndarray) -> np.ndarray:
+    """Integrand values times a weight w (a Jacobian or a damping factor) on
+    their leading axes, the nodes and any batch axes."""
+    return np.asarray(vals) * w.reshape(w.shape + (1,) * (np.ndim(vals) - w.ndim))
 
 
 def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
@@ -224,25 +227,26 @@ def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
     return k15, err
 
 
-def _refine(rule: Callable, lo, hi, owner, val, err, tolerance: Callable, cap: int):
-    """Level-synchronous K15/G7 refinement of evaluated panels: panel
-    [lo[i], hi[i]] with value val[i] and error err[i] belongs to integral
-    owner[i], and every integral 0, 1, ... has at least one panel.
+def _refine(rule: Callable, lo, hi, owner, tolerance: Callable, cap: int, evaluated=None):
+    """Level-synchronous K15/G7 refinement: panel [lo[i], hi[i]] belongs to
+    integral owner[i], and every integral 0, 1, ... has at least one panel.
 
     Each level bisects, per integral, the fewest worst panels whose errors
     together exceed its excess over ``tolerance(ids, totals, contents)``,
     where ``ids`` are the integrals still running and ``contents()`` their sums
-    of panel max-norms.  All new panels of a level are evaluated in one call
-    ``rule(lo, hi, owner)``, which returns their values and errors (the rule
-    of ``_gauss_kronrod``).  An integral stops when its error sum is within
-    its tolerance or it holds ``cap`` panels.  Returns the totals, the error
-    sums and the nodes of the new panels."""
+    of panel max-norms.  Each level is one call ``rule(lo, hi, owner)`` (the
+    rule of ``_gauss_kronrod``), the first too unless ``evaluated`` holds its
+    (values, errors).  An integral stops when its error sum is within its
+    tolerance or it holds ``cap`` panels.  Returns the totals, the error sums,
+    the nodes of all panels and which integrals the cap stopped."""
+    val, err = rule(lo, hi, owner) if evaluated is None else evaluated
     entries = int(owner.max()) + 1
     total = np.zeros((entries,) + val.shape[1:], dtype=val.dtype)
     error = np.zeros(entries)
+    capped = np.zeros(entries, dtype=bool)
     ids = np.arange(entries)  # the running entries, which owner numbers 0, 1, ...
     box = np.stack([lo, hi, err], axis=1)  # (left, right, error) of each panel
-    nodes = 0
+    nodes = 15 * len(lo)
     while True:
         # panels grouped by entry, worst first within each entry
         order = np.lexsort((-box[:, 2], owner))
@@ -266,8 +270,9 @@ def _refine(rule: Callable, lo, hi, owner, val, err, tolerance: Callable, cap: i
         if stop.any():
             total[ids[stop]] = tot[stop]
             error[ids[stop]] = errsum[stop]
+            capped[ids[stop]] = excess[stop] > 0.0
             if stop.all():
-                return total, error, nodes
+                return total, error, nodes, capped
             keep = ~stop[owner]
             ids = ids[~stop]
             box, val, pick = box[keep], val[keep], pick[keep]
@@ -285,37 +290,25 @@ def _refine(rule: Callable, lo, hi, owner, val, err, tolerance: Callable, cap: i
         val = np.concatenate((val[rest], new_val))
 
 
-def _flat_integrand(f: Integrand):
-    """The panel protocol ``g(x, owner)`` for an integrand of 1-D nodes that
-    returns (nodes, *shape)."""
-    def g(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        vals = np.asarray(f(x.ravel()))
-        return vals.reshape(x.shape + vals.shape[1:])
-    return g
-
-
 def adaptive_panels(
     f: Integrand,
     breakpoints: np.ndarray,
     spec: QuadratureSpec,
 ) -> IntegralResult:
     """Globally adaptive K15/G7 integration over the given initial panels,
-    one integrand call per refinement level; raises QuadratureError when the
-    panel cap is reached first."""
-    rule = functools.partial(_gauss_kronrod, _flat_integrand(f))
+    one integrand call f(x) per refinement level, x of shape (15, panels);
+    raises QuadratureError when the panel cap is reached first."""
     lo, hi = np.asarray(breakpoints[:-1], dtype=float), np.asarray(breakpoints[1:], dtype=float)
-    owner = np.zeros(len(lo), dtype=int)
-    val, err = rule(lo, hi, owner)
-    total, error, nodes = _refine(
-        rule, lo, hi, owner, val, err,
+    total, error, nodes, capped = _refine(
+        functools.partial(_gauss_kronrod, lambda x, owner: f(x)), lo, hi,
+        np.zeros(len(lo), dtype=int),
         lambda ids, tot, content: spec.tolerance(float(np.abs(tot).max())), _MAX_PANELS,
     )
-    value = total[0]
-    if error[0] > spec.tolerance(float(np.abs(value).max())):  # stopped by the cap
+    if capped[0]:
         raise QuadratureError(f"adaptive panels stalled at error {error[0]:.3e} "
                               f"after {_MAX_PANELS} panels")
-    return IntegralResult(value if value.shape else complex(value), float(error[0]),
-                          nodes + 15 * len(lo))
+    value = total[0]
+    return IntegralResult(value if value.shape else complex(value), float(error[0]), nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +362,12 @@ def halfline_oscillatory_integral(
 ) -> IntegralResult:
     """int_0^inf f(k) dk for f oscillating like e^{i k s}, s = oscillation_scale.
 
-    The axis is cut at multiples of pi/s, one half-period per integrand call,
-    and the partial-sum sequence is Levin-accelerated; convergence requires
-    two consecutive stable estimates within _MAX_HALF_PERIODS half-periods.
+    The axis is cut at multiples of pi/s, one half-period (a level of its
+    bisection) per integrand call, and the partial-sum sequence is
+    Levin-accelerated; convergence requires two consecutive stable estimates
+    within _MAX_HALF_PERIODS half-periods.
     """
-    f = _flat_integrand(f)  # under the panel protocol f(k, owner)
+    rule = functools.partial(_gauss_kronrod, lambda k, owner: f(k))
     h = math.pi / _oscillation_scale(oscillation_scale)
     levin = _LevinU(_ACCELERATION_ORDER)
     abs_floor = 0.01 * spec.abs_tol
@@ -386,19 +380,19 @@ def halfline_oscillatory_integral(
     nodes = 0
     for m in range(_MAX_HALF_PERIODS):
         lo, hi = np.array([m * h]), np.array([(m + 1) * h])
-        val, err = _gauss_kronrod(f, lo, hi, owner)
-        nodes += 15
+        val, err = evaluated = rule(lo, hi, owner)
+        used = 15
         # the half-period is bisected while its error is large against both
         # its L1 content (cancellation-robust) and the largest half-period
         # before it
         seg_floor = max(abs_floor, 0.1 * rel_seg * inc_scale)
         if err[0] > max(seg_floor, rel_seg * float(np.abs(val).max())):
-            val, err, more = _refine(
-                functools.partial(_gauss_kronrod, f), lo, hi, owner, val, err,
+            val, err, used, _ = _refine(
+                rule, lo, hi, owner,
                 lambda ids, tot, content: np.maximum(seg_floor, rel_seg * content()),
-                _SEGMENT_MAX_PANELS,
+                _SEGMENT_MAX_PANELS, evaluated,
             )
-            nodes += more
+        nodes += used
         seg = val[0]
         err_sum += err[0]
         inc_scale = max(inc_scale, float(np.abs(seg).max()))
@@ -514,7 +508,6 @@ def ray_integral(f: Callable, oscillation_scale: float, entries: int,
         raise ValueError(f"entries must be an integer >= 1, got {entries!r}")
     lo, hi, owner = _ray_panels(_near_scales(near, entries), scale,
                                 _RAY_BREAKS_FLAT if flat else _RAY_BREAKS)
-    rows = entries
     if cut is not None:
         gamma = np.asarray(gamma, dtype=float)
         if not (gamma.shape == (entries,) and np.all(np.isfinite(gamma) & (gamma > 0.0))):
@@ -524,19 +517,14 @@ def ray_integral(f: Callable, oscillation_scale: float, entries: int,
         hi = np.concatenate((hi, np.tile(breaks[1:], entries)))
         owner = np.concatenate((owner, np.repeat(np.arange(entries, 2 * entries),
                                                  len(breaks) - 1)))
-        rows = 2 * entries
 
     def on_ray(v: np.ndarray, owner: np.ndarray) -> np.ndarray:
         t = np.tan(v)
-        vals = np.asarray(f(step * t, owner))
-        jac = step * (1.0 + t * t)
-        return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - jac.ndim))
+        return _weighted(f(step * t, owner), step * (1.0 + t * t))
 
     def on_cut(u: np.ndarray, owner: np.ndarray) -> np.ndarray:
         entry = owner - entries
-        vals = np.asarray(cut(gamma[entry] * np.sin(u), entry))
-        jac = gamma[entry] * np.cos(u)
-        return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - jac.ndim))
+        return _weighted(cut(gamma[entry] * np.sin(u), entry), gamma[entry] * np.cos(u))
 
     shape = None  # of a ray value, from the first level
 
@@ -555,28 +543,24 @@ def ray_integral(f: Callable, oscillation_scale: float, entries: int,
                 val[(on,) + tuple(slice(k) for k in part.shape[1:])] = part
         return val, err
 
-    val, err = rule(lo, hi, owner)
-    norm = np.zeros(rows)  # each integral's max-norm, final once it stops
-    bound = np.zeros(rows)  # the tolerance each integral saw last
+    norm = np.zeros(2 * entries)  # each integral's max-norm, final once it stops
 
     def tolerance(ids, tot, content):
         norm[ids] = np.abs(tot).reshape(len(ids), -1).max(axis=1)
-        bound[ids] = np.where(ids < entries, spec.tolerance(float(norm[:entries].max())),
-                              spec.tolerance(float(norm[entries:].max(initial=0.0))))
-        return bound[ids]
+        return np.where(ids < entries, spec.tolerance(float(norm[:entries].max())),
+                        spec.tolerance(float(norm[entries:].max(initial=0.0))))
 
-    total, error, nodes = _refine(rule, lo, hi, owner, val, err, tolerance, _MAX_PANELS)
-    capped = error > bound  # stopped by the cap, not within its last tolerance
+    total, error, nodes, capped = _refine(rule, lo, hi, owner, tolerance, _MAX_PANELS)
     if capped.any():
         part = "ray" if capped[:entries].any() else "cut"
         raise QuadratureError(f"{part} integral stalled at error {error[capped].max():.3e} "
                               f"after {_MAX_PANELS} panels")
-    return IntegralResult(total, float(error.max()), nodes + 15 * len(lo), error)
+    return IntegralResult(total, float(error.max()), nodes, error)
 
 
 def cut_segment_integral(f: Integrand, gamma: ArrayLike, spec: QuadratureSpec) -> IntegralResult:
     """int_0^Gamma f(t) dt across the evanescent branch-cut segment, for every
-    entry of the array ``gamma`` at once (f gets t of shape (nodes, *gamma.shape)).
+    entry of the array ``gamma`` at once (f gets t of shape (15, panels, *gamma.shape)).
 
     With the trigonometric substitution t = Gamma*sin(u) the integrable
     1/sqrt(Gamma^2 - t^2) endpoint factor becomes smooth; panel nodes never
@@ -590,9 +574,8 @@ def cut_segment_integral(f: Integrand, gamma: ArrayLike, spec: QuadratureSpec) -
         return IntegralResult(0.0 + 0.0j, 0.0, 0)
 
     def g(u: np.ndarray) -> np.ndarray:
-        vals = np.asarray(f(np.multiply.outer(np.sin(u), gamma)))
-        jac = np.multiply.outer(np.cos(u), gamma)
-        return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - jac.ndim))
+        return _weighted(f(np.multiply.outer(np.sin(u), gamma)),
+                         np.multiply.outer(np.cos(u), gamma))
 
     res = adaptive_panels(g, _CUT_BREAKS, spec)
     return replace(res, nodes_used=res.nodes_used * gamma.size)
@@ -631,10 +614,8 @@ def damped_radial_transform(f: Integrand, damping: float, spec: QuadratureSpec) 
 
     def g(k: np.ndarray) -> np.ndarray:
         nonlocal k_top, tail_rate
-        vals = np.asarray(f(k))
-        weight = np.exp(-k * damping)
-        vals = vals * weight.reshape((-1,) + (1,) * (vals.ndim - 1))
-        top = int(np.argmax(k))
+        vals = _weighted(f(k), np.exp(-k * damping))
+        top = np.unravel_index(np.argmax(k), k.shape)
         if k[top] > k_top:
             k_top, tail_rate = float(k[top]), float(np.abs(vals[top]).max())
         return vals
@@ -653,7 +634,7 @@ def decaying_halfline_integral(f: Integrand, scale: ArrayLike, spec: QuadratureS
     Plumbing for the longitudinal mode integrals: the map k = scale*tan(v)
     compactifies the half-line, then adaptive panels finish.  ``scale`` sets
     the k-range over which f varies; it may be an array, one integral per
-    entry (f gets k of shape (nodes, *scale.shape)).
+    entry (f gets k of shape (15, panels, *scale.shape)).
     """
     scale = np.asarray(scale, dtype=float)
     if not np.all(np.isfinite(scale) & (scale > 0.0)):
@@ -661,9 +642,7 @@ def decaying_halfline_integral(f: Integrand, scale: ArrayLike, spec: QuadratureS
 
     def g(v: np.ndarray) -> np.ndarray:
         t = np.tan(v)
-        vals = np.asarray(f(np.multiply.outer(t, scale)))
-        jac = np.multiply.outer(1.0 + t * t, scale)
-        return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - jac.ndim))
+        return _weighted(f(np.multiply.outer(t, scale)), np.multiply.outer(1.0 + t * t, scale))
 
     res = adaptive_panels(g, np.linspace(0.0, 0.5 * math.pi, 9), spec)
     return replace(res, nodes_used=res.nodes_used * scale.size)

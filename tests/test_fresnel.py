@@ -156,3 +156,15 @@ def test_interface_matching_built_in():
     assert 1 + te.rR == pytest.approx(te.tR)
     tm = fresnel_coefficients(med, Polarization.TM, 0.8, 1.2)
     assert 1 + tm.rR == pytest.approx(med.n * tm.tR)
+
+
+@pytest.mark.parametrize("kpar, kz, name", [(math.nan, 0.7, "kpar_mag"),
+                                            (1.0, complex(math.nan, 0.0), "kz")])
+def test_scalar_coefficients_reject_non_finite_labels(kpar, kz, name):
+    med = Medium(2.0)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        fresnel_coefficients(med, Polarization.TM, kpar, kz)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        cancellation_residual(med, Polarization.TE, kpar, kz)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        surface_charge_mode(med, Side.RIGHT, kpar, kz)

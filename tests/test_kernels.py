@@ -1019,7 +1019,7 @@ def test_graded_layouts_keep_the_old_breaks_and_stay_finite(kap, n, s):
     assert np.all(np.isfinite(breaks)) and np.all(np.diff(breaks) > 0.0)
     assert breaks[0] == 0.0 and breaks[-1] == 0.5 * math.pi
     assert np.all(np.isin(spectral._RAY_BREAKS, breaks))
-    assert len(breaks) - 1 <= spectral._RAY_PANELS + spectral._GRADED_MAX
+    assert len(breaks) - 1 <= len(spectral._RAY_BREAKS) - 1 + spectral._GRADED_MAX
     flat, = _entry_breaks([kap / n], s, spectral._RAY_BREAKS_FLAT)
     assert np.all(np.isfinite(flat)) and np.all(np.diff(flat) > 0.0)
     assert np.array_equal(np.setdiff1d(flat, breaks), spectral._RAY_BREAKS_FLAT[[2, 6, 8, 10]])

@@ -119,3 +119,23 @@ def test_refraction_quadratic_identity_property(n, kpar, kz):
     kzd = refracted_kz(med, kpar, kz)
     lhs = kzd.real**2 - n * n * kz * kz
     assert np.isclose(lhs, (n * n - 1.0) * kpar * kpar, atol=1e-10 * max(1.0, kzd.real**2))
+
+
+def _point(kpar, label, side):
+    return SpectralPoint((kpar, 0.0), label, side, Polarization.TM)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: refracted_kz(Medium(2.0), math.nan, 1.0), "kpar_mag"),
+    (lambda: refracted_kz(Medium(2.0), 1.0, complex(math.nan, 0.0)), "kz"),
+    (lambda: vacuum_kz_from_kzd(Medium(2.0), math.inf, 1.0), "kpar_mag"),
+    (lambda: vacuum_kz_from_kzd(Medium(2.0), 1.0, math.nan), "kzd"),
+    (lambda: mode_frequency(Medium(2.0), _point(math.nan, 1.0, Side.RIGHT)), "kpar_mag"),
+    (lambda: mode_frequency(Medium(2.0), _point(1.0, complex(0.0, math.inf), Side.RIGHT)), "kz"),
+    (lambda: mode_frequency(Medium(2.0), _point(1.0, math.nan, Side.LEFT)), "kzd"),
+], ids=["refracted_kpar", "refracted_kz", "vacuum_kpar", "vacuum_kzd", "frequency_kpar",
+        "frequency_kz", "frequency_kzd"])
+def test_label_kinematics_reject_non_finite_labels(call, name):
+    # a non-finite label fails fast, naming the parameter, not as a NaN result
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call()

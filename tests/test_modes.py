@@ -210,3 +210,18 @@ def test_chi_coefficient_rejects_non_finite_inputs(side, label):
     for bad in (math.nan, -math.inf):
         with pytest.raises(ValueError, match="z must be finite"):
             chi_mode_coefficient(med, side, 1.0, label, bad, time_derivative=True)
+
+
+def test_left_surface_charge_rejects_a_non_finite_kzd():
+    with pytest.raises(ValueError, match="^kzd must be finite"):
+        surface_charge_mode(Medium(2.0), Side.LEFT, 1.0, math.nan)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_mode_function_rejects_a_non_finite_position(bad):
+    point = SpectralPoint((0.6, 0.0), 0.8, Side.RIGHT, Polarization.TM)
+    for axis in range(3):
+        r = np.array([0.1, -0.2, 0.3])
+        r[axis] = bad
+        with pytest.raises(ValueError, match="^r must be finite"):
+            carniglia_mandel_mode(Medium(2.0), point, r)

@@ -89,13 +89,13 @@ def test_cut_segment_batched_gamma():
 
     def integrand(gamma):
         def f(t):
-            abscissae.append(len(t))
+            abscissae.append(np.size(t))
             return np.stack([1.0 / np.sqrt(gamma * gamma - t * t), t * t * np.exp(-t)], axis=-1)
         return f
 
     batch = cut_segment_integral(integrand(gammas), gammas, SPEC)
     assert batch.value.shape == (15, 2)
-    assert batch.nodes_used == sum(abscissae) * gammas.size
+    assert batch.nodes_used == sum(abscissae)
     assert np.allclose(batch.value[:, 0], math.pi / 2, rtol=0.0, atol=1e-12)
     singles = np.array([cut_segment_integral(integrand(g), g, SPEC).value for g in gammas])
     assert np.max(np.abs(batch.value - singles)) <= 1e-10 * np.max(np.abs(batch.value))
@@ -109,13 +109,13 @@ def test_decaying_halfline_batched_scale_and_offset():
 
     def integrand(scale, offset):
         def f(k):
-            abscissae.append(len(k))
+            abscissae.append(np.size(k))
             return scale / (scale * scale + (k + offset) ** 2)
         return f
 
     batch = decaying_halfline_integral(integrand(scales, offsets), scales, SPEC)
     assert batch.value.shape == (15,)
-    assert batch.nodes_used == sum(abscissae) * scales.size
+    assert batch.nodes_used == sum(abscissae)
     exact = np.pi / 2 - np.arctan(offsets / scales)
     assert np.allclose(batch.value, exact, rtol=1e-9, atol=0.0)
     singles = np.array([
@@ -378,8 +378,9 @@ def test_levin_diagonal_matches_per_order_loop_bitwise(shape, floor):
 
 
 def test_half_period_block_matches_single_panels_bitwise():
-    f = spectral._flat_integrand(
-        lambda x: np.stack([np.exp(17.3j * x) * x, np.cos(x) / (1 + x * x)], axis=-1))
+    def f(x, owner):
+        return np.stack([np.exp(17.3j * x) * x, np.cos(x) / (1 + x * x)], axis=-1)
+
     h = math.pi / 0.37
     owner = np.zeros(4, dtype=int)
     for first in (0, 3, 44):
@@ -405,7 +406,7 @@ def test_halfline_nodes_used_counts_every_abscissa(f, scale):
     abscissae = []
 
     def counted(x):
-        abscissae.append(len(x))
+        abscissae.append(np.size(x))
         return f(x)
 
     res = halfline_oscillatory_integral(counted, scale, SPEC)
@@ -421,7 +422,7 @@ def _reference_levels(f, breakpoints, spec):
     panels whose errors exceed the excess over the tolerance; every level is
     one integrand call.  Returns (value, error, calls, panels evaluated)."""
     def rule(a, b):
-        val, err = spectral._gauss_kronrod(spectral._flat_integrand(f), np.array([a]),
+        val, err = spectral._gauss_kronrod(lambda x, owner: f(x), np.array([a]),
                                            np.array([b]), np.zeros(1, dtype=int))
         return val[0], float(err[0])
 
@@ -455,7 +456,7 @@ def test_adaptive_panels_makes_one_integrand_call_per_level(f, breakpoints):
     calls = []
 
     def counted(x):
-        calls.append(len(x))
+        calls.append(np.size(x))
         return f(x)
 
     res = spectral.adaptive_panels(counted, breakpoints, SPEC)
@@ -473,7 +474,7 @@ def test_adaptive_panels_raises_at_the_panel_cap(monkeypatch):
     evaluated = []
 
     def divergent(x):
-        evaluated.append(len(x) // 15)
+        evaluated.append(np.size(x) // 15)
         return 1.0 / x
 
     with pytest.raises(QuadratureError, match="stalled at error .* after 24 panels"):
@@ -501,6 +502,38 @@ def test_non_finite_panel_raises_after_one_call(engine, args):
     with pytest.raises(QuadratureError, match=r"non-finite integrand on the panel \[0, "):
         engine(poisoned, *args)
     assert len(calls) == 1
+
+
+def _ray_run(f, spec):
+    # the ray body and the cut body of one run, two entries
+    return ray_integral(lambda k, entries: f(k) + 0.0 * entries, 1.0, 2, spec,
+                        cut=lambda t, entries: f(t) + 0.0 * entries, gamma=[1.0, 2.0])
+
+
+@pytest.mark.parametrize("engine, f, args, batch", [
+    (spectral.adaptive_panels, lambda x: 1.0 / (1e-3 + x * x),
+     (np.linspace(-1.0, 1.0, 3), SPEC), ()),
+    (halfline_oscillatory_integral, lambda x: np.cos(x) / (1.0 + x * x), (1.0, SPEC), ()),
+    (_ray_run, lambda x: np.exp(1j * x) / (1.0 + x), (SPEC,), ()),
+    (cut_segment_integral, np.sqrt, (np.array([[0.5, 1.0, 2.0]]), SPEC), (1, 3)),
+    (decaying_halfline_integral, lambda k: np.sqrt(k) / (1.0 + k * k),
+     (np.array([1.0, 3.0]), SPEC), (2,)),
+    (damped_radial_transform, lambda k: np.sqrt(k) * np.exp(-k), (0.8, SPEC), ()),
+], ids=["adaptive_panels", "halfline", "ray", "cut_segment", "decaying_halfline",
+        "damped_radial"])
+def test_every_engine_hands_its_integrand_node_blocks(engine, f, args, batch):
+    # one node layout: every call, refinement levels included, gets a
+    # (15, panels) block, the 15 Kronrod nodes of a panel down its column,
+    # with any batch axes after them
+    shapes = []
+
+    def block(x):
+        shapes.append(np.shape(x))
+        return f(x)
+
+    engine(block, *args)
+    assert len(shapes) > 1
+    assert all(len(s) == 2 + len(batch) and s[0] == 15 and s[2:] == batch for s in shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -596,13 +629,13 @@ def test_ray_gives_each_entry_its_own_panels():
         assert res.entry_errors.shape == res.value.shape[:1]
         assert res.error_estimate == res.entry_errors.max()
     assert len(set(ray_columns.values())) > 2
-    assert ray_columns[3] == spectral._RAY_PANELS < ray_columns[2]
+    assert ray_columns[3] == len(spectral._RAY_BREAKS) - 1 < ray_columns[2]
     cut_panels = len(spectral._CUT_BREAKS) - 1
     assert columns[7] == cut_panels < columns[6]
     for w, amp, row, err in zip(widths, amps, res.value, res.entry_errors):
         single = ray_integral(lambda k, entries, w=w: amp * _two_widths(k, w), 1.0, 1, SPEC)
         assert single.value.shape == (1, 2)
-        assert single.nodes_used > 15 * spectral._RAY_PANELS
+        assert single.nodes_used > 15 * (len(spectral._RAY_BREAKS) - 1)
         assert np.max(np.abs(row - single.value[0])) <= err + single.error_estimate
         # and the real-axis route agrees
         levin = halfline_oscillatory_integral(lambda k, w=w: amp * _two_widths(k, w), 1.0, SPEC)
@@ -622,7 +655,6 @@ def test_ray_entry_within_the_tolerance_it_stopped_at_is_returned(monkeypatch):
     # 1.74e-9.  It met the tolerance it stopped at, so the ray does not stall
     monkeypatch.setattr(spectral, "_RAY_BREAKS", np.linspace(0.0, 0.5 * math.pi, 5),
                         raising=False)
-    monkeypatch.setattr(spectral, "_RAY_PANELS", 4)
     amp = 1.424e-4
     columns = np.zeros(2, dtype=int)
 
