@@ -12,26 +12,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, ConfigError, load_config, spec_from_config
+from .config import ConfigError, load_config, spec_from_config
 from .fresnel import fresnel_coefficients
-from .greens import GreenVariant, PointPair, grad_grad_green_tensor, image_grad_grad_tensor
-from .kernels import KernelKind, assemble_kernel_result, kernel_closed_form
+from .greens import GreenVariant, PointPair, grad_grad_green_tensor
+from .kernels import KernelKind
 from .medium import Medium, Polarization, Side, SpectralPoint
 from .modes import carniglia_mandel_mode, label_kz
 from .energy import second_order_shift
-from .report import (
-    CheckReport,
-    all_passed,
-    make_check,
-    to_csv,
-    to_json,
-    write_atomic,
-)
-from .verification import SUITE_NAMES, run_suite
+from .report import all_passed, to_csv, to_json, write_atomic
+from .verification import SUITE_NAMES, kernel_verify_checks, run_suite
 
 __all__ = ["main"]
 
@@ -170,31 +162,7 @@ def cmd_kernel_verify(args: argparse.Namespace) -> int:
     spec = _spec(args)
     med = Medium(args.n)
     kind = KernelKind(args.kind.replace("-", "_"))
-    pairs = _read_pairs(args.points)
-    reports: list[CheckReport] = []
-    tol = DEFAULT_TOLERANCES["tol.kernels.assembly"]
-    for idx, pair in enumerate(pairs):
-        t0 = time.perf_counter()
-        assembled = assemble_kernel_result(med, kind, pair, spec).tensor
-        if kind is KernelKind.PERFECT_REFLECTOR:
-            # finite-n generalized kernel against the image form; the expected
-            # deviation is the (1 - alpha)-scaled unit image term, checked exactly
-            gen = assemble_kernel_result(med, KernelKind.GENERALIZED_DELTA, pair, spec).tensor
-            expected_diff = (1.0 - med.image_strength) * image_grad_grad_tensor(pair, 1.0)
-            resid = float(np.max(np.abs(gen - assembled - expected_diff)))
-            scale = float(np.max(np.abs(assembled)))
-        else:
-            target = kernel_closed_form(med, kind, pair)
-            resid = float(np.max(np.abs(assembled - target)))
-            scale = float(np.max(np.abs(target)))
-        ms = int(round((time.perf_counter() - t0) * 1000.0))
-        params = {
-            "kind": kind.value, "n": med.n, "pair": idx,
-            "r": list(map(float, pair.r)), "rprime": list(map(float, pair.rprime)),
-        }
-        reports.append(
-            make_check("kernel_vs_closed_form", params, resid / scale, 0.0, tol, "abs", ms)
-        )
+    reports = kernel_verify_checks(med, kind, _read_pairs(args.points), spec)
     text = to_csv(reports) if args.format == "csv" else to_json(reports)
     _emit(text, args.out)
     return 0 if all_passed(reports) else 1

@@ -93,7 +93,10 @@ class SpectralPoint:
 
 
 def epsilon_profile(medium: Medium, z: float) -> float:
-    """Piecewise dielectric profile; the z = 0 value is the midpoint average."""
+    """Piecewise dielectric profile; the z = 0 value is the midpoint average.
+    A non-finite z raises ValueError naming it."""
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z!r}")
     if z > 0.0:
         return 1.0
     if z < 0.0:

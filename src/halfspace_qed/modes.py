@@ -39,7 +39,6 @@ from .medium import (
     check_label,
     evanescent_threshold,
     mode_frequency,
-    refracted_kz,
     vacuum_kz_from_kzd,
 )
 
@@ -107,8 +106,10 @@ def carniglia_mandel_mode(medium: Medium, point: SpectralPoint, r: np.ndarray) -
         raise ValueError(f"r must be finite, got {r!r}")
     kx, ky = point.kpar
     kz = label_kz(medium, point)
-    kzd = refracted_kz(medium, point.kpar_mag, kz)
+    # the scalar Fresnel set applies the refraction law once and rejects kz = 0,
+    # which a left label exactly at the total-internal-reflection threshold has
     coef = fresnel_coefficients(medium, point.pol, point.kpar_mag, kz)
+    kzd = coef.kzd
     phase_par = np.exp(1j * (kx * r[0] + ky * r[1]))
     z = r[2]
 

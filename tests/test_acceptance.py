@@ -154,3 +154,11 @@ def test_criterion_10_perfect_reflector(kernels_reports):
     assert all(r.rhs == -2.0 and r.tol == 0.2 for r in reports)
     elapsed = sum(r.runtime_ms for r in reports) / 1e3
     assert _verdict("perfect_reflector", reports, elapsed, BUDGETS_S["perfect_reflector"])
+
+
+def test_fault_table_names_every_verify_family_once(fresnel_reports, modes_reports,
+                                                    kernels_reports, energy_reports):
+    from test_fault_injection import FAMILIES  # the families of the fault matrix
+
+    reports = fresnel_reports[0] + modes_reports[0] + kernels_reports + energy_reports[0]
+    assert sorted({r.check_name for r in reports}) == FAMILIES

@@ -31,7 +31,7 @@ from halfspace_qed.kernels import (
 )
 from halfspace_qed.medium import Medium, Polarization, Side, evanescent_threshold
 from halfspace_qed.spectral import IntegralResult, QuadratureSpec
-from halfspace_qed.verification import _PAIRS_LOWER, _point_pairs, _residue_points
+from halfspace_qed.verification import LOWER_PAIRS, UPPER_PAIRS, residue_points
 
 SPEC = QuadratureSpec()
 # one radial panel's worth of |k_par| values, from near 0 to deep in the damped tail
@@ -690,7 +690,7 @@ def _lone_residue_runs(monkeypatch, **overrides) -> np.ndarray:
     monkeypatch.setattr(kernels, "ray_integral", run)
     rng = np.random.default_rng(42)  # the verify seed
     for n in (1.5, 2.0, 4.0):
-        for kap, z, zp in _residue_points(rng, 51):
+        for kap, z, zp in residue_points(rng, 51):
             kz_profile(Medium(n), kap, z, zp, SPEC)
     return np.array(runs)
 
@@ -743,7 +743,7 @@ def test_damped_assemblies_converge_at_their_first_level(monkeypatch):
     for n in (1.5, 2.0, 4.0, 40.0):
         for kind in (KernelKind.GENERALIZED_DELTA, KernelKind.GAUGE_DIFFERENCE,
                      KernelKind.TRUE_COULOMB):
-            for p in _point_pairs():
+            for p in UPPER_PAIRS + LOWER_PAIRS:
                 assemble_kernel_result(Medium(n), kind, p, SPEC)
     assert [count for count, damped in calls if damped] == [1] * 152
 
@@ -788,13 +788,12 @@ def test_profiles_never_call_the_levin_halfline(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", [KernelKind.GENERALIZED_DELTA, KernelKind.TRUE_COULOMB])
-@pytest.mark.parametrize("r, rp", _PAIRS_LOWER, ids=[f"lower{i}" for i in range(4)])
-def test_large_n_lower_pair_meets_its_closed_form(r, rp, kind):
+@pytest.mark.parametrize("p", LOWER_PAIRS, ids=[f"lower{i}" for i in range(4)])
+def test_large_n_lower_pair_meets_its_closed_form(p, kind):
     # at n = 40 on every lower verify pair; on (0.2, 0.6, -1)/(-0.1, 0, 0.5),
     # per-kappa stopping noise of the transmitted profiles at the 1e-11 level
     # once drove the radial layer to its panel cap
     med = Medium(40.0)
-    p = pair(r, rp)
     res = assemble_kernel_result(med, kind, p, SPEC)
     target = kernel_closed_form(med, kind, p)
     observed = np.max(np.abs(res.tensor - target))

@@ -66,7 +66,8 @@ def test_each_quadrature_knob_has_one_config_key():
     # the config accepts exactly the quad.* keys, one per QuadratureSpec field,
     # so a knob cannot be retired in one place and left in the other; a run is
     # a spec and a seed, with no settings object of its own; and every check
-    # bound of the verifier is a DEFAULT_TOLERANCES constant, never a literal
+    # bound is a DEFAULT_TOLERANCES constant, never a literal, in the one
+    # module that builds check reports
     from halfspace_qed import config
     from halfspace_qed.spectral import QuadratureSpec
 
@@ -82,9 +83,8 @@ def test_each_quadrature_knob_has_one_config_key():
                "tolerances_from_config", "SuiteSettings", "settings_from_config"}
     assert helpers.isdisjoint(config.__all__)
     assert not any(hasattr(config, name) for name in helpers)
-    found = []
-    for name in ("verification.py", "cli.py"):
-        bounds = _make_check_bounds(PACKAGE / name)
-        assert bounds, f"no make_check call found in {name}"
-        found += [f"{name}:{line}: {ast.unparse(b)}" for line, b in bounds if _is_number(b)]
+    bounds = {path.name: _make_check_bounds(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name, found in bounds.items() if found] == ["verification.py"]
+    found = [f"verification.py:{line}: {ast.unparse(b)}"
+             for line, b in bounds["verification.py"] if _is_number(b)]
     assert found == [], "check bounds outside DEFAULT_TOLERANCES:\n" + "\n".join(found)

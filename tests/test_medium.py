@@ -25,6 +25,13 @@ def test_epsilon_profile_values():
     assert epsilon_profile(med, 0.0) == 2.5
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_epsilon_profile_rejects_non_finite_z(z):
+    # NaN is neither above nor below the interface, and once read the midpoint
+    with pytest.raises(ValueError, match="z must be finite"):
+        epsilon_profile(Medium(2.0), z)
+
+
 def test_medium_rejects_bad_index():
     with pytest.raises(ValueError):
         Medium(0.5)

@@ -129,6 +129,14 @@ def test_left_labels_reject_imaginary_kzd():
         surface_charge_mode(med, Side.LEFT, 1.0, 0.5j)
 
 
+def test_left_label_at_the_total_internal_reflection_threshold_raises():
+    # at n = 1.25, |k_par| = 1 the threshold k_zd = |k_par| sqrt(n^2 - 1) = 0.75
+    # is exact, so the vacuum k_z is exactly 0 and tL = (kzd/kz) tR is singular
+    point = SpectralPoint((1.0, 0.0), 0.75, Side.LEFT, Polarization.TM)
+    with pytest.raises(ValueError, match="kz = 0"):
+        carniglia_mandel_mode(Medium(1.25), point, np.array([0.0, 0.0, 0.5]))
+
+
 def test_te_modes_have_no_z_component():
     med = Medium(2.0)
     for side, kl in ((Side.RIGHT, 0.8 + 0.0j), (Side.RIGHT, 0.5j), (Side.LEFT, 1.7 + 0.0j)):
