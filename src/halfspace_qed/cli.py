@@ -80,9 +80,10 @@ def _spec(args: argparse.Namespace):
 _POINTS_HEADER = ["x", "y", "z", "xp", "yp", "zp"]
 
 
-def _read_pairs(path: str) -> list[PointPair]:
-    """The point pairs of a CSV file with header x,y,z,xp,yp,zp; a bad line
-    raises a ValueError that names the file and the line."""
+def _read_pairs(path: str, upper: bool = False) -> list[PointPair]:
+    """The point pairs of a CSV file with header x,y,z,xp,yp,zp, with
+    ``upper`` their field points at z >= 0 too; a bad line raises a
+    ValueError that names the file and the line."""
     pairs = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -97,6 +98,9 @@ def _read_pairs(path: str) -> list[PointPair]:
                         raise ValueError(f"expected 6 values, got {len(fields)}")
                     vals = [float(v) for v in fields]
                     pairs.append(PointPair(np.array(vals[:3]), np.array(vals[3:])))
+                    if upper and vals[2] < 0.0:
+                        raise ValueError(f"the perfect-reflector kernel lives in z >= 0, "
+                                         f"got z = {vals[2]!r}")
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not pairs:
@@ -162,7 +166,8 @@ def cmd_kernel_verify(args: argparse.Namespace) -> int:
     spec = _spec(args)
     med = Medium(args.n)
     kind = KernelKind(args.kind.replace("-", "_"))
-    reports = kernel_verify_checks(med, kind, _read_pairs(args.points), spec)
+    pairs = _read_pairs(args.points, upper=kind is KernelKind.PERFECT_REFLECTOR)
+    reports = kernel_verify_checks(med, kind, pairs, spec)
     text = to_csv(reports) if args.format == "csv" else to_json(reports)
     _emit(text, args.out)
     return 0 if all_passed(reports) else 1

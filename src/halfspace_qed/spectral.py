@@ -6,9 +6,11 @@ at a time.  All panels of a level are evaluated in one integrand call (one
 per body where a ray run also takes cuts), and each level bisects the fewest
 worst panels whose errors together exceed the excess over the tolerance (any
 refinement that splits the worst panel first splits at least these).  Each
-panel's rule is summed on its own, so a panel depends on the other panels of
-its call only through the integrand.  A panel whose value or error is not
-finite raises :class:`QuadratureError` at once, naming the panel.
+of the K15 and G7 sums of a level is one ``einsum`` pass over the level's
+node block, which sums every panel's column node by node in a fixed order,
+so a panel depends on the other panels of its call only through the
+integrand, and a real integrand stays real.  A panel whose value or error
+is not finite raises :class:`QuadratureError` at once, naming the panel.
 
 1. Semi-infinite oscillatory k_z integrals int_0^inf f(k) dk of a body f
    that goes like e^{i k s}.  Where f is analytic in the open first quadrant
@@ -200,26 +202,38 @@ _ACCELERATION_ORDER = 12
 
 def _weighted(vals, w: np.ndarray) -> np.ndarray:
     """Integrand values times a weight w (a Jacobian or a damping factor) on
-    their leading axes, the nodes and any batch axes."""
-    return np.asarray(vals) * w.reshape(w.shape + (1,) * (np.ndim(vals) - w.ndim))
+    their leading axes, the nodes and any batch axes, in C order whatever
+    the layout of ``vals`` (a component-major body's, say), so that the rule
+    reads it as a (15, columns) block without a copy."""
+    return np.multiply(vals, w.reshape(w.shape + (1,) * (np.ndim(vals) - w.ndim)), order="C")
+
+
+def _node_sums(w: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """sum_i w[i] parts[i] of each column of the real block ``parts``, node
+    by node in order, in one einsum pass.  A lone column einsum would sum
+    pairwise, so it is summed as the first of two copies."""
+    if parts.shape[1] == 1:
+        return np.einsum("i,ij->j", w, np.repeat(parts, 2, axis=1))[:1]
+    return np.einsum("i,ij->j", w, parts)
 
 
 def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
     """Kronrod-15 values and max-norm |K15-G7| errors of the panels
     [lo[i], hi[i]] of entries owner[i], from one integrand call
-    ``f(x, owner)`` on nodes x of shape (15, panels).  Each rule is summed
-    node by node in a fixed order (a cumulative sum), so a panel's value does
-    not depend on the panels that share its call.  A panel whose value or
-    error is not finite raises QuadratureError naming it."""
+    ``f(x, owner)`` on nodes x of shape (15, panels).  Each rule is one pass
+    of ``einsum`` over the real parts of the node block (a complex value's
+    real and imaginary parts side by side), summed node by node in a fixed
+    order, so a panel's value does not depend on the panels that share its
+    call; a real integrand stays real.  A panel whose value or error is not
+    finite raises QuadratureError naming it."""
     half = 0.5 * (hi - lo)
     vals = np.asarray(f(np.multiply.outer(_K15_X, half) + 0.5 * (lo + hi), owner))
     shape = vals.shape[1:]
-    cols = vals.reshape(15, -1)
+    cols = np.ascontiguousarray(vals, np.result_type(vals, np.float64)).reshape(15, -1)
+    parts = cols.view(np.float64)
     half = half.reshape(half.shape + (1,) * (len(shape) - 1))
-    terms = _K15_W[:, None] * cols
-    k15 = half * np.cumsum(terms, axis=0, out=terms)[-1].reshape(shape)
-    terms = _G7_W[:, None] * cols[1::2]
-    g7 = half * np.cumsum(terms, axis=0, out=terms)[-1].reshape(shape)
+    k15 = half * _node_sums(_K15_W, parts).view(cols.dtype).reshape(shape)
+    g7 = half * _node_sums(_G7_W, parts[1::2]).view(cols.dtype).reshape(shape)
     err = np.abs(k15 - g7).reshape(len(lo), -1).max(axis=1)
     if not np.isfinite(err).all():  # so is it wherever a node value is not finite
         i = int(np.argmin(np.isfinite(err)))

@@ -411,13 +411,64 @@ _reflected_reference, _transmitted_reference = _side_profile(True), _side_profil
 
 
 def test_kz_profile_dispatches_on_the_side_of_z():
-    med = Medium(2.0)
-    for z, build in ((0.7, _reflected_reference), (0.0, _reflected_reference),
-                     (-0.3, _transmitted_reference)):
-        assert np.array_equal(kz_profile(med, KAPPA_PANEL[:3], z, 0.5, SPEC).value,
-                              build(med, KAPPA_PANEL[:3], z, 0.5, SPEC).value)
+    # kz_profile's one body forms ctm phase/scale once and multiplies each
+    # dyad onto it: reassociated against the spelled-out bodies, it may move
+    # the last bits only
+    for n in (1.01, 2.0, 4.0, 40.0):
+        med = Medium(n)
+        for z, build in ((0.7, _reflected_reference), (0.0, _reflected_reference),
+                         (-0.3, _transmitted_reference)):
+            ref = build(med, KAPPA_PANEL[:3], z, 0.5, SPEC).value
+            got = kz_profile(med, KAPPA_PANEL[:3], z, 0.5, SPEC).value
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     with pytest.raises(ValueError, match="z' > 0"):
-        kz_profile(med, 1.0, 0.7, 0.0, SPEC)
+        kz_profile(Medium(2.0), 1.0, 0.7, 0.0, SPEC)
+
+
+def _gauge_reference_bodies(med, zp):
+    """The gauge-difference bodies spelled out term by term: the travelling
+    [ju, jz] of the e^{+ik z'} terms and of the partners of the e^{-ik z'}
+    terms, and the evanescent left-incident [ju, jz] on the cut."""
+    n = med.n
+
+    def travelling(k, kzd, kap, kmag2):
+        kmag = np.sqrt(kmag2)
+        tm = fresnel_coefficients(med, Polarization.TM, kap, k, kzd)
+        phase = np.exp(1j * k * zp)
+        right = modes.surface_charge_mode(med, Side.RIGHT, kap, k, kzd, tm) / kmag
+        left = modes.surface_charge_mode(med, Side.LEFT, kap, kzd, k, tm) * n * tm.tR / kmag
+        back = right * tm.rR + left
+        return np.stack([-k * right * phase / kmag, -kap * right * phase / kmag,
+                         k * back * phase / kmag, -kap * back * phase / kmag], axis=-1)
+
+    def evanescent(t, kzd, kap, kmag2):
+        kmag = np.sqrt(kmag2)
+        tm = fresnel_coefficients(med, Polarization.TM, kap, 1j * t, kzd)
+        g = modes.surface_charge_mode(med, Side.LEFT, kap, kzd, 1j * t, tm)
+        coef = g * 1j * n * np.conj(tm.tR) / kmag * np.exp(-t * zp)
+        return np.stack([coef * (-1j * t / kmag), coef * (-kap / kmag)], axis=-1)
+
+    return travelling, evanescent
+
+
+@pytest.mark.parametrize("n", [1.01, 2.0, 4.0, 40.0])
+@pytest.mark.parametrize("z", [0.7, -0.3])
+def test_gauge_difference_bodies_match_their_spelled_out_reference(n, z, monkeypatch):
+    # the gauge-difference bodies form e^{ik z'}/|k|^2 (on the cut
+    # i n tR* e^{-t z'}/|k|^2) once and multiply each term onto it:
+    # reassociated against the spelled-out bodies, the profile may move the
+    # last bits only
+    med, zp = Medium(n), 0.5
+    got = _gauge_difference_profile(med, KAPPA_PANEL[:3], z, zp, SPEC).value
+    travelling, evanescent = _gauge_reference_bodies(med, zp)
+    original = kernels._interface_profile
+
+    def spelled_out(medium, kap, scale, lean, spec, lean_evanescent):
+        return original(medium, kap, scale, travelling, spec, evanescent)
+
+    monkeypatch.setattr(kernels, "_interface_profile", spelled_out)
+    ref = _gauge_difference_profile(med, KAPPA_PANEL[:3], z, zp, SPEC).value
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("r, rp, batches", [

@@ -278,21 +278,27 @@ def test_cli_kernel_verify_bad_header(tmp_path, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("body, where", [
-    ("", ": no point pairs"),
-    ("\n", ": no point pairs"),
-    ("0.4,-0.2,0.8,0.1,0.3\n", ":2: expected 6 values, got 5"),
-    ("0.4,-0.2,0.8,0.1,0.3,0.5\n\n0.4,-0.2,0.8,0.1,0.3,0.5,1\n", ":4: expected 6 values, got 7"),
-    ("0.4,-0.2,0.8,0.1,0.3,abc\n", ":2: could not convert string to float: 'abc'"),
-    ("0.4,-0.2,0.8,0.1,0.3,-0.5\n", ":2: the source point must lie outside the dielectric"),
-], ids=["empty", "blank-line", "short", "long", "non-numeric", "source-inside"])
-def test_cli_kernel_verify_rejects_bad_points_naming_the_line(tmp_path, capsys, body, where):
-    # a points file with no pair, or a row that is not one, is bad input (exit
-    # 2), never a pass over nothing or a failed check (exit 1)
+@pytest.mark.parametrize("kind, body, where", [
+    ("true_coulomb", "", ": no point pairs"),
+    ("true_coulomb", "\n", ": no point pairs"),
+    ("true_coulomb", "0.4,-0.2,0.8,0.1,0.3\n", ":2: expected 6 values, got 5"),
+    ("true_coulomb", "0.4,-0.2,0.8,0.1,0.3,0.5\n\n0.4,-0.2,0.8,0.1,0.3,0.5,1\n",
+     ":4: expected 6 values, got 7"),
+    ("true_coulomb", "0.4,-0.2,0.8,0.1,0.3,abc\n", ":2: could not convert string to float: 'abc'"),
+    ("true_coulomb", "0.4,-0.2,0.8,0.1,0.3,-0.5\n",
+     ":2: the source point must lie outside the dielectric"),
+    ("perfect_reflector", "0.4,-0.2,0.8,0.1,0.3,0.5\n0.4,-0.2,-0.8,0.1,0.3,0.5\n",
+     ":3: the perfect-reflector kernel lives in z >= 0, got z = -0.8"),
+], ids=["empty", "blank-line", "short", "long", "non-numeric", "source-inside",
+        "reflector-below"])
+def test_cli_kernel_verify_rejects_bad_points_naming_the_line(tmp_path, capsys, kind, body, where):
+    # a points file with no pair, or a row that is not one (of the kind: the
+    # mirror form lives above the interface), is bad input (exit 2), never a
+    # pass over nothing or a failed check (exit 1)
     points = tmp_path / "points.csv"
     points.write_text("x,y,z,xp,yp,zp\n" + body)
     out = tmp_path / "kernel.json"
-    assert main(["kernel", "verify", "--kind", "true_coulomb", "--n", "2.0",
+    assert main(["kernel", "verify", "--kind", kind, "--n", "2.0",
                  "--points", str(points), "--out", str(out)]) == 2
     assert f"error: {points}{where}" in capsys.readouterr().err
     assert not out.exists()

@@ -314,17 +314,20 @@ def _random_values(rng, shape, dtype):
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("shape", [(), (5,), (15, 5)])
 def test_eval_panel_matches_tensordot_bitwise(shape, dtype):
-    # the level rule evaluates several panels from one call; each panel's
-    # K15 sum is bitwise the node-by-node sum, and within a few ulp of the
-    # BLAS tensordot
+    # the level rule evaluates several panels from one call, or one panel
+    # (a lone real column, which a one-pass reduction would sum pairwise);
+    # each panel's K15 sum is bitwise the node-by-node sum, and within a few
+    # ulp of the BLAS tensordot.  A real integrand keeps real values.
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        lo = np.sort(rng.uniform(-3.0, 3.0, 3))
-        hi = lo + rng.uniform(0.1, 2.0, 3)
-        vals = _random_values(rng, (15, 3) + shape, dtype)
-        k15, err = spectral._gauss_kronrod(lambda x, owner: vals, lo, hi, np.zeros(3, dtype=int))
-        assert k15.shape == (3,) + shape and err.shape == (3,)
-        for i in range(3):
+    for panels in 20 * [3] + 20 * [1]:
+        lo = np.sort(rng.uniform(-3.0, 3.0, panels))
+        hi = lo + rng.uniform(0.1, 2.0, panels)
+        vals = _random_values(rng, (15, panels) + shape, dtype)
+        k15, err = spectral._gauss_kronrod(lambda x, owner: vals, lo, hi,
+                                           np.zeros(panels, dtype=int))
+        assert k15.shape == (panels,) + shape and err.shape == (panels,)
+        assert k15.dtype == np.dtype(dtype) and err.dtype == np.float64
+        for i in range(panels):
             half = 0.5 * (hi[i] - lo[i])
             ref = g7 = 0.0
             for node in range(15):
