@@ -6,18 +6,28 @@ gauge redistributes it: the Hamiltonian keeps the share (n^2+1)/(2n^2) V^es
 while the remaining (n^2-1)/(2n^2) V^es is recovered as the second-order
 perturbative shift of the fluctuating surface-charge coupling,
 
-    dE = -(q^2/2) int d^2k_par e^{-2 |k_par| z0}
-         [ int_0^inf dk_zd |g^L|^2/omega^2 + int_0^inf dk_z |g^R|^2/omega^2 ]
+    dE = -(q^2/2) int d^2k_par e^{-2 |k_par| z0} [L(|k_par|) + R(|k_par|)],
+    L(kap) = int_0^inf dk_zd |g^L|^2/omega^2,  R(kap) = int_0^inf dk_z |g^R|^2/omega^2
 
 (natural units, no-recoil approximation: particle kinetic denominators are
 replaced by the photon frequency, so mass and momentum drop out).  The
 particle self-energy is an r0-independent constant and is dropped throughout.
 Left- and right-incident contributions are reported separately.
 
+The radial integral is exact.  g depends on (kap, k_z) only through k_z/kap
+(the Fresnel coefficients do), omega^2 = kap^2 + k_z^2 has degree 2 and dk_z
+(or dk_zd) degree 1, so with k_z = kap s both longitudinal integrals scale as
+L(kap) = L(1)/kap.  Then, with d^2k_par = 2 pi kap dkap,
+
+    int d^2k_par e^{-2 kap z0} L(kap) = 2 pi L(1) int_0^inf dkap e^{-2 kap z0}
+                                      = pi L(1)/z0,
+
+and dE = -pi q^2 [L(1) + R(1)]/(2 z0): only L(1) and R(1) are integrated.
+
 The right-incident and the travelling left-incident modes are one body on the
 vacuum k_z > 0 axis, the left ones by dk_zd = (n^2 k_z/k_zd) dk_z: on the k_zd
 axis k_z = sqrt(k_zd^2 - gamma_d^2)/n has a square-root endpoint at
-gamma_d = |k_par| sqrt(n^2-1).  The evanescent left-incident modes,
+gamma_d = sqrt(n^2-1) (at |k_par| = 1).  The evanescent left-incident modes,
 0 < k_zd < gamma_d, are integrated by dk_zd on the cut segment.
 """
 from __future__ import annotations
@@ -30,12 +40,7 @@ import numpy as np
 from .greens import check_charge, image_potential_ves
 from .medium import Medium, Side
 from .modes import surface_charge_mode
-from .spectral import (
-    QuadratureSpec,
-    cut_segment_integral,
-    damped_radial_transform,
-    decaying_halfline_integral,
-)
+from .spectral import QuadratureSpec, cut_segment_integral, decaying_halfline_integral
 
 __all__ = [
     "ShiftResult",
@@ -61,36 +66,40 @@ class ShiftResult:
 
 def redistribution_factors(medium: Medium) -> tuple[float, float]:
     """((n^2-1)/2n^2, (n^2+1)/2n^2); the two shares sum to exactly 1."""
-    return medium.surface_charge_share, (medium.n**2 + 1.0) / (2.0 * medium.n**2)
+    return medium.surface_charge_share, 0.5 * (medium.n**2 + 1.0) / medium.n**2
 
 
-def _longitudinal(medium: Medium, kap: np.ndarray,
-                  spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(int_0^inf dk_zd |g^L|^2/omega^2, int_0^inf dk_z |g^R|^2/omega^2),
-    omega^2 = kap^2 + k_z^2, for each entry of ``kap``: the travelling modes
-    as one body on the vacuum k_z axis, the evanescent left-incident ones on
-    the cut segment."""
+def _longitudinal(medium: Medium, spec: QuadratureSpec) -> tuple[float, float]:
+    """(L(1), R(1)) = (int_0^inf dk_zd |g^L|^2/omega^2, int_0^inf dk_z
+    |g^R|^2/omega^2) at |k_par| = 1, omega^2 = 1 + k_z^2: the travelling
+    modes as one body on the vacuum k_z axis, the evanescent left-incident
+    ones on the cut segment."""
     n = medium.n
     n2 = n * n
-    # one 1-D batch: inner node arrays of a (15, panels) radial block cost ~3% more
-    shape, kap = np.shape(kap), np.ravel(kap)
-    gamma_d = kap * math.sqrt(n2 - 1.0)
+    gamma_d = math.sqrt(n2 - 1.0)
 
     def travelling(kz: np.ndarray) -> np.ndarray:
         kzd = np.sqrt(n2 * kz * kz + gamma_d * gamma_d)
-        left = surface_charge_mode(medium, Side.LEFT, kap, kzd, kz)
-        right = surface_charge_mode(medium, Side.RIGHT, kap, kz, kzd)
+        left = surface_charge_mode(medium, Side.LEFT, 1.0, kzd, kz)
+        right = surface_charge_mode(medium, Side.RIGHT, 1.0, kz, kzd)
         parts = np.stack([np.abs(left) ** 2 * (n2 * kz / kzd), np.abs(right) ** 2], axis=-1)
-        return parts / (kap * kap + kz * kz)[..., None]
+        return parts / (1.0 + kz * kz)[..., None]
 
     def evanescent(kzd: np.ndarray) -> np.ndarray:
         kz = np.sqrt(kzd * kzd - gamma_d * gamma_d + 0j) / n
-        g = surface_charge_mode(medium, Side.LEFT, kap, kzd, kz)
-        return np.abs(g) ** 2 * n2 / (kap * kap + kzd * kzd)
+        g = surface_charge_mode(medium, Side.LEFT, 1.0, kzd, kz)
+        return np.abs(g) ** 2 * n2 / (1.0 + kzd * kzd)
 
-    both = np.real(decaying_halfline_integral(travelling, np.maximum(kap, 1e-12), spec).value)
+    both = np.real(decaying_halfline_integral(travelling, 1.0, spec).value)
     ev = np.real(cut_segment_integral(evanescent, gamma_d, spec).value)
-    return (ev + both[..., 0]).reshape(shape), both[..., 1].reshape(shape)
+    return float(ev + both[0]), float(both[1])
+
+
+def _unit_parts(medium: Medium, z0: float, spec: QuadratureSpec) -> list[float]:
+    """The left- and right-incident parts of -dE at q = 1, pi (L(1), R(1))/(2 z0)
+    (the module docstring).  q^2 times each stays finite wherever
+    ``check_charge`` passes q^2/z0."""
+    return [math.pi * part / (2.0 * z0) for part in _longitudinal(medium, spec)]
 
 
 def second_order_shift(
@@ -104,16 +113,10 @@ def second_order_shift(
     v_es = image_potential_ves(q, medium, z0)
     if n == 1.0:
         return ShiftResult(0.0, v_es, 0.0, expected, 0.0, 0.0, n, z0, q)
-    pref = -math.pi * q * q  # -(q^2/2) times the 2 pi of d^2k_par = 2 pi kap dkap
-
-    def radial(kap: np.ndarray) -> np.ndarray:
-        return kap[..., None] * np.stack(_longitudinal(medium, kap, spec), axis=-1)
-
-    sums = damped_radial_transform(radial, 2.0 * z0, spec)
-    parts = [float(part) for part in np.real(sums.value)]
-    left, right = (pref * part for part in parts)
-    # the ratio of the unit-charge sums, in which q^2 cancels exactly
-    ratio = sum(-math.pi * part for part in parts) / image_potential_ves(1.0, medium, z0)
+    parts = _unit_parts(medium, z0, spec)
+    left, right = (-q * q * part for part in parts)
+    # the ratio of the unit-charge energies, in which q^2 cancels exactly
+    ratio = -sum(parts) / image_potential_ves(1.0, medium, z0)
     return ShiftResult(left + right, v_es, ratio, expected, left, right, n, z0, q)
 
 
@@ -132,15 +135,9 @@ def double_commutator_cnumber(
     The generating-function coefficient is chi_k = g_k e^{-|k_par| z0} /
     sqrt(2 omega^3), so omega |chi_k|^2 = |g_k|^2 e^{-2 |k_par| z0}/(2 omega^2)
     and the sum collapses onto the same longitudinal integrals as the
-    second-order shift with the opposite sign.
+    second-order shift with the opposite sign: pi q^2 [L(1) + R(1)]/(2 z0).
     """
     check_charge(q, z0)
     if medium.n == 1.0:
         return 0.0
-    pref = math.pi * q * q
-
-    def radial(kap: np.ndarray) -> np.ndarray:
-        return kap * sum(_longitudinal(medium, kap, spec))
-
-    total = damped_radial_transform(radial, 2.0 * z0, spec)
-    return pref * float(np.real(total.value))
+    return sum(q * q * part for part in _unit_parts(medium, z0, spec))

@@ -134,19 +134,22 @@ def grad_grad_green_tensor(medium: Medium, variant: GreenVariant, pair: PointPai
                     lambda s: image_grad_grad_tensor(pair, s))
 
 
-# heights whose damped energy sums the engine integrates at every index:
-# beyond them the radial integrands over- or underflow
+# the heights the energy routines accept; their radial integral is closed
+# (energy.py), so the bounds are the range that their checks cover
 _Z0_MIN, _Z0_MAX = 1e-100, 1e100
 
 
 def check_charge(q: float, z0: float) -> None:
-    """Reject a charge q whose q**2 is not finite and a height z0 outside
-    [_Z0_MIN, _Z0_MAX] (or outside the dielectric), naming the parameter."""
+    """Reject a charge q whose q**2 is not finite, a height z0 outside
+    [_Z0_MIN, _Z0_MAX] (or outside the dielectric) and a pair whose q**2/z0,
+    the scale of V^es and of every energy sum, overflows, naming the parameters."""
     if not math.isfinite(q * q):
         raise ValueError(f"q must be finite with a finite q**2, got {q!r}")
     if not _Z0_MIN <= z0 <= _Z0_MAX:
         raise ValueError(f"z0 must lie in [{_Z0_MIN:g}, {_Z0_MAX:g}] (charge outside the "
                          f"dielectric), got {z0!r}")
+    if not math.isfinite(q * q / z0):
+        raise ValueError(f"q and z0 must give a finite q**2/z0, got q={q!r}, z0={z0!r}")
 
 
 def image_potential_ves(q: float, medium: Medium, z0: float) -> float:

@@ -55,8 +55,9 @@ class Medium:
     n: float
 
     def __post_init__(self) -> None:
-        if not (self.n >= 1.0) or not math.isfinite(self.n):
-            raise ValueError(f"refractive index must satisfy n >= 1, got {self.n}")
+        if not (self.n >= 1.0) or not math.isfinite(self.n * self.n):
+            raise ValueError(f"refractive index must satisfy n >= 1 with a finite n**2, "
+                             f"got n={self.n}")
 
     @property
     def eps_inside(self) -> float:
@@ -70,7 +71,7 @@ class Medium:
     @property
     def surface_charge_share(self) -> float:
         """Share (n^2-1)/(2n^2) of V^es carried by the fluctuating surface charge."""
-        return (self.n * self.n - 1.0) / (2.0 * self.n * self.n)
+        return 0.5 * (self.n * self.n - 1.0) / (self.n * self.n)  # 2n^2 may overflow
 
 
 @dataclass(frozen=True)

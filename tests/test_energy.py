@@ -95,10 +95,11 @@ def test_shift_ratio_is_that_of_the_unit_charge(n):
 @pytest.mark.parametrize("q, z0, name", [
     (1e200, 1.0, "q"), (-1e155, 1.0, "q"),
     (1.0, 1e-300, "z0"), (1.0, 1e300, "z0"), (1.0, 9e-101, "z0"), (1.0, 2e100, "z0"),
+    (1e150, 1e-100, "q and z0"), (1e154, 1e-5, "q and z0"),
 ])
 def test_energies_reject_charges_and_heights_off_the_engine_range(q, z0, name):
-    # q^2 must be finite, and z0 within [1e-100, 1e100], where the damped sums
-    # integrate at every index
+    # q^2 must be finite, z0 within [1e-100, 1e100], and q^2/z0, the scale of
+    # every energy, finite: (1e150, 1e-100) read dE = V^es = -inf before
     for fn in (second_order_shift, gauge_invariance_sum, double_commutator_cnumber):
         with pytest.raises(ValueError, match=f"^{name} must"):
             fn(q, Medium(2.0), z0, SPEC)
@@ -147,28 +148,30 @@ def test_charge_scaling():
     assert e2 == pytest.approx(4.0 * e1, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [1.2, 2.0, 40.0])
-def test_batched_longitudinal_integrals_match_scalar_calls(n):
+@pytest.mark.parametrize("n", [1.2, 2.0, 40.0, 200.0])
+def test_shift_ratio_is_the_same_at_every_height(n):
+    # the radial integral is closed, so z0 enters dE and V^es only as 1/z0:
+    # no truncation floor and no abs_tol stop in the inner integrals, whose
+    # values at |k_par| = 1 do not depend on z0
     med = Medium(n)
-    kappa = np.geomspace(1e-3, 50.0, 15)
-    batch = np.stack(_longitudinal(med, kappa, SPEC))
-    assert batch.shape == (2,) + kappa.shape
-    singles = np.stack([_longitudinal(med, k, SPEC) for k in kappa], axis=-1)
-    for b, single in zip(batch, singles):  # the left and the right part
-        assert np.max(np.abs(b - single)) <= 1e-10 * np.max(np.abs(b))
+    ratios = [second_order_shift(1.0, med, z0, SPEC).ratio for z0 in (1e-100, 1e-11, 1.0, 1e100)]
+    assert max(ratios) - min(ratios) <= 1e-14
+    assert abs(ratios[2] - redistribution_factors(med)[0]) < 1e-13
 
 
 @pytest.mark.parametrize("n", [1.01, 2.0, 40.0])
 @pytest.mark.parametrize("kap", [1e-3, 1.0, 50.0])
 def test_travelling_left_part_on_the_vacuum_axis_matches_kzd_form(monkeypatch, n, kap):
-    # the travelling left-incident modes integrated by dk_z, with the Jacobian
-    # n^2 k_z/k_zd, against int_{gamma_d}^inf dk_zd |g^L|^2 n^2/(kap^2 + k_zd^2)
-    # by scipy; the cut segment (the evanescent modes) is switched off
+    # the travelling left-incident modes integrated by dk_z at |k_par| = 1,
+    # with the Jacobian n^2 k_z/k_zd, against kap times
+    # int_{gamma_d}^inf dk_zd |g^L|^2 n^2/(kap^2 + k_zd^2) at |k_par| = kap by
+    # scipy: the k_zd form and the 1/kap scaling of the module docstring; the
+    # cut segment (the evanescent modes) is switched off
     quad = pytest.importorskip("scipy.integrate").quad
     monkeypatch.setattr(energy, "cut_segment_integral",
                         lambda f, gamma, spec: IntegralResult(0.0, 0.0, 0))
     med = Medium(n)
-    left, _ = _longitudinal(med, np.array(kap), SPEC)
+    left, _ = _longitudinal(med, SPEC)
 
     def kzd_form(kzd):
         g = surface_charge_mode(med, Side.LEFT, kap, kzd)
@@ -178,38 +181,35 @@ def test_travelling_left_part_on_the_vacuum_axis_matches_kzd_form(monkeypatch, n
     # the sqrt endpoint at gamma_d on a finite panel, then the tail
     near = quad(kzd_form, gamma_d, gamma_d + kap, epsabs=0.0, epsrel=1e-13, limit=200)[0]
     tail = quad(kzd_form, gamma_d + kap, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-    assert float(left) == pytest.approx(near + tail, rel=1e-10)
+    assert kap * (near + tail) == pytest.approx(left, rel=1e-10)
 
 
-def test_shift_integrates_each_radial_level_in_one_call(monkeypatch):
-    # the radial transform hands every kappa node of a refinement level to one
-    # call of the longitudinal half-line.  Its first panels follow the
-    # e^{-2 kappa z0} decay, so at every verify index and over the heights the
-    # first level (the five decay panels, 75 kappa) converges, and the
-    # truncated tail is bounded from those kappa, without a call of its own.
-    # One call per 15-node radial panel would make 5; a coarser layout
-    # bisects, and its next level is a second call.
-    batches = []
-    engine = energy.decaying_halfline_integral
+def test_each_energy_sum_integrates_one_halfline_and_one_cut_at_unit_kappa(monkeypatch):
+    # the radial integral is closed: a shift or a c-number integrates L and R
+    # once, at |k_par| = 1, in one half-line call (scale 1) and one cut call
+    # (gamma_d = sqrt(n^2 - 1)), whatever the height
+    calls = []
+    for name in ("decaying_halfline_integral", "cut_segment_integral"):
+        def counted(f, width, spec, engine=getattr(energy, name), name=name):
+            calls.append((name, width))
+            return engine(f, width, spec)
 
-    def counted(f, scale, *args, **kwargs):
-        batches[-1].append(np.size(scale))
-        return engine(f, scale, *args, **kwargs)
-
-    monkeypatch.setattr(energy, "decaying_halfline_integral", counted)
+        monkeypatch.setattr(energy, name, counted)
     for n in (1.5, 2.0, 4.0):
-        for z0 in (0.37, 0.5, 1.0, 2.0, 2.9):
-            batches.append([])
-            shift = second_order_shift(1.0, Medium(n), z0, SPEC)
-            assert abs(shift.ratio - shift.expected_ratio) < 1e-9
-    assert batches == 15 * [[75]]
+        expected = [("decaying_halfline_integral", 1.0),
+                    ("cut_segment_integral", math.sqrt(n * n - 1.0))]
+        for z0 in (1e-100, 0.37, 1.0, 2.9, 1e100):
+            for fn in (second_order_shift, double_commutator_cnumber):
+                calls.clear()
+                fn(1.0, Medium(n), z0, SPEC)
+                assert calls == expected
 
 
 def test_inner_integrals_converge_at_their_first_level(monkeypatch):
     # smooth integrands on both inner axes: the one half-line and the one
-    # cut-segment call (the first radial level; the truncated tail makes no
-    # call) stop at their initial panels (8 and 4 of 15 nodes per kappa), so
-    # an endpoint singularity that forces bisection cannot come back unseen
+    # cut-segment call at |k_par| = 1 stop at their initial panels (8 and 4
+    # of 15 nodes), so an endpoint singularity that forces bisection cannot
+    # come back unseen
     seen = []
     for name in ("decaying_halfline_integral", "cut_segment_integral"):
         def counted(f, width, spec, engine=getattr(energy, name), name=name):

@@ -223,9 +223,17 @@ def test_image_potential_rejects_non_finite_inputs():
 
 
 @pytest.mark.parametrize("q, z0, name", [(1e200, 1.0, "q"), (1.0, 1e-320, "z0"),
-                                         (1.0, 1e308, "z0")])
+                                         (1.0, 1e308, "z0"), (1e150, 1e-100, "q and z0")])
 def test_image_potential_rejects_what_the_energy_sums_reject(q, z0, name):
-    # q**2 overflows, or z0 lies off [1e-100, 1e100]: these read -inf, -inf
-    # and -0.0 before; the image energy and the energy sums share one check
+    # q**2 overflows, z0 lies off [1e-100, 1e100], or q**2/z0 overflows: these
+    # read -inf, -inf, -0.0 and -inf before; the image energy and the energy
+    # sums share one check
     with pytest.raises(ValueError, match=f"^{name} must"):
         image_potential_ves(q, Medium(2.0), z0)
+
+
+def test_image_potential_names_both_inputs_when_their_scale_overflows():
+    with pytest.raises(ValueError, match=r"q\*\*2/z0, got q=1e\+150, z0=1e-100"):
+        image_potential_ves(1e150, Medium(2.0), 1e-100)
+    # the largest charge at the lowest height stays finite
+    assert math.isfinite(image_potential_ves(1e104, Medium(2.0), 1e-100))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +38,19 @@ def test_medium_rejects_bad_index():
         Medium(0.5)
     with pytest.raises(ValueError):
         Medium(float("nan"))
+
+
+@pytest.mark.parametrize("n", [1e200, 1.4e154, math.inf])
+def test_medium_rejects_an_index_whose_square_overflows(n):
+    # a finite n with n**2 = inf read NaN image strengths and shares before
+    with pytest.raises(ValueError, match=re.escape(f"finite n**2, got n={n}")):
+        Medium(n)
+
+
+def test_shares_are_exact_up_to_the_largest_index():
+    med = Medium(1.3e154)  # n**2 finite, 2 n**2 not
+    assert med.image_strength == 1.0
+    assert med.surface_charge_share == 0.5
 
 
 def test_refracted_kz_examples():

@@ -331,10 +331,12 @@ def test_cli_energy_shift_and_sweep(tmp_path, capsys):
     (["energy", "shift", "--n", "2", "--z0", "1", "--q", "1e200"], "q"),
     (["energy", "shift", "--n", "2", "--z0", "1e-300"], "z0"),
     (["energy", "sweep", "--n-grid", "2", "--z0-grid", "1,1e300"], "z0"),
+    (["energy", "shift", "--n", "2", "--q", "1e150", "--z0", "1e-100"], "q and z0"),
+    (["energy", "shift", "--n", "1e200", "--z0", "1"], "refractive index"),
 ])
 def test_cli_energy_rejects_inputs_off_the_engine_range(capsys, argv, name):
     # exit 2 naming the parameter: no traceback, and no -inf energies or nan
-    # ratio with exit 0
+    # ratio with exit 0 (an n with n**2 = inf died in an OverflowError)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert f"error: {name} must" in captured.err and captured.out == ""
