@@ -10,6 +10,7 @@ from .medium import (
     SpectralPoint,
     epsilon_profile,
     evanescent_threshold,
+    label_wavenumbers,
     mode_frequency,
     refracted_kz,
 )

@@ -6,7 +6,8 @@ Subcommands: ``fresnel``, ``modes eval``, ``greens eval``, ``kernel verify``,
 written atomically.  Only the commands that run the quadrature engine take
 ``--config``, and only ``verify`` samples, so only it takes ``--seed``.
 ``verify`` and ``kernel verify`` exit 0 iff every check passes and 1 if one
-fails; bad input of any command exits 2.
+fails; an integral that misses its tolerance (``QuadratureError``) exits 1
+with ``error: ...``; bad input of any command exits 2.
 """
 from __future__ import annotations
 
@@ -19,10 +20,11 @@ from .config import ConfigError, load_config, spec_from_config
 from .fresnel import fresnel_coefficients
 from .greens import GreenVariant, PointPair, grad_grad_green_tensor
 from .kernels import KernelKind
-from .medium import Medium, Polarization, Side, SpectralPoint
-from .modes import carniglia_mandel_mode, label_kz
+from .medium import Medium, Polarization, Side, SpectralPoint, label_wavenumbers
+from .modes import carniglia_mandel_mode
 from .energy import second_order_shift
 from .report import all_passed, to_csv, to_json, write_atomic
+from .spectral import QuadratureError
 from .verification import SUITE_NAMES, kernel_verify_checks, run_suite
 
 __all__ = ["main"]
@@ -130,7 +132,7 @@ def cmd_modes_eval(args: argparse.Namespace) -> int:
     side = Side.LEFT if args.side == "L" else Side.RIGHT
     point = SpectralPoint((args.kpar, 0.0), args.klong, side, Polarization(args.pol))
     try:
-        label_kz(med, point)
+        label_wavenumbers(med, side, point.kpar_mag, point.kz)
     except ValueError as exc:
         raise ValueError(f"argument --klong: {exc}") from None
     lines = ["z,fx_re,fx_im,fy_re,fy_im,fz_re,fz_im"]
@@ -309,6 +311,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except QuadratureError as exc:  # an integral that missed its tolerance
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -37,8 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fresnel import fresnel_coefficients
 from .greens import check_charge, image_potential_ves
-from .medium import Medium, Side
+from .medium import Medium, Polarization, Side
 from .modes import surface_charge_mode
 from .spectral import QuadratureSpec, cut_segment_integral, decaying_halfline_integral
 
@@ -80,15 +81,16 @@ def _longitudinal(medium: Medium, spec: QuadratureSpec) -> tuple[float, float]:
 
     def travelling(kz: np.ndarray) -> np.ndarray:
         kzd = np.sqrt(n2 * kz * kz + gamma_d * gamma_d)
-        left = surface_charge_mode(medium, Side.LEFT, 1.0, kzd, kz)
-        right = surface_charge_mode(medium, Side.RIGHT, 1.0, kz, kzd)
+        tm = fresnel_coefficients(medium, Polarization.TM, 1.0, kz, kzd)
+        left = surface_charge_mode(medium, Side.LEFT, tm)
+        right = surface_charge_mode(medium, Side.RIGHT, tm)
         parts = np.stack([np.abs(left) ** 2 * (n2 * kz / kzd), np.abs(right) ** 2], axis=-1)
         return parts / (1.0 + kz * kz)[..., None]
 
     def evanescent(kzd: np.ndarray) -> np.ndarray:
         kz = np.sqrt(kzd * kzd - gamma_d * gamma_d + 0j) / n
-        g = surface_charge_mode(medium, Side.LEFT, 1.0, kzd, kz)
-        return np.abs(g) ** 2 * n2 / (1.0 + kzd * kzd)
+        tm = fresnel_coefficients(medium, Polarization.TM, 1.0, kz, kzd)
+        return np.abs(surface_charge_mode(medium, Side.LEFT, tm)) ** 2 * n2 / (1.0 + kzd * kzd)
 
     both = np.real(decaying_halfline_integral(travelling, 1.0, spec).value)
     ev = np.real(cut_segment_integral(evanescent, gamma_d, spec).value)

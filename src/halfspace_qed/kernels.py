@@ -233,8 +233,8 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
         tm = fresnel_coefficients(medium, Polarization.TM, kap, k, kzd)
         common = np.exp(1j * zp * k)
         common /= kmag2
-        right = surface_charge_mode(medium, Side.RIGHT, kap, k, kzd, tm)
-        back = surface_charge_mode(medium, Side.LEFT, kap, kzd, k, tm) * (n * tm.tR)
+        right = surface_charge_mode(medium, Side.RIGHT, tm)
+        back = surface_charge_mode(medium, Side.LEFT, tm) * (n * tm.tR)
         back += right * tm.rR
         back *= common
         right *= common
@@ -248,7 +248,7 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
         # on the cut n^2 (t/kzd) tL*/n = i n tR*, free of 1/kzd: one common
         # factor g tR* e^{-t z'}/|k|^2, the i n folded into each term's factor
         tm = fresnel_coefficients(medium, Polarization.TM, kap, 1j * t, kzd)
-        common = surface_charge_mode(medium, Side.LEFT, kap, kzd, 1j * t, tm)
+        common = surface_charge_mode(medium, Side.LEFT, tm)
         common *= np.conj(tm.tR)
         common *= np.exp(-zp * t) / kmag2
         out = np.empty((2,) + common.shape, dtype=complex)

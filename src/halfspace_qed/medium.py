@@ -8,9 +8,12 @@ free parameter is the test charge q carried by the energy routines.
 Mode labels are spectral points (k_parallel, k_z): right-incident modes are
 labelled by the vacuum-side longitudinal wavenumber k_z (real positive when
 travelling, i*t with 0 < t <= Gamma on the evanescent segment), left-incident
-modes by the dielectric-side wavenumber k_zd (always real positive).  The two
-are linked by the refraction law k_zd = sqrt(n^2 k_z^2 + (n^2-1) |k_par|^2)
-with the branch fixed by sgn(Re k_zd) = sgn(Re k_z) on the real axis.
+modes by the dielectric-side wavenumber k_zd (real, >= 0).  The two are linked
+by the refraction law k_zd = sqrt(n^2 k_z^2 + (n^2-1) |k_par|^2) with the
+branch fixed by sgn(Re k_zd) = sgn(Re k_z) on the real axis.
+``label_wavenumbers`` is the one label rule: it rejects any other label and
+returns the (k_z, k_zd) of a valid one, keeping the labelling side's
+wavenumber exact, and ``label_frequency`` takes omega from that side.
 """
 from __future__ import annotations
 
@@ -32,6 +35,8 @@ __all__ = [
     "refracted_kz",
     "vacuum_kz_from_kzd",
     "evanescent_threshold",
+    "label_wavenumbers",
+    "label_frequency",
     "mode_frequency",
 ]
 
@@ -159,16 +164,50 @@ def vacuum_kz_from_kzd(medium: Medium, kpar_mag: float, kzd: float) -> complex:
     return 1j * math.sqrt(-disc) / n
 
 
+def label_wavenumbers(medium: Medium, side: Side, kpar_mag: float, label: complex,
+                      name: str | None = None) -> tuple[complex, complex]:
+    """(k_z, k_zd) of a mode label, the labelling side's wavenumber as given.
+
+    A right-incident label is a travelling k_z > 0 or i t on the evanescent
+    segment 0 < t <= Gamma, and k_zd follows by refraction; a left-incident
+    one is a real k_zd >= 0, and the vacuum k_z follows by inverting it.  Any
+    other label raises ValueError, as does a left label at the total internal
+    reflection threshold (k_z = 0, where tL = (kzd/kz) tR is singular).  A
+    non-finite label names ``name`` (default kz or kzd by side).
+    """
+    check_label(kpar_mag, name or ("kz" if side is Side.RIGHT else "kzd"), label)
+    label = complex(label)
+    if side is Side.LEFT:
+        if label.imag != 0.0:
+            raise ValueError("left-incident labels require real kzd (evanescence lives in kz)")
+        kz = vacuum_kz_from_kzd(medium, kpar_mag, label.real)
+        if kz == 0:
+            raise ValueError("kz = 0 is excluded (tL = (kzd/kz) tR is singular): the left "
+                             f"label kzd = {label.real!r} sits at the total internal "
+                             "reflection threshold")
+        return kz, label
+    # Gamma (an array pass) only for a label that is not travelling
+    if not (label.imag == 0.0 and label.real > 0.0):
+        gamma = float(evanescent_threshold(medium, kpar_mag))
+        if not (label.real == 0.0 and 0.0 < label.imag <= gamma):
+            raise ValueError(f"right-incident label kz = {label!r} is neither kz > 0 nor "
+                             f"i t with 0 < t <= Gamma = {gamma:.6g}")
+    return label, refracted_kz(medium, kpar_mag, label)
+
+
+def label_frequency(medium: Medium, side: Side, kpar_mag: float, kz: complex,
+                    kzd: complex) -> float:
+    """Mode frequency (c = 1) of the wavenumbers ``label_wavenumbers``
+    returns, from the labelling side's one: omega = |k| in vacuum for a
+    right label, |k_d|/n in the dielectric for a left one."""
+    if side is Side.RIGHT:
+        return math.sqrt((kpar_mag * kpar_mag + kz * kz).real)
+    return math.sqrt(kpar_mag * kpar_mag + kzd.real * kzd.real) / medium.n
+
+
 def mode_frequency(medium: Medium, point: SpectralPoint) -> float:
-    """Mode frequency (c = 1): omega = |k| in vacuum, |k_d|/n in the dielectric."""
+    """Mode frequency of a label; a label off the label set raises ValueError
+    (``label_wavenumbers``)."""
     kp = point.kpar_mag
-    check_label(kp, "kz" if point.side is Side.RIGHT else "kzd", point.kz)
-    if point.side is Side.RIGHT:
-        w2 = complex(kp * kp + point.kz * point.kz)
-        if abs(w2.imag) > 1e-12 * max(1.0, abs(w2.real)) or w2.real <= 0.0:
-            raise ValueError(f"label has non-real frequency: omega^2 = {w2}")
-        return math.sqrt(w2.real)
-    kzd = complex(point.kz)
-    if abs(kzd.imag) > 0.0 or kzd.real < 0.0:
-        raise ValueError("left-incident labels require real kzd >= 0")
-    return math.sqrt(kp * kp + kzd.real * kzd.real) / medium.n
+    return label_frequency(medium, point.side, kp,
+                           *label_wavenumbers(medium, point.side, kp, point.kz))

@@ -15,14 +15,19 @@ the polarization vector of its own wavevector (the differential shorthand for
 the polarization operator acts per exponential, never on the step function).
 Values exactly at z = 0 use the vacuum-side representation.
 
+Every function here takes its labels' wavenumbers from
+:func:`halfspace_qed.medium.label_wavenumbers`, the one label rule, and
+applies the refraction law at most once.
+
 The gauge transformation to the everywhere-transverse gauge is generated by a
 scalar whose TM-only surface mode data are the surface-charge coefficients g
 (the share (n^2-1)/(2n^2) times 1 + rR, or times tL/n with the direct tL of
-:mod:`halfspace_qed.fresnel`; elementwise over arrays like the Fresnel set),
-the generating-function coefficients and the surface charge density.  Their
-signs make the generating function solve the Poisson equation sourced by the
-surface charge and leave the free-space transverse commutator once its
-gradient is subtracted; the test-suite checks both numerically.
+:mod:`halfspace_qed.fresnel`, read from the TM Fresnel set the caller holds,
+so elementwise over arrays like it), the generating-function coefficients and
+the surface charge density.  Their signs make the generating function solve
+the Poisson equation sourced by the surface charge and leave the free-space
+transverse commutator once its gradient is subtracted; the test-suite checks
+both numerically.
 """
 from __future__ import annotations
 
@@ -31,20 +36,10 @@ import math
 import numpy as np
 
 from .fresnel import FresnelSet, fresnel_coefficients
-from .medium import (
-    Medium,
-    Polarization,
-    Side,
-    SpectralPoint,
-    check_label,
-    evanescent_threshold,
-    mode_frequency,
-    vacuum_kz_from_kzd,
-)
+from .medium import Medium, Polarization, Side, SpectralPoint, label_frequency, label_wavenumbers
 
 __all__ = [
     "polarization_vector",
-    "label_kz",
     "carniglia_mandel_mode",
     "surface_charge_mode",
     "sigma_mode_coefficient",
@@ -75,41 +70,14 @@ def polarization_vector(pol: Polarization, k: np.ndarray) -> np.ndarray:
     return np.array([kx * kz, ky * kz, -kpar2], dtype=complex) / norm
 
 
-def _real_kzd(kz_or_kzd: complex) -> float:
-    kzd = complex(kz_or_kzd)
-    if kzd.imag != 0.0:
-        raise ValueError("left-incident labels require real kzd (evanescence lives in kz)")
-    return kzd.real
-
-
-def label_kz(medium: Medium, point: SpectralPoint) -> complex:
-    """Vacuum-side k_z of a label (inverting refraction for left incidence).
-    A right-incident label is a travelling k_z > 0 or i t on the evanescent
-    segment 0 < t <= Gamma, a left-incident one a real k_zd >= 0; any other
-    label raises ValueError naming it."""
-    if point.side is Side.LEFT:
-        return vacuum_kz_from_kzd(medium, point.kpar_mag, _real_kzd(point.kz))
-    kz = complex(point.kz)
-    if kz.real > 0.0 and kz.imag == 0.0:
-        return kz
-    gamma = float(evanescent_threshold(medium, point.kpar_mag))
-    if kz.real == 0.0 and 0.0 < kz.imag <= gamma:
-        return kz
-    raise ValueError(f"right-incident label kz = {kz!r} is neither kz > 0 nor i t with "
-                     f"0 < t <= Gamma = {gamma:.6g}")
-
-
 def carniglia_mandel_mode(medium: Medium, point: SpectralPoint, r: np.ndarray) -> np.ndarray:
     """Evaluate the mode function of ``point`` at position r (complex 3-vector)."""
     r = np.asarray(r, dtype=float)
     if not np.isfinite(r).all():
         raise ValueError(f"r must be finite, got {r!r}")
     kx, ky = point.kpar
-    kz = label_kz(medium, point)
-    # the scalar Fresnel set applies the refraction law once and rejects kz = 0,
-    # which a left label exactly at the total-internal-reflection threshold has
-    coef = fresnel_coefficients(medium, point.pol, point.kpar_mag, kz)
-    kzd = coef.kzd
+    kz, kzd = label_wavenumbers(medium, point.side, point.kpar_mag, point.kz)
+    coef = fresnel_coefficients(medium, point.pol, point.kpar_mag, kz, kzd)
     phase_par = np.exp(1j * (kx * r[0] + ky * r[1]))
     z = r[2]
 
@@ -130,39 +98,28 @@ def carniglia_mandel_mode(medium: Medium, point: SpectralPoint, r: np.ndarray) -
     return _NORM / medium.n * phase_par * val
 
 
-def surface_charge_mode(
-    medium: Medium, side: Side, kpar_mag: float, kz_or_kzd, other_kz=None,
-    tm: FresnelSet | None = None,
-):
-    """Surface-charge mode coefficient g at r_par = 0 (TM only by construction).
+def surface_charge_mode(medium: Medium, side: Side, tm: FresnelSet):
+    """Surface-charge mode coefficient g at r_par = 0 (TM only by construction)
+    from the TM Fresnel set ``tm`` of the mode's (k_z, k_zd), elementwise
+    over arrays like it:
 
     g^R = (2 pi)^{-3/2} (n^2-1)/(2 n^2) (1 + rR_TM)
     g^L = (2 pi)^{-3/2} (n^2-1)/(2 n^2) tL_TM / n
-
-    A scalar label takes the other side's wavenumber from the refraction law.
-    A caller that has it passes it as ``other_kz`` (k_zd for a right label,
-    the vacuum k_z for a left one); then g is elementwise over arrays.  A
-    caller that already holds the TM Fresnel set at these wavenumbers passes
-    it as ``tm``, and g is computed from it.
     """
     if medium.n == 1.0:
         return 0.0
-    if tm is None:
-        if side is Side.LEFT and other_kz is None:
-            other_kz = vacuum_kz_from_kzd(medium, kpar_mag, _real_kzd(kz_or_kzd))
-        kz, kzd = (kz_or_kzd, other_kz) if side is Side.RIGHT else (other_kz, kz_or_kzd)
-        tm = fresnel_coefficients(medium, Polarization.TM, kpar_mag, kz, kzd)
     pref = _NORM * medium.surface_charge_share
     if side is Side.RIGHT:
         return pref * (1.0 + tm.rR)
     return pref / medium.n * tm.tL
 
 
-def _label_frequency(medium: Medium, side: Side, kpar_mag: float, kz_or_kzd: complex) -> float:
-    point = SpectralPoint(
-        kpar=(kpar_mag, 0.0), kz=complex(kz_or_kzd), side=side, pol=Polarization.TM
-    )
-    return mode_frequency(medium, point)
+def _charge_and_frequency(medium: Medium, side: Side, kpar_mag: float,
+                          kz_or_kzd: complex) -> tuple[complex, float]:
+    """(g, omega) of one TM mode label, resolved once."""
+    kz, kzd = label_wavenumbers(medium, side, kpar_mag, kz_or_kzd, "kz_or_kzd")
+    tm = fresnel_coefficients(medium, Polarization.TM, kpar_mag, kz, kzd)
+    return surface_charge_mode(medium, side, tm), label_frequency(medium, side, kpar_mag, kz, kzd)
 
 
 def sigma_mode_coefficient(
@@ -170,13 +127,11 @@ def sigma_mode_coefficient(
 ) -> complex:
     """Coefficient of the annihilation operator in the surface charge density,
     at r_par = 0: sigma_k = -2i |k_par| sqrt(1/2 omega) g_k (natural units).
-    Raises ValueError for a non-finite or negative kpar_mag or a non-finite
-    label."""
-    check_label(kpar_mag, "kz_or_kzd", kz_or_kzd)
-    g = surface_charge_mode(medium, side, kpar_mag, kz_or_kzd)
+    Raises ValueError for a non-finite or negative kpar_mag or a label off
+    the label set."""
+    g, omega = _charge_and_frequency(medium, side, kpar_mag, kz_or_kzd)
     if g == 0.0:
         return 0.0
-    omega = _label_frequency(medium, side, kpar_mag, kz_or_kzd)
     return -2j * kpar_mag * g / math.sqrt(2.0 * omega)
 
 
@@ -197,16 +152,14 @@ def chi_mode_coefficient(
     Symmetric in z; the ratio chi-dot/chi is -i*omega (harmonic time
     dependence).  The overall sign is the one consistent with the surface
     charge density and the Poisson equation, see the module docstring.
-    Raises ValueError for a non-finite or negative kpar_mag, or a non-finite
-    label or z.
+    Raises ValueError for a non-finite or negative kpar_mag, a label off the
+    label set or a non-finite z.
     """
-    check_label(kpar_mag, "kz_or_kzd", kz_or_kzd)
+    g, omega = _charge_and_frequency(medium, side, kpar_mag, kz_or_kzd)
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
-    g = surface_charge_mode(medium, side, kpar_mag, kz_or_kzd)
     if g == 0.0:
         return 0.0
-    omega = _label_frequency(medium, side, kpar_mag, kz_or_kzd)
     profile = math.exp(-kpar_mag * abs(z))
     if time_derivative:
         return -1j * g * profile / math.sqrt(2.0 * omega)

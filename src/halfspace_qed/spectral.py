@@ -68,22 +68,18 @@ is not finite raises :class:`QuadratureError` at once, naming the panel.
    the same panels, each split at the Bessel half-period.
 
 Every integrand gets the nodes of a refinement level as one (15, panels)
-block, a panel's 15 Kronrod nodes down its column, followed by any batch
-axes, and returns values of that shape followed by any components (which
-share the node set).  The cut segment and decaying half-line take array
-``gamma`` / ``scale``, one integral per entry (a |k_par| value, say), all on
-shared panels under one tolerance, max(abs_tol, rel_tol x the max-norm over
-the batch), so the returned error, the largest over the entries, is within a
-single call's bound.  The ray run gives each entry's ray, and each entry's
-cut, its own panels, so an integral that converges stops refining while the
-others go on: its bodies also get ``entries``, the entry of each panel
-column, its rays share one tolerance and its cuts another, and each
-integral's error is in ``entry_errors``.  ``nodes_used`` counts integrand
-evaluations, nodes x batch size on shared panels.  Tolerances always apply
-to the max-norm.  Everything is deterministic: identical inputs produce
-bit-identical outputs.  An integral that misses its tolerance raises
-:class:`QuadratureError`; a returned result always met it (on the ray, the
-tolerance at the level where its entry stopped).
+block, a panel's 15 Kronrod nodes down its column, and returns values of
+that shape followed by any components (which share the node set).  The ray
+run gives each entry's ray, and each entry's cut, its own panels, so an
+integral that converges stops refining while the others go on: its bodies
+also get ``entries``, the entry of each panel column, its rays share one
+tolerance and its cuts another, and each integral's error is in
+``entry_errors``.  ``nodes_used`` counts the 15 nodes of every panel
+evaluated.  Tolerances always apply to the max-norm.  Everything is
+deterministic: identical inputs produce bit-identical outputs.  An integral
+that misses its tolerance raises :class:`QuadratureError`; a returned result
+always met it (on the ray, the tolerance at the level where its entry
+stopped).
 """
 from __future__ import annotations
 
@@ -202,9 +198,9 @@ _ACCELERATION_ORDER = 12
 
 def _weighted(vals, w: np.ndarray) -> np.ndarray:
     """Integrand values times a weight w (a Jacobian or a damping factor) on
-    their leading axes, the nodes and any batch axes, in C order whatever
-    the layout of ``vals`` (a component-major body's, say), so that the rule
-    reads it as a (15, columns) block without a copy."""
+    their leading (15, columns) node axes, in C order whatever the layout of
+    ``vals`` (a component-major body's, say), so that the rule reads it as a
+    (15, columns) block without a copy."""
     return np.multiply(vals, w.reshape(w.shape + (1,) * (np.ndim(vals) - w.ndim)), order="C")
 
 
@@ -572,27 +568,21 @@ def ray_integral(f: Callable, oscillation_scale: float, entries: int,
     return IntegralResult(total, float(error.max()), nodes, error)
 
 
-def cut_segment_integral(f: Integrand, gamma: ArrayLike, spec: QuadratureSpec) -> IntegralResult:
-    """int_0^Gamma f(t) dt across the evanescent branch-cut segment, for every
-    entry of the array ``gamma`` at once (f gets t of shape (15, panels, *gamma.shape)).
+def cut_segment_integral(f: Integrand, gamma: float, spec: QuadratureSpec) -> IntegralResult:
+    """int_0^Gamma f(t) dt across the evanescent branch-cut segment (f gets t
+    of shape (15, panels)).
 
     With the trigonometric substitution t = Gamma*sin(u) the integrable
     1/sqrt(Gamma^2 - t^2) endpoint factor becomes smooth; panel nodes never
     touch the endpoints, so f is never called at t = 0 or t = Gamma.  The
     first panels are four equal ones in u.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    if not np.all(np.isfinite(gamma) & (gamma >= 0.0)):
+    if not (math.isfinite(gamma) and gamma >= 0.0):
         raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
-    if not np.any(gamma):
+    if gamma == 0.0:
         return IntegralResult(0.0 + 0.0j, 0.0, 0)
-
-    def g(u: np.ndarray) -> np.ndarray:
-        return _weighted(f(np.multiply.outer(np.sin(u), gamma)),
-                         np.multiply.outer(np.cos(u), gamma))
-
-    res = adaptive_panels(g, _CUT_BREAKS, spec)
-    return replace(res, nodes_used=res.nodes_used * gamma.size)
+    return adaptive_panels(lambda u: _weighted(f(np.sin(u) * gamma), np.cos(u) * gamma),
+                           _CUT_BREAKS, spec)
 
 
 def damped_breakpoints(damping: float, spec: QuadratureSpec, rho: float = 0.0) -> np.ndarray:
@@ -642,21 +632,18 @@ def damped_radial_transform(f: Integrand, damping: float, spec: QuadratureSpec) 
     return replace(res, error_estimate=err)
 
 
-def decaying_halfline_integral(f: Integrand, scale: ArrayLike, spec: QuadratureSpec) -> IntegralResult:
+def decaying_halfline_integral(f: Integrand, scale: float, spec: QuadratureSpec) -> IntegralResult:
     """int_0^inf f(k) dk for smooth algebraically decaying f (no oscillation).
 
     Plumbing for the longitudinal mode integrals: the map k = scale*tan(v)
     compactifies the half-line, then adaptive panels finish.  ``scale`` sets
-    the k-range over which f varies; it may be an array, one integral per
-    entry (f gets k of shape (15, panels, *scale.shape)).
+    the k-range over which f varies.
     """
-    scale = np.asarray(scale, dtype=float)
-    if not np.all(np.isfinite(scale) & (scale > 0.0)):
+    if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
 
     def g(v: np.ndarray) -> np.ndarray:
         t = np.tan(v)
-        return _weighted(f(np.multiply.outer(t, scale)), np.multiply.outer(1.0 + t * t, scale))
+        return _weighted(f(t * scale), (1.0 + t * t) * scale)
 
-    res = adaptive_panels(g, np.linspace(0.0, 0.5 * math.pi, 9), spec)
-    return replace(res, nodes_used=res.nodes_used * scale.size)
+    return adaptive_panels(g, np.linspace(0.0, 0.5 * math.pi, 9), spec)

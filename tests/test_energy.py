@@ -12,8 +12,9 @@ from halfspace_qed.energy import (
     redistribution_factors,
     second_order_shift,
 )
+from halfspace_qed.fresnel import fresnel_coefficients
 from halfspace_qed.greens import image_potential_ves
-from halfspace_qed.medium import Medium, Side
+from halfspace_qed.medium import Medium, Polarization, Side, label_wavenumbers
 from halfspace_qed.modes import surface_charge_mode
 from halfspace_qed.spectral import IntegralResult, QuadratureSpec
 
@@ -174,7 +175,9 @@ def test_travelling_left_part_on_the_vacuum_axis_matches_kzd_form(monkeypatch, n
     left, _ = _longitudinal(med, SPEC)
 
     def kzd_form(kzd):
-        g = surface_charge_mode(med, Side.LEFT, kap, kzd)
+        tm = fresnel_coefficients(med, Polarization.TM, kap,
+                                  *label_wavenumbers(med, Side.LEFT, kap, kzd))
+        g = surface_charge_mode(med, Side.LEFT, tm)
         return abs(g) ** 2 * n * n / (kap * kap + kzd * kzd)
 
     gamma_d = kap * math.sqrt(n * n - 1.0)

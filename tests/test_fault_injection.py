@@ -16,7 +16,7 @@ import pytest
 from halfspace_qed import fresnel, modes, verification as v
 from halfspace_qed.config import DEFAULT_TOLERANCES
 from halfspace_qed.kernels import KernelKind
-from halfspace_qed.medium import Medium, Polarization, Side, SpectralPoint, vacuum_kz_from_kzd
+from halfspace_qed.medium import Medium, Polarization, Side, SpectralPoint, label_wavenumbers
 from halfspace_qed.spectral import QuadratureSpec
 
 SPEC = QuadratureSpec()
@@ -61,11 +61,12 @@ def _mode_normalisation():
     # evanescent on the vacuum side
     for side, label in ((Side.RIGHT, 0.7), (Side.RIGHT, 0.5j), (Side.LEFT, 1.9), (Side.LEFT, 0.4)):
         point = SpectralPoint((kap, 0.0), complex(label), side, Polarization.TM)
-        kz = complex(label) if side is Side.RIGHT else vacuum_kz_from_kzd(med, kap, label)
+        kz, kzd = label_wavenumbers(med, side, kap, label)
         jump = (modes.carniglia_mandel_mode(med, point, np.zeros(3))[2]
                 - modes.carniglia_mandel_mode(med, point, below)[2])
         g = -np.sqrt(kap * kap + kz * kz) / (2.0 * kap) * jump
-        target = modes.surface_charge_mode(med, side, kap, complex(label))
+        tm = fresnel.fresnel_coefficients(med, Polarization.TM, kap, kz, kzd)
+        target = modes.surface_charge_mode(med, side, tm)
         worst = max(worst, abs(g - target) / abs(target))
     return worst, DEFAULT_TOLERANCES["tol.modes.matching"]
 

@@ -10,6 +10,7 @@ from halfspace_qed.medium import (
     Polarization,
     Side,
     evanescent_threshold,
+    label_wavenumbers,
     refracted_kz,
     vacuum_kz_from_kzd,
 )
@@ -136,17 +137,24 @@ def test_array_calls_match_scalar_calls(n, kpar, us, travelling):
             _assert_within_ulps(getattr(arr, name), [getattr(c, name) for c in singles])
     # |1 + rR| <= 2 and |tL/n| <= 2 bound |g| by twice the normalised share
     g_max = 2.0 * (2.0 * math.pi) ** -1.5 * med.surface_charge_share
-    g_right = surface_charge_mode(med, Side.RIGHT, kpar, kz_arr, kzd_arr)
-    _assert_within_ulps(np.broadcast_to(g_right, kz_arr.shape),
-                        [surface_charge_mode(med, Side.RIGHT, kpar, k) for k in kz], g_max)
+    right = fresnel_coefficients(med, Polarization.TM, kpar, kz_arr, kzd_arr)
+    _assert_within_ulps(np.broadcast_to(surface_charge_mode(med, Side.RIGHT, right), kz_arr.shape),
+                        [_label_charge(med, Side.RIGHT, kpar, k) for k in kz], g_max)
     # left labels are dielectric-side k_zd, below the total internal reflection
     # threshold on the cut and above it travelling
     gamma_d = kpar * math.sqrt(n * n - 1.0)
     labels = [u * gamma_d if cut else gamma_d + 0.05 + 4.0 * u for u in us]
     partners = np.array([vacuum_kz_from_kzd(med, kpar, k) for k in labels])
-    g_left = surface_charge_mode(med, Side.LEFT, kpar, np.array(labels), partners)
-    _assert_within_ulps(np.broadcast_to(g_left, partners.shape),
-                        [surface_charge_mode(med, Side.LEFT, kpar, k) for k in labels], g_max)
+    left = fresnel_coefficients(med, Polarization.TM, kpar, partners, np.array(labels))
+    _assert_within_ulps(np.broadcast_to(surface_charge_mode(med, Side.LEFT, left), partners.shape),
+                        [_label_charge(med, Side.LEFT, kpar, k) for k in labels], g_max)
+
+
+def _label_charge(med, side, kpar, label):
+    # g of one label, from the TM set of its resolved wavenumbers
+    kz, kzd = label_wavenumbers(med, side, kpar, label)
+    tm = fresnel_coefficients(med, Polarization.TM, kpar, kz, kzd)
+    return surface_charge_mode(med, side, tm)
 
 
 def test_interface_matching_built_in():
@@ -167,4 +175,4 @@ def test_scalar_coefficients_reject_non_finite_labels(kpar, kz, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         cancellation_residual(med, Polarization.TE, kpar, kz)
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        surface_charge_mode(med, Side.RIGHT, kpar, kz)
+        label_wavenumbers(med, Side.RIGHT, kpar, kz)

@@ -435,8 +435,8 @@ def _gauge_reference_bodies(med, zp):
         kmag = np.sqrt(kmag2)
         tm = fresnel_coefficients(med, Polarization.TM, kap, k, kzd)
         phase = np.exp(1j * k * zp)
-        right = modes.surface_charge_mode(med, Side.RIGHT, kap, k, kzd, tm) / kmag
-        left = modes.surface_charge_mode(med, Side.LEFT, kap, kzd, k, tm) * n * tm.tR / kmag
+        right = modes.surface_charge_mode(med, Side.RIGHT, tm) / kmag
+        left = modes.surface_charge_mode(med, Side.LEFT, tm) * n * tm.tR / kmag
         back = right * tm.rR + left
         return np.stack([-k * right * phase / kmag, -kap * right * phase / kmag,
                          k * back * phase / kmag, -kap * back * phase / kmag], axis=-1)
@@ -444,7 +444,7 @@ def _gauge_reference_bodies(med, zp):
     def evanescent(t, kzd, kap, kmag2):
         kmag = np.sqrt(kmag2)
         tm = fresnel_coefficients(med, Polarization.TM, kap, 1j * t, kzd)
-        g = modes.surface_charge_mode(med, Side.LEFT, kap, kzd, 1j * t, tm)
+        g = modes.surface_charge_mode(med, Side.LEFT, tm)
         coef = g * 1j * n * np.conj(tm.tR) / kmag * np.exp(-t * zp)
         return np.stack([coef * (-1j * t / kmag), coef * (-kap / kmag)], axis=-1)
 
@@ -680,8 +680,8 @@ def _gauge_real_axis_body(medium, zp):
     def body(k, kzd, kap, kmag2):
         kmag = np.sqrt(kmag2)
         tm = fresnel_coefficients(medium, Polarization.TM, kap, k, kzd)
-        right = kernels.surface_charge_mode(medium, Side.RIGHT, kap, k, kzd) / kmag
-        left = kernels.surface_charge_mode(medium, Side.LEFT, kap, kzd, k) * n * tm.tR / kmag
+        right = kernels.surface_charge_mode(medium, Side.RIGHT, tm) / kmag
+        left = kernels.surface_charge_mode(medium, Side.LEFT, tm) * n * tm.tR / kmag
         ep, em = np.exp(1j * k * zp), np.exp(-1j * k * zp)
         ju = (k / kmag) * (right * (tm.rR * em - ep) + left * em)
         jz = (-kap / kmag) * (right * (ep + tm.rR * em) + left * em)

@@ -12,6 +12,7 @@ from halfspace_qed.medium import (
     SpectralPoint,
     epsilon_profile,
     evanescent_threshold,
+    label_wavenumbers,
     mode_frequency,
     refracted_kz,
     vacuum_kz_from_kzd,
@@ -154,8 +155,9 @@ def _point(kpar, label, side):
     (lambda: mode_frequency(Medium(2.0), _point(math.nan, 1.0, Side.RIGHT)), "kpar_mag"),
     (lambda: mode_frequency(Medium(2.0), _point(1.0, complex(0.0, math.inf), Side.RIGHT)), "kz"),
     (lambda: mode_frequency(Medium(2.0), _point(1.0, math.nan, Side.LEFT)), "kzd"),
+    (lambda: label_wavenumbers(Medium(2.0), Side.LEFT, 1.0, math.inf, "kz_or_kzd"), "kz_or_kzd"),
 ], ids=["refracted_kpar", "refracted_kz", "vacuum_kpar", "vacuum_kzd", "frequency_kpar",
-        "frequency_kz", "frequency_kzd"])
+        "frequency_kz", "frequency_kzd", "resolver_named"])
 def test_label_kinematics_reject_non_finite_labels(call, name):
     # a non-finite label fails fast, naming the parameter, not as a NaN result
     with pytest.raises(ValueError, match=f"^{name} must be finite"):

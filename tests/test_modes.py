@@ -5,12 +5,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from halfspace_qed.fresnel import fresnel_coefficients
+from halfspace_qed.kernels import poisson_jump_residual
 from halfspace_qed.medium import (
     Medium,
     Polarization,
     Side,
     SpectralPoint,
     evanescent_threshold,
+    label_wavenumbers,
     mode_frequency,
     vacuum_kz_from_kzd,
 )
@@ -23,6 +25,13 @@ from halfspace_qed.modes import (
 )
 
 NORM = (2 * math.pi) ** (-1.5)
+
+
+def _charge(med, side, kpar, label):
+    # g of one label, from the TM set of its resolved wavenumbers
+    kz, kzd = label_wavenumbers(med, side, kpar, label)
+    tm = fresnel_coefficients(med, Polarization.TM, kpar, kz, kzd)
+    return surface_charge_mode(med, side, tm)
 
 
 def test_polarization_vector_examples():
@@ -113,11 +122,18 @@ def test_mode_plane_wave_pieces_satisfy_helmholtz():
 @pytest.mark.parametrize("kz", [5j, -0.5, 0.9j, 0.0])
 def test_right_labels_off_the_label_set_raise(kz):
     # right-incident labels are kz > 0 or i t with 0 < t <= Gamma = sqrt(3)/2
-    # at n = 2, |k_par| = 1; 5j once gave |E_x| ~ 1427 at z = 2
+    # at n = 2, |k_par| = 1; 5j once gave |E_x| ~ 1427 at z = 2, and the mode
+    # data once took negative and past-Gamma labels (at kz = -1, chi = 0.01205
+    # and sigma = -0.0341j, with a Poisson residual of 0)
     med = Medium(2.0)
     bad = SpectralPoint((1.0, 0.0), kz, Side.RIGHT, Polarization.TM)
-    with pytest.raises(ValueError, match="right-incident label kz = .*Gamma"):
-        carniglia_mandel_mode(med, bad, np.array([0.0, 0.0, 2.0]))
+    for call in (lambda: carniglia_mandel_mode(med, bad, np.array([0.0, 0.0, 2.0])),
+                 lambda: chi_mode_coefficient(med, Side.RIGHT, 1.0, kz, 0.5),
+                 lambda: sigma_mode_coefficient(med, Side.RIGHT, 1.0, kz),
+                 lambda: poisson_jump_residual(med, 1.0, kz, Side.RIGHT),
+                 lambda: mode_frequency(med, bad)):
+        with pytest.raises(ValueError, match="right-incident label kz = .*Gamma"):
+            call()
 
 
 def test_left_labels_reject_imaginary_kzd():
@@ -126,7 +142,7 @@ def test_left_labels_reject_imaginary_kzd():
     with pytest.raises(ValueError):
         carniglia_mandel_mode(med, bad, np.zeros(3))
     with pytest.raises(ValueError):
-        surface_charge_mode(med, Side.LEFT, 1.0, 0.5j)
+        sigma_mode_coefficient(med, Side.LEFT, 1.0, 0.5j)
 
 
 def test_left_label_at_the_total_internal_reflection_threshold_raises():
@@ -135,6 +151,30 @@ def test_left_label_at_the_total_internal_reflection_threshold_raises():
     point = SpectralPoint((1.0, 0.0), 0.75, Side.LEFT, Polarization.TM)
     with pytest.raises(ValueError, match="kz = 0"):
         carniglia_mandel_mode(Medium(1.25), point, np.array([0.0, 0.0, 0.5]))
+
+
+@pytest.mark.parametrize("kzd", [1e-6, 1e-9, 0.0])
+def test_left_labels_keep_kzd_exact_down_to_zero(kzd):
+    # a left label is the k_zd of the mode, not a round trip through the
+    # vacuum k_z, which returned 1e-6 off by 4.4e-5 relative, 1e-9 as 2.1e-8
+    # and gave the k_zd = 0 mode |f| = 1.4e-9 at z = 0.1 (exactly 0: tL = 0)
+    med, n = Medium(2.0), 2.0
+    kz = 1j * math.sqrt(3.0 - kzd * kzd) / n
+    assert label_wavenumbers(med, Side.LEFT, 1.0, kzd) == (kz, kzd)
+    rL = -(n * n * kz - kzd) / (n * n * kz + kzd)
+    tL = 2.0 * n * kzd / (n * n * kz + kzd)
+    point = SpectralPoint((1.0, 0.0), kzd, Side.LEFT, Polarization.TM)
+    for z in (-0.7, 0.1):
+
+        def wave(k):
+            kvec = np.array([1.0, 0.0, k], dtype=complex)
+            return polarization_vector(Polarization.TM, kvec) * np.exp(1j * k * z)
+
+        ref = NORM / n * (wave(kzd) + rL * wave(-kzd) if z < 0.0 else tL * wave(kz))
+        got = carniglia_mandel_mode(med, point, np.array([0.0, 0.0, z]))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        if kzd == 0.0:
+            assert not got.any()
 
 
 def test_te_modes_have_no_z_component():
@@ -146,13 +186,13 @@ def test_te_modes_have_no_z_component():
 
 
 def test_surface_charge_mode_values():
-    assert surface_charge_mode(Medium(1.0), Side.RIGHT, 0.7, 1.0) == 0.0
-    assert surface_charge_mode(Medium(1.0), Side.LEFT, 0.7, 1.0) == 0.0
+    assert _charge(Medium(1.0), Side.RIGHT, 0.7, 1.0) == 0.0
+    assert _charge(Medium(1.0), Side.LEFT, 0.7, 1.0) == 0.0
     # perfect-reflector limit: prefactor -> 1/2 and 1 + rR -> 2
-    g = surface_charge_mode(Medium(1e6), Side.RIGHT, 0.5, 1.0)
+    g = _charge(Medium(1e6), Side.RIGHT, 0.5, 1.0)
     assert g.real == pytest.approx(NORM, rel=1e-5)
     # near-normal right incidence at n = 1.5: (1.25/4.5) * (1 + 0.2) * (2 pi)^{-3/2}
-    g = surface_charge_mode(Medium(1.5), Side.RIGHT, 1e-8, 1.0)
+    g = _charge(Medium(1.5), Side.RIGHT, 1e-8, 1.0)
     assert g.real == pytest.approx(1.25 / 4.5 * 1.2 * NORM, rel=1e-9)
     assert g.real == pytest.approx(0.021166, abs=2e-6)
 
@@ -161,7 +201,7 @@ def test_surface_charge_vanishes_like_n_squared_minus_one():
     kpar, kz = 0.8, 0.9
     vals = []
     for n in (1.001, 1.0001):
-        g = surface_charge_mode(Medium(n), Side.RIGHT, kpar, kz)
+        g = _charge(Medium(n), Side.RIGHT, kpar, kz)
         vals.append(abs(g) / (n * n - 1.0))
     # the ratio converges with an O(n^2 - 1) correction
     assert vals[0] == pytest.approx(vals[1], rel=5e-3)
@@ -171,7 +211,7 @@ def test_left_mode_coefficient_uses_refraction():
     med = Medium(2.0)
     kpar, kzd = 0.9, 1.7
     kz = vacuum_kz_from_kzd(med, kpar, kzd)
-    g_direct = surface_charge_mode(med, Side.LEFT, kpar, kzd)
+    g_direct = _charge(med, Side.LEFT, kpar, kzd)
     c = fresnel_coefficients(med, Polarization.TM, kpar, kz)
     chat = (med.n**2 - 1) / (2 * med.n**2)
     assert g_direct == pytest.approx(NORM * chat * c.tL / med.n)
@@ -222,7 +262,7 @@ def test_chi_coefficient_rejects_non_finite_inputs(side, label):
 
 def test_left_surface_charge_rejects_a_non_finite_kzd():
     with pytest.raises(ValueError, match="^kzd must be finite"):
-        surface_charge_mode(Medium(2.0), Side.LEFT, 1.0, math.nan)
+        label_wavenumbers(Medium(2.0), Side.LEFT, 1.0, math.nan)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from halfspace_qed import energy
 from halfspace_qed.cli import main
 from halfspace_qed.config import (
     DEFAULT_TOLERANCES,
@@ -14,7 +15,7 @@ from halfspace_qed.config import (
     load_config,
     spec_from_config,
 )
-from halfspace_qed.spectral import damped_breakpoints
+from halfspace_qed.spectral import QuadratureError, damped_breakpoints
 from halfspace_qed.report import (
     all_passed,
     from_json,
@@ -340,6 +341,23 @@ def test_cli_energy_rejects_inputs_off_the_engine_range(capsys, argv, name):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert f"error: {name} must" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "shift", "--n", "2", "--z0", "1"],
+    ["energy", "sweep", "--n-grid", "2", "--z0-grid", "1"],
+])
+def test_cli_reports_an_integral_that_misses_its_tolerance(monkeypatch, capsys, argv):
+    # a QuadratureError (energy shift --n 1e153 overflows the travelling body)
+    # is an error line and exit 1, not a traceback
+    def stalled(*args):
+        raise QuadratureError("cut integral stalled at error 1e-3 after 800 panels")
+
+    monkeypatch.setattr(energy, "cut_segment_integral", stalled)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: cut integral stalled at error 1e-3 after 800 panels\n"
+    assert captured.out == ""
 
 
 def test_cli_energy_sweep_at_zero_charge(capsys):

@@ -73,56 +73,12 @@ def test_engines_reject_non_finite_geometry(bad):
             ray_integral(lambda k, entries: np.exp(1j * k), 1.0, entries, SPEC)
     with pytest.raises(ValueError, match="gamma"):
         cut_segment_integral(lambda t: t, bad, SPEC)
-    with pytest.raises(ValueError, match="gamma"):
-        cut_segment_integral(lambda t: t, np.array([1.0, bad]), SPEC)
     for gamma in ([1.0, bad], [1.0, 0.0], [1.0]):
         with pytest.raises(ValueError, match="gamma must be 2 finite values > 0"):
             ray_integral(lambda k, entries: np.exp(1j * k), 1.0, 2, SPEC,
                          cut=lambda t, entries: t, gamma=gamma)
     with pytest.raises(ValueError, match="scale"):
-        decaying_halfline_integral(np.exp, np.array([1.0, bad]), SPEC)
-
-
-def test_cut_segment_batched_gamma():
-    gammas = np.geomspace(1e-3, 50.0, 15)
-    abscissae = []
-
-    def integrand(gamma):
-        def f(t):
-            abscissae.append(np.size(t))
-            return np.stack([1.0 / np.sqrt(gamma * gamma - t * t), t * t * np.exp(-t)], axis=-1)
-        return f
-
-    batch = cut_segment_integral(integrand(gammas), gammas, SPEC)
-    assert batch.value.shape == (15, 2)
-    assert batch.nodes_used == sum(abscissae)
-    assert np.allclose(batch.value[:, 0], math.pi / 2, rtol=0.0, atol=1e-12)
-    singles = np.array([cut_segment_integral(integrand(g), g, SPEC).value for g in gammas])
-    assert np.max(np.abs(batch.value - singles)) <= 1e-10 * np.max(np.abs(batch.value))
-
-
-def test_decaying_halfline_batched_scale_and_offset():
-    # the Lorentzians of each entry are shifted by its offset
-    scales = np.geomspace(1e-3, 50.0, 15)
-    offsets = np.linspace(0.0, 2.0, 15)
-    abscissae = []
-
-    def integrand(scale, offset):
-        def f(k):
-            abscissae.append(np.size(k))
-            return scale / (scale * scale + (k + offset) ** 2)
-        return f
-
-    batch = decaying_halfline_integral(integrand(scales, offsets), scales, SPEC)
-    assert batch.value.shape == (15,)
-    assert batch.nodes_used == sum(abscissae)
-    exact = np.pi / 2 - np.arctan(offsets / scales)
-    assert np.allclose(batch.value, exact, rtol=1e-9, atol=0.0)
-    singles = np.array([
-        decaying_halfline_integral(integrand(s, o), s, SPEC).value
-        for s, o in zip(scales, offsets)
-    ])
-    assert np.max(np.abs(batch.value - singles)) <= 1e-10 * np.max(np.abs(batch.value))
+        decaying_halfline_integral(np.exp, bad, SPEC)
 
 
 def test_oscillatory_sin_over_x():
@@ -195,6 +151,9 @@ def test_cut_segment_examples():
     res = cut_segment_integral(lambda t: np.zeros_like(t), 1.5, SPEC)
     assert res.value == 0.0
     assert cut_segment_integral(lambda t: t, 0.0, SPEC).value == 0.0
+    for gamma in (1e-3, 50.0):
+        res = cut_segment_integral(lambda t: 1.0 / np.sqrt(gamma * gamma - t * t), gamma, SPEC)
+        assert abs(res.value - math.pi / 2) < 1e-12
 
 
 def test_damped_radial_moment():
@@ -249,6 +208,10 @@ def test_decaying_halfline():
     assert abs(res.value - math.pi / 2) < 1e-12
     res = decaying_halfline_integral(lambda k: np.exp(-(k + 2.0)), 1.0, SPEC)
     assert abs(res.value - math.exp(-2.0)) < 1e-12
+    for scale, offset in ((1e-3, 0.0), (50.0, 2.0)):
+        res = decaying_halfline_integral(lambda k: scale / (scale * scale + (k + offset) ** 2),
+                                         scale, SPEC)
+        assert res.value == pytest.approx(math.pi / 2 - math.atan(offset / scale), rel=1e-9)
 
 
 def test_vector_valued_integrands():
@@ -292,7 +255,7 @@ def test_deterministic_bit_identical():
          (lambda k, entries: np.exp(0.7j * k) / (1 + (widths[entries] * k) ** 2), 0.7, 3, SPEC)),
         (cut_segment_integral, (lambda t: t / np.sqrt(2.25 - t * t), 1.5, SPEC)),
         (damped_radial_transform, (lambda k: 1.0 / (1 + k), 0.8, SPEC)),
-        (decaying_halfline_integral, (lambda k: widths / (widths ** 2 + k * k), widths, SPEC)),
+        (decaying_halfline_integral, (lambda k: 3.0 / (9.0 + k * k), 3.0, SPEC)),
     ]
     for fn, args in runs:
         a = fn(*args)
@@ -490,7 +453,7 @@ def test_adaptive_panels_raises_at_the_panel_cap(monkeypatch):
     (spectral.adaptive_panels, (np.linspace(0.0, 1.0, 5), SPEC)),
     (halfline_oscillatory_integral, (1.0, SPEC)),
     (ray_integral, (1.0, 2, SPEC)),
-    (cut_segment_integral, (np.array([0.5, 1.0]), SPEC)),
+    (cut_segment_integral, (1.0, SPEC)),
     (decaying_halfline_integral, (1.0, SPEC)),
     (damped_radial_transform, (1.0, SPEC)),
 ], ids=["adaptive_panels", "halfline", "ray", "cut_segment", "decaying_halfline",
@@ -513,21 +476,18 @@ def _ray_run(f, spec):
                         cut=lambda t, entries: f(t) + 0.0 * entries, gamma=[1.0, 2.0])
 
 
-@pytest.mark.parametrize("engine, f, args, batch", [
-    (spectral.adaptive_panels, lambda x: 1.0 / (1e-3 + x * x),
-     (np.linspace(-1.0, 1.0, 3), SPEC), ()),
-    (halfline_oscillatory_integral, lambda x: np.cos(x) / (1.0 + x * x), (1.0, SPEC), ()),
-    (_ray_run, lambda x: np.exp(1j * x) / (1.0 + x), (SPEC,), ()),
-    (cut_segment_integral, np.sqrt, (np.array([[0.5, 1.0, 2.0]]), SPEC), (1, 3)),
-    (decaying_halfline_integral, lambda k: np.sqrt(k) / (1.0 + k * k),
-     (np.array([1.0, 3.0]), SPEC), (2,)),
-    (damped_radial_transform, lambda k: np.sqrt(k) * np.exp(-k), (0.8, SPEC), ()),
+@pytest.mark.parametrize("engine, f, args", [
+    (spectral.adaptive_panels, lambda x: 1.0 / (1e-3 + x * x), (np.linspace(-1.0, 1.0, 3), SPEC)),
+    (halfline_oscillatory_integral, lambda x: np.cos(x) / (1.0 + x * x), (1.0, SPEC)),
+    (_ray_run, lambda x: np.exp(1j * x) / (1.0 + x), (SPEC,)),
+    (cut_segment_integral, np.sqrt, (2.0, SPEC)),
+    (decaying_halfline_integral, lambda k: np.sqrt(k) / (1.0 + k * k), (3.0, SPEC)),
+    (damped_radial_transform, lambda k: np.sqrt(k) * np.exp(-k), (0.8, SPEC)),
 ], ids=["adaptive_panels", "halfline", "ray", "cut_segment", "decaying_halfline",
         "damped_radial"])
-def test_every_engine_hands_its_integrand_node_blocks(engine, f, args, batch):
+def test_every_engine_hands_its_integrand_node_blocks(engine, f, args):
     # one node layout: every call, refinement levels included, gets a
-    # (15, panels) block, the 15 Kronrod nodes of a panel down its column,
-    # with any batch axes after them
+    # (15, panels) block, the 15 Kronrod nodes of a panel down its column
     shapes = []
 
     def block(x):
@@ -536,7 +496,7 @@ def test_every_engine_hands_its_integrand_node_blocks(engine, f, args, batch):
 
     engine(block, *args)
     assert len(shapes) > 1
-    assert all(len(s) == 2 + len(batch) and s[0] == 15 and s[2:] == batch for s in shapes)
+    assert all(len(s) == 2 and s[0] == 15 for s in shapes)
 
 
 # ---------------------------------------------------------------------------
