@@ -97,11 +97,18 @@ def _longitudinal(medium: Medium, spec: QuadratureSpec) -> tuple[float, float]:
     return float(ev + both[0]), float(both[1])
 
 
-def _unit_parts(medium: Medium, z0: float, spec: QuadratureSpec) -> list[float]:
-    """The left- and right-incident parts of -dE at q = 1, pi (L(1), R(1))/(2 z0)
-    (the module docstring).  q^2 times each stays finite wherever
-    ``check_charge`` passes q^2/z0."""
-    return [math.pi * part / (2.0 * z0) for part in _longitudinal(medium, spec)]
+def _unit_parts(medium: Medium, spec: QuadratureSpec) -> list[float]:
+    """The left- and right-incident parts of -dE at q = 1, z0 = 1:
+    pi (L(1), R(1))/2 (the module docstring)."""
+    return [math.pi * part / 2.0 for part in _longitudinal(medium, spec)]
+
+
+def _at_charge(q: float, z0: float, part: float) -> float:
+    """q^2 part/z0 from the mantissas of q and z0, their binary exponents
+    applied last: bitwise the plain product wherever its steps are normal
+    floats, and with no subnormal q^2 or part/z0 step elsewhere (part < 1)."""
+    (mq, eq), (mz, ez) = math.frexp(q), math.frexp(z0)
+    return math.ldexp(mq * mq * (part / mz), 2 * eq - ez)
 
 
 def second_order_shift(
@@ -115,10 +122,13 @@ def second_order_shift(
     v_es = image_potential_ves(q, medium, z0)
     if n == 1.0:
         return ShiftResult(0.0, v_es, 0.0, expected, 0.0, 0.0, n, z0, q)
-    parts = _unit_parts(medium, z0, spec)
-    left, right = (-q * q * part for part in parts)
-    # the ratio of the unit-charge energies, in which q^2 cancels exactly
-    ratio = -sum(parts) / image_potential_ves(1.0, medium, z0)
+    parts = _unit_parts(medium, spec)
+    left, right = (-_at_charge(q, z0, part) for part in parts)
+    # the ratio of the unit-charge energies at the mantissa of z0, in which q^2
+    # and z0's binary exponent cancel exactly: bitwise the ratio at z0 itself
+    # wherever that one's steps are normal floats
+    mant = math.frexp(z0)[0]
+    ratio = -sum(part / mant for part in parts) / image_potential_ves(1.0, medium, mant)
     return ShiftResult(left + right, v_es, ratio, expected, left, right, n, z0, q)
 
 
@@ -142,4 +152,4 @@ def double_commutator_cnumber(
     check_charge(q, z0)
     if medium.n == 1.0:
         return 0.0
-    return sum(q * q * part for part in _unit_parts(medium, z0, spec))
+    return sum(_at_charge(q, z0, part) for part in _unit_parts(medium, spec))

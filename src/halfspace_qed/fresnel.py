@@ -44,10 +44,12 @@ def fresnel_coefficients(
             raise ValueError("kz = 0 is excluded (tL = (kzd/kz) tR is singular); "
                              "quadrature rules must not sample it")
         kzd = refracted_kz(medium, kpar_mag, kz)
+    if pol is Polarization.TM:  # first: the surface-charge and energy bodies are TM only
+        n = medium.n
+        return FresnelSet(n * n * kz, kz, kzd, n)
     if pol is Polarization.TE:
         return FresnelSet(kz, kz, kzd, 1.0)
-    n = medium.n
-    return FresnelSet(n * n * kz, kz, kzd, n)
+    raise ValueError(f"pol must be Polarization.TE or Polarization.TM, got {pol!r}")
 
 
 def cancellation_residual(

@@ -134,20 +134,16 @@ def grad_grad_green_tensor(medium: Medium, variant: GreenVariant, pair: PointPai
                     lambda s: image_grad_grad_tensor(pair, s))
 
 
-# the heights the energy routines accept; their radial integral is closed
-# (energy.py), so the bounds are the range that their checks cover
-_Z0_MIN, _Z0_MAX = 1e-100, 1e100
-
-
 def check_charge(q: float, z0: float) -> None:
-    """Reject a charge q whose q**2 is not finite, a height z0 outside
-    [_Z0_MIN, _Z0_MAX] (or outside the dielectric) and a pair whose q**2/z0,
-    the scale of V^es and of every energy sum, overflows, naming the parameters."""
+    """Reject a charge q whose q**2 is not finite, a height z0 that is not
+    finite and > 0 (a charge outside the dielectric) and a pair whose q**2/z0,
+    the scale of V^es and of every energy sum, overflows, naming the parameters.
+    Every energy is exact in 1/z0, so no other height is out of range."""
     if not math.isfinite(q * q):
         raise ValueError(f"q must be finite with a finite q**2, got {q!r}")
-    if not _Z0_MIN <= z0 <= _Z0_MAX:
-        raise ValueError(f"z0 must lie in [{_Z0_MIN:g}, {_Z0_MAX:g}] (charge outside the "
-                         f"dielectric), got {z0!r}")
+    if not (math.isfinite(z0) and z0 > 0.0):
+        raise ValueError(f"z0 must be finite and > 0 (charge outside the dielectric), "
+                         f"got {z0!r}")
     if not math.isfinite(q * q / z0):
         raise ValueError(f"q and z0 must give a finite q**2/z0, got q={q!r}, z0={z0!r}")
 
@@ -159,4 +155,8 @@ def image_potential_ves(q: float, medium: Medium, z0: float) -> float:
     charge but is induced by q itself.
     """
     check_charge(q, z0)
-    return -(q * q) / _FOUR_PI * medium.image_strength / (4.0 * z0)
+    # from the mantissas of q and z0, their binary exponents applied last:
+    # bitwise the plain formula wherever its steps are normal floats, with no
+    # subnormal q^2 or overflowing 4 z0 elsewhere
+    (mq, eq), (mz, ez) = math.frexp(q), math.frexp(z0)
+    return math.ldexp(-(mq * mq) / _FOUR_PI * medium.image_strength / (4.0 * mz), 2 * eq - ez)

@@ -26,6 +26,9 @@ Delta r_par = rho * uhat and arguments kappa*rho,
     zz -> 2 pi J0       into zz,
 
 after which the tensor is rotated about z to restore the actual azimuth.
+The weights come from J0 and J1/x alone: by the recurrence J0 + J2 =
+2 J1/x (Abramowitz & Stegun 9.1.27), J0 - J2 = 2 (J0 - J1/x), and
+J1(x)/x -> 1/2 at x = 0.
 The two sides of the interface share one travelling k_z body (``kz_profile``):
 the side only picks its coefficients, rR or tR, the lead of the TM u-row,
 the scale of the TM dyads and the plane-wave phase.  The inner k_z
@@ -51,7 +54,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy.special import jv
 
 from .fresnel import fresnel_coefficients
 from .greens import GreenVariant, PointPair, grad_grad_green_tensor, image_grad_grad_tensor
@@ -92,6 +94,9 @@ _PROFILE_PANELS = 16
 # The least kappa > 0 of a profile.  Below about 1e-150 kappa^2 and the cut's
 # kappa^2 - t^2 underflow; from 1e-140 up the profiles integrate (n <= 1e4).
 _KAPPA_MIN = 1e-100
+# Below this kappa*rho the radial weight J1(x)/x is its series 1/2 - x^2/16,
+# whose next term x^4/384 is under half an ulp of 1/2 there.
+_SERIES_X = 1e-4
 
 
 class KernelKind(Enum):
@@ -348,9 +353,13 @@ def _dyad(pol: Polarization | None, i: int, j: int) -> int | None:
         if not (isinstance(index, numbers.Integral) and 0 <= index <= 2):
             raise ValueError(f"{name} must be a tensor index 0, 1 or 2, got {index!r}")
     dyad = _DYADS.get((i, j))
-    if dyad is None or pol is (Polarization.TM if dyad == 4 else Polarization.TE):
-        return None
-    return dyad
+    if pol is Polarization.TM:
+        return None if dyad == 4 else dyad
+    if pol is Polarization.TE:
+        return dyad if dyad == 4 else None
+    if pol is None:
+        return dyad
+    raise ValueError(f"pol must be Polarization.TE or Polarization.TM, got {pol!r}")
 
 
 def kz_spectral_kernel(medium: Medium, pol: Polarization, i: int, j: int, kpar_mag: float,
@@ -381,19 +390,27 @@ def residue_closed_form(medium: Medium, i: int, j: int, kpar_mag: float, z: floa
 def _bessel_combination(comps: np.ndarray, kap: np.ndarray, rho: float) -> np.ndarray:
     """Map profile components to the radial integrand of the aligned tensor,
     returning [xx, yy, zz, xz, zx] along the last axis, including the kappa
-    measure factor."""
+    measure factor, from J0, J1 and J1/x (the module docstring).  scipy.special
+    is imported here, at the first assembly, not with the package."""
+    from scipy.special import j0, j1
+
     uu, uz, zu, zz, vv = np.moveaxis(comps, -1, 0)
     x = kap * rho
-    j0, j1, j2 = jv(0, x), jv(1, x), jv(2, x)
+    bessel1 = j1(x)
+    # J1(x)/x from its series below _SERIES_X: j1(x)/x is 0/0 at x = 0 (rho = 0
+    # pairs) and reads 0, not 1/2, at the least subnormal x
+    half = np.divide(bessel1, x, out=0.5 - 0.0625 * x * x, where=x >= _SERIES_X)
     # each real weight once, the measure kappa folded in, then each component
     # in one pass straight into the output
-    pik = math.pi * kap
-    minus, plus = pik * (j0 - j2), pik * (j0 + j2)
-    odd = 2.0j * pik * j1
+    two_pik = 2.0 * math.pi * kap
+    even = two_pik * j0(x)  # 2 pi kappa J0
+    plus = two_pik * half  # pi kappa (J0 + J2)
+    minus = even - plus  # pi kappa (J0 - J2)
+    odd = 1j * two_pik * bessel1  # 2 pi i kappa J1
     out = np.empty(comps.shape, dtype=complex)
     np.add(minus * uu, plus * vv, out=out[..., 0])
     np.add(plus * uu, minus * vv, out=out[..., 1])
-    np.multiply(2.0 * pik * j0, zz, out=out[..., 2])
+    np.multiply(even, zz, out=out[..., 2])
     np.multiply(odd, uz, out=out[..., 3])
     np.multiply(odd, zu, out=out[..., 4])
     return out
@@ -483,6 +500,8 @@ def assemble_kernel_result(
 ) -> KernelAssembly:
     """Assemble the requested kernel at separated points (full quadrature path
     except PerfectReflector, which is the analytic image form)."""
+    if not isinstance(kind, KernelKind):
+        raise ValueError(f"kind must be a KernelKind, got {kind!r}")
     if pair.separation == 0.0:
         raise ValueError("coincident points: distributional parts are never evaluated")
     z, zp = float(pair.r[2]), float(pair.rprime[2])
@@ -539,6 +558,8 @@ def kernel_closed_form(medium: Medium, kind: KernelKind, pair: PointPair) -> np.
         return gauge_difference_closed_form(medium, pair)
     if kind is KernelKind.TRUE_COULOMB:
         return -grad_grad_green_tensor(medium, GreenVariant.FREE, pair)
+    if kind is not KernelKind.PERFECT_REFLECTOR:
+        raise ValueError(f"kind must be a KernelKind, got {kind!r}")
     if pair.r[2] < 0.0:
         raise ValueError("the perfect-reflector kernel lives in z, z' > 0")
     free = grad_grad_green_tensor(medium, GreenVariant.FREE, pair)

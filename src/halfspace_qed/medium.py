@@ -175,9 +175,12 @@ def label_wavenumbers(medium: Medium, side: Side, kpar_mag: float, label: comple
     reflection threshold (k_z = 0, where tL = (kzd/kz) tR is singular).  A
     non-finite label names ``name`` (default kz or kzd by side).
     """
-    check_label(kpar_mag, name or ("kz" if side is Side.RIGHT else "kzd"), label)
+    right = side is Side.RIGHT
+    if not right and side is not Side.LEFT:
+        raise ValueError(f"side must be Side.LEFT or Side.RIGHT, got {side!r}")
+    check_label(kpar_mag, name or ("kz" if right else "kzd"), label)
     label = complex(label)
-    if side is Side.LEFT:
+    if not right:
         if label.imag != 0.0:
             raise ValueError("left-incident labels require real kzd (evanescence lives in kz)")
         kz = vacuum_kz_from_kzd(medium, kpar_mag, label.real)
@@ -202,7 +205,9 @@ def label_frequency(medium: Medium, side: Side, kpar_mag: float, kz: complex,
     right label, |k_d|/n in the dielectric for a left one."""
     if side is Side.RIGHT:
         return math.sqrt((kpar_mag * kpar_mag + kz * kz).real)
-    return math.sqrt(kpar_mag * kpar_mag + kzd.real * kzd.real) / medium.n
+    if side is Side.LEFT:
+        return math.sqrt(kpar_mag * kpar_mag + kzd.real * kzd.real) / medium.n
+    raise ValueError(f"side must be Side.LEFT or Side.RIGHT, got {side!r}")
 
 
 def mode_frequency(medium: Medium, point: SpectralPoint) -> float:

@@ -63,6 +63,8 @@ def polarization_vector(pol: Polarization, k: np.ndarray) -> np.ndarray:
         raise ValueError("polarization basis is degenerate at k_par = 0")
     if pol is Polarization.TE:
         return np.array([ky, -kx, 0.0], dtype=complex) / kpar
+    if pol is not Polarization.TM:
+        raise ValueError(f"pol must be Polarization.TE or Polarization.TM, got {pol!r}")
     k2 = kpar2 + kz * kz
     if k2 == 0:
         raise ValueError("TM normalisation singular at k.k = 0")
@@ -106,12 +108,12 @@ def surface_charge_mode(medium: Medium, side: Side, tm: FresnelSet):
     g^R = (2 pi)^{-3/2} (n^2-1)/(2 n^2) (1 + rR_TM)
     g^L = (2 pi)^{-3/2} (n^2-1)/(2 n^2) tL_TM / n
     """
-    if medium.n == 1.0:
-        return 0.0
     pref = _NORM * medium.surface_charge_share
     if side is Side.RIGHT:
-        return pref * (1.0 + tm.rR)
-    return pref / medium.n * tm.tL
+        return 0.0 if medium.n == 1.0 else pref * (1.0 + tm.rR)
+    if side is Side.LEFT:
+        return 0.0 if medium.n == 1.0 else pref / medium.n * tm.tL
+    raise ValueError(f"side must be Side.LEFT or Side.RIGHT, got {side!r}")
 
 
 def _charge_and_frequency(medium: Medium, side: Side, kpar_mag: float,

@@ -95,12 +95,12 @@ def test_shift_ratio_is_that_of_the_unit_charge(n):
 
 @pytest.mark.parametrize("q, z0, name", [
     (1e200, 1.0, "q"), (-1e155, 1.0, "q"),
-    (1.0, 1e-300, "z0"), (1.0, 1e300, "z0"), (1.0, 9e-101, "z0"), (1.0, 2e100, "z0"),
-    (1e150, 1e-100, "q and z0"), (1e154, 1e-5, "q and z0"),
+    (1.0, 0.0, "z0"), (1.0, -1e-300, "z0"), (1.0, math.inf, "z0"), (1.0, math.nan, "z0"),
+    (1e150, 1e-100, "q and z0"), (1e154, 1e-5, "q and z0"), (1.0, 1e-310, "q and z0"),
 ])
 def test_energies_reject_charges_and_heights_off_the_engine_range(q, z0, name):
-    # q^2 must be finite, z0 within [1e-100, 1e100], and q^2/z0, the scale of
-    # every energy, finite: (1e150, 1e-100) read dE = V^es = -inf before
+    # q^2 must be finite, z0 finite and > 0, and q^2/z0, the scale of every
+    # energy, finite: (1e150, 1e-100) read dE = V^es = -inf before
     for fn in (second_order_shift, gauge_invariance_sum, double_commutator_cnumber):
         with pytest.raises(ValueError, match=f"^{name} must"):
             fn(q, Medium(2.0), z0, SPEC)
@@ -108,10 +108,17 @@ def test_energies_reject_charges_and_heights_off_the_engine_range(q, z0, name):
 
 @pytest.mark.parametrize("n", [1.0005, 2.0, 40.0])
 def test_shift_integrates_at_the_height_bounds(n):
+    # every energy is exact in 1/z0, so any finite z0 > 0 with a finite q^2/z0
+    # is in range, subnormal heights and q^2 included
     med = Medium(n)
-    for z0 in (1e-100, 1e100):
-        shift = second_order_shift(1.0, med, z0, SPEC)
+    for q, z0 in ((1.0, 1e-100), (1.0, 1e100), (1.0, 1e-300), (1.0, 1e300),
+                  (1e-160, 1e-300), (1e-160, 5e-324), (1.0, 1.7e308)):
+        shift = second_order_shift(q, med, z0, SPEC)
         assert abs(shift.ratio - shift.expected_ratio) < 1e-4
+        # the energies keep their ratio where q^2, q^2/z0 or 4 z0 leave the normal floats
+        assert abs(shift.delta_e / shift.v_es - shift.expected_ratio) < 1e-4
+        cnum = double_commutator_cnumber(q, med, z0, SPEC)
+        assert cnum == pytest.approx(-shift.delta_e, rel=1e-12)
 
 
 def test_gauge_invariance_sum():

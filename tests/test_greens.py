@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -222,12 +223,11 @@ def test_image_potential_rejects_non_finite_inputs():
             image_potential_ves(bad, med, 0.7)
 
 
-@pytest.mark.parametrize("q, z0, name", [(1e200, 1.0, "q"), (1.0, 1e-320, "z0"),
-                                         (1.0, 1e308, "z0"), (1e150, 1e-100, "q and z0")])
+@pytest.mark.parametrize("q, z0, name", [(1e200, 1.0, "q"), (1.0, -1e-320, "z0"),
+                                         (1.0, 1e-320, "q and z0"), (1e150, 1e-100, "q and z0")])
 def test_image_potential_rejects_what_the_energy_sums_reject(q, z0, name):
-    # q**2 overflows, z0 lies off [1e-100, 1e100], or q**2/z0 overflows: these
-    # read -inf, -inf, -0.0 and -inf before; the image energy and the energy
-    # sums share one check
+    # q**2 overflows, z0 <= 0, or q**2/z0 overflows; the image energy and the
+    # energy sums share one check
     with pytest.raises(ValueError, match=f"^{name} must"):
         image_potential_ves(q, Medium(2.0), z0)
 
@@ -237,3 +237,12 @@ def test_image_potential_names_both_inputs_when_their_scale_overflows():
         image_potential_ves(1e150, Medium(2.0), 1e-100)
     # the largest charge at the lowest height stays finite
     assert math.isfinite(image_potential_ves(1e104, Medium(2.0), 1e-100))
+
+
+@pytest.mark.parametrize("q, z0", [(1.0, 1e308), (1.0, 1.7e308), (1e-160, 1e-300),
+                                   (1e-160, 5e-324), (1e154, 1.0)])
+def test_image_potential_is_exact_in_q_squared_over_z0(q, z0):
+    # -(alpha/16 pi) q^2/z0, also where q^2 is subnormal or 4 z0 overflows
+    med = Medium(2.0)
+    expected = -med.image_strength / (16.0 * math.pi) * float(Fraction(q) ** 2 / Fraction(z0))
+    assert image_potential_ves(q, med, z0) == pytest.approx(expected, rel=1e-12)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +33,15 @@ from halfspace_qed.kernels import (
     residue_closed_form,
     residue_profile,
 )
-from halfspace_qed.medium import Medium, Polarization, Side, evanescent_threshold
+from halfspace_qed.medium import (
+    Medium,
+    Polarization,
+    Side,
+    SpectralPoint,
+    evanescent_threshold,
+    label_frequency,
+    label_wavenumbers,
+)
 from halfspace_qed.spectral import IntegralResult, QuadratureSpec
 from halfspace_qed.verification import LOWER_PAIRS, UPPER_PAIRS, residue_points
 
@@ -1194,3 +1206,83 @@ def test_poisson_jump_residual_rejects_non_finite_labels():
     for bad in (math.nan, complex(0.0, math.inf)):
         with pytest.raises(ValueError, match="kz_or_kzd"):
             poisson_jump_residual(med, 1.0, bad, Side.RIGHT)
+
+
+def test_bessel_weights_match_jv_of_orders_0_to_2():
+    # each dyad alone at kappa = 1, rho = x: the weights over pi kappa, down
+    # to x = 0 and the subnormal x where j1(x)/x underflows
+    jv = pytest.importorskip("scipy.special").jv
+    for x in (0.0, 5e-324, 1e-310, 1e-300, 1e-12, 1e-4, *np.linspace(0.01, 300.0, 601)):
+        j0, j1, j2 = (float(jv(order, x)) for order in range(3))
+        expected = np.zeros((5, 5), dtype=complex)
+        expected[0, :2] = j0 - j2, j0 + j2  # uu into xx, yy
+        expected[4, :2] = j0 + j2, j0 - j2  # vv into xx, yy
+        expected[3, 2] = 2.0 * j0  # zz
+        expected[1, 3] = expected[2, 4] = 2j * j1  # uz into xz, zu into zx
+        weights = kernels._bessel_combination(np.eye(5, dtype=complex), np.ones(5), x) / math.pi
+        assert_allclose(weights, expected, rtol=0.0, atol=1e-14, err_msg=f"x = {x!r}")
+
+
+@pytest.mark.parametrize("n", [2.0, 40.0])
+def test_on_axis_generalized_delta_meets_its_closed_form(n):
+    # rho = 0: every radial node has kappa rho = 0, where J1(x)/x is 1/2
+    med, p = Medium(n), pair((0.0, 0.0, 0.5), (0.0, 0.0, 0.9))
+    result = assemble_kernel_result(med, KernelKind.GENERALIZED_DELTA, p, SPEC)
+    target = kernel_closed_form(med, KernelKind.GENERALIZED_DELTA, p)
+    assert np.max(np.abs(result.tensor - target)) / np.max(np.abs(target)) < 1e-6
+
+
+def test_scipy_special_loads_at_the_first_kernel_assembly():
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import halfspace_qed\n"
+        "from halfspace_qed import cli\n"
+        "lazy = ('scipy.special', 'numpy.f2py')\n"
+        "assert not any(m in sys.modules for m in lazy), 'import'\n"
+        "assert cli.main(['energy', 'shift', '--n', '2', '--z0', '1']) == 0\n"
+        "assert not any(m in sys.modules for m in lazy), 'energy shift'\n"
+        "halfspace_qed.assemble_kernel_result(\n"
+        "    halfspace_qed.Medium(2.0), halfspace_qed.KernelKind.GENERALIZED_DELTA,\n"
+        "    halfspace_qed.PointPair(np.array([0.3, 0.0, 0.5]), np.array([0.0, 0.0, 0.9])),\n"
+        "    halfspace_qed.QuadratureSpec())\n"
+        "assert 'scipy.special' in sys.modules, 'assembly'\n"
+    )
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def _bad_enum_calls():
+    med, spec = Medium(2.0), SPEC
+    tm = fresnel_coefficients(med, Polarization.TM, 0.7, 0.6)
+    p = pair((0.3, 0.0, 0.5), (0.0, 0.0, 0.9))
+    return {
+        "kz_kernel_te_str": ("pol", lambda: kz_spectral_kernel(med, "TE", 0, 0, 0.8, 0.7, 0.6, spec)),
+        "kz_kernel_xx": ("pol", lambda: kz_spectral_kernel(med, "XX", 0, 0, 0.8, 0.7, 0.6, spec)),
+        "fresnel_te_str": ("pol", lambda: fresnel_coefficients(med, "TE", 0.8, 0.6)),
+        "polarization_vector": ("pol", lambda: modes.polarization_vector("TM", np.array([0.7, 0.0, 0.6]))),
+        "surface_charge_r_str": ("side", lambda: modes.surface_charge_mode(med, "R", tm)),
+        "label_wavenumbers_l_str": ("side", lambda: label_wavenumbers(med, "L", 0.7, 1.9)),
+        "label_frequency_r_str": ("side", lambda: label_frequency(med, "R", 0.7, 0.6, 1.0)),
+        "chi_r_str": ("side", lambda: modes.chi_mode_coefficient(med, "R", 0.7, 0.6, z=0.1)),
+        "sigma_l_str": ("side", lambda: modes.sigma_mode_coefficient(med, "L", 0.7, 1.9)),
+        "mode_side_str": ("side", lambda: modes.carniglia_mandel_mode(
+            med, SpectralPoint((0.7, 0.0), 0.6, "R", Polarization.TM), np.zeros(3))),
+        "mode_pol_str": ("pol", lambda: modes.carniglia_mandel_mode(
+            med, SpectralPoint((0.7, 0.0), 0.6, Side.RIGHT, "TE"), np.zeros(3))),
+        "closed_form_str": ("kind", lambda: kernel_closed_form(med, "gauge_difference", p)),
+        "assembly_str": ("kind", lambda: assemble_kernel_result(med, "gauge_difference", p, spec)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bad_enum_calls()))
+def test_enum_parameters_reject_anything_but_their_members(case):
+    # a string or other stand-in for a member once fell through to the last
+    # branch of an `is` chain and returned another member's value
+    name, call = _bad_enum_calls()[case]
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()

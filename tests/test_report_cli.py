@@ -330,8 +330,8 @@ def test_cli_energy_shift_and_sweep(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, name", [
     (["energy", "shift", "--n", "2", "--z0", "1", "--q", "1e200"], "q"),
-    (["energy", "shift", "--n", "2", "--z0", "1e-300"], "z0"),
-    (["energy", "sweep", "--n-grid", "2", "--z0-grid", "1,1e300"], "z0"),
+    (["energy", "shift", "--n", "2", "--z0", "0"], "z0"),
+    (["energy", "sweep", "--n-grid", "2", "--z0-grid", "1,-1"], "z0"),
     (["energy", "shift", "--n", "2", "--q", "1e150", "--z0", "1e-100"], "q and z0"),
     (["energy", "shift", "--n", "1e200", "--z0", "1"], "refractive index"),
 ])
@@ -341,6 +341,13 @@ def test_cli_energy_rejects_inputs_off_the_engine_range(capsys, argv, name):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert f"error: {name} must" in captured.err and captured.out == ""
+
+
+def test_cli_energy_takes_any_height_with_a_finite_scale(capsys):
+    # any finite z0 > 0 whose q^2/z0 is finite, here 1e-20
+    assert main(["energy", "shift", "--n", "2", "--q", "1e-160", "--z0", "1e-300"]) == 0
+    out = capsys.readouterr().out
+    assert "ratio" in out and "nan" not in out and "inf" not in out
 
 
 @pytest.mark.parametrize("argv", [
