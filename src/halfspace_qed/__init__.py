@@ -27,8 +27,6 @@ from .spectral import (
     QuadratureError,
     QuadratureSpec,
     cut_segment_integral,
-    damped_radial_transform,
-    halfline_oscillatory_integral,
 )
 from .modes import (
     carniglia_mandel_mode,

@@ -17,18 +17,6 @@ dyads uu, uz, zu, zz (TM) and vv (TE).  Profiles are normalised so that
 
     K_ij(r, r') = (2 pi)^{-3} int d^2 k_par  e^{i k_par . (r_par - r'_par)} P_ij(kpar; z, z')
 
-The azimuthal integral reduces to Bessel kernels of orders 0-2: with
-Delta r_par = rho * uhat and arguments kappa*rho,
-
-    uu -> pi (J0 - J2)  into xx   (and pi (J0 + J2) into yy)
-    vv -> pi (J0 + J2)  into xx   (and pi (J0 - J2) into yy)
-    uz, zu -> 2 pi i J1 into xz, zx
-    zz -> 2 pi J0       into zz,
-
-after which the tensor is rotated about z to restore the actual azimuth.
-The weights come from J0 and J1/x alone: by the recurrence J0 + J2 =
-2 J1/x (Abramowitz & Stegun 9.1.27), J0 - J2 = 2 (J0 - J1/x), and
-J1(x)/x -> 1/2 at x = 0.
 The two sides of the interface share one travelling k_z body (``kz_profile``):
 the side only picks its coefficients, rR or tR, the lead of the TM u-row,
 the scale of the TM dyads and the plane-wave phase.  The inner k_z
@@ -43,12 +31,73 @@ pole is outside the first quadrant, so the ray holds, but it sets the scale
 of each kappa's body next to k_z = 0.  Each kappa's first ray panel is
 graded from it, and the cut's end panels from it and from the TE pole at
 k_z = i kappa, just past the branch point (``_interface_profile``).
+
+The kappa and azimuth integrals of a kernel are closed.  Write k_z = kappa s.
+Every interface profile is P(kappa) = kappa int ds B(s) e^{i kappa a(s)}: the
+amplitude B has degree 0 in (kappa, k_z) (the Fresnel coefficients and g
+depend on s alone, and each dyad carries two powers of kappa, k_z or k_zd
+over |k|^2), once the gauge-difference profile's front factor i kappa is set
+apart, and the phase is kappa times
+
+    a(s) = s (z + z')                      reflected (z >= 0)
+    a(s) = k_zd(s) |z| + s z'              transmitted (z < 0), k_zd(s) = sqrt(n^2 s^2 + n^2 - 1)
+    a(s) = s z' + i |z|                    gauge difference, its e^{-kappa |z|} folded in
+    a    = i |z - z'|                      free part, kappa e^{-kappa |z - z'|} times constants.
+
+With Delta r_par = rho xhat and k_par at azimuth phi, a dyad weight c(phi)
+integrates over k_par as
+
+    int_0^inf kappa^2 dkappa int_0^{2 pi} dphi c(phi) e^{i kappa (a + rho cos phi)}
+        = -2i int_0^{2 pi} dphi c(phi)/(a + rho cos phi)^3          (Im a > 0),
+
+and with w = sqrt(a - rho) sqrt(a + rho), the root of a^2 - rho^2 with
+Im w > 0 (both factors lie in the first quadrant),
+
+    int dphi {1, cos phi, cos^2 phi, sin^2 phi}/(a + rho cos phi)^3
+        = pi {2 a^2 + rho^2, -3 a rho, a^2 + 2 rho^2, a^2 - rho^2}/w^5,
+
+regular at rho = 0, where w = a.  The first follows from
+int dphi/(a + rho cos phi) = 2 pi/w by two a-derivatives, the others from
+it in the same way; W_1 = W_cc + W_ss.  The dyads go uu -> cos^2 into xx and
+sin^2 into yy, vv -> the reverse, uz and zu -> cos phi into xz and zx, and
+zz -> 1 into zz (their sin phi parts are odd in phi), so the aligned tensor
+is
+
+    xx = W_cc uu + W_ss vv,  yy = W_ss uu + W_cc vv,  zz = W_1 zz,  xz = W_c uz,  zx = W_c zu,
+
+rotated about z afterwards to restore the actual azimuth.  A kernel is
+(2 pi)^{-3} times one s integral of these entries per interface part, at
+kappa = 1: no Bessel function, truncation or tail bound is left.
+
+The s contour.  Swapping the kappa and s integrals needs Im a > 0, bounded
+away from 0, along the whole s path.  The fixed-kappa profiles run the ray
+s = u e^{i pi/4} from 0, its mirror s -> -conj(s) (the continuation of the
+k_z < 0 half axis, where k_zd is minus the principal root) and the body's
+jump across the cut s = i t, 0 < t < gamma = sqrt(n^2 - 1)/n.  From s = 0
+the pieces diverge: above the interface a(0) = 0, so at rho = 0 the weight
+W_1 = -4 pi i/a^3 goes like 1/s^3; below it a(0) = sqrt(n^2 - 1)|z| equals rho at
+rho = sqrt(n^2 - 1)|z|, where w = 0.  But at fixed kappa each side's body is
+analytic next to the lower end of the cut (its singularities are the branch
+point s = i gamma, the poles of 1/|k|^2 and of the TE coefficient at s = i,
+and the TM poles at s = -+1/n), so the corner is cut before kappa is swapped
+in: the contour is the ray s = i gamma/2 + u e^{i pi/4}, its mirror and the
+jump on t in [gamma/2, gamma] only.  On it Im a >= (gamma/2) z' > 0.  At
+n = 1 there is no cut and the ray starts at i/2, below the pole at s = i.
+
+For the reflected and transmitted parts the mirror is the plain conjugate
+of the ray in all five aligned entries: the body goes to _PARITY times its
+conjugate, a to -conj(a), and W to conj(W) except W_c, which goes to
+-conj(W_c) and so cancels the parity sign of uz and zu.  The
+gauge-difference body has no parity sign: its mirror is the Schwarz partner
+of its e^{-i k_z z'} terms, so its xz and zx entries take -conj
+(``_MIRROR``).  Its cut body, the evanescent left-incident modes, is the
+jump of its travelling body across the cut, so the same contour serves it.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -59,14 +108,7 @@ from .fresnel import fresnel_coefficients
 from .greens import GreenVariant, PointPair, grad_grad_green_tensor, image_grad_grad_tensor
 from .medium import Medium, Polarization, Side, evanescent_threshold
 from .modes import chi_mode_coefficient, sigma_mode_coefficient, surface_charge_mode
-from .spectral import (
-    IntegralResult,
-    QuadratureSpec,
-    adaptive_panels,
-    damped_breakpoints,
-    halfline_oscillatory_integral,
-    ray_integral,
-)
+from .spectral import IntegralResult, QuadratureSpec, ray_integral
 
 __all__ = [
     "KernelKind",
@@ -84,19 +126,9 @@ __all__ = [
 ]
 
 _TWO_PI_CUBED = (2.0 * math.pi) ** 3
-# Radial panels (15 kappa each) per profile call.  The first level of a damped
-# radial integral holds the five decay panels of spectral.damped_breakpoints,
-# split at the Bessel half-period: at most 16 on the verify pairs, so each of
-# them is one call.  Near the radial panel cap a level holds hundreds of
-# panels; one call for all of them peaked at 4.4 GB resident on an n = 40
-# assembly that this bound keeps at 203 MB.
-_PROFILE_PANELS = 16
 # The least kappa > 0 of a profile.  Below about 1e-150 kappa^2 and the cut's
 # kappa^2 - t^2 underflow; from 1e-140 up the profiles integrate (n <= 1e4).
 _KAPPA_MIN = 1e-100
-# Below this kappa*rho the radial weight J1(x)/x is its series 1/2 - x^2/16,
-# whose next term x^4/384 is under half an ulp of 1/2 there.
-_SERIES_X = 1e-4
 
 
 class KernelKind(Enum):
@@ -127,6 +159,74 @@ class KernelAssembly:
 # conjugates, so the k_z < 0 half of a reflected or transmitted profile is the
 # conjugate of its k_z > 0 half, with a sign on the odd dyads uz and zu.
 _PARITY = np.array([1.0, -1.0, -1.0, 1.0, 1.0])
+
+
+def _kz_dyads(medium: Medium, above: bool, kz: np.ndarray, kzd: np.ndarray, kap,
+              kmag2: np.ndarray, phase) -> np.ndarray:
+    """The dyads [uu, uz, zu, zz, vv] of the travelling k_z body, component
+    first: (rR, -k_z, |k|^2) for z >= 0 and (tR, k_zd, n |k|^2) below as the
+    amplitudes, TM u-row lead and TM dyad scale, times ``phase`` (the
+    profile's plane-wave phase, 1 where the weights of the closed kappa
+    integral apply it)."""
+    tm = fresnel_coefficients(medium, Polarization.TM, kap, kz, kzd)
+    te = fresnel_coefficients(medium, Polarization.TE, kap, kz, kzd)
+    if above:
+        ctm, cte, lead, scale = tm.rR, te.rR, -kz, kmag2
+    else:
+        ctm, cte, lead, scale = tm.tR, te.tR, kzd, medium.n * kmag2
+    # one common factor ctm phase/scale, then each dyad in one pass straight
+    # into its component of the output, every factor freed once used: the
+    # call peaks at about 2.1 times its output
+    del tm, te
+    common = ctm * phase
+    common /= scale
+    out = np.empty((5,) + np.broadcast(common, kap).shape, dtype=complex)
+    np.multiply(cte, phase, out=out[4])
+    del ctm, cte, phase
+    for i, row in ((0, lead), (2, kap)):  # [uu, uz], then [zu, zz]
+        head = common * row
+        np.multiply(head, kz, out=out[i])
+        np.multiply(head, kap, out=out[i + 1])
+        del head
+    return out
+
+
+def _gauge_terms(medium: Medium, k: np.ndarray, kzd: np.ndarray, kap,
+                 common: np.ndarray) -> np.ndarray:
+    """The gauge-difference travelling body, component first: [ju, jz] of the
+    right-incident modes plus the travelling left-incident ones by dk_z
+    (n^2 (k/kzd) tL/n = n tR), then of the Schwarz partners of their
+    e^{-ik z'} terms, times ``common`` (e^{ik z'}/|k|^2 in the profile,
+    1/|k|^2 under the closed kappa weights)."""
+    n = medium.n
+    tm = fresnel_coefficients(medium, Polarization.TM, kap, k, kzd)
+    right = surface_charge_mode(medium, Side.RIGHT, tm)
+    back = surface_charge_mode(medium, Side.LEFT, tm) * (n * tm.tR)
+    back += right * tm.rR
+    back *= common
+    right *= common
+    out = np.empty((4,) + back.shape, dtype=complex)
+    for i, (term, factor) in enumerate(((right, -k), (right, -kap), (back, k), (back, -kap))):
+        np.multiply(term, factor, out=out[i])
+    return out
+
+
+def _gauge_evanescent_terms(medium: Medium, t: np.ndarray, kzd: np.ndarray, kap,
+                            damp: np.ndarray) -> np.ndarray:
+    """[ju, jz] of the evanescent left-incident modes on the cut k_z = i t,
+    component first: on the cut n^2 (t/kzd) tL*/n = i n tR*, free of 1/kzd,
+    so one common factor g tR* ``damp`` (e^{-t z'}/|k|^2 in the profile,
+    1/|k|^2 under the closed kappa weights), the i n folded into each term's
+    factor."""
+    n = medium.n
+    tm = fresnel_coefficients(medium, Polarization.TM, kap, 1j * t, kzd)
+    common = surface_charge_mode(medium, Side.LEFT, tm)
+    common *= np.conj(tm.tR)
+    common *= damp
+    out = np.empty((2,) + common.shape, dtype=complex)
+    np.multiply(common, n * t, out=out[0])  # i n (-i t)
+    np.multiply(common, -1j * n * kap, out=out[1])  # i n (-kappa)
+    return out
 
 
 def _cut_scales(n: float) -> tuple[float, float]:
@@ -203,17 +303,6 @@ def _interface_profile(medium: Medium, kap: np.ndarray, scale: float, travelling
                           errs.reshape(kap.shape))
 
 
-def _free_profile(kap: ArrayLike, z: float, zp: float) -> IntegralResult:
-    """Analytic fixed-k_par profile of -grad grad' G0 (smooth part of the
-    transverse delta); standard 2-D Fourier representation of 1/|r - r'|."""
-    dz = z - zp
-    kap = np.asarray(kap, dtype=float)
-    damp = np.exp(-kap * abs(dz))
-    sgn = 1.0 if dz >= 0.0 else -1.0
-    comps = np.multiply.outer(-math.pi * kap * damp, [1.0, sgn * 1j, sgn * 1j, -1.0, 0.0])
-    return IntegralResult(comps, 0.0, 0, np.zeros(kap.shape))
-
-
 def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
                               spec: QuadratureSpec) -> IntegralResult:
     """Mode-sum profile of the gauge-difference kernel: each TM mode's surface
@@ -221,7 +310,9 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
     The right-incident and the travelling left-incident modes share the vacuum
     k_z > 0 axis as one body, which has no mirror half; its e^{-ik_z z'} terms
     go on the ray as their Schwarz partners.  The cut holds the evanescent
-    left-incident modes, not that body's jump."""
+    left-incident modes, written on their own; they equal the body's jump
+    across the cut, with its e^{-ik_z z'} terms continued through k_z < 0
+    (``_gauge_part`` relies on that)."""
     _check_point(kap, z, zp)
     n = medium.n
     kap = np.asarray(kap, dtype=float)
@@ -231,35 +322,14 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
 
     def travelling(k: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
                    kmag2: np.ndarray) -> np.ndarray:
-        # the right-incident modes plus the travelling left-incident ones, by
-        # dk_z: n^2 (k/kzd) tL/n = n tR; [ju, jz] of the e^{+ik z'} terms, then
-        # of the partners of the e^{-ik z'} terms.  One common factor
-        # e^{ik z'}/|k|^2, then each term in one pass into its component
-        tm = fresnel_coefficients(medium, Polarization.TM, kap, k, kzd)
         common = np.exp(1j * zp * k)
         common /= kmag2
-        right = surface_charge_mode(medium, Side.RIGHT, tm)
-        back = surface_charge_mode(medium, Side.LEFT, tm) * (n * tm.tR)
-        back += right * tm.rR
-        back *= common
-        right *= common
-        out = np.empty((4,) + back.shape, dtype=complex)
-        for i, (term, factor) in enumerate(((right, -k), (right, -kap), (back, k), (back, -kap))):
-            np.multiply(term, factor, out=out[i])
-        return np.moveaxis(out, 0, -1)
+        return np.moveaxis(_gauge_terms(medium, k, kzd, kap, common), 0, -1)
 
     def left_evanescent(t: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
                         kmag2: np.ndarray) -> np.ndarray:
-        # on the cut n^2 (t/kzd) tL*/n = i n tR*, free of 1/kzd: one common
-        # factor g tR* e^{-t z'}/|k|^2, the i n folded into each term's factor
-        tm = fresnel_coefficients(medium, Polarization.TM, kap, 1j * t, kzd)
-        common = surface_charge_mode(medium, Side.LEFT, tm)
-        common *= np.conj(tm.tR)
-        common *= np.exp(-zp * t) / kmag2
-        out = np.empty((2,) + common.shape, dtype=complex)
-        np.multiply(common, n * t, out=out[0])  # i n (-i t)
-        np.multiply(common, -1j * n * kap, out=out[1])  # i n (-kappa)
-        return np.moveaxis(out, 0, -1)
+        return np.moveaxis(_gauge_evanescent_terms(medium, t, kzd, kap, np.exp(-zp * t) / kmag2),
+                           0, -1)
 
     j = _interface_profile(medium, kap, zp, travelling, spec, left_evanescent)
     ju, jz = np.moveaxis(j.value, -1, 0)
@@ -304,28 +374,8 @@ def kz_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
 
     def travelling(kz: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
                    kmag2: np.ndarray) -> np.ndarray:
-        tm = fresnel_coefficients(medium, Polarization.TM, kap, kz, kzd)
-        te = fresnel_coefficients(medium, Polarization.TE, kap, kz, kzd)
-        if above:
-            ctm, cte, lead, scale, phase = tm.rR, te.rR, -kz, kmag2, np.exp(1j * kz * s)
-        else:
-            ctm, cte, lead, scale = tm.tR, te.tR, kzd, n * kmag2
-            phase = np.exp(-1j * kzd * z + 1j * kz * zp)
-        # one common factor ctm phase/scale, then each dyad in one pass straight
-        # into its component of the output, every factor freed once used: the
-        # call peaks at about 2.1 times its output
-        del tm, te
-        common = ctm * phase
-        common /= scale
-        out = np.empty((5,) + np.broadcast(common, kap).shape, dtype=complex)
-        np.multiply(cte, phase, out=out[4])
-        del ctm, cte, phase
-        for i, row in ((0, lead), (2, kap)):  # [uu, uz], then [zu, zz]
-            head = common * row
-            np.multiply(head, kz, out=out[i])
-            np.multiply(head, kap, out=out[i + 1])
-            del head
-        return np.moveaxis(out, 0, -1)
+        phase = np.exp(1j * kz * s) if above else np.exp(-1j * kzd * z + 1j * kz * zp)
+        return np.moveaxis(_kz_dyads(medium, above, kz, kzd, kap, kmag2, phase), 0, -1)
 
     return _interface_profile(medium, kap, s, travelling, spec)
 
@@ -384,110 +434,112 @@ def residue_closed_form(medium: Medium, i: int, j: int, kpar_mag: float, z: floa
 
 
 # ---------------------------------------------------------------------------
-# radial assembly
+# assembly: closed kappa and azimuth integrals, one s contour per part
 # ---------------------------------------------------------------------------
 
-def _bessel_combination(comps: np.ndarray, kap: np.ndarray, rho: float) -> np.ndarray:
-    """Map profile components to the radial integrand of the aligned tensor,
-    returning [xx, yy, zz, xz, zx] along the last axis, including the kappa
-    measure factor, from J0, J1 and J1/x (the module docstring).  scipy.special
-    is imported here, at the first assembly, not with the package."""
-    from scipy.special import j0, j1
-
-    uu, uz, zu, zz, vv = np.moveaxis(comps, -1, 0)
-    x = kap * rho
-    bessel1 = j1(x)
-    # J1(x)/x from its series below _SERIES_X: j1(x)/x is 0/0 at x = 0 (rho = 0
-    # pairs) and reads 0, not 1/2, at the least subnormal x
-    half = np.divide(bessel1, x, out=0.5 - 0.0625 * x * x, where=x >= _SERIES_X)
-    # each real weight once, the measure kappa folded in, then each component
-    # in one pass straight into the output
-    two_pik = 2.0 * math.pi * kap
-    even = two_pik * j0(x)  # 2 pi kappa J0
-    plus = two_pik * half  # pi kappa (J0 + J2)
-    minus = even - plus  # pi kappa (J0 - J2)
-    odd = 1j * two_pik * bessel1  # 2 pi i kappa J1
-    out = np.empty(comps.shape, dtype=complex)
-    np.add(minus * uu, plus * vv, out=out[..., 0])
-    np.add(plus * uu, minus * vv, out=out[..., 1])
-    np.multiply(even, zz, out=out[..., 2])
-    np.multiply(odd, uz, out=out[..., 3])
-    np.multiply(odd, zu, out=out[..., 4])
-    return out
+# The mirror of an aligned ray value in [xx, yy, zz, xz, zx]: the conjugate,
+# times these signs for the gauge-difference body (the module docstring)
+_MIRROR = np.array([1.0, 1.0, 1.0, -1.0, -1.0])
 
 
-def _radial_assemble(
-    profile_fn: Callable[[np.ndarray], IntegralResult],
-    rho: float,
-    damping: float,
-    spec: QuadratureSpec,
-) -> IntegralResult:
-    """Integrate the profile against the Bessel weights over kappa in (0, inf)
-    into the aligned 3x3 tensor.
+def _weights(a, rho: float) -> tuple:
+    """(W_1, W_c, W_cc, W_ss): the kappa and azimuth integrals of the dyad
+    weights 1, cos phi, cos^2 phi and sin^2 phi against kappa^2 e^{i kappa
+    (a + rho cos phi)}, for Im a > 0 (the module docstring)."""
+    w = np.sqrt(a - rho) * np.sqrt(a + rho)
+    w2 = w * w  # a^2 - rho^2 free of cancellation
+    p = -2j * math.pi / (w2 * w2 * w)
+    ss = p * w2
+    cc = ss + (3.0 * rho * rho) * p
+    return cc + ss, (-3.0 * rho) * a * p, cc, ss
 
-    Exponentially damped profiles are truncated at the kappa_max of
-    ``spectral.damped_breakpoints`` (e^{-kappa*damping} one decade below
-    rel_tol), and the truncated tail is bounded from the profile at the
-    largest kappa evaluated.  They start on the panels of that layout, which
-    follow the decay and are split at the Bessel half-period pi/rho.
-    Profiles whose truncated range would span more than 40 Bessel
-    half-periods instead go through the oscillatory engine with the Bessel
-    zeros as partition (the free-space part at z ~ z' needs this).
-    """
-    nodes_extra = 0
-    err_inner_rate = 0.0  # peak of (inner error x Bessel weight scale) over kappa
-    k_seen_max = 0.0
-    tail_rate = 0.0  # bound on the radial integrand at k_seen_max
 
-    def integrand(cols: np.ndarray) -> np.ndarray:
-        # the nodes of a refinement level (on the Bessel-oscillation branch,
-        # of a half-period or a level of its bisection), one panel a column;
-        # up to _PROFILE_PANELS whole panels go to one profile call
-        return np.concatenate([profile_part(cols[:, i:i + _PROFILE_PANELS]) for i in
-                               range(0, cols.shape[1], _PROFILE_PANELS)], axis=1)
+def _aligned(weights: tuple, uu, uz, zu, zz, vv) -> np.ndarray:
+    """The aligned entries [xx, yy, zz, xz, zx] (last axis) of the dyads."""
+    one, c, cc, ss = weights
+    return np.stack([cc * uu + ss * vv, ss * uu + cc * vv, one * zz, c * uz, c * zu], axis=-1)
 
-    def profile_part(cols: np.ndarray) -> np.ndarray:
-        # each kappa's profile error is weighted by that kappa
-        nonlocal nodes_extra, err_inner_rate, k_seen_max, tail_rate
-        karr = cols.ravel()
-        prof = profile_fn(karr)
-        top = int(np.argmax(karr))
-        k_top = float(karr[top])
-        nodes_extra += prof.nodes_used
-        rate = float(np.max(prof.entry_errors * karr)) * 2.0 * math.pi
-        err_inner_rate = max(err_inner_rate, rate)
-        if k_top > k_seen_max:
-            k_seen_max = k_top
-            # with |J_nu| <= 1 the weights of _bessel_combination are at most
-            # 2 pi (|uu| + |vv|) for xx and yy, 2 pi |comp| for zz, xz and zx
-            uu, uz, zu, zz, vv = np.abs(prof.value[top])
-            tail_rate = 2.0 * math.pi * k_top * float(max(uu + vv, uz, zu, zz))
-        return _bessel_combination(prof.value, karr, rho).reshape(cols.shape + (5,))
 
-    if damping <= 0.0 and rho == 0.0:
-        raise ValueError("profile without damping needs rho > 0 for the assembly")
-    kmax = damped_breakpoints(damping, spec)[-1] if damping > 0.0 else math.inf
-    # truncation unless the damping scale is so short that the range would
-    # span more than 40 Bessel half-periods
-    if kmax * rho <= 40.0 * math.pi:
-        res = adaptive_panels(integrand, damped_breakpoints(damping, spec, rho), spec)
-        # beyond kmax the profile decays like e^{-kappa * damping} (up to powers of kappa)
-        tail = tail_rate / damping
-    else:
-        # undamped profiles converge through the Bessel oscillation alone;
-        # a mildly relaxed tolerance keeps the accelerated partial sums well
-        # inside the assembly target without demanding engine-level precision
-        # (held to the largest tolerances a spec accepts)
-        osc_spec = replace(spec, abs_tol=min(spec.abs_tol * 30.0, np.finfo(float).max),
-                           rel_tol=min(spec.rel_tol * 30.0, 1.0))
-        res = halfline_oscillatory_integral(integrand, rho, osc_spec)
-        tail = 0.0
-    xx, yy, zz, xz, zx = res.value
-    tensor = np.array(
-        [[xx, 0.0, xz], [0.0, yy, 0.0], [zx, 0.0, zz]], dtype=complex
-    ) / _TWO_PI_CUBED
-    err_total = (res.error_estimate + err_inner_rate * k_seen_max + tail) / _TWO_PI_CUBED
-    return IntegralResult(tensor, err_total, res.nodes_used + nodes_extra)
+def _contour_part(medium: Medium, z: float, zp: float, spec: QuadratureSpec,
+                  body: Callable, jump: Callable, mirror) -> IntegralResult:
+    """One interface part of a kernel, its aligned entries integrated over
+    the s contour of the module docstring in one ``ray_integral`` run:
+    ``body(s, kzd)`` on the ray s = i gamma/2 + u e^{i pi/4} (kzd on the
+    principal root), its mirror as ``mirror`` times the conjugate of the
+    ray's last five entries, and ``jump(t, kzd)`` on the cut s = i t,
+    gamma/2 < t < gamma (kzd >= 0).  The cut runs as the engine's cut of
+    Gamma = gamma/2 shifted up by gamma/2, so that its sin map meets the
+    branch point.  The ray's map scale is |z| + z', the growth rate of Im a
+    along it (up to the k_zd term).  It starts on the finer layout, on which
+    most rays converge at their first level; its first panel is graded from
+    the branch point, a distance gamma/2 away, and the cut's last from the
+    poles at s = i.  The error is 2 ray + cut."""
+    n = medium.n
+    gap2 = n * n - 1.0
+    gamma = math.sqrt(gap2) / n
+    start = 0.5 * gamma if n > 1.0 else 0.5
+
+    def on_ray(k: np.ndarray, entries: np.ndarray) -> np.ndarray:
+        s = 1j * start + k
+        return body(s, np.sqrt(n * n * s * s + gap2))
+
+    def on_cut(t: np.ndarray, entries: np.ndarray) -> np.ndarray:
+        t = t + start
+        return jump(t, np.sqrt(np.maximum(gap2 - n * n * t * t, 0.0)))
+
+    # the poles at s = i sit at u = pi/2 + i acosh(2/gamma - 1) of t = gamma (1 + sin u)/2
+    cut, cut_near = None, None
+    if n > 1.0:
+        cut, cut_near = on_cut, (math.inf, math.acosh(2.0 / gamma - 1.0))
+    res = ray_integral(on_ray, abs(z) + zp, 1, spec, near=[start], cut=cut, gamma=[start],
+                       cut_near=cut_near, flat=True)
+    ray = res.value[0]
+    value, err = ray[:5] + mirror * np.conj(ray[-5:]), 2.0 * res.entry_errors[0]
+    if cut is not None:
+        value, err = value + res.value[1, :5], err + res.entry_errors[1]
+    return IntegralResult(value, float(err), res.nodes_used)
+
+
+def _kz_part(medium: Medium, z: float, zp: float, rho: float,
+             spec: QuadratureSpec) -> IntegralResult:
+    """The reflected (z >= 0) or transmitted part of the generalized kernel,
+    aligned: the k_z body of ``kz_profile`` at kappa = 1 under the weights."""
+    above = z >= 0.0
+
+    def body(s: np.ndarray, kzd: np.ndarray) -> np.ndarray:
+        a = s * (z + zp) if above else kzd * abs(z) + s * zp
+        return _aligned(_weights(a, rho), *_kz_dyads(medium, above, s, kzd, 1.0, 1.0 + s * s, 1.0))
+
+    def jump(t: np.ndarray, kzd: np.ndarray) -> np.ndarray:
+        return -1j * (body(1j * t, kzd) - body(1j * t, -kzd))
+
+    return _contour_part(medium, z, zp, spec, body, jump, 1.0)
+
+
+def _gauge_part(medium: Medium, z: float, zp: float, rho: float,
+                spec: QuadratureSpec) -> IntegralResult:
+    """The gauge-difference kernel, aligned: the bodies of
+    ``_gauge_difference_profile`` at kappa = 1 under the weights, its front
+    i kappa (2 pi)^{3/2} e^{-kappa |z|} split into the phase and the dyads
+    [uu, uz, zu, zz] = i (2 pi)^{3/2} [ju, jz, i sgn(z) ju, i sgn(z) jz]."""
+    if medium.n == 1.0:
+        return IntegralResult(np.zeros(5, dtype=complex), 0.0, 0)
+
+    def body(s: np.ndarray, kzd: np.ndarray) -> np.ndarray:
+        w = _weights(s * zp + 1j * abs(z), rho)
+        ru, rz, bu, bz = _gauge_terms(medium, s, kzd, 1.0, 1.0 / (1.0 + s * s))
+        return np.concatenate([_aligned(w, ru, rz, ru, rz, 0.0),
+                               _aligned(w, bu, bz, bu, bz, 0.0)], axis=-1)
+
+    def jump(t: np.ndarray, kzd: np.ndarray) -> np.ndarray:
+        ju, jz = _gauge_evanescent_terms(medium, t, kzd, 1.0, 1.0 / (1.0 - t * t))
+        return _aligned(_weights(1j * (t * zp + abs(z)), rho), ju, jz, ju, jz, 0.0)
+
+    res = _contour_part(medium, z, zp, spec, body, jump, _MIRROR)
+    sgn = 1.0 if z >= 0.0 else -1.0
+    front = math.sqrt(_TWO_PI_CUBED)
+    return IntegralResult(front * np.array([1j, 1j, -sgn, 1j, -sgn]) * res.value,
+                          front * res.error_estimate, res.nodes_used)
 
 
 def _rotation_about_z(phi: float) -> np.ndarray:
@@ -499,7 +551,8 @@ def assemble_kernel_result(
     medium: Medium, kind: KernelKind, pair: PointPair, spec: QuadratureSpec
 ) -> KernelAssembly:
     """Assemble the requested kernel at separated points (full quadrature path
-    except PerfectReflector, which is the analytic image form)."""
+    except PerfectReflector, which is the analytic image form): the free
+    part in closed form, each interface part as one s contour."""
     if not isinstance(kind, KernelKind):
         raise ValueError(f"kind must be a KernelKind, got {kind!r}")
     if pair.separation == 0.0:
@@ -513,27 +566,27 @@ def assemble_kernel_result(
     rho = float(np.hypot(delta_par[0], delta_par[1]))
     phi0 = math.atan2(delta_par[1], delta_par[0]) if rho > 0.0 else 0.0
 
-    # (profile function, damping scale, sign); every interface profile decays
-    # like e^{-kappa (|z| + z')}
-    parts: list[tuple[Callable[[np.ndarray], IntegralResult], float, float]] = []
+    parts: list[tuple[float, IntegralResult]] = []
     if kind in (KernelKind.GENERALIZED_DELTA, KernelKind.TRUE_COULOMB):
         if z >= 0.0:
-            parts.append((lambda kap: _free_profile(kap, z, zp), abs(z - zp), 1.0))
+            # the free profile is kappa e^{-kappa |z - z'|} times these dyads
+            sgn = 1.0 if z >= zp else -1.0
+            free = -math.pi * np.array([1.0, sgn * 1j, sgn * 1j, -1.0, 0.0])
+            parts.append((1.0, IntegralResult(_aligned(_weights(1j * abs(z - zp), rho), *free),
+                                              0.0, 0)))
         if z < 0.0 or medium.n > 1.0:
-            parts.append((lambda kap: kz_profile(medium, kap, z, zp, spec), abs(z) + zp, 1.0))
+            parts.append((1.0, _kz_part(medium, z, zp, rho, spec)))
     if kind is KernelKind.GAUGE_DIFFERENCE or (
         kind is KernelKind.TRUE_COULOMB and medium.n > 1.0
     ):
         sign = -1.0 if kind is KernelKind.TRUE_COULOMB else 1.0
-        parts.append(
-            (lambda kap: _gauge_difference_profile(medium, kap, z, zp, spec), abs(z) + zp, sign)
-        )
+        parts.append((sign, _gauge_part(medium, z, zp, rho, spec)))
 
-    radial = [(sign, _radial_assemble(fn, rho, damping, spec)) for fn, damping, sign in parts]
-    total = sum(sign * r.value for sign, r in radial)
-    err = sum(r.error_estimate for _, r in radial)
+    xx, yy, zz, xz, zx = sum(sign * r.value for sign, r in parts) / _TWO_PI_CUBED
+    total = np.array([[xx, 0.0, xz], [0.0, yy, 0.0], [zx, 0.0, zz]], dtype=complex)
+    err = sum(r.error_estimate for _, r in parts) / _TWO_PI_CUBED
     rot = _rotation_about_z(phi0)
-    return KernelAssembly(rot @ total @ rot.T, err, sum(r.nodes_used for _, r in radial))
+    return KernelAssembly(rot @ total @ rot.T, err, sum(r.nodes_used for _, r in parts))
 
 
 def gauge_difference_closed_form(medium: Medium, pair: PointPair) -> np.ndarray:

@@ -12,11 +12,11 @@ so a panel depends on the other panels of its call only through the
 integrand, and a real integrand stays real.  A panel whose value or error
 is not finite raises :class:`QuadratureError` at once, naming the panel.
 
-1. Semi-infinite oscillatory k_z integrals int_0^inf f(k) dk of a body f
-   that goes like e^{i k s}.  Where f is analytic in the open first quadrant
-   (every k_z profile: its branch points lie on the imaginary axis, and the
-   TM pole of its continuation, n^2 k + k_zd = 0, on the negative real axis
-   at k = -kappa/n), Cauchy and Jordan turn the Abel-regularised real-axis
+1. Semi-infinite k_z integrals int_0^inf f(k) dk of a body f that goes like
+   e^{i k s}.  Where f is analytic in the open first quadrant (every k_z
+   profile: its branch points lie on the imaginary axis, and the TM pole of
+   its continuation, n^2 k + k_zd = 0, on the negative real axis at
+   k = -kappa/n), Cauchy and Jordan turn the Abel-regularised real-axis
    integral into the integral along the ray k = u e^{i theta}, theta = pi/4,
    where f decays like e^{-u s sin theta} (the path deformation of
    Sommerfeld-type integrals).  ``ray_integral`` maps the ray by
@@ -31,22 +31,15 @@ is not finite raises :class:`QuadratureError` at once, naming the panel.
    and mostly converges on them.  A singularity next to the ray's origin
    (that TM pole, a distance kappa/n away) sets the scale on which f varies
    near k = 0, so an entry given such a scale has its first panel split at
-   x_e 2^j below x = 0.3, x_e = (kappa/n) s sin theta.  An entry stops once
-   its error is within the batch tolerance of its level and is not reopened
-   if that tolerance falls later; the ray raises only for an entry that
-   reached the panel cap.  The numerical path stays independent of any
-   residue evaluation.  The same run integrates each entry's branch-cut
-   segment (class 2), if it has one, on panels of its own.  An integrand
-   that is not analytic there (the undamped Bessel branch of the radial
-   assembly) stays on the real axis: the axis is partitioned at the
-   oscillation zeros (half-period pi/s segments), each segment is integrated
-   by internally adaptive panels, and the sequence of partial sums is
-   accelerated with a sliding-window Levin u-transformation.  Each
-   half-period is one integrand call, bisected level by level while its
-   error is large against its own L1 content, so the integrand never sees a
-   node past the half-period where the accelerated sum converged.  This
-   converges to the Abel-regularised value for bounded non-decaying
-   oscillatory amplitudes, the value that the ray selects.
+   x_e 2^j below x = 0.3, x_e = (kappa/n) s sin theta.  The map serves a
+   body that decays like |k|^-3 along the ray as well (the kernels' s
+   contour, whose kappa integral is closed, in ``kernels``): in v it goes
+   like pi/2 - v at the far end.  An entry stops once its error is within
+   the batch tolerance of its level and is not reopened if that tolerance
+   falls later; the ray raises only for an entry that reached the panel
+   cap.  The numerical path stays independent of any residue evaluation.
+   The same run integrates each entry's branch-cut segment (class 2), if it
+   has one, on panels of its own.
 
 2. Branch-cut (evanescent) segment integrals over t in (0, Gamma) with an
    integrable 1/sqrt(Gamma^2 - t^2) endpoint factor: the segment is always
@@ -59,13 +52,9 @@ is not finite raises :class:`QuadratureError` at once, naming the panel.
    point, both at the same u for every kappa) split the end panels at
    geometric breaks towards them.
 
-3. Exponentially damped half-line transforms int_0^inf f(k) e^{-k a} dk:
-   truncation where e^{-k a} has fallen one decade below rel_tol, with the
-   truncated tail bound folded into the error estimate, plus adaptive panels.
-   The first panels (``damped_breakpoints``) end at x = k a = 1.5, 4, 8, 14
-   and the truncation, where a damped radial integral mostly converges.  The
-   Bessel-weighted radial assembly of the kernels (in ``kernels``) starts on
-   the same panels, each split at the Bessel half-period.
+3. Smooth, algebraically decaying half-line integrals int_0^inf f(k) dk
+   (the energy's longitudinal mode integrals): the map k = scale tan(v)
+   compactifies the half-line, then adaptive panels finish the job.
 
 Every integrand gets the nodes of a refinement level as one (15, panels)
 block, a panel's 15 Kronrod nodes down its column, and returns values of
@@ -86,7 +75,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -97,11 +86,8 @@ __all__ = [
     "IntegralResult",
     "QuadratureError",
     "adaptive_panels",
-    "halfline_oscillatory_integral",
     "ray_integral",
     "cut_segment_integral",
-    "damped_breakpoints",
-    "damped_radial_transform",
     "decaying_halfline_integral",
 ]
 
@@ -112,9 +98,8 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances of an integral, max(abs_tol, rel_tol x its max-norm).
-    rel_tol also sets where a damped transform truncates
-    (``damped_breakpoints``); at most 1, it keeps a decade of the decay."""
+    """Tolerances of an integral, max(abs_tol, rel_tol x its max-norm);
+    rel_tol is at most 1."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-9
@@ -167,11 +152,10 @@ _G7_W = np.array([
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 
-# Panel caps.  Over `verify --suite all` and the quadrature benchmark
-# workloads the globally adaptive layers peak at 23 panels, so the cap only
-# bounds the work spent on a non-convergent integrand.
+# Panel cap of an integral.  `verify --suite all` passes with a cap of 12
+# (10 stalls a kernel's ray), so the cap only bounds the work spent on a
+# non-convergent integrand.
 _MAX_PANELS = 800
-_SEGMENT_MAX_PANELS = 48
 # First panels of each entry of a ray integral, v = atan(x) at x = u s sin(pi/4):
 # each holds about the same share of the e^{(i-1)x} decay of the body.
 _RAY_BREAKS = np.arctan([0.0, 0.3, 0.9, 2.0, 4.0, 8.0, 16.0, np.inf])
@@ -187,13 +171,6 @@ _GRADED_MAX = 16
 _GRADED_STEPS = 2.0 ** np.arange(_GRADED_MAX)
 # First panels of a cut segment in u, t = Gamma sin(u) (see cut_segment_integral).
 _CUT_BREAKS = np.linspace(0.0, 0.5 * math.pi, 5)
-# First-panel ends of a damped radial transform in x = k * damping, below its
-# truncation (see damped_breakpoints).
-_DAMPED_BREAKS = (0.0, 1.5, 4.0, 8.0, 14.0)
-# Half-periods of a Levin half-line before it raises, and the order of its
-# u-transformation.
-_MAX_HALF_PERIODS = 64
-_ACCELERATION_ORDER = 12
 
 
 def _weighted(vals, w: np.ndarray) -> np.ndarray:
@@ -237,19 +214,18 @@ def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
     return k15, err
 
 
-def _refine(rule: Callable, lo, hi, owner, tolerance: Callable, cap: int, evaluated=None):
+def _refine(rule: Callable, lo, hi, owner, tolerance: Callable, cap: int):
     """Level-synchronous K15/G7 refinement: panel [lo[i], hi[i]] belongs to
     integral owner[i], and every integral 0, 1, ... has at least one panel.
 
     Each level bisects, per integral, the fewest worst panels whose errors
-    together exceed its excess over ``tolerance(ids, totals, contents)``,
-    where ``ids`` are the integrals still running and ``contents()`` their sums
-    of panel max-norms.  Each level is one call ``rule(lo, hi, owner)`` (the
-    rule of ``_gauss_kronrod``), the first too unless ``evaluated`` holds its
-    (values, errors).  An integral stops when its error sum is within its
-    tolerance or it holds ``cap`` panels.  Returns the totals, the error sums,
-    the nodes of all panels and which integrals the cap stopped."""
-    val, err = rule(lo, hi, owner) if evaluated is None else evaluated
+    together exceed its excess over ``tolerance(ids, totals)``, where ``ids``
+    are the integrals still running.  Each level, the first included, is one
+    call ``rule(lo, hi, owner)`` (the rule of ``_gauss_kronrod``).  An
+    integral stops when its error sum is within its tolerance or it holds
+    ``cap`` panels.  Returns the totals, the error sums, the nodes of all
+    panels and which integrals the cap stopped."""
+    val, err = rule(lo, hi, owner)
     entries = int(owner.max()) + 1
     total = np.zeros((entries,) + val.shape[1:], dtype=val.dtype)
     error = np.zeros(entries)
@@ -266,11 +242,7 @@ def _refine(rule: Callable, lo, hi, owner, tolerance: Callable, cap: int, evalua
         first = np.cumsum(count) - count
         errsum = np.add.reduceat(err, first)
         tot = np.add.reduceat(val, first)
-
-        def contents():  # on demand: only the half-line's tolerance reads them
-            return np.add.reduceat(np.abs(val).reshape(len(val), -1).max(axis=1), first)
-
-        excess = errsum - tolerance(ids, tot, contents)
+        excess = errsum - tolerance(ids, tot)
         # split a panel while the worse panels of its entry leave an excess
         start = first[owner]
         worse = np.cumsum(err) - err
@@ -312,115 +284,13 @@ def adaptive_panels(
     total, error, nodes, capped = _refine(
         functools.partial(_gauss_kronrod, lambda x, owner: f(x)), lo, hi,
         np.zeros(len(lo), dtype=int),
-        lambda ids, tot, content: spec.tolerance(float(np.abs(tot).max())), _MAX_PANELS,
+        lambda ids, tot: spec.tolerance(float(np.abs(tot).max())), _MAX_PANELS,
     )
     if capped[0]:
         raise QuadratureError(f"adaptive panels stalled at error {error[0]:.3e} "
                               f"after {_MAX_PANELS} panels")
     value = total[0]
     return IntegralResult(value if value.shape else complex(value), float(error[0]), nodes)
-
-
-# ---------------------------------------------------------------------------
-# Levin u-transformation (sliding diagonal scheme)
-# ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=1024)
-def _levin_weights(n: int, kmax: int) -> np.ndarray:
-    """Recursion weights b_k, k = 1 .. kmax, of the n-th diagonal (beta = 1)."""
-    b = np.array([(1.0 + (n - k)) * n ** (k - 2) / (n + 1.0) ** (k - 1)
-                  for k in range(1, kmax + 1)])
-    b.flags.writeable = False
-    return b
-
-
-class _LevinU:
-    """Sequence transformation of partial sums, array-valued, beta = 1."""
-
-    def __init__(self, order: int):
-        self.order = order
-        self.diag: np.ndarray | None = None  # (k, 2, *shape): [:, 0] numerators, [:, 1] denominators
-        self.count = 0
-
-    def add(self, s: np.ndarray, delta: np.ndarray, floor) -> np.ndarray:
-        """Feed partial sum ``s`` with increment ``delta``; return the estimate.
-        ``floor`` is a scalar or broadcasts against ``delta``, one per entry."""
-        mag = np.abs(delta)
-        if not (mag >= floor).all():  # lift increments below the floor, keeping their phase
-            tiny = 1e-280  # below this the phase is meaningless (denormal territory)
-            phase = np.where(mag > tiny, delta / np.where(mag > tiny, mag, 1.0), 1.0)
-            delta = np.where(mag >= floor, delta, phase * floor)
-        omega = (self.count + 1.0) * delta  # u-variant remainder estimate
-        n = self.count
-        first = np.stack([s / omega, 1.0 / omega])[None]
-        kmax = min(n, self.order)
-        if kmax:
-            # entry k is entry k - 1 minus b_k times entry k - 1 of the old diagonal
-            b = _levin_weights(n, kmax).reshape((kmax,) + (1,) * (first.ndim - 1))
-            first = np.subtract.accumulate(np.concatenate([first, b * self.diag[:kmax]]), axis=0)
-        self.diag = first
-        self.count += 1
-        num, den = first[-1]
-        guard = np.abs(den) > 1e-300
-        if guard.all():
-            return num / den
-        return np.where(guard, num / np.where(guard, den, 1.0), s)
-
-
-def halfline_oscillatory_integral(
-    f: Integrand, oscillation_scale: float, spec: QuadratureSpec
-) -> IntegralResult:
-    """int_0^inf f(k) dk for f oscillating like e^{i k s}, s = oscillation_scale.
-
-    The axis is cut at multiples of pi/s, one half-period (a level of its
-    bisection) per integrand call, and the partial-sum sequence is
-    Levin-accelerated; convergence requires two consecutive stable estimates
-    within _MAX_HALF_PERIODS half-periods.
-    """
-    rule = functools.partial(_gauss_kronrod, lambda k, owner: f(k))
-    h = math.pi / _oscillation_scale(oscillation_scale)
-    levin = _LevinU(_ACCELERATION_ORDER)
-    abs_floor = 0.01 * spec.abs_tol
-    rel_seg = 0.002 * spec.rel_tol
-    owner = np.zeros(1, dtype=int)
-    partial = est_prev = None
-    err_prev = math.inf
-    err_sum = 0.0  # of the half-periods so far
-    inc_scale = 0.0  # the largest half-period so far
-    nodes = 0
-    for m in range(_MAX_HALF_PERIODS):
-        lo, hi = np.array([m * h]), np.array([(m + 1) * h])
-        val, err = evaluated = rule(lo, hi, owner)
-        used = 15
-        # the half-period is bisected while its error is large against both
-        # its L1 content (cancellation-robust) and the largest half-period
-        # before it
-        seg_floor = max(abs_floor, 0.1 * rel_seg * inc_scale)
-        if err[0] > max(seg_floor, rel_seg * float(np.abs(val).max())):
-            val, err, used, _ = _refine(
-                rule, lo, hi, owner,
-                lambda ids, tot, content: np.maximum(seg_floor, rel_seg * content()),
-                _SEGMENT_MAX_PANELS, evaluated,
-            )
-        nodes += used
-        seg = val[0]
-        err_sum += err[0]
-        inc_scale = max(inc_scale, float(np.abs(seg).max()))
-        partial = seg if partial is None else partial + seg
-        est = levin.add(partial, seg, floor=1e-16 * max(inc_scale, 1e-30))
-        if m >= 2:
-            delta = float(np.abs(est - est_prev).max())
-            tol = spec.tolerance(float(np.abs(est).max()))
-            err = max(delta, 0.25 * err_prev) + err_sum
-            if err <= tol and 0.25 * err_prev <= tol:
-                est = np.asarray(est)
-                return IntegralResult(est if est.shape else complex(est), float(err), nodes)
-            err_prev = delta
-        est_prev = est
-    raise QuadratureError(
-        f"oscillatory integral did not converge within {_MAX_HALF_PERIODS} "
-        f"half-periods (last delta {err_prev:.3e})"
-    )
 
 
 def _oscillation_scale(value) -> float:
@@ -479,8 +349,10 @@ def ray_integral(f: Callable, oscillation_scale: float, entries: int,
     """int_0^inf f(k) dk for each of ``entries`` integrands f(., entry) that are
     analytic in the open first quadrant and go like e^{i k s} there,
     s = oscillation_scale: the Abel-regularised real-axis integral, taken along
-    the ray k = u e^{i pi/4} where f decays like e^{-u s sin(pi/4)}.  With
-    ``cut``, the same run also takes int_0^Gamma cut(t) dt of each entry.
+    the ray k = u e^{i pi/4} where f decays like e^{-u s sin(pi/4)} (or f
+    that decays like |k|^-3 there, on the scale 1/s; then only the ray is
+    integrated).  With ``cut``, the same run also takes int_0^Gamma cut(t) dt
+    of each entry.
 
     The map u = l tan(v), l = 1/(s sin(pi/4)), compactifies the ray, so that
     k = (1 + i) tan(v)/s.  f is called as f(k, entries), k of shape (nodes,
@@ -555,7 +427,7 @@ def ray_integral(f: Callable, oscillation_scale: float, entries: int,
 
     norm = np.zeros(2 * entries)  # each integral's max-norm, final once it stops
 
-    def tolerance(ids, tot, content):
+    def tolerance(ids, tot):
         norm[ids] = np.abs(tot).reshape(len(ids), -1).max(axis=1)
         return np.where(ids < entries, spec.tolerance(float(norm[:entries].max())),
                         spec.tolerance(float(norm[entries:].max(initial=0.0))))
@@ -583,53 +455,6 @@ def cut_segment_integral(f: Integrand, gamma: float, spec: QuadratureSpec) -> In
         return IntegralResult(0.0 + 0.0j, 0.0, 0)
     return adaptive_panels(lambda u: _weighted(f(np.sin(u) * gamma), np.cos(u) * gamma),
                            _CUT_BREAKS, spec)
-
-
-def damped_breakpoints(damping: float, spec: QuadratureSpec, rho: float = 0.0) -> np.ndarray:
-    """First-panel breakpoints in k of a damped radial transform over
-    (0, kmax), kmax the truncation where e^{-k*damping} has fallen one decade
-    below rel_tol: x_max = kmax*damping = (1 - log10 rel_tol) ln 10 (10 ln 10
-    at the default 1e-9).  In x = k*damping the panels end at 1.5, 4, 8, 14
-    (those below x_max) and x_max: narrow where the x^2 e^{-x} weight of a
-    radial integrand (measure k times a profile ~ k e^{-x}) peaks, wider down
-    its tail.  With rho > 0 a panel wider than the Bessel half-period pi/rho
-    is split into equal panels no wider than it."""
-    if not (math.isfinite(damping) and damping > 0.0):
-        raise ValueError(f"damping must be positive and finite, got {damping!r}")
-    x_max = (1.0 - math.log10(spec.rel_tol)) * math.log(10.0)
-    x = [b for b in _DAMPED_BREAKS if b < x_max] + [x_max]
-    if rho > 0.0:
-        half = math.pi * damping / rho  # the half-period in x
-        x = np.concatenate([np.linspace(a, b, max(1, math.ceil((b - a) / half)) + 1)[:-1]
-                            for a, b in zip(x[:-1], x[1:])] + [[x_max]])
-    return np.asarray(x) / damping
-
-
-def damped_radial_transform(f: Integrand, damping: float, spec: QuadratureSpec) -> IntegralResult:
-    """int_0^inf f(k) e^{-k*damping} dk on the first panels of
-    ``damped_breakpoints``.
-
-    The integral is truncated once the damping factor has fallen one decade
-    below ``spec.rel_tol``; the truncated tail is bounded from the weighted
-    integrand at the largest k evaluated, and that bound is folded into the
-    error estimate.
-    """
-    k_top = tail_rate = 0.0  # the largest k evaluated, the weighted integrand there
-
-    def g(k: np.ndarray) -> np.ndarray:
-        nonlocal k_top, tail_rate
-        vals = _weighted(f(k), np.exp(-k * damping))
-        top = np.unravel_index(np.argmax(k), k.shape)
-        if k[top] > k_top:
-            k_top, tail_rate = float(k[top]), float(np.abs(vals[top]).max())
-        return vals
-
-    res = adaptive_panels(g, damped_breakpoints(damping, spec), spec)
-    # beyond the truncation the integrand decays like e^{-k * damping} (up to powers of k)
-    err = res.error_estimate + tail_rate / damping
-    if err > spec.tolerance(float(np.abs(res.value).max())):
-        raise QuadratureError(f"damped radial transform: truncated tail leaves error {err:.3e}")
-    return replace(res, error_estimate=err)
 
 
 def decaying_halfline_integral(f: Integrand, scale: float, spec: QuadratureSpec) -> IntegralResult:

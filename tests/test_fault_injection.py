@@ -204,3 +204,22 @@ def test_fault_turns_its_check_red(monkeypatch, fault):
     assert _red(_reduced_run()) == families
     err, tol = _mode_normalisation()
     assert err > tol, f"mode_normalisation stays green under {fault}: error {err:.3e}"
+
+
+@pytest.mark.parametrize("te", [0.0, math.inf], ids=["te_zero", "te_inf"])
+def test_residue_row_scales_by_the_tm_entries(monkeypatch, te):
+    # a residue form with its odd entries uz, zu flipped turns the row red,
+    # whatever its TE slot holds: an infinite TE slot once set the scale of
+    # every error and hid the flip (3.6e-15); it now reads NaN
+    residue = v.residue_profile
+
+    def flipped(*args):
+        form = residue(*args) * np.array([1.0, -1.0, -1.0, 1.0, 1.0])
+        form[4] = te
+        return form
+
+    monkeypatch.setattr(v, "residue_profile", flipped)
+    rows = v.kz_residue_checks(Medium(2.0), [RESIDUE_ABOVE, RESIDUE_BELOW], SPEC)
+    assert "kz_integral_vs_residue" in _red(rows)
+    if te == math.inf:
+        assert all(math.isnan(r.abs_err) and not r.passed for r in rows)

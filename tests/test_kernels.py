@@ -20,7 +20,6 @@ from halfspace_qed.greens import (
 from halfspace_qed import kernels, modes, spectral
 from halfspace_qed.kernels import (
     KernelKind,
-    _free_profile,
     _gauge_difference_profile,
     assemble_kernel_result,
     curl_annihilation_residual,
@@ -42,11 +41,11 @@ from halfspace_qed.medium import (
     label_frequency,
     label_wavenumbers,
 )
-from halfspace_qed.spectral import IntegralResult, QuadratureSpec
+from halfspace_qed.spectral import QuadratureSpec
 from halfspace_qed.verification import LOWER_PAIRS, UPPER_PAIRS, residue_points
 
 SPEC = QuadratureSpec()
-# one radial panel's worth of |k_par| values, from near 0 to deep in the damped tail
+# a batch of 15 |k_par| values, from near 0 to deep in the damped tail
 KAPPA_PANEL = np.geomspace(1e-3, 50.0, 15)
 
 
@@ -103,8 +102,7 @@ def test_profiles_reject_bad_kappa_before_any_engine_call(bad, monkeypatch):
     def engine(*args):
         raise AssertionError("engine called")
 
-    for name in ("halfline_oscillatory_integral", "ray_integral"):
-        monkeypatch.setattr(kernels, name, engine)
+    monkeypatch.setattr(kernels, "ray_integral", engine)
     med = Medium(2.0)
     for z in (0.7, -0.3):
         with pytest.raises(ValueError, match="kpar_mag"):
@@ -149,8 +147,8 @@ def test_profiles_near_kappa_zero_integrate_or_fail_at_the_boundary(profile, z):
                                   QuadratureSpec(abs_tol=1e308, rel_tol=0.5)],
                          ids=["rel_tol=1", "abs_tol=1e308", "both"])
 def test_loosest_specs_assemble_without_a_value_error(spec):
-    # the undamped (Levin) branch relaxes the spec 30-fold, held to what a
-    # spec accepts; the damped truncation keeps a decade at rel_tol = 1
+    # the loosest tolerances a spec accepts end every s contour at its first
+    # level, still finite
     med = Medium(2.0)
     for p in (pair((0.6, 0.4, 0.7), (-0.2, 0.2, 0.7)), pair((0.5, 0.2, -0.6), (0.0, -0.3, 0.7))):
         for kind in (KernelKind.GENERALIZED_DELTA, KernelKind.GAUGE_DIFFERENCE,
@@ -168,38 +166,28 @@ def test_kz_kernel_and_residue_reject_bad_tensor_indices(i, j, name):
 
 
 def test_residue_form_assembles_to_reflected_green_tensor():
-    # the radial Bessel assembly of the closed spectral profile reproduces
-    # -grad grad' GR in every component (J0, J1 and J2 weights), and the
-    # truncated kappa tail is inside the assembly's error estimate
+    # the closed kappa and azimuth weights of the residue profile
+    # pi alpha kappa e^{-kappa (z + z')} [1, -i, i, 1, 0] reproduce -grad grad'
+    # GR in every component (all four weights), at a = i (z + z')
     med = Medium(2.0)
     z, zp, rho = 0.8, 0.5, 0.7
     p = pair((rho, 0.0, z), (0.0, 0.0, zp))
     target = -grad_grad_green_tensor(med, GreenVariant.REFLECTED, p)
-
-    def profile(kap):
-        comps = np.array([residue_profile(med, float(k), z, zp) for k in kap])
-        return IntegralResult(comps, 0.0, 0, np.zeros(kap.shape))
-
-    res = kernels._radial_assemble(profile, rho, z + zp, SPEC)
-    observed = np.max(np.abs(res.value - target))
-    assert observed < 1e-6 * np.max(np.abs(target))
-    assert observed <= res.error_estimate
+    dyads = math.pi * med.image_strength * np.array([1.0, -1j, 1j, 1.0, 0.0])
+    xx, yy, zz, xz, zx = kernels._aligned(kernels._weights(1j * (z + zp), rho), *dyads)
+    tensor = np.array([[xx, 0.0, xz], [0.0, yy, 0.0], [zx, 0.0, zz]]) / (2.0 * math.pi) ** 3
+    assert np.max(np.abs(tensor - target)) < 1e-14 * np.max(np.abs(target))
 
 
 def test_radial_assemble_lipschitz():
-    # int_0^inf e^{-kappa a} J0(kappa rho) dkappa = 1/sqrt(a^2 + rho^2),
-    # through the zz weight 2 pi kappa J0
-    a, rho = 2.0, 1.5
-
-    def profile(kap):
-        comps = np.zeros(kap.shape + (5,), dtype=complex)
-        comps[..., 3] = np.exp(-kap * a) / (2.0 * math.pi * kap)
-        return IntegralResult(comps, 0.0, 0, np.zeros(kap.shape))
-
-    res = kernels._radial_assemble(profile, rho, a, QuadratureSpec(rel_tol=1e-12))
-    observed = abs((2.0 * math.pi) ** 3 * res.value[2, 2] - 1.0 / math.hypot(a, rho))
-    assert observed < 1e-10
-    assert observed <= (2.0 * math.pi) ** 3 * res.error_estimate
+    # int_0^inf e^{-kappa a} J0(kappa rho) dkappa = 1/sqrt(a^2 + rho^2); two
+    # a-derivatives give the zz weight W_1 at i a:
+    # int_0^inf kappa^2 e^{-kappa a} 2 pi J0(kappa rho) dkappa
+    #     = 2 pi (2 a^2 - rho^2)/(a^2 + rho^2)^{5/2}
+    for a, rho in ((2.0, 1.5), (0.3, 0.0), (1e-3, 4.0), (7.0, 1e-9)):
+        one = kernels._weights(1j * a + 0j, rho)[0]
+        exact = 2.0 * math.pi * (2.0 * a * a - rho * rho) / (a * a + rho * rho) ** 2.5
+        assert abs(one - exact) <= 1e-14 * abs(exact)
 
 
 def test_assembled_generalized_delta_both_regions():
@@ -214,7 +202,7 @@ def test_assembled_generalized_delta_both_regions():
 
 
 def test_assembled_kernel_equal_heights_path():
-    # z = z' sends the free-space part through the Bessel-oscillation route
+    # at z = z' the free part's weights are taken at a = 0, where w = i rho
     med = Medium(1.5)
     p = pair((0.6, 0.4, 0.7), (-0.2, 0.2, 0.7))
     kern = assemble_kernel_result(med, KernelKind.GENERALIZED_DELTA, p, SPEC).tensor
@@ -222,36 +210,20 @@ def test_assembled_kernel_equal_heights_path():
     assert np.max(np.abs(kern - target)) < 1e-4 * np.max(np.abs(target))
 
 
-@pytest.mark.parametrize("r, rp, calls", [
-    ((1.0, 0.0, 0.01), (0.0, 0.0, 0.01), 13),
-    ((2.0, 0.0, 0.1), (0.0, 0.0, 0.2), 12),
+@pytest.mark.parametrize("r, rp", [
+    ((1.0, 0.0, 0.01), (0.0, 0.0, 0.01)),
+    ((2.0, 0.0, 0.1), (0.0, 0.0, 0.2)),
 ], ids=["z0.01_rho1", "z0.1_rho2"])
-def test_near_interface_assembly_evaluates_only_the_half_periods_it_sums(r, rp, calls,
-                                                                        monkeypatch):
-    # |z| + z' this small sends the interface profile through the Bessel-
-    # oscillation route.  Each profile call holds the 15 kappa of the next
-    # half-period [m pi/rho, (m+1) pi/rho], so the inner-error and tail bounds,
-    # taken over every kappa evaluated, count no kappa past the one where the
-    # accelerated sum converged
-    seen = []
-    profile = kernels.kz_profile
-
-    def counted(medium, kap, *args):
-        seen.append(np.array(kap, dtype=float))
-        return profile(medium, kap, *args)
-
-    monkeypatch.setattr(kernels, "kz_profile", counted)
+def test_near_interface_pairs_meet_their_closed_forms(r, rp):
+    # |z| + z' far below rho: the weights vary on the scale rho/(|z| + z')
+    # along the ray, which the refinement follows
     med, p = Medium(2.0), pair(r, rp)
-    res = assemble_kernel_result(med, KernelKind.GENERALIZED_DELTA, p, SPEC)
-    half = math.pi / math.hypot(r[0] - rp[0], r[1] - rp[1])
-    assert len(seen) == calls
-    for m, kap in enumerate(seen):
-        assert kap.size == 15
-        assert (m * half < kap).all() and (kap < (m + 1) * half).all()
-    target = kernel_closed_form(med, KernelKind.GENERALIZED_DELTA, p)
-    observed = np.max(np.abs(res.tensor - target))
-    assert observed < 1e-6 * np.max(np.abs(target))
-    assert observed <= res.error_estimate
+    for kind in (KernelKind.GENERALIZED_DELTA, KernelKind.GAUGE_DIFFERENCE):
+        res = assemble_kernel_result(med, kind, p, SPEC)
+        target = kernel_closed_form(med, kind, p)
+        observed = np.max(np.abs(res.tensor - target))
+        assert observed < 1e-12 * np.max(np.abs(target))
+        assert observed <= res.error_estimate
 
 
 def test_gauge_difference_profile_matches_residue_profile_pointwise():
@@ -483,39 +455,11 @@ def test_gauge_difference_bodies_match_their_spelled_out_reference(n, z, monkeyp
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("r, rp, batches", [
-    ((0.4, -0.2, 0.8), (0.1, 0.3, 0.5), [90]),
-    ((2.0, 0.0, 0.1), (0.0, 0.0, 0.2), 12 * [15]),
-], ids=["damped", "bessel_oscillation"])
-def test_assembly_calls_the_profile_once_per_level(r, rp, batches, monkeypatch):
-    # the damped branch's first level (the five decay panels, the last split
-    # at the Bessel half-period: 6 panels, 90 kappa) converges in one call
-    # where one call per 15-node radial panel would make 6; the Bessel-
-    # oscillation branch takes one half-period (one panel) per call, none
-    # of them bisected.
-    seen = []
-    profile = kernels.kz_profile
-
-    def counted(medium, kap, *args):
-        seen.append(np.size(kap))
-        return profile(medium, kap, *args)
-
-    monkeypatch.setattr(kernels, "kz_profile", counted)
-    p = pair(r, rp)
-    res = assemble_kernel_result(Medium(2.0), KernelKind.GENERALIZED_DELTA, p, SPEC)
-    assert seen == batches
-    target = kernel_closed_form(Medium(2.0), KernelKind.GENERALIZED_DELTA, p)
-    assert np.max(np.abs(res.tensor - target)) <= res.error_estimate
-
-
 @pytest.mark.parametrize("n", [1.2, 2.0, 40.0])
 @pytest.mark.parametrize("z, zp", [(0.7, 0.4), (-0.3, 0.5)])
 def test_batched_profiles_match_scalar_calls(n, z, zp):
     med = Medium(n)
-    builders = [
-        lambda k: _gauge_difference_profile(med, k, z, zp, SPEC),
-        lambda k: _free_profile(k, z, zp),
-    ]
+    builders = [lambda k: _gauge_difference_profile(med, k, z, zp, SPEC)]
     if z > 0.0:
         builders.append(lambda k: kz_profile(med, k, z, zp, SPEC))
     for build in builders:
@@ -543,11 +487,8 @@ def test_profile_entry_errors_bound_each_kappa(z, zp, n):
 
 
 def test_large_n_assembly_below_the_interface_converges():
-    # at n = 40 below the interface the radial layer integrates the profiles
-    # at their own tolerance; the observed errors of the ray integrals sit far
-    # below their batch tolerance, so a profile is smooth in kappa and the
-    # radial K15/G7 estimate does not chase per-kappa stopping noise to the
-    # panel cap
+    # at n = 40 below the interface the transmitted phase a(s) = k_zd |z| + s z'
+    # grows like n |z| s along the ray, and the s contour follows it
     med = Medium(40.0)
     p = pair((0.5, 0.2, -0.6), (0.0, -0.3, 0.7))
     res = assemble_kernel_result(med, KernelKind.GENERALIZED_DELTA, p, SPEC)
@@ -636,27 +577,41 @@ def _body(body, medium, kap, sign=1.0):
     return f
 
 
-def _halfline(f, kap, scale):
-    """int_0^inf f(k, kappa entry) dk on the real axis (the Levin route), one
-    call per kappa: the values and the errors."""
-    runs = [spectral.halfline_oscillatory_integral(
-        lambda k, entry=entry: f(k, np.full(k.shape, entry)), scale, SPEC)
-        for entry in range(kap.size)]
+_AXIS_END = 40.0  # K s: where the real-axis route leaves the axis
+
+
+def _real_axis(f, kap, scale):
+    """int_0^K f(k, kappa entry) dk on the real axis, K = _AXIS_END/scale, by
+    panels, one call per kappa: the values and the errors."""
+    runs = [spectral.adaptive_panels(lambda k, entry=entry: f(k, np.full(k.shape, entry)),
+                                     np.linspace(0.0, _AXIS_END / scale, 41), SPEC)
+            for entry in range(kap.size)]
     return np.array([r.value for r in runs]), np.array([r.error_estimate for r in runs])
+
+
+def _tail(f, kap, scale):
+    """int_K^inf f(k, kappa entry) dk of a body in e^{+ik s} along the ray
+    k = K + u e^{i pi/4}, where it decays: the values and the errors."""
+    res = spectral.ray_integral(lambda k, entries: f(_AXIS_END / scale + k, entries), scale,
+                                kap.size, SPEC)
+    return res.value, res.entry_errors
 
 
 @pytest.mark.parametrize("n", [1.2, 2.0, 40.0])
 @pytest.mark.parametrize("z, zp", [(0.7, 0.4), (-0.3, 0.5)])
 def test_negative_kz_half_axis_is_the_parity_mirror(n, z, zp, monkeypatch):
-    # the reflected and transmitted bodies integrated on k_z < 0 give the
-    # conjugate of their k_z > 0 integral with the odd dyads uz, zu flipped
+    # the reflected and transmitted bodies on k_z < 0 are the conjugate of
+    # their values on k_z > 0 with the odd dyads uz, zu flipped, node by
+    # node, so their k_z < 0 integral is the parity conjugate as well
     seen = _captured_bodies(monkeypatch)
     med = Medium(n)
     kz_profile(med, KAPPA_PANEL, z, zp, SPEC)
     (kap, scale, body, evanescent), = seen
     assert evanescent is None
-    upper, _ = _halfline(_body(body, med, kap), kap, scale)
-    lower, _ = _halfline(_body(body, med, kap, sign=-1.0), kap, scale)
+    k = np.multiply.outer(np.geomspace(1e-6, 1e3, 400) / scale, np.ones(kap.size))
+    entries = np.arange(kap.size)
+    upper = _body(body, med, kap)(k, entries)
+    lower = _body(body, med, kap, sign=-1.0)(k, entries)
     gap = np.max(np.abs(lower - kernels._PARITY * np.conj(upper)))
     assert gap <= 1e-15 * np.max(np.abs(upper))
 
@@ -684,9 +639,11 @@ def test_gauge_profile_body_is_its_right_and_left_modes(n, monkeypatch):
     assert np.max(np.abs(apart[0].value)) > 0.0 and np.max(np.abs(apart[1].value)) > 0.0
 
 
-def _gauge_real_axis_body(medium, zp):
+def _gauge_real_axis_body(medium, zp, part="both"):
     """The gauge-difference body [ju, jz] on the real k_z > 0 axis, written
-    with both of its exponentials e^{+-i k_z z'}."""
+    with both of its exponentials e^{+-i k_z z'}: its terms in e^{+ik z'}
+    alone for part "ep", the Schwarz partners of its terms in e^{-ik z'}
+    alone (e^{+ik z'} in place of e^{-ik z'}) for "partner"."""
     n = medium.n
 
     def body(k, kzd, kap, kmag2):
@@ -694,7 +651,11 @@ def _gauge_real_axis_body(medium, zp):
         tm = fresnel_coefficients(medium, Polarization.TM, kap, k, kzd)
         right = kernels.surface_charge_mode(medium, Side.RIGHT, tm) / kmag
         left = kernels.surface_charge_mode(medium, Side.LEFT, tm) * n * tm.tR / kmag
-        ep, em = np.exp(1j * k * zp), np.exp(-1j * k * zp)
+        ep = np.exp(1j * k * zp)
+        if part == "both":
+            em = np.exp(-1j * k * zp)
+        else:  # on the ray past K, where e^{-ik z'} grows
+            ep, em = (ep, 0.0) if part == "ep" else (0.0, ep)
         ju = (k / kmag) * (right * (tm.rR * em - ep) + left * em)
         jz = (-kap / kmag) * (right * (ep + tm.rR * em) + left * em)
         return np.stack([ju, jz], axis=-1)
@@ -708,9 +669,10 @@ def test_ray_route_matches_the_levin_real_axis(profile, n, monkeypatch):
     # with the cut switched off an interface profile is its travelling part:
     # the ray integral of the body, mirrored by parity (reflected,
     # transmitted) or with the Schwarz partners conjugated (gauge difference).
-    # The same body integrated on the real axis by the Levin route, and the
-    # gauge-difference body written with e^{-ik z'} itself, agree with it
-    # within the summed estimates
+    # The same body integrated on the real axis (panels up to K, then the
+    # ray from K on), and the gauge-difference body written with e^{-ik z'}
+    # itself (whose e^{-ik z'} tail past K lies on the conjugate ray, the
+    # conjugate of its partner's), agree with it within the summed estimates
     seen = _captured_bodies(monkeypatch)
     ray_integral = kernels.ray_integral
     monkeypatch.setattr(kernels, "ray_integral",
@@ -725,11 +687,17 @@ def test_ray_route_matches_the_levin_real_axis(profile, n, monkeypatch):
     (kap, scale, body, evanescent), = seen
     ray = kernels._interface_profile(med, kap, scale, body, SPEC, evanescent)
     if evanescent is None:
-        upper, err = _halfline(_body(body, med, kap), kap, scale)
-        levin, err = upper + kernels._PARITY * np.conj(upper), 2.0 * err
+        f = _body(body, med, kap)
+        (axis, axis_err), (tail, tail_err) = _real_axis(f, kap, scale), _tail(f, kap, scale)
+        upper = axis + tail
+        real, err = upper + kernels._PARITY * np.conj(upper), 2.0 * (axis_err + tail_err)
     else:
-        levin, err = _halfline(_body(_gauge_real_axis_body(med, zp), med, kap), kap, scale)
-    gap = np.max(np.abs(ray.value - levin), axis=-1)
+        axis, axis_err = _real_axis(_body(_gauge_real_axis_body(med, zp), med, kap), kap, scale)
+        up, up_err = _tail(_body(_gauge_real_axis_body(med, zp, "ep"), med, kap), kap, scale)
+        down, down_err = _tail(_body(_gauge_real_axis_body(med, zp, "partner"), med, kap), kap,
+                               scale)
+        real, err = axis + up + np.conj(down), axis_err + up_err + down_err
+    gap = np.max(np.abs(ray.value - real), axis=-1)
     assert np.all(gap <= ray.entry_errors + err)
     assert np.max(np.abs(ray.value)) > 1e3 * np.max(ray.entry_errors + err)
 
@@ -781,34 +749,41 @@ def test_mirrored_lone_kappa_profiles_converge_at_their_first_level(monkeypatch)
 
 
 def test_damped_assemblies_converge_at_their_first_level(monkeypatch):
-    # the first radial panels follow the e^{-kappa d} decay, split at the
-    # Bessel half-period, so every damped radial integral of the verify pairs
-    # converges on them: one profile call.  A coarser layout bisects, and its
-    # next level is a second call.
-    calls = []  # [profile calls, damped] per radial integral
-    assemble, levin = kernels._radial_assemble, kernels.halfline_oscillatory_integral
+    # along the s contour Im a(s) > 0 damps every weight like |s|^-3, and the
+    # first ray panels (the finer layout) follow that decay: of the 288
+    # interface parts of the verify assemblies, 270 rays and 264 cuts
+    # converge on their first panels, one integrand call each, and none
+    # takes more than two ray calls, three cut calls or 360 nodes
+    calls = []  # [ray calls, cut calls, nodes] per interface part
+    ray = kernels.ray_integral
 
-    def counted(profile_fn, rho, damping, spec):
-        record = [0, True]
+    def counted(f, *args, cut=None, **kwargs):
+        record = [0, 0, 0]
         calls.append(record)
 
-        def fn(kap):
+        def on_ray(k, entries):
             record[0] += 1
-            return profile_fn(kap)
-        return assemble(fn, rho, damping, spec)
+            return f(k, entries)
 
-    def undamped(*args):
-        calls[-1][1] = False
-        return levin(*args)
+        def on_cut(t, entries):
+            record[1] += 1
+            return cut(t, entries)
 
-    monkeypatch.setattr(kernels, "_radial_assemble", counted)
-    monkeypatch.setattr(kernels, "halfline_oscillatory_integral", undamped)
-    for n in (1.5, 2.0, 4.0, 40.0):
+        res = ray(on_ray, *args, cut=on_cut, **kwargs)
+        record[2] = res.nodes_used
+        return res
+
+    monkeypatch.setattr(kernels, "ray_integral", counted)
+    for n in (1.5, 2.0, 4.0):
         for kind in (KernelKind.GENERALIZED_DELTA, KernelKind.GAUGE_DIFFERENCE,
                      KernelKind.TRUE_COULOMB):
             for p in UPPER_PAIRS + LOWER_PAIRS:
                 assemble_kernel_result(Medium(n), kind, p, SPEC)
-    assert [count for count, damped in calls if damped] == [1] * 152
+    calls = np.array(calls)
+    assert len(calls) == 3 * (8 + 8 + 8 + 8)
+    assert np.mean(calls[:, 0] == 1) >= 0.9 and calls[:, 0].max() <= 2
+    assert np.mean(calls[:, 1] == 1) >= 0.9 and calls[:, 1].max() <= 3
+    assert calls[:, 2].max() <= 360
 
 
 @pytest.mark.parametrize("z, zp, kap", [(-0.6, 0.5, 50.0), (-1.0, 1.0, 23.0), (-1.0, 1.0, 50.0)])
@@ -831,31 +806,12 @@ def test_thin_margin_gauge_difference_pair_within_its_estimate():
     assert observed <= res.error_estimate
 
 
-def test_profiles_never_call_the_levin_halfline(monkeypatch):
-    # every k_z profile integrates its travelling body on the damped ray
-    def refuse(*args, **kwargs):
-        raise AssertionError("Levin half-line called")
-
-    monkeypatch.setattr(kernels, "halfline_oscillatory_integral", refuse)
-    monkeypatch.setattr(spectral, "halfline_oscillatory_integral", refuse)
-    med = Medium(2.0)
-    for kap, z, zp in [(1.3, 0.7, 0.4), (0.6, -0.8, 0.6)]:
-        prof = kz_profile(med, kap, z, zp, SPEC)
-        assert np.max(np.abs(prof.value - residue_profile(med, kap, z, zp))) <= prof.error_estimate
-    prof = _gauge_difference_profile(med, KAPPA_PANEL, 0.7, 0.4, SPEC)
-    assert prof.value.shape == (len(KAPPA_PANEL), 5)
-    p = pair((0.5, 0.2, -0.6), (0.0, -0.3, 0.7))
-    for kind in (KernelKind.GENERALIZED_DELTA, KernelKind.GAUGE_DIFFERENCE):
-        res = assemble_kernel_result(med, kind, p, SPEC)
-        assert np.max(np.abs(res.tensor - kernel_closed_form(med, kind, p))) <= res.error_estimate
-
-
 @pytest.mark.parametrize("kind", [KernelKind.GENERALIZED_DELTA, KernelKind.TRUE_COULOMB])
 @pytest.mark.parametrize("p", LOWER_PAIRS, ids=[f"lower{i}" for i in range(4)])
 def test_large_n_lower_pair_meets_its_closed_form(p, kind):
     # at n = 40 on every lower verify pair; on (0.2, 0.6, -1)/(-0.1, 0, 0.5),
     # per-kappa stopping noise of the transmitted profiles at the 1e-11 level
-    # once drove the radial layer to its panel cap
+    # once drove a radial kappa quadrature to its panel cap
     med = Medium(40.0)
     res = assemble_kernel_result(med, kind, p, SPEC)
     target = kernel_closed_form(med, kind, p)
@@ -978,15 +934,15 @@ def test_large_n_lower_pairs_take_fewer_nodes_at_the_same_error(r, rp, parent_no
                                                                 parent_error):
     # the lower pairs of the large-n interior at n = 100: with the transmitted
     # cut on panels shared by each radial panel's kappa they took 559k and
-    # 890k nodes; with each kappa's cut on its own panels at most 0.6 of that,
-    # at the same relative error (the truncation floor)
+    # 890k nodes at the damped truncation's floor (the parent errors); on the
+    # s contour at most 0.6 of that, at no worse an error
     med = Medium(100.0)
     p = pair(r, rp)
     res = assemble_kernel_result(med, KernelKind.GENERALIZED_DELTA, p, SPEC)
     target = kernel_closed_form(med, KernelKind.GENERALIZED_DELTA, p)
     observed = np.max(np.abs(res.tensor - target))
     assert res.nodes_used <= 0.6 * parent_nodes
-    assert observed / np.max(np.abs(target)) == pytest.approx(parent_error, rel=1e-3)
+    assert observed / np.max(np.abs(target)) <= parent_error
     assert observed <= res.error_estimate
 
 
@@ -1208,45 +1164,30 @@ def test_poisson_jump_residual_rejects_non_finite_labels():
             poisson_jump_residual(med, 1.0, bad, Side.RIGHT)
 
 
-def test_bessel_weights_match_jv_of_orders_0_to_2():
-    # each dyad alone at kappa = 1, rho = x: the weights over pi kappa, down
-    # to x = 0 and the subnormal x where j1(x)/x underflows
-    jv = pytest.importorskip("scipy.special").jv
-    for x in (0.0, 5e-324, 1e-310, 1e-300, 1e-12, 1e-4, *np.linspace(0.01, 300.0, 601)):
-        j0, j1, j2 = (float(jv(order, x)) for order in range(3))
-        expected = np.zeros((5, 5), dtype=complex)
-        expected[0, :2] = j0 - j2, j0 + j2  # uu into xx, yy
-        expected[4, :2] = j0 + j2, j0 - j2  # vv into xx, yy
-        expected[3, 2] = 2.0 * j0  # zz
-        expected[1, 3] = expected[2, 4] = 2j * j1  # uz into xz, zu into zx
-        weights = kernels._bessel_combination(np.eye(5, dtype=complex), np.ones(5), x) / math.pi
-        assert_allclose(weights, expected, rtol=0.0, atol=1e-14, err_msg=f"x = {x!r}")
-
-
 @pytest.mark.parametrize("n", [2.0, 40.0])
 def test_on_axis_generalized_delta_meets_its_closed_form(n):
-    # rho = 0: every radial node has kappa rho = 0, where J1(x)/x is 1/2
+    # rho = 0, where the weights are those of w = a; above the interface
+    # a(0) = 0, which the contour's start at i gamma/2 avoids
     med, p = Medium(n), pair((0.0, 0.0, 0.5), (0.0, 0.0, 0.9))
     result = assemble_kernel_result(med, KernelKind.GENERALIZED_DELTA, p, SPEC)
     target = kernel_closed_form(med, KernelKind.GENERALIZED_DELTA, p)
     assert np.max(np.abs(result.tensor - target)) / np.max(np.abs(target)) < 1e-6
 
 
-def test_scipy_special_loads_at_the_first_kernel_assembly():
+def test_assembly_and_verify_leave_scipy_unloaded():
+    # scipy is a test dependency only: no package path imports it
     script = (
         "import sys\n"
         "import numpy as np\n"
         "import halfspace_qed\n"
         "from halfspace_qed import cli\n"
-        "lazy = ('scipy.special', 'numpy.f2py')\n"
-        "assert not any(m in sys.modules for m in lazy), 'import'\n"
-        "assert cli.main(['energy', 'shift', '--n', '2', '--z0', '1']) == 0\n"
-        "assert not any(m in sys.modules for m in lazy), 'energy shift'\n"
         "halfspace_qed.assemble_kernel_result(\n"
         "    halfspace_qed.Medium(2.0), halfspace_qed.KernelKind.GENERALIZED_DELTA,\n"
         "    halfspace_qed.PointPair(np.array([0.3, 0.0, 0.5]), np.array([0.0, 0.0, 0.9])),\n"
         "    halfspace_qed.QuadratureSpec())\n"
-        "assert 'scipy.special' in sys.modules, 'assembly'\n"
+        "assert 'scipy' not in sys.modules, 'assembly'\n"
+        "assert cli.main(['verify', '--suite', 'all']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'verify'\n"
     )
     env = dict(os.environ)
     src = Path(__file__).resolve().parent.parent / "src"
@@ -1286,3 +1227,115 @@ def test_enum_parameters_reject_anything_but_their_members(case):
     name, call = _bad_enum_calls()[case]
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call()
+
+
+# ---------------------------------------------------------------------------
+# the closed kappa and azimuth weights and the s contour
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("a, rho", [
+    (0.3j, 0.0), (2.0 + 0.5j, 1.0), (-1.0 + 0.1j, 0.7), (0.05j, 1.0), (3.0 + 4.0j, 0.2),
+    (0.4 + 1e-3j, 1e-9),
+])
+def test_weights_match_brute_force_quadrature(a, rho):
+    # (W_1, W_c, W_cc, W_ss) = -2i int dphi {1, cos, cos^2, sin^2}/(a + rho cos phi)^3,
+    # by the trapezoid rule (spectrally accurate for a periodic integrand)
+    phi = np.linspace(0.0, 2.0 * math.pi, 20001)[:-1]
+    amp = -2j / (a + rho * np.cos(phi)) ** 3 * (2.0 * math.pi / phi.size)
+    brute = [amp.sum(), (amp * np.cos(phi)).sum(), (amp * np.cos(phi) ** 2).sum(),
+             (amp * np.sin(phi) ** 2).sum()]
+    weights = kernels._weights(a, rho)
+    scale = max(abs(b) for b in brute)
+    assert_allclose(weights, brute, rtol=0.0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("big_a", [0.3j, 1.0 + 0.5j, -2.0 + 0.4j])
+def test_kappa_integral_behind_the_weights(big_a):
+    # int_0^inf kappa^2 e^{i kappa A} dkappa = -2i/A^3 for Im A > 0
+    quad = pytest.importorskip("scipy.integrate").quad
+    re, im = (quad(lambda k, part=part: part(k * k * np.exp(1j * k * big_a)), 0.0, np.inf,
+                   epsabs=0.0, epsrel=1e-10, limit=400)[0] for part in (np.real, np.imag))
+    assert abs(re + 1j * im - (-2j / big_a ** 3)) <= 1e-8 * abs(2.0 / big_a ** 3)
+
+
+def test_weights_at_a_zero_are_the_limit_from_above():
+    # at a = 0, w = i rho: W = -2 pi/rho^3 (1, 0, 2, -1) for (W_1, W_c, W_cc, W_ss),
+    # the limit of the weights at a = i eps
+    rho = 0.8
+    exact = -2.0 * math.pi / rho ** 3 * np.array([1.0, 0.0, 2.0, -1.0])
+    assert_allclose(kernels._weights(0j, rho), exact, rtol=1e-14, atol=0.0)
+    assert_allclose(kernels._weights(1e-9j, rho), exact, rtol=1e-8, atol=1e-6)
+
+
+@pytest.mark.parametrize("n", [1.5, 10.0])
+@pytest.mark.parametrize("rho", ["zero", "branch"])
+def test_lower_pairs_where_a_contour_from_zero_diverges(n, rho):
+    # below the interface a(0) = sqrt(n^2 - 1)|z|: at rho = 0 and at
+    # rho = a(0), where w(0) = 0, the contour from s = 0 diverges; from
+    # i gamma/2 it meets the closed form
+    z, zp = -0.5, 0.9
+    dx = 0.0 if rho == "zero" else math.sqrt(n * n - 1.0) * abs(z)
+    p, med = pair((dx, 0.0, z), (0.0, 0.0, zp)), Medium(n)
+    for kind in (KernelKind.GENERALIZED_DELTA, KernelKind.GAUGE_DIFFERENCE,
+                 KernelKind.TRUE_COULOMB):
+        res = assemble_kernel_result(med, kind, p, SPEC)
+        target = kernel_closed_form(med, kind, p)
+        observed = np.max(np.abs(res.tensor - target))
+        assert observed <= 1e-12 * np.max(np.abs(target))
+        assert observed <= res.error_estimate
+
+
+def test_n200_lower_pair_meets_its_closed_form():
+    # (0.3, 0.2, -0.747)/(0, 0, 0.129) raised at n = 200 through the radial
+    # quadrature; on the s contour it reads below 1e-10, in at most twice the
+    # nodes of n = 10
+    p = pair((0.3, 0.2, -0.747), (0.0, 0.0, 0.129))
+    nodes = {}
+    for n in (10.0, 200.0):
+        med = Medium(n)
+        res = assemble_kernel_result(med, KernelKind.GENERALIZED_DELTA, p, SPEC)
+        target = kernel_closed_form(med, KernelKind.GENERALIZED_DELTA, p)
+        observed = np.max(np.abs(res.tensor - target))
+        assert observed <= 1e-10 * np.max(np.abs(target))
+        assert observed <= res.error_estimate
+        nodes[n] = res.nodes_used
+    assert nodes[200.0] <= 2 * nodes[10.0]
+
+
+@pytest.mark.parametrize("n", [1.0, 1.001])
+@pytest.mark.parametrize("r", [(0.0, 0.0, 0.5), (0.5, 0.0, 0.5), (0.0, 0.0, -0.5),
+                               (0.5, 0.0, -0.5), (0.0, 0.0, 0.0)],
+                         ids=["above_axis", "above", "below_axis", "below", "interface_axis"])
+def test_near_vacuum_kernels_meet_their_closed_forms(n, r):
+    # gamma -> 0: the contour starts at i gamma/2 next to the branch point,
+    # with the cut only [gamma/2, gamma]; at n = 1 there is no cut and the
+    # ray starts at i/2.  Errors are relative to the whole kernel
+    p, med = pair(r, (0.0, 0.0, 0.9)), Medium(n)
+    for kind in (KernelKind.GENERALIZED_DELTA, KernelKind.GAUGE_DIFFERENCE,
+                 KernelKind.TRUE_COULOMB):
+        res = assemble_kernel_result(med, kind, p, SPEC)
+        target = kernel_closed_form(med, kind, p)
+        full = kernel_closed_form(med, KernelKind.GENERALIZED_DELTA, p)
+        observed = np.max(np.abs(res.tensor - target))
+        assert observed <= 1e-12 * np.max(np.abs(full))
+        assert observed <= max(res.error_estimate, 1e-15 * np.max(np.abs(full)))
+
+
+@pytest.mark.parametrize("n", [1.01, 2.0, 40.0])
+def test_gauge_cut_is_the_travelling_body_jump(n):
+    # the evanescent left-incident modes on the cut s = i t equal the jump
+    # -i [h_R(i t) - h_L(i t)] of the gauge-difference travelling body: its
+    # right terms at k_zd and its e^{-ik z'} terms continued through k_z < 0,
+    # which read the partner terms at -k_zd.  So the assembled gauge kernel
+    # runs on the same contour as the reflected and transmitted parts
+    med, zp = Medium(n), 0.4
+    gamma = math.sqrt(n * n - 1.0) / n
+    t = gamma * np.array([1e-6, 0.05, 0.3, 0.5, 0.8, 0.99, 1.0 - 1e-9])
+    kzd = np.sqrt(np.maximum(n * n - 1.0 - n * n * t * t, 0.0))
+    damp = np.exp(-t * zp) / (1.0 - t * t)
+    right = kernels._gauge_terms(med, 1j * t, kzd, 1.0, damp)[:2]
+    left = kernels._gauge_terms(med, 1j * t, -kzd, 1.0, damp)[2:]
+    left *= np.array([-1.0, 1.0])[:, None]  # the u-row's k_z changes sign on k_z < 0
+    evanescent = kernels._gauge_evanescent_terms(med, t, kzd, 1.0, damp)
+    scale = max(np.abs(right).max(), np.abs(left).max())  # the jump cancels down from this
+    assert_allclose(-1j * (right - left), evanescent, rtol=0.0, atol=1e-14 * scale)

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -15,7 +18,7 @@ from halfspace_qed.config import (
     load_config,
     spec_from_config,
 )
-from halfspace_qed.spectral import QuadratureError, damped_breakpoints
+from halfspace_qed.spectral import QuadratureError
 from halfspace_qed.report import (
     all_passed,
     from_json,
@@ -110,11 +113,9 @@ def test_config_parsing(tmp_path):
     spec = spec_from_config(cfg)
     assert spec.abs_tol == 1e-13
     assert spec.rel_tol == 1e-9  # default preserved
-    # rel_tol, not a key of its own, sets the damped truncation: 12 decades at 1e-11
     cfg_file.write_text("quad.rel_tol = 1e-11\n")
     spec = spec_from_config(load_config(str(cfg_file)))
     assert spec.rel_tol == 1e-11 and spec.abs_tol == 1e-12  # default preserved
-    assert damped_breakpoints(1.0, spec)[-1] == 12.0 * math.log(10.0)
 
 
 def test_config_error_has_line_number(tmp_path):
@@ -154,9 +155,9 @@ def test_cli_rejects_bad_config_naming_the_key(tmp_path, capsys, line, key):
 @pytest.mark.parametrize("key", ["quad.max_periods", "quad.accel_order", "quad.trunc_decades",
                                  "seed", "tol.energy", "tol.energy.image"])
 def test_cli_rejects_the_retired_engine_keys(tmp_path, capsys, key):
-    # the Levin half-period cap and acceleration order are engine constants,
-    # rel_tol sets the damped truncation, the seed is the verify --seed flag
-    # and every check bound is a constant of DEFAULT_TOLERANCES
+    # the engine has no half-period cap, acceleration order or truncation
+    # left to set, the seed is the verify --seed flag and every check bound
+    # is a constant of DEFAULT_TOLERANCES
     cfg = tmp_path / "old.cfg"
     cfg.write_text(f"quad.abs_tol = 1e-12\n{key} = 64\n")
     out = tmp_path / "report.json"
@@ -365,6 +366,20 @@ def test_cli_reports_an_integral_that_misses_its_tolerance(monkeypatch, capsys, 
     captured = capsys.readouterr()
     assert captured.err == "error: cut integral stalled at error 1e-3 after 800 panels\n"
     assert captured.out == ""
+
+
+def test_cli_overflowing_integrand_is_one_error_line():
+    # energy shift --n 1e153 overflows in the travelling body: the run prints
+    # the QuadratureError of the non-finite panel alone, with no numpy
+    # RuntimeWarning before it
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "halfspace_qed", "energy", "shift", "--n", "1e153",
+                          "--z0", "1"], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert re.fullmatch(r"error: non-finite integrand on the panel \[[^\n]*\]\n", run.stderr)
 
 
 def test_cli_energy_sweep_at_zero_charge(capsys):

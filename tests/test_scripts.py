@@ -1,6 +1,5 @@
 """Smoke tests of the experiment scripts and configs: each script runs end to end on a
 small input, and each config loads."""
-import math
 import os
 import subprocess
 import sys
@@ -9,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from halfspace_qed.config import load_config, spec_from_config
-from halfspace_qed.spectral import QuadratureSpec, damped_breakpoints
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,12 +28,3 @@ def test_perfect_reflector_scaling_script_runs():
 @pytest.mark.parametrize("path", sorted((ROOT / "scripts").glob("*.cfg")), ids=lambda p: p.name)
 def test_script_configs_load(path):
     spec_from_config(load_config(str(path)))
-
-
-def test_shipped_truncations_are_whole_decades():
-    # 1 - log10(rel_tol) decades of e^{-kappa d}: exactly 10 at the default
-    # rel_tol of 1e-9 and 12 at the 1e-11 of tight.cfg
-    tight = spec_from_config(load_config(str(ROOT / "scripts" / "tight.cfg")))
-    assert tight.rel_tol == 1e-11
-    assert damped_breakpoints(1.0, QuadratureSpec())[-1] == 10.0 * math.log(10.0)
-    assert damped_breakpoints(1.0, tight)[-1] == 12.0 * math.log(10.0)
