@@ -806,6 +806,30 @@ def test_thin_margin_gauge_difference_pair_within_its_estimate():
     assert observed <= res.error_estimate
 
 
+def test_profiles_never_call_the_levin_halfline(monkeypatch):
+    # spectral has no Levin half-line: every k_z profile integrates its
+    # travelling body on the damped ray, and every assembly its s contour,
+    # so with every other engine refused each still meets its reference
+    assert not hasattr(spectral, "halfline_oscillatory_integral")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an engine other than the ray called")
+
+    for name in ("adaptive_panels", "cut_segment_integral", "decaying_halfline_integral"):
+        assert not hasattr(kernels, name)
+        monkeypatch.setattr(spectral, name, refuse)
+    med = Medium(2.0)
+    for kap, z, zp in [(1.3, 0.7, 0.4), (0.6, -0.8, 0.6)]:
+        prof = kz_profile(med, kap, z, zp, SPEC)
+        assert np.max(np.abs(prof.value - residue_profile(med, kap, z, zp))) <= prof.error_estimate
+    prof = _gauge_difference_profile(med, KAPPA_PANEL, 0.7, 0.4, SPEC)
+    assert prof.value.shape == (len(KAPPA_PANEL), 5)
+    p = pair((0.5, 0.2, -0.6), (0.0, -0.3, 0.7))
+    for kind in (KernelKind.GENERALIZED_DELTA, KernelKind.GAUGE_DIFFERENCE):
+        res = assemble_kernel_result(med, kind, p, SPEC)
+        assert np.max(np.abs(res.tensor - kernel_closed_form(med, kind, p))) <= res.error_estimate
+
+
 @pytest.mark.parametrize("kind", [KernelKind.GENERALIZED_DELTA, KernelKind.TRUE_COULOMB])
 @pytest.mark.parametrize("p", LOWER_PAIRS, ids=[f"lower{i}" for i in range(4)])
 def test_large_n_lower_pair_meets_its_closed_form(p, kind):

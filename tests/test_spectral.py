@@ -26,6 +26,13 @@ def _halfline(f, scale, spec):
     return IntegralResult(res.value[0], res.error_estimate, res.nodes_used)
 
 
+def _damped_radial(f, damping, spec):
+    """int_0^inf f(k) e^{-k damping} dk, a damped radial transform, on the
+    decaying half-line at the decay length 1/damping."""
+    return decaying_halfline_integral(lambda k: f(k) * np.exp(-damping * k), 1.0 / damping,
+                                      spec)
+
+
 def _sin_over_x(s):
     """(e^{iks} - e^{-ks})/k, whose integral is i pi/2 (Frullani): its
     imaginary part is sin(ks)/k, and its real part integrates to 0."""
@@ -123,11 +130,21 @@ def test_oscillatory_requires_positive_scale():
         _halfline(lambda x: np.exp(1j * x), 0.0, SPEC)
 
 
+def test_oscillatory_nonconvergence_raises(monkeypatch):
+    # amplitude growing too fast for the panels allowed: the ray raises at
+    # its cap rather than return an unconverged value
+    monkeypatch.setattr(spectral, "_MAX_PANELS", 8)
+    spec = QuadratureSpec(rel_tol=1e-13)
+    with pytest.raises(QuadratureError, match="ray integral stalled at error .* after 8 panels"):
+        _halfline(lambda x: x**6 * np.exp(1j * x), 1.0, spec)
+
+
 @pytest.mark.parametrize("engine, args", [
     (cut_segment_integral, (lambda t: 1.0 / t, 1.0, SPEC)),
     (decaying_halfline_integral, (lambda k: 1.0 / (1.0 + k), 1.0, SPEC)),
     (_halfline, (lambda k: 1.0 / k, 1.0, SPEC)),
-], ids=["cut_segment", "decaying_halfline", "ray"])
+    (_damped_radial, (lambda k: 1.0 / k, 1.0, SPEC)),
+], ids=["cut_segment", "decaying_halfline", "ray", "damped_radial"])
 def test_divergent_integrals_raise(engine, args):
     # logarithmically divergent integrands exhaust the panel cap
     with pytest.raises(QuadratureError) as err:
@@ -149,9 +166,9 @@ def test_cut_segment_examples():
 
 
 def test_damped_radial_moment():
-    res = decaying_halfline_integral(lambda k: k * np.exp(-1.3 * k), 1.0, TIGHT)
+    res = _damped_radial(lambda k: k, 1.3, TIGHT)
     assert abs(res.value - 1.0 / 1.3**2) < 1e-10
-    res = decaying_halfline_integral(lambda k: np.zeros_like(k), 1.0, TIGHT)
+    res = _damped_radial(lambda k: np.zeros_like(k), 1.0, TIGHT)
     assert res.value == 0.0
 
 
@@ -363,10 +380,13 @@ def test_adaptive_panels_raises_at_the_panel_cap(monkeypatch):
 
 @pytest.mark.parametrize("engine, args", [
     (spectral.adaptive_panels, (np.linspace(0.0, 1.0, 5), SPEC)),
+    (_halfline, (1.0, SPEC)),
     (ray_integral, (1.0, 2, SPEC)),
     (cut_segment_integral, (1.0, SPEC)),
     (decaying_halfline_integral, (1.0, SPEC)),
-], ids=["adaptive_panels", "ray", "cut_segment", "decaying_halfline"])
+    (_damped_radial, (1.0, SPEC)),
+], ids=["adaptive_panels", "halfline", "ray", "cut_segment", "decaying_halfline",
+        "damped_radial"])
 def test_non_finite_panel_raises_after_one_call(engine, args):
     calls = []
 
@@ -387,10 +407,13 @@ def _ray_run(f, spec):
 
 @pytest.mark.parametrize("engine, f, args", [
     (spectral.adaptive_panels, lambda x: 1.0 / (1e-3 + x * x), (np.linspace(-1.0, 1.0, 3), SPEC)),
+    (_halfline, lambda x: np.exp(1j * x) / (1.0 + x * x), (1.0, SPEC)),
     (_ray_run, lambda x: np.exp(1j * x) / (1.0 + x), (SPEC,)),
     (cut_segment_integral, np.sqrt, (2.0, SPEC)),
     (decaying_halfline_integral, lambda k: np.sqrt(k) / (1.0 + k * k), (3.0, SPEC)),
-], ids=["adaptive_panels", "ray", "cut_segment", "decaying_halfline"])
+    (_damped_radial, lambda k: np.sqrt(k), (0.8, SPEC)),
+], ids=["adaptive_panels", "halfline", "ray", "cut_segment", "decaying_halfline",
+        "damped_radial"])
 def test_every_engine_hands_its_integrand_node_blocks(engine, f, args):
     # one node layout: every call, refinement levels included, gets a
     # (15, panels) block, the 15 Kronrod nodes of a panel down its column
