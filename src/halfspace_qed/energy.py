@@ -33,6 +33,7 @@ gamma_d = sqrt(n^2-1) (at |k_par| = 1).  The evanescent left-incident modes,
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,8 @@ from .fresnel import fresnel_coefficients
 from .greens import check_charge, image_potential_ves
 from .medium import Medium, Polarization, Side
 from .modes import surface_charge_mode
-from .spectral import QuadratureSpec, cut_segment_integral, decaying_halfline_integral
+from .spectral import (QuadratureSpec, cut_segment_integral, decaying_halfline_integral,
+                       decaying_halfline_last_node)
 
 __all__ = [
     "ShiftResult",
@@ -63,6 +65,23 @@ class ShiftResult:
     n: float
     z0: float
     q: float
+
+
+# k_zd = sqrt(n^2 k_z^2 + n^2 - 1) is finite at every node of the travelling
+# body's half-line while n^2 (k^2 + 1) <= DBL_MAX at its largest node
+# k = 1192.08: up to n = 1.1247e151 (n one ulp above raises).  For n from
+# 1.0005 up, that node's panel stayed whole in each run that met its tolerance
+# (tried down to abs_tol = rel_tol = 1e-16) and split only in runs that
+# raised QuadratureError anyway.
+_KZ_LAST = decaying_halfline_last_node(1.0)
+_N_MAX = math.sqrt(sys.float_info.max / (_KZ_LAST * _KZ_LAST + 1.0))
+
+
+def _check_index(medium: Medium) -> None:
+    """Reject n whose k_zd overflows on the longitudinal half-line (above)."""
+    if medium.n > _N_MAX:
+        raise ValueError(f"n must be at most {_N_MAX:.5g}, where k_zd on the longitudinal "
+                         f"half-line stays finite, got n={medium.n!r}")
 
 
 def redistribution_factors(medium: Medium) -> tuple[float, float]:
@@ -117,6 +136,7 @@ def second_order_shift(
     """Numerical second-order shift of the surface-charge coupling, with the
     image potential and the ratio dE/V^es (analytic target (n^2-1)/2n^2)."""
     check_charge(q, z0)
+    _check_index(medium)
     n = medium.n
     expected = redistribution_factors(medium)[0]
     v_es = image_potential_ves(q, medium, z0)
@@ -150,6 +170,7 @@ def double_commutator_cnumber(
     second-order shift with the opposite sign: pi q^2 [L(1) + R(1)]/(2 z0).
     """
     check_charge(q, z0)
+    _check_index(medium)
     if medium.n == 1.0:
         return 0.0
     return sum(_at_charge(q, z0, part) for part in _unit_parts(medium, spec))

@@ -21,12 +21,13 @@ The two sides of the interface share one travelling k_z body (``kz_profile``):
 the side only picks its coefficients, rR or tR, the lead of the TM u-row,
 the scale of the TM dyads and the plane-wave phase.  The inner k_z
 quadrature (the travelling axis along the damped ray k_z = u e^{i pi/4}, the
-evanescent segment through the cut rule, both in one run of
+evanescent segment k_z = i t through the cut rule, both in one run of
 ``spectral.ray_integral`` with each kappa's ray and cut on panels of their
-own) is the numerical path that the residue-theorem closed forms are
-verified against.  The bodies' branch points lie on the imaginary
-k_z axis; continued with the principal root of kzd, the TM denominator
-n^2 k_z + kzd vanishes at k_z = -kappa/n, on the negative real axis.  That
+own, every level one body call on the rays and cuts together) is the
+numerical path that the residue-theorem closed forms are verified against.
+The bodies' branch points lie on the imaginary k_z axis; continued with the
+principal root of kzd, the TM denominator n^2 k_z + kzd vanishes at
+k_z = -kappa/n, on the negative real axis.  That
 pole is outside the first quadrant, so the ray holds, but it sets the scale
 of each kappa's body next to k_z = 0.  Each kappa's first ray panel is
 graded from it, and the cut's end panels from it and from the TE pole at
@@ -239,27 +240,60 @@ def _cut_scales(n: float) -> tuple[float, float]:
     return low, (math.acosh(n / gap) if gap > 0.0 else math.inf)
 
 
+def _ray_cut_block(k: np.ndarray, owner: np.ndarray, first_cut: int, n: float, kap: np.ndarray,
+                   shift: float, body: Callable, cut: Callable | None, parity) -> np.ndarray:
+    """The values of an interface body on one ``ray_integral`` level's node
+    block k, its ray columns (``owner`` below ``first_cut``) first and its
+    cut columns k = i t after them, ``kap`` the kappa of each integral.  One
+    call body(s, kzd, kappa, |k|^2) gets s = k + i ``shift`` on the rays
+    (kzd the principal root of n^2 s^2 + (n^2 - 1) kappa^2) and
+    s = i (t + shift) on the cut (kzd >= 0), whose columns then hold the
+    jump across the cut, -i [F - ``parity`` conj F] of the value F there.
+    With ``cut`` the body gets the rays alone and cut(t + shift, kzd, kappa,
+    |k|^2) the cut, its trailing components padded by 0."""
+    rays = int(np.searchsorted(owner, first_cut))
+    kap = kap[owner]
+    kap2, gap2 = kap * kap, (n * n - 1.0) * kap * kap
+    s, t = k[:, :rays] + 1j * shift, k.imag[:, rays:] + shift
+    kzd = np.sqrt(n * n * s * s + gap2[:rays])
+    cut_kzd = np.sqrt(np.maximum(gap2[rays:] - n * n * t * t, 0.0))
+    if cut is not None:
+        ray = body(s, kzd, kap[:rays], kap2[:rays] + s * s)
+        jump = cut(t, cut_kzd, kap[rays:], kap2[rays:] - t * t)
+        block = np.zeros(k.shape + ray.shape[2:], dtype=complex)
+        block[:, :rays], block[:, rays:, :jump.shape[-1]] = ray, jump
+        return block
+    # k^2 = -t^2 exactly on the cut, so |k|^2 there is kappa^2 - t^2
+    s = np.concatenate((s, 1j * t), axis=1)
+    block = body(s, np.concatenate((kzd, cut_kzd), axis=1), kap, kap2 + s * s)
+    jump = block[:, rays:]
+    jump[...] = -1j * (jump - parity * np.conj(jump))
+    return block
+
+
 def _interface_profile(medium: Medium, kap: np.ndarray, scale: float, travelling: Callable,
                        spec: QuadratureSpec, evanescent: Callable | None = None) -> IntegralResult:
     """Travelling axis plus evanescent segment of an interface profile, in
     one engine run: each kappa's ray and its cut k_z = i t, 0 < t < Gamma,
-    are integrals of their own, refined level by level on their own panels.
-    ``travelling`` gets (kz, kzd, kappa, kmag2) for k_z > 0 and its
-    continuation into the first quadrant, where it goes like e^{i k_z scale};
-    its k_z > 0 integral is taken on the damped ray.  Without ``evanescent``
-    the profile integrates ``travelling`` over the whole real k_z axis: the
-    k_z < 0 half adds _PARITY times the conjugate of the k_z > 0 integral,
-    and the cut holds the body's jump across it, -i [f(it, kzd) - f(it, -kzd)],
-    from one body call on the stacked +-kzd.  Such a body is O(1) at large
-    |k_z|, so its rays start on the finer layout (``flat``).  With
-    ``evanescent``, which gets (t, kzd, kappa, kmag2) on the cut, the profile
-    is the k_z > 0 integral plus the cut integral of that body: no mirror, no
-    jump.  Its travelling body then returns [the terms in e^{+i k_z z'}, the
+    are integrals of their own, refined level by level on their own panels,
+    and each level is one call of the run's body on both.  ``travelling``
+    gets (kz, kzd, kappa, kmag2) for k_z > 0 and its continuation into the
+    first quadrant, where it goes like e^{i k_z scale}; its k_z > 0 integral
+    is taken on the damped ray.  Without ``evanescent`` the profile
+    integrates ``travelling`` over the whole real k_z axis: the k_z < 0 half
+    adds _PARITY times the conjugate of the k_z > 0 integral, and the cut
+    holds the body's jump across it, -i [f(it, kzd) - f(it, -kzd)] =
+    -i [F - _PARITY conj F] of its value F at kzd >= 0 (``_ray_cut_block``
+    gives both from one call).  Such a body is O(1) at large |k_z|, so its
+    rays start on the finer layout (``flat``).  With ``evanescent``, which
+    gets (t, kzd, kappa, kmag2) on the cut columns, the profile is the
+    k_z > 0 integral plus the cut integral of that body: no mirror, no jump.
+    Its travelling body then returns [the terms in e^{+i k_z z'}, the
     Schwarz partners of the terms in e^{-i k_z z'}]: a partner has
     e^{+i k_z z'} in place of e^{-i k_z z'}, and as the coefficients are real
     on the travelling axis, a term's k_z > 0 integral is the conjugate of its
-    partner's.  Either way each kappa's ray error doubles, and its error is
-    2 ray + cut.
+    partner's; the cut's two trailing components read 0.  Either way each
+    kappa's ray error doubles, and its error is 2 ray + cut.
 
     Continued with the principal root of kzd, every interface body has the TM
     pole n^2 k_z + kzd = 0 at k_z = -kappa/n: outside the first quadrant, so
@@ -269,26 +303,15 @@ def _interface_profile(medium: Medium, kap: np.ndarray, scale: float, travelling
     n = medium.n
     live = kap.ravel() > 0.0  # a kappa = 0 entry holds every profile's limit, 0
     flat = kap.ravel()[live]
-    kap2, gap2 = flat * flat, (n * n - 1.0) * flat * flat  # once, not per panel
-
-    def body(k: np.ndarray, entries: np.ndarray) -> np.ndarray:
-        return travelling(k, np.sqrt(n * n * k * k + gap2[entries]), flat[entries],
-                          kap2[entries] + k * k)
-
-    def segment(t: np.ndarray, entries: np.ndarray) -> np.ndarray:
-        kzd = np.sqrt(np.maximum(gap2[entries] - n * n * t * t, 0.0))
-        if evanescent is not None:
-            return evanescent(t, kzd, flat[entries], kap2[entries] - t * t)
-        # -i [F - _PARITY conj F] from F alone is bitwise the same jump, but with
-        # the cut's arrays halved the heap was trimmed and refaulted between
-        # assemblies (3.5 times the page faults on a batch of them)
-        both = travelling(1j * t, np.stack([kzd, -kzd]), flat[entries], kap2[entries] - t * t)
-        return -1j * (both[0] - both[1])
-
     m = flat.size
-    res = ray_integral(body, scale, m, spec, near=flat / n, cut=segment if n > 1.0 else None,
-                       gamma=evanescent_threshold(medium, flat), cut_near=_cut_scales(n),
-                       flat=evanescent is None)
+    flat2 = np.concatenate((flat, flat))  # integral e + m is the cut of entry e
+
+    def body(k: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        return _ray_cut_block(k, owner, m, n, flat2, 0.0, travelling, evanescent, _PARITY)
+
+    res = ray_integral(body, scale, m, spec, near=flat / n,
+                       gamma=evanescent_threshold(medium, flat) if n > 1.0 else None,
+                       cut_near=_cut_scales(n), flat=evanescent is None)
     ray, err = res.value[:m], 2.0 * res.entry_errors[:m]
     if evanescent is None:
         value = ray + _PARITY * np.conj(ray)
@@ -344,12 +367,17 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
 
 def _check_point(kap: ArrayLike, z: float, zp: float) -> None:
     """Reject, before any engine call, kappa that is neither 0 nor a finite
-    value >= _KAPPA_MIN, non-finite heights and z' <= 0."""
-    k = np.asarray(kap, dtype=float)
-    bad = ~(np.isfinite(k) & ((k == 0.0) | (k >= _KAPPA_MIN)))
-    if bad.any():
+    value >= _KAPPA_MIN, non-finite heights and z' <= 0.  A float kappa
+    (np.float64 included) is checked with math, an array's first bad entry
+    named in the same words."""
+    if isinstance(kap, float):
+        bad = [] if math.isfinite(kap) and (kap == 0.0 or kap >= _KAPPA_MIN) else [kap]
+    else:
+        k = np.asarray(kap, dtype=float)
+        bad = k[~(np.isfinite(k) & ((k == 0.0) | (k >= _KAPPA_MIN)))]
+    if len(bad):
         raise ValueError(f"kpar_mag must be 0 or a finite value >= {_KAPPA_MIN:g}, "
-                         f"got {float(k[bad][0])!r}")
+                         f"got {float(bad[0])!r}")
     for name, value in (("z", z), ("z'", zp)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -437,6 +465,8 @@ def residue_closed_form(medium: Medium, i: int, j: int, kpar_mag: float, z: floa
 # assembly: closed kappa and azimuth integrals, one s contour per part
 # ---------------------------------------------------------------------------
 
+# kappa = 1 of the ray and of the cut of an s contour
+_UNIT_KAPPA = np.ones(2)
 # The mirror of an aligned ray value in [xx, yy, zz, xz, zx]: the conjugate,
 # times these signs for the gauge-difference body (the module docstring)
 _MIRROR = np.array([1.0, 1.0, 1.0, -1.0, -1.0])
@@ -461,41 +491,37 @@ def _aligned(weights: tuple, uu, uz, zu, zz, vv) -> np.ndarray:
 
 
 def _contour_part(medium: Medium, z: float, zp: float, spec: QuadratureSpec,
-                  body: Callable, jump: Callable, mirror) -> IntegralResult:
+                  body: Callable, mirror, jump: Callable | None = None) -> IntegralResult:
     """One interface part of a kernel, its aligned entries integrated over
-    the s contour of the module docstring in one ``ray_integral`` run:
-    ``body(s, kzd)`` on the ray s = i gamma/2 + u e^{i pi/4} (kzd on the
-    principal root), its mirror as ``mirror`` times the conjugate of the
-    ray's last five entries, and ``jump(t, kzd)`` on the cut s = i t,
-    gamma/2 < t < gamma (kzd >= 0).  The cut runs as the engine's cut of
-    Gamma = gamma/2 shifted up by gamma/2, so that its sin map meets the
-    branch point.  The ray's map scale is |z| + z', the growth rate of Im a
-    along it (up to the k_zd term).  It starts on the finer layout, on which
-    most rays converge at their first level; its first panel is graded from
-    the branch point, a distance gamma/2 away, and the cut's last from the
-    poles at s = i.  The error is 2 ray + cut."""
+    the s contour of the module docstring in one ``ray_integral`` run, each
+    level one ``_ray_cut_block`` of ``body`` (and ``jump``) at kappa = 1:
+    the ray s = i gamma/2 + u e^{i pi/4} (kzd on the principal root), its
+    mirror as ``mirror`` times the conjugate of the ray's last five entries,
+    and the jump on the cut s = i t, gamma/2 < t < gamma (kzd >= 0).  The
+    cut runs as the engine's cut of Gamma = gamma/2 shifted up by gamma/2,
+    so that its sin map meets the branch point.  Without ``jump`` the cut's
+    jump is -i [F - conj F] of the body's value F there (the mirror of the
+    reflected and transmitted parts is the plain conjugate).
+    The ray's map scale is |z| + z', the growth rate of Im a along it (up to
+    the k_zd term).  It starts on the finer layout, on which most rays
+    converge at their first level; its first panel is graded from the branch
+    point, a distance gamma/2 away, and the cut's last from the poles at
+    s = i.  The error is 2 ray + cut."""
     n = medium.n
-    gap2 = n * n - 1.0
-    gamma = math.sqrt(gap2) / n
+    gamma = math.sqrt(n * n - 1.0) / n
     start = 0.5 * gamma if n > 1.0 else 0.5
 
-    def on_ray(k: np.ndarray, entries: np.ndarray) -> np.ndarray:
-        s = 1j * start + k
-        return body(s, np.sqrt(n * n * s * s + gap2))
-
-    def on_cut(t: np.ndarray, entries: np.ndarray) -> np.ndarray:
-        t = t + start
-        return jump(t, np.sqrt(np.maximum(gap2 - n * n * t * t, 0.0)))
+    def on_block(k: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        return _ray_cut_block(k, owner, 1, n, _UNIT_KAPPA, start, body, jump, 1.0)
 
     # the poles at s = i sit at u = pi/2 + i acosh(2/gamma - 1) of t = gamma (1 + sin u)/2
-    cut, cut_near = None, None
-    if n > 1.0:
-        cut, cut_near = on_cut, (math.inf, math.acosh(2.0 / gamma - 1.0))
-    res = ray_integral(on_ray, abs(z) + zp, 1, spec, near=[start], cut=cut, gamma=[start],
-                       cut_near=cut_near, flat=True)
+    res = ray_integral(on_block, abs(z) + zp, 1, spec, near=[start],
+                       gamma=[start] if n > 1.0 else None,
+                       cut_near=(math.inf, math.acosh(2.0 / gamma - 1.0)) if n > 1.0 else None,
+                       flat=True)
     ray = res.value[0]
     value, err = ray[:5] + mirror * np.conj(ray[-5:]), 2.0 * res.entry_errors[0]
-    if cut is not None:
+    if n > 1.0:
         value, err = value + res.value[1, :5], err + res.entry_errors[1]
     return IntegralResult(value, float(err), res.nodes_used)
 
@@ -506,14 +532,11 @@ def _kz_part(medium: Medium, z: float, zp: float, rho: float,
     aligned: the k_z body of ``kz_profile`` at kappa = 1 under the weights."""
     above = z >= 0.0
 
-    def body(s: np.ndarray, kzd: np.ndarray) -> np.ndarray:
+    def body(s: np.ndarray, kzd: np.ndarray, kap: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
         a = s * (z + zp) if above else kzd * abs(z) + s * zp
-        return _aligned(_weights(a, rho), *_kz_dyads(medium, above, s, kzd, 1.0, 1.0 + s * s, 1.0))
+        return _aligned(_weights(a, rho), *_kz_dyads(medium, above, s, kzd, kap, kmag2, 1.0))
 
-    def jump(t: np.ndarray, kzd: np.ndarray) -> np.ndarray:
-        return -1j * (body(1j * t, kzd) - body(1j * t, -kzd))
-
-    return _contour_part(medium, z, zp, spec, body, jump, 1.0)
+    return _contour_part(medium, z, zp, spec, body, 1.0)
 
 
 def _gauge_part(medium: Medium, z: float, zp: float, rho: float,
@@ -525,17 +548,17 @@ def _gauge_part(medium: Medium, z: float, zp: float, rho: float,
     if medium.n == 1.0:
         return IntegralResult(np.zeros(5, dtype=complex), 0.0, 0)
 
-    def body(s: np.ndarray, kzd: np.ndarray) -> np.ndarray:
+    def body(s: np.ndarray, kzd: np.ndarray, kap: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
         w = _weights(s * zp + 1j * abs(z), rho)
-        ru, rz, bu, bz = _gauge_terms(medium, s, kzd, 1.0, 1.0 / (1.0 + s * s))
+        ru, rz, bu, bz = _gauge_terms(medium, s, kzd, kap, 1.0 / kmag2)
         return np.concatenate([_aligned(w, ru, rz, ru, rz, 0.0),
                                _aligned(w, bu, bz, bu, bz, 0.0)], axis=-1)
 
-    def jump(t: np.ndarray, kzd: np.ndarray) -> np.ndarray:
-        ju, jz = _gauge_evanescent_terms(medium, t, kzd, 1.0, 1.0 / (1.0 - t * t))
+    def jump(t: np.ndarray, kzd: np.ndarray, kap: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
+        ju, jz = _gauge_evanescent_terms(medium, t, kzd, kap, 1.0 / kmag2)
         return _aligned(_weights(1j * (t * zp + abs(z)), rho), ju, jz, ju, jz, 0.0)
 
-    res = _contour_part(medium, z, zp, spec, body, jump, _MIRROR)
+    res = _contour_part(medium, z, zp, spec, body, _MIRROR, jump)
     sgn = 1.0 if z >= 0.0 else -1.0
     front = math.sqrt(_TWO_PI_CUBED)
     return IntegralResult(front * np.array([1j, 1j, -sgn, 1j, -sgn]) * res.value,

@@ -2,10 +2,10 @@
 
 Every class refines by one routine: globally adaptive Gauss-Kronrod 7/15
 panels with the QUADPACK |K15 - G7| error estimate, refined one whole level
-at a time.  All panels of a level are evaluated in one integrand call (one
-per body where a ray run also takes cuts), and each level bisects the fewest
-worst panels whose errors together exceed the excess over the tolerance (any
-refinement that splits the worst panel first splits at least these).  Each
+at a time.  All panels of a level, a ray run's cuts included, are evaluated
+in one integrand call, and each level bisects the fewest worst panels whose
+errors together exceed the excess over the tolerance (any refinement that
+splits the worst panel first splits at least these).  Each
 of the K15 and G7 sums of a level is one ``einsum`` pass over the level's
 node block, which sums every panel's column node by node in a fixed order,
 so a panel depends on the other panels of its call only through the
@@ -39,7 +39,7 @@ is not finite raises :class:`QuadratureError` at once, naming the panel.
    falls later; the ray raises only for an entry that reached the panel
    cap.  The numerical path stays independent of any residue evaluation.
    The same run integrates each entry's branch-cut segment (class 2), if it
-   has one, on panels of its own.
+   has one, on panels of its own in the same node blocks.
 
 2. Branch-cut (evanescent) segment integrals over t in (0, Gamma) with an
    integrable 1/sqrt(Gamma^2 - t^2) endpoint factor: the segment is always
@@ -60,10 +60,11 @@ Every integrand gets the nodes of a refinement level as one (15, panels)
 block, a panel's 15 Kronrod nodes down its column, and returns values of
 that shape followed by any components (which share the node set).  The ray
 run gives each entry's ray, and each entry's cut, its own panels, so an
-integral that converges stops refining while the others go on: its bodies
-also get ``entries``, the entry of each panel column, its rays share one
-tolerance and its cuts another, and each integral's error is in
-``entry_errors``.  ``nodes_used`` counts the 15 nodes of every panel
+integral that converges stops refining while the others go on: its body
+also gets ``entries``, the integral of each panel column, sorted, so that
+the ray columns are a prefix of the block and the cut columns the rest; its
+rays share one tolerance and its cuts another, and each integral's error is
+in ``entry_errors``.  ``nodes_used`` counts the 15 nodes of every panel
 evaluated.  Tolerances always apply to the max-norm.  Everything is
 deterministic: identical inputs produce bit-identical outputs.  An integral
 that misses its tolerance raises :class:`QuadratureError`; a returned result
@@ -89,6 +90,7 @@ __all__ = [
     "ray_integral",
     "cut_segment_integral",
     "decaying_halfline_integral",
+    "decaying_halfline_last_node",
 ]
 
 
@@ -171,6 +173,8 @@ _GRADED_MAX = 16
 _GRADED_STEPS = 2.0 ** np.arange(_GRADED_MAX)
 # First panels of a cut segment in u, t = Gamma sin(u) (see cut_segment_integral).
 _CUT_BREAKS = np.linspace(0.0, 0.5 * math.pi, 5)
+# First panels in v of a decaying half-line, k = scale tan(v).
+_HALFLINE_BREAKS = np.linspace(0.0, 0.5 * math.pi, 9)
 
 
 def _weighted(vals, w: np.ndarray) -> np.ndarray:
@@ -221,9 +225,10 @@ def _refine(rule: Callable, lo, hi, owner, tolerance: Callable, cap: int):
     Each level bisects, per integral, the fewest worst panels whose errors
     together exceed its excess over ``tolerance(ids, totals)``, where ``ids``
     are the integrals still running.  Each level, the first included, is one
-    call ``rule(lo, hi, owner)`` (the rule of ``_gauss_kronrod``).  An
-    integral stops when its error sum is within its tolerance or it holds
-    ``cap`` panels.  Returns the totals, the error sums, the nodes of all
+    call ``rule(lo, hi, owner)`` (the rule of ``_gauss_kronrod``) on panels
+    sorted by owner, as the first ones must be: a split panel's two halves
+    stay side by side.  An integral stops when its error sum is within its
+    tolerance or it holds ``cap`` panels.  Returns the totals, the error sums, the nodes of all
     panels and which integrals the cap stopped."""
     val, err = rule(lo, hi, owner)
     entries = int(owner.max()) + 1
@@ -259,15 +264,14 @@ def _refine(rule: Callable, lo, hi, owner, tolerance: Callable, cap: int):
             ids = ids[~stop]
             box, val, pick = box[keep], val[keep], pick[keep]
             owner = (np.cumsum(~stop) - 1)[owner[keep]]
-        split = box[pick]
-        mid = 0.5 * (split[:, 0] + split[:, 1])
-        new_lo = np.concatenate((split[:, 0], mid))
-        new_hi = np.concatenate((mid, split[:, 1]))
-        new_owner = np.concatenate((owner[pick], owner[pick]))
-        new_val, new_err = rule(new_lo, new_hi, ids[new_owner])
-        nodes += 15 * len(new_lo)
+        # the two halves of each split panel side by side, so owners stay sorted
+        new = np.repeat(box[pick], 2, axis=0)
+        new[0::2, 1] = new[1::2, 0] = 0.5 * (new[0::2, 0] + new[0::2, 1])
+        new_owner = np.repeat(owner[pick], 2)
+        new_val, new[:, 2] = rule(new[:, 0], new[:, 1], ids[new_owner])
+        nodes += 15 * len(new)
         rest = ~pick
-        box = np.concatenate((box[rest], np.stack([new_lo, new_hi, new_err], axis=1)))
+        box = np.concatenate((box[rest], new))
         owner = np.concatenate((owner[rest], new_owner))
         val = np.concatenate((val[rest], new_val))
 
@@ -343,7 +347,7 @@ def _cut_breaks(near) -> np.ndarray:
 
 def ray_integral(f: Callable, oscillation_scale: float, entries: int,
                  spec: QuadratureSpec, near: ArrayLike | None = None,
-                 cut: Callable | None = None, gamma: ArrayLike | None = None,
+                 gamma: ArrayLike | None = None,
                  cut_near: tuple[float, float] | None = None,
                  flat: bool = False) -> IntegralResult:
     """int_0^inf f(k) dk for each of ``entries`` integrands f(., entry) that are
@@ -351,30 +355,32 @@ def ray_integral(f: Callable, oscillation_scale: float, entries: int,
     s = oscillation_scale: the Abel-regularised real-axis integral, taken along
     the ray k = u e^{i pi/4} where f decays like e^{-u s sin(pi/4)} (or f
     that decays like |k|^-3 there, on the scale 1/s; then only the ray is
-    integrated).  With ``cut``, the same run also takes int_0^Gamma cut(t) dt
-    of each entry.
+    integrated).  With ``gamma``, the same run also takes int_0^Gamma f(i t) dt
+    of each entry, its cut.
 
     The map u = l tan(v), l = 1/(s sin(pi/4)), compactifies the ray, so that
-    k = (1 + i) tan(v)/s.  f is called as f(k, entries), k of shape (nodes,
-    panels) and ``entries`` the entry of each panel column, and returns
-    (nodes, panels, *comps).  Each entry starts on the panels of _RAY_BREAKS,
-    which end at x = tan(v) = 0.3, 0.9, 2, 4, 8, 16 and infinity, or with
-    ``flat`` (f's amplitude beside e^{iks} tends to a constant at large |k|)
-    on _RAY_BREAKS_FLAT, which halves (0.3, 0.9) and the last three in v.
-    ``near`` gives, per entry, the distance |k| of a singularity of f next to
-    the ray's origin (outside the first quadrant); f varies on that scale near
-    k = 0, so the entry's first panel is split at x_e 2^j below x = 0.3,
-    from x_e = near s sin(pi/4) up (at most _GRADED_MAX breaks).
+    k = (1 + i) tan(v)/s.  Each level is one call f(k, entries), k of shape
+    (nodes, panels) and ``entries`` the integral of each panel column,
+    sorted, and f returns (nodes, panels, *comps).  Each entry starts on the
+    panels of _RAY_BREAKS, which end at x = tan(v) = 0.3, 0.9, 2, 4, 8, 16
+    and infinity, or with ``flat`` (f's amplitude beside e^{iks} tends to a
+    constant at large |k|) on _RAY_BREAKS_FLAT, which halves (0.3, 0.9) and
+    the last three in v.  ``near`` gives, per entry, the distance |k| of a
+    singularity of f next to the ray's origin (outside the first quadrant);
+    f varies on that scale near k = 0, so the entry's first panel is split
+    at x_e 2^j below x = 0.3, from x_e = near s sin(pi/4) up (at most
+    _GRADED_MAX breaks).
 
-    ``cut`` is called as cut(t, entries) on t = Gamma sin(u), ``gamma`` one
-    Gamma > 0 per entry, and may return fewer trailing components than f
-    (the rest read 0).  Each cut starts on the panels of
-    ``cut_segment_integral``, the end panels split towards the scales
-    ``cut_near`` = (a, b), the same u for every entry, on which
-    cut(Gamma sin u) varies next to u = 0 and to u = pi/2: at u = a 2^j below
-    pi/8 and at pi/2 - b 2^j above 3 pi/8 (at most _GRADED_MAX breaks each;
-    inf adds none).  Rows 0 .. entries - 1 of the result hold the rays, the
-    next ``entries`` rows the cuts.
+    ``gamma`` gives one Gamma > 0 per entry.  The cut of entry e is the
+    integral ``entries`` + e; its columns follow every ray column of the
+    block and carry k = i t, t = Gamma sin(u), under the Jacobian
+    Gamma cos(u) (f's value there is the cut's integrand, whatever f makes
+    of it).  Each cut starts on the panels of ``cut_segment_integral``, the
+    end panels split towards the scales ``cut_near`` = (a, b), the same u for
+    every entry, on which f(i Gamma sin u) varies next to u = 0 and to
+    u = pi/2: at u = a 2^j below pi/8 and at pi/2 - b 2^j above 3 pi/8 (at
+    most _GRADED_MAX breaks each; inf adds none).  Rows 0 .. entries - 1 of
+    the result hold the rays, the next ``entries`` rows the cuts.
 
     Each integral refines its own panels, level by level, to the tolerance
     of its family, max(abs_tol, rel_tol x the max-norm over the rays or over
@@ -390,7 +396,7 @@ def ray_integral(f: Callable, oscillation_scale: float, entries: int,
         raise ValueError(f"entries must be an integer >= 1, got {entries!r}")
     lo, hi, owner = _ray_panels(_near_scales(near, entries), scale,
                                 _RAY_BREAKS_FLAT if flat else _RAY_BREAKS)
-    if cut is not None:
+    if gamma is not None:
         gamma = np.asarray(gamma, dtype=float)
         if not (gamma.shape == (entries,) and np.all(np.isfinite(gamma) & (gamma > 0.0))):
             raise ValueError(f"gamma must be {entries} finite values > 0, got {gamma!r}")
@@ -400,30 +406,19 @@ def ray_integral(f: Callable, oscillation_scale: float, entries: int,
         owner = np.concatenate((owner, np.repeat(np.arange(entries, 2 * entries),
                                                  len(breaks) - 1)))
 
-    def on_ray(v: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        t = np.tan(v)
-        return _weighted(f(step * t, owner), step * (1.0 + t * t))
-
-    def on_cut(u: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        entry = owner - entries
-        return _weighted(cut(gamma[entry] * np.sin(u), entry), gamma[entry] * np.cos(u))
-
-    shape = None  # of a ray value, from the first level
-
-    def rule(lo, hi, owner):
-        # each body once per level, on its own panels; a cut value's trailing
-        # components are padded to a ray value's
-        nonlocal shape
-        if shape is not None and owner.max() < entries:
-            return _gauss_kronrod(on_ray, lo, hi, owner)
-        val, err = None, np.empty(len(lo))
-        for on, body in ((owner < entries, on_ray), (owner >= entries, on_cut)):
-            if on.any():
-                part, err[on] = _gauss_kronrod(body, lo[on], hi[on], owner[on])
-                shape = part.shape[1:] if shape is None else shape
-                val = np.zeros((len(lo),) + shape, dtype=complex) if val is None else val
-                val[(on,) + tuple(slice(k) for k in part.shape[1:])] = part
-        return val, err
+    def block(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        # v on the ray columns, u on the cut columns after them
+        rays = int(np.searchsorted(owner, entries))
+        t = np.tan(x[:, :rays])
+        if rays == len(owner):
+            return _weighted(f(step * t, owner), step * (1.0 + t * t))
+        k, jac = np.empty(x.shape, dtype=complex), np.empty(x.shape, dtype=complex)
+        np.multiply(step, t, out=k[:, :rays])
+        np.multiply(step, 1.0 + t * t, out=jac[:, :rays])
+        cut = gamma[owner[rays:] - entries]
+        k[:, rays:] = 1j * (cut * np.sin(x[:, rays:]))
+        jac[:, rays:] = cut * np.cos(x[:, rays:])
+        return _weighted(f(k, owner), jac)
 
     norm = np.zeros(2 * entries)  # each integral's max-norm, final once it stops
 
@@ -432,7 +427,8 @@ def ray_integral(f: Callable, oscillation_scale: float, entries: int,
         return np.where(ids < entries, spec.tolerance(float(norm[:entries].max())),
                         spec.tolerance(float(norm[entries:].max(initial=0.0))))
 
-    total, error, nodes, capped = _refine(rule, lo, hi, owner, tolerance, _MAX_PANELS)
+    total, error, nodes, capped = _refine(functools.partial(_gauss_kronrod, block), lo, hi,
+                                          owner, tolerance, _MAX_PANELS)
     if capped.any():
         part = "ray" if capped[:entries].any() else "cut"
         raise QuadratureError(f"{part} integral stalled at error {error[capped].max():.3e} "
@@ -471,4 +467,13 @@ def decaying_halfline_integral(f: Integrand, scale: float, spec: QuadratureSpec)
         t = np.tan(v)
         return _weighted(f(t * scale), (1.0 + t * t) * scale)
 
-    return adaptive_panels(g, np.linspace(0.0, 0.5 * math.pi, 9), spec)
+    return adaptive_panels(g, _HALFLINE_BREAKS, spec)
+
+
+def decaying_halfline_last_node(scale: float) -> float:
+    """The largest k at which ``decaying_halfline_integral`` calls f while
+    its last first panel is not split: scale tan(v) at that panel's last
+    Kronrod node, computed as the rule computes it."""
+    lo, hi = _HALFLINE_BREAKS[-2:]
+    v = np.multiply.outer(_K15_X, [0.5 * (hi - lo)]) + 0.5 * (lo + hi)
+    return float(np.tan(v).max() * scale)

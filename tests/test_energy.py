@@ -106,6 +106,34 @@ def test_energies_reject_charges_and_heights_off_the_engine_range(q, z0, name):
             fn(q, Medium(2.0), z0, SPEC)
 
 
+@pytest.mark.parametrize("n", [1e152, 1e153, 1.3e154, math.nextafter(energy._N_MAX, math.inf)])
+def test_energies_reject_an_index_whose_kzd_overflows(n, monkeypatch):
+    # from one ulp above energy._N_MAX = 1.1247e151 up to the largest n with
+    # a finite n**2, 1.34e154, n^2 k_z^2 overflows k_zd at the longitudinal
+    # half-line's largest node; each energy names n before any engine call
+    def refuse(*args):
+        raise AssertionError("engine called")
+
+    monkeypatch.setattr(energy, "decaying_halfline_integral", refuse)
+    monkeypatch.setattr(energy, "cut_segment_integral", refuse)
+    for fn in (second_order_shift, gauge_invariance_sum, double_commutator_cnumber):
+        with pytest.raises(ValueError, match=r"^n must be at most 1\.1247e\+151, .* got n="):
+            fn(1.0, Medium(n), 1.0, SPEC)
+
+
+@pytest.mark.parametrize("spec", [SPEC, QuadratureSpec(abs_tol=1e-16, rel_tol=1e-16)],
+                         ids=["default", "tight"])
+@pytest.mark.parametrize("n", [1e150, energy._N_MAX])
+def test_energies_meet_their_ratio_up_to_the_largest_index(n, spec):
+    # the bound is tight: at energy._N_MAX itself k_zd stays finite, also at
+    # the tightest tolerance the energies meet, which leaves the half-line's
+    # last panel whole
+    shift = second_order_shift(1.0, Medium(n), 1.0, spec)
+    assert abs(shift.ratio - (n * n - 1.0) / (2.0 * n * n)) < 1e-4
+    cnum = double_commutator_cnumber(1.0, Medium(n), 1.0, spec)
+    assert cnum == pytest.approx(-shift.delta_e, rel=1e-12)
+
+
 @pytest.mark.parametrize("n", [1.0005, 2.0, 40.0])
 def test_shift_integrates_at_the_height_bounds(n):
     # every energy is exact in 1/z0, so any finite z0 > 0 with a finite q^2/z0

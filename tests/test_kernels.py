@@ -113,6 +113,21 @@ def test_profiles_reject_bad_kappa_before_any_engine_call(bad, monkeypatch):
             residue_profile(med, bad, z, 0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 1e-101])
+def test_scalar_and_array_kappa_are_rejected_in_the_same_words(bad):
+    # a float kappa is checked with math, an array with numpy: a float, an
+    # np.float64, a 0-d array and a 1-element array read the same error
+    messages = set()
+    for kap in (bad, np.float64(bad), np.array(bad), np.array([bad])):
+        with pytest.raises(ValueError, match="kpar_mag") as info:
+            kernels._check_point(kap, 0.5, 0.4)
+        messages.add(str(info.value))
+        with pytest.raises(ValueError, match="kpar_mag") as info:
+            kz_profile(Medium(2.0), kap, 0.5, 0.4, SPEC)
+        messages.add(str(info.value))
+    assert messages == {f"kpar_mag must be 0 or a finite value >= 1e-100, got {bad!r}"}
+
+
 @pytest.mark.parametrize("profile", [kz_profile, _gauge_difference_profile],
                          ids=["kz_profile", "gauge_difference"])
 @pytest.mark.parametrize("z", [0.5, -0.5])
@@ -515,19 +530,17 @@ def test_batched_transmitted_profile_within_error_estimates(n):
 
 
 def _counting_run(monkeypatch, record):
-    """Wrap the profile's one engine run so that its ray body and its cut
-    body each call ``record(name, x)``."""
+    """Wrap the profile's one engine run so that each call of its body, one
+    per refinement level, calls ``record(rays, cuts)`` with the nodes of its
+    ray columns and of its cut columns."""
     ray = kernels.ray_integral
 
-    def counted(name, f):
-        def g(x, entries):
-            record(name, x)
-            return f(x, entries)
-        return g
-
-    def run(f, *args, cut=None, **kwargs):
-        return ray(counted("ray", f), *args, cut=None if cut is None else counted("cut", cut),
-                   **kwargs)
+    def run(f, scale, entries, *args, **kwargs):
+        def g(k, owner):
+            rays = int(np.searchsorted(owner, entries))
+            record(k.shape[0] * rays, k.shape[0] * (len(owner) - rays))
+            return f(k, owner)
+        return ray(g, scale, entries, *args, **kwargs)
 
     monkeypatch.setattr(kernels, "ray_integral", run)
 
@@ -535,9 +548,14 @@ def _counting_run(monkeypatch, record):
 def test_batched_profile_counts_every_kappa_evaluation(monkeypatch):
     # nodes_used counts integrand evaluations: the profile's one engine run
     # gets each node of a ray or a cut panel once, each panel a single
-    # kappa's (k and t of shape (nodes, panels))
+    # kappa's (k of shape (nodes, panels), the cut columns k = i t)
     evaluations = {"ray": [], "cut": []}
-    _counting_run(monkeypatch, lambda name, x: evaluations[name].append(x.size))
+
+    def record(rays, cuts):
+        evaluations["ray"].append(rays)
+        evaluations["cut"].append(cuts)
+
+    _counting_run(monkeypatch, record)
     med = Medium(2.0)
     for build in (
         lambda k: kz_profile(med, k, 0.7, 0.4, SPEC),
@@ -548,7 +566,7 @@ def test_batched_profile_counts_every_kappa_evaluation(monkeypatch):
             for seen in evaluations.values():
                 seen.clear()
             prof = build(kap)
-            assert all(evaluations.values())
+            assert all(map(sum, evaluations.values()))
             assert prof.nodes_used == sum(map(sum, evaluations.values()))
 
 
@@ -676,7 +694,7 @@ def test_ray_route_matches_the_levin_real_axis(profile, n, monkeypatch):
     seen = _captured_bodies(monkeypatch)
     ray_integral = kernels.ray_integral
     monkeypatch.setattr(kernels, "ray_integral",
-                        lambda *args, cut=None, **kwargs: ray_integral(*args, **kwargs))
+                        lambda *args, gamma=None, **kwargs: ray_integral(*args, **kwargs))
     med = Medium(n)
     z, zp = {"reflected": (0.7, 0.4), "transmitted": (-0.3, 0.5),
              "gauge_difference": (0.7, 0.4)}[profile]
@@ -703,19 +721,19 @@ def test_ray_route_matches_the_levin_real_axis(profile, n, monkeypatch):
 
 
 def _lone_residue_runs(monkeypatch, **overrides) -> np.ndarray:
-    """(ray calls, cut calls) of the one engine run of each lone-kappa
-    profile at the 153 verify residue points, with ``overrides`` passed to
-    the run."""
+    """(calls with ray columns, calls with cut columns, integrand calls) of
+    the one engine run of each lone-kappa profile at the 153 verify residue
+    points, with ``overrides`` passed to the run."""
     runs = []
 
-    def record(name, x):
-        runs[-1][name == "cut"] += 1
+    def record(rays, cuts):
+        runs[-1] += np.array([rays > 0, cuts > 0, 1])
 
     _counting_run(monkeypatch, record)
     counting = kernels.ray_integral
 
     def run(*args, **kwargs):
-        runs.append([0, 0])
+        runs.append(np.zeros(3, dtype=int))
         return counting(*args, **{**kwargs, **overrides})
 
     monkeypatch.setattr(kernels, "ray_integral", run)
@@ -729,8 +747,8 @@ def _lone_residue_runs(monkeypatch, **overrides) -> np.ndarray:
 def test_lone_kappa_rays_converge_after_one_level(monkeypatch):
     # the ray's first panels _RAY_BREAKS each hold about the same share of the
     # e^{(i-1)x} decay, so on them a lone-kappa profile at a verify residue
-    # point converges after one refinement level: two integrand calls, at
-    # most four
+    # point converges after one refinement level: two levels with ray
+    # columns, at most four
     calls = _lone_residue_runs(monkeypatch, flat=False)[:, 0]
     assert len(calls) == 153
     assert np.median(calls) == 2
@@ -741,35 +759,37 @@ def test_mirrored_lone_kappa_profiles_converge_at_their_first_level(monkeypatch)
     # the reflected and transmitted bodies start on _RAY_BREAKS_FLAT, which
     # holds the panels the first level split on _RAY_BREAKS: every lone-kappa
     # ray at a verify residue point converges on them, and its cut, on its
-    # own panels in the same run, after at most one more level
+    # own panels in the same run, after at most one more level.  Each level
+    # is one integrand call, the first on the ray and the cut alike
     calls = _lone_residue_runs(monkeypatch)
     assert len(calls) == 153
     assert np.all(calls[:, 0] == 1)
     assert np.all((calls[:, 1] >= 1) & (calls[:, 1] <= 2))
+    assert np.array_equal(calls[:, 2], calls[:, 1])
 
 
 def test_damped_assemblies_converge_at_their_first_level(monkeypatch):
     # along the s contour Im a(s) > 0 damps every weight like |s|^-3, and the
     # first ray panels (the finer layout) follow that decay: of the 288
     # interface parts of the verify assemblies, 270 rays and 264 cuts
-    # converge on their first panels, one integrand call each, and none
-    # takes more than two ray calls, three cut calls or 360 nodes
-    calls = []  # [ray calls, cut calls, nodes] per interface part
+    # converge on their first panels, one level each, and none takes more
+    # than two levels with ray columns, three with cut columns or 360
+    # nodes.  Each level is one integrand call on the ray and the cut alike
+    calls = []  # [levels with ray columns, with cut columns, nodes, levels] per part
     ray = kernels.ray_integral
 
-    def counted(f, *args, cut=None, **kwargs):
-        record = [0, 0, 0]
+    def counted(f, scale, entries, *args, **kwargs):
+        record = [0, 0, 0, 0]
         calls.append(record)
 
-        def on_ray(k, entries):
-            record[0] += 1
-            return f(k, entries)
+        def on_block(k, owner):
+            rays = int(np.searchsorted(owner, entries))
+            record[0] += rays > 0
+            record[1] += rays < len(owner)
+            record[3] += 1
+            return f(k, owner)
 
-        def on_cut(t, entries):
-            record[1] += 1
-            return cut(t, entries)
-
-        res = ray(on_ray, *args, cut=on_cut, **kwargs)
+        res = ray(on_block, scale, entries, *args, **kwargs)
         record[2] = res.nodes_used
         return res
 
@@ -784,6 +804,7 @@ def test_damped_assemblies_converge_at_their_first_level(monkeypatch):
     assert np.mean(calls[:, 0] == 1) >= 0.9 and calls[:, 0].max() <= 2
     assert np.mean(calls[:, 1] == 1) >= 0.9 and calls[:, 1].max() <= 3
     assert calls[:, 2].max() <= 360
+    assert np.array_equal(calls[:, 3], np.maximum(calls[:, 0], calls[:, 1]))
 
 
 @pytest.mark.parametrize("z, zp, kap", [(-0.6, 0.5, 50.0), (-1.0, 1.0, 23.0), (-1.0, 1.0, 50.0)])
@@ -844,6 +865,28 @@ def test_large_n_lower_pair_meets_its_closed_form(p, kind):
     assert observed <= res.error_estimate
 
 
+def _captured_runs(monkeypatch) -> list:
+    """Record (body, entries, gamma) of every engine run of the profiles."""
+    seen = []
+    ray = kernels.ray_integral
+
+    def capture(f, scale, entries, *args, gamma=None, **kwargs):
+        seen.append((f, entries, gamma))
+        return ray(f, scale, entries, *args, gamma=gamma, **kwargs)
+
+    monkeypatch.setattr(kernels, "ray_integral", capture)
+    return seen
+
+
+def _cut_columns(f, entries: int, t: np.ndarray) -> np.ndarray:
+    """A run's body on the cut columns k = i t, t of shape (nodes, entries),
+    handed to it after one ray column per entry as the engine lays a block
+    out (owners sorted, cut e numbered entries + e)."""
+    ray = np.full((t.shape[0], entries), 0.3 + 0.3j)
+    owner = np.arange(2 * entries)
+    return f(np.concatenate([ray, 1j * t], axis=1), owner)[:, entries:]
+
+
 @pytest.mark.parametrize("n", [1.01, 2.0, 40.0])
 @pytest.mark.parametrize("z, zp", [(0.7, 0.4), (-0.6, 0.4)])
 def test_cut_is_the_travelling_body_jump(n, z, zp, monkeypatch):
@@ -852,20 +895,13 @@ def test_cut_is_the_travelling_body_jump(n, z, zp, monkeypatch):
     # the closed jump 2 Im rR e^{-t s} above the interface and
     # i tR* e^{-t z'} (e^{i kzd z} + rL e^{-i kzd z}) below it, up to the
     # branch point Gamma where kzd = 0
-    seen = []
-    ray = kernels.ray_integral
-
-    def capture(*args, cut=None, gamma=None, **kwargs):
-        seen.append((cut, gamma))
-        return ray(*args, cut=cut, gamma=gamma, **kwargs)
-
-    monkeypatch.setattr(kernels, "ray_integral", capture)
+    seen = _captured_runs(monkeypatch)
     med, kappa = Medium(n), np.array([0.3, 1.3, 7.0])
     kz_profile(med, kappa, z, zp, SPEC)
-    (segment, gamma), = seen
+    (body, entries, gamma), = seen
     frac = np.array([1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-9])
     t = np.multiply.outer(frac, gamma)
-    vv = segment(t, np.arange(kappa.size))[..., 4]
+    vv = _cut_columns(body, entries, t)[..., 4]
     for ti, kap, value in zip(t.ravel(), np.tile(kappa, len(frac)), vv.ravel()):
         te = fresnel_coefficients(med, Polarization.TE, float(kap), 1j * ti)
         if z >= 0.0:
@@ -881,22 +917,15 @@ def test_cut_is_the_travelling_body_jump(n, z, zp, monkeypatch):
 def test_cut_mirror_is_the_parity_conjugate_bit_for_bit(n, z, zp, monkeypatch):
     # on the cut k_z = i t, with kzd real, the travelling body at -kzd is
     # _PARITY times the conjugate of the body at kzd, bit for bit, above and
-    # below the interface; so the cut integrand of the profile's run, the
-    # jump -i [f(it, kzd) - f(it, -kzd)], is -i [F - _PARITY conj F] of the
-    # one body value F
+    # below the interface; so the jump -i [f(it, kzd) - f(it, -kzd)] is
+    # -i [F - _PARITY conj F] of the one body value F, which the run's body
+    # takes from the call that serves its rays
     bodies = _captured_bodies(monkeypatch)
-    cuts = []
-    ray = kernels.ray_integral
-
-    def capture(*args, cut=None, **kwargs):
-        cuts.append(cut)
-        return ray(*args, cut=cut, **kwargs)
-
-    monkeypatch.setattr(kernels, "ray_integral", capture)
+    runs = _captured_runs(monkeypatch)
     med, kappa = Medium(n), np.array([0.3, 1.3, 7.0])
     kz_profile(med, kappa, z, zp, SPEC)
     (kap, _, body, _), = bodies
-    (segment,) = cuts
+    (f, entries, _), = runs
     frac = np.concatenate([[1e-9, 1e-6], np.linspace(1e-3, 1.0 - 1e-3, 300),
                            [1.0 - 1e-6, 1.0 - 1e-9]])
     t = np.multiply.outer(frac, evanescent_threshold(med, kap))
@@ -904,7 +933,39 @@ def test_cut_mirror_is_the_parity_conjugate_bit_for_bit(n, z, zp, monkeypatch):
     up = body(1j * t, kzd, kap, kap * kap - t * t)
     down = body(1j * t, -kzd, kap, kap * kap - t * t)
     assert np.array_equal(down, kernels._PARITY * np.conj(up))
-    assert np.array_equal(segment(t, np.arange(kap.size)), -1j * (up - down))
+    assert np.array_equal(_cut_columns(f, entries, t), -1j * (up - down))
+
+
+@pytest.mark.parametrize("n", [1.01, 2.0, 40.0])
+@pytest.mark.parametrize("z, zp", [(0.7, 0.4), (-0.6, 0.4)])
+def test_run_cut_columns_are_the_stacked_kzd_jump_bit_for_bit(n, z, zp, monkeypatch):
+    # at the nodes the engine picks, every level's one body call gives its
+    # cut columns the jump of the travelling body evaluated on the stacked
+    # +-kzd, -i [f(it, kzd) - f(it, -kzd)], bit for bit
+    bodies = _captured_bodies(monkeypatch)
+    blocks = []
+    ray = kernels.ray_integral
+
+    def capture(f, scale, entries, *args, **kwargs):
+        def g(k, owner):
+            value = f(k, owner)
+            blocks.append((k, owner, entries, np.array(value)))
+            return value
+        return ray(g, scale, entries, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "ray_integral", capture)
+    med = Medium(n)
+    kz_profile(med, KAPPA_PANEL, z, zp, SPEC)
+    (kap, _, body, _), = bodies
+    cut_levels = 0
+    for k, owner, entries, value in blocks:
+        rays = int(np.searchsorted(owner, entries))
+        t, kp = k.imag[:, rays:], kap[owner[rays:] - entries]
+        kzd = np.sqrt(np.maximum((n * n - 1.0) * kp * kp - n * n * t * t, 0.0))
+        both = body(1j * t, np.stack([kzd, -kzd]), kp, kp * kp - t * t)
+        assert np.array_equal(value[:, rays:], -1j * (both[0] - both[1]))
+        cut_levels += rays < len(owner)
+    assert cut_levels >= 1
 
 
 @pytest.mark.parametrize("n", [1.01, 2.0, 40.0])
@@ -920,14 +981,15 @@ def test_batch_cuts_equal_lone_kappa_cuts_bit_for_bit(profile, z, zp, n, monkeyp
     cuts = []
     ray = kernels.ray_integral
 
-    def capture(f, scale, entries, *args, cut=None, **kwargs):
+    def capture(f, scale, entries, *args, **kwargs):
         columns = np.zeros(entries, dtype=int)
 
-        def counted(t, owner):
-            np.add.at(columns, owner, 1)
-            return cut(t, owner)
+        def counted(k, owner):
+            rays = int(np.searchsorted(owner, entries))
+            np.add.at(columns, owner[rays:] - entries, 1)
+            return f(k, owner)
 
-        res = ray(f, scale, entries, *args, cut=counted, **kwargs)
+        res = ray(counted, scale, entries, *args, **kwargs)
         cuts.append((res.value[entries:], res.entry_errors[entries:], columns))
         return res
 
@@ -1120,12 +1182,12 @@ def test_graded_rays_and_cuts_converge_in_few_levels(monkeypatch):
     # ray of these assemblies finishes after at most two refinement levels
     # (three integrand calls) and the cut of the perfect-reflector pair
     # (n = 47.9) after at most one; fixed first panels took up to 11 and 6.
-    # Each profile call is one engine run, whose ray and cut bodies are
-    # counted apart
-    counts = []  # [n, ray calls, cut calls] of each run
+    # Each interface part is one engine run, one integrand call per level,
+    # whose ray and cut columns are counted apart
+    counts = []  # [n, levels with ray columns, with cut columns, levels] of each run
 
-    def record(name, x):
-        counts[-1][1 if name == "ray" else 2] += 1
+    def record(rays, cuts):
+        counts[-1][1:] += np.array([rays > 0, cuts > 0, 1])
 
     for kind, n, r, rp in _ASSEMBLY_SEED_1:
         with monkeypatch.context() as mp:
@@ -1133,7 +1195,7 @@ def test_graded_rays_and_cuts_converge_in_few_levels(monkeypatch):
             counting = kernels.ray_integral
 
             def run(*args, n=n, **kwargs):
-                counts.append([n, 0, 0])
+                counts.append(np.array([n, 0, 0, 0]))
                 return counting(*args, **kwargs)
 
             mp.setattr(kernels, "ray_integral", run)
@@ -1141,8 +1203,10 @@ def test_graded_rays_and_cuts_converge_in_few_levels(monkeypatch):
             res = assemble_kernel_result(Medium(n), kind, p, SPEC)
         target = kernel_closed_form(Medium(n), kind, p)
         assert np.max(np.abs(res.tensor - target)) <= res.error_estimate
-    assert len(counts) == 5 and max(rays for _, rays, _ in counts) <= 3
-    cuts = [cuts for n, _, cuts in counts if n > 20.0]
+    counts = np.array(counts)
+    assert len(counts) == 5 and counts[:, 1].max() <= 3
+    assert np.array_equal(counts[:, 3], counts[:, 1:3].max(axis=1))
+    cuts = counts[counts[:, 0] > 20.0, 2]
     assert len(cuts) == 1 and 1 <= cuts[0] <= 2
 
 

@@ -368,18 +368,28 @@ def test_cli_reports_an_integral_that_misses_its_tolerance(monkeypatch, capsys, 
     assert captured.out == ""
 
 
-def test_cli_overflowing_integrand_is_one_error_line():
-    # energy shift --n 1e153 overflows in the travelling body: the run prints
-    # the QuadratureError of the non-finite panel alone, with no numpy
-    # RuntimeWarning before it
+def test_cli_overflowing_integrand_is_one_error_line(tmp_path):
+    # kernel verify at n = 1e153 overflows in the s contour's body: the run
+    # prints the QuadratureError of the non-finite panel alone, with no numpy
+    # RuntimeWarning before it.  energy shift at that n, whose body overflowed
+    # the same way, is rejected at its boundary, naming n
     env = dict(os.environ)
     src = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-m", "halfspace_qed", "energy", "shift", "--n", "1e153",
-                          "--z0", "1"], capture_output=True, text=True, env=env, timeout=120)
+    points = tmp_path / "points.csv"
+    points.write_text("x,y,z,xp,yp,zp\n0.3,0.1,0.6,0.0,0.0,0.7\n")
+    run = subprocess.run([sys.executable, "-m", "halfspace_qed", "kernel", "verify", "--kind",
+                          "generalized_delta", "--n", "1e153", "--points", str(points)],
+                         capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 1
     assert run.stdout == ""
     assert re.fullmatch(r"error: non-finite integrand on the panel \[[^\n]*\]\n", run.stderr)
+    run = subprocess.run([sys.executable, "-m", "halfspace_qed", "energy", "shift", "--n", "1e153",
+                          "--z0", "1"], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert re.fullmatch(r"error: n must be at most 1\.1247e\+151, [^\n]*got n=1e\+153\n",
+                        run.stderr)
 
 
 def test_cli_energy_sweep_at_zero_charge(capsys):

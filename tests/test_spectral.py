@@ -12,6 +12,7 @@ from halfspace_qed.spectral import (
     QuadratureSpec,
     cut_segment_integral,
     decaying_halfline_integral,
+    decaying_halfline_last_node,
     ray_integral,
 )
 
@@ -81,8 +82,7 @@ def test_engines_reject_non_finite_geometry(bad):
         cut_segment_integral(lambda t: t, bad, SPEC)
     for gamma in ([1.0, bad], [1.0, 0.0], [1.0]):
         with pytest.raises(ValueError, match="gamma must be 2 finite values > 0"):
-            ray_integral(lambda k, entries: np.exp(1j * k), 1.0, 2, SPEC,
-                         cut=lambda t, entries: t, gamma=gamma)
+            ray_integral(lambda k, entries: np.exp(1j * k), 1.0, 2, SPEC, gamma=gamma)
     with pytest.raises(ValueError, match="scale"):
         decaying_halfline_integral(np.exp, bad, SPEC)
 
@@ -181,6 +181,21 @@ def test_decaying_halfline():
         res = decaying_halfline_integral(lambda k: scale / (scale * scale + (k + offset) ** 2),
                                          scale, SPEC)
         assert res.value == pytest.approx(math.pi / 2 - math.atan(offset / scale), rel=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 50.0])
+def test_decaying_halfline_last_node_is_the_largest_node_of_an_unsplit_run(scale):
+    # 1/(scale^2 + k^2) meets its tolerance at the first level, so the run
+    # calls f on exactly the first panels' nodes
+    seen = []
+
+    def f(k):
+        seen.append(k)
+        return scale / (scale * scale + k * k)
+
+    decaying_halfline_integral(f, scale, SPEC)
+    assert len(seen) == 1
+    assert decaying_halfline_last_node(scale) == seen[0].max()
 
 
 def test_vector_valued_integrands():
@@ -400,15 +415,15 @@ def test_non_finite_panel_raises_after_one_call(engine, args):
 
 
 def _ray_run(f, spec):
-    # the ray body and the cut body of one run, two entries
-    return ray_integral(lambda k, entries: f(k) + 0.0 * entries, 1.0, 2, spec,
-                        cut=lambda t, entries: f(t) + 0.0 * entries, gamma=[1.0, 2.0])
+    # the rays and the cuts k = i t of one run, two entries
+    return ray_integral(lambda k, entries: f(k) + 0.0 * entries, 1.0, 2, spec, gamma=[1.0, 2.0])
 
 
 @pytest.mark.parametrize("engine, f, args", [
     (spectral.adaptive_panels, lambda x: 1.0 / (1e-3 + x * x), (np.linspace(-1.0, 1.0, 3), SPEC)),
     (_halfline, lambda x: np.exp(1j * x) / (1.0 + x * x), (1.0, SPEC)),
-    (_ray_run, lambda x: np.exp(1j * x) / (1.0 + x), (SPEC,)),
+    # a pole a distance 0.05 from the ray's origin: a run of more than one level
+    (_ray_run, lambda x: np.exp(1j * x) / (0.05 + x), (SPEC,)),
     (cut_segment_integral, np.sqrt, (2.0, SPEC)),
     (decaying_halfline_integral, lambda k: np.sqrt(k) / (1.0 + k * k), (3.0, SPEC)),
     (_damped_radial, lambda k: np.sqrt(k), (0.8, SPEC)),
@@ -474,8 +489,7 @@ def test_near_scales_must_be_one_non_negative_number_per_entry(near):
     with pytest.raises(ValueError, match="near must be 2 scales"):
         ray_integral(lambda k, entries: np.exp(1j * k), 1.0, 2, SPEC, near=near)
     with pytest.raises(ValueError, match="near must be 2 scales"):
-        ray_integral(lambda k, entries: np.exp(1j * k), 1.0, 1, SPEC,
-                     cut=lambda t, entries: t, gamma=[1.0], cut_near=near)
+        ray_integral(lambda k, entries: np.exp(1j * k), 1.0, 1, SPEC, gamma=[1.0], cut_near=near)
 
 
 def _two_widths(k, w):
@@ -485,6 +499,17 @@ def _two_widths(k, w):
 
 def _peak(t, w):
     return np.stack([np.exp(-t) / (w * w + t * t), t / (w + t)], axis=-1)
+
+
+def _rays_and_cuts(ray, cut, entries: int):
+    """A ray run's body from a ray body ray(k, e) and a cut body cut(t, e),
+    e the entry of each column: the engine hands one block, its ray columns
+    first and then its cut columns k = i t, owned by entries + e."""
+    def body(k, owner):
+        rays = int(np.searchsorted(owner, entries))
+        return np.concatenate([ray(k[:, :rays], owner[:rays]),
+                               cut(k.imag[:, rays:], owner[rays:] - entries)], axis=1)
+    return body
 
 
 def test_ray_gives_each_entry_its_own_panels():
@@ -500,18 +525,16 @@ def test_ray_gives_each_entry_its_own_panels():
     for with_cut in (False, True):
         columns = {}
 
+        block = _rays_and_cuts(lambda k, e: amps[e, None] * _two_widths(k, widths[e]),
+                               lambda t, e: amps[e, None] * _peak(t, peaks[e]), len(widths))
+
         def batch(k, entries):
             for entry in entries:
                 columns[entry] = columns.get(entry, 0) + 1
-            return amps[entries, None] * _two_widths(k, widths[entries])
-
-        def cut(t, entries):
-            for entry in entries + len(widths):
-                columns[entry] = columns.get(entry, 0) + 1
-            return amps[entries, None] * _peak(t, peaks[entries])
+            return block(k, entries)
 
         if with_cut:
-            res = ray_integral(batch, 1.0, len(widths), SPEC, cut=cut, gamma=gamma)
+            res = ray_integral(batch, 1.0, len(widths), SPEC, gamma=gamma)
             assert res.value.shape == (2 * len(widths), 2)
             assert {entry: columns[entry] for entry in range(len(widths))} == ray_columns
         else:
@@ -534,6 +557,53 @@ def test_ray_gives_each_entry_its_own_panels():
         single = cut_segment_integral(lambda t, w=w: amp * _peak(t, w), g, SPEC)
         assert single.nodes_used > 15 * cut_panels
         assert np.max(np.abs(row - single.value)) <= err + single.error_estimate
+
+
+def _narrow_ray_and_cut(calls):
+    """A two-entry body whose ray and cut both refine past their first level,
+    recording the owners of each call."""
+    block = _rays_and_cuts(lambda k, e: _two_widths(k, np.array([0.05, 1.0])[e]),
+                           lambda t, e: _peak(t, np.array([0.01, 0.3])[e]), 2)
+
+    def body(k, entries):
+        calls.append(entries.copy())
+        return block(k, entries)
+    return body
+
+
+def test_each_level_is_one_integrand_call_on_its_rays_and_cuts():
+    # the first level holds every ray and every cut; each later level is one
+    # call on the integrals still running, rays and cuts in the same block,
+    # so the calls are as many as the levels of the integral that ran longest
+    calls = []
+    res = ray_integral(_narrow_ray_and_cut(calls), 1.0, 2, SPEC, gamma=[0.5, 2.0])
+    running = [set(np.unique(owner)) for owner in calls]
+    assert running[0] == {0, 1, 2, 3}
+    assert all(later <= earlier for earlier, later in zip(running, running[1:]))
+    assert len(calls) == max(np.bincount(np.concatenate([list(r) for r in running])))
+    assert any(r & {0, 1} and r & {2, 3} for r in running[1:])
+    assert res.nodes_used == 15 * sum(map(len, calls))
+
+
+def test_every_level_hands_its_owners_sorted_with_split_halves_side_by_side(monkeypatch):
+    # the ray columns of each block are a prefix and the cut columns the rest:
+    # every level's panels are sorted by integral, and a split panel's two
+    # halves are neighbours
+    levels = []
+    rule = spectral._gauss_kronrod
+
+    def spy(f, lo, hi, owner):
+        levels.append((lo, hi, owner))
+        return rule(f, lo, hi, owner)
+
+    monkeypatch.setattr(spectral, "_gauss_kronrod", spy)
+    calls = []
+    ray_integral(_narrow_ray_and_cut(calls), 1.0, 2, SPEC, gamma=[0.5, 2.0])
+    assert len(levels) == len(calls) > 2
+    for (lo, hi, owner), seen in zip(levels, calls):
+        assert np.array_equal(owner, seen) and np.all(np.diff(owner) >= 0)
+    for lo, hi, owner in levels[1:]:
+        assert np.array_equal(hi[0::2], lo[1::2]) and np.array_equal(owner[0::2], owner[1::2])
 
 
 def test_ray_entry_within_the_tolerance_it_stopped_at_is_returned(monkeypatch):
@@ -576,7 +646,7 @@ def test_ray_run_names_a_cut_that_reaches_the_panel_cap(monkeypatch):
     # the ray converges; the cut's 1/t is not integrable at t = 0, so it
     # bisects towards u = 0 until its entry holds the cap
     monkeypatch.setattr(spectral, "_MAX_PANELS", 24)
+    body = _rays_and_cuts(lambda k, e: np.exp(1j * k), lambda t, e: 1.0 / t, 2)
     with pytest.raises(QuadratureError, match="cut integral stalled at error .* after 24 panels"):
-        ray_integral(lambda k, entries: np.exp(1j * k) + 0.0 * entries, 1.0, 2, SPEC,
-                     cut=lambda t, entries: 1.0 / t, gamma=[1.0, 2.0])
+        ray_integral(body, 1.0, 2, SPEC, gamma=[1.0, 2.0])
 
