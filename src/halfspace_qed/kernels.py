@@ -22,16 +22,15 @@ the side only picks its coefficients, rR or tR, the lead of the TM u-row,
 the scale of the TM dyads and the plane-wave phase.  The inner k_z
 quadrature (the travelling axis along the damped ray k_z = u e^{i pi/4}, the
 evanescent segment k_z = i t through the cut rule, both in one run of
-``spectral.ray_integral`` with each kappa's ray and cut on panels of their
-own, every level one body call on the rays and cuts together) is the
-numerical path that the residue-theorem closed forms are verified against.
-The bodies' branch points lie on the imaginary k_z axis; continued with the
-principal root of kzd, the TM denominator n^2 k_z + kzd vanishes at
-k_z = -kappa/n, on the negative real axis.  That
-pole is outside the first quadrant, so the ray holds, but it sets the scale
-of each kappa's body next to k_z = 0.  Each kappa's first ray panel is
-graded from it, and the cut's end panels from it and from the TE pole at
-k_z = i kappa, just past the branch point (``_interface_profile``).
+``spectral.ray_integral`` with the ray and the cut on panels of their own,
+every level one body call on both together) is the numerical path that the
+residue-theorem closed forms are verified against.  The bodies' branch
+points lie on the imaginary k_z axis; continued with the principal root of
+kzd, the TM denominator n^2 k_z + kzd vanishes at k_z = -kappa/n, on the
+negative real axis.  That pole is outside the first quadrant, so the ray
+holds, but it sets the scale of the body next to k_z = 0.  The first ray
+panel is graded from it, and the cut's end panels from it and from the TE
+pole at k_z = i kappa, just past the branch point (``_interface_profile``).
 
 The kappa and azimuth integrals of a kernel are closed.  Write k_z = kappa s.
 Every interface profile is P(kappa) = kappa int ds B(s) e^{i kappa a(s)}: the
@@ -103,7 +102,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .fresnel import fresnel_coefficients
 from .greens import GreenVariant, PointPair, grad_grad_green_tensor, image_grad_grad_tensor
@@ -150,10 +148,9 @@ class KernelAssembly:
 # fixed-k_par profiles: complex arrays [uu, uz, zu, zz, vv]
 # ---------------------------------------------------------------------------
 
-# Every profile takes kappa = |k_par| of any shape (one value per entry, one
-# engine call for all of them) and returns an IntegralResult whose value has
-# shape kappa.shape + (5,), whose error bounds every entry's and whose
-# entry_errors bound each entry's on its own.
+# Every profile takes one kappa = |k_par|, a real scalar, and returns an
+# IntegralResult whose value is the five dyads and whose error bounds them,
+# from one engine run of the kappa's ray and its cut.
 
 # On the travelling axis the Fresnel coefficients are real and even under
 # (k_z, k_zd) -> (-k_z, -k_zd) and the plane-wave phases go to their
@@ -240,26 +237,24 @@ def _cut_scales(n: float) -> tuple[float, float]:
     return low, (math.acosh(n / gap) if gap > 0.0 else math.inf)
 
 
-def _ray_cut_block(k: np.ndarray, owner: np.ndarray, first_cut: int, n: float, kap: np.ndarray,
-                   shift: float, body: Callable, cut: Callable | None, parity) -> np.ndarray:
-    """The values of an interface body on one ``ray_integral`` level's node
-    block k, its ray columns (``owner`` below ``first_cut``) first and its
-    cut columns k = i t after them, ``kap`` the kappa of each integral.  One
-    call body(s, kzd, kappa, |k|^2) gets s = k + i ``shift`` on the rays
-    (kzd the principal root of n^2 s^2 + (n^2 - 1) kappa^2) and
-    s = i (t + shift) on the cut (kzd >= 0), whose columns then hold the
-    jump across the cut, -i [F - ``parity`` conj F] of the value F there.
-    With ``cut`` the body gets the rays alone and cut(t + shift, kzd, kappa,
-    |k|^2) the cut, its trailing components padded by 0."""
-    rays = int(np.searchsorted(owner, first_cut))
-    kap = kap[owner]
+def _ray_cut_block(k: np.ndarray, rays: int, n: float, kap: float, shift: float,
+                   body: Callable, cut: Callable | None, parity) -> np.ndarray:
+    """The values of an interface body at kappa ``kap`` on one
+    ``ray_integral`` level's node block k, its ``rays`` ray columns first
+    and its cut columns k = i t after them.  One call body(s, kzd, kappa,
+    |k|^2) gets s = k + i ``shift`` on the rays (kzd the principal root of
+    n^2 s^2 + (n^2 - 1) kappa^2) and s = i (t + shift) on the cut
+    (kzd >= 0), whose columns then hold the jump across the cut,
+    -i [F - ``parity`` conj F] of the value F there.  With ``cut`` the body
+    gets the rays alone and cut(t + shift, kzd, kappa, |k|^2) the cut, its
+    trailing components padded by 0."""
     kap2, gap2 = kap * kap, (n * n - 1.0) * kap * kap
     s, t = k[:, :rays] + 1j * shift, k.imag[:, rays:] + shift
-    kzd = np.sqrt(n * n * s * s + gap2[:rays])
-    cut_kzd = np.sqrt(np.maximum(gap2[rays:] - n * n * t * t, 0.0))
+    kzd = np.sqrt(n * n * s * s + gap2)
+    cut_kzd = np.sqrt(np.maximum(gap2 - n * n * t * t, 0.0))
     if cut is not None:
-        ray = body(s, kzd, kap[:rays], kap2[:rays] + s * s)
-        jump = cut(t, cut_kzd, kap[rays:], kap2[rays:] - t * t)
+        ray = body(s, kzd, kap, kap2 + s * s)
+        jump = cut(t, cut_kzd, kap, kap2 - t * t)
         block = np.zeros(k.shape + ray.shape[2:], dtype=complex)
         block[:, :rays], block[:, rays:, :jump.shape[-1]] = ray, jump
         return block
@@ -271,62 +266,56 @@ def _ray_cut_block(k: np.ndarray, owner: np.ndarray, first_cut: int, n: float, k
     return block
 
 
-def _interface_profile(medium: Medium, kap: np.ndarray, scale: float, travelling: Callable,
+def _interface_profile(medium: Medium, kap: float, scale: float, travelling: Callable,
                        spec: QuadratureSpec, evanescent: Callable | None = None) -> IntegralResult:
-    """Travelling axis plus evanescent segment of an interface profile, in
-    one engine run: each kappa's ray and its cut k_z = i t, 0 < t < Gamma,
-    are integrals of their own, refined level by level on their own panels,
-    and each level is one call of the run's body on both.  ``travelling``
-    gets (kz, kzd, kappa, kmag2) for k_z > 0 and its continuation into the
-    first quadrant, where it goes like e^{i k_z scale}; its k_z > 0 integral
-    is taken on the damped ray.  Without ``evanescent`` the profile
-    integrates ``travelling`` over the whole real k_z axis: the k_z < 0 half
-    adds _PARITY times the conjugate of the k_z > 0 integral, and the cut
-    holds the body's jump across it, -i [f(it, kzd) - f(it, -kzd)] =
-    -i [F - _PARITY conj F] of its value F at kzd >= 0 (``_ray_cut_block``
-    gives both from one call).  Such a body is O(1) at large |k_z|, so its
-    rays start on the finer layout (``flat``).  With ``evanescent``, which
-    gets (t, kzd, kappa, kmag2) on the cut columns, the profile is the
-    k_z > 0 integral plus the cut integral of that body: no mirror, no jump.
-    Its travelling body then returns [the terms in e^{+i k_z z'}, the
-    Schwarz partners of the terms in e^{-i k_z z'}]: a partner has
-    e^{+i k_z z'} in place of e^{-i k_z z'}, and as the coefficients are real
-    on the travelling axis, a term's k_z > 0 integral is the conjugate of its
-    partner's; the cut's two trailing components read 0.  Either way each
-    kappa's ray error doubles, and its error is 2 ray + cut.
+    """Travelling axis plus evanescent segment of an interface profile at
+    one kappa > 0, in one engine run: the ray and the cut k_z = i t,
+    0 < t < Gamma, are integrals of their own, refined level by level on
+    their own panels, and each level is one call of the run's body on both.
+    ``travelling`` gets (kz, kzd, kappa, kmag2) for k_z > 0 and its
+    continuation into the first quadrant, where it goes like
+    e^{i k_z scale}; its k_z > 0 integral is taken on the damped ray.
+    Without ``evanescent`` the profile integrates ``travelling`` over the
+    whole real k_z axis: the k_z < 0 half adds _PARITY times the conjugate
+    of the k_z > 0 integral, and the cut holds the body's jump across it,
+    -i [f(it, kzd) - f(it, -kzd)] = -i [F - _PARITY conj F] of its value F
+    at kzd >= 0 (``_ray_cut_block`` gives both from one call).  Such a body
+    is O(1) at large |k_z|, so its ray starts on the finer layout
+    (``flat``).  With ``evanescent``, which gets (t, kzd, kappa, kmag2) on
+    the cut columns, the profile is the k_z > 0 integral plus the cut
+    integral of that body: no mirror, no jump.  Its travelling body then
+    returns [the terms in e^{+i k_z z'}, the Schwarz partners of the terms
+    in e^{-i k_z z'}]: a partner has e^{+i k_z z'} in place of e^{-i k_z z'},
+    and as the coefficients are real on the travelling axis, a term's
+    k_z > 0 integral is the conjugate of its partner's; the cut's two
+    trailing components read 0.  Either way the ray's error doubles, and
+    the profile's error is 2 ray + cut.
 
     Continued with the principal root of kzd, every interface body has the TM
     pole n^2 k_z + kzd = 0 at k_z = -kappa/n: outside the first quadrant, so
-    the ray holds, but a distance kappa/n from its origin, so each kappa's
-    first ray panel is graded from that scale (``near``).  The cut gets the
-    graded first and last panels of ``_cut_scales``."""
+    the ray holds, but a distance kappa/n from its origin, so the first ray
+    panel is graded from that scale (``near``).  The cut gets the graded
+    first and last panels of ``_cut_scales``."""
     n = medium.n
-    live = kap.ravel() > 0.0  # a kappa = 0 entry holds every profile's limit, 0
-    flat = kap.ravel()[live]
-    m = flat.size
-    flat2 = np.concatenate((flat, flat))  # integral e + m is the cut of entry e
 
-    def body(k: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        return _ray_cut_block(k, owner, m, n, flat2, 0.0, travelling, evanescent, _PARITY)
+    def body(k: np.ndarray, rays: int) -> np.ndarray:
+        return _ray_cut_block(k, rays, n, kap, 0.0, travelling, evanescent, _PARITY)
 
-    res = ray_integral(body, scale, m, spec, near=flat / n,
-                       gamma=evanescent_threshold(medium, flat) if n > 1.0 else None,
+    res = ray_integral(body, scale, spec, near=kap / n,
+                       gamma=evanescent_threshold(medium, kap) if n > 1.0 else None,
                        cut_near=_cut_scales(n), flat=evanescent is None)
-    ray, err = res.value[:m], 2.0 * res.entry_errors[:m]
+    ray, err = res.value[0], 2.0 * res.entry_errors[0]
     if evanescent is None:
         value = ray + _PARITY * np.conj(ray)
     else:
-        half = ray.shape[-1] // 2
-        value = ray[:, :half] + np.conj(ray[:, half:])
-    if len(res.value) > m:
-        value, err = value + res.value[m:, :value.shape[-1]], err + res.entry_errors[m:]
-    out, errs = np.zeros(live.shape + value.shape[1:], dtype=complex), np.zeros(live.shape)
-    out[live], errs[live] = value, err
-    return IntegralResult(out.reshape(kap.shape + (-1,)), float(err.max()), res.nodes_used,
-                          errs.reshape(kap.shape))
+        half = len(ray) // 2
+        value = ray[:half] + np.conj(ray[half:])
+    if len(res.value) > 1:
+        value, err = value + res.value[1, :len(value)], err + res.entry_errors[1]
+    return IntegralResult(value, float(err), res.nodes_used)
 
 
-def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
+def _gauge_difference_profile(medium: Medium, kap: float, z: float, zp: float,
                               spec: QuadratureSpec) -> IntegralResult:
     """Mode-sum profile of the gauge-difference kernel: each TM mode's surface
     charge g times its vacuum amplitude at z' over omega, by dk_z or dk_zd.
@@ -336,72 +325,65 @@ def _gauge_difference_profile(medium: Medium, kap: ArrayLike, z: float, zp: floa
     left-incident modes, written on their own; they equal the body's jump
     across the cut, with its e^{-ik_z z'} terms continued through k_z < 0
     (``_gauge_part`` relies on that)."""
-    _check_point(kap, z, zp)
+    kap = _check_point(kap, z, zp)
     n = medium.n
-    kap = np.asarray(kap, dtype=float)
-    if n == 1.0 or not kap.any():
-        return IntegralResult(np.zeros(kap.shape + (5,), dtype=complex), 0.0, 0,
-                              np.zeros(kap.shape))
+    if n == 1.0 or kap == 0.0:
+        return IntegralResult(np.zeros(5, dtype=complex), 0.0, 0)
 
-    def travelling(k: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
-                   kmag2: np.ndarray) -> np.ndarray:
+    def travelling(k: np.ndarray, kzd: np.ndarray, kap: float, kmag2: np.ndarray) -> np.ndarray:
         common = np.exp(1j * zp * k)
         common /= kmag2
         return np.moveaxis(_gauge_terms(medium, k, kzd, kap, common), 0, -1)
 
-    def left_evanescent(t: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
+    def left_evanescent(t: np.ndarray, kzd: np.ndarray, kap: float,
                         kmag2: np.ndarray) -> np.ndarray:
         return np.moveaxis(_gauge_evanescent_terms(medium, t, kzd, kap, np.exp(-zp * t) / kmag2),
                            0, -1)
 
     j = _interface_profile(medium, kap, zp, travelling, spec, left_evanescent)
-    ju, jz = np.moveaxis(j.value, -1, 0)
+    ju, jz = j.value
     sgn = 1.0 if z >= 0.0 else -1.0
     # (2 pi)^{3/2} undoes g's mode normalisation; the profile measure has the (2 pi)^{-3}
-    front = 1j * kap * math.sqrt(_TWO_PI_CUBED) * np.exp(-kap * abs(z))
-    parts = [ju, jz, 1j * sgn * ju, 1j * sgn * jz, np.zeros_like(ju)]
-    comps = front[..., None] * np.stack(parts, axis=-1)
-    err = np.abs(front) * j.entry_errors
-    return IntegralResult(comps, float(err.max()), j.nodes_used, err)
+    front = 1j * kap * math.sqrt(_TWO_PI_CUBED) * math.exp(-kap * abs(z))
+    comps = front * np.array([ju, jz, 1j * sgn * ju, 1j * sgn * jz, 0.0])
+    return IntegralResult(comps, abs(front) * j.error_estimate, j.nodes_used)
 
 
-def _check_point(kap: ArrayLike, z: float, zp: float) -> None:
-    """Reject, before any engine call, kappa that is neither 0 nor a finite
-    value >= _KAPPA_MIN, non-finite heights and z' <= 0.  A float kappa
-    (np.float64 included) is checked with math, an array's first bad entry
-    named in the same words."""
-    if isinstance(kap, float):
-        bad = [] if math.isfinite(kap) and (kap == 0.0 or kap >= _KAPPA_MIN) else [kap]
-    else:
-        k = np.asarray(kap, dtype=float)
-        bad = k[~(np.isfinite(k) & ((k == 0.0) | (k >= _KAPPA_MIN)))]
-    if len(bad):
+def _check_point(kap, z: float, zp: float) -> float:
+    """kappa as a float, once it is a real scalar (a float, np.floating or a
+    0-d array), 0 or a finite value >= _KAPPA_MIN; rejects, before any engine
+    call, any other kappa, non-finite heights and z' <= 0."""
+    if not isinstance(kap, float):
+        value = np.asarray(kap)
+        if value.ndim or value.dtype.kind not in "iuf":
+            raise ValueError(f"kpar_mag must be one real value, got {value.dtype} of shape "
+                             f"{value.shape}")
+        kap = float(value)
+    if not (math.isfinite(kap) and (kap == 0.0 or kap >= _KAPPA_MIN)):
         raise ValueError(f"kpar_mag must be 0 or a finite value >= {_KAPPA_MIN:g}, "
-                         f"got {float(bad[0])!r}")
+                         f"got {float(kap)!r}")
     for name, value in (("z", z), ("z'", zp)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     if zp <= 0.0:
         raise ValueError("the primed point must lie outside the dielectric (z' > 0)")
+    return kap
 
 
-def kz_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
+def kz_profile(medium: Medium, kap: float, z: float, zp: float,
                spec: QuadratureSpec) -> IntegralResult:
     """The k_z-integrated kernel profile at fixed kappa: reflected for z >= 0,
     transmitted below.  One travelling body serves both; the side picks its
     amplitudes, TM u-row lead, TM dyad scale and phase: (rR, -k_z, |k|^2,
     e^{i k_z (z + z')}) for z >= 0, (tR, k_zd, n |k|^2, e^{-i k_zd z + i k_z z'}) below."""
-    _check_point(kap, z, zp)
+    kap = _check_point(kap, z, zp)
     n = medium.n
-    kap = np.asarray(kap, dtype=float)
     above = z >= 0.0
-    if (above and n == 1.0) or not kap.any():
-        return IntegralResult(np.zeros(kap.shape + (5,), dtype=complex), 0.0, 0,
-                              np.zeros(kap.shape))
+    if (above and n == 1.0) or kap == 0.0:
+        return IntegralResult(np.zeros(5, dtype=complex), 0.0, 0)
     s = z + zp if above else n * abs(z) + zp
 
-    def travelling(kz: np.ndarray, kzd: np.ndarray, kap: np.ndarray,
-                   kmag2: np.ndarray) -> np.ndarray:
+    def travelling(kz: np.ndarray, kzd: np.ndarray, kap: float, kmag2: np.ndarray) -> np.ndarray:
         phase = np.exp(1j * kz * s) if above else np.exp(-1j * kzd * z + 1j * kz * zp)
         return np.moveaxis(_kz_dyads(medium, above, kz, kzd, kap, kmag2, phase), 0, -1)
 
@@ -410,7 +392,7 @@ def kz_profile(medium: Medium, kap: ArrayLike, z: float, zp: float,
 
 def residue_profile(medium: Medium, kap: float, z: float, zp: float) -> np.ndarray:
     """Closed-form profile from the TM pole at k_z = i|k_par| (TE vanishes)."""
-    _check_point(kap, z, zp)
+    kap = _check_point(kap, z, zp)
     n = medium.n
     if z >= 0.0:
         al = medium.image_strength
@@ -465,8 +447,6 @@ def residue_closed_form(medium: Medium, i: int, j: int, kpar_mag: float, z: floa
 # assembly: closed kappa and azimuth integrals, one s contour per part
 # ---------------------------------------------------------------------------
 
-# kappa = 1 of the ray and of the cut of an s contour
-_UNIT_KAPPA = np.ones(2)
 # The mirror of an aligned ray value in [xx, yy, zz, xz, zx]: the conjugate,
 # times these signs for the gauge-difference body (the module docstring)
 _MIRROR = np.array([1.0, 1.0, 1.0, -1.0, -1.0])
@@ -511,12 +491,12 @@ def _contour_part(medium: Medium, z: float, zp: float, spec: QuadratureSpec,
     gamma = math.sqrt(n * n - 1.0) / n
     start = 0.5 * gamma if n > 1.0 else 0.5
 
-    def on_block(k: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        return _ray_cut_block(k, owner, 1, n, _UNIT_KAPPA, start, body, jump, 1.0)
+    def on_block(k: np.ndarray, rays: int) -> np.ndarray:
+        return _ray_cut_block(k, rays, n, 1.0, start, body, jump, 1.0)
 
     # the poles at s = i sit at u = pi/2 + i acosh(2/gamma - 1) of t = gamma (1 + sin u)/2
-    res = ray_integral(on_block, abs(z) + zp, 1, spec, near=[start],
-                       gamma=[start] if n > 1.0 else None,
+    res = ray_integral(on_block, abs(z) + zp, spec, near=start,
+                       gamma=start if n > 1.0 else None,
                        cut_near=(math.inf, math.acosh(2.0 / gamma - 1.0)) if n > 1.0 else None,
                        flat=True)
     ray = res.value[0]
@@ -532,7 +512,7 @@ def _kz_part(medium: Medium, z: float, zp: float, rho: float,
     aligned: the k_z body of ``kz_profile`` at kappa = 1 under the weights."""
     above = z >= 0.0
 
-    def body(s: np.ndarray, kzd: np.ndarray, kap: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
+    def body(s: np.ndarray, kzd: np.ndarray, kap: float, kmag2: np.ndarray) -> np.ndarray:
         a = s * (z + zp) if above else kzd * abs(z) + s * zp
         return _aligned(_weights(a, rho), *_kz_dyads(medium, above, s, kzd, kap, kmag2, 1.0))
 
@@ -548,13 +528,13 @@ def _gauge_part(medium: Medium, z: float, zp: float, rho: float,
     if medium.n == 1.0:
         return IntegralResult(np.zeros(5, dtype=complex), 0.0, 0)
 
-    def body(s: np.ndarray, kzd: np.ndarray, kap: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
+    def body(s: np.ndarray, kzd: np.ndarray, kap: float, kmag2: np.ndarray) -> np.ndarray:
         w = _weights(s * zp + 1j * abs(z), rho)
         ru, rz, bu, bz = _gauge_terms(medium, s, kzd, kap, 1.0 / kmag2)
         return np.concatenate([_aligned(w, ru, rz, ru, rz, 0.0),
                                _aligned(w, bu, bz, bu, bz, 0.0)], axis=-1)
 
-    def jump(t: np.ndarray, kzd: np.ndarray, kap: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
+    def jump(t: np.ndarray, kzd: np.ndarray, kap: float, kmag2: np.ndarray) -> np.ndarray:
         ju, jz = _gauge_evanescent_terms(medium, t, kzd, kap, 1.0 / kmag2)
         return _aligned(_weights(1j * (t * zp + abs(z)), rho), ju, jz, ju, jz, 0.0)
 

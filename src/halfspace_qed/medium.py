@@ -112,9 +112,15 @@ def epsilon_profile(medium: Medium, z: float) -> float:
 
 def evanescent_threshold(medium: Medium, kpar_mag: ArrayLike) -> float | np.ndarray:
     """Branch point Gamma = |k_par| sqrt(n^2-1)/n of the refracted wavenumber,
-    elementwise for an array of |k_par|."""
-    kpar_mag = np.asarray(kpar_mag, dtype=float)
-    if not np.all(np.isfinite(kpar_mag) & (kpar_mag >= 0.0)):
+    elementwise for an array of |k_par|.  A float |k_par| (np.float64
+    included) is checked with math, anything else with numpy, which rejects
+    values that are not real numbers (strings, booleans, complex)."""
+    if isinstance(kpar_mag, float):
+        ok = math.isfinite(kpar_mag) and kpar_mag >= 0.0
+    else:
+        kpar_mag = np.asarray(kpar_mag)
+        ok = kpar_mag.dtype.kind in "iuf" and np.all(np.isfinite(kpar_mag) & (kpar_mag >= 0.0))
+    if not ok:
         raise ValueError(f"kpar_mag must be finite and >= 0, got {kpar_mag!r}")
     n = medium.n
     return kpar_mag * math.sqrt(n * n - 1.0) / n
@@ -189,9 +195,8 @@ def label_wavenumbers(medium: Medium, side: Side, kpar_mag: float, label: comple
                              f"label kzd = {label.real!r} sits at the total internal "
                              "reflection threshold")
         return kz, label
-    # Gamma (an array pass) only for a label that is not travelling
     if not (label.imag == 0.0 and label.real > 0.0):
-        gamma = float(evanescent_threshold(medium, kpar_mag))
+        gamma = evanescent_threshold(medium, kpar_mag)
         if not (label.real == 0.0 and 0.0 < label.imag <= gamma):
             raise ValueError(f"right-incident label kz = {label!r} is neither kz > 0 nor "
                              f"i t with 0 < t <= Gamma = {gamma:.6g}")

@@ -24,33 +24,31 @@ is not finite raises :class:`QuadratureError` at once, naming the panel.
    f goes like e^{(i-1) x}, and refines adaptive panels on v in (0, pi/2).
    Its first panels end at x = 0.3, 0.9, 2, 4, 8, 16 and infinity: past
    x ~ 1 each is twice as wide in x as the one before, so each holds about the
-   same share of the damped oscillation, and a lone entry mostly converges
-   after one refinement level.  A body whose amplitude beside e^{iks} tends
+   same share of the damped oscillation, and a ray mostly converges after
+   one refinement level.  A body whose amplitude beside e^{iks} tends
    to a constant at large |k| (the reflected and transmitted profiles) also
    starts on the panels that level adds, at x = 0.56, 5.35, 10.68 and 32.03,
    and mostly converges on them.  A singularity next to the ray's origin
    (that TM pole, a distance kappa/n away) sets the scale on which f varies
-   near k = 0, so an entry given such a scale has its first panel split at
+   near k = 0, so a ray given such a scale has its first panel split at
    x_e 2^j below x = 0.3, x_e = (kappa/n) s sin theta.  The map serves a
    body that decays like |k|^-3 along the ray as well (the kernels' s
    contour, whose kappa integral is closed, in ``kernels``): in v it goes
-   like pi/2 - v at the far end.  An entry stops once its error is within
-   the batch tolerance of its level and is not reopened if that tolerance
-   falls later; the ray raises only for an entry that reached the panel
-   cap.  The numerical path stays independent of any residue evaluation.
-   The same run integrates each entry's branch-cut segment (class 2), if it
-   has one, on panels of its own in the same node blocks.
+   like pi/2 - v at the far end.  The numerical path stays independent of
+   any residue evaluation.  The same run integrates the ray's branch-cut
+   segment (class 2), if it has one, on panels of its own in the same node
+   blocks.
 
 2. Branch-cut (evanescent) segment integrals over t in (0, Gamma) with an
    integrable 1/sqrt(Gamma^2 - t^2) endpoint factor: the segment is always
    mapped by the trigonometric substitution t = Gamma*sin(u), which removes
    the endpoint behaviour, then adaptive panels finish the job.  They start
-   on four equal panels in u.  The cuts of a k_z profile ride in its ray
-   run, one per kappa on its own panels; there near-singularity scales at
-   either end (for an interface body the TM shoulder at t = kappa/n, the
-   scale of that TM pole, and the TE pole at t = kappa, just past the branch
-   point, both at the same u for every kappa) split the end panels at
-   geometric breaks towards them.
+   on four equal panels in u.  The cut of a k_z profile rides in its ray
+   run on its own panels; there near-singularity scales at either end (for
+   an interface body the TM shoulder at t = kappa/n, the scale of that TM
+   pole, and the TE pole at t = kappa, just past the branch point, both at
+   a u that does not depend on kappa) split the end panels at geometric
+   breaks towards them.
 
 3. Smooth, algebraically decaying half-line integrals int_0^inf f(k) dk
    (the energy's longitudinal mode integrals): the map k = scale tan(v)
@@ -58,18 +56,15 @@ is not finite raises :class:`QuadratureError` at once, naming the panel.
 
 Every integrand gets the nodes of a refinement level as one (15, panels)
 block, a panel's 15 Kronrod nodes down its column, and returns values of
-that shape followed by any components (which share the node set).  The ray
-run gives each entry's ray, and each entry's cut, its own panels, so an
-integral that converges stops refining while the others go on: its body
-also gets ``entries``, the integral of each panel column, sorted, so that
-the ray columns are a prefix of the block and the cut columns the rest; its
-rays share one tolerance and its cuts another, and each integral's error is
-in ``entry_errors``.  ``nodes_used`` counts the 15 nodes of every panel
-evaluated.  Tolerances always apply to the max-norm.  Everything is
-deterministic: identical inputs produce bit-identical outputs.  An integral
-that misses its tolerance raises :class:`QuadratureError`; a returned result
-always met it (on the ray, the tolerance at the level where its entry
-stopped).
+that shape followed by any components (which share the node set).  A ray
+run's body also gets the number of ray columns: they come first, and the
+cut's columns follow them.  The ray and the cut are integrals of their own,
+so one that converges stops refining while the other goes on, and each
+one's error is in ``entry_errors``.  ``nodes_used`` counts the 15 nodes of
+every panel evaluated.  Each integral is held to max(abs_tol, rel_tol x its
+own max-norm) at each level.  Everything is deterministic: identical inputs
+produce bit-identical outputs.  An integral that misses its tolerance
+raises :class:`QuadratureError`; a returned result always met it.
 """
 from __future__ import annotations
 
@@ -80,7 +75,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 __all__ = [
     "QuadratureSpec",
@@ -112,8 +106,9 @@ class QuadratureSpec:
         if not 0.0 < self.rel_tol <= 1.0:
             raise ValueError(f"rel_tol must be positive and at most 1, got {self.rel_tol!r}")
 
-    def tolerance(self, scale: float) -> float:
-        return max(self.abs_tol, self.rel_tol * scale)
+    def tolerance(self, scale):
+        """The tolerance of an integral of max-norm ``scale`` (elementwise)."""
+        return np.maximum(self.abs_tol, self.rel_tol * scale)
 
 
 @dataclass
@@ -121,8 +116,7 @@ class IntegralResult:
     value: complex | np.ndarray
     error_estimate: float
     nodes_used: int
-    # the error of each entry of a batch whose entries are refined apart
-    # (shape of the batch); None where only the batch-wide bound is known
+    # the errors of a ray run's integrals, [ray, cut] (ray_integral only)
     entry_errors: np.ndarray | None = None
 
 
@@ -158,7 +152,7 @@ Integrand = Callable[[np.ndarray], np.ndarray]
 # (10 stalls a kernel's ray), so the cap only bounds the work spent on a
 # non-convergent integrand.
 _MAX_PANELS = 800
-# First panels of each entry of a ray integral, v = atan(x) at x = u s sin(pi/4):
+# First panels of a ray integral, v = atan(x) at x = u s sin(pi/4):
 # each holds about the same share of the e^{(i-1)x} decay of the body.
 _RAY_BREAKS = np.arctan([0.0, 0.3, 0.9, 2.0, 4.0, 8.0, 16.0, np.inf])
 # The same with (0.3, 0.9), (4, 8), (8, 16) and (16, inf) halved in v, at
@@ -168,7 +162,7 @@ _RAY_BREAKS_FLAT = np.sort(np.concatenate(
     [_RAY_BREAKS, 0.5 * (_RAY_BREAKS[[1, 4, 5, 6]] + _RAY_BREAKS[[2, 5, 6, 7]])]))
 # Graded breaks (ratio 2) that a near-singularity scale adds below the first
 # end of a ray or inside the end panels of a cut, at most this many per end:
-# a scale below 2^-16 of that end (a kappa = 0 entry, say) starts from there.
+# a scale below 2^-16 of that end (the ray of kappa = 0, say) starts from there.
 _GRADED_MAX = 16
 _GRADED_STEPS = 2.0 ** np.arange(_GRADED_MAX)
 # First panels of a cut segment in u, t = Gamma sin(u) (see cut_segment_integral).
@@ -218,18 +212,19 @@ def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
     return k15, err
 
 
-def _refine(rule: Callable, lo, hi, owner, tolerance: Callable, cap: int):
+def _refine(rule: Callable, lo, hi, owner, spec: QuadratureSpec):
     """Level-synchronous K15/G7 refinement: panel [lo[i], hi[i]] belongs to
     integral owner[i], and every integral 0, 1, ... has at least one panel.
 
     Each level bisects, per integral, the fewest worst panels whose errors
-    together exceed its excess over ``tolerance(ids, totals)``, where ``ids``
-    are the integrals still running.  Each level, the first included, is one
-    call ``rule(lo, hi, owner)`` (the rule of ``_gauss_kronrod``) on panels
-    sorted by owner, as the first ones must be: a split panel's two halves
-    stay side by side.  An integral stops when its error sum is within its
-    tolerance or it holds ``cap`` panels.  Returns the totals, the error sums, the nodes of all
-    panels and which integrals the cap stopped."""
+    together exceed its excess over its tolerance, max(abs_tol, rel_tol x
+    the max-norm of its total at that level).  Each level, the first
+    included, is one call ``rule(lo, hi, owner)`` (the rule of
+    ``_gauss_kronrod``) on panels sorted by owner, as the first ones must
+    be: a split panel's two halves stay side by side.  An integral stops for
+    good when its error sum is within its tolerance or it holds _MAX_PANELS
+    panels.  Returns the totals, the error sums, the nodes of all panels and
+    which integrals the cap stopped."""
     val, err = rule(lo, hi, owner)
     entries = int(owner.max()) + 1
     total = np.zeros((entries,) + val.shape[1:], dtype=val.dtype)
@@ -247,12 +242,12 @@ def _refine(rule: Callable, lo, hi, owner, tolerance: Callable, cap: int):
         first = np.cumsum(count) - count
         errsum = np.add.reduceat(err, first)
         tot = np.add.reduceat(val, first)
-        excess = errsum - tolerance(ids, tot)
+        excess = errsum - spec.tolerance(np.abs(tot).reshape(len(tot), -1).max(axis=1))
         # split a panel while the worse panels of its entry leave an excess
         start = first[owner]
         worse = np.cumsum(err) - err
         worse -= worse[start]
-        pick = (worse < excess[owner]) & (np.arange(len(err)) - start < cap - count[owner])
+        pick = (worse < excess[owner]) & (np.arange(len(err)) - start < _MAX_PANELS - count[owner])
         stop = ~np.logical_or.reduceat(pick, first)
         if stop.any():
             total[ids[stop]] = tot[stop]
@@ -287,9 +282,7 @@ def adaptive_panels(
     lo, hi = np.asarray(breakpoints[:-1], dtype=float), np.asarray(breakpoints[1:], dtype=float)
     total, error, nodes, capped = _refine(
         functools.partial(_gauss_kronrod, lambda x, owner: f(x)), lo, hi,
-        np.zeros(len(lo), dtype=int),
-        lambda ids, tot: spec.tolerance(float(np.abs(tot).max())), _MAX_PANELS,
-    )
+        np.zeros(len(lo), dtype=int), spec)
     if capped[0]:
         raise QuadratureError(f"adaptive panels stalled at error {error[0]:.3e} "
                               f"after {_MAX_PANELS} panels")
@@ -297,22 +290,14 @@ def adaptive_panels(
     return IntegralResult(value if value.shape else complex(value), float(error[0]), nodes)
 
 
-def _oscillation_scale(value) -> float:
-    scale = np.asarray(value, dtype=float)
-    if not (scale.ndim == 0 and math.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"oscillation_scale must be positive and finite, got {value!r}")
-    return float(scale)
-
-
-def _near_scales(near, size: int) -> np.ndarray:
-    """``near`` as ``size`` scales, each >= 0; inf (no near-singularity) for
-    None."""
-    if near is None:
-        return np.full(size, np.inf)
-    scales = np.asarray(near, dtype=float)
-    if not (scales.shape == (size,) and (scales >= 0.0).all()):
-        raise ValueError(f"near must be {size} scales >= 0, got {near!r}")
-    return scales
+def _scalar(name: str, value, positive: bool = True) -> float:
+    """``value`` as a float if it is a finite real > 0 (>= 0 unless
+    ``positive``); otherwise ValueError naming ``name``.  A float or int is
+    recognised before the numbers.Real check, which costs about 0.8 us."""
+    if ((isinstance(value, (float, int)) or isinstance(value, numbers.Real))
+            and math.isfinite(value) and (value > 0.0 or (value == 0.0 and not positive))):
+        return float(value)
+    raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
 
 
 def _graded(scale, end: float):
@@ -322,117 +307,97 @@ def _graded(scale, end: float):
     return np.multiply.outer(np.maximum(scale, end * 2.0 ** -_GRADED_MAX), _GRADED_STEPS)
 
 
-def _ray_panels(near: np.ndarray, scale: float, breaks: np.ndarray = _RAY_BREAKS):
-    """First panels (lo, hi, owner) in v of each entry of a ray with
-    oscillation scale ``scale``: those of ``breaks``, the first split at
-    v = atan(x) for the graded breaks x from x_e = near s sin(pi/4) up."""
+def _ray_panels(near: float, scale: float, breaks: np.ndarray = _RAY_BREAKS):
+    """First panels (lo, hi) in v of a ray with oscillation scale ``scale``:
+    those of ``breaks``, the first split at v = atan(x) for the graded
+    breaks x from x_e = near s sin(pi/4) up."""
     x_near = near * (scale * math.sin(0.25 * math.pi))
     graded = np.arctan(_graded(x_near, math.tan(breaks[1])))
-    rows = np.hstack([np.zeros((len(near), 1)), np.minimum(graded, breaks[1]),
-                      np.broadcast_to(breaks[1:], (len(near), len(breaks) - 1))])
-    lo, hi = rows[:, :-1], rows[:, 1:]
+    row = np.concatenate(([0.0], np.minimum(graded, breaks[1]), breaks[1:]))
+    lo, hi = row[:-1], row[1:]
     keep = lo < hi  # a graded break put at the first end leaves an empty panel
-    return lo[keep], hi[keep], np.nonzero(keep)[0]
+    return lo[keep], hi[keep]
 
 
 def _cut_breaks(near) -> np.ndarray:
     """First panels in u of a cut: _CUT_BREAKS, the end panels split at the
-    graded breaks of the near-singularity scales (u from 0, distance from
-    pi/2)."""
-    low, high = _graded(_near_scales(near, 2), _CUT_BREAKS[1])
+    graded breaks of the near-singularity scales (a, b) (u from 0, distance
+    from pi/2; None for neither)."""
+    scales = np.full(2, np.inf) if near is None else np.asarray(near, dtype=float)
+    if not (scales.shape == (2,) and (scales >= 0.0).all()):
+        raise ValueError(f"cut_near must be 2 scales >= 0, got {near!r}")
+    low, high = _graded(scales, _CUT_BREAKS[1])
     high = _CUT_BREAKS[-1] - high[::-1]
     return np.concatenate([_CUT_BREAKS[:1], low[low < _CUT_BREAKS[1]], _CUT_BREAKS[1:-1],
                            high[high > _CUT_BREAKS[-2]], _CUT_BREAKS[-1:]])
 
 
-def ray_integral(f: Callable, oscillation_scale: float, entries: int,
-                 spec: QuadratureSpec, near: ArrayLike | None = None,
-                 gamma: ArrayLike | None = None,
+def ray_integral(f: Callable, oscillation_scale: float, spec: QuadratureSpec,
+                 near: float | None = None, gamma: float | None = None,
                  cut_near: tuple[float, float] | None = None,
                  flat: bool = False) -> IntegralResult:
-    """int_0^inf f(k) dk for each of ``entries`` integrands f(., entry) that are
-    analytic in the open first quadrant and go like e^{i k s} there,
-    s = oscillation_scale: the Abel-regularised real-axis integral, taken along
-    the ray k = u e^{i pi/4} where f decays like e^{-u s sin(pi/4)} (or f
-    that decays like |k|^-3 there, on the scale 1/s; then only the ray is
-    integrated).  With ``gamma``, the same run also takes int_0^Gamma f(i t) dt
-    of each entry, its cut.
+    """int_0^inf f(k) dk of a body f that is analytic in the open first
+    quadrant and goes like e^{i k s} there, s = oscillation_scale: the
+    Abel-regularised real-axis integral, taken along the ray k = u e^{i pi/4}
+    where f decays like e^{-u s sin(pi/4)} (or f that decays like |k|^-3
+    there, on the scale 1/s).  With ``gamma``, the same run also takes
+    int_0^Gamma f(i t) dt, the cut.  Integral 0 is the ray and integral 1
+    the cut: rows of ``value`` and ``entry_errors``.
 
     The map u = l tan(v), l = 1/(s sin(pi/4)), compactifies the ray, so that
-    k = (1 + i) tan(v)/s.  Each level is one call f(k, entries), k of shape
-    (nodes, panels) and ``entries`` the integral of each panel column,
-    sorted, and f returns (nodes, panels, *comps).  Each entry starts on the
-    panels of _RAY_BREAKS, which end at x = tan(v) = 0.3, 0.9, 2, 4, 8, 16
-    and infinity, or with ``flat`` (f's amplitude beside e^{iks} tends to a
+    k = (1 + i) tan(v)/s.  Each level is one call f(k, rays), k of shape
+    (nodes, panels) and ``rays`` the number of its ray columns, which come
+    first; f returns (nodes, panels, *comps).  The ray starts on the panels
+    of _RAY_BREAKS, which end at x = tan(v) = 0.3, 0.9, 2, 4, 8, 16 and
+    infinity, or with ``flat`` (f's amplitude beside e^{iks} tends to a
     constant at large |k|) on _RAY_BREAKS_FLAT, which halves (0.3, 0.9) and
-    the last three in v.  ``near`` gives, per entry, the distance |k| of a
-    singularity of f next to the ray's origin (outside the first quadrant);
-    f varies on that scale near k = 0, so the entry's first panel is split
-    at x_e 2^j below x = 0.3, from x_e = near s sin(pi/4) up (at most
-    _GRADED_MAX breaks).
+    the last three in v.  ``near`` is the distance |k| of a singularity of f
+    next to the ray's origin (outside the first quadrant); f varies on that
+    scale near k = 0, so the first panel is split at x_e 2^j below x = 0.3,
+    from x_e = near s sin(pi/4) up (at most _GRADED_MAX breaks).
 
-    ``gamma`` gives one Gamma > 0 per entry.  The cut of entry e is the
-    integral ``entries`` + e; its columns follow every ray column of the
-    block and carry k = i t, t = Gamma sin(u), under the Jacobian
-    Gamma cos(u) (f's value there is the cut's integrand, whatever f makes
-    of it).  Each cut starts on the panels of ``cut_segment_integral``, the
-    end panels split towards the scales ``cut_near`` = (a, b), the same u for
-    every entry, on which f(i Gamma sin u) varies next to u = 0 and to
-    u = pi/2: at u = a 2^j below pi/8 and at pi/2 - b 2^j above 3 pi/8 (at
-    most _GRADED_MAX breaks each; inf adds none).  Rows 0 .. entries - 1 of
-    the result hold the rays, the next ``entries`` rows the cuts.
+    The cut columns follow the ray columns and carry k = i t,
+    t = Gamma sin(u), under the Jacobian Gamma cos(u) (f's value there is the
+    cut's integrand, whatever f makes of it).  The cut starts on the panels
+    of ``cut_segment_integral``, the end panels split towards the scales
+    ``cut_near`` = (a, b) on which f(i Gamma sin u) varies next to u = 0 and
+    to u = pi/2: at u = a 2^j below pi/8 and at pi/2 - b 2^j above 3 pi/8
+    (at most _GRADED_MAX breaks each; inf adds none).
 
-    Each integral refines its own panels, level by level, to the tolerance
-    of its family, max(abs_tol, rel_tol x the max-norm over the rays or over
-    the cuts), and reports its error in ``entry_errors``.  The max-norm is
-    taken level by level, and an integral stops for good once its error is
-    within the tolerance of that level, even if the tolerance falls later.
-    So an integral's error is bounded by the tolerance it stopped at, and
-    QuadratureError is raised only for one that reached the panel cap.
+    The ray and the cut refine their own panels, level by level, each to
+    max(abs_tol, rel_tol x its own max-norm), and report their errors in
+    ``entry_errors``; QuadratureError names the one that reached the panel
+    cap.
     """
-    scale = _oscillation_scale(oscillation_scale)
+    scale = _scalar("oscillation_scale", oscillation_scale)
     step = (1.0 + 1.0j) / scale  # e^{i pi/4} l
-    if not (isinstance(entries, numbers.Integral) and entries >= 1):
-        raise ValueError(f"entries must be an integer >= 1, got {entries!r}")
-    lo, hi, owner = _ray_panels(_near_scales(near, entries), scale,
-                                _RAY_BREAKS_FLAT if flat else _RAY_BREAKS)
+    near = math.inf if near is None else _scalar("near", near, positive=False)
+    lo, hi = _ray_panels(near, scale, _RAY_BREAKS_FLAT if flat else _RAY_BREAKS)
+    owner = np.zeros(len(lo), dtype=int)
     if gamma is not None:
-        gamma = np.asarray(gamma, dtype=float)
-        if not (gamma.shape == (entries,) and np.all(np.isfinite(gamma) & (gamma > 0.0))):
-            raise ValueError(f"gamma must be {entries} finite values > 0, got {gamma!r}")
+        gamma = _scalar("gamma", gamma)
         breaks = _cut_breaks(cut_near)
-        lo = np.concatenate((lo, np.tile(breaks[:-1], entries)))
-        hi = np.concatenate((hi, np.tile(breaks[1:], entries)))
-        owner = np.concatenate((owner, np.repeat(np.arange(entries, 2 * entries),
-                                                 len(breaks) - 1)))
+        lo, hi = np.concatenate((lo, breaks[:-1])), np.concatenate((hi, breaks[1:]))
+        owner = np.concatenate((owner, np.ones(len(breaks) - 1, dtype=int)))
 
     def block(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
         # v on the ray columns, u on the cut columns after them
-        rays = int(np.searchsorted(owner, entries))
+        rays = int(np.searchsorted(owner, 1))
         t = np.tan(x[:, :rays])
         if rays == len(owner):
-            return _weighted(f(step * t, owner), step * (1.0 + t * t))
+            return _weighted(f(step * t, rays), step * (1.0 + t * t))
         k, jac = np.empty(x.shape, dtype=complex), np.empty(x.shape, dtype=complex)
         np.multiply(step, t, out=k[:, :rays])
         np.multiply(step, 1.0 + t * t, out=jac[:, :rays])
-        cut = gamma[owner[rays:] - entries]
-        k[:, rays:] = 1j * (cut * np.sin(x[:, rays:]))
-        jac[:, rays:] = cut * np.cos(x[:, rays:])
-        return _weighted(f(k, owner), jac)
-
-    norm = np.zeros(2 * entries)  # each integral's max-norm, final once it stops
-
-    def tolerance(ids, tot):
-        norm[ids] = np.abs(tot).reshape(len(ids), -1).max(axis=1)
-        return np.where(ids < entries, spec.tolerance(float(norm[:entries].max())),
-                        spec.tolerance(float(norm[entries:].max(initial=0.0))))
+        k[:, rays:] = 1j * (gamma * np.sin(x[:, rays:]))
+        jac[:, rays:] = gamma * np.cos(x[:, rays:])
+        return _weighted(f(k, rays), jac)
 
     total, error, nodes, capped = _refine(functools.partial(_gauss_kronrod, block), lo, hi,
-                                          owner, tolerance, _MAX_PANELS)
+                                          owner, spec)
     if capped.any():
-        part = "ray" if capped[:entries].any() else "cut"
-        raise QuadratureError(f"{part} integral stalled at error {error[capped].max():.3e} "
-                              f"after {_MAX_PANELS} panels")
+        raise QuadratureError(f"{'ray' if capped[0] else 'cut'} integral stalled at error "
+                              f"{error[capped].max():.3e} after {_MAX_PANELS} panels")
     return IntegralResult(total, float(error.max()), nodes, error)
 
 
@@ -445,8 +410,7 @@ def cut_segment_integral(f: Integrand, gamma: float, spec: QuadratureSpec) -> In
     touch the endpoints, so f is never called at t = 0 or t = Gamma.  The
     first panels are four equal ones in u.
     """
-    if not (math.isfinite(gamma) and gamma >= 0.0):
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
+    gamma = _scalar("gamma", gamma, positive=False)
     if gamma == 0.0:
         return IntegralResult(0.0 + 0.0j, 0.0, 0)
     return adaptive_panels(lambda u: _weighted(f(np.sin(u) * gamma), np.cos(u) * gamma),
@@ -460,8 +424,7 @@ def decaying_halfline_integral(f: Integrand, scale: float, spec: QuadratureSpec)
     compactifies the half-line, then adaptive panels finish.  ``scale`` sets
     the k-range over which f varies.
     """
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"scale must be positive and finite, got {scale!r}")
+    scale = _scalar("scale", scale)
 
     def g(v: np.ndarray) -> np.ndarray:
         t = np.tan(v)

@@ -45,7 +45,7 @@ from halfspace_qed.spectral import QuadratureSpec
 from halfspace_qed.verification import LOWER_PAIRS, UPPER_PAIRS, residue_points
 
 SPEC = QuadratureSpec()
-# a batch of 15 |k_par| values, from near 0 to deep in the damped tail
+# 15 |k_par| values, from near 0 to deep in the damped tail, one a profile
 KAPPA_PANEL = np.geomspace(1e-3, 50.0, 15)
 
 
@@ -99,14 +99,18 @@ def test_kz_kernel_and_residue_reject_non_finite_heights(bad):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
 def test_profiles_reject_bad_kappa_before_any_engine_call(bad, monkeypatch):
-    def engine(*args):
+    # a profile integrates one kappa: a bad scalar, and any array of kappa,
+    # good or bad, is rejected by name before the engine runs
+    def engine(*args, **kwargs):
         raise AssertionError("engine called")
 
     monkeypatch.setattr(kernels, "ray_integral", engine)
     med = Medium(2.0)
     for z in (0.7, -0.3):
-        with pytest.raises(ValueError, match="kpar_mag"):
-            kz_profile(med, np.array([0.5, bad, 1.0]), z, 0.5, SPEC)
+        for profile in (kz_profile, _gauge_difference_profile):
+            for kap in (bad, np.array([0.5, bad, 1.0]), np.array([0.5, 1.0]), [1.0]):
+                with pytest.raises(ValueError, match="kpar_mag"):
+                    profile(med, kap, z, 0.5, SPEC)
         with pytest.raises(ValueError, match="kpar_mag"):
             kz_spectral_kernel(med, Polarization.TM, 0, 0, bad, z, 0.5, SPEC)
         with pytest.raises(ValueError, match="kpar_mag"):
@@ -115,47 +119,54 @@ def test_profiles_reject_bad_kappa_before_any_engine_call(bad, monkeypatch):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 1e-101])
 def test_scalar_and_array_kappa_are_rejected_in_the_same_words(bad):
-    # a float kappa is checked with math, an array with numpy: a float, an
-    # np.float64, a 0-d array and a 1-element array read the same error
-    messages = set()
-    for kap in (bad, np.float64(bad), np.array(bad), np.array([bad])):
-        with pytest.raises(ValueError, match="kpar_mag") as info:
-            kernels._check_point(kap, 0.5, 0.4)
-        messages.add(str(info.value))
-        with pytest.raises(ValueError, match="kpar_mag") as info:
-            kz_profile(Medium(2.0), kap, 0.5, 0.4, SPEC)
-        messages.add(str(info.value))
-    assert messages == {f"kpar_mag must be 0 or a finite value >= 1e-100, got {bad!r}"}
+    # every real scalar form of a bad kappa (a float, an np.float64, an
+    # np.float32 where it holds the value, a 0-d array) reads one error; an
+    # array of any values, or a value that is not real, reads one error of
+    # its dtype and shape, its values unread
+    def messages(kaps):
+        seen = set()
+        for kap in kaps:
+            for check in (lambda k: kernels._check_point(k, 0.5, 0.4),
+                          lambda k: kz_profile(Medium(2.0), k, 0.5, 0.4, SPEC),
+                          lambda k: _gauge_difference_profile(Medium(2.0), k, 0.5, 0.4, SPEC)):
+                with pytest.raises(ValueError, match="kpar_mag") as info:
+                    check(kap)
+                seen.add(str(info.value))
+        return seen
+
+    scalars = [bad, np.float64(bad), np.array(bad)] + ([np.float32(bad)] if bad != 1e-101 else [])
+    assert messages(scalars) == {f"kpar_mag must be 0 or a finite value >= 1e-100, got {bad!r}"}
+    assert messages([np.array([bad]), np.array([1.0]), [1.0]]) == {
+        "kpar_mag must be one real value, got float64 of shape (1,)"}
+    assert messages([1j, np.complex128(1.0), "1.0", np.array(True)]) == {
+        f"kpar_mag must be one real value, got {dtype} of shape ()"
+        for dtype in ("complex128", "<U3", "bool")}
+    assert kernels._check_point(np.float32(0.5), 0.5, 0.4) == 0.5
+    assert type(kernels._check_point(np.array(1.5), 0.5, 0.4)) is float
 
 
 @pytest.mark.parametrize("profile", [kz_profile, _gauge_difference_profile],
                          ids=["kz_profile", "gauge_difference"])
 @pytest.mark.parametrize("z", [0.5, -0.5])
-def test_profiles_near_kappa_zero_integrate_or_fail_at_the_boundary(profile, z):
-    # kappa = 0 is every profile's limit, 0, alone and next to kappa = 1, and
-    # leaves the kappa = 1 rows as they are; a kappa > 0 whose square
-    # underflows is rejected by name before any engine call, alone and in a batch
+def test_profiles_near_kappa_zero_integrate_or_fail_at_the_boundary(profile, z, monkeypatch):
+    # kappa = 0 is every profile's limit, 0, with no engine run; a kappa > 0
+    # whose square underflows is rejected by name before any engine call
     med = Medium(2.0)
-    ref = profile(med, np.array([1.0]), z, 0.4, SPEC)
-    for kap in (0.0, 5e-324, 1e-300, 1e-160):
-        if kap == 0.0:
-            alone = profile(med, np.array([kap]), z, 0.4, SPEC)
-            batch = profile(med, np.array([kap, 1.0]), z, 0.4, SPEC)
-            assert np.array_equal(alone.value, np.zeros((1, 5)))
-            assert np.array_equal(batch.value[0], np.zeros(5)) and batch.entry_errors[0] == 0.0
-            assert np.array_equal(batch.value[1:], ref.value)
-            assert np.array_equal(batch.entry_errors[1:], ref.entry_errors)
-            continue
-        for kaps in ([kap], [kap, 1.0]):
+    ray = kernels.ray_integral
+    with monkeypatch.context() as mp:
+        mp.setattr(kernels, "ray_integral", lambda *args, **kwargs: pytest.fail("engine called"))
+        for zero in (0.0, np.float64(0.0), np.array(0.0)):
+            res = profile(med, zero, z, 0.4, SPEC)
+            assert np.array_equal(res.value, np.zeros(5))
+            assert (res.error_estimate, res.nodes_used, res.entry_errors) == (0.0, 0, None)
+        for kap in (5e-324, 1e-300, 1e-160):
             with pytest.raises(ValueError, match="kpar_mag"):
-                profile(med, np.array(kaps), z, 0.4, SPEC)
-    # the least kappa accepted integrates, to about its limit, and leaves the
-    # kappa = 1 rows as they are too
-    least = kernels._KAPPA_MIN
-    batch = profile(med, np.array([least, 1.0]), z, 0.4, SPEC)
-    assert np.abs(batch.value[0]).max() <= 2.0 * math.pi * least + batch.entry_errors[0]
-    assert np.array_equal(batch.value[1:], ref.value)
-    assert np.array_equal(profile(med, np.array([least]), z, 0.4, SPEC).value, batch.value[:1])
+                profile(med, kap, z, 0.4, SPEC)
+    assert kernels.ray_integral is ray
+    # the least kappa accepted integrates, to about its limit
+    least = profile(med, kernels._KAPPA_MIN, z, 0.4, SPEC)
+    assert least.nodes_used > 0
+    assert np.abs(least.value).max() <= 2.0 * math.pi * kernels._KAPPA_MIN + least.error_estimate
 
 
 @pytest.mark.parametrize("spec", [QuadratureSpec(rel_tol=1.0), QuadratureSpec(abs_tol=1e308),
@@ -402,7 +413,7 @@ def _side_profile(reflected: bool):
             return np.stack([uu, uz, zu, zz, te.tR * phase], axis=-1)
 
         s = z + zp if reflected else n * abs(z) + zp
-        return kernels._interface_profile(med, np.asarray(kap, dtype=float), s, travelling, spec)
+        return kernels._interface_profile(med, float(kap), s, travelling, spec)
     return build
 
 
@@ -417,9 +428,10 @@ def test_kz_profile_dispatches_on_the_side_of_z():
         med = Medium(n)
         for z, build in ((0.7, _reflected_reference), (0.0, _reflected_reference),
                          (-0.3, _transmitted_reference)):
-            ref = build(med, KAPPA_PANEL[:3], z, 0.5, SPEC).value
-            got = kz_profile(med, KAPPA_PANEL[:3], z, 0.5, SPEC).value
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+            for kap in KAPPA_PANEL[:3]:
+                ref = build(med, kap, z, 0.5, SPEC).value
+                got = kz_profile(med, kap, z, 0.5, SPEC).value
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     with pytest.raises(ValueError, match="z' > 0"):
         kz_profile(Medium(2.0), 1.0, 0.7, 0.0, SPEC)
 
@@ -458,7 +470,7 @@ def test_gauge_difference_bodies_match_their_spelled_out_reference(n, z, monkeyp
     # reassociated against the spelled-out bodies, the profile may move the
     # last bits only
     med, zp = Medium(n), 0.5
-    got = _gauge_difference_profile(med, KAPPA_PANEL[:3], z, zp, SPEC).value
+    got = [_gauge_difference_profile(med, kap, z, zp, SPEC).value for kap in KAPPA_PANEL[:3]]
     travelling, evanescent = _gauge_reference_bodies(med, zp)
     original = kernels._interface_profile
 
@@ -466,39 +478,40 @@ def test_gauge_difference_bodies_match_their_spelled_out_reference(n, z, monkeyp
         return original(medium, kap, scale, travelling, spec, evanescent)
 
     monkeypatch.setattr(kernels, "_interface_profile", spelled_out)
-    ref = _gauge_difference_profile(med, KAPPA_PANEL[:3], z, zp, SPEC).value
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-
-@pytest.mark.parametrize("n", [1.2, 2.0, 40.0])
-@pytest.mark.parametrize("z, zp", [(0.7, 0.4), (-0.3, 0.5)])
-def test_batched_profiles_match_scalar_calls(n, z, zp):
-    med = Medium(n)
-    builders = [lambda k: _gauge_difference_profile(med, k, z, zp, SPEC)]
-    if z > 0.0:
-        builders.append(lambda k: kz_profile(med, k, z, zp, SPEC))
-    for build in builders:
-        batch = build(KAPPA_PANEL)
-        assert batch.value.shape == (len(KAPPA_PANEL), 5)
-        singles = np.array([build(k).value for k in KAPPA_PANEL])
-        assert singles.shape == batch.value.shape
-        assert np.max(np.abs(batch.value - singles)) <= 1e-10 * np.max(np.abs(batch.value))
+    for kap, value in zip(KAPPA_PANEL[:3], got):
+        ref = _gauge_difference_profile(med, kap, z, zp, SPEC).value
+        assert np.max(np.abs(value - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n", [1.01, 2.0, 40.0])
 @pytest.mark.parametrize("z, zp", [(0.7, 0.4), (-0.3, 0.5)])
-def test_profile_entry_errors_bound_each_kappa(z, zp, n):
-    # each kappa's error comes from its own half-line entries and the shared
-    # cut, so it bounds that kappa's distance to the residue profile
+def test_profile_entry_errors_bound_each_kappa(z, zp, n, monkeypatch):
+    # each kappa's profile is one engine run; its error, 2 ray + cut from the
+    # run's entry errors, bounds its distance to the residue profile, and its
+    # nodes are the run's
+    runs = []
+    ray = kernels.ray_integral
+
+    def capture(*args, **kwargs):
+        runs.append(ray(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(kernels, "ray_integral", capture)
     med = Medium(n)
-    prof = kz_profile(med, KAPPA_PANEL, z, zp, SPEC)
-    assert prof.entry_errors.shape == KAPPA_PANEL.shape
-    assert prof.error_estimate == prof.entry_errors.max()
-    assert prof.entry_errors.min() < prof.error_estimate
-    for kap, row, err in zip(KAPPA_PANEL, prof.value, prof.entry_errors):
+    errors = []
+    for kap in KAPPA_PANEL:
+        runs.clear()
+        prof = kz_profile(med, kap, z, zp, SPEC)
+        (run,) = runs
+        ray_err, cut_err = run.entry_errors
+        assert prof.value.shape == (5,) and prof.entry_errors is None
+        assert prof.error_estimate == 2.0 * ray_err + cut_err
+        assert prof.nodes_used == run.nodes_used
         target = residue_profile(med, float(kap), z, zp)
-        assert np.max(np.abs(row[:4] - target[:4])) <= err
-        assert abs(row[4]) <= err
+        assert np.max(np.abs(prof.value[:4] - target[:4])) <= prof.error_estimate
+        assert abs(prof.value[4]) <= prof.error_estimate
+        errors.append(prof.error_estimate)
+    assert min(errors) < max(errors)
 
 
 def test_large_n_assembly_below_the_interface_converges():
@@ -516,17 +529,17 @@ def test_large_n_assembly_below_the_interface_converges():
 @pytest.mark.parametrize("n", [1.2, 2.0, 40.0])
 def test_batched_transmitted_profile_within_error_estimates(n):
     # below the interface the travelling and evanescent parts cancel down to
-    # the e^{-kappa (z' - z)} residue profile; in the tail a scalar call's own
-    # error (up to ~1e-10 absolute) is above 1e-10 of the batch max-norm, so
-    # each entry is held to the two error estimates and to the closed form
+    # the e^{-kappa (z' - z)} residue profile; across the kappa panel, one
+    # kappa a run, every float form of a kappa gives the same bits, within
+    # its error estimate of the closed form
     med, z, zp = Medium(n), -0.3, 0.5
-    batch = kz_profile(med, KAPPA_PANEL, z, zp, SPEC)
-    for kap, row in zip(KAPPA_PANEL, batch.value):
-        single = kz_profile(med, kap, z, zp, SPEC)
-        assert np.max(np.abs(row - single.value)) <= batch.error_estimate + single.error_estimate
+    for kap in KAPPA_PANEL:
+        prof = kz_profile(med, kap, z, zp, SPEC)
+        for same in (float(kap), np.array(kap)):
+            assert np.array_equal(kz_profile(med, same, z, zp, SPEC).value, prof.value)
         target = residue_profile(med, float(kap), z, zp)
-        assert np.max(np.abs(row[:4] - target[:4])) <= batch.error_estimate
-        assert abs(row[4]) <= batch.error_estimate
+        assert np.max(np.abs(prof.value[:4] - target[:4])) <= prof.error_estimate
+        assert abs(prof.value[4]) <= prof.error_estimate
 
 
 def _counting_run(monkeypatch, record):
@@ -535,39 +548,13 @@ def _counting_run(monkeypatch, record):
     ray columns and of its cut columns."""
     ray = kernels.ray_integral
 
-    def run(f, scale, entries, *args, **kwargs):
-        def g(k, owner):
-            rays = int(np.searchsorted(owner, entries))
-            record(k.shape[0] * rays, k.shape[0] * (len(owner) - rays))
-            return f(k, owner)
-        return ray(g, scale, entries, *args, **kwargs)
+    def run(f, *args, **kwargs):
+        def g(k, rays):
+            record(k.shape[0] * rays, k.shape[0] * (k.shape[1] - rays))
+            return f(k, rays)
+        return ray(g, *args, **kwargs)
 
     monkeypatch.setattr(kernels, "ray_integral", run)
-
-
-def test_batched_profile_counts_every_kappa_evaluation(monkeypatch):
-    # nodes_used counts integrand evaluations: the profile's one engine run
-    # gets each node of a ray or a cut panel once, each panel a single
-    # kappa's (k of shape (nodes, panels), the cut columns k = i t)
-    evaluations = {"ray": [], "cut": []}
-
-    def record(rays, cuts):
-        evaluations["ray"].append(rays)
-        evaluations["cut"].append(cuts)
-
-    _counting_run(monkeypatch, record)
-    med = Medium(2.0)
-    for build in (
-        lambda k: kz_profile(med, k, 0.7, 0.4, SPEC),
-        lambda k: kz_profile(med, k, -0.3, 0.5, SPEC),
-        lambda k: _gauge_difference_profile(med, k, 0.7, 0.4, SPEC),
-    ):
-        for kap in (KAPPA_PANEL, KAPPA_PANEL[3]):
-            for seen in evaluations.values():
-                seen.clear()
-            prof = build(kap)
-            assert all(map(sum, evaluations.values()))
-            assert prof.nodes_used == sum(map(sum, evaluations.values()))
 
 
 def _captured_bodies(monkeypatch) -> list:
@@ -585,12 +572,12 @@ def _captured_bodies(monkeypatch) -> list:
 
 
 def _body(body, medium, kap, sign=1.0):
-    """The travelling body at sign * k_z, under the ray's protocol f(k, entries)."""
+    """The travelling body at sign * k_z, under the ray's protocol f(k, rays)."""
     gap2 = (medium.n ** 2 - 1.0) * kap * kap
 
-    def f(k, entries):
-        kzd = np.sqrt(medium.n ** 2 * k * k + gap2[entries])
-        return body(sign * k, sign * kzd, kap[entries], kap[entries] ** 2 + k * k)
+    def f(k, rays):
+        kzd = np.sqrt(medium.n ** 2 * k * k + gap2)
+        return body(sign * k, sign * kzd, kap, kap ** 2 + k * k)
 
     return f
 
@@ -598,21 +585,19 @@ def _body(body, medium, kap, sign=1.0):
 _AXIS_END = 40.0  # K s: where the real-axis route leaves the axis
 
 
-def _real_axis(f, kap, scale):
-    """int_0^K f(k, kappa entry) dk on the real axis, K = _AXIS_END/scale, by
-    panels, one call per kappa: the values and the errors."""
-    runs = [spectral.adaptive_panels(lambda k, entry=entry: f(k, np.full(k.shape, entry)),
-                                     np.linspace(0.0, _AXIS_END / scale, 41), SPEC)
-            for entry in range(kap.size)]
-    return np.array([r.value for r in runs]), np.array([r.error_estimate for r in runs])
+def _real_axis(f, scale):
+    """int_0^K f(k, rays) dk on the real axis, K = _AXIS_END/scale, by panels:
+    the value and the error."""
+    res = spectral.adaptive_panels(lambda k: f(k, k.shape[1]),
+                                   np.linspace(0.0, _AXIS_END / scale, 41), SPEC)
+    return res.value, res.error_estimate
 
 
-def _tail(f, kap, scale):
-    """int_K^inf f(k, kappa entry) dk of a body in e^{+ik s} along the ray
-    k = K + u e^{i pi/4}, where it decays: the values and the errors."""
-    res = spectral.ray_integral(lambda k, entries: f(_AXIS_END / scale + k, entries), scale,
-                                kap.size, SPEC)
-    return res.value, res.entry_errors
+def _tail(f, scale):
+    """int_K^inf f(k, rays) dk of a body in e^{+ik s} along the ray
+    k = K + u e^{i pi/4}, where it decays: the value and the error."""
+    res = spectral.ray_integral(lambda k, rays: f(_AXIS_END / scale + k, rays), scale, SPEC)
+    return res.value[0], res.entry_errors[0]
 
 
 @pytest.mark.parametrize("n", [1.2, 2.0, 40.0])
@@ -623,15 +608,16 @@ def test_negative_kz_half_axis_is_the_parity_mirror(n, z, zp, monkeypatch):
     # node, so their k_z < 0 integral is the parity conjugate as well
     seen = _captured_bodies(monkeypatch)
     med = Medium(n)
-    kz_profile(med, KAPPA_PANEL, z, zp, SPEC)
-    (kap, scale, body, evanescent), = seen
-    assert evanescent is None
-    k = np.multiply.outer(np.geomspace(1e-6, 1e3, 400) / scale, np.ones(kap.size))
-    entries = np.arange(kap.size)
-    upper = _body(body, med, kap)(k, entries)
-    lower = _body(body, med, kap, sign=-1.0)(k, entries)
-    gap = np.max(np.abs(lower - kernels._PARITY * np.conj(upper)))
-    assert gap <= 1e-15 * np.max(np.abs(upper))
+    for kappa in KAPPA_PANEL:
+        seen.clear()
+        kz_profile(med, kappa, z, zp, SPEC)
+        (kap, scale, body, evanescent), = seen
+        assert evanescent is None and kap == kappa
+        k = (np.geomspace(1e-6, 1e3, 400) / scale)[:, None]
+        upper = _body(body, med, kap)(k, 1)
+        lower = _body(body, med, kap, sign=-1.0)(k, 1)
+        gap = np.max(np.abs(lower - kernels._PARITY * np.conj(upper)))
+        assert gap <= 1e-15 * np.max(np.abs(upper))
 
 
 @pytest.mark.parametrize("n", [1.2, 2.0, 40.0])
@@ -641,20 +627,23 @@ def test_gauge_profile_body_is_its_right_and_left_modes(n, monkeypatch):
     # is the body with the other family's surface charge switched off
     seen = _captured_bodies(monkeypatch)
     med = Medium(n)
-    _gauge_difference_profile(med, KAPPA_PANEL, 0.7, 0.4, SPEC)
-    (kap, scale, body, evanescent), = seen
-    assert evanescent is not None and scale == 0.4
-    joint = spectral.ray_integral(_body(body, med, kap), scale, kap.size, SPEC)
     charge = kernels.surface_charge_mode
-    apart = []
-    for side in Side:
-        monkeypatch.setattr(kernels, "surface_charge_mode",
-                            lambda medium, s, *args, side=side:
-                            charge(medium, s, *args) if s is side else 0.0)
-        apart.append(spectral.ray_integral(_body(body, med, kap), scale, kap.size, SPEC))
-    gap = np.max(np.abs(joint.value - apart[0].value - apart[1].value), axis=-1)
-    assert np.all(gap <= joint.entry_errors + apart[0].entry_errors + apart[1].entry_errors)
-    assert np.max(np.abs(apart[0].value)) > 0.0 and np.max(np.abs(apart[1].value)) > 0.0
+    for kappa in KAPPA_PANEL:
+        seen.clear()
+        _gauge_difference_profile(med, kappa, 0.7, 0.4, SPEC)
+        (kap, scale, body, evanescent), = seen
+        assert evanescent is not None and scale == 0.4
+        joint = spectral.ray_integral(_body(body, med, kap), scale, SPEC)
+        apart = []
+        for side in Side:
+            with monkeypatch.context() as mp:
+                mp.setattr(kernels, "surface_charge_mode",
+                           lambda medium, s, *args, side=side:
+                           charge(medium, s, *args) if s is side else 0.0)
+                apart.append(spectral.ray_integral(_body(body, med, kap), scale, SPEC))
+        gap = np.max(np.abs(joint.value - apart[0].value - apart[1].value))
+        assert gap <= joint.error_estimate + apart[0].error_estimate + apart[1].error_estimate
+        assert np.max(np.abs(apart[0].value)) > 0.0 and np.max(np.abs(apart[1].value)) > 0.0
 
 
 def _gauge_real_axis_body(medium, zp, part="both"):
@@ -698,26 +687,27 @@ def test_ray_route_matches_the_levin_real_axis(profile, n, monkeypatch):
     med = Medium(n)
     z, zp = {"reflected": (0.7, 0.4), "transmitted": (-0.3, 0.5),
              "gauge_difference": (0.7, 0.4)}[profile]
-    if profile == "gauge_difference":
-        _gauge_difference_profile(med, KAPPA_PANEL, z, zp, SPEC)
-    else:
-        kz_profile(med, KAPPA_PANEL, z, zp, SPEC)
-    (kap, scale, body, evanescent), = seen
-    ray = kernels._interface_profile(med, kap, scale, body, SPEC, evanescent)
-    if evanescent is None:
-        f = _body(body, med, kap)
-        (axis, axis_err), (tail, tail_err) = _real_axis(f, kap, scale), _tail(f, kap, scale)
-        upper = axis + tail
-        real, err = upper + kernels._PARITY * np.conj(upper), 2.0 * (axis_err + tail_err)
-    else:
-        axis, axis_err = _real_axis(_body(_gauge_real_axis_body(med, zp), med, kap), kap, scale)
-        up, up_err = _tail(_body(_gauge_real_axis_body(med, zp, "ep"), med, kap), kap, scale)
-        down, down_err = _tail(_body(_gauge_real_axis_body(med, zp, "partner"), med, kap), kap,
-                               scale)
-        real, err = axis + up + np.conj(down), axis_err + up_err + down_err
-    gap = np.max(np.abs(ray.value - real), axis=-1)
-    assert np.all(gap <= ray.entry_errors + err)
-    assert np.max(np.abs(ray.value)) > 1e3 * np.max(ray.entry_errors + err)
+    for kappa in KAPPA_PANEL:
+        seen.clear()
+        if profile == "gauge_difference":
+            _gauge_difference_profile(med, kappa, z, zp, SPEC)
+        else:
+            kz_profile(med, kappa, z, zp, SPEC)
+        (kap, scale, body, evanescent), = seen
+        ray = kernels._interface_profile(med, kap, scale, body, SPEC, evanescent)
+        if evanescent is None:
+            f = _body(body, med, kap)
+            (axis, axis_err), (tail, tail_err) = _real_axis(f, scale), _tail(f, scale)
+            upper = axis + tail
+            real, err = upper + kernels._PARITY * np.conj(upper), 2.0 * (axis_err + tail_err)
+        else:
+            axis, axis_err = _real_axis(_body(_gauge_real_axis_body(med, zp), med, kap), scale)
+            up, up_err = _tail(_body(_gauge_real_axis_body(med, zp, "ep"), med, kap), scale)
+            down, down_err = _tail(_body(_gauge_real_axis_body(med, zp, "partner"), med, kap),
+                                   scale)
+            real, err = axis + up + np.conj(down), axis_err + up_err + down_err
+        assert np.max(np.abs(ray.value - real)) <= ray.error_estimate + err
+        assert np.max(np.abs(ray.value)) > 1e3 * (ray.error_estimate + err)
 
 
 def _lone_residue_runs(monkeypatch, **overrides) -> np.ndarray:
@@ -778,18 +768,17 @@ def test_damped_assemblies_converge_at_their_first_level(monkeypatch):
     calls = []  # [levels with ray columns, with cut columns, nodes, levels] per part
     ray = kernels.ray_integral
 
-    def counted(f, scale, entries, *args, **kwargs):
+    def counted(f, *args, **kwargs):
         record = [0, 0, 0, 0]
         calls.append(record)
 
-        def on_block(k, owner):
-            rays = int(np.searchsorted(owner, entries))
+        def on_block(k, rays):
             record[0] += rays > 0
-            record[1] += rays < len(owner)
+            record[1] += rays < k.shape[1]
             record[3] += 1
-            return f(k, owner)
+            return f(k, rays)
 
-        res = ray(on_block, scale, entries, *args, **kwargs)
+        res = ray(on_block, *args, **kwargs)
         record[2] = res.nodes_used
         return res
 
@@ -843,8 +832,8 @@ def test_profiles_never_call_the_levin_halfline(monkeypatch):
     for kap, z, zp in [(1.3, 0.7, 0.4), (0.6, -0.8, 0.6)]:
         prof = kz_profile(med, kap, z, zp, SPEC)
         assert np.max(np.abs(prof.value - residue_profile(med, kap, z, zp))) <= prof.error_estimate
-    prof = _gauge_difference_profile(med, KAPPA_PANEL, 0.7, 0.4, SPEC)
-    assert prof.value.shape == (len(KAPPA_PANEL), 5)
+    prof = _gauge_difference_profile(med, 1.3, 0.7, 0.4, SPEC)
+    assert np.max(np.abs(prof.value - residue_profile(med, 1.3, 0.7, 0.4))) < 1e-8
     p = pair((0.5, 0.2, -0.6), (0.0, -0.3, 0.7))
     for kind in (KernelKind.GENERALIZED_DELTA, KernelKind.GAUGE_DIFFERENCE):
         res = assemble_kernel_result(med, kind, p, SPEC)
@@ -866,25 +855,23 @@ def test_large_n_lower_pair_meets_its_closed_form(p, kind):
 
 
 def _captured_runs(monkeypatch) -> list:
-    """Record (body, entries, gamma) of every engine run of the profiles."""
+    """Record (body, gamma) of every engine run of the profiles."""
     seen = []
     ray = kernels.ray_integral
 
-    def capture(f, scale, entries, *args, gamma=None, **kwargs):
-        seen.append((f, entries, gamma))
-        return ray(f, scale, entries, *args, gamma=gamma, **kwargs)
+    def capture(f, *args, gamma=None, **kwargs):
+        seen.append((f, gamma))
+        return ray(f, *args, gamma=gamma, **kwargs)
 
     monkeypatch.setattr(kernels, "ray_integral", capture)
     return seen
 
 
-def _cut_columns(f, entries: int, t: np.ndarray) -> np.ndarray:
-    """A run's body on the cut columns k = i t, t of shape (nodes, entries),
-    handed to it after one ray column per entry as the engine lays a block
-    out (owners sorted, cut e numbered entries + e)."""
-    ray = np.full((t.shape[0], entries), 0.3 + 0.3j)
-    owner = np.arange(2 * entries)
-    return f(np.concatenate([ray, 1j * t], axis=1), owner)[:, entries:]
+def _cut_columns(f, t: np.ndarray) -> np.ndarray:
+    """A run's body on the cut columns k = i t, t of shape (nodes, columns),
+    handed to it after one ray column as the engine lays a block out."""
+    ray = np.full((t.shape[0], 1), 0.3 + 0.3j)
+    return f(np.concatenate([ray, 1j * t], axis=1), 1)[:, 1:]
 
 
 @pytest.mark.parametrize("n", [1.01, 2.0, 40.0])
@@ -896,20 +883,23 @@ def test_cut_is_the_travelling_body_jump(n, z, zp, monkeypatch):
     # i tR* e^{-t z'} (e^{i kzd z} + rL e^{-i kzd z}) below it, up to the
     # branch point Gamma where kzd = 0
     seen = _captured_runs(monkeypatch)
-    med, kappa = Medium(n), np.array([0.3, 1.3, 7.0])
-    kz_profile(med, kappa, z, zp, SPEC)
-    (body, entries, gamma), = seen
+    med = Medium(n)
     frac = np.array([1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-9])
-    t = np.multiply.outer(frac, gamma)
-    vv = _cut_columns(body, entries, t)[..., 4]
-    for ti, kap, value in zip(t.ravel(), np.tile(kappa, len(frac)), vv.ravel()):
-        te = fresnel_coefficients(med, Polarization.TE, float(kap), 1j * ti)
-        if z >= 0.0:
-            target = 2.0 * te.rR.imag * math.exp(-ti * (z + zp))
-        else:
-            target = (1j * np.conj(te.tR) * math.exp(-ti * zp)
-                      * (np.exp(1j * te.kzd * z) + te.rL * np.exp(-1j * te.kzd * z)))
-        assert abs(value - target) <= 1e-10 * abs(target)
+    for kap in (0.3, 1.3, 7.0):
+        seen.clear()
+        kz_profile(med, kap, z, zp, SPEC)
+        (body, gamma), = seen
+        assert gamma == evanescent_threshold(med, kap)
+        t = frac[:, None] * gamma
+        vv = _cut_columns(body, t)[:, 0, 4]
+        for ti, value in zip(t[:, 0], vv):
+            te = fresnel_coefficients(med, Polarization.TE, kap, 1j * ti)
+            if z >= 0.0:
+                target = 2.0 * te.rR.imag * math.exp(-ti * (z + zp))
+            else:
+                target = (1j * np.conj(te.tR) * math.exp(-ti * zp)
+                          * (np.exp(1j * te.kzd * z) + te.rL * np.exp(-1j * te.kzd * z)))
+            assert abs(value - target) <= 1e-10 * abs(target)
 
 
 @pytest.mark.parametrize("n", [1.01, 2.0, 40.0])
@@ -922,18 +912,21 @@ def test_cut_mirror_is_the_parity_conjugate_bit_for_bit(n, z, zp, monkeypatch):
     # takes from the call that serves its rays
     bodies = _captured_bodies(monkeypatch)
     runs = _captured_runs(monkeypatch)
-    med, kappa = Medium(n), np.array([0.3, 1.3, 7.0])
-    kz_profile(med, kappa, z, zp, SPEC)
-    (kap, _, body, _), = bodies
-    (f, entries, _), = runs
+    med = Medium(n)
     frac = np.concatenate([[1e-9, 1e-6], np.linspace(1e-3, 1.0 - 1e-3, 300),
                            [1.0 - 1e-6, 1.0 - 1e-9]])
-    t = np.multiply.outer(frac, evanescent_threshold(med, kap))
-    kzd = np.sqrt(np.maximum((n * n - 1.0) * kap * kap - n * n * t * t, 0.0))
-    up = body(1j * t, kzd, kap, kap * kap - t * t)
-    down = body(1j * t, -kzd, kap, kap * kap - t * t)
-    assert np.array_equal(down, kernels._PARITY * np.conj(up))
-    assert np.array_equal(_cut_columns(f, entries, t), -1j * (up - down))
+    for kappa in (0.3, 1.3, 7.0):
+        bodies.clear()
+        runs.clear()
+        kz_profile(med, kappa, z, zp, SPEC)
+        (kap, _, body, _), = bodies
+        (f, gamma), = runs
+        t = frac[:, None] * gamma
+        kzd = np.sqrt(np.maximum((n * n - 1.0) * kap * kap - n * n * t * t, 0.0))
+        up = body(1j * t, kzd, kap, kap * kap - t * t)
+        down = body(1j * t, -kzd, kap, kap * kap - t * t)
+        assert np.array_equal(down, kernels._PARITY * np.conj(up))
+        assert np.array_equal(_cut_columns(f, t), -1j * (up - down))
 
 
 @pytest.mark.parametrize("n", [1.01, 2.0, 40.0])
@@ -946,70 +939,28 @@ def test_run_cut_columns_are_the_stacked_kzd_jump_bit_for_bit(n, z, zp, monkeypa
     blocks = []
     ray = kernels.ray_integral
 
-    def capture(f, scale, entries, *args, **kwargs):
-        def g(k, owner):
-            value = f(k, owner)
-            blocks.append((k, owner, entries, np.array(value)))
+    def capture(f, *args, **kwargs):
+        def g(k, rays):
+            value = f(k, rays)
+            blocks.append((k, rays, np.array(value)))
             return value
-        return ray(g, scale, entries, *args, **kwargs)
+        return ray(g, *args, **kwargs)
 
     monkeypatch.setattr(kernels, "ray_integral", capture)
     med = Medium(n)
-    kz_profile(med, KAPPA_PANEL, z, zp, SPEC)
-    (kap, _, body, _), = bodies
     cut_levels = 0
-    for k, owner, entries, value in blocks:
-        rays = int(np.searchsorted(owner, entries))
-        t, kp = k.imag[:, rays:], kap[owner[rays:] - entries]
-        kzd = np.sqrt(np.maximum((n * n - 1.0) * kp * kp - n * n * t * t, 0.0))
-        both = body(1j * t, np.stack([kzd, -kzd]), kp, kp * kp - t * t)
-        assert np.array_equal(value[:, rays:], -1j * (both[0] - both[1]))
-        cut_levels += rays < len(owner)
-    assert cut_levels >= 1
-
-
-@pytest.mark.parametrize("n", [1.01, 2.0, 40.0])
-@pytest.mark.parametrize("z, zp", [(0.7, 0.4), (-0.3, 0.5)])
-@pytest.mark.parametrize("profile", [kz_profile, _gauge_difference_profile],
-                         ids=["kz_profile", "gauge_difference"])
-def test_batch_cuts_equal_lone_kappa_cuts_bit_for_bit(profile, z, zp, n, monkeypatch):
-    # each kappa's cut refines its own panels in the profile's run, so a
-    # batch's cut integral is that of a lone-kappa run bit for bit wherever
-    # the two stop on the same panels; a lone kappa below the batch's
-    # max-norm is held to a tighter tolerance and may refine further.  On
-    # panels shared by the batch every kappa followed the hardest one
-    cuts = []
-    ray = kernels.ray_integral
-
-    def capture(f, scale, entries, *args, **kwargs):
-        columns = np.zeros(entries, dtype=int)
-
-        def counted(k, owner):
-            rays = int(np.searchsorted(owner, entries))
-            np.add.at(columns, owner[rays:] - entries, 1)
-            return f(k, owner)
-
-        res = ray(counted, scale, entries, *args, **kwargs)
-        cuts.append((res.value[entries:], res.entry_errors[entries:], columns))
-        return res
-
-    monkeypatch.setattr(kernels, "ray_integral", capture)
-    med = Medium(n)
-    profile(med, KAPPA_PANEL, z, zp, SPEC)
-    (batch, batch_err, batch_columns), = cuts
-    assert batch.shape[0] == KAPPA_PANEL.size
-    same = 0
-    for kap, row, err, columns in zip(KAPPA_PANEL, batch, batch_err, batch_columns):
-        cuts.clear()
-        profile(med, kap, z, zp, SPEC)
-        (lone, lone_err, lone_columns), = cuts
-        if lone_columns[0] == columns:
-            assert np.array_equal(row, lone[0]) and err == lone_err[0]
-            same += 1
-        else:
-            assert lone_columns[0] > columns
-            assert np.max(np.abs(row - lone[0])) <= err + lone_err[0]
-    assert same >= 12
+    for kappa in KAPPA_PANEL:
+        bodies.clear()
+        blocks.clear()
+        kz_profile(med, kappa, z, zp, SPEC)
+        (kap, _, body, _), = bodies
+        for k, rays, value in blocks:
+            t = k.imag[:, rays:]
+            kzd = np.sqrt(np.maximum((n * n - 1.0) * kap * kap - n * n * t * t, 0.0))
+            both = body(1j * t, np.stack([kzd, -kzd]), kap, kap * kap - t * t)
+            assert np.array_equal(value[:, rays:], -1j * (both[0] - both[1]))
+            cut_levels += rays < k.shape[1]
+    assert cut_levels >= len(KAPPA_PANEL)
 
 
 @pytest.mark.parametrize("r, rp, parent_nodes, parent_error", [
@@ -1040,14 +991,13 @@ RAY_X = np.array([0.0, 0.3, 0.9, 2.0, 4.0, 8.0, 16.0, np.inf])
 
 
 def _entry_breaks(near, scale, breaks=spectral._RAY_BREAKS):
-    """Each entry's first ray breaks in v, as ray_integral lays them out."""
-    lo, hi, owner = spectral._ray_panels(np.asarray(near, dtype=float), scale, breaks)
-    assert np.array_equal(owner, np.sort(owner))
+    """The first ray breaks in v for each near-singularity distance of
+    ``near``, as ray_integral lays them out."""
     rows = []
-    for entry in range(len(near)):
-        mine = owner == entry
-        assert np.array_equal(hi[mine][:-1], lo[mine][1:])  # panels tile the ray
-        rows.append(np.append(lo[mine], hi[mine][-1]))
+    for distance in near:
+        lo, hi = spectral._ray_panels(distance, scale, breaks)
+        assert np.array_equal(hi[:-1], lo[1:])  # panels tile the ray
+        rows.append(np.append(lo, hi[-1]))
     return rows
 
 
@@ -1141,8 +1091,8 @@ def test_graded_layouts_keep_the_old_breaks_and_stay_finite(kap, n, s):
 
 
 def test_profiles_pass_their_near_singularity_scales(monkeypatch):
-    # the one engine run gets kappa/n for each kappa's ray, the scales of n
-    # for the cuts, and the finer ray layout for the mirrored bodies only
+    # each kappa's engine run gets kappa/n for its ray, the scales of n for
+    # its cut, and the finer ray layout for the mirrored bodies only
     seen = []
     ray = kernels.ray_integral
 
@@ -1152,16 +1102,17 @@ def test_profiles_pass_their_near_singularity_scales(monkeypatch):
 
     monkeypatch.setattr(kernels, "ray_integral", spy)
     med = Medium(40.0)
-    for build, mirrored in ((lambda: kz_profile(med, KAPPA_PANEL, 0.7, 0.4, SPEC), True),
-                            (lambda: kz_profile(med, KAPPA_PANEL, -0.3, 0.5, SPEC), True),
-                            (lambda: _gauge_difference_profile(med, KAPPA_PANEL, 0.7, 0.4, SPEC),
-                             False)):
-        seen.clear()
-        build()
-        (near_ray, near_cut, flat), = seen
-        assert np.array_equal(near_ray, KAPPA_PANEL / 40.0)
-        assert near_cut == kernels._cut_scales(40.0)
-        assert flat is mirrored
+    for kap in KAPPA_PANEL:
+        for build, mirrored in ((lambda: kz_profile(med, kap, 0.7, 0.4, SPEC), True),
+                                (lambda: kz_profile(med, kap, -0.3, 0.5, SPEC), True),
+                                (lambda: _gauge_difference_profile(med, kap, 0.7, 0.4, SPEC),
+                                 False)):
+            seen.clear()
+            build()
+            (near_ray, near_cut, flat), = seen
+            assert near_ray == kap / 40.0
+            assert near_cut == kernels._cut_scales(40.0)
+            assert flat is mirrored
 
 
 # the kernel-assembly benchmark items of seed 1: (kind, n, r, r')
@@ -1215,7 +1166,7 @@ def test_gauge_bodies_evaluate_the_tm_fresnel_set_once(monkeypatch):
     # each take one TM Fresnel set per call and hand it to both surface charges
     seen = _captured_bodies(monkeypatch)
     med = Medium(2.0)
-    _gauge_difference_profile(med, KAPPA_PANEL, 0.7, 0.4, SPEC)
+    _gauge_difference_profile(med, 1.3, 0.7, 0.4, SPEC)
     (kap, scale, travelling, evanescent), = seen
     calls = []
     original = fresnel_coefficients
@@ -1227,12 +1178,12 @@ def test_gauge_bodies_evaluate_the_tm_fresnel_set_once(monkeypatch):
     monkeypatch.setattr(kernels, "fresnel_coefficients", counting)
     monkeypatch.setattr(modes, "fresnel_coefficients", counting)
     k = np.array([[0.3 + 0.3j, 2.0 + 2.0j]])
-    kzd = np.sqrt(4.0 * k * k + 3.0 * kap[:2] ** 2)
-    travelling(k, kzd, kap[:2], kap[:2] ** 2 + k * k)
+    kzd = np.sqrt(4.0 * k * k + 3.0 * kap ** 2)
+    travelling(k, kzd, kap, kap ** 2 + k * k)
     assert calls == [Polarization.TM]
     calls.clear()
-    t = 0.5 * kap[:2] * math.sqrt(3.0) / 2.0
-    evanescent(t, np.sqrt(3.0 * kap[:2] ** 2 - 4.0 * t * t), kap[:2], kap[:2] ** 2 - t * t)
+    t = np.array([[0.25, 0.5]]) * kap * math.sqrt(3.0) / 2.0
+    evanescent(t, np.sqrt(3.0 * kap ** 2 - 4.0 * t * t), kap, kap ** 2 - t * t)
     assert calls == [Polarization.TM]
 
 

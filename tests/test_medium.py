@@ -92,7 +92,9 @@ def test_evanescent_threshold_values():
     kpar = np.array([0.0, 0.5, 2.0])
     assert np.array_equal(evanescent_threshold(Medium(2.0), kpar),
                           [evanescent_threshold(Medium(2.0), k) for k in kpar])
-    for bad in (-1.0, math.nan, math.inf, np.array([1.0, math.nan])):
+    assert evanescent_threshold(Medium(2.0), 2) == evanescent_threshold(Medium(2.0), 2.0)
+    for bad in (-1.0, math.nan, math.inf, np.array([1.0, math.nan]), "1.5", True, 1j,
+                np.array([1.0, 2.0 + 0j])):
         with pytest.raises(ValueError, match="kpar_mag"):
             evanescent_threshold(Medium(2.0), bad)
 

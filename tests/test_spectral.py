@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -22,8 +23,8 @@ TIGHT = QuadratureSpec(rel_tol=1e-13)
 
 def _halfline(f, scale, spec):
     """int_0^inf f(k) dk of a body f analytic in the first quadrant, on the
-    ray (one entry)."""
-    res = ray_integral(lambda k, entries: f(k), scale, 1, spec)
+    ray (a run with no cut)."""
+    res = ray_integral(lambda k, rays: f(k), scale, spec)
     return IntegralResult(res.value[0], res.error_estimate, res.nodes_used)
 
 
@@ -70,19 +71,23 @@ def test_spec_rejects_non_finite_or_non_positive_floats(name, bad):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_engines_reject_non_finite_geometry(bad):
-    for scales in (np.array([1.0, bad]), np.array([])):
+    # a ray run integrates one ray and its cut: its scale, near-singularity
+    # distance and cut end are one real value each, rejected by name before
+    # any integrand call
+    def refuse(k, rays):
+        raise AssertionError("integrand called")
+
+    for scale in (np.array([1.0, bad]), np.array([]), bad, 0.0, -1.0):
         with pytest.raises(ValueError, match="oscillation_scale"):
-            ray_integral(lambda k, entries: np.exp(1j * k), scales, 2, SPEC)
-    with pytest.raises(ValueError, match="oscillation_scale"):
-        ray_integral(lambda k, entries: np.exp(1j * k), bad, 1, SPEC)
-    for entries in (0, 2.0, None):
-        with pytest.raises(ValueError, match="entries"):
-            ray_integral(lambda k, entries: np.exp(1j * k), 1.0, entries, SPEC)
+            ray_integral(refuse, scale, SPEC)
+    for near in (bad, -1.0, [1.0]):
+        with pytest.raises(ValueError, match="near must be finite and >= 0"):
+            ray_integral(refuse, 1.0, SPEC, near=near)
     with pytest.raises(ValueError, match="gamma"):
         cut_segment_integral(lambda t: t, bad, SPEC)
-    for gamma in ([1.0, bad], [1.0, 0.0], [1.0]):
-        with pytest.raises(ValueError, match="gamma must be 2 finite values > 0"):
-            ray_integral(lambda k, entries: np.exp(1j * k), 1.0, 2, SPEC, gamma=gamma)
+    for gamma in (bad, 0.0, -1.0, [1.0], np.array([1.0, 2.0])):
+        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+            ray_integral(refuse, 1.0, SPEC, gamma=gamma)
     with pytest.raises(ValueError, match="scale"):
         decaying_halfline_integral(np.exp, bad, SPEC)
 
@@ -232,11 +237,9 @@ def test_tightening_tolerance_stays_within_estimate():
 
 
 def test_deterministic_bit_identical():
-    f = lambda x: np.cos(0.7 * x) / (1 + x * x)
-    widths = np.array([0.1, 1.0, 3.0])
     runs = [
-        (ray_integral,
-         (lambda k, entries: np.exp(0.7j * k) / (1 + (widths[entries] * k) ** 2), 0.7, 3, SPEC)),
+        (functools.partial(ray_integral, gamma=1.5),
+         (lambda k, rays: np.exp(0.7j * k) / (1 + (0.1 * k) ** 2), 0.7, SPEC)),
         (cut_segment_integral, (lambda t: t / np.sqrt(2.25 - t * t), 1.5, SPEC)),
         (decaying_halfline_integral, (lambda k: 3.0 / (9.0 + k * k), 3.0, SPEC)),
     ]
@@ -396,7 +399,7 @@ def test_adaptive_panels_raises_at_the_panel_cap(monkeypatch):
 @pytest.mark.parametrize("engine, args", [
     (spectral.adaptive_panels, (np.linspace(0.0, 1.0, 5), SPEC)),
     (_halfline, (1.0, SPEC)),
-    (ray_integral, (1.0, 2, SPEC)),
+    (ray_integral, (1.0, SPEC)),
     (cut_segment_integral, (1.0, SPEC)),
     (decaying_halfline_integral, (1.0, SPEC)),
     (_damped_radial, (1.0, SPEC)),
@@ -405,7 +408,7 @@ def test_adaptive_panels_raises_at_the_panel_cap(monkeypatch):
 def test_non_finite_panel_raises_after_one_call(engine, args):
     calls = []
 
-    def poisoned(x, *entries):
+    def poisoned(x, *rays):
         calls.append(len(x))
         return np.nan * x
 
@@ -415,8 +418,8 @@ def test_non_finite_panel_raises_after_one_call(engine, args):
 
 
 def _ray_run(f, spec):
-    # the rays and the cuts k = i t of one run, two entries
-    return ray_integral(lambda k, entries: f(k) + 0.0 * entries, 1.0, 2, spec, gamma=[1.0, 2.0])
+    # a ray and its cut k = i t in one run
+    return ray_integral(lambda k, rays: f(k), 1.0, spec, gamma=1.0)
 
 
 @pytest.mark.parametrize("engine, f, args", [
@@ -451,45 +454,47 @@ def test_every_engine_hands_its_integrand_node_blocks(engine, f, args):
 def test_ray_integral_meets_closed_forms(s):
     # int_0^inf e^{iks} dk = i/s (Abel) and int_0^inf e^{iks}/(k + i a) dk =
     # e^{as} E1(as): the pole at k = -i a lies outside the first quadrant
-    a = np.array([0.05, 1.0, 20.0])
+    for a in (0.05, 1.0, 20.0):
+        def f(k, rays):
+            return np.stack([np.exp(1j * k * s), np.exp(1j * k * s) / (k + 1j * a)], axis=-1)
 
-    def f(k, entries):
-        return np.stack([np.exp(1j * k * s), np.exp(1j * k * s) / (k + 1j * a[entries])], axis=-1)
-
-    res = ray_integral(f, s, a.size, SPEC)
-    assert res.value.shape == (a.size, 2)
-    exact = np.stack([np.full(a.size, 1j / s), np.exp(a * s) * exp1(a * s)], axis=-1)
-    observed = np.max(np.abs(res.value - exact), axis=1)
-    assert np.all(observed <= res.entry_errors)
-    assert res.error_estimate == res.entry_errors.max()
-    assert res.error_estimate <= SPEC.tolerance(float(np.max(np.abs(res.value))))
+        res = ray_integral(f, s, SPEC)
+        assert res.value.shape == (1, 2) and res.entry_errors.shape == (1,)
+        exact = np.array([1j / s, np.exp(a * s) * exp1(a * s)])
+        assert np.max(np.abs(res.value[0] - exact)) <= res.entry_errors[0]
+        assert res.error_estimate == res.entry_errors[0]
+        assert res.error_estimate <= SPEC.tolerance(float(np.max(np.abs(res.value))))
 
 
 def test_ray_graded_from_a_near_pole_converges_on_its_first_panels():
     # int_0^inf e^{ik}/(k + a) dk = e^{-ia} E1(-ia): the pole at k = -a lies
     # outside the first quadrant, a distance a from the ray's origin.  Graded
-    # from that scale every entry converges on its first panels; the fixed
-    # panels bisect towards the origin for 13 levels
-    a = np.array([1e-4, 1e-2, 0.5])
-    exact = np.exp(-1j * a) * exp1(-1j * a)
-    for near, levels in ((a, 1), (None, 13)):
-        calls = []
+    # from that scale every ray converges on its first panels; the fixed
+    # panels bisect towards the origin for up to 13 levels
+    for a, fixed_levels in ((1e-4, 13), (1e-2, 6), (0.5, 1)):
+        exact = np.exp(-1j * a) * exp1(-1j * a)
+        for near, levels in ((a, 1), (None, fixed_levels)):
+            calls = []
 
-        def f(k, entries):
-            calls.append(k.shape)
-            return np.exp(1j * k) / (k + a[entries])
+            def f(k, rays):
+                calls.append(k.shape)
+                return np.exp(1j * k) / (k + a)
 
-        res = ray_integral(f, 1.0, a.size, SPEC, near=near)
-        assert len(calls) == levels
-        assert np.all(np.abs(res.value - exact) <= res.entry_errors)
+            res = ray_integral(f, 1.0, SPEC, near=near)
+            assert len(calls) == levels
+            assert abs(res.value[0] - exact) <= res.entry_errors[0]
 
 
-@pytest.mark.parametrize("near", [[-1.0, 1.0], [math.nan, 1.0], [1.0], [[1.0, 1.0]]])
+@pytest.mark.parametrize("near", [(-1.0, [-1.0, 1.0]), (math.nan, [math.nan, 1.0]),
+                                  (math.inf, [1.0]), ([1.0], [[1.0, 1.0]])])
 def test_near_scales_must_be_one_non_negative_number_per_entry(near):
-    with pytest.raises(ValueError, match="near must be 2 scales"):
-        ray_integral(lambda k, entries: np.exp(1j * k), 1.0, 2, SPEC, near=near)
-    with pytest.raises(ValueError, match="near must be 2 scales"):
-        ray_integral(lambda k, entries: np.exp(1j * k), 1.0, 1, SPEC, gamma=[1.0], cut_near=near)
+    # the ray takes one distance, finite and >= 0 (None for none), the cut
+    # two scales >= 0 (inf for none)
+    ray_near, cut_near = near
+    with pytest.raises(ValueError, match="near must be finite and >= 0"):
+        ray_integral(lambda k, rays: np.exp(1j * k), 1.0, SPEC, near=ray_near)
+    with pytest.raises(ValueError, match="cut_near must be 2 scales >= 0"):
+        ray_integral(lambda k, rays: np.exp(1j * k), 1.0, SPEC, gamma=1.0, cut_near=cut_near)
 
 
 def _two_widths(k, w):
@@ -501,88 +506,65 @@ def _peak(t, w):
     return np.stack([np.exp(-t) / (w * w + t * t), t / (w + t)], axis=-1)
 
 
-def _rays_and_cuts(ray, cut, entries: int):
-    """A ray run's body from a ray body ray(k, e) and a cut body cut(t, e),
-    e the entry of each column: the engine hands one block, its ray columns
-    first and then its cut columns k = i t, owned by entries + e."""
-    def body(k, owner):
-        rays = int(np.searchsorted(owner, entries))
-        return np.concatenate([ray(k[:, :rays], owner[:rays]),
-                               cut(k.imag[:, rays:], owner[rays:] - entries)], axis=1)
+def _ray_and_cut(ray, cut, calls=None):
+    """A ray run's body from a ray body ray(k) and a cut body cut(t): the
+    engine hands one block, its ``rays`` ray columns first and then its cut
+    columns k = i t.  Records (ray columns, cut columns) of each call in
+    ``calls``."""
+    def body(k, rays):
+        if calls is not None:
+            calls.append((rays, k.shape[1] - rays))
+        return np.concatenate([ray(k[:, :rays]), cut(k.imag[:, rays:])], axis=1)
     return body
 
 
 def test_ray_gives_each_entry_its_own_panels():
-    # each entry refines only its own panels, to the batch tolerance from the
-    # max-norm over all entries: the last entry, the third scaled by 1e-8,
-    # stops at its first panels in the batch but refines further alone.  A
-    # cut in the same run gives each segment its own panels too, held to the
-    # max-norm over the segments, and leaves every ray's panels as they were
-    widths = np.array([0.05, 1.0, 30.0, 30.0])
-    amps = np.array([1.0, 1.0, 1.0, 1e-8])
-    gamma = np.array([0.5, 2.0, 2.0, 2.0])
-    peaks = np.array([0.01, 0.1, 0.03, 0.03])
-    for with_cut in (False, True):
-        columns = {}
+    # the ray and its cut are integrals of their own: each refines only its
+    # own panels, to the tolerance of its own max-norm.  A narrow ray beside
+    # a broad cut, and a broad ray beside a narrow cut: adding the cut leaves
+    # the ray's panels and value as they were, and the cut reads the lone
+    # cut_segment_integral of its body bit for bit
+    for width, peak, gamma in ((0.05, 1.0, 2.0), (30.0, 0.01, 0.5)):
+        alone_calls, calls = [], []
 
-        block = _rays_and_cuts(lambda k, e: amps[e, None] * _two_widths(k, widths[e]),
-                               lambda t, e: amps[e, None] * _peak(t, peaks[e]), len(widths))
+        def ray_alone(k, rays, width=width):
+            alone_calls.append(rays)
+            return _two_widths(k, width)
 
-        def batch(k, entries):
-            for entry in entries:
-                columns[entry] = columns.get(entry, 0) + 1
-            return block(k, entries)
-
-        if with_cut:
-            res = ray_integral(batch, 1.0, len(widths), SPEC, gamma=gamma)
-            assert res.value.shape == (2 * len(widths), 2)
-            assert {entry: columns[entry] for entry in range(len(widths))} == ray_columns
-        else:
-            res = ray_integral(batch, 1.0, len(widths), SPEC)
-            ray_columns = dict(columns)
-        assert res.nodes_used == 15 * sum(columns.values())
-        assert res.entry_errors.shape == res.value.shape[:1]
-        assert res.error_estimate == res.entry_errors.max()
-    assert len(set(ray_columns.values())) > 2
-    assert ray_columns[3] == len(spectral._RAY_BREAKS) - 1 < ray_columns[2]
-    cut_panels = len(spectral._CUT_BREAKS) - 1
-    assert columns[7] == cut_panels < columns[6]
-    for w, amp, row, err in zip(widths, amps, res.value, res.entry_errors):
-        single = ray_integral(lambda k, entries, w=w: amp * _two_widths(k, w), 1.0, 1, SPEC)
-        assert single.value.shape == (1, 2)
-        assert single.nodes_used > 15 * (len(spectral._RAY_BREAKS) - 1)
-        assert np.max(np.abs(row - single.value[0])) <= err + single.error_estimate
-    for g, w, amp, row, err in zip(gamma, peaks, amps, res.value[len(widths):],
-                                   res.entry_errors[len(widths):]):
-        single = cut_segment_integral(lambda t, w=w: amp * _peak(t, w), g, SPEC)
-        assert single.nodes_used > 15 * cut_panels
-        assert np.max(np.abs(row - single.value)) <= err + single.error_estimate
+        alone = ray_integral(ray_alone, 1.0, SPEC)
+        both = ray_integral(_ray_and_cut(lambda k: _two_widths(k, width),
+                                         lambda t: _peak(t, peak), calls), 1.0, SPEC, gamma=gamma)
+        # complex, as the ray's columns make the run's block
+        cut = cut_segment_integral(lambda t: _peak(t, peak) + 0j, gamma, SPEC)
+        assert both.value.shape == (2, 2) and both.entry_errors.shape == (2,)
+        assert [rays for rays, _ in calls if rays] == alone_calls
+        assert np.array_equal(both.value[0], alone.value[0])
+        assert both.entry_errors[0] == alone.entry_errors[0]
+        assert np.array_equal(both.value[1], cut.value) and both.entry_errors[1] == cut.error_estimate
+        assert both.nodes_used == alone.nodes_used + cut.nodes_used == 15 * sum(map(sum, calls))
+        assert both.error_estimate == both.entry_errors.max()
+        levels = [sum(1 for c in calls if c[i]) for i in (0, 1)]
+        assert levels[0] != levels[1]  # one of the two stopped while the other refined
 
 
 def _narrow_ray_and_cut(calls):
-    """A two-entry body whose ray and cut both refine past their first level,
-    recording the owners of each call."""
-    block = _rays_and_cuts(lambda k, e: _two_widths(k, np.array([0.05, 1.0])[e]),
-                           lambda t, e: _peak(t, np.array([0.01, 0.3])[e]), 2)
-
-    def body(k, entries):
-        calls.append(entries.copy())
-        return block(k, entries)
-    return body
+    """A body whose ray and cut both refine past their first level,
+    recording the (ray columns, cut columns) of each call."""
+    return _ray_and_cut(lambda k: _two_widths(k, 0.05), lambda t: _peak(t, 0.01), calls)
 
 
 def test_each_level_is_one_integrand_call_on_its_rays_and_cuts():
-    # the first level holds every ray and every cut; each later level is one
-    # call on the integrals still running, rays and cuts in the same block,
-    # so the calls are as many as the levels of the integral that ran longest
+    # the first level holds the ray and the cut; each later level is one call
+    # on the integrals still running, ray and cut in the same block, so the
+    # calls are as many as the levels of the integral that ran longest
     calls = []
-    res = ray_integral(_narrow_ray_and_cut(calls), 1.0, 2, SPEC, gamma=[0.5, 2.0])
-    running = [set(np.unique(owner)) for owner in calls]
-    assert running[0] == {0, 1, 2, 3}
+    res = ray_integral(_narrow_ray_and_cut(calls), 1.0, SPEC, gamma=0.5)
+    running = [(rays > 0, cuts > 0) for rays, cuts in calls]
+    assert running[0] == (True, True)
     assert all(later <= earlier for earlier, later in zip(running, running[1:]))
-    assert len(calls) == max(np.bincount(np.concatenate([list(r) for r in running])))
-    assert any(r & {0, 1} and r & {2, 3} for r in running[1:])
-    assert res.nodes_used == 15 * sum(map(len, calls))
+    assert len(calls) == max(sum(r[0] for r in running), sum(r[1] for r in running))
+    assert running[1] == (True, True)
+    assert res.nodes_used == 15 * sum(map(sum, calls))
 
 
 def test_every_level_hands_its_owners_sorted_with_split_halves_side_by_side(monkeypatch):
@@ -598,55 +580,48 @@ def test_every_level_hands_its_owners_sorted_with_split_halves_side_by_side(monk
 
     monkeypatch.setattr(spectral, "_gauss_kronrod", spy)
     calls = []
-    ray_integral(_narrow_ray_and_cut(calls), 1.0, 2, SPEC, gamma=[0.5, 2.0])
+    ray_integral(_narrow_ray_and_cut(calls), 1.0, SPEC, gamma=0.5)
     assert len(levels) == len(calls) > 2
-    for (lo, hi, owner), seen in zip(levels, calls):
-        assert np.array_equal(owner, seen) and np.all(np.diff(owner) >= 0)
+    for (lo, hi, owner), (rays, cuts) in zip(levels, calls):
+        assert np.all(np.diff(owner) >= 0) and set(owner) <= {0, 1}
+        assert np.count_nonzero(owner == 0) == rays and np.count_nonzero(owner == 1) == cuts
     for lo, hi, owner in levels[1:]:
         assert np.array_equal(hi[0::2], lo[1::2]) and np.array_equal(owner[0::2], owner[1::2])
 
 
-def test_ray_entry_within_the_tolerance_it_stopped_at_is_returned(monkeypatch):
-    # the batch tolerance follows the max-norm of the running entries.  On
-    # four equal first panels in v the narrow peak of entry 0 reads 2.36 in
-    # norm, 1.74 once resolved; entry 1 stops on its first panels with an
-    # error of 2.05e-9, within the first tolerance 2.36e-9 but above the final
-    # 1.74e-9.  It met the tolerance it stopped at, so the ray does not stall
-    monkeypatch.setattr(spectral, "_RAY_BREAKS", np.linspace(0.0, 0.5 * math.pi, 5),
-                        raising=False)
+def test_ray_entry_within_the_tolerance_it_stopped_at_is_returned():
+    # the ray and the cut are each held to the tolerance of their own
+    # max-norm, not of the larger one: a ray 1e-4 the size of its cut returns
+    # within its own tolerance, below the cut's, and refines as it does alone
     amp = 1.424e-4
-    columns = np.zeros(2, dtype=int)
 
-    def peak(k):
-        return np.exp(1j * k) / ((k * np.exp(-0.25j * math.pi) - 4.0) ** 2 + 0.1 ** 2)
+    def ray(k):
+        return amp * np.exp(1j * k) / ((k * np.exp(-0.25j * math.pi) - 4.0) ** 2 + 0.1 ** 2)
 
-    def batch(k, entries):
-        np.add.at(columns, entries, 1)
-        return np.where(entries == 0, peak(k), amp * np.exp(1j * k) / (1.0 + k) ** 2)
-
-    res = ray_integral(batch, 1.0, 2, SPEC)
-    assert columns[1] == 4 < columns[0]
-    assert SPEC.tolerance(float(np.max(np.abs(res.value)))) < res.entry_errors[1] < 2.1e-9
+    res = ray_integral(_ray_and_cut(ray, lambda t: _peak(t, 0.3)[..., 0]), 1.0, SPEC, gamma=2.0)
+    ray_norm, cut_norm = np.abs(res.value)
+    assert ray_norm < 1e-3 * cut_norm
+    assert res.entry_errors[0] <= SPEC.tolerance(ray_norm) < SPEC.tolerance(cut_norm)
+    assert res.entry_errors[1] <= SPEC.tolerance(cut_norm)
+    alone = ray_integral(lambda k, rays: ray(k), 1.0, SPEC)
+    assert np.array_equal(res.value[0], alone.value[0])
     # int_0^inf e^{ik}/(1+k)^2 dk = 1 + i e^{-i} E1(-i), by parts
+    smooth = ray_integral(lambda k, rays: amp * np.exp(1j * k) / (1.0 + k) ** 2, 1.0, SPEC)
     exact = amp * (1.0 + 1j * np.exp(-1j) * exp1(-1j))
-    assert abs(res.value[1] - exact) <= res.entry_errors[1]
-    single = ray_integral(lambda k, entries: peak(k), 1.0, 1, SPEC)
-    assert abs(res.value[0] - single.value[0]) <= res.entry_errors[0] + single.error_estimate
+    assert abs(smooth.value[0] - exact) <= smooth.entry_errors[0] <= SPEC.tolerance(abs(exact))
 
 
 def test_ray_raises_at_the_panel_cap(monkeypatch):
     monkeypatch.setattr(spectral, "_MAX_PANELS", 24)
     with pytest.raises(QuadratureError, match="ray integral stalled at error .* after 24 panels"):
         # a pole at k = 1e-6 (i - 1), off the first quadrant, sits next to the ray's origin
-        ray_integral(lambda k, entries: 1.0 / (k - 1e-6 * (1j - 1.0)) + 0.0 * entries,
-                     1.0, 2, SPEC)
+        ray_integral(lambda k, rays: 1.0 / (k - 1e-6 * (1j - 1.0)), 1.0, SPEC)
 
 
 def test_ray_run_names_a_cut_that_reaches_the_panel_cap(monkeypatch):
     # the ray converges; the cut's 1/t is not integrable at t = 0, so it
-    # bisects towards u = 0 until its entry holds the cap
+    # bisects towards u = 0 until it holds the cap
     monkeypatch.setattr(spectral, "_MAX_PANELS", 24)
-    body = _rays_and_cuts(lambda k, e: np.exp(1j * k), lambda t, e: 1.0 / t, 2)
+    body = _ray_and_cut(lambda k: np.exp(1j * k), lambda t: 1.0 / t)
     with pytest.raises(QuadratureError, match="cut integral stalled at error .* after 24 panels"):
-        ray_integral(body, 1.0, 2, SPEC, gamma=[1.0, 2.0])
-
+        ray_integral(body, 1.0, SPEC, gamma=1.0)
