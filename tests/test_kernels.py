@@ -17,7 +17,7 @@ from halfspace_qed.greens import (
     grad_grad_green_tensor,
     image_grad_grad_tensor,
 )
-from halfspace_qed import kernels, modes, spectral
+from halfspace_qed import kernels, modes, spectral, verification
 from halfspace_qed.kernels import (
     KernelKind,
     _gauge_difference_profile,
@@ -483,6 +483,34 @@ def test_gauge_difference_bodies_match_their_spelled_out_reference(n, z, monkeyp
         assert np.max(np.abs(value - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("n", [1.2, 2.0, 40.0])
+@pytest.mark.parametrize("z, zp", [(0.7, 0.4), (-0.3, 0.5)])
+def test_batched_profiles_match_scalar_calls(n, z, zp):
+    # a panel of kappa is profiled one kappa a run, so a sweep of the panel
+    # in either order gives each kappa the same bits; the kernel of one
+    # tensor entry reads its profile's entry, and the residue checks over the
+    # panel report the worst error of the lone profiles
+    med = Medium(n)
+    sweeps = {}
+    for name, build in (("gauge", lambda k: _gauge_difference_profile(med, k, z, zp, SPEC)),
+                        ("kz", lambda k: kz_profile(med, k, z, zp, SPEC))):
+        forward = np.array([build(k).value for k in KAPPA_PANEL])
+        backward = np.array([build(k).value for k in KAPPA_PANEL[::-1]])[::-1]
+        assert forward.shape == (len(KAPPA_PANEL), 5)
+        assert np.array_equal(forward, backward)
+        sweeps[name] = forward
+    errors = []
+    for kap, row in zip(KAPPA_PANEL, sweeps["kz"]):
+        for pol, i, j, dyad in ((Polarization.TM, 2, 0, 2), (Polarization.TE, 1, 1, 4)):
+            assert kz_spectral_kernel(med, pol, i, j, kap, z, zp, SPEC) == complex(row[dyad])
+        target = residue_profile(med, float(kap), z, zp)
+        scale = float(np.max(np.abs(target[:4])))
+        errors.append(float(np.max(np.abs(row[:4] - target[:4]))) / scale)
+    points = [(float(kap), z, zp) for kap in KAPPA_PANEL]
+    residue, _ = verification.kz_residue_checks(med, points, SPEC)
+    assert residue.check_name == "kz_integral_vs_residue" and residue.lhs == max(errors)
+
+
 @pytest.mark.parametrize("n", [1.01, 2.0, 40.0])
 @pytest.mark.parametrize("z, zp", [(0.7, 0.4), (-0.3, 0.5)])
 def test_profile_entry_errors_bound_each_kappa(z, zp, n, monkeypatch):
@@ -555,6 +583,36 @@ def _counting_run(monkeypatch, record):
         return ray(g, *args, **kwargs)
 
     monkeypatch.setattr(kernels, "ray_integral", run)
+
+
+def test_batched_profile_counts_every_kappa_evaluation(monkeypatch):
+    # nodes_used counts integrand evaluations: across a kappa panel each
+    # profile's one engine run gets each node of its ray and cut panels once
+    # (k of shape (nodes, panels), the cut columns k = i t), and the sweep's
+    # nodes are every evaluation its runs made
+    evaluations = {"ray": [], "cut": []}
+
+    def record(rays, cuts):
+        evaluations["ray"].append(rays)
+        evaluations["cut"].append(cuts)
+
+    _counting_run(monkeypatch, record)
+    med = Medium(2.0)
+    for build in (
+        lambda k: kz_profile(med, k, 0.7, 0.4, SPEC),
+        lambda k: kz_profile(med, k, -0.3, 0.5, SPEC),
+        lambda k: _gauge_difference_profile(med, k, 0.7, 0.4, SPEC),
+    ):
+        for seen in evaluations.values():
+            seen.clear()
+        sweep = 0
+        for kap in KAPPA_PANEL:
+            before = sum(map(sum, evaluations.values()))
+            prof = build(kap)
+            assert all(map(sum, evaluations.values()))
+            assert prof.nodes_used == sum(map(sum, evaluations.values())) - before
+            sweep += prof.nodes_used
+        assert sweep == sum(map(sum, evaluations.values()))
 
 
 def _captured_bodies(monkeypatch) -> list:
@@ -961,6 +1019,39 @@ def test_run_cut_columns_are_the_stacked_kzd_jump_bit_for_bit(n, z, zp, monkeypa
             assert np.array_equal(value[:, rays:], -1j * (both[0] - both[1]))
             cut_levels += rays < k.shape[1]
     assert cut_levels >= len(KAPPA_PANEL)
+
+
+@pytest.mark.parametrize("n", [1.01, 2.0, 40.0])
+@pytest.mark.parametrize("z, zp", [(0.7, 0.4), (-0.3, 0.5)])
+@pytest.mark.parametrize("profile", [kz_profile, _gauge_difference_profile],
+                         ids=["kz_profile", "gauge_difference"])
+def test_batch_cuts_equal_lone_kappa_cuts_bit_for_bit(profile, z, zp, n, monkeypatch):
+    # a profile's run takes its ray and its cut in one node block a level,
+    # but the cut refines its own panels to its own tolerance: across the
+    # kappa panel, each run's cut is the lone cut, the run's body on the same
+    # first panels by adaptive_panels, bit for bit
+    runs = []
+    ray = kernels.ray_integral
+
+    def capture(f, *args, gamma=None, cut_near=None, **kwargs):
+        res = ray(f, *args, gamma=gamma, cut_near=cut_near, **kwargs)
+        runs.append((f, gamma, cut_near, res))
+        return res
+
+    monkeypatch.setattr(kernels, "ray_integral", capture)
+    med = Medium(n)
+    for kap in KAPPA_PANEL:
+        runs.clear()
+        profile(med, kap, z, zp, SPEC)
+        (f, gamma, cut_near, res), = runs
+
+        def cut(u, f=f, gamma=gamma):
+            return spectral._weighted(f(1j * (gamma * np.sin(u)), 0), gamma * np.cos(u))
+
+        lone = spectral.adaptive_panels(cut, spectral._cut_breaks(cut_near), SPEC)
+        assert res.value.shape[0] == 2 and lone.nodes_used > 0
+        assert np.array_equal(res.value[1], lone.value)
+        assert res.entry_errors[1] == lone.error_estimate
 
 
 @pytest.mark.parametrize("r, rp, parent_nodes, parent_error", [
