@@ -146,9 +146,7 @@ def refracted_kz(medium: Medium, kpar_mag: float, kz: complex) -> complex:
     n = medium.n
     kz = complex(kz)
     val = np.sqrt(complex(n * n * kz * kz + (n * n - 1.0) * kpar_mag * kpar_mag))
-    if kz.real > 0.0 and val.real < 0.0:
-        val = -val
-    elif kz.real < 0.0 and val.real > 0.0:
+    if (kz.real > 0.0 and val.real < 0.0) or (kz.real < 0.0 and val.real > 0.0):
         val = -val
     return complex(val)
 
@@ -181,6 +179,12 @@ def label_wavenumbers(medium: Medium, side: Side, kpar_mag: float, label: comple
     reflection threshold (k_z = 0, where tL = (kzd/kz) tR is singular).  A
     non-finite label names ``name`` (default kz or kzd by side).
     """
+    kz, kzd = _checked_label(medium, side, kpar_mag, label, name)
+    return kz, refracted_kz(medium, kpar_mag, kz) if kzd is None else kzd
+
+
+def _checked_label(medium: Medium, side: Side, kpar_mag: float, label: complex, name=None):
+    """``label_wavenumbers`` with no refraction root: k_zd is None for a right label."""
     right = side is Side.RIGHT
     if not right and side is not Side.LEFT:
         raise ValueError(f"side must be Side.LEFT or Side.RIGHT, got {side!r}")
@@ -200,7 +204,7 @@ def label_wavenumbers(medium: Medium, side: Side, kpar_mag: float, label: comple
         if not (label.real == 0.0 and 0.0 < label.imag <= gamma):
             raise ValueError(f"right-incident label kz = {label!r} is neither kz > 0 nor "
                              f"i t with 0 < t <= Gamma = {gamma:.6g}")
-    return label, refracted_kz(medium, kpar_mag, label)
+    return label, None
 
 
 def label_frequency(medium: Medium, side: Side, kpar_mag: float, kz: complex,
@@ -220,4 +224,4 @@ def mode_frequency(medium: Medium, point: SpectralPoint) -> float:
     (``label_wavenumbers``)."""
     kp = point.kpar_mag
     return label_frequency(medium, point.side, kp,
-                           *label_wavenumbers(medium, point.side, kp, point.kz))
+                           *_checked_label(medium, point.side, kp, point.kz))

@@ -48,7 +48,8 @@ is not finite raises :class:`QuadratureError` at once, naming the panel.
    an interface body the TM shoulder at t = kappa/n, the scale of that TM
    pole, and the TE pole at t = kappa, just past the branch point, both at
    a u that does not depend on kappa) split the end panels at geometric
-   breaks towards them.
+   breaks towards them and halve the panel at each such end, the one a
+   second level would split: such a cut mostly converges at its first level.
 
 3. Smooth, algebraically decaying half-line integrals int_0^inf f(k) dk
    (the energy's longitudinal mode integrals): the map k = scale tan(v)
@@ -223,8 +224,8 @@ def _refine(rule: Callable, lo, hi, owner, spec: QuadratureSpec):
     ``_gauss_kronrod``) on panels sorted by owner, as the first ones must
     be: a split panel's two halves stay side by side.  An integral stops for
     good when its error sum is within its tolerance or it holds _MAX_PANELS
-    panels.  Returns the totals, the error sums, the nodes of all panels and
-    which integrals the cap stopped."""
+    panels, and a level where all are within theirs returns at once.  Returns
+    the totals, error sums, nodes and which integrals the cap stopped."""
     val, err = rule(lo, hi, owner)
     entries = int(owner.max()) + 1
     total = np.zeros((entries,) + val.shape[1:], dtype=val.dtype)
@@ -243,6 +244,9 @@ def _refine(rule: Callable, lo, hi, owner, spec: QuadratureSpec):
         errsum = np.add.reduceat(err, first)
         tot = np.add.reduceat(val, first)
         excess = errsum - spec.tolerance(np.abs(tot).reshape(len(tot), -1).max(axis=1))
+        if (excess <= 0.0).all():
+            total[ids], error[ids] = tot, errsum
+            return total, error, nodes, capped
         # split a panel while the worse panels of its entry leave an excess
         start = first[owner]
         worse = np.cumsum(err) - err
@@ -322,11 +326,13 @@ def _ray_panels(near: float, scale: float, breaks: np.ndarray = _RAY_BREAKS):
 def _cut_breaks(near) -> np.ndarray:
     """First panels in u of a cut: _CUT_BREAKS, the end panels split at the
     graded breaks of the near-singularity scales (a, b) (u from 0, distance
-    from pi/2; None for neither)."""
+    from pi/2; None for neither), then the panel at each finite one halved."""
     scales = np.full(2, np.inf) if near is None else np.asarray(near, dtype=float)
     if not (scales.shape == (2,) and (scales >= 0.0).all()):
         raise ValueError(f"cut_near must be 2 scales >= 0, got {near!r}")
-    low, high = _graded(scales, _CUT_BREAKS[1])
+    graded = _graded(scales, _CUT_BREAKS[1])
+    half = np.where(scales < np.inf, 0.5 * np.minimum(graded[:, 0], _CUT_BREAKS[1]), np.inf)
+    low, high = np.concatenate((half[:, None], graded), axis=1)
     high = _CUT_BREAKS[-1] - high[::-1]
     return np.concatenate([_CUT_BREAKS[:1], low[low < _CUT_BREAKS[1]], _CUT_BREAKS[1:-1],
                            high[high > _CUT_BREAKS[-2]], _CUT_BREAKS[-1:]])
@@ -356,13 +362,13 @@ def ray_integral(f: Callable, oscillation_scale: float, spec: QuadratureSpec,
     scale near k = 0, so the first panel is split at x_e 2^j below x = 0.3,
     from x_e = near s sin(pi/4) up (at most _GRADED_MAX breaks).
 
-    The cut columns follow the ray columns and carry k = i t,
-    t = Gamma sin(u), under the Jacobian Gamma cos(u) (f's value there is the
-    cut's integrand, whatever f makes of it).  The cut starts on the panels
-    of ``cut_segment_integral``, the end panels split towards the scales
-    ``cut_near`` = (a, b) on which f(i Gamma sin u) varies next to u = 0 and
-    to u = pi/2: at u = a 2^j below pi/8 and at pi/2 - b 2^j above 3 pi/8
-    (at most _GRADED_MAX breaks each; inf adds none).
+    The cut columns follow the ray columns and carry k = i t, t = Gamma sin(u),
+    under the Jacobian Gamma cos(u) (f's value there is the cut's integrand,
+    whatever f makes of it).  The cut starts on the panels of
+    ``cut_segment_integral``, the end panels halved and split towards the
+    scales ``cut_near`` = (a, b) on which f(i Gamma sin u) varies next to
+    u = 0 and to u = pi/2: at u = a 2^j below pi/8 and at pi/2 - b 2^j above
+    3 pi/8 (at most _GRADED_MAX breaks each; inf adds none and halves nothing).
 
     The ray and the cut refine their own panels, level by level, each to
     max(abs_tol, rel_tol x its own max-norm), and report their errors in

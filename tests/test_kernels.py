@@ -805,15 +805,14 @@ def test_lone_kappa_rays_converge_after_one_level(monkeypatch):
 
 def test_mirrored_lone_kappa_profiles_converge_at_their_first_level(monkeypatch):
     # the reflected and transmitted bodies start on _RAY_BREAKS_FLAT, which
-    # holds the panels the first level split on _RAY_BREAKS: every lone-kappa
-    # ray at a verify residue point converges on them, and its cut, on its
-    # own panels in the same run, after at most one more level.  Each level
-    # is one integrand call, the first on the ray and the cut alike
+    # holds the panels the first level split on _RAY_BREAKS, and their cut,
+    # on its own panels in the same run, on end panels halved next to the TM
+    # shoulder and the TE pole, the ones its second level split: every
+    # lone-kappa ray and cut at a verify residue point converges on them, so
+    # each profile is one integrand call, on the ray and the cut alike
     calls = _lone_residue_runs(monkeypatch)
     assert len(calls) == 153
-    assert np.all(calls[:, 0] == 1)
-    assert np.all((calls[:, 1] >= 1) & (calls[:, 1] <= 2))
-    assert np.array_equal(calls[:, 2], calls[:, 1])
+    assert np.all(calls == 1)
 
 
 def test_damped_assemblies_converge_at_their_first_level(monkeypatch):
@@ -1118,18 +1117,25 @@ def test_ray_layout_is_graded_from_the_tm_pole():
 def test_cut_layout_is_graded_from_the_tm_shoulder_and_the_te_pole():
     # at n = 40 the TM shoulder t = kappa/n sits at u_lo = asin(1/sqrt(1599))
     # = 0.0250 and the TE pole t = kappa at u_hi = acosh(40/sqrt(1599)) =
-    # 0.0250 from pi/2: four graded breaks at each end (8 u < pi/8 < 16 u)
+    # 0.0250 from pi/2: four graded breaks at each end (8 u < pi/8 < 16 u),
+    # and the end panel next to each halved, at u_lo/2 and pi/2 - u_hi/2
     n = 40.0
     u_lo, u_hi = math.asin(1.0 / math.sqrt(n * n - 1.0)), math.acosh(n / math.sqrt(n * n - 1.0))
     assert kernels._cut_scales(n) == (u_lo, u_hi)
-    steps = np.array([1.0, 2.0, 4.0, 8.0])
+    steps = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
     base = np.linspace(0.0, 0.5 * math.pi, 5)
     expected = np.concatenate([[0.0], u_lo * steps, base[1:-1], base[-1] - u_hi * steps[::-1],
                                [base[-1]]])
     assert np.array_equal(spectral._cut_breaks(kernels._cut_scales(n)), expected)
-    # below n = 2.68 both scales are wider than pi/8: the four equal panels
-    for n in (1.0, 1.01, math.sqrt(2.0), 2.0):
-        assert np.array_equal(spectral._cut_breaks(kernels._cut_scales(n)), base)
+    # below n = 2.68 both scales are wider than pi/8: the four equal panels,
+    # with the end panel halved at each end that has a finite scale (the TE
+    # pole's for n > 1, the TM shoulder's for n^2 > 2: math.sqrt(2.0) squares
+    # to just above 2, which puts its shoulder just below u = pi/2)
+    first, last = 0.5 * base[1], base[-1] - 0.5 * base[1]
+    for n, halves in ((1.0, []), (1.01, [last]), (math.sqrt(2.0), [first, last]),
+                      (2.0, [first, last])):
+        assert np.array_equal(spectral._cut_breaks(kernels._cut_scales(n)),
+                              np.sort(np.concatenate([base, halves])))
     assert np.array_equal(spectral._cut_breaks(None), base)
 
 
@@ -1148,9 +1154,16 @@ def _reference_layouts(near, s, n):
                                       lambda x: x < 0.3) + list(RAY_X[1:]))
     low, high = kernels._cut_scales(n)
     end = math.pi / 8.0
-    cut = ([0.0] + _doubling(low, end, lambda u: u < end) + [end, 2.0 * end, 3.0 * end]
-           + [4.0 * end - d for d in _doubling(high, end, lambda d: 4.0 * end - d > 3.0 * end)][::-1]
-           + [4.0 * end])
+    ends = []
+    for scale in (low, high):
+        # the distances of an end's breaks from it, the first panel halved
+        # when the scale is finite
+        graded = _doubling(scale, end, lambda d: d < end)
+        if scale < math.inf:
+            graded.insert(0, 0.5 * min(graded + [end]))
+        ends.append(graded)
+    cut = ([0.0] + ends[0] + [end, 2.0 * end, 3.0 * end]
+           + [4.0 * end - d for d in ends[1]][::-1] + [4.0 * end])
     return np.unique(ray), np.array(cut)
 
 
@@ -1173,9 +1186,11 @@ def test_graded_layouts_keep_the_old_breaks_and_stay_finite(kap, n, s):
     assert np.all(np.isfinite(cut)) and np.all(np.diff(cut) > 0.0)
     assert cut[0] == 0.0 and cut[-1] == 0.5 * math.pi
     assert np.all(np.isin(base, cut))
-    assert len(cut) - 1 <= 4 + 2 * spectral._GRADED_MAX
+    assert len(cut) - 1 <= 4 + 2 * spectral._GRADED_MAX + 2
     if n <= math.sqrt(2.0):
-        assert np.array_equal(cut, base)
+        halves = np.array([0.5 * base[1], base[-1] - 0.5 * base[1]])
+        halves = halves[np.isfinite(kernels._cut_scales(n))]
+        assert np.array_equal(cut, np.sort(np.concatenate([base, halves])))
     ray_loop, cut_loop = _reference_layouts(kap / n, s, n)
     assert np.array_equal(breaks, ray_loop)
     assert np.array_equal(cut, cut_loop)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from halfspace_qed import medium
 from halfspace_qed.medium import (
     Medium,
     Polarization,
@@ -12,6 +13,7 @@ from halfspace_qed.medium import (
     SpectralPoint,
     epsilon_profile,
     evanescent_threshold,
+    label_frequency,
     label_wavenumbers,
     mode_frequency,
     refracted_kz,
@@ -112,6 +114,56 @@ def test_mode_frequency_rejects_nonreal():
     bad = SpectralPoint((1.0, 0.0), 2.0j, Side.RIGHT, Polarization.TE)
     with pytest.raises(ValueError):
         mode_frequency(Medium(2.0), bad)
+
+
+def _labels(rng, med):
+    """Right and left labels on and off the label set at random |k_par|:
+    travelling and evanescent k_z (t = Gamma included), k_zd above and below
+    the total internal reflection threshold, and each way to miss the set."""
+    for kp in np.concatenate([[0.0], rng.uniform(0.01, 5.0, 6)]):
+        kp = float(kp)
+        gamma = float(evanescent_threshold(med, kp))
+        t, kz, kzd = (float(x) for x in rng.uniform(0.01, 1.0, 3) * [gamma, 6.0, 8.0])
+        threshold = kp * math.sqrt(med.n * med.n - 1.0)
+        yield from ((kp, Side.RIGHT, label) for label in (
+            kz, 1j * t, 1j * gamma, -kz, 0.0, 1j * (gamma + 1.0), kz + 0.5j, -0.5j,
+            math.nan, complex(0.0, math.inf)))
+        yield from ((kp, Side.LEFT, label) for label in (
+            kzd + threshold, 0.99 * threshold, threshold, -kzd, kzd + 1j, math.inf))
+    yield math.nan, Side.RIGHT, 1.0
+    yield 1.0, "R", 1.0
+
+
+@pytest.mark.parametrize("n", [1.0, 1.01, 1.5, 2.0, 4.0, 40.0])
+def test_mode_frequency_is_the_label_rule_without_its_refraction_root(n, monkeypatch):
+    # a right label's omega reads k_z alone: mode_frequency resolves a label
+    # behind the checks of label_wavenumbers with no refracted_kz call, and
+    # gives the bits of label_frequency(*label_wavenumbers(...)) or raises
+    # the same ValueError
+    refracted = []
+    monkeypatch.setattr(medium, "refracted_kz",
+                        lambda *args: refracted.append(args) or refracted_kz(*args))
+    med = Medium(n)
+    valid = {Side.RIGHT: 0, Side.LEFT: 0}
+    for kp, side, label in _labels(np.random.default_rng(29), med):
+        point = SpectralPoint((kp, 0.0), label, side, Polarization.TM)
+        try:
+            expected = label_frequency(med, side, kp, *label_wavenumbers(med, side, kp, label))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                mode_frequency(med, point)
+            assert str(got.value) == str(exc)
+            continue
+        refracted.clear()
+        omega = mode_frequency(med, point)
+        assert omega == expected and type(omega) is type(expected)
+        assert not refracted
+        valid[side] += 1
+    # travelling k_z at each |k_par|, and i t, i Gamma at each one > 0 for
+    # n > 1; k_zd above the threshold at each |k_par|, and below it at each
+    # one > 0 (rounding decides whether the threshold itself is on the set)
+    assert valid[Side.RIGHT] == 7 + 2 * 6 * (n > 1.0)
+    assert valid[Side.LEFT] >= 7 + 6 * (n > 1.0)
 
 
 def test_frequency_matching_across_interface():

@@ -1,5 +1,7 @@
 import functools
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -611,6 +613,56 @@ def test_ray_entry_within_the_tolerance_it_stopped_at_is_returned():
     assert abs(smooth.value[0] - exact) <= smooth.entry_errors[0] <= SPEC.tolerance(abs(exact))
 
 
+def _refine_without_early_return():
+    """spectral._refine with its early return taken out: every level, the
+    last one included, runs the split bookkeeping, and a level that splits
+    no panel stops every integral."""
+    source = inspect.getsource(spectral._refine)
+    general = re.sub(r"\n +if \(excess <= 0\.0\)\.all\(\):[^\n]*(\n[^\n]*){2}", "", source)
+    assert general.count("\n") == source.count("\n") - 3
+    namespace = dict(vars(spectral))
+    exec(general, namespace)
+    return namespace["_refine"]
+
+
+def _smooth_ray(k):
+    return np.exp(1j * k) / (1.0 + k) ** 2
+
+
+@pytest.mark.parametrize("ray, cut, running", [
+    (_smooth_ray, np.exp, [(True, True)]),
+    (_smooth_ray, lambda t: _peak(t, 0.1)[..., 0], [(True, True)] + 2 * [(False, True)]),
+    (lambda k: _two_widths(k, 0.05)[..., 0], np.exp, [(True, True), (True, False)]),
+], ids=["both_first_level", "cut_refines", "ray_refines"])
+def test_refine_returns_early_with_the_bits_of_the_general_path(ray, cut, running, monkeypatch):
+    # once every running integral meets its tolerance _refine returns the
+    # totals and errors it has summed, skipping the split bookkeeping: the
+    # same bits as the path that runs it and splits nothing.  An integral that
+    # converged stops while the other one goes on refining its own panels
+    calls = []
+    early = ray_integral(_ray_and_cut(ray, cut, calls), 1.0, SPEC, gamma=1.0)
+    assert [(rays > 0, cuts > 0) for rays, cuts in calls] == running
+    monkeypatch.setattr(spectral, "_refine", _refine_without_early_return())
+    general_calls = []
+    general = ray_integral(_ray_and_cut(ray, cut, general_calls), 1.0, SPEC, gamma=1.0)
+    assert general_calls == calls
+    assert np.array_equal(early.value, general.value)
+    assert np.array_equal(early.entry_errors, general.entry_errors)
+    assert early.nodes_used == general.nodes_used == 15 * sum(map(sum, calls))
+
+
+def test_ray_run_names_a_ray_that_reaches_the_panel_cap_beside_a_converged_cut(monkeypatch):
+    # the cut converges at its first level; the ray, with a pole at
+    # k = 1e-6 (i - 1) next to its origin, still refines to the cap alone
+    monkeypatch.setattr(spectral, "_MAX_PANELS", 24)
+    calls = []
+    body = _ray_and_cut(lambda k: 1.0 / (k - 1e-6 * (1j - 1.0)), np.exp, calls)
+    with pytest.raises(QuadratureError, match="ray integral stalled at error .* after 24 panels"):
+        ray_integral(body, 1.0, SPEC, gamma=1.0)
+    assert len(calls) > 2 and all(rays for rays, _ in calls)
+    assert not any(cuts for _, cuts in calls[1:])
+
+
 def test_ray_raises_at_the_panel_cap(monkeypatch):
     monkeypatch.setattr(spectral, "_MAX_PANELS", 24)
     with pytest.raises(QuadratureError, match="ray integral stalled at error .* after 24 panels"):
@@ -620,8 +672,11 @@ def test_ray_raises_at_the_panel_cap(monkeypatch):
 
 def test_ray_run_names_a_cut_that_reaches_the_panel_cap(monkeypatch):
     # the ray converges; the cut's 1/t is not integrable at t = 0, so it
-    # bisects towards u = 0 until it holds the cap
+    # bisects towards u = 0, alone once the ray stops, until it holds the cap
     monkeypatch.setattr(spectral, "_MAX_PANELS", 24)
-    body = _ray_and_cut(lambda k: np.exp(1j * k), lambda t: 1.0 / t)
+    calls = []
+    body = _ray_and_cut(lambda k: np.exp(1j * k), lambda t: 1.0 / t, calls)
     with pytest.raises(QuadratureError, match="cut integral stalled at error .* after 24 panels"):
         ray_integral(body, 1.0, SPEC, gamma=1.0)
+    assert len(calls) > 2 and all(cuts for _, cuts in calls)
+    assert not calls[-1][0]
