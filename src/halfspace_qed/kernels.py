@@ -237,6 +237,11 @@ def _cut_scales(n: float) -> tuple[float, float]:
     return low, (math.acosh(n / gap) if gap > 0.0 else math.inf)
 
 
+def _components_last(terms: np.ndarray) -> np.ndarray:
+    """The view of ``terms`` (components, *nodes) as (*nodes, components)."""
+    return terms.transpose(*range(1, terms.ndim), 0)
+
+
 def _ray_cut_block(k: np.ndarray, rays: int, n: float, kap: float, shift: float,
                    body: Callable, cut: Callable | None, parity) -> np.ndarray:
     """The values of an interface body at kappa ``kap`` on one
@@ -333,12 +338,12 @@ def _gauge_difference_profile(medium: Medium, kap: float, z: float, zp: float,
     def travelling(k: np.ndarray, kzd: np.ndarray, kap: float, kmag2: np.ndarray) -> np.ndarray:
         common = np.exp(1j * zp * k)
         common /= kmag2
-        return np.moveaxis(_gauge_terms(medium, k, kzd, kap, common), 0, -1)
+        return _components_last(_gauge_terms(medium, k, kzd, kap, common))
 
     def left_evanescent(t: np.ndarray, kzd: np.ndarray, kap: float,
                         kmag2: np.ndarray) -> np.ndarray:
-        return np.moveaxis(_gauge_evanescent_terms(medium, t, kzd, kap, np.exp(-zp * t) / kmag2),
-                           0, -1)
+        return _components_last(
+            _gauge_evanescent_terms(medium, t, kzd, kap, np.exp(-zp * t) / kmag2))
 
     j = _interface_profile(medium, kap, zp, travelling, spec, left_evanescent)
     ju, jz = j.value
@@ -385,7 +390,7 @@ def kz_profile(medium: Medium, kap: float, z: float, zp: float,
 
     def travelling(kz: np.ndarray, kzd: np.ndarray, kap: float, kmag2: np.ndarray) -> np.ndarray:
         phase = np.exp(1j * kz * s) if above else np.exp(-1j * kzd * z + 1j * kz * zp)
-        return np.moveaxis(_kz_dyads(medium, above, kz, kzd, kap, kmag2, phase), 0, -1)
+        return _components_last(_kz_dyads(medium, above, kz, kzd, kap, kmag2, phase))
 
     return _interface_profile(medium, kap, s, travelling, spec)
 

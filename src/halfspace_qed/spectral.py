@@ -5,8 +5,8 @@ panels with the QUADPACK |K15 - G7| error estimate, refined one whole level
 at a time.  All panels of a level, a ray run's cuts included, are evaluated
 in one integrand call, and each level bisects the fewest worst panels whose
 errors together exceed the excess over the tolerance (any refinement that
-splits the worst panel first splits at least these).  Each
-of the K15 and G7 sums of a level is one ``einsum`` pass over the level's
+splits the worst panel first splits at least these).  The K15 and G7 sums
+of a level are one ``einsum`` pass of both rules' weights over the level's
 node block, which sums every panel's column node by node in a fixed order,
 so a panel depends on the other panels of its call only through the
 integrand, and a real integrand stays real.  A panel whose value or error
@@ -146,6 +146,9 @@ _G7_W = np.array([
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
 ])
+# The rows of the one einsum of both rules: K15, and G7 with 0 on the even nodes.
+_RULE_W = np.array([_K15_W, np.zeros(15)])
+_RULE_W[1, 1::2] = _G7_W
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 
@@ -166,8 +169,8 @@ _RAY_BREAKS_FLAT = np.sort(np.concatenate(
 # a scale below 2^-16 of that end (the ray of kappa = 0, say) starts from there.
 _GRADED_MAX = 16
 _GRADED_STEPS = 2.0 ** np.arange(_GRADED_MAX)
-# First panels of a cut segment in u, t = Gamma sin(u) (see cut_segment_integral).
-_CUT_BREAKS = np.linspace(0.0, 0.5 * math.pi, 5)
+# First panels of a cut segment in u, t = Gamma sin(u), as floats (see _cut_breaks).
+_CUT_BREAKS = np.linspace(0.0, 0.5 * math.pi, 5).tolist()
 # First panels in v of a decaying half-line, k = scale tan(v).
 _HALFLINE_BREAKS = np.linspace(0.0, 0.5 * math.pi, 9)
 
@@ -180,33 +183,32 @@ def _weighted(vals, w: np.ndarray) -> np.ndarray:
     return np.multiply(vals, w.reshape(w.shape + (1,) * (np.ndim(vals) - w.ndim)), order="C")
 
 
-def _node_sums(w: np.ndarray, parts: np.ndarray) -> np.ndarray:
-    """sum_i w[i] parts[i] of each column of the real block ``parts``, node
-    by node in order, in one einsum pass.  A lone column einsum would sum
-    pairwise, so it is summed as the first of two copies."""
+def _node_sums(parts: np.ndarray) -> np.ndarray:
+    """The K15 and G7 sums (rows) of each column of the real block ``parts``,
+    node by node in order, in one einsum pass.  A lone column einsum would
+    sum pairwise, so it is summed as the first of two copies."""
     if parts.shape[1] == 1:
-        return np.einsum("i,ij->j", w, np.repeat(parts, 2, axis=1))[:1]
-    return np.einsum("i,ij->j", w, parts)
+        return np.einsum("ki,ij->kj", _RULE_W, np.repeat(parts, 2, axis=1))[:, :1]
+    return np.einsum("ki,ij->kj", _RULE_W, parts)
 
 
 def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
     """Kronrod-15 values and max-norm |K15-G7| errors of the panels
     [lo[i], hi[i]] of entries owner[i], from one integrand call
-    ``f(x, owner)`` on nodes x of shape (15, panels).  Each rule is one pass
-    of ``einsum`` over the real parts of the node block (a complex value's
-    real and imaginary parts side by side), summed node by node in a fixed
-    order, so a panel's value does not depend on the panels that share its
-    call; a real integrand stays real.  A panel whose value or error is not
-    finite raises QuadratureError naming it."""
+    ``f(x, owner)`` on nodes x of shape (15, panels).  Both rules are one
+    ``einsum`` pass over the real parts of the node block (a complex value's
+    real and imaginary parts side by side), each summed node by node in a
+    fixed order, so a panel's value does not depend on the panels that share
+    its call; a real integrand stays real.  A panel whose value or error is
+    not finite raises QuadratureError naming it."""
     half = 0.5 * (hi - lo)
     vals = np.asarray(f(np.multiply.outer(_K15_X, half) + 0.5 * (lo + hi), owner))
     shape = vals.shape[1:]
     cols = np.ascontiguousarray(vals, np.result_type(vals, np.float64)).reshape(15, -1)
     parts = cols.view(np.float64)
     half = half.reshape(half.shape + (1,) * (len(shape) - 1))
-    k15 = half * _node_sums(_K15_W, parts).view(cols.dtype).reshape(shape)
-    g7 = half * _node_sums(_G7_W, parts[1::2]).view(cols.dtype).reshape(shape)
-    err = np.abs(k15 - g7).reshape(len(lo), -1).max(axis=1)
+    k15, g7 = half * _node_sums(parts).view(cols.dtype).reshape((2,) + shape)
+    err = np.maximum.reduce(np.abs(k15 - g7).reshape(len(lo), -1), axis=1)
     if not np.isfinite(err).all():  # so is it wherever a node value is not finite
         i = int(np.argmin(np.isfinite(err)))
         raise QuadratureError(f"non-finite integrand on the panel [{lo[i]:.6g}, {hi[i]:.6g}]")
@@ -223,30 +225,30 @@ def _refine(rule: Callable, lo, hi, owner, spec: QuadratureSpec):
     included, is one call ``rule(lo, hi, owner)`` (the rule of
     ``_gauss_kronrod``) on panels sorted by owner, as the first ones must
     be: a split panel's two halves stay side by side.  An integral stops for
-    good when its error sum is within its tolerance or it holds _MAX_PANELS
-    panels, and a level where all are within theirs returns at once.  Returns
-    the totals, error sums, nodes and which integrals the cap stopped."""
+    good at its tolerance or at _MAX_PANELS panels.  A level's test sorts only
+    errors, values and owners and returns once all are within theirs; panel
+    ends are sorted on a level that splits.  Returns the totals, error sums,
+    nodes and which integrals the cap stopped."""
     val, err = rule(lo, hi, owner)
     entries = int(owner.max()) + 1
     total = np.zeros((entries,) + val.shape[1:], dtype=val.dtype)
     error = np.zeros(entries)
     capped = np.zeros(entries, dtype=bool)
     ids = np.arange(entries)  # the running entries, which owner numbers 0, 1, ...
-    box = np.stack([lo, hi, err], axis=1)  # (left, right, error) of each panel
     nodes = 15 * len(lo)
     while True:
         # panels grouped by entry, worst first within each entry
-        order = np.lexsort((-box[:, 2], owner))
-        box, owner, val = box[order], owner[order], val[order]
-        err = box[:, 2]
+        order = np.lexsort((-err, owner))
+        err, owner, val = err[order], owner[order], val[order]
         count = np.bincount(owner)
         first = np.cumsum(count) - count
         errsum = np.add.reduceat(err, first)
         tot = np.add.reduceat(val, first)
-        excess = errsum - spec.tolerance(np.abs(tot).reshape(len(tot), -1).max(axis=1))
+        excess = errsum - spec.tolerance(np.maximum.reduce(np.abs(tot).reshape(len(tot), -1), 1))
         if (excess <= 0.0).all():
             total[ids], error[ids] = tot, errsum
             return total, error, nodes, capped
+        lo, hi = lo[order], hi[order]
         # split a panel while the worse panels of its entry leave an excess
         start = first[owner]
         worse = np.cumsum(err) - err
@@ -261,18 +263,17 @@ def _refine(rule: Callable, lo, hi, owner, spec: QuadratureSpec):
                 return total, error, nodes, capped
             keep = ~stop[owner]
             ids = ids[~stop]
-            box, val, pick = box[keep], val[keep], pick[keep]
+            lo, hi, err, val, pick = lo[keep], hi[keep], err[keep], val[keep], pick[keep]
             owner = (np.cumsum(~stop) - 1)[owner[keep]]
         # the two halves of each split panel side by side, so owners stay sorted
-        new = np.repeat(box[pick], 2, axis=0)
-        new[0::2, 1] = new[1::2, 0] = 0.5 * (new[0::2, 0] + new[0::2, 1])
+        new_lo, new_hi = np.repeat(lo[pick], 2), np.repeat(hi[pick], 2)
+        new_lo[1::2] = new_hi[0::2] = 0.5 * (new_lo[0::2] + new_hi[1::2])
         new_owner = np.repeat(owner[pick], 2)
-        new_val, new[:, 2] = rule(new[:, 0], new[:, 1], ids[new_owner])
-        nodes += 15 * len(new)
+        new_val, new_err = rule(new_lo, new_hi, ids[new_owner])
+        nodes += 15 * len(new_lo)
         rest = ~pick
-        box = np.concatenate((box[rest], new))
-        owner = np.concatenate((owner[rest], new_owner))
-        val = np.concatenate((val[rest], new_val))
+        lo, hi, err, owner, val = (np.concatenate((old[rest], new)) for old, new in (
+            (lo, new_lo), (hi, new_hi), (err, new_err), (owner, new_owner), (val, new_val)))
 
 
 def adaptive_panels(
@@ -296,18 +297,18 @@ def adaptive_panels(
 
 def _scalar(name: str, value, positive: bool = True) -> float:
     """``value`` as a float if it is a finite real > 0 (>= 0 unless
-    ``positive``); otherwise ValueError naming ``name``.  A float or int is
-    recognised before the numbers.Real check, which costs about 0.8 us."""
-    if ((isinstance(value, (float, int)) or isinstance(value, numbers.Real))
-            and math.isfinite(value) and (value > 0.0 or (value == 0.0 and not positive))):
+    ``positive``) and not a bool; otherwise ValueError naming ``name``.  A
+    float or int is recognised before the numbers.Real check (about 0.8 us)."""
+    real = isinstance(value, (float, int)) or isinstance(value, numbers.Real)
+    if (real and not isinstance(value, bool) and math.isfinite(value)
+            and (value > 0.0 or (value == 0.0 and not positive))):
         return float(value)
     raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
 
 
 def _graded(scale, end: float):
-    """Breaks scale x 2^j, j = 0 .. _GRADED_MAX - 1 (one row per scale of an
-    array); a scale below end 2^-_GRADED_MAX starts from there.  The caller
-    drops the breaks past ``end``."""
+    """Breaks scale x 2^j, j = 0 .. _GRADED_MAX - 1, from end 2^-_GRADED_MAX
+    at least; the caller drops the breaks past ``end``."""
     return np.multiply.outer(np.maximum(scale, end * 2.0 ** -_GRADED_MAX), _GRADED_STEPS)
 
 
@@ -327,15 +328,24 @@ def _cut_breaks(near) -> np.ndarray:
     """First panels in u of a cut: _CUT_BREAKS, the end panels split at the
     graded breaks of the near-singularity scales (a, b) (u from 0, distance
     from pi/2; None for neither), then the panel at each finite one halved."""
-    scales = np.full(2, np.inf) if near is None else np.asarray(near, dtype=float)
-    if not (scales.shape == (2,) and (scales >= 0.0).all()):
-        raise ValueError(f"cut_near must be 2 scales >= 0, got {near!r}")
-    graded = _graded(scales, _CUT_BREAKS[1])
-    half = np.where(scales < np.inf, 0.5 * np.minimum(graded[:, 0], _CUT_BREAKS[1]), np.inf)
-    low, high = np.concatenate((half[:, None], graded), axis=1)
-    high = _CUT_BREAKS[-1] - high[::-1]
-    return np.concatenate([_CUT_BREAKS[:1], low[low < _CUT_BREAKS[1]], _CUT_BREAKS[1:-1],
-                           high[high > _CUT_BREAKS[-2]], _CUT_BREAKS[-1:]])
+    try:  # inf, for an end with no near-singularity, or a real >= 0
+        a, b = (math.inf if x == math.inf else _scalar("cut_near", x, positive=False)
+                for x in ((math.inf, math.inf) if near is None else near))
+    except (TypeError, ValueError):
+        raise ValueError(f"cut_near must be 2 scales >= 0, got {near!r}") from None
+    _, first, mid, last, top = _CUT_BREAKS
+
+    def end(scale: float) -> list:
+        # an end's breaks below pi/8 as distances from it, the halved panel's first
+        x = max(scale, first * 2.0 ** -_GRADED_MAX)
+        out = [0.5 * min(x, first)] if scale < math.inf else []
+        while x < first:
+            out.append(x)
+            x *= 2.0
+        return out
+
+    high = [top - d for d in reversed(end(b))]
+    return np.array([0.0, *end(a), first, mid, last, *(u for u in high if u > last), top])
 
 
 def ray_integral(f: Callable, oscillation_scale: float, spec: QuadratureSpec,

@@ -1021,6 +1021,40 @@ def test_run_cut_columns_are_the_stacked_kzd_jump_bit_for_bit(n, z, zp, monkeypa
 
 
 @pytest.mark.parametrize("n", [1.01, 2.0, 40.0])
+def test_bodies_give_the_moveaxis_bits_through_their_transpose_views(n, monkeypatch):
+    # an interface body returns its component-first terms as a component-last
+    # transpose view: the bits, shape and strides of np.moveaxis, on a
+    # level's 2-D node block and on the 3-D stack of +-kzd (or of two cuts)
+    bodies = _captured_bodies(monkeypatch)
+    med, kap = Medium(n), 0.7
+    kz_profile(med, kap, 0.7, 0.4, SPEC)
+    kz_profile(med, kap, -0.3, 0.5, SPEC)
+    _gauge_difference_profile(med, kap, 0.7, 0.4, SPEC)
+    rng = np.random.default_rng(3)
+    k = (1.0 + 1.0j) * rng.uniform(0.0, 5.0, (15, 4))
+    kzd = np.sqrt(n * n * k * k + (n * n - 1.0) * kap * kap)
+    t = evanescent_threshold(med, kap) * rng.uniform(0.0, 1.0, (15, 3))
+    t_kzd = np.sqrt(np.maximum((n * n - 1.0) * kap * kap - n * n * t * t, 0.0))
+    calls = []
+    for _, _, travelling, evanescent in bodies:
+        calls += [(travelling, (k, kzd, kap, kap * kap + k * k)),
+                  (travelling, (1j * t, np.stack([t_kzd, -t_kzd]), kap, kap * kap - t * t))]
+        if evanescent is not None:
+            two = np.stack([t, 0.5 * t])
+            two_kzd = np.sqrt(np.maximum((n * n - 1.0) * kap * kap - n * n * two * two, 0.0))
+            calls += [(evanescent, (t, t_kzd, kap, kap * kap - t * t)),
+                      (evanescent, (two, two_kzd, kap, kap * kap - two * two))]
+    assert len(calls) == 8
+    views = [body(*args) for body, args in calls]
+    monkeypatch.setattr(kernels, "_components_last", lambda terms: np.moveaxis(terms, 0, -1))
+    for (body, args), view in zip(calls, views):
+        moved = body(*args)
+        assert view.shape == moved.shape and view.strides == moved.strides
+        assert view.shape[:-1] == np.shape(args[1])
+        assert view.tobytes() == moved.tobytes()
+
+
+@pytest.mark.parametrize("n", [1.01, 2.0, 40.0])
 @pytest.mark.parametrize("z, zp", [(0.7, 0.4), (-0.3, 0.5)])
 @pytest.mark.parametrize("profile", [kz_profile, _gauge_difference_profile],
                          ids=["kz_profile", "gauge_difference"])
@@ -1152,7 +1186,11 @@ def _doubling(start, end, inside):
 def _reference_layouts(near, s, n):
     ray = np.arctan([0.0] + _doubling(near * (s * math.sin(0.25 * math.pi)), 0.3,
                                       lambda x: x < 0.3) + list(RAY_X[1:]))
-    low, high = kernels._cut_scales(n)
+    return np.unique(ray), _reference_cut(*kernels._cut_scales(n))
+
+
+def _reference_cut(low, high):
+    """The cut layout of the scales (low, high) by the doubling loop."""
     end = math.pi / 8.0
     ends = []
     for scale in (low, high):
@@ -1162,9 +1200,49 @@ def _reference_layouts(near, s, n):
         if scale < math.inf:
             graded.insert(0, 0.5 * min(graded + [end]))
         ends.append(graded)
-    cut = ([0.0] + ends[0] + [end, 2.0 * end, 3.0 * end]
-           + [4.0 * end - d for d in ends[1]][::-1] + [4.0 * end])
-    return np.unique(ray), np.array(cut)
+    return np.array([0.0] + ends[0] + [end, 2.0 * end, 3.0 * end]
+                    + [4.0 * end - d for d in ends[1]][::-1] + [4.0 * end])
+
+
+def _numpy_cut(near):
+    """The cut layout spelled in numpy: both ends' graded breaks as the rows
+    of one array, each headed by its halved panel's break, masked to the end
+    panels."""
+    base = np.linspace(0.0, 0.5 * math.pi, 5)
+    scales = np.full(2, np.inf) if near is None else np.asarray(near, dtype=float)
+    graded = np.multiply.outer(np.maximum(scales, base[1] * 2.0 ** -spectral._GRADED_MAX),
+                               2.0 ** np.arange(spectral._GRADED_MAX))
+    half = np.where(scales < np.inf, 0.5 * np.minimum(graded[:, 0], base[1]), np.inf)
+    low, high = np.concatenate((half[:, None], graded), axis=1)
+    high = base[-1] - high[::-1]
+    return np.concatenate([base[:1], low[low < base[1]], base[1:-1], high[high > base[-2]],
+                           base[-1:]])
+
+
+def test_scalar_cut_layout_is_the_numpy_layout_bit_for_bit():
+    # _cut_breaks builds its layout from its two scales with math: the bits of
+    # the numpy spelling and of the doubling loop, for the scales of n over
+    # [1, 1e8], the s contour's (inf, acosh(2/gamma - 1)), and no scales
+    rng = np.random.default_rng(1)
+    ns = [1.0, math.sqrt(2.0), 2.68, 40.0, 1e8] + list(10.0 ** rng.uniform(0.0, 8.0, 300))
+    pairs = [None]
+    for n in ns:
+        pairs.append(kernels._cut_scales(n))
+        if n > 1.0:
+            gamma = math.sqrt(n * n - 1.0) / n
+            pairs.append((math.inf, math.acosh(2.0 / gamma - 1.0)))
+    for near in pairs:
+        cut = spectral._cut_breaks(near)
+        assert cut.dtype == np.float64 and np.all(np.diff(cut) > 0.0)
+        assert cut.tobytes() == _numpy_cut(near).tobytes()
+        assert cut.tobytes() == _reference_cut(*(near or (math.inf, math.inf))).tobytes()
+    # a last graded break a rounding below pi/8 from pi/2 lands on 3 pi/8, and
+    # the layout drops it, as the numpy spelling does (the loop keeps it)
+    end = np.linspace(0.0, 0.5 * math.pi, 5)[1]
+    below = math.nextafter(end, 0.0)
+    for near in ((below, below), (below / 8.0, below / 8.0), (end, end), (end / 4.0, 0.0)):
+        cut = spectral._cut_breaks(near)
+        assert np.all(np.diff(cut) > 0.0) and cut.tobytes() == _numpy_cut(near).tobytes()
 
 
 @settings(max_examples=200, deadline=None)

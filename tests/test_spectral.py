@@ -94,6 +94,37 @@ def test_engines_reject_non_finite_geometry(bad):
         decaying_halfline_integral(np.exp, bad, SPEC)
 
 
+@pytest.mark.parametrize("bad", [True, "1.0", 1j, 1.0 + 0j], ids=["bool", "str", "complex",
+                                                                  "complex_real_value"])
+def test_engines_reject_values_that_are_not_real_numbers_by_name(bad):
+    # a bool is not taken as 1, and a string or complex number gets a
+    # ValueError naming its parameter rather than numpy's error, before any
+    # integrand call
+    def refuse(k, *rays):
+        raise AssertionError("integrand called")
+
+    for name, call in (
+            ("oscillation_scale", lambda: ray_integral(refuse, bad, SPEC)),
+            ("near", lambda: ray_integral(refuse, 1.0, SPEC, near=bad)),
+            ("gamma", lambda: ray_integral(refuse, 1.0, SPEC, gamma=bad)),
+            ("gamma", lambda: cut_segment_integral(refuse, bad, SPEC)),
+            ("scale", lambda: decaying_halfline_integral(refuse, bad, SPEC)),
+            ("cut_near", lambda: ray_integral(refuse, 1.0, SPEC, gamma=1.0, cut_near=(bad, 1.0))),
+            ("cut_near", lambda: ray_integral(refuse, 1.0, SPEC, gamma=1.0, cut_near=(1.0, bad)))):
+        with pytest.raises(ValueError, match=f"^{name} must be .*, got .*{re.escape(repr(bad))}"):
+            call()
+
+
+def test_cut_scales_may_be_infinite_or_integers():
+    # inf, for an end with no near-singularity, adds no break; an integer
+    # scale is its float
+    assert np.array_equal(spectral._cut_breaks((math.inf, math.inf)), spectral._cut_breaks(None))
+    assert np.array_equal(spectral._cut_breaks((0, 1)), spectral._cut_breaks((0.0, 1.0)))
+    for near in ((math.inf, 0.1), (0.1, math.inf)):
+        res = ray_integral(lambda k, rays: np.exp(1j * k), 1.0, SPEC, gamma=1.0, cut_near=near)
+        assert abs(res.value[1] - (1.0 - math.exp(-1.0))) <= 1e-12
+
+
 def test_oscillatory_sin_over_x():
     res = _halfline(_sin_over_x(1.0), 1.0, SPEC)
     assert abs(res.value - 0.5j * math.pi) < 1e-10
@@ -290,6 +321,51 @@ def test_eval_panel_matches_tensordot_bitwise(shape, dtype):
             assert err[i] == float(np.max(np.abs(ref - g7)))
             blas = half * np.tensordot(spectral._K15_W, vals[:, i], axes=(0, 0))
             assert np.max(np.abs(k15[i] - blas)) <= 16 * np.finfo(float).eps * np.max(np.abs(vals))
+
+
+def _two_node_ordered_passes(parts):
+    """The K15 and G7 sums of each column of ``parts`` as two einsum passes,
+    the G7 one over the odd nodes alone; a lone column is summed as the
+    first of two copies."""
+    lone = parts.shape[1] == 1
+    block = np.repeat(parts, 2, axis=1) if lone else parts
+    k15 = np.einsum("i,ij->j", spectral._K15_W, block)
+    g7 = np.einsum("i,ij->j", spectral._G7_W, block[1::2])
+    return (k15[:1], g7[:1]) if lone else (k15, g7)
+
+
+@pytest.mark.parametrize("columns, shape, dtype", [
+    (1, (), float), (2, (), float), (1, (), complex), (3, (), complex), (1, (5,), float),
+    (4, (5,), complex),
+], ids=["lone_column", "two_columns", "complex_lone", "complex", "five_components",
+        "complex_five_components"])
+def test_one_rule_pass_is_the_two_node_ordered_passes_bit_for_bit(columns, shape, dtype):
+    # _node_sums takes the K15 and G7 sums in one einsum pass, the G7 row 0 on
+    # the even nodes; on the float view of any block (a complex body's real
+    # and imaginary parts side by side, 5 components a panel) both rows are
+    # bitwise the two passes
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        vals = _random_values(rng, (15, columns) + shape, dtype)
+        parts = np.ascontiguousarray(vals).reshape(15, -1).view(np.float64)
+        sums = spectral._node_sums(parts)
+        k15, g7 = _two_node_ordered_passes(parts)
+        assert sums.shape == (2, parts.shape[1])
+        assert sums[0].tobytes() == k15.tobytes()
+        assert np.array_equal(sums[1], g7)
+
+
+@pytest.mark.parametrize("node", [0, 7, 14])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_node_names_its_panel_whatever_its_g7_weight(node, bad):
+    # a non-finite value at a node the G7 row weighs by 0 (an even one) still
+    # makes its panel's error non-finite, and the rule names that panel
+    vals = np.ones((15, 3, 5), dtype=complex)
+    vals[node, 1, 2] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(
+            QuadratureError, match=r"non-finite integrand on the panel \[2, 3\]$"):
+        spectral._gauss_kronrod(lambda x, owner: vals, np.array([1.0, 2.0, 3.0]),
+                                np.array([2.0, 3.0, 4.0]), np.zeros(3, dtype=int))
 
 
 def test_half_period_block_matches_single_panels_bitwise():
