@@ -26,7 +26,6 @@ from .spectral import (
     IntegralResult,
     QuadratureError,
     QuadratureSpec,
-    cut_segment_integral,
 )
 from .modes import (
     carniglia_mandel_mode,

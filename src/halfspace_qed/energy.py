@@ -27,8 +27,14 @@ and dE = -pi q^2 [L(1) + R(1)]/(2 z0): only L(1) and R(1) are integrated.
 The right-incident and the travelling left-incident modes are one body on the
 vacuum k_z > 0 axis, the left ones by dk_zd = (n^2 k_z/k_zd) dk_z: on the k_zd
 axis k_z = sqrt(k_zd^2 - gamma_d^2)/n has a square-root endpoint at
-gamma_d = sqrt(n^2-1) (at |k_par| = 1).  The evanescent left-incident modes,
-0 < k_zd < gamma_d, are integrated by dk_zd on the cut segment.
+gamma_d = sqrt(n^2-1) (at |k_par| = 1).  g is real on the k_z axis, so there
+|g|^2 = g^2, and g^2 (...)/(1 + k_z^2) is analytic in the open first quadrant
+(branch points of k_zd at +-i gamma_d/n, poles at +-i and the TM pole
+n^2 k_z + k_zd = 0 at k_z = -1/n) and decays like |k_z|^-2: one
+``ray_integral`` run takes it along k_z = e^{i pi/4} tan(v), its first panel
+graded from the nearer of i gamma_d/n and -1/n.  The evanescent left-incident
+modes, 0 < k_zd < gamma_d, where g is complex, ride in the same run as its
+cut columns k = i k_zd, integrated by dk_zd.
 """
 from __future__ import annotations
 
@@ -42,8 +48,7 @@ from .fresnel import fresnel_coefficients
 from .greens import check_charge, image_potential_ves
 from .medium import Medium, Polarization, Side
 from .modes import surface_charge_mode
-from .spectral import (QuadratureSpec, cut_segment_integral, decaying_halfline_integral,
-                       decaying_halfline_last_node)
+from .spectral import QuadratureSpec, ray_integral, ray_last_node
 
 __all__ = [
     "ShiftResult",
@@ -67,21 +72,22 @@ class ShiftResult:
     q: float
 
 
-# k_zd = sqrt(n^2 k_z^2 + n^2 - 1) is finite at every node of the travelling
-# body's half-line while n^2 (k^2 + 1) <= DBL_MAX at its largest node
-# k = 1192.08: up to n = 1.1247e151 (n one ulp above raises).  For n from
-# 1.0005 up, that node's panel stayed whole in each run that met its tolerance
-# (tried down to abs_tol = rel_tol = 1e-16) and split only in runs that
-# raised QuadratureError anyway.
-_KZ_LAST = decaying_halfline_last_node(1.0)
-_N_MAX = math.sqrt(sys.float_info.max / (_KZ_LAST * _KZ_LAST + 1.0))
+# The travelling body runs on the ray k_z = e^{i pi/4} tan(v), where n^2 k_z^2
+# is about i n^2 |k_z|^2: k_zd = sqrt(n^2 k_z^2 + n^2 - 1) is finite at every
+# ray node while n^2 |k_z|^2 <= DBL_MAX at its largest node |k_z| = 3749.91,
+# up to n = 3.5755e150 (n one ulp above overflows k_zd there).  For n from
+# 1.00001 up that node's panel stayed whole in each run that met its tolerance
+# (tried down to abs_tol = rel_tol = 1e-16).
+_RAY_SCALE = math.sqrt(2.0)  # |k_z| = tan(v) on the ray
+_KZ_LAST = ray_last_node(_RAY_SCALE)
+_N_MAX = math.sqrt(sys.float_info.max) / _KZ_LAST
 
 
 def _check_index(medium: Medium) -> None:
-    """Reject n whose k_zd overflows on the longitudinal half-line (above)."""
+    """Reject n whose k_zd overflows on the longitudinal ray (above)."""
     if medium.n > _N_MAX:
         raise ValueError(f"n must be at most {_N_MAX:.5g}, where k_zd on the longitudinal "
-                         f"half-line stays finite, got n={medium.n!r}")
+                         f"ray stays finite, got n={medium.n!r}")
 
 
 def redistribution_factors(medium: Medium) -> tuple[float, float]:
@@ -91,29 +97,41 @@ def redistribution_factors(medium: Medium) -> tuple[float, float]:
 
 def _longitudinal(medium: Medium, spec: QuadratureSpec) -> tuple[float, float]:
     """(L(1), R(1)) = (int_0^inf dk_zd |g^L|^2/omega^2, int_0^inf dk_z
-    |g^R|^2/omega^2) at |k_par| = 1, omega^2 = 1 + k_z^2: the travelling
-    modes as one body on the vacuum k_z axis, the evanescent left-incident
-    ones on the cut segment."""
+    |g^R|^2/omega^2) at |k_par| = 1, omega^2 = 1 + k_z^2, in one ray run: the
+    travelling modes as one body g^2 on the ray in k_z, the evanescent
+    left-incident ones on its cut columns (the module docstring)."""
     n = medium.n
     n2 = n * n
     gamma_d = math.sqrt(n2 - 1.0)
 
-    def travelling(kz: np.ndarray) -> np.ndarray:
-        kzd = np.sqrt(n2 * kz * kz + gamma_d * gamma_d)
-        tm = fresnel_coefficients(medium, Polarization.TM, 1.0, kz, kzd)
-        left = surface_charge_mode(medium, Side.LEFT, tm)
-        right = surface_charge_mode(medium, Side.RIGHT, tm)
-        parts = np.stack([np.abs(left) ** 2 * (n2 * kz / kzd), np.abs(right) ** 2], axis=-1)
-        return parts / (1.0 + kz * kz)[..., None]
+    def body(k: np.ndarray, rays: int) -> np.ndarray:
+        out = np.empty(k.shape + (2,), dtype=complex)
+        if rays:  # travelling: g is real on the k_z axis, so |g|^2 = g^2 continues
+            kz = k[:, :rays]
+            kzd = np.sqrt(n2 * kz * kz + gamma_d * gamma_d)
+            tm = fresnel_coefficients(medium, Polarization.TM, 1.0, kz, kzd)
+            left = surface_charge_mode(medium, Side.LEFT, tm)
+            right = surface_charge_mode(medium, Side.RIGHT, tm)
+            omega2 = 1.0 + kz * kz
+            out[:, :rays, 0] = left ** 2 * (n2 * kz / kzd) / omega2
+            out[:, :rays, 1] = right ** 2 / omega2
+        if rays < k.shape[1]:  # evanescent: k_zd = t on the cut columns k = i t
+            kzd = k[:, rays:].imag
+            kz = np.sqrt(kzd * kzd - gamma_d * gamma_d + 0j) / n
+            tm = fresnel_coefficients(medium, Polarization.TM, 1.0, kz, kzd)
+            out[:, rays:, 0] = (np.abs(surface_charge_mode(medium, Side.LEFT, tm)) ** 2
+                                * n2 / (1.0 + kzd * kzd))
+            out[:, rays:, 1] = 0.0
+        return out
 
-    def evanescent(kzd: np.ndarray) -> np.ndarray:
-        kz = np.sqrt(kzd * kzd - gamma_d * gamma_d + 0j) / n
-        tm = fresnel_coefficients(medium, Polarization.TM, 1.0, kz, kzd)
-        return np.abs(surface_charge_mode(medium, Side.LEFT, tm)) ** 2 * n2 / (1.0 + kzd * kzd)
-
-    both = np.real(decaying_halfline_integral(travelling, 1.0, spec).value)
-    ev = np.real(cut_segment_integral(evanescent, gamma_d, spec).value)
-    return float(ev + both[0]), float(both[1])
+    # the ray's first panel is graded from the nearer of the branch point
+    # i gamma_d/n and the TM pole -1/n; the poles of the cut body, of
+    # 1/(1 + t^2) at t = i and of |g^L|^2 ~ 1/(n^2 - t^2) at t = n, lie the
+    # same distance asinh(1/gamma_d) from its two ends in u, t = gamma_d sin u
+    end = math.asinh(1.0 / gamma_d)
+    ray, cut = ray_integral(body, _RAY_SCALE, spec, near=min(gamma_d, 1.0) / n,
+                            gamma=gamma_d, cut_near=(end, end)).value.real
+    return float(cut[0] + ray[0]), float(ray[1])
 
 
 def _unit_parts(medium: Medium, spec: QuadratureSpec) -> list[float]:

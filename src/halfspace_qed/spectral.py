@@ -1,6 +1,7 @@
-"""Quadrature engine for the three spectral integral classes.
+"""Quadrature engine for the two spectral integral classes, both taken by
+one entry point, ``ray_integral``: a ray and, in the same run, a cut.
 
-Every class refines by one routine: globally adaptive Gauss-Kronrod 7/15
+Both classes refine by one routine: globally adaptive Gauss-Kronrod 7/15
 panels with the QUADPACK |K15 - G7| error estimate, refined one whole level
 at a time.  All panels of a level, a ray run's cuts included, are evaluated
 in one integrand call, and each level bisects the fewest worst panels whose
@@ -32,12 +33,13 @@ is not finite raises :class:`QuadratureError` at once, naming the panel.
    (that TM pole, a distance kappa/n away) sets the scale on which f varies
    near k = 0, so a ray given such a scale has its first panel split at
    x_e 2^j below x = 0.3, x_e = (kappa/n) s sin theta.  The map serves a
-   body that decays like |k|^-3 along the ray as well (the kernels' s
-   contour, whose kappa integral is closed, in ``kernels``): in v it goes
-   like pi/2 - v at the far end.  The numerical path stays independent of
-   any residue evaluation.  The same run integrates the ray's branch-cut
-   segment (class 2), if it has one, on panels of its own in the same node
-   blocks.
+   body that decays algebraically along the ray as well, with s setting only
+   the map's scale: the kernels' s contour (|k|^-3, whose kappa integral is
+   closed, in ``kernels``) and the energy's mode sums (|k|^-2, real on the
+   real axis, so that |g|^2 = g^2 there continues into the quadrant, in
+   ``energy``).  The numerical path stays independent of any residue
+   evaluation.  The same run integrates the ray's branch-cut segment
+   (class 2), if it has one, on panels of its own in the same node blocks.
 
 2. Branch-cut (evanescent) segment integrals over t in (0, Gamma) with an
    integrable 1/sqrt(Gamma^2 - t^2) endpoint factor: the segment is always
@@ -50,10 +52,8 @@ is not finite raises :class:`QuadratureError` at once, naming the panel.
    a u that does not depend on kappa) split the end panels at geometric
    breaks towards them and halve the panel at each such end, the one a
    second level would split: such a cut mostly converges at its first level.
-
-3. Smooth, algebraically decaying half-line integrals int_0^inf f(k) dk
-   (the energy's longitudinal mode integrals): the map k = scale tan(v)
-   compactifies the half-line, then adaptive panels finish the job.
+   The cut columns are the run's own integral, whatever the body makes of
+   them: the energy's run takes its evanescent modes there.
 
 Every integrand gets the nodes of a refinement level as one (15, panels)
 block, a panel's 15 Kronrod nodes down its column, and returns values of
@@ -81,11 +81,8 @@ __all__ = [
     "QuadratureSpec",
     "IntegralResult",
     "QuadratureError",
-    "adaptive_panels",
     "ray_integral",
-    "cut_segment_integral",
-    "decaying_halfline_integral",
-    "decaying_halfline_last_node",
+    "ray_last_node",
 ]
 
 
@@ -150,8 +147,6 @@ _G7_W = np.array([
 _RULE_W = np.array([_K15_W, np.zeros(15)])
 _RULE_W[1, 1::2] = _G7_W
 
-Integrand = Callable[[np.ndarray], np.ndarray]
-
 # Panel cap of an integral.  `verify --suite all` passes with a cap of 12
 # (10 stalls a kernel's ray), so the cap only bounds the work spent on a
 # non-convergent integrand.
@@ -171,8 +166,6 @@ _GRADED_MAX = 16
 _GRADED_STEPS = 2.0 ** np.arange(_GRADED_MAX)
 # First panels of a cut segment in u, t = Gamma sin(u), as floats (see _cut_breaks).
 _CUT_BREAKS = np.linspace(0.0, 0.5 * math.pi, 5).tolist()
-# First panels in v of a decaying half-line, k = scale tan(v).
-_HALFLINE_BREAKS = np.linspace(0.0, 0.5 * math.pi, 9)
 
 
 def _weighted(vals, w: np.ndarray) -> np.ndarray:
@@ -276,25 +269,6 @@ def _refine(rule: Callable, lo, hi, owner, spec: QuadratureSpec):
             (lo, new_lo), (hi, new_hi), (err, new_err), (owner, new_owner), (val, new_val)))
 
 
-def adaptive_panels(
-    f: Integrand,
-    breakpoints: np.ndarray,
-    spec: QuadratureSpec,
-) -> IntegralResult:
-    """Globally adaptive K15/G7 integration over the given initial panels,
-    one integrand call f(x) per refinement level, x of shape (15, panels);
-    raises QuadratureError when the panel cap is reached first."""
-    lo, hi = np.asarray(breakpoints[:-1], dtype=float), np.asarray(breakpoints[1:], dtype=float)
-    total, error, nodes, capped = _refine(
-        functools.partial(_gauss_kronrod, lambda x, owner: f(x)), lo, hi,
-        np.zeros(len(lo), dtype=int), spec)
-    if capped[0]:
-        raise QuadratureError(f"adaptive panels stalled at error {error[0]:.3e} "
-                              f"after {_MAX_PANELS} panels")
-    value = total[0]
-    return IntegralResult(value if value.shape else complex(value), float(error[0]), nodes)
-
-
 def _scalar(name: str, value, positive: bool = True) -> float:
     """``value`` as a float if it is a finite real > 0 (>= 0 unless
     ``positive``) and not a bool; otherwise ValueError naming ``name``.  A
@@ -374,8 +348,8 @@ def ray_integral(f: Callable, oscillation_scale: float, spec: QuadratureSpec,
 
     The cut columns follow the ray columns and carry k = i t, t = Gamma sin(u),
     under the Jacobian Gamma cos(u) (f's value there is the cut's integrand,
-    whatever f makes of it).  The cut starts on the panels of
-    ``cut_segment_integral``, the end panels halved and split towards the
+    whatever f makes of it).  The cut starts on the four equal panels in u
+    of _CUT_BREAKS, the end panels halved and split towards the
     scales ``cut_near`` = (a, b) on which f(i Gamma sin u) varies next to
     u = 0 and to u = pi/2: at u = a 2^j below pi/8 and at pi/2 - b 2^j above
     3 pi/8 (at most _GRADED_MAX breaks each; inf adds none and halves nothing).
@@ -417,42 +391,12 @@ def ray_integral(f: Callable, oscillation_scale: float, spec: QuadratureSpec,
     return IntegralResult(total, float(error.max()), nodes, error)
 
 
-def cut_segment_integral(f: Integrand, gamma: float, spec: QuadratureSpec) -> IntegralResult:
-    """int_0^Gamma f(t) dt across the evanescent branch-cut segment (f gets t
-    of shape (15, panels)).
-
-    With the trigonometric substitution t = Gamma*sin(u) the integrable
-    1/sqrt(Gamma^2 - t^2) endpoint factor becomes smooth; panel nodes never
-    touch the endpoints, so f is never called at t = 0 or t = Gamma.  The
-    first panels are four equal ones in u.
-    """
-    gamma = _scalar("gamma", gamma, positive=False)
-    if gamma == 0.0:
-        return IntegralResult(0.0 + 0.0j, 0.0, 0)
-    return adaptive_panels(lambda u: _weighted(f(np.sin(u) * gamma), np.cos(u) * gamma),
-                           _CUT_BREAKS, spec)
-
-
-def decaying_halfline_integral(f: Integrand, scale: float, spec: QuadratureSpec) -> IntegralResult:
-    """int_0^inf f(k) dk for smooth algebraically decaying f (no oscillation).
-
-    Plumbing for the longitudinal mode integrals: the map k = scale*tan(v)
-    compactifies the half-line, then adaptive panels finish.  ``scale`` sets
-    the k-range over which f varies.
-    """
-    scale = _scalar("scale", scale)
-
-    def g(v: np.ndarray) -> np.ndarray:
-        t = np.tan(v)
-        return _weighted(f(t * scale), (1.0 + t * t) * scale)
-
-    return adaptive_panels(g, _HALFLINE_BREAKS, spec)
-
-
-def decaying_halfline_last_node(scale: float) -> float:
-    """The largest k at which ``decaying_halfline_integral`` calls f while
-    its last first panel is not split: scale tan(v) at that panel's last
-    Kronrod node, computed as the rule computes it."""
-    lo, hi = _HALFLINE_BREAKS[-2:]
+def ray_last_node(oscillation_scale: float) -> float:
+    """The largest |k| at which ``ray_integral`` calls f on its ray while the
+    ray's last first panel, v in (atan 16, pi/2), is not split (and ``flat``
+    is not set): |k| at that panel's last Kronrod node, computed as the rule
+    computes it."""
+    scale = _scalar("oscillation_scale", oscillation_scale)
+    lo, hi = _RAY_BREAKS[-2:]
     v = np.multiply.outer(_K15_X, [0.5 * (hi - lo)]) + 0.5 * (lo + hi)
-    return float(np.tan(v).max() * scale)
+    return float(np.abs((1.0 + 1.0j) / scale * np.tan(v)).max())

@@ -1,10 +1,11 @@
 import math
+from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfspace_qed import energy
+from halfspace_qed.config import load_config, spec_from_config
 from halfspace_qed.energy import (
     _longitudinal,
     double_commutator_cnumber,
@@ -16,9 +17,11 @@ from halfspace_qed.fresnel import fresnel_coefficients
 from halfspace_qed.greens import image_potential_ves
 from halfspace_qed.medium import Medium, Polarization, Side, label_wavenumbers
 from halfspace_qed.modes import surface_charge_mode
-from halfspace_qed.spectral import IntegralResult, QuadratureSpec
+from halfspace_qed.spectral import QuadratureSpec
 
 SPEC = QuadratureSpec()
+TIGHT_CFG = spec_from_config(load_config(
+    str(Path(__file__).resolve().parent.parent / "scripts" / "tight.cfg")))
 
 
 def test_redistribution_factors():
@@ -108,16 +111,15 @@ def test_energies_reject_charges_and_heights_off_the_engine_range(q, z0, name):
 
 @pytest.mark.parametrize("n", [1e152, 1e153, 1.3e154, math.nextafter(energy._N_MAX, math.inf)])
 def test_energies_reject_an_index_whose_kzd_overflows(n, monkeypatch):
-    # from one ulp above energy._N_MAX = 1.1247e151 up to the largest n with
+    # from one ulp above energy._N_MAX = 3.5755e150 up to the largest n with
     # a finite n**2, 1.34e154, n^2 k_z^2 overflows k_zd at the longitudinal
-    # half-line's largest node; each energy names n before any engine call
-    def refuse(*args):
+    # ray's largest node; each energy names n before any engine call
+    def refuse(*args, **kwargs):
         raise AssertionError("engine called")
 
-    monkeypatch.setattr(energy, "decaying_halfline_integral", refuse)
-    monkeypatch.setattr(energy, "cut_segment_integral", refuse)
+    monkeypatch.setattr(energy, "ray_integral", refuse)
     for fn in (second_order_shift, gauge_invariance_sum, double_commutator_cnumber):
-        with pytest.raises(ValueError, match=r"^n must be at most 1\.1247e\+151, .* got n="):
+        with pytest.raises(ValueError, match=r"^n must be at most 3\.5755e\+150, .* got n="):
             fn(1.0, Medium(n), 1.0, SPEC)
 
 
@@ -126,8 +128,8 @@ def test_energies_reject_an_index_whose_kzd_overflows(n, monkeypatch):
 @pytest.mark.parametrize("n", [1e150, energy._N_MAX])
 def test_energies_meet_their_ratio_up_to_the_largest_index(n, spec):
     # the bound is tight: at energy._N_MAX itself k_zd stays finite, also at
-    # the tightest tolerance the energies meet, which leaves the half-line's
-    # last panel whole
+    # the tightest tolerance the energies meet, which leaves the ray's last
+    # panel whole
     shift = second_order_shift(1.0, Medium(n), 1.0, spec)
     assert abs(shift.ratio - (n * n - 1.0) / (2.0 * n * n)) < 1e-4
     cnum = double_commutator_cnumber(1.0, Medium(n), 1.0, spec)
@@ -195,19 +197,38 @@ def test_shift_ratio_is_the_same_at_every_height(n):
     assert abs(ratios[2] - redistribution_factors(med)[0]) < 1e-13
 
 
+@pytest.mark.parametrize("spec", [SPEC, TIGHT_CFG], ids=["default", "tight_cfg"])
+@pytest.mark.parametrize("n", [1.00001, 1.0001, 1.0005, 1.001])
+def test_near_vacuum_shift_meets_its_ratio(n, spec):
+    # next to k_z = 0 the travelling body varies on the scale gamma =
+    # sqrt(n^2-1)/n of its branch point at i gamma: a layout blind to it met
+    # its tolerance far from the ratio (4.3e-6 relative at n = 1.00001,
+    # 9.6e-12 at n = 1.001)
+    shift = second_order_shift(1.0, Medium(n), 1.0, spec)
+    assert abs(shift.ratio - shift.expected_ratio) <= 1e-12 * shift.expected_ratio
+
+
 @pytest.mark.parametrize("n", [1.01, 2.0, 40.0])
 @pytest.mark.parametrize("kap", [1e-3, 1.0, 50.0])
 def test_travelling_left_part_on_the_vacuum_axis_matches_kzd_form(monkeypatch, n, kap):
     # the travelling left-incident modes integrated by dk_z at |k_par| = 1,
-    # with the Jacobian n^2 k_z/k_zd, against kap times
-    # int_{gamma_d}^inf dk_zd |g^L|^2 n^2/(kap^2 + k_zd^2) at |k_par| = kap by
-    # scipy: the k_zd form and the 1/kap scaling of the module docstring; the
-    # cut segment (the evanescent modes) is switched off
+    # with the Jacobian n^2 k_z/k_zd, as g^2 continued onto the ray (the run's
+    # ray row), against kap times int_{gamma_d}^inf dk_zd |g^L|^2 n^2/(kap^2 +
+    # k_zd^2) at |k_par| = kap by scipy on the real k_zd axis: the k_zd form,
+    # the continuation and the 1/kap scaling of the module docstring
     quad = pytest.importorskip("scipy.integrate").quad
-    monkeypatch.setattr(energy, "cut_segment_integral",
-                        lambda f, gamma, spec: IntegralResult(0.0, 0.0, 0))
+    runs = []
+    ray = energy.ray_integral
+
+    def capture(*args, **kwargs):
+        runs.append(ray(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(energy, "ray_integral", capture)
     med = Medium(n)
-    left, _ = _longitudinal(med, SPEC)
+    _longitudinal(med, SPEC)
+    (res,) = runs
+    left = res.value[0, 0].real
 
     def kzd_form(kzd):
         tm = fresnel_coefficients(med, Polarization.TM, kap,
@@ -224,18 +245,19 @@ def test_travelling_left_part_on_the_vacuum_axis_matches_kzd_form(monkeypatch, n
 
 def test_each_energy_sum_integrates_one_halfline_and_one_cut_at_unit_kappa(monkeypatch):
     # the radial integral is closed: a shift or a c-number integrates L and R
-    # once, at |k_par| = 1, in one half-line call (scale 1) and one cut call
-    # (gamma_d = sqrt(n^2 - 1)), whatever the height
+    # once, at |k_par| = 1, in one ray_integral run, its ray mapped by
+    # |k_z| = tan(v) (scale sqrt 2) and its cut at gamma_d = sqrt(n^2 - 1),
+    # whatever the height
     calls = []
-    for name in ("decaying_halfline_integral", "cut_segment_integral"):
-        def counted(f, width, spec, engine=getattr(energy, name), name=name):
-            calls.append((name, width))
-            return engine(f, width, spec)
+    ray = energy.ray_integral
 
-        monkeypatch.setattr(energy, name, counted)
+    def counted(f, scale, spec, **kwargs):
+        calls.append((scale, kwargs["gamma"]))
+        return ray(f, scale, spec, **kwargs)
+
+    monkeypatch.setattr(energy, "ray_integral", counted)
     for n in (1.5, 2.0, 4.0):
-        expected = [("decaying_halfline_integral", 1.0),
-                    ("cut_segment_integral", math.sqrt(n * n - 1.0))]
+        expected = [(math.sqrt(2.0), math.sqrt(n * n - 1.0))]
         for z0 in (1e-100, 0.37, 1.0, 2.9, 1e100):
             for fn in (second_order_shift, double_commutator_cnumber):
                 calls.clear()
@@ -244,18 +266,24 @@ def test_each_energy_sum_integrates_one_halfline_and_one_cut_at_unit_kappa(monke
 
 
 def test_inner_integrals_converge_at_their_first_level(monkeypatch):
-    # smooth integrands on both inner axes: the one half-line and the one
-    # cut-segment call at |k_par| = 1 stop at their initial panels (8 and 4
-    # of 15 nodes), so an endpoint singularity that forces bisection cannot
-    # come back unseen
-    seen = []
-    for name in ("decaying_halfline_integral", "cut_segment_integral"):
-        def counted(f, width, spec, engine=getattr(energy, name), name=name):
-            res = engine(f, width, spec)
-            seen.append((name, res.nodes_used / np.size(width)))
-            return res
+    # the ray's first panels graded from the nearer of the branch point
+    # i gamma and the TM pole -1/n, the cut's from the poles a distance
+    # asinh(1/gamma_d) from its ends: both stop at their initial panels in
+    # one integrand call, so a singularity that forces bisection cannot come
+    # back unseen
+    calls = []
+    ray = energy.ray_integral
 
-        monkeypatch.setattr(energy, name, counted)
-    shift = second_order_shift(1.0, Medium(2.0), 1.0, SPEC)
-    assert abs(shift.ratio - 0.375) < 1e-9
-    assert sorted(seen) == [("cut_segment_integral", 60), ("decaying_halfline_integral", 120)]
+    def counted(f, *args, **kwargs):
+        def body(k, rays):
+            calls.append((rays, k.shape[1] - rays))
+            return f(k, rays)
+
+        return ray(body, *args, **kwargs)
+
+    monkeypatch.setattr(energy, "ray_integral", counted)
+    for n in (1.5, 2.0, 4.0):
+        calls.clear()
+        shift = second_order_shift(1.0, Medium(n), 1.0, SPEC)
+        assert abs(shift.ratio - shift.expected_ratio) < 1e-9
+        assert len(calls) == 1 and all(calls[0])

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -643,11 +644,22 @@ def _body(body, medium, kap, sign=1.0):
 _AXIS_END = 40.0  # K s: where the real-axis route leaves the axis
 
 
+def _panels(f, breakpoints):
+    """int f over the panels of ``breakpoints`` by the engine's level rule
+    alone (spectral._refine over spectral._gauss_kronrod), one call f(x) a
+    level."""
+    lo, hi = np.asarray(breakpoints[:-1], float), np.asarray(breakpoints[1:], float)
+    total, error, nodes, capped = spectral._refine(
+        functools.partial(spectral._gauss_kronrod, lambda x, owner: f(x)), lo, hi,
+        np.zeros(len(lo), dtype=int), SPEC)
+    assert not capped[0]
+    return spectral.IntegralResult(total[0], float(error[0]), nodes)
+
+
 def _real_axis(f, scale):
     """int_0^K f(k, rays) dk on the real axis, K = _AXIS_END/scale, by panels:
     the value and the error."""
-    res = spectral.adaptive_panels(lambda k: f(k, k.shape[1]),
-                                   np.linspace(0.0, _AXIS_END / scale, 41), SPEC)
+    res = _panels(lambda k: f(k, k.shape[1]), np.linspace(0.0, _AXIS_END / scale, 41))
     return res.value, res.error_estimate
 
 
@@ -873,18 +885,13 @@ def test_thin_margin_gauge_difference_pair_within_its_estimate():
     assert observed <= res.error_estimate
 
 
-def test_profiles_never_call_the_levin_halfline(monkeypatch):
-    # spectral has no Levin half-line: every k_z profile integrates its
-    # travelling body on the damped ray, and every assembly its s contour,
-    # so with every other engine refused each still meets its reference
-    assert not hasattr(spectral, "halfline_oscillatory_integral")
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("an engine other than the ray called")
-
-    for name in ("adaptive_panels", "cut_segment_integral", "decaying_halfline_integral"):
-        assert not hasattr(kernels, name)
-        monkeypatch.setattr(spectral, name, refuse)
+def test_profiles_never_call_the_levin_halfline():
+    # spectral has no Levin half-line and no engine but the ray: every k_z
+    # profile integrates its travelling body on the damped ray, and every
+    # assembly its s contour, and each meets its reference
+    for name in ("halfline_oscillatory_integral", "adaptive_panels", "cut_segment_integral",
+                 "decaying_halfline_integral"):
+        assert not hasattr(spectral, name) and not hasattr(kernels, name)
     med = Medium(2.0)
     for kap, z, zp in [(1.3, 0.7, 0.4), (0.6, -0.8, 0.6)]:
         prof = kz_profile(med, kap, z, zp, SPEC)
@@ -1062,7 +1069,7 @@ def test_batch_cuts_equal_lone_kappa_cuts_bit_for_bit(profile, z, zp, n, monkeyp
     # a profile's run takes its ray and its cut in one node block a level,
     # but the cut refines its own panels to its own tolerance: across the
     # kappa panel, each run's cut is the lone cut, the run's body on the same
-    # first panels by adaptive_panels, bit for bit
+    # first panels by the level rule alone, bit for bit
     runs = []
     ray = kernels.ray_integral
 
@@ -1081,7 +1088,7 @@ def test_batch_cuts_equal_lone_kappa_cuts_bit_for_bit(profile, z, zp, n, monkeyp
         def cut(u, f=f, gamma=gamma):
             return spectral._weighted(f(1j * (gamma * np.sin(u)), 0), gamma * np.cos(u))
 
-        lone = spectral.adaptive_panels(cut, spectral._cut_breaks(cut_near), SPEC)
+        lone = _panels(cut, spectral._cut_breaks(cut_near))
         assert res.value.shape[0] == 2 and lone.nodes_used > 0
         assert np.array_equal(res.value[1], lone.value)
         assert res.entry_errors[1] == lone.error_estimate

@@ -3,6 +3,7 @@ and the package exports only names its modules declare public."""
 import ast
 import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -88,3 +89,30 @@ def test_each_quadrature_knob_has_one_config_key():
     found = [f"verification.py:{line}: {ast.unparse(b)}"
              for line, b in bounds["verification.py"] if _is_number(b)]
     assert found == [], "check bounds outside DEFAULT_TOLERANCES:\n" + "\n".join(found)
+
+
+def _spectral_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, name) of each name a module imports from ``.spectral``, and of
+    each import of the ``spectral`` module object itself (name 'spectral')."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [(node.lineno, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names
+            if node.module == "spectral" or (node.module is None and alias.name == "spectral")]
+
+
+def test_spectral_has_one_integrator():
+    # the quadrature engine has one entry point: the one public function of
+    # spectral that takes a QuadratureSpec is ray_integral, and no package
+    # module imports another integrating name, or the module itself
+    from halfspace_qed import spectral
+
+    integrators = [name for name in spectral.__all__
+                   if inspect.isfunction(getattr(spectral, name))
+                   and "spec" in inspect.signature(getattr(spectral, name)).parameters]
+    assert integrators == ["ray_integral"]
+    found = [f"{path.name}:{line}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "spectral.py"
+             for line, name in _spectral_imports(path) if name not in spectral.__all__]
+    assert found == [], "imports of other names from spectral:\n" + "\n".join(found)
+    assert "ray_integral" in {name for _, name in _spectral_imports(PACKAGE / "energy.py")}

@@ -356,12 +356,12 @@ def test_cli_energy_takes_any_height_with_a_finite_scale(capsys):
     ["energy", "sweep", "--n-grid", "2", "--z0-grid", "1"],
 ])
 def test_cli_reports_an_integral_that_misses_its_tolerance(monkeypatch, capsys, argv):
-    # a QuadratureError (energy shift --n 1e153 overflows the travelling body)
-    # is an error line and exit 1, not a traceback
-    def stalled(*args):
+    # a QuadratureError of the energy's engine run (one that stalls, say) is
+    # an error line and exit 1, not a traceback
+    def stalled(*args, **kwargs):
         raise QuadratureError("cut integral stalled at error 1e-3 after 800 panels")
 
-    monkeypatch.setattr(energy, "cut_segment_integral", stalled)
+    monkeypatch.setattr(energy, "ray_integral", stalled)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: cut integral stalled at error 1e-3 after 800 panels\n"
@@ -388,7 +388,7 @@ def test_cli_overflowing_integrand_is_one_error_line(tmp_path):
                           "--z0", "1"], capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 2
     assert run.stdout == ""
-    assert re.fullmatch(r"error: n must be at most 1\.1247e\+151, [^\n]*got n=1e\+153\n",
+    assert re.fullmatch(r"error: n must be at most 3\.5755e\+150, [^\n]*got n=1e\+153\n",
                         run.stderr)
 
 

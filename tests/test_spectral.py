@@ -13,10 +13,8 @@ from halfspace_qed.spectral import (
     IntegralResult,
     QuadratureError,
     QuadratureSpec,
-    cut_segment_integral,
-    decaying_halfline_integral,
-    decaying_halfline_last_node,
     ray_integral,
+    ray_last_node,
 )
 
 SPEC = QuadratureSpec()
@@ -32,9 +30,42 @@ def _halfline(f, scale, spec):
 
 def _damped_radial(f, damping, spec):
     """int_0^inf f(k) e^{-k damping} dk, a damped radial transform, on the
-    decaying half-line at the decay length 1/damping."""
-    return decaying_halfline_integral(lambda k: f(k) * np.exp(-damping * k), 1.0 / damping,
-                                      spec)
+    ray, where e^{-k damping} decays as e^{iks} does at s = damping."""
+    return _halfline(lambda k: f(k) * np.exp(-damping * k), damping, spec)
+
+
+def _decaying_halfline(f, scale, spec):
+    """int_0^inf f(k) dk of an algebraically decaying f analytic in the open
+    first quadrant, on the ray mapped by |k| = scale tan(v) (the energy's
+    layout at scale 1)."""
+    return _halfline(f, math.sqrt(2.0) / scale, spec)
+
+
+def _cut_segment(f, gamma, spec):
+    """int_0^Gamma f(t) dt, the cut of a ray run whose ray body is 0: its
+    cut columns carry t = Gamma sin(u) on the first panels _CUT_BREAKS."""
+    def body(k, rays):
+        out = np.zeros(k.shape, dtype=complex)
+        if rays < k.shape[1]:
+            out[:, rays:] = f(k.imag[:, rays:])
+        return out
+
+    res = ray_integral(body, 1.0, spec, gamma=gamma)
+    return IntegralResult(res.value[1], res.entry_errors[1], res.nodes_used)
+
+
+def _adaptive_panels(f, breakpoints, spec):
+    """The engine's level rule alone (spectral._refine over
+    spectral._gauss_kronrod) on one integral over the panels of
+    ``breakpoints``, one call f(x) a level, x of shape (15, panels); raises
+    QuadratureError at the panel cap."""
+    lo, hi = np.asarray(breakpoints[:-1], float), np.asarray(breakpoints[1:], float)
+    total, error, nodes, capped = spectral._refine(
+        functools.partial(spectral._gauss_kronrod, lambda x, owner: f(x)), lo, hi,
+        np.zeros(len(lo), dtype=int), spec)
+    if capped[0]:
+        raise QuadratureError(f"stalled at error {error[0]:.3e} after {spectral._MAX_PANELS} panels")
+    return IntegralResult(total[0], float(error[0]), nodes)
 
 
 def _sin_over_x(s):
@@ -85,13 +116,11 @@ def test_engines_reject_non_finite_geometry(bad):
     for near in (bad, -1.0, [1.0]):
         with pytest.raises(ValueError, match="near must be finite and >= 0"):
             ray_integral(refuse, 1.0, SPEC, near=near)
-    with pytest.raises(ValueError, match="gamma"):
-        cut_segment_integral(lambda t: t, bad, SPEC)
     for gamma in (bad, 0.0, -1.0, [1.0], np.array([1.0, 2.0])):
         with pytest.raises(ValueError, match="gamma must be finite and > 0"):
             ray_integral(refuse, 1.0, SPEC, gamma=gamma)
-    with pytest.raises(ValueError, match="scale"):
-        decaying_halfline_integral(np.exp, bad, SPEC)
+    with pytest.raises(ValueError, match="oscillation_scale"):
+        ray_last_node(bad)
 
 
 @pytest.mark.parametrize("bad", [True, "1.0", 1j, 1.0 + 0j], ids=["bool", "str", "complex",
@@ -107,8 +136,7 @@ def test_engines_reject_values_that_are_not_real_numbers_by_name(bad):
             ("oscillation_scale", lambda: ray_integral(refuse, bad, SPEC)),
             ("near", lambda: ray_integral(refuse, 1.0, SPEC, near=bad)),
             ("gamma", lambda: ray_integral(refuse, 1.0, SPEC, gamma=bad)),
-            ("gamma", lambda: cut_segment_integral(refuse, bad, SPEC)),
-            ("scale", lambda: decaying_halfline_integral(refuse, bad, SPEC)),
+            ("oscillation_scale", lambda: ray_last_node(bad)),
             ("cut_near", lambda: ray_integral(refuse, 1.0, SPEC, gamma=1.0, cut_near=(bad, 1.0))),
             ("cut_near", lambda: ray_integral(refuse, 1.0, SPEC, gamma=1.0, cut_near=(1.0, bad)))):
         with pytest.raises(ValueError, match=f"^{name} must be .*, got .*{re.escape(repr(bad))}"):
@@ -178,8 +206,8 @@ def test_oscillatory_nonconvergence_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("engine, args", [
-    (cut_segment_integral, (lambda t: 1.0 / t, 1.0, SPEC)),
-    (decaying_halfline_integral, (lambda k: 1.0 / (1.0 + k), 1.0, SPEC)),
+    (_cut_segment, (lambda t: 1.0 / t, 1.0, SPEC)),
+    (_decaying_halfline, (lambda k: 1.0 / (1.0 + k), 1.0, SPEC)),
     (_halfline, (lambda k: 1.0 / k, 1.0, SPEC)),
     (_damped_radial, (lambda k: 1.0 / k, 1.0, SPEC)),
 ], ids=["cut_segment", "decaying_halfline", "ray", "damped_radial"])
@@ -191,15 +219,14 @@ def test_divergent_integrals_raise(engine, args):
 
 
 def test_cut_segment_examples():
-    res = cut_segment_integral(lambda t: 1.0 / np.sqrt(1.0 - t * t), 1.0, SPEC)
+    res = _cut_segment(lambda t: 1.0 / np.sqrt(1.0 - t * t), 1.0, SPEC)
     assert abs(res.value - math.pi / 2) < 1e-12
-    res = cut_segment_integral(lambda t: t, 2.0, SPEC)
+    res = _cut_segment(lambda t: t, 2.0, SPEC)
     assert abs(res.value - 2.0) < 1e-13
-    res = cut_segment_integral(lambda t: np.zeros_like(t), 1.5, SPEC)
+    res = _cut_segment(lambda t: np.zeros_like(t), 1.5, SPEC)
     assert res.value == 0.0
-    assert cut_segment_integral(lambda t: t, 0.0, SPEC).value == 0.0
     for gamma in (1e-3, 50.0):
-        res = cut_segment_integral(lambda t: 1.0 / np.sqrt(gamma * gamma - t * t), gamma, SPEC)
+        res = _cut_segment(lambda t: 1.0 / np.sqrt(gamma * gamma - t * t), gamma, SPEC)
         assert abs(res.value - math.pi / 2) < 1e-12
 
 
@@ -211,29 +238,31 @@ def test_damped_radial_moment():
 
 
 def test_decaying_halfline():
-    res = decaying_halfline_integral(lambda k: 1.0 / (1.0 + k * k), 1.0, SPEC)
+    # every pole here (k = +-i, and k = -offset +- i scale) lies outside the
+    # open first quadrant, so the ray holds
+    res = _decaying_halfline(lambda k: 1.0 / (1.0 + k * k), 1.0, SPEC)
     assert abs(res.value - math.pi / 2) < 1e-12
-    res = decaying_halfline_integral(lambda k: np.exp(-(k + 2.0)), 1.0, SPEC)
+    res = _decaying_halfline(lambda k: np.exp(-(k + 2.0)), 1.0, SPEC)
     assert abs(res.value - math.exp(-2.0)) < 1e-12
     for scale, offset in ((1e-3, 0.0), (50.0, 2.0)):
-        res = decaying_halfline_integral(lambda k: scale / (scale * scale + (k + offset) ** 2),
-                                         scale, SPEC)
+        res = _decaying_halfline(lambda k: scale / (scale * scale + (k + offset) ** 2),
+                                 scale, SPEC)
         assert res.value == pytest.approx(math.pi / 2 - math.atan(offset / scale), rel=1e-9)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-3, 50.0])
 def test_decaying_halfline_last_node_is_the_largest_node_of_an_unsplit_run(scale):
-    # 1/(scale^2 + k^2) meets its tolerance at the first level, so the run
-    # calls f on exactly the first panels' nodes
+    # 1/(scale^2 + k^2) meets its tolerance at the first level, so the ray
+    # calls f on exactly the first panels' nodes, |k| = scale tan(v)
     seen = []
 
     def f(k):
         seen.append(k)
         return scale / (scale * scale + k * k)
 
-    decaying_halfline_integral(f, scale, SPEC)
+    _decaying_halfline(f, scale, SPEC)
     assert len(seen) == 1
-    assert decaying_halfline_last_node(scale) == seen[0].max()
+    assert ray_last_node(math.sqrt(2.0) / scale) == np.abs(seen[0]).max()
 
 
 def test_vector_valued_integrands():
@@ -264,8 +293,8 @@ def test_tightening_tolerance_stays_within_estimate():
         r1 = _halfline(f, s, loose)
         r2 = _halfline(f, s, tight)
         assert abs(r1.value - r2.value) <= r1.error_estimate
-    r1 = cut_segment_integral(lambda t: 1 / np.sqrt(4 - t * t), 2.0, loose)
-    r2 = cut_segment_integral(lambda t: 1 / np.sqrt(4 - t * t), 2.0, tight)
+    r1 = _cut_segment(lambda t: 1 / np.sqrt(4 - t * t), 2.0, loose)
+    r2 = _cut_segment(lambda t: 1 / np.sqrt(4 - t * t), 2.0, tight)
     assert abs(r1.value - r2.value) <= max(r1.error_estimate, 1e-15)
 
 
@@ -273,8 +302,8 @@ def test_deterministic_bit_identical():
     runs = [
         (functools.partial(ray_integral, gamma=1.5),
          (lambda k, rays: np.exp(0.7j * k) / (1 + (0.1 * k) ** 2), 0.7, SPEC)),
-        (cut_segment_integral, (lambda t: t / np.sqrt(2.25 - t * t), 1.5, SPEC)),
-        (decaying_halfline_integral, (lambda k: 3.0 / (9.0 + k * k), 3.0, SPEC)),
+        (_cut_segment, (lambda t: t / np.sqrt(2.25 - t * t), 1.5, SPEC)),
+        (_decaying_halfline, (lambda k: 3.0 / (9.0 + k * k), 3.0, SPEC)),
     ]
     for fn, args in runs:
         a = fn(*args)
@@ -450,7 +479,7 @@ def test_adaptive_panels_makes_one_integrand_call_per_level(f, breakpoints):
         calls.append(np.size(x))
         return f(x)
 
-    res = spectral.adaptive_panels(counted, breakpoints, SPEC)
+    res = _adaptive_panels(counted, breakpoints, SPEC)
     ref_value, ref_error, ref_calls, ref_panels = _reference_levels(f, breakpoints, SPEC)
     assert len(calls) == ref_calls > 2
     assert res.nodes_used == sum(calls) == 15 * ref_panels
@@ -469,17 +498,17 @@ def test_adaptive_panels_raises_at_the_panel_cap(monkeypatch):
         return 1.0 / x
 
     with pytest.raises(QuadratureError, match="stalled at error .* after 24 panels"):
-        spectral.adaptive_panels(divergent, np.linspace(0.0, 1.0, 5), SPEC)
+        _adaptive_panels(divergent, np.linspace(0.0, 1.0, 5), SPEC)
     # every split replaces one panel by two, and the cap bounds the leaves
     assert sum(evaluated) <= 4 + 2 * (24 - 4)
 
 
 @pytest.mark.parametrize("engine, args", [
-    (spectral.adaptive_panels, (np.linspace(0.0, 1.0, 5), SPEC)),
+    (_adaptive_panels, (np.linspace(0.0, 1.0, 5), SPEC)),
     (_halfline, (1.0, SPEC)),
     (ray_integral, (1.0, SPEC)),
-    (cut_segment_integral, (1.0, SPEC)),
-    (decaying_halfline_integral, (1.0, SPEC)),
+    (_cut_segment, (1.0, SPEC)),
+    (_decaying_halfline, (1.0, SPEC)),
     (_damped_radial, (1.0, SPEC)),
 ], ids=["adaptive_panels", "halfline", "ray", "cut_segment", "decaying_halfline",
         "damped_radial"])
@@ -501,12 +530,12 @@ def _ray_run(f, spec):
 
 
 @pytest.mark.parametrize("engine, f, args", [
-    (spectral.adaptive_panels, lambda x: 1.0 / (1e-3 + x * x), (np.linspace(-1.0, 1.0, 3), SPEC)),
+    (_adaptive_panels, lambda x: 1.0 / (1e-3 + x * x), (np.linspace(-1.0, 1.0, 3), SPEC)),
     (_halfline, lambda x: np.exp(1j * x) / (1.0 + x * x), (1.0, SPEC)),
     # a pole a distance 0.05 from the ray's origin: a run of more than one level
     (_ray_run, lambda x: np.exp(1j * x) / (0.05 + x), (SPEC,)),
-    (cut_segment_integral, np.sqrt, (2.0, SPEC)),
-    (decaying_halfline_integral, lambda k: np.sqrt(k) / (1.0 + k * k), (3.0, SPEC)),
+    (_cut_segment, np.sqrt, (2.0, SPEC)),
+    (_decaying_halfline, lambda k: np.sqrt(k) / (1.0 + k * k), (3.0, SPEC)),
     (_damped_radial, lambda k: np.sqrt(k), (0.8, SPEC)),
 ], ids=["adaptive_panels", "halfline", "ray", "cut_segment", "decaying_halfline",
         "damped_radial"])
@@ -600,8 +629,8 @@ def test_ray_gives_each_entry_its_own_panels():
     # the ray and its cut are integrals of their own: each refines only its
     # own panels, to the tolerance of its own max-norm.  A narrow ray beside
     # a broad cut, and a broad ray beside a narrow cut: adding the cut leaves
-    # the ray's panels and value as they were, and the cut reads the lone
-    # cut_segment_integral of its body bit for bit
+    # the ray's panels and value as they were, and the cut reads its body
+    # alone on the cut's first panels by the level rule, bit for bit
     for width, peak, gamma in ((0.05, 1.0, 2.0), (30.0, 0.01, 0.5)):
         alone_calls, calls = [], []
 
@@ -613,7 +642,9 @@ def test_ray_gives_each_entry_its_own_panels():
         both = ray_integral(_ray_and_cut(lambda k: _two_widths(k, width),
                                          lambda t: _peak(t, peak), calls), 1.0, SPEC, gamma=gamma)
         # complex, as the ray's columns make the run's block
-        cut = cut_segment_integral(lambda t: _peak(t, peak) + 0j, gamma, SPEC)
+        cut = _adaptive_panels(
+            lambda u: spectral._weighted(_peak(gamma * np.sin(u), peak) + 0j, gamma * np.cos(u)),
+            spectral._cut_breaks(None), SPEC)
         assert both.value.shape == (2, 2) and both.entry_errors.shape == (2,)
         assert [rays for rays, _ in calls if rays] == alone_calls
         assert np.array_equal(both.value[0], alone.value[0])
