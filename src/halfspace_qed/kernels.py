@@ -19,18 +19,14 @@ dyads uu, uz, zu, zz (TM) and vv (TE).  Profiles are normalised so that
 
 The two sides of the interface share one travelling k_z body (``kz_profile``):
 the side only picks its coefficients, rR or tR, the lead of the TM u-row,
-the scale of the TM dyads and the plane-wave phase.  The inner k_z
-quadrature (the travelling axis along the damped ray k_z = u e^{i pi/4}, the
-evanescent segment k_z = i t through the cut rule, both in one run of
-``spectral.ray_integral`` with the ray and the cut on panels of their own,
-every level one body call on both together) is the numerical path that the
-residue-theorem closed forms are verified against.  The bodies' branch
-points lie on the imaginary k_z axis; continued with the principal root of
-kzd, the TM denominator n^2 k_z + kzd vanishes at k_z = -kappa/n, on the
-negative real axis.  That pole is outside the first quadrant, so the ray
-holds, but it sets the scale of the body next to k_z = 0.  The first ray
-panel is graded from it, and the cut's end panels from it and from the TE
-pole at k_z = i kappa, just past the branch point (``_interface_profile``).
+the scale of the TM dyads and the plane-wave phase.  Every body has degree 0
+in (kappa, k_z) (below), so a profile at any kappa is its body at unit kappa,
+s = k_z/kappa, integrated with the phase e^{i kappa a(s)} over the s contour
+of the kernels (``_contour_part``): P(kappa; z, z') = kappa P(1; kappa z,
+kappa z').  That quadrature (the ray from s = i gamma/2, its mirror and the
+cut, in one run of ``spectral.ray_integral`` with the ray and the cut on
+panels of their own, every level one body call on both together) is the
+numerical path that the residue-theorem closed forms are verified against.
 
 The kappa and azimuth integrals of a kernel are closed.  Write k_z = kappa s.
 Every interface profile is P(kappa) = kappa int ds B(s) e^{i kappa a(s)}: the
@@ -70,28 +66,41 @@ rotated about z afterwards to restore the actual azimuth.  A kernel is
 kappa = 1: no Bessel function, truncation or tail bound is left.
 
 The s contour.  Swapping the kappa and s integrals needs Im a > 0, bounded
-away from 0, along the whole s path.  The fixed-kappa profiles run the ray
+away from 0, along the whole s path.  The plain route runs the ray
 s = u e^{i pi/4} from 0, its mirror s -> -conj(s) (the continuation of the
 k_z < 0 half axis, where k_zd is minus the principal root) and the body's
 jump across the cut s = i t, 0 < t < gamma = sqrt(n^2 - 1)/n.  From s = 0
 the pieces diverge: above the interface a(0) = 0, so at rho = 0 the weight
 W_1 = -4 pi i/a^3 goes like 1/s^3; below it a(0) = sqrt(n^2 - 1)|z| equals rho at
-rho = sqrt(n^2 - 1)|z|, where w = 0.  But at fixed kappa each side's body is
-analytic next to the lower end of the cut (its singularities are the branch
-point s = i gamma, the poles of 1/|k|^2 and of the TE coefficient at s = i,
-and the TM poles at s = -+1/n), so the corner is cut before kappa is swapped
-in: the contour is the ray s = i gamma/2 + u e^{i pi/4}, its mirror and the
-jump on t in [gamma/2, gamma] only.  On it Im a >= (gamma/2) z' > 0.  At
-n = 1 there is no cut and the ray starts at i/2, below the pole at s = i.
+rho = sqrt(n^2 - 1)|z|, where w = 0.  But each side's body is analytic next
+to the lower end of the cut (its singularities are the branch point
+s = i gamma, the poles of 1/|k|^2 and of the TE coefficient at s = i, and
+the TM poles at s = -+1/n), so the corner is cut before kappa is swapped in:
+the contour is the ray s = i gamma/2 + u e^{i pi/4}, its mirror and the jump
+on t in [gamma/2, gamma] only.  On it Im a >= (gamma/2) z' > 0.  At n = 1
+there is no cut and the ray starts at i/2, below the pole at s = i.  Once
+gamma rounds to 1 (n > 7e7) the cut ends on those poles, so its |k|^2 and
+k_zd are formed from gamma - t as the map gives it (``_ray_cut_block``).
+
+The profiles take the same contour at their own kappa.  A reflected or
+transmitted body tends to a constant times e^{i kappa a(s)} at large |s|, so
+from s = 0 its ray and mirror are O(1/(z + z')) each and cancel down to a
+profile of O(kappa e^{-kappa (z + z')}); from i gamma/2 every piece is
+already damped by e^{-kappa gamma z'/2}.  Its first ray panel is graded from
+gamma/4, half the distance of the branch point that a kernel's is graded
+from: with gamma/2 about a quarter of the benchmark's profiles split that
+panel at a second level.
 
 For the reflected and transmitted parts the mirror is the plain conjugate
 of the ray in all five aligned entries: the body goes to _PARITY times its
 conjugate, a to -conj(a), and W to conj(W) except W_c, which goes to
--conj(W_c) and so cancels the parity sign of uz and zu.  The
-gauge-difference body has no parity sign: its mirror is the Schwarz partner
-of its e^{-i k_z z'} terms, so its xz and zx entries take -conj
-(``_MIRROR``).  Its cut body, the evanescent left-incident modes, is the
-jump of its travelling body across the cut, so the same contour serves it.
+-conj(W_c) and so cancels the parity sign of uz and zu; a profile, which
+has no weights, takes _PARITY times the conjugate.  The gauge-difference
+body has no parity sign: its mirror is the Schwarz partner of its
+e^{-i k_z z'} terms, so its xz and zx entries take -conj (``_MIRROR``), and
+its profile's entries the plain conjugate.  Its cut body, the evanescent
+left-incident modes, is the jump of its travelling body across the cut, so
+the same contour serves it.
 """
 from __future__ import annotations
 
@@ -105,7 +114,7 @@ import numpy as np
 
 from .fresnel import fresnel_coefficients
 from .greens import GreenVariant, PointPair, grad_grad_green_tensor, image_grad_grad_tensor
-from .medium import Medium, Polarization, Side, evanescent_threshold
+from .medium import Medium, Polarization, Side
 from .modes import chi_mode_coefficient, sigma_mode_coefficient, surface_charge_mode
 from .spectral import IntegralResult, QuadratureSpec, ray_integral
 
@@ -125,8 +134,10 @@ __all__ = [
 ]
 
 _TWO_PI_CUBED = (2.0 * math.pi) ** 3
-# The least kappa > 0 of a profile.  Below about 1e-150 kappa^2 and the cut's
-# kappa^2 - t^2 underflow; from 1e-140 up the profiles integrate (n <= 1e4).
+# The least kappa > 0 of a profile.  The body runs at unit kappa, so kappa^2
+# no longer underflows, but the ray's far nodes s ~ 1e4/(kappa (|z| + z'))
+# square past the float range below about kappa (|z| + z') = 1e-150; from
+# 1e-148 up the profiles integrate (n <= 1e4, heights of order 1).
 _KAPPA_MIN = 1e-100
 
 
@@ -159,15 +170,15 @@ class KernelAssembly:
 _PARITY = np.array([1.0, -1.0, -1.0, 1.0, 1.0])
 
 
-def _kz_dyads(medium: Medium, above: bool, kz: np.ndarray, kzd: np.ndarray, kap,
+def _kz_dyads(medium: Medium, above: bool, kz: np.ndarray, kzd: np.ndarray,
               kmag2: np.ndarray, phase) -> np.ndarray:
-    """The dyads [uu, uz, zu, zz, vv] of the travelling k_z body, component
-    first: (rR, -k_z, |k|^2) for z >= 0 and (tR, k_zd, n |k|^2) below as the
-    amplitudes, TM u-row lead and TM dyad scale, times ``phase`` (the
-    profile's plane-wave phase, 1 where the weights of the closed kappa
-    integral apply it)."""
-    tm = fresnel_coefficients(medium, Polarization.TM, kap, kz, kzd)
-    te = fresnel_coefficients(medium, Polarization.TE, kap, kz, kzd)
+    """The dyads [uu, uz, zu, zz, vv] of the travelling k_z body at unit
+    kappa, component first: (rR, -k_z, |k|^2) for z >= 0 and (tR, k_zd,
+    n |k|^2) below as the amplitudes, TM u-row lead and TM dyad scale, times
+    ``phase`` (kappa e^{i kappa a(s)} in a profile, 1 where the weights of
+    the closed kappa integral apply it)."""
+    tm = fresnel_coefficients(medium, Polarization.TM, 1.0, kz, kzd)
+    te = fresnel_coefficients(medium, Polarization.TE, 1.0, kz, kzd)
     if above:
         ctm, cte, lead, scale = tm.rR, te.rR, -kz, kmag2
     else:
@@ -178,63 +189,54 @@ def _kz_dyads(medium: Medium, above: bool, kz: np.ndarray, kzd: np.ndarray, kap,
     del tm, te
     common = ctm * phase
     common /= scale
-    out = np.empty((5,) + np.broadcast(common, kap).shape, dtype=complex)
+    out = np.empty((5,) + common.shape, dtype=complex)
     np.multiply(cte, phase, out=out[4])
     del ctm, cte, phase
-    for i, row in ((0, lead), (2, kap)):  # [uu, uz], then [zu, zz]
-        head = common * row
-        np.multiply(head, kz, out=out[i])
-        np.multiply(head, kap, out=out[i + 1])
-        del head
+    head = common * lead
+    np.multiply(head, kz, out=out[0])  # [uu, uz] = common lead [k_z, 1]
+    out[1] = head
+    del head
+    np.multiply(common, kz, out=out[2])  # [zu, zz] = common [k_z, 1]
+    out[3] = common
     return out
 
 
-def _gauge_terms(medium: Medium, k: np.ndarray, kzd: np.ndarray, kap,
+def _gauge_terms(medium: Medium, k: np.ndarray, kzd: np.ndarray,
                  common: np.ndarray) -> np.ndarray:
-    """The gauge-difference travelling body, component first: [ju, jz] of the
-    right-incident modes plus the travelling left-incident ones by dk_z
-    (n^2 (k/kzd) tL/n = n tR), then of the Schwarz partners of their
-    e^{-ik z'} terms, times ``common`` (e^{ik z'}/|k|^2 in the profile,
-    1/|k|^2 under the closed kappa weights)."""
+    """The gauge-difference travelling body at unit kappa, component first:
+    [ju, jz] of the right-incident modes plus the travelling left-incident
+    ones by dk_z (n^2 (k/kzd) tL/n = n tR), then of the Schwarz partners of
+    their e^{-ik z'} terms, times ``common`` (e^{i kappa s z'}/|k|^2 in the
+    profile, 1/|k|^2 under the closed kappa weights)."""
     n = medium.n
-    tm = fresnel_coefficients(medium, Polarization.TM, kap, k, kzd)
+    tm = fresnel_coefficients(medium, Polarization.TM, 1.0, k, kzd)
     right = surface_charge_mode(medium, Side.RIGHT, tm)
     back = surface_charge_mode(medium, Side.LEFT, tm) * (n * tm.tR)
     back += right * tm.rR
     back *= common
     right *= common
     out = np.empty((4,) + back.shape, dtype=complex)
-    for i, (term, factor) in enumerate(((right, -k), (right, -kap), (back, k), (back, -kap))):
+    for i, (term, factor) in enumerate(((right, -k), (right, -1.0), (back, k), (back, -1.0))):
         np.multiply(term, factor, out=out[i])
     return out
 
 
-def _gauge_evanescent_terms(medium: Medium, t: np.ndarray, kzd: np.ndarray, kap,
+def _gauge_evanescent_terms(medium: Medium, t: np.ndarray, kzd: np.ndarray,
                             damp: np.ndarray) -> np.ndarray:
-    """[ju, jz] of the evanescent left-incident modes on the cut k_z = i t,
-    component first: on the cut n^2 (t/kzd) tL*/n = i n tR*, free of 1/kzd,
-    so one common factor g tR* ``damp`` (e^{-t z'}/|k|^2 in the profile,
-    1/|k|^2 under the closed kappa weights), the i n folded into each term's
-    factor."""
+    """[ju, jz] of the evanescent left-incident modes on the cut s = i t at
+    unit kappa, component first: on the cut n^2 (t/kzd) tL*/n = i n tR*,
+    free of 1/kzd, so one common factor g tR* ``damp`` (e^{-kappa t z'}/|k|^2
+    in the profile, 1/|k|^2 under the closed kappa weights), the i n folded
+    into each term's factor."""
     n = medium.n
-    tm = fresnel_coefficients(medium, Polarization.TM, kap, 1j * t, kzd)
+    tm = fresnel_coefficients(medium, Polarization.TM, 1.0, 1j * t, kzd)
     common = surface_charge_mode(medium, Side.LEFT, tm)
     common *= np.conj(tm.tR)
     common *= damp
     out = np.empty((2,) + common.shape, dtype=complex)
     np.multiply(common, n * t, out=out[0])  # i n (-i t)
-    np.multiply(common, -1j * n * kap, out=out[1])  # i n (-kappa)
+    np.multiply(common, -1j * n, out=out[1])  # i n (-1)
     return out
-
-
-def _cut_scales(n: float) -> tuple[float, float]:
-    """Where the cut t = Gamma sin(u) of an interface body varies fastest, the
-    same u for every kappa: the TM shoulder t = kappa/n at u = asin(1/sqrt(n^2-1))
-    (inside the cut for n > sqrt 2), and the TE pole t = kappa just past the
-    branch point, at distance acosh(n/sqrt(n^2-1)) from u = pi/2."""
-    gap = math.sqrt(n * n - 1.0)
-    low = math.asin(1.0 / gap) if gap > 1.0 else math.inf
-    return low, (math.acosh(n / gap) if gap > 0.0 else math.inf)
 
 
 def _components_last(terms: np.ndarray) -> np.ndarray:
@@ -242,81 +244,78 @@ def _components_last(terms: np.ndarray) -> np.ndarray:
     return terms.transpose(*range(1, terms.ndim), 0)
 
 
-def _ray_cut_block(k: np.ndarray, rays: int, n: float, kap: float, shift: float,
+def _ray_cut_block(k: np.ndarray, rays: int, n: float, gamma: float, start: float,
                    body: Callable, cut: Callable | None, parity) -> np.ndarray:
-    """The values of an interface body at kappa ``kap`` on one
-    ``ray_integral`` level's node block k, its ``rays`` ray columns first
-    and its cut columns k = i t after them.  One call body(s, kzd, kappa,
-    |k|^2) gets s = k + i ``shift`` on the rays (kzd the principal root of
-    n^2 s^2 + (n^2 - 1) kappa^2) and s = i (t + shift) on the cut
-    (kzd >= 0), whose columns then hold the jump across the cut,
-    -i [F - ``parity`` conj F] of the value F there.  With ``cut`` the body
-    gets the rays alone and cut(t + shift, kzd, kappa, |k|^2) the cut, its
-    trailing components padded by 0."""
-    kap2, gap2 = kap * kap, (n * n - 1.0) * kap * kap
-    s, t = k[:, :rays] + 1j * shift, k.imag[:, rays:] + shift
-    kzd = np.sqrt(n * n * s * s + gap2)
-    cut_kzd = np.sqrt(np.maximum(gap2 - n * n * t * t, 0.0))
+    """The values of an interface body at unit kappa on one ``ray_integral``
+    level's node block k, its ``rays`` ray columns first and its cut columns
+    after them.  One call body(s, kzd, |k|^2) gets s = k + i ``start`` on the
+    rays (kzd = n sqrt(s^2 + ``gamma``^2), the principal root of
+    n^2 s^2 + n^2 - 1 with no n^2 s^2 to overflow at large n) and s = i t,
+    t = ``start`` + Im k, on the cut (kzd >= 0), whose columns then hold the
+    jump across the cut, -i [F - ``parity`` conj F] of the value F there.
+    With ``cut`` the body gets the rays alone and cut(t, kzd, |k|^2) the cut,
+    its trailing components padded by 0.
+
+    For n > 1 the cut runs from ``start`` = gamma/2 to the branch point, and
+    gamma^2 - t^2 is formed as (gamma - t)(gamma + t), with gamma - t =
+    ``start`` - Im k straight from the map: then |k|^2 = 1 - t^2 =
+    1/n^2 + gamma^2 - t^2 and kzd = n sqrt(gamma^2 - t^2), neither of which
+    cancels to 0 once gamma rounds to 1 (n > 7e7)."""
+    s, x = k[:, :rays] + 1j * start, k.imag[:, rays:]
+    t = start + x
+    gap = (start - x) * (gamma + t)
+    s2 = s * s
+    kzd, cut_kzd = n * np.sqrt(s2 + gamma * gamma), n * np.sqrt(gap)
+    kmag2, cut_kmag2 = 1.0 + s2, 1.0 / (n * n) + gap
     if cut is not None:
-        ray = body(s, kzd, kap, kap2 + s * s)
-        jump = cut(t, cut_kzd, kap, kap2 - t * t)
+        ray = body(s, kzd, kmag2)
+        jump = cut(t, cut_kzd, cut_kmag2)
         block = np.zeros(k.shape + ray.shape[2:], dtype=complex)
         block[:, :rays], block[:, rays:, :jump.shape[-1]] = ray, jump
         return block
-    # k^2 = -t^2 exactly on the cut, so |k|^2 there is kappa^2 - t^2
-    s = np.concatenate((s, 1j * t), axis=1)
-    block = body(s, np.concatenate((kzd, cut_kzd), axis=1), kap, kap2 + s * s)
+    block = body(*(np.concatenate(pair, axis=1) for pair in
+                   ((s, 1j * t), (kzd, cut_kzd), (kmag2, cut_kmag2))))
     jump = block[:, rays:]
     jump[...] = -1j * (jump - parity * np.conj(jump))
     return block
 
 
-def _interface_profile(medium: Medium, kap: float, scale: float, travelling: Callable,
-                       spec: QuadratureSpec, evanescent: Callable | None = None) -> IntegralResult:
-    """Travelling axis plus evanescent segment of an interface profile at
-    one kappa > 0, in one engine run: the ray and the cut k_z = i t,
-    0 < t < Gamma, are integrals of their own, refined level by level on
-    their own panels, and each level is one call of the run's body on both.
-    ``travelling`` gets (kz, kzd, kappa, kmag2) for k_z > 0 and its
-    continuation into the first quadrant, where it goes like
-    e^{i k_z scale}; its k_z > 0 integral is taken on the damped ray.
-    Without ``evanescent`` the profile integrates ``travelling`` over the
-    whole real k_z axis: the k_z < 0 half adds _PARITY times the conjugate
-    of the k_z > 0 integral, and the cut holds the body's jump across it,
-    -i [f(it, kzd) - f(it, -kzd)] = -i [F - _PARITY conj F] of its value F
-    at kzd >= 0 (``_ray_cut_block`` gives both from one call).  Such a body
-    is O(1) at large |k_z|, so its ray starts on the finer layout
-    (``flat``).  With ``evanescent``, which gets (t, kzd, kappa, kmag2) on
-    the cut columns, the profile is the k_z > 0 integral plus the cut
-    integral of that body: no mirror, no jump.  Its travelling body then
-    returns [the terms in e^{+i k_z z'}, the Schwarz partners of the terms
-    in e^{-i k_z z'}]: a partner has e^{+i k_z z'} in place of e^{-i k_z z'},
-    and as the coefficients are real on the travelling axis, a term's
-    k_z > 0 integral is the conjugate of its partner's; the cut's two
-    trailing components read 0.  Either way the ray's error doubles, and
-    the profile's error is 2 ray + cut.
-
-    Continued with the principal root of kzd, every interface body has the TM
-    pole n^2 k_z + kzd = 0 at k_z = -kappa/n: outside the first quadrant, so
-    the ray holds, but a distance kappa/n from its origin, so the first ray
-    panel is graded from that scale (``near``).  The cut gets the graded
-    first and last panels of ``_cut_scales``."""
+def _contour_part(medium: Medium, scale: float, spec: QuadratureSpec, body: Callable,
+                  mirror, jump: Callable | None = None, near: float = 1.0) -> IntegralResult:
+    """One interface integral over the s contour of the module docstring, in
+    one ``ray_integral`` run, each level one ``_ray_cut_block`` of ``body``
+    (and ``jump``) at unit kappa: the ray s = i gamma/2 + u e^{i pi/4} (kzd
+    on the principal root), its mirror and the jump on the cut s = i t,
+    gamma/2 < t < gamma (kzd >= 0).  The cut runs as the engine's cut of
+    Gamma = gamma/2 shifted up by gamma/2, so that its sin map meets the
+    branch point.  Without ``jump`` the body's entries are the result's: the
+    mirror adds ``mirror`` times the conjugate of the ray, and the cut holds
+    the jump -i [F - ``mirror`` conj F] of the body's value F there.  With
+    ``jump`` the body returns its terms and then as many Schwarz partners,
+    whose conjugates, times ``mirror``, are the mirror, and the cut is
+    ``jump``'s.
+    The ray's map scale is ``scale``, the growth rate of Im a along it (up
+    to the k_zd term).  It starts on the finer layout, on which most rays
+    converge at their first level; its first panel is graded from ``near``
+    times gamma/2, the distance of the branch point, and the cut's last from
+    the poles at s = i.  The error is 2 ray + cut."""
     n = medium.n
+    gamma = math.sqrt(n * n - 1.0) / n
+    start = 0.5 * gamma if n > 1.0 else 0.5
 
-    def body(k: np.ndarray, rays: int) -> np.ndarray:
-        return _ray_cut_block(k, rays, n, kap, 0.0, travelling, evanescent, _PARITY)
+    def on_block(k: np.ndarray, rays: int) -> np.ndarray:
+        return _ray_cut_block(k, rays, n, gamma, start, body, jump, mirror)
 
-    res = ray_integral(body, scale, spec, near=kap / n,
-                       gamma=evanescent_threshold(medium, kap) if n > 1.0 else None,
-                       cut_near=_cut_scales(n), flat=evanescent is None)
-    ray, err = res.value[0], 2.0 * res.entry_errors[0]
-    if evanescent is None:
-        value = ray + _PARITY * np.conj(ray)
-    else:
-        half = len(ray) // 2
-        value = ray[:half] + np.conj(ray[half:])
-    if len(res.value) > 1:
-        value, err = value + res.value[1, :len(value)], err + res.entry_errors[1]
+    # the poles at s = i sit at u = pi/2 + i acosh(2/gamma - 1) of t = gamma (1 + sin u)/2
+    res = ray_integral(on_block, scale, spec, near=near * start,
+                       gamma=start if n > 1.0 else None,
+                       cut_near=(math.inf, math.acosh(2.0 / gamma - 1.0)) if n > 1.0 else None,
+                       flat=True)
+    ray = res.value[0]
+    width = len(ray) if jump is None else len(ray) // 2
+    value, err = ray[:width] + mirror * np.conj(ray[-width:]), 2.0 * res.entry_errors[0]
+    if n > 1.0:
+        value, err = value + res.value[1, :width], err + res.entry_errors[1]
     return IntegralResult(value, float(err), res.nodes_used)
 
 
@@ -329,23 +328,25 @@ def _gauge_difference_profile(medium: Medium, kap: float, z: float, zp: float,
     go on the ray as their Schwarz partners.  The cut holds the evanescent
     left-incident modes, written on their own; they equal the body's jump
     across the cut, with its e^{-ik_z z'} terms continued through k_z < 0
-    (``_gauge_part`` relies on that)."""
+    (``_gauge_part`` relies on that).  [ju, jz] has degree 0 in (kappa, k_z),
+    so it is the s contour of the bodies at unit kappa with the phase
+    e^{i kappa s z'}, its front i kappa e^{-kappa |z|} set apart."""
     kap = _check_point(kap, z, zp)
     n = medium.n
     if n == 1.0 or kap == 0.0:
         return IntegralResult(np.zeros(5, dtype=complex), 0.0, 0)
+    height = kap * zp
 
-    def travelling(k: np.ndarray, kzd: np.ndarray, kap: float, kmag2: np.ndarray) -> np.ndarray:
-        common = np.exp(1j * zp * k)
+    def body(s: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
+        common = np.exp(1j * height * s)
         common /= kmag2
-        return _components_last(_gauge_terms(medium, k, kzd, kap, common))
+        return _components_last(_gauge_terms(medium, s, kzd, common))
 
-    def left_evanescent(t: np.ndarray, kzd: np.ndarray, kap: float,
-                        kmag2: np.ndarray) -> np.ndarray:
-        return _components_last(
-            _gauge_evanescent_terms(medium, t, kzd, kap, np.exp(-zp * t) / kmag2))
+    def jump(t: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
+        return _components_last(_gauge_evanescent_terms(medium, t, kzd,
+                                                        np.exp(-height * t) / kmag2))
 
-    j = _interface_profile(medium, kap, zp, travelling, spec, left_evanescent)
+    j = _contour_part(medium, height, spec, body, 1.0, jump, near=0.5)
     ju, jz = j.value
     sgn = 1.0 if z >= 0.0 else -1.0
     # (2 pi)^{3/2} undoes g's mode normalisation; the profile measure has the (2 pi)^{-3}
@@ -380,19 +381,21 @@ def kz_profile(medium: Medium, kap: float, z: float, zp: float,
     """The k_z-integrated kernel profile at fixed kappa: reflected for z >= 0,
     transmitted below.  One travelling body serves both; the side picks its
     amplitudes, TM u-row lead, TM dyad scale and phase: (rR, -k_z, |k|^2,
-    e^{i k_z (z + z')}) for z >= 0, (tR, k_zd, n |k|^2, e^{-i k_zd z + i k_z z'}) below."""
+    e^{i k_z (z + z')}) for z >= 0, (tR, k_zd, n |k|^2, e^{-i k_zd z + i k_z z'})
+    below.  The body has degree 0 in (kappa, k_z), so with k_z = kappa s the
+    profile is the s contour of kappa ds times the body at unit kappa and the
+    phase e^{i kappa a(s)}: P(kappa; z, z') = kappa P(1; kappa z, kappa z')."""
     kap = _check_point(kap, z, zp)
-    n = medium.n
     above = z >= 0.0
-    if (above and n == 1.0) or kap == 0.0:
+    if (above and medium.n == 1.0) or kap == 0.0:
         return IntegralResult(np.zeros(5, dtype=complex), 0.0, 0)
-    s = z + zp if above else n * abs(z) + zp
+    depth, height = kap * abs(z), kap * zp
 
-    def travelling(kz: np.ndarray, kzd: np.ndarray, kap: float, kmag2: np.ndarray) -> np.ndarray:
-        phase = np.exp(1j * kz * s) if above else np.exp(-1j * kzd * z + 1j * kz * zp)
-        return _components_last(_kz_dyads(medium, above, kz, kzd, kap, kmag2, phase))
+    def body(s: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
+        a = s * (depth + height) if above else kzd * depth + s * height
+        return _components_last(_kz_dyads(medium, above, s, kzd, kmag2, kap * np.exp(1j * a)))
 
-    return _interface_profile(medium, kap, s, travelling, spec)
+    return _contour_part(medium, depth + height, spec, body, _PARITY, near=0.5)
 
 
 def residue_profile(medium: Medium, kap: float, z: float, zp: float) -> np.ndarray:
@@ -475,53 +478,17 @@ def _aligned(weights: tuple, uu, uz, zu, zz, vv) -> np.ndarray:
     return np.stack([cc * uu + ss * vv, ss * uu + cc * vv, one * zz, c * uz, c * zu], axis=-1)
 
 
-def _contour_part(medium: Medium, z: float, zp: float, spec: QuadratureSpec,
-                  body: Callable, mirror, jump: Callable | None = None) -> IntegralResult:
-    """One interface part of a kernel, its aligned entries integrated over
-    the s contour of the module docstring in one ``ray_integral`` run, each
-    level one ``_ray_cut_block`` of ``body`` (and ``jump``) at kappa = 1:
-    the ray s = i gamma/2 + u e^{i pi/4} (kzd on the principal root), its
-    mirror as ``mirror`` times the conjugate of the ray's last five entries,
-    and the jump on the cut s = i t, gamma/2 < t < gamma (kzd >= 0).  The
-    cut runs as the engine's cut of Gamma = gamma/2 shifted up by gamma/2,
-    so that its sin map meets the branch point.  Without ``jump`` the cut's
-    jump is -i [F - conj F] of the body's value F there (the mirror of the
-    reflected and transmitted parts is the plain conjugate).
-    The ray's map scale is |z| + z', the growth rate of Im a along it (up to
-    the k_zd term).  It starts on the finer layout, on which most rays
-    converge at their first level; its first panel is graded from the branch
-    point, a distance gamma/2 away, and the cut's last from the poles at
-    s = i.  The error is 2 ray + cut."""
-    n = medium.n
-    gamma = math.sqrt(n * n - 1.0) / n
-    start = 0.5 * gamma if n > 1.0 else 0.5
-
-    def on_block(k: np.ndarray, rays: int) -> np.ndarray:
-        return _ray_cut_block(k, rays, n, 1.0, start, body, jump, 1.0)
-
-    # the poles at s = i sit at u = pi/2 + i acosh(2/gamma - 1) of t = gamma (1 + sin u)/2
-    res = ray_integral(on_block, abs(z) + zp, spec, near=start,
-                       gamma=start if n > 1.0 else None,
-                       cut_near=(math.inf, math.acosh(2.0 / gamma - 1.0)) if n > 1.0 else None,
-                       flat=True)
-    ray = res.value[0]
-    value, err = ray[:5] + mirror * np.conj(ray[-5:]), 2.0 * res.entry_errors[0]
-    if n > 1.0:
-        value, err = value + res.value[1, :5], err + res.entry_errors[1]
-    return IntegralResult(value, float(err), res.nodes_used)
-
-
 def _kz_part(medium: Medium, z: float, zp: float, rho: float,
              spec: QuadratureSpec) -> IntegralResult:
     """The reflected (z >= 0) or transmitted part of the generalized kernel,
     aligned: the k_z body of ``kz_profile`` at kappa = 1 under the weights."""
     above = z >= 0.0
 
-    def body(s: np.ndarray, kzd: np.ndarray, kap: float, kmag2: np.ndarray) -> np.ndarray:
+    def body(s: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
         a = s * (z + zp) if above else kzd * abs(z) + s * zp
-        return _aligned(_weights(a, rho), *_kz_dyads(medium, above, s, kzd, kap, kmag2, 1.0))
+        return _aligned(_weights(a, rho), *_kz_dyads(medium, above, s, kzd, kmag2, 1.0))
 
-    return _contour_part(medium, z, zp, spec, body, 1.0)
+    return _contour_part(medium, abs(z) + zp, spec, body, 1.0)
 
 
 def _gauge_part(medium: Medium, z: float, zp: float, rho: float,
@@ -533,17 +500,17 @@ def _gauge_part(medium: Medium, z: float, zp: float, rho: float,
     if medium.n == 1.0:
         return IntegralResult(np.zeros(5, dtype=complex), 0.0, 0)
 
-    def body(s: np.ndarray, kzd: np.ndarray, kap: float, kmag2: np.ndarray) -> np.ndarray:
+    def body(s: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
         w = _weights(s * zp + 1j * abs(z), rho)
-        ru, rz, bu, bz = _gauge_terms(medium, s, kzd, kap, 1.0 / kmag2)
+        ru, rz, bu, bz = _gauge_terms(medium, s, kzd, 1.0 / kmag2)
         return np.concatenate([_aligned(w, ru, rz, ru, rz, 0.0),
                                _aligned(w, bu, bz, bu, bz, 0.0)], axis=-1)
 
-    def jump(t: np.ndarray, kzd: np.ndarray, kap: float, kmag2: np.ndarray) -> np.ndarray:
-        ju, jz = _gauge_evanescent_terms(medium, t, kzd, kap, 1.0 / kmag2)
+    def jump(t: np.ndarray, kzd: np.ndarray, kmag2: np.ndarray) -> np.ndarray:
+        ju, jz = _gauge_evanescent_terms(medium, t, kzd, 1.0 / kmag2)
         return _aligned(_weights(1j * (t * zp + abs(z)), rho), ju, jz, ju, jz, 0.0)
 
-    res = _contour_part(medium, z, zp, spec, body, _MIRROR, jump)
+    res = _contour_part(medium, abs(z) + zp, spec, body, _MIRROR, jump)
     sgn = 1.0 if z >= 0.0 else -1.0
     front = math.sqrt(_TWO_PI_CUBED)
     return IntegralResult(front * np.array([1j, 1j, -sgn, 1j, -sgn]) * res.value,

@@ -30,26 +30,26 @@ is not finite raises :class:`QuadratureError` at once, naming the panel.
    to a constant at large |k| (the reflected and transmitted profiles) also
    starts on the panels that level adds, at x = 0.56, 5.35, 10.68 and 32.03,
    and mostly converges on them.  A singularity next to the ray's origin
-   (that TM pole, a distance kappa/n away) sets the scale on which f varies
-   near k = 0, so a ray given such a scale has its first panel split at
-   x_e 2^j below x = 0.3, x_e = (kappa/n) s sin theta.  The map serves a
-   body that decays algebraically along the ray as well, with s setting only
-   the map's scale: the kernels' s contour (|k|^-3, whose kappa integral is
-   closed, in ``kernels``) and the energy's mode sums (|k|^-2, real on the
-   real axis, so that |g|^2 = g^2 there continues into the quadrant, in
-   ``energy``).  The numerical path stays independent of any residue
-   evaluation.  The same run integrates the ray's branch-cut segment
+   (for the interface bodies of ``kernels`` the branch point, a distance
+   gamma/2 from the start of their s contour) sets the scale on which f
+   varies near k = 0, so a ray given such a scale ``near`` has its first
+   panel split at x_e 2^j below x = 0.3, x_e = near s sin theta.  The map
+   serves a body that decays algebraically along the ray as well, with s
+   setting only the map's scale: the kernels' s contour (|k|^-3, whose kappa
+   integral is closed, in ``kernels``) and the energy's mode sums (|k|^-2,
+   real on the real axis, so that |g|^2 = g^2 there continues into the
+   quadrant, in ``energy``).  The numerical path stays independent of any
+   residue evaluation.  The same run integrates the ray's branch-cut segment
    (class 2), if it has one, on panels of its own in the same node blocks.
 
 2. Branch-cut (evanescent) segment integrals over t in (0, Gamma) with an
    integrable 1/sqrt(Gamma^2 - t^2) endpoint factor: the segment is always
    mapped by the trigonometric substitution t = Gamma*sin(u), which removes
    the endpoint behaviour, then adaptive panels finish the job.  They start
-   on four equal panels in u.  The cut of a k_z profile rides in its ray
+   on four equal panels in u.  The cut of an s contour rides in its ray
    run on its own panels; there near-singularity scales at either end (for
-   an interface body the TM shoulder at t = kappa/n, the scale of that TM
-   pole, and the TE pole at t = kappa, just past the branch point, both at
-   a u that does not depend on kappa) split the end panels at geometric
+   an interface body, whose cut runs from gamma/2 up to the branch point,
+   the poles at s = i just past that end) split the end panels at geometric
    breaks towards them and halve the panel at each such end, the one a
    second level would split: such a cut mostly converges at its first level.
    The cut columns are the run's own integral, whatever the body makes of

@@ -151,7 +151,8 @@ def test_scalar_and_array_kappa_are_rejected_in_the_same_words(bad):
 @pytest.mark.parametrize("z", [0.5, -0.5])
 def test_profiles_near_kappa_zero_integrate_or_fail_at_the_boundary(profile, z, monkeypatch):
     # kappa = 0 is every profile's limit, 0, with no engine run; a kappa > 0
-    # whose square underflows is rejected by name before any engine call
+    # below _KAPPA_MIN, whose ray's far nodes would square past the float
+    # range, is rejected by name before any engine call
     med = Medium(2.0)
     ray = kernels.ray_integral
     with monkeypatch.context() as mp:
@@ -390,75 +391,87 @@ def test_kernel_closed_form_table():
         assemble_kernel_result(med, KernelKind.PERFECT_REFLECTOR, lower, SPEC).tensor
 
 
-def _side_profile(reflected: bool):
-    """One side's profile with its own body spelled out: the reflected body
-    for z >= 0, the transmitted one below (kz_profile writes both as one)."""
-    def build(med, kap, z, zp, spec):
-        n = med.n
+def _spelled_out_kz_body(med, kap, z, zp):
+    """kz_profile's body at unit kappa with each dyad spelled out: the
+    reflected body for z >= 0, the transmitted one below, times
+    kappa e^{i a(s)} at the heights kappa z, kappa z' (kz_profile writes
+    both as one)."""
+    n = med.n
+    height, depth = kap * zp, kap * z
 
-        def travelling(kz, kzd, kap, kmag2):
-            tm = fresnel_coefficients(med, Polarization.TM, kap, kz, kzd)
-            te = fresnel_coefficients(med, Polarization.TE, kap, kz, kzd)
-            if reflected:
-                phase = np.exp(1j * kz * (z + zp))
-                uu = tm.rR * (-kz * kz / kmag2) * phase
-                uz = tm.rR * (-kz * kap / kmag2) * phase
-                zu = tm.rR * (kap * kz / kmag2) * phase
-                zz = tm.rR * (kap * kap / kmag2) * phase
-                return np.stack([uu, uz, zu, zz, te.rR * phase], axis=-1)
-            phase = np.exp(-1j * kzd * z + 1j * kz * zp)
-            uu = tm.tR * (kzd * kz / (n * kmag2)) * phase
-            uz = tm.tR * (kzd * kap / (n * kmag2)) * phase
-            zu = tm.tR * (kap * kz / (n * kmag2)) * phase
-            zz = tm.tR * (kap * kap / (n * kmag2)) * phase
-            return np.stack([uu, uz, zu, zz, te.tR * phase], axis=-1)
+    def body(s, kzd, kmag2):
+        tm = fresnel_coefficients(med, Polarization.TM, 1.0, s, kzd)
+        te = fresnel_coefficients(med, Polarization.TE, 1.0, s, kzd)
+        if z >= 0.0:
+            phase = kap * np.exp(1j * s * (depth + height))
+            uu = tm.rR * (-s * s / kmag2) * phase
+            uz = tm.rR * (-s / kmag2) * phase
+            zu = tm.rR * (s / kmag2) * phase
+            zz = tm.rR * (1.0 / kmag2) * phase
+            return np.stack([uu, uz, zu, zz, te.rR * phase], axis=-1)
+        phase = kap * np.exp(1j * (-kzd * depth + s * height))
+        uu = tm.tR * (kzd * s / (n * kmag2)) * phase
+        uz = tm.tR * (kzd / (n * kmag2)) * phase
+        zu = tm.tR * (s / (n * kmag2)) * phase
+        zz = tm.tR * (1.0 / (n * kmag2)) * phase
+        return np.stack([uu, uz, zu, zz, te.tR * phase], axis=-1)
 
-        s = z + zp if reflected else n * abs(z) + zp
-        return kernels._interface_profile(med, float(kap), s, travelling, spec)
-    return build
-
-
-_reflected_reference, _transmitted_reference = _side_profile(True), _side_profile(False)
+    return body
 
 
-def test_kz_profile_dispatches_on_the_side_of_z():
+def _substitute_bodies(monkeypatch, body, jump=None):
+    """Run every s contour on ``body`` (and ``jump``, where it has a cut body
+    of its own) in place of its own bodies."""
+    original = kernels._contour_part
+
+    def run(medium, scale, spec, own_body, mirror, own_jump=None, **kwargs):
+        return original(medium, scale, spec, body, mirror,
+                        None if own_jump is None else jump, **kwargs)
+
+    monkeypatch.setattr(kernels, "_contour_part", run)
+
+
+def test_kz_profile_dispatches_on_the_side_of_z(monkeypatch):
     # kz_profile's one body forms ctm phase/scale once and multiplies each
     # dyad onto it: reassociated against the spelled-out bodies, it may move
     # the last bits only
     for n in (1.01, 2.0, 4.0, 40.0):
         med = Medium(n)
-        for z, build in ((0.7, _reflected_reference), (0.0, _reflected_reference),
-                         (-0.3, _transmitted_reference)):
+        for z in (0.7, 0.0, -0.3):
             for kap in KAPPA_PANEL[:3]:
-                ref = build(med, kap, z, 0.5, SPEC).value
                 got = kz_profile(med, kap, z, 0.5, SPEC).value
+                with monkeypatch.context() as mp:
+                    _substitute_bodies(mp, _spelled_out_kz_body(med, kap, z, 0.5))
+                    ref = kz_profile(med, kap, z, 0.5, SPEC).value
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     with pytest.raises(ValueError, match="z' > 0"):
         kz_profile(Medium(2.0), 1.0, 0.7, 0.0, SPEC)
 
 
-def _gauge_reference_bodies(med, zp):
-    """The gauge-difference bodies spelled out term by term: the travelling
-    [ju, jz] of the e^{+ik z'} terms and of the partners of the e^{-ik z'}
-    terms, and the evanescent left-incident [ju, jz] on the cut."""
+def _gauge_reference_bodies(med, kap, zp):
+    """The gauge-difference bodies at unit kappa and the height kappa z'
+    spelled out term by term: the travelling [ju, jz] of the e^{+ik z'}
+    terms and of the partners of the e^{-ik z'} terms, and the evanescent
+    left-incident [ju, jz] on the cut."""
     n = med.n
+    height = kap * zp
 
-    def travelling(k, kzd, kap, kmag2):
+    def travelling(s, kzd, kmag2):
         kmag = np.sqrt(kmag2)
-        tm = fresnel_coefficients(med, Polarization.TM, kap, k, kzd)
-        phase = np.exp(1j * k * zp)
+        tm = fresnel_coefficients(med, Polarization.TM, 1.0, s, kzd)
+        phase = np.exp(1j * height * s)
         right = modes.surface_charge_mode(med, Side.RIGHT, tm) / kmag
         left = modes.surface_charge_mode(med, Side.LEFT, tm) * n * tm.tR / kmag
         back = right * tm.rR + left
-        return np.stack([-k * right * phase / kmag, -kap * right * phase / kmag,
-                         k * back * phase / kmag, -kap * back * phase / kmag], axis=-1)
+        return np.stack([-s * right * phase / kmag, -right * phase / kmag,
+                         s * back * phase / kmag, -back * phase / kmag], axis=-1)
 
-    def evanescent(t, kzd, kap, kmag2):
+    def evanescent(t, kzd, kmag2):
         kmag = np.sqrt(kmag2)
-        tm = fresnel_coefficients(med, Polarization.TM, kap, 1j * t, kzd)
+        tm = fresnel_coefficients(med, Polarization.TM, 1.0, 1j * t, kzd)
         g = modes.surface_charge_mode(med, Side.LEFT, tm)
-        coef = g * 1j * n * np.conj(tm.tR) / kmag * np.exp(-t * zp)
-        return np.stack([coef * (-1j * t / kmag), coef * (-kap / kmag)], axis=-1)
+        coef = g * 1j * n * np.conj(tm.tR) / kmag * np.exp(-height * t)
+        return np.stack([coef * (-1j * t / kmag), coef * (-1.0 / kmag)], axis=-1)
 
     return travelling, evanescent
 
@@ -466,21 +479,16 @@ def _gauge_reference_bodies(med, zp):
 @pytest.mark.parametrize("n", [1.01, 2.0, 4.0, 40.0])
 @pytest.mark.parametrize("z", [0.7, -0.3])
 def test_gauge_difference_bodies_match_their_spelled_out_reference(n, z, monkeypatch):
-    # the gauge-difference bodies form e^{ik z'}/|k|^2 (on the cut
-    # i n tR* e^{-t z'}/|k|^2) once and multiply each term onto it:
+    # the gauge-difference bodies form e^{i kappa s z'}/|k|^2 (on the cut
+    # i n tR* e^{-kappa t z'}/|k|^2) once and multiply each term onto it:
     # reassociated against the spelled-out bodies, the profile may move the
     # last bits only
     med, zp = Medium(n), 0.5
-    got = [_gauge_difference_profile(med, kap, z, zp, SPEC).value for kap in KAPPA_PANEL[:3]]
-    travelling, evanescent = _gauge_reference_bodies(med, zp)
-    original = kernels._interface_profile
-
-    def spelled_out(medium, kap, scale, lean, spec, lean_evanescent):
-        return original(medium, kap, scale, travelling, spec, evanescent)
-
-    monkeypatch.setattr(kernels, "_interface_profile", spelled_out)
-    for kap, value in zip(KAPPA_PANEL[:3], got):
-        ref = _gauge_difference_profile(med, kap, z, zp, SPEC).value
+    for kap in KAPPA_PANEL[:3]:
+        value = _gauge_difference_profile(med, kap, z, zp, SPEC).value
+        with monkeypatch.context() as mp:
+            _substitute_bodies(mp, *_gauge_reference_bodies(med, kap, zp))
+            ref = _gauge_difference_profile(med, kap, z, zp, SPEC).value
         assert np.max(np.abs(value - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -616,27 +624,26 @@ def test_batched_profile_counts_every_kappa_evaluation(monkeypatch):
         assert sweep == sum(map(sum, evaluations.values()))
 
 
-def _captured_bodies(monkeypatch) -> list:
-    """Record (kappa, scale, travelling body, evanescent body) of every
-    interface profile."""
+def _captured_parts(monkeypatch) -> list:
+    """Record (map scale, body, mirror, cut body) of every s contour."""
     seen = []
-    original = kernels._interface_profile
+    original = kernels._contour_part
 
-    def capture(medium, kap, scale, travelling, spec, evanescent=None):
-        seen.append((kap, scale, travelling, evanescent))
-        return original(medium, kap, scale, travelling, spec, evanescent)
+    def capture(medium, scale, spec, body, mirror, jump=None, **kwargs):
+        seen.append((scale, body, mirror, jump))
+        return original(medium, scale, spec, body, mirror, jump, **kwargs)
 
-    monkeypatch.setattr(kernels, "_interface_profile", capture)
+    monkeypatch.setattr(kernels, "_contour_part", capture)
     return seen
 
 
-def _body(body, medium, kap, sign=1.0):
-    """The travelling body at sign * k_z, under the ray's protocol f(k, rays)."""
-    gap2 = (medium.n ** 2 - 1.0) * kap * kap
+def _body(body, medium, sign=1.0):
+    """A unit-kappa body at sign * s, under the ray's protocol f(k, rays)."""
+    n = medium.n
 
     def f(k, rays):
-        kzd = np.sqrt(medium.n ** 2 * k * k + gap2)
-        return body(sign * k, sign * kzd, kap, kap ** 2 + k * k)
+        kzd = np.sqrt(n * n * k * k + (n * n - 1.0))
+        return body(sign * k, sign * kzd, 1.0 + k * k)
 
     return f
 
@@ -676,16 +683,16 @@ def test_negative_kz_half_axis_is_the_parity_mirror(n, z, zp, monkeypatch):
     # the reflected and transmitted bodies on k_z < 0 are the conjugate of
     # their values on k_z > 0 with the odd dyads uz, zu flipped, node by
     # node, so their k_z < 0 integral is the parity conjugate as well
-    seen = _captured_bodies(monkeypatch)
+    seen = _captured_parts(monkeypatch)
     med = Medium(n)
     for kappa in KAPPA_PANEL:
         seen.clear()
         kz_profile(med, kappa, z, zp, SPEC)
-        (kap, scale, body, evanescent), = seen
-        assert evanescent is None and kap == kappa
+        (scale, body, mirror, jump), = seen
+        assert jump is None and np.array_equal(mirror, kernels._PARITY)
         k = (np.geomspace(1e-6, 1e3, 400) / scale)[:, None]
-        upper = _body(body, med, kap)(k, 1)
-        lower = _body(body, med, kap, sign=-1.0)(k, 1)
+        upper = _body(body, med)(k, 1)
+        lower = _body(body, med, sign=-1.0)(k, 1)
         gap = np.max(np.abs(lower - kernels._PARITY * np.conj(upper)))
         assert gap <= 1e-15 * np.max(np.abs(upper))
 
@@ -695,89 +702,112 @@ def test_gauge_profile_body_is_its_right_and_left_modes(n, monkeypatch):
     # the one travelling body of the gauge-difference profile integrates on the
     # ray to its right- and left-incident modes integrated apart; each family
     # is the body with the other family's surface charge switched off
-    seen = _captured_bodies(monkeypatch)
+    seen = _captured_parts(monkeypatch)
     med = Medium(n)
     charge = kernels.surface_charge_mode
     for kappa in KAPPA_PANEL:
         seen.clear()
         _gauge_difference_profile(med, kappa, 0.7, 0.4, SPEC)
-        (kap, scale, body, evanescent), = seen
-        assert evanescent is not None and scale == 0.4
-        joint = spectral.ray_integral(_body(body, med, kap), scale, SPEC)
+        (scale, body, mirror, jump), = seen
+        assert jump is not None and mirror == 1.0 and scale == kappa * 0.4
+        joint = spectral.ray_integral(_body(body, med), scale, SPEC)
         apart = []
         for side in Side:
             with monkeypatch.context() as mp:
                 mp.setattr(kernels, "surface_charge_mode",
                            lambda medium, s, *args, side=side:
                            charge(medium, s, *args) if s is side else 0.0)
-                apart.append(spectral.ray_integral(_body(body, med, kap), scale, SPEC))
+                apart.append(spectral.ray_integral(_body(body, med), scale, SPEC))
         gap = np.max(np.abs(joint.value - apart[0].value - apart[1].value))
         assert gap <= joint.error_estimate + apart[0].error_estimate + apart[1].error_estimate
         assert np.max(np.abs(apart[0].value)) > 0.0 and np.max(np.abs(apart[1].value)) > 0.0
 
 
-def _gauge_real_axis_body(medium, zp, part="both"):
-    """The gauge-difference body [ju, jz] on the real k_z > 0 axis, written
-    with both of its exponentials e^{+-i k_z z'}: its terms in e^{+ik z'}
-    alone for part "ep", the Schwarz partners of its terms in e^{-ik z'}
-    alone (e^{+ik z'} in place of e^{-ik z'}) for "partner"."""
+def _gauge_real_axis_body(medium, kap, zp, part="both"):
+    """The gauge-difference body [ju, jz] at unit kappa on the real s > 0
+    axis, written with both of its exponentials e^{+-i kappa s z'}: its
+    terms in e^{+ik z'} alone for part "ep", the Schwarz partners of its
+    terms in e^{-ik z'} alone (e^{+ik z'} in place of e^{-ik z'}) for
+    "partner"."""
     n = medium.n
 
-    def body(k, kzd, kap, kmag2):
+    def body(s, kzd, kmag2):
         kmag = np.sqrt(kmag2)
-        tm = fresnel_coefficients(medium, Polarization.TM, kap, k, kzd)
+        tm = fresnel_coefficients(medium, Polarization.TM, 1.0, s, kzd)
         right = kernels.surface_charge_mode(medium, Side.RIGHT, tm) / kmag
         left = kernels.surface_charge_mode(medium, Side.LEFT, tm) * n * tm.tR / kmag
-        ep = np.exp(1j * k * zp)
+        ep = np.exp(1j * kap * s * zp)
         if part == "both":
-            em = np.exp(-1j * k * zp)
+            em = np.exp(-1j * kap * s * zp)
         else:  # on the ray past K, where e^{-ik z'} grows
             ep, em = (ep, 0.0) if part == "ep" else (0.0, ep)
-        ju = (k / kmag) * (right * (tm.rR * em - ep) + left * em)
-        jz = (-kap / kmag) * (right * (ep + tm.rR * em) + left * em)
+        ju = (s / kmag) * (right * (tm.rR * em - ep) + left * em)
+        jz = (-1.0 / kmag) * (right * (ep + tm.rR * em) + left * em)
         return np.stack([ju, jz], axis=-1)
 
     return body
 
 
+def _whole_cut(f, n):
+    """int_0^gamma f(t, kzd, |k|^2) dt over the whole cut s = i t of a
+    unit-kappa body, kzd >= 0, by panels on t = gamma sin(u): the value and
+    the error."""
+    gamma = math.sqrt(n * n - 1.0) / n
+
+    def on_u(u):
+        t = gamma * np.sin(u)
+        kzd = np.sqrt(np.maximum(n * n - 1.0 - n * n * t * t, 0.0))
+        return f(t, kzd, 1.0 - t * t) * (gamma * np.cos(u))[..., None]
+
+    res = _panels(on_u, np.linspace(0.0, 0.5 * math.pi, 9))
+    return res.value, res.error_estimate
+
+
 @pytest.mark.parametrize("n", [1.01, 2.0, 40.0])
 @pytest.mark.parametrize("profile", ["reflected", "transmitted", "gauge_difference"])
-def test_ray_route_matches_the_levin_real_axis(profile, n, monkeypatch):
-    # with the cut switched off an interface profile is its travelling part:
-    # the ray integral of the body, mirrored by parity (reflected,
-    # transmitted) or with the Schwarz partners conjugated (gauge difference).
-    # The same body integrated on the real axis (panels up to K, then the
-    # ray from K on), and the gauge-difference body written with e^{-ik z'}
-    # itself (whose e^{-ik z'} tail past K lies on the conjugate ray, the
-    # conjugate of its partner's), agree with it within the summed estimates
-    seen = _captured_bodies(monkeypatch)
-    ray_integral = kernels.ray_integral
-    monkeypatch.setattr(kernels, "ray_integral",
-                        lambda *args, gamma=None, **kwargs: ray_integral(*args, **kwargs))
+def test_ray_route_matches_the_levin_real_axis(profile, n):
+    # a whole interface profile, its s contour from i gamma/2, equals its
+    # spelled-out body integrated by an independent route: along the real
+    # s axis (panels up to K, then the ray from K on), mirrored by parity
+    # (reflected, transmitted) or, for the gauge difference, written with
+    # e^{-ik z'} itself (whose e^{-ik z'} tail past K lies on the conjugate
+    # ray, the conjugate of its partner's), plus the cut over all of
+    # (0, gamma): the body's jump across it, or the evanescent modes.  The
+    # two agree within the summed estimates at every kappa of the panel, and
+    # the profile stands far above them up to kappa (|z| + z') of about 5
     med = Medium(n)
     z, zp = {"reflected": (0.7, 0.4), "transmitted": (-0.3, 0.5),
              "gauge_difference": (0.7, 0.4)}[profile]
+    resolved = []
     for kappa in KAPPA_PANEL:
-        seen.clear()
         if profile == "gauge_difference":
-            _gauge_difference_profile(med, kappa, z, zp, SPEC)
+            prof = _gauge_difference_profile(med, kappa, z, zp, SPEC)
+            _, evanescent = _gauge_reference_bodies(med, kappa, zp)
+            scale = kappa * zp
+            axis, axis_err = _real_axis(_body(_gauge_real_axis_body(med, kappa, zp), med), scale)
+            up, up_err = _tail(_body(_gauge_real_axis_body(med, kappa, zp, "ep"), med), scale)
+            down, down_err = _tail(_body(_gauge_real_axis_body(med, kappa, zp, "partner"), med),
+                                   scale)
+            cut, cut_err = _whole_cut(evanescent, n)
+            ju, jz = axis + up + np.conj(down) + cut
+            front = 1j * kappa * (2.0 * math.pi) ** 1.5 * math.exp(-kappa * abs(z))
+            real = front * np.array([ju, jz, 1j * ju, 1j * jz, 0.0])
+            err = abs(front) * (axis_err + up_err + down_err + cut_err)
         else:
-            kz_profile(med, kappa, z, zp, SPEC)
-        (kap, scale, body, evanescent), = seen
-        ray = kernels._interface_profile(med, kap, scale, body, SPEC, evanescent)
-        if evanescent is None:
-            f = _body(body, med, kap)
+            prof = kz_profile(med, kappa, z, zp, SPEC)
+            body = _spelled_out_kz_body(med, kappa, z, zp)
+            scale = kappa * (z + zp if z >= 0.0 else n * abs(z) + zp)
+            f = _body(body, med)
             (axis, axis_err), (tail, tail_err) = _real_axis(f, scale), _tail(f, scale)
             upper = axis + tail
-            real, err = upper + kernels._PARITY * np.conj(upper), 2.0 * (axis_err + tail_err)
-        else:
-            axis, axis_err = _real_axis(_body(_gauge_real_axis_body(med, zp), med, kap), scale)
-            up, up_err = _tail(_body(_gauge_real_axis_body(med, zp, "ep"), med, kap), scale)
-            down, down_err = _tail(_body(_gauge_real_axis_body(med, zp, "partner"), med, kap),
-                                   scale)
-            real, err = axis + up + np.conj(down), axis_err + up_err + down_err
-        assert np.max(np.abs(ray.value - real)) <= ray.error_estimate + err
-        assert np.max(np.abs(ray.value)) > 1e3 * (ray.error_estimate + err)
+            cut, cut_err = _whole_cut(
+                lambda t, kzd, kmag2: -1j * (body(1j * t, kzd, kmag2) - body(1j * t, -kzd, kmag2)),
+                n)
+            real = upper + kernels._PARITY * np.conj(upper) + cut
+            err = 2.0 * (axis_err + tail_err) + cut_err
+        assert np.max(np.abs(prof.value - real)) <= prof.error_estimate + err
+        resolved.append(np.max(np.abs(prof.value)) > 1e3 * (prof.error_estimate + err))
+    assert all(resolved[:12])
 
 
 def _lone_residue_runs(monkeypatch, **overrides) -> np.ndarray:
@@ -875,6 +905,59 @@ def test_large_n_transmitted_profile_converges_deep_in_kappa(z, zp, kap):
     assert np.max(np.abs(prof.value - residue_profile(med, kap, z, zp))) <= prof.error_estimate
 
 
+@pytest.mark.parametrize("n", [2.0, 40.0])
+def test_profile_deep_in_kappa_meets_the_residue_profile(n):
+    # at kappa = 50 the reflected profile is pi alpha kappa e^{-45}, some
+    # 1e-18: a contour from k_z = 0 summed ray pieces of O(1) down to it
+    # (relative error 61 at n = 2), while on the s contour from i gamma/2
+    # every piece is already damped by e^{-kappa gamma (z + z')/2}
+    med = Medium(n)
+    prof = kz_profile(med, 50.0, 0.5, 0.4, SPEC)
+    target = residue_profile(med, 50.0, 0.5, 0.4)
+    assert np.max(np.abs(prof.value - target)) <= 1e-4 * np.max(np.abs(target))
+
+
+@pytest.mark.parametrize("n", [1.01, 2.0, 40.0])
+@pytest.mark.parametrize("z", [0.5, -0.3])
+def test_profiles_across_kappa_stay_within_their_estimates(n, z):
+    # from kappa = 1e-3 to 50 on either side of the interface every profile
+    # the s contour returns is within its error estimate of its closed form:
+    # the residue profile, and for the gauge difference below the interface
+    # pi alpha kappa e^{kappa (z - z')} [1, -i, -i, -1, 0]
+    med, zp = Medium(n), 0.4
+    for kap in (1e-3, 0.3, 1.0, 5.0, 50.0):
+        residue = residue_profile(med, kap, z, zp)
+        image = (residue if z >= 0.0 else math.pi * med.image_strength * kap
+                 * math.exp(kap * (z - zp)) * np.array([1.0, -1j, -1j, -1.0, 0.0]))
+        for prof, target in ((kz_profile(med, kap, z, zp, SPEC), residue),
+                             (_gauge_difference_profile(med, kap, z, zp, SPEC), image)):
+            assert np.max(np.abs(prof.value - target)) <= prof.error_estimate
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1e8, 1e150])
+def test_large_n_upper_pair_meets_its_closed_form(n):
+    # once gamma = sqrt(n^2 - 1)/n rounds to 1 (n > 7e7) the cut's end
+    # meets the poles at s = i, where 1 - t^2 cancelled to 0; formed as
+    # 1/n^2 + (gamma - t)(gamma + t), with gamma - t from the map, it stays
+    # positive.  On the ray kzd = n sqrt(s^2 + gamma^2) has no n^2 s^2 to
+    # overflow at a small kappa's far nodes.  The assemblies and the
+    # profiles on the upper pair meet their closed forms within their
+    # estimates, with no numpy warning
+    med, p = Medium(n), pair((0.3, 0.1, 0.6), (0.0, 0.0, 0.7))
+    for kind in (KernelKind.GENERALIZED_DELTA, KernelKind.GAUGE_DIFFERENCE,
+                 KernelKind.TRUE_COULOMB):
+        res = assemble_kernel_result(med, kind, p, SPEC)
+        target = kernel_closed_form(med, kind, p)
+        observed = np.max(np.abs(res.tensor - target))
+        assert observed <= DEFAULT_TOLERANCES["tol.kernels.assembly"] * np.max(np.abs(target))
+        assert observed <= res.error_estimate
+    for kap in (1e-3, 1.0):
+        prof = kz_profile(med, kap, 0.6, 0.7, SPEC)
+        target = residue_profile(med, kap, 0.6, 0.7)
+        assert np.max(np.abs(prof.value - target)) <= prof.error_estimate
+
+
 def test_thin_margin_gauge_difference_pair_within_its_estimate():
     # the thinnest estimate/observed margin of a random sweep of assemblies
     # (rho ~ 0.05 below the interface); it read 1.37 once
@@ -931,66 +1014,78 @@ def _captured_runs(monkeypatch) -> list:
     return seen
 
 
-def _cut_columns(f, t: np.ndarray) -> np.ndarray:
-    """A run's body on the cut columns k = i t, t of shape (nodes, columns),
+def _cut_columns(f, x: np.ndarray) -> np.ndarray:
+    """A run's body on the cut columns k = i x, x of shape (nodes, columns),
     handed to it after one ray column as the engine lays a block out."""
-    ray = np.full((t.shape[0], 1), 0.3 + 0.3j)
-    return f(np.concatenate([ray, 1j * t], axis=1), 1)[:, 1:]
+    ray = np.full((x.shape[0], 1), 0.3 + 0.3j)
+    return f(np.concatenate([ray, 1j * x], axis=1), 1)[:, 1:]
+
+
+def _upper_cut(n, half, x):
+    """(t, kzd, |k|^2) at the cut nodes k = i x of a run whose engine cut is
+    (0, gamma/2), ``half`` = gamma/2: t = gamma/2 + x, and gamma^2 - t^2
+    formed as (gamma - t)(gamma + t), gamma - t = gamma/2 - x."""
+    t = half + x
+    gap = (half - x) * (2.0 * half + t)
+    return t, n * np.sqrt(gap), 1.0 / (n * n) + gap
 
 
 @pytest.mark.parametrize("n", [1.01, 2.0, 40.0])
 @pytest.mark.parametrize("z, zp", [(0.7, 0.4), (-0.6, 0.4)])
 def test_cut_is_the_travelling_body_jump(n, z, zp, monkeypatch):
-    # on the cut k_z = i t the reflected and transmitted profiles integrate
-    # -i [f(it, kzd) - f(it, -kzd)] of their travelling body; its TE dyad is
-    # the closed jump 2 Im rR e^{-t s} above the interface and
-    # i tR* e^{-t z'} (e^{i kzd z} + rL e^{-i kzd z}) below it, up to the
-    # branch point Gamma where kzd = 0
+    # on the cut s = i t the reflected and transmitted profiles integrate
+    # -i [f(it, kzd) - f(it, -kzd)] of their travelling body at unit kappa,
+    # over gamma/2 < t < gamma (the engine's cut (0, gamma/2) shifted up by
+    # gamma/2); its TE dyad is kappa times the closed jump 2 Im rR
+    # e^{-kappa t s} above the interface and i tR* e^{-kappa t z'}
+    # (e^{i kappa kzd z} + rL e^{-i kappa kzd z}) below it, up to the branch
+    # point gamma where kzd = 0, each at the node's own t and kzd
     seen = _captured_runs(monkeypatch)
     med = Medium(n)
     frac = np.array([1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-9])
     for kap in (0.3, 1.3, 7.0):
         seen.clear()
         kz_profile(med, kap, z, zp, SPEC)
-        (body, gamma), = seen
-        assert gamma == evanescent_threshold(med, kap)
-        t = frac[:, None] * gamma
-        vv = _cut_columns(body, t)[:, 0, 4]
-        for ti, value in zip(t[:, 0], vv):
-            te = fresnel_coefficients(med, Polarization.TE, kap, 1j * ti)
+        (body, half), = seen
+        assert half == 0.5 * evanescent_threshold(med, 1.0)
+        x = frac[:, None] * half
+        vv = _cut_columns(body, x)[:, 0, 4]
+        t, kzd, _ = _upper_cut(n, half, x[:, 0])
+        for ti, kzdi, value in zip(t, kzd, vv):
+            te = fresnel_coefficients(med, Polarization.TE, 1.0, 1j * ti, kzdi)
             if z >= 0.0:
-                target = 2.0 * te.rR.imag * math.exp(-ti * (z + zp))
+                target = 2.0 * kap * te.rR.imag * math.exp(-kap * ti * (z + zp))
             else:
-                target = (1j * np.conj(te.tR) * math.exp(-ti * zp)
-                          * (np.exp(1j * te.kzd * z) + te.rL * np.exp(-1j * te.kzd * z)))
+                target = (1j * kap * np.conj(te.tR) * math.exp(-kap * ti * zp)
+                          * (np.exp(1j * kap * te.kzd * z) + te.rL * np.exp(-1j * kap * te.kzd * z)))
             assert abs(value - target) <= 1e-10 * abs(target)
 
 
 @pytest.mark.parametrize("n", [1.01, 2.0, 40.0])
 @pytest.mark.parametrize("z, zp", [(0.7, 0.4), (-0.6, 0.4)])
 def test_cut_mirror_is_the_parity_conjugate_bit_for_bit(n, z, zp, monkeypatch):
-    # on the cut k_z = i t, with kzd real, the travelling body at -kzd is
+    # on the cut s = i t, with kzd real, the travelling body at -kzd is
     # _PARITY times the conjugate of the body at kzd, bit for bit, above and
     # below the interface; so the jump -i [f(it, kzd) - f(it, -kzd)] is
     # -i [F - _PARITY conj F] of the one body value F, which the run's body
     # takes from the call that serves its rays
-    bodies = _captured_bodies(monkeypatch)
+    parts = _captured_parts(monkeypatch)
     runs = _captured_runs(monkeypatch)
     med = Medium(n)
     frac = np.concatenate([[1e-9, 1e-6], np.linspace(1e-3, 1.0 - 1e-3, 300),
                            [1.0 - 1e-6, 1.0 - 1e-9]])
     for kappa in (0.3, 1.3, 7.0):
-        bodies.clear()
+        parts.clear()
         runs.clear()
         kz_profile(med, kappa, z, zp, SPEC)
-        (kap, _, body, _), = bodies
-        (f, gamma), = runs
-        t = frac[:, None] * gamma
-        kzd = np.sqrt(np.maximum((n * n - 1.0) * kap * kap - n * n * t * t, 0.0))
-        up = body(1j * t, kzd, kap, kap * kap - t * t)
-        down = body(1j * t, -kzd, kap, kap * kap - t * t)
+        (_, body, _, _), = parts
+        (f, half), = runs
+        x = frac[:, None] * half
+        t, kzd, kmag2 = _upper_cut(n, half, x)
+        up = body(1j * t, kzd, kmag2)
+        down = body(1j * t, -kzd, kmag2)
         assert np.array_equal(down, kernels._PARITY * np.conj(up))
-        assert np.array_equal(_cut_columns(f, t), -1j * (up - down))
+        assert np.array_equal(_cut_columns(f, x), -1j * (up - down))
 
 
 @pytest.mark.parametrize("n", [1.01, 2.0, 40.0])
@@ -999,29 +1094,28 @@ def test_run_cut_columns_are_the_stacked_kzd_jump_bit_for_bit(n, z, zp, monkeypa
     # at the nodes the engine picks, every level's one body call gives its
     # cut columns the jump of the travelling body evaluated on the stacked
     # +-kzd, -i [f(it, kzd) - f(it, -kzd)], bit for bit
-    bodies = _captured_bodies(monkeypatch)
+    parts = _captured_parts(monkeypatch)
     blocks = []
     ray = kernels.ray_integral
 
-    def capture(f, *args, **kwargs):
+    def capture(f, *args, gamma=None, **kwargs):
         def g(k, rays):
             value = f(k, rays)
-            blocks.append((k, rays, np.array(value)))
+            blocks.append((k, rays, gamma, np.array(value)))
             return value
-        return ray(g, *args, **kwargs)
+        return ray(g, *args, gamma=gamma, **kwargs)
 
     monkeypatch.setattr(kernels, "ray_integral", capture)
     med = Medium(n)
     cut_levels = 0
     for kappa in KAPPA_PANEL:
-        bodies.clear()
+        parts.clear()
         blocks.clear()
         kz_profile(med, kappa, z, zp, SPEC)
-        (kap, _, body, _), = bodies
-        for k, rays, value in blocks:
-            t = k.imag[:, rays:]
-            kzd = np.sqrt(np.maximum((n * n - 1.0) * kap * kap - n * n * t * t, 0.0))
-            both = body(1j * t, np.stack([kzd, -kzd]), kap, kap * kap - t * t)
+        (_, body, _, _), = parts
+        for k, rays, half, value in blocks:
+            t, kzd, kmag2 = _upper_cut(n, half, k.imag[:, rays:])
+            both = body(1j * t, np.stack([kzd, -kzd]), kmag2)
             assert np.array_equal(value[:, rays:], -1j * (both[0] - both[1]))
             cut_levels += rays < k.shape[1]
     assert cut_levels >= len(KAPPA_PANEL)
@@ -1032,25 +1126,25 @@ def test_bodies_give_the_moveaxis_bits_through_their_transpose_views(n, monkeypa
     # an interface body returns its component-first terms as a component-last
     # transpose view: the bits, shape and strides of np.moveaxis, on a
     # level's 2-D node block and on the 3-D stack of +-kzd (or of two cuts)
-    bodies = _captured_bodies(monkeypatch)
+    parts = _captured_parts(monkeypatch)
     med, kap = Medium(n), 0.7
     kz_profile(med, kap, 0.7, 0.4, SPEC)
     kz_profile(med, kap, -0.3, 0.5, SPEC)
     _gauge_difference_profile(med, kap, 0.7, 0.4, SPEC)
     rng = np.random.default_rng(3)
-    k = (1.0 + 1.0j) * rng.uniform(0.0, 5.0, (15, 4))
-    kzd = np.sqrt(n * n * k * k + (n * n - 1.0) * kap * kap)
-    t = evanescent_threshold(med, kap) * rng.uniform(0.0, 1.0, (15, 3))
-    t_kzd = np.sqrt(np.maximum((n * n - 1.0) * kap * kap - n * n * t * t, 0.0))
+    s = (1.0 + 1.0j) * rng.uniform(0.0, 5.0, (15, 4))
+    kzd = np.sqrt(n * n * s * s + (n * n - 1.0))
+    t = evanescent_threshold(med, 1.0) * rng.uniform(0.5, 1.0, (15, 3))
+    t_kzd = np.sqrt(np.maximum(n * n - 1.0 - n * n * t * t, 0.0))
     calls = []
-    for _, _, travelling, evanescent in bodies:
-        calls += [(travelling, (k, kzd, kap, kap * kap + k * k)),
-                  (travelling, (1j * t, np.stack([t_kzd, -t_kzd]), kap, kap * kap - t * t))]
+    for _, travelling, _, evanescent in parts:
+        calls += [(travelling, (s, kzd, 1.0 + s * s)),
+                  (travelling, (1j * t, np.stack([t_kzd, -t_kzd]), 1.0 - t * t))]
         if evanescent is not None:
             two = np.stack([t, 0.5 * t])
-            two_kzd = np.sqrt(np.maximum((n * n - 1.0) * kap * kap - n * n * two * two, 0.0))
-            calls += [(evanescent, (t, t_kzd, kap, kap * kap - t * t)),
-                      (evanescent, (two, two_kzd, kap, kap * kap - two * two))]
+            two_kzd = np.sqrt(np.maximum(n * n - 1.0 - n * n * two * two, 0.0))
+            calls += [(evanescent, (t, t_kzd, 1.0 - t * t)),
+                      (evanescent, (two, two_kzd, 1.0 - two * two))]
     assert len(calls) == 8
     views = [body(*args) for body, args in calls]
     monkeypatch.setattr(kernels, "_components_last", lambda terms: np.moveaxis(terms, 0, -1))
@@ -1115,7 +1209,7 @@ def test_large_n_lower_pairs_take_fewer_nodes_at_the_same_error(r, rp, parent_no
 
 
 # ---------------------------------------------------------------------------
-# the first panels graded from each profile's near-singularity scales
+# the first panels graded from near-singularity scales
 # ---------------------------------------------------------------------------
 
 RAY_X = np.array([0.0, 0.3, 0.9, 2.0, 4.0, 8.0, 16.0, np.inf])
@@ -1133,10 +1227,10 @@ def _entry_breaks(near, scale, breaks=spectral._RAY_BREAKS):
 
 
 def test_ray_layout_is_graded_from_the_tm_pole():
-    # kappa/n = 0.05 at s = 1: x_e = 0.05 sin(pi/4) = 0.0354, so the first
-    # panel splits at x_e, 2 x_e, 4 x_e and 8 x_e = 0.283 below x = 0.3; a
-    # scale at or past 0.3 keeps the old breaks, and kappa = 0 starts at
-    # 0.3 / 2^16
+    # a singularity 0.05 from the ray's origin at s = 1: x_e = 0.05 sin(pi/4)
+    # = 0.0354, so the first panel splits at x_e, 2 x_e, 4 x_e and
+    # 8 x_e = 0.283 below x = 0.3; a scale at or past 0.3 keeps the old
+    # breaks, and a scale of 0 starts at 0.3 / 2^16
     x_e = 0.05 * math.sin(0.25 * math.pi)
     graded, far, at_end, zero = _entry_breaks([0.05, 2.0, 0.3 / math.sin(0.25 * math.pi), 0.0],
                                               1.0)
@@ -1156,28 +1250,36 @@ def test_ray_layout_is_graded_from_the_tm_pole():
 
 
 def test_cut_layout_is_graded_from_the_tm_shoulder_and_the_te_pole():
-    # at n = 40 the TM shoulder t = kappa/n sits at u_lo = asin(1/sqrt(1599))
-    # = 0.0250 and the TE pole t = kappa at u_hi = acosh(40/sqrt(1599)) =
-    # 0.0250 from pi/2: four graded breaks at each end (8 u < pi/8 < 16 u),
-    # and the end panel next to each halved, at u_lo/2 and pi/2 - u_hi/2
-    n = 40.0
-    u_lo, u_hi = math.asin(1.0 / math.sqrt(n * n - 1.0)), math.acosh(n / math.sqrt(n * n - 1.0))
-    assert kernels._cut_scales(n) == (u_lo, u_hi)
+    # the scales of a cut body's TM shoulder at n = 40, u_lo =
+    # asin(1/sqrt(1599)) = 0.0250, and of its TE pole, u_hi =
+    # acosh(40/sqrt(1599)) = 0.0250 from pi/2: four graded breaks at each
+    # end (8 u < pi/8 < 16 u), and the end panel next to each halved, at
+    # u_lo/2 and pi/2 - u_hi/2
+    u_lo, u_hi = 0.025010423507840152, 0.02500521028732767
     steps = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
     base = np.linspace(0.0, 0.5 * math.pi, 5)
     expected = np.concatenate([[0.0], u_lo * steps, base[1:-1], base[-1] - u_hi * steps[::-1],
                                [base[-1]]])
-    assert np.array_equal(spectral._cut_breaks(kernels._cut_scales(n)), expected)
-    # below n = 2.68 both scales are wider than pi/8: the four equal panels,
-    # with the end panel halved at each end that has a finite scale (the TE
-    # pole's for n > 1, the TM shoulder's for n^2 > 2: math.sqrt(2.0) squares
-    # to just above 2, which puts its shoulder just below u = pi/2)
+    assert np.array_equal(spectral._cut_breaks((u_lo, u_hi)), expected)
+    # scales wider than pi/8 (those of n = 1, 1.01, sqrt 2 and 2) add no
+    # break: the four equal panels, with the end panel halved at each end
+    # that has a finite scale (a shoulder just below u = pi/2 included)
     first, last = 0.5 * base[1], base[-1] - 0.5 * base[1]
-    for n, halves in ((1.0, []), (1.01, [last]), (math.sqrt(2.0), [first, last]),
-                      (2.0, [first, last])):
-        assert np.array_equal(spectral._cut_breaks(kernels._cut_scales(n)),
-                              np.sort(np.concatenate([base, halves])))
+    for near, halves in (((math.inf, math.inf), []),
+                         ((math.inf, 2.651652454029538), [last]),
+                         ((1.5707963057214724, 0.8813735870195429), [first, last]),
+                         ((0.6154797086703875, 0.5493061443340551), [first, last])):
+        assert np.array_equal(spectral._cut_breaks(near), np.sort(np.concatenate([base, halves])))
     assert np.array_equal(spectral._cut_breaks(None), base)
+
+
+def _shoulder_and_pole(n):
+    """Cut scales that move with n over the whole range of _cut_breaks: the
+    TM shoulder asin(1/sqrt(n^2 - 1)) (inf for n^2 <= 2) and the TE pole
+    acosh(n/sqrt(n^2 - 1)) (inf at n = 1) of a cut t = Gamma sin(u)."""
+    gap = math.sqrt(n * n - 1.0)
+    return (math.asin(1.0 / gap) if gap > 1.0 else math.inf,
+            math.acosh(n / gap) if gap > 0.0 else math.inf)
 
 
 def _doubling(start, end, inside):
@@ -1193,7 +1295,7 @@ def _doubling(start, end, inside):
 def _reference_layouts(near, s, n):
     ray = np.arctan([0.0] + _doubling(near * (s * math.sin(0.25 * math.pi)), 0.3,
                                       lambda x: x < 0.3) + list(RAY_X[1:]))
-    return np.unique(ray), _reference_cut(*kernels._cut_scales(n))
+    return np.unique(ray), _reference_cut(*_shoulder_and_pole(n))
 
 
 def _reference_cut(low, high):
@@ -1228,13 +1330,13 @@ def _numpy_cut(near):
 
 def test_scalar_cut_layout_is_the_numpy_layout_bit_for_bit():
     # _cut_breaks builds its layout from its two scales with math: the bits of
-    # the numpy spelling and of the doubling loop, for the scales of n over
-    # [1, 1e8], the s contour's (inf, acosh(2/gamma - 1)), and no scales
+    # the numpy spelling and of the doubling loop, for scales that move with
+    # n over [1, 1e8], the s contour's (inf, acosh(2/gamma - 1)), and no scales
     rng = np.random.default_rng(1)
     ns = [1.0, math.sqrt(2.0), 2.68, 40.0, 1e8] + list(10.0 ** rng.uniform(0.0, 8.0, 300))
     pairs = [None]
     for n in ns:
-        pairs.append(kernels._cut_scales(n))
+        pairs.append(_shoulder_and_pole(n))
         if n > 1.0:
             gamma = math.sqrt(n * n - 1.0) / n
             pairs.append((math.inf, math.acosh(2.0 / gamma - 1.0)))
@@ -1266,7 +1368,7 @@ def test_graded_layouts_keep_the_old_breaks_and_stay_finite(kap, n, s):
     flat, = _entry_breaks([kap / n], s, spectral._RAY_BREAKS_FLAT)
     assert np.all(np.isfinite(flat)) and np.all(np.diff(flat) > 0.0)
     assert np.array_equal(np.setdiff1d(flat, breaks), spectral._RAY_BREAKS_FLAT[[2, 6, 8, 10]])
-    cut = spectral._cut_breaks(kernels._cut_scales(n))
+    cut = spectral._cut_breaks(_shoulder_and_pole(n))
     base = np.linspace(0.0, 0.5 * math.pi, 5)
     assert np.all(np.isfinite(cut)) and np.all(np.diff(cut) > 0.0)
     assert cut[0] == 0.0 and cut[-1] == 0.5 * math.pi
@@ -1274,7 +1376,7 @@ def test_graded_layouts_keep_the_old_breaks_and_stay_finite(kap, n, s):
     assert len(cut) - 1 <= 4 + 2 * spectral._GRADED_MAX + 2
     if n <= math.sqrt(2.0):
         halves = np.array([0.5 * base[1], base[-1] - 0.5 * base[1]])
-        halves = halves[np.isfinite(kernels._cut_scales(n))]
+        halves = halves[np.isfinite(_shoulder_and_pole(n))]
         assert np.array_equal(cut, np.sort(np.concatenate([base, halves])))
     ray_loop, cut_loop = _reference_layouts(kap / n, s, n)
     assert np.array_equal(breaks, ray_loop)
@@ -1282,28 +1384,33 @@ def test_graded_layouts_keep_the_old_breaks_and_stay_finite(kap, n, s):
 
 
 def test_profiles_pass_their_near_singularity_scales(monkeypatch):
-    # each kappa's engine run gets kappa/n for its ray, the scales of n for
-    # its cut, and the finer ray layout for the mirrored bodies only
+    # each kappa's engine run is an s contour's, the same for every kappa:
+    # the finer ray layout, its first panel graded from gamma/4, half the
+    # distance gamma/2 of the branch point that the kernels' rays are
+    # graded from, and the cut (gamma/2, gamma) with its last panel graded
+    # from the poles at s = i
     seen = []
     ray = kernels.ray_integral
 
-    def spy(*args, near=None, cut_near=None, flat=False, **kwargs):
-        seen.append((near, cut_near, flat))
-        return ray(*args, near=near, cut_near=cut_near, flat=flat, **kwargs)
+    def spy(*args, near=None, gamma=None, cut_near=None, flat=False, **kwargs):
+        seen.append((near, gamma, cut_near, flat))
+        return ray(*args, near=near, gamma=gamma, cut_near=cut_near, flat=flat, **kwargs)
 
     monkeypatch.setattr(kernels, "ray_integral", spy)
     med = Medium(40.0)
+    gamma = math.sqrt(1599.0) / 40.0
+    cut = (math.inf, math.acosh(2.0 / gamma - 1.0))
     for kap in KAPPA_PANEL:
-        for build, mirrored in ((lambda: kz_profile(med, kap, 0.7, 0.4, SPEC), True),
-                                (lambda: kz_profile(med, kap, -0.3, 0.5, SPEC), True),
-                                (lambda: _gauge_difference_profile(med, kap, 0.7, 0.4, SPEC),
-                                 False)):
+        for build in (lambda: kz_profile(med, kap, 0.7, 0.4, SPEC),
+                      lambda: kz_profile(med, kap, -0.3, 0.5, SPEC),
+                      lambda: _gauge_difference_profile(med, kap, 0.7, 0.4, SPEC)):
             seen.clear()
             build()
-            (near_ray, near_cut, flat), = seen
-            assert near_ray == kap / 40.0
-            assert near_cut == kernels._cut_scales(40.0)
-            assert flat is mirrored
+            assert seen == [(0.25 * gamma, 0.5 * gamma, cut, True)]
+    seen.clear()
+    assemble_kernel_result(med, KernelKind.GAUGE_DIFFERENCE, pair((0.3, 0.0, 0.7), (0.0, 0.0, 0.4)),
+                           SPEC)
+    assert seen == [(0.5 * gamma, 0.5 * gamma, cut, True)]
 
 
 # the kernel-assembly benchmark items of seed 1: (kind, n, r, r')
@@ -1355,10 +1462,10 @@ def test_graded_rays_and_cuts_converge_in_few_levels(monkeypatch):
 def test_gauge_bodies_evaluate_the_tm_fresnel_set_once(monkeypatch):
     # the travelling and the evanescent body of the gauge-difference profile
     # each take one TM Fresnel set per call and hand it to both surface charges
-    seen = _captured_bodies(monkeypatch)
+    seen = _captured_parts(monkeypatch)
     med = Medium(2.0)
     _gauge_difference_profile(med, 1.3, 0.7, 0.4, SPEC)
-    (kap, scale, travelling, evanescent), = seen
+    (_, travelling, _, evanescent), = seen
     calls = []
     original = fresnel_coefficients
 
@@ -1368,13 +1475,12 @@ def test_gauge_bodies_evaluate_the_tm_fresnel_set_once(monkeypatch):
 
     monkeypatch.setattr(kernels, "fresnel_coefficients", counting)
     monkeypatch.setattr(modes, "fresnel_coefficients", counting)
-    k = np.array([[0.3 + 0.3j, 2.0 + 2.0j]])
-    kzd = np.sqrt(4.0 * k * k + 3.0 * kap ** 2)
-    travelling(k, kzd, kap, kap ** 2 + k * k)
+    s = np.array([[0.3 + 0.3j, 2.0 + 2.0j]])
+    travelling(s, np.sqrt(4.0 * s * s + 3.0), 1.0 + s * s)
     assert calls == [Polarization.TM]
     calls.clear()
-    t = np.array([[0.25, 0.5]]) * kap * math.sqrt(3.0) / 2.0
-    evanescent(t, np.sqrt(3.0 * kap ** 2 - 4.0 * t * t), kap, kap ** 2 - t * t)
+    t = np.array([[0.6, 0.8]]) * math.sqrt(3.0) / 2.0
+    evanescent(t, np.sqrt(3.0 - 4.0 * t * t), 1.0 - t * t)
     assert calls == [Polarization.TM]
 
 
@@ -1563,9 +1669,9 @@ def test_gauge_cut_is_the_travelling_body_jump(n):
     t = gamma * np.array([1e-6, 0.05, 0.3, 0.5, 0.8, 0.99, 1.0 - 1e-9])
     kzd = np.sqrt(np.maximum(n * n - 1.0 - n * n * t * t, 0.0))
     damp = np.exp(-t * zp) / (1.0 - t * t)
-    right = kernels._gauge_terms(med, 1j * t, kzd, 1.0, damp)[:2]
-    left = kernels._gauge_terms(med, 1j * t, -kzd, 1.0, damp)[2:]
+    right = kernels._gauge_terms(med, 1j * t, kzd, damp)[:2]
+    left = kernels._gauge_terms(med, 1j * t, -kzd, damp)[2:]
     left *= np.array([-1.0, 1.0])[:, None]  # the u-row's k_z changes sign on k_z < 0
-    evanescent = kernels._gauge_evanescent_terms(med, t, kzd, 1.0, damp)
+    evanescent = kernels._gauge_evanescent_terms(med, t, kzd, damp)
     scale = max(np.abs(right).max(), np.abs(left).max())  # the jump cancels down from this
     assert_allclose(-1j * (right - left), evanescent, rtol=0.0, atol=1e-14 * scale)
