@@ -62,4 +62,5 @@ def cancellation_residual(
         raise ValueError("branch point kz = i*Gamma is excluded from the residual")
     if medium.n == 1.0:
         return 0.0
-    return (c.kz / c.kzd) * c.tL * c.rL + c.rR * c.tR
+    r = c.rR  # rL = -rR exactly, so each coefficient is formed once
+    return (c.kz / c.kzd) * c.tL * -r + r * c.tR

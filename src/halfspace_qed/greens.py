@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -55,9 +54,10 @@ class PointPair:
         rp = np.asarray(self.rprime, dtype=float)
         if r.shape != (3,) or rp.shape != (3,):
             raise ValueError("points must be 3-vectors")
-        if not all(map(math.isfinite, r.tolist() + rp.tolist())):
+        coords = r.tolist() + rp.tolist()
+        if not all(map(math.isfinite, coords)):
             raise ValueError(f"points must be finite, got r={r.tolist()}, r'={rp.tolist()}")
-        if rp[2] <= 0.0:
+        if coords[5] <= 0.0:
             raise ValueError("the source point must lie outside the dielectric (z' > 0)")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "rprime", rp)
@@ -71,67 +71,78 @@ class PointPair:
         return self.rprime * np.array([1.0, 1.0, -1.0])
 
 
-# (direct, image) strengths of each variant, from alpha and whether z >= 0
+# (direct, image) strengths of each variant, from the medium and whether z >= 0;
+# the transmitted strength is 2/(n^2+1), not 1 - alpha, which cancels at large n
 _STRENGTHS = {
-    GreenVariant.FREE: lambda al, above: (1.0, None),
-    GreenVariant.REFLECTED: lambda al, above: (None, al),
-    GreenVariant.TRANSMITTED: lambda al, above: (1.0 - al, None),
-    GreenVariant.FULL: lambda al, above: (1.0, al) if above else (1.0 - al, None),
+    GreenVariant.FREE: lambda m, above: (1.0, None),
+    GreenVariant.REFLECTED: lambda m, above: (None, m.image_strength),
+    GreenVariant.TRANSMITTED: lambda m, above: (m.transmitted_strength, None),
+    GreenVariant.FULL: lambda m, above: ((1.0, m.image_strength) if above
+                                         else (m.transmitted_strength, None)),
 }
 
 
-def _combine(medium: Medium, variant: GreenVariant, pair: PointPair,
-             direct_term: Callable, image_term: Callable):
-    """direct_term(direct) + image_term(image) for the ``_STRENGTHS`` of
-    ``variant``, which is direct/(4 pi |r - r'|) - image/(4 pi |r - rbar'|).
+def _strengths(medium: Medium, variant: GreenVariant, z: float):
+    """The ``_STRENGTHS`` of ``variant`` at a field point of height z, the
+    direct one weighting 1/(4 pi |r - r'|) and the image one -1/(4 pi |r - rbar'|).
     A term of strength None is skipped, not weighted by zero: REFLECTED keeps
     its -0.0 at n = 1, and FULL below the interface never builds the image
     term, which is singular at the image point."""
-    z = pair.r[2]
     if variant is GreenVariant.REFLECTED and z < 0.0:
         raise ValueError("reflected variant is defined for z >= 0 only")
     if variant is GreenVariant.TRANSMITTED and z > 0.0:
         raise ValueError("transmitted variant is defined for z <= 0 only")
-    direct, image = _STRENGTHS[variant](medium.image_strength, z >= 0.0)
-    if image is None:
-        return direct_term(direct)
-    if direct is None:
-        return image_term(image)
-    return direct_term(direct) + image_term(image)
+    return _STRENGTHS[variant](medium, z >= 0.0)
 
 
 def electrostatic_green(medium: Medium, variant: GreenVariant, pair: PointPair) -> float:
-    return _combine(medium, variant, pair, lambda s: s / (_FOUR_PI * pair.separation),
-                    lambda s: -s / (_FOUR_PI * float(np.linalg.norm(pair.r - pair.image_point))))
+    direct, image = _strengths(medium, variant, float(pair.r[2]))
+    if image is None:
+        return direct / (_FOUR_PI * pair.separation)
+    reflected = -image / (_FOUR_PI * float(np.linalg.norm(pair.r - pair.image_point)))
+    return reflected if direct is None else direct / (_FOUR_PI * pair.separation) + reflected
 
 
-def _grad_grad_inverse_distance(d: np.ndarray) -> np.ndarray:
-    """grad_i grad'_j (1/|r - r'|) = delta_ij/s^3 - 3 d_i d_j / s^5, d = r - r'."""
-    s2 = float(d @ d)
+def _grad_grad_inverse_distance(w: float, dx: float, dy: float, dz: float,
+                                image: bool = False) -> list[float]:
+    """w grad_i grad'_j (1/|d|) = w (delta_ij/s^3 - 3 d_i d_j/s^5) for d = r - r',
+    row-major.  For the ``image`` term d = r - rbar', and the primed derivative
+    acts through the image map z' -> -z', which puts the mirror matrix
+    diag(1, 1, -1) on the second index."""
+    xx, yy, zz = dx * dx, dy * dy, dz * dz
+    s2 = xx + yy + zz
     if s2 == 0.0:
-        raise ValueError("coincident points: tensor is singular")
-    s = np.sqrt(s2)
-    return np.eye(3) / s**3 - 3.0 * np.outer(d, d) / s**5
-
-
-_MIRROR = np.diag([1.0, 1.0, -1.0])
+        raise ValueError("field point coincides with the image point" if image
+                         else "coincident points: tensor is singular")
+    a = w / (s2 * math.sqrt(s2))
+    b = -3.0 * a / s2
+    xy, xz, yz = b * (dx * dy), b * (dx * dz), b * (dy * dz)
+    m = -1.0 if image else 1.0
+    return [a + b * xx, xy, m * xz,
+            xy, a + b * yy, m * yz,
+            xz, yz, m * (a + b * zz)]
 
 
 def image_grad_grad_tensor(pair: PointPair, strength: float) -> np.ndarray:
     """grad_i grad'_j of the image term -strength/(4 pi |r - rbar'|): alpha for
-    the dielectric, 1 for a perfect mirror.  The primed derivative acts through
-    the image map z' -> -z', which puts the mirror matrix on the second index."""
-    dbar = pair.r - pair.image_point
-    if float(dbar @ dbar) == 0.0:
-        raise ValueError("field point coincides with the image point")
-    return -strength / _FOUR_PI * (_grad_grad_inverse_distance(dbar) @ _MIRROR)
+    the dielectric, 1 for a perfect mirror (3x3 real)."""
+    (x, y, z), (xp, yp, zp) = pair.r.tolist(), pair.rprime.tolist()
+    return np.array(_grad_grad_inverse_distance(-strength / _FOUR_PI, x - xp, y - yp, z + zp,
+                                                image=True)).reshape(3, 3)
 
 
 def grad_grad_green_tensor(medium: Medium, variant: GreenVariant, pair: PointPair) -> np.ndarray:
-    """Closed-form grad_i grad'_j of the chosen variant (3x3 real)."""
-    return _combine(medium, variant, pair,
-                    lambda s: s * _grad_grad_inverse_distance(pair.r - pair.rprime) / _FOUR_PI,
-                    lambda s: image_grad_grad_tensor(pair, s))
+    """Closed-form grad_i grad'_j of the chosen variant (3x3 real), evaluated
+    on Python floats: each term is a list of its nine entries."""
+    (x, y, z), (xp, yp, zp) = pair.r.tolist(), pair.rprime.tolist()
+    direct, image = _strengths(medium, variant, z)
+    dx, dy = x - xp, y - yp
+    if direct is not None:
+        terms = _grad_grad_inverse_distance(direct / _FOUR_PI, dx, dy, z - zp)
+    if image is not None:
+        reflected = _grad_grad_inverse_distance(-image / _FOUR_PI, dx, dy, z + zp, image=True)
+        terms = reflected if direct is None else [a + b for a, b in zip(terms, reflected)]
+    return np.array(terms).reshape(3, 3)
 
 
 def check_charge(q: float, z0: float) -> None:

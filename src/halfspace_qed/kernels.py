@@ -405,9 +405,9 @@ def residue_profile(medium: Medium, kap: float, z: float, zp: float) -> np.ndarr
     if z >= 0.0:
         al = medium.image_strength
         pref = math.pi * al * kap * math.exp(-kap * (z + zp))
-        return pref * np.array([1.0, -1j, 1j, 1.0, 0.0])
+        return np.array([pref, -1j * pref, 1j * pref, pref, 0j])
     pref = -2.0 * math.pi * kap / (n * n + 1.0) * math.exp(kap * (z - zp))
-    return pref * np.array([1.0, -1j, -1j, -1.0, 0.0])
+    return np.array([pref, -1j * pref, -1j * pref, -pref, 0j])
 
 
 # tensor entry (i, j), k_par along +x -> its dyad in [uu, uz, zu, zz, vv]
@@ -416,9 +416,12 @@ _DYADS = {(0, 0): 0, (0, 2): 1, (2, 0): 2, (2, 2): 3, (1, 1): 4}
 
 def _dyad(pol: Polarization | None, i: int, j: int) -> int | None:
     """The dyad of tensor entry (i, j) in polarization ``pol`` (None for both),
-    or None where that entry vanishes; rejects indices other than 0, 1, 2."""
+    or None where that entry vanishes; rejects indices other than 0, 1, 2, and
+    bools.  An int is recognised before the numbers.Integral check."""
     for name, index in (("i", i), ("j", j)):
-        if not (isinstance(index, numbers.Integral) and 0 <= index <= 2):
+        integer = type(index) is int or (isinstance(index, numbers.Integral)
+                                         and not isinstance(index, bool))
+        if not (integer and 0 <= index <= 2):
             raise ValueError(f"{name} must be a tensor index 0, 1 or 2, got {index!r}")
     dyad = _DYADS.get((i, j))
     if pol is Polarization.TM:

@@ -74,6 +74,11 @@ class Medium:
         return (self.n * self.n - 1.0) / (self.n * self.n + 1.0)
 
     @property
+    def transmitted_strength(self) -> float:
+        """Transmitted strength 2/(n^2+1) = 1 - alpha, free of that cancellation."""
+        return 2.0 / (self.n * self.n + 1.0)
+
+    @property
     def surface_charge_share(self) -> float:
         """Share (n^2-1)/(2n^2) of V^es carried by the fluctuating surface charge."""
         return 0.5 * (self.n * self.n - 1.0) / (self.n * self.n)  # 2n^2 may overflow
@@ -145,10 +150,9 @@ def refracted_kz(medium: Medium, kpar_mag: float, kz: complex) -> complex:
     check_label(kpar_mag, "kz", kz)
     n = medium.n
     kz = complex(kz)
-    val = np.sqrt(complex(n * n * kz * kz + (n * n - 1.0) * kpar_mag * kpar_mag))
-    if (kz.real > 0.0 and val.real < 0.0) or (kz.real < 0.0 and val.real > 0.0):
-        val = -val
-    return complex(val)
+    val = cmath.sqrt(n * n * kz * kz + (n * n - 1.0) * kpar_mag * kpar_mag)
+    # the principal root has Re >= 0, so only k_z with Re < 0 flips it
+    return -val if kz.real < 0.0 and val.real > 0.0 else val
 
 
 def vacuum_kz_from_kzd(medium: Medium, kpar_mag: float, kzd: float) -> complex:

@@ -31,6 +31,7 @@ both numerically.
 """
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -49,6 +50,23 @@ __all__ = [
 _NORM = (2.0 * math.pi) ** (-1.5)
 
 
+def _polarization(pol: Polarization, kx, ky, kz) -> tuple[complex, complex, complex]:
+    """The components of ``polarization_vector`` for k = (kx, ky, kz)."""
+    kpar2 = kx * kx + ky * ky
+    kpar = cmath.sqrt(kpar2)
+    if kpar == 0:
+        raise ValueError("polarization basis is degenerate at k_par = 0")
+    if pol is Polarization.TE:
+        return ky / kpar, -kx / kpar, 0j
+    if pol is not Polarization.TM:
+        raise ValueError(f"pol must be Polarization.TE or Polarization.TM, got {pol!r}")
+    k2 = kpar2 + kz * kz
+    if k2 == 0:
+        raise ValueError("TM normalisation singular at k.k = 0")
+    norm = kpar * cmath.sqrt(k2)
+    return kx * kz / norm, ky * kz / norm, -kpar2 / norm
+
+
 def polarization_vector(pol: Polarization, k: np.ndarray) -> np.ndarray:
     """Unit polarization vector of a single plane wave with wavevector k.
 
@@ -56,48 +74,39 @@ def polarization_vector(pol: Polarization, k: np.ndarray) -> np.ndarray:
     by |k_par| sqrt(k.k) with the principal square root (real positive on the
     evanescent segment).  Orthogonal to k under the unconjugated dot product.
     """
-    kx, ky, kz = complex(k[0]), complex(k[1]), complex(k[2])
-    kpar2 = kx * kx + ky * ky
-    kpar = np.sqrt(kpar2)
-    if kpar == 0:
-        raise ValueError("polarization basis is degenerate at k_par = 0")
-    if pol is Polarization.TE:
-        return np.array([ky, -kx, 0.0], dtype=complex) / kpar
-    if pol is not Polarization.TM:
-        raise ValueError(f"pol must be Polarization.TE or Polarization.TM, got {pol!r}")
-    k2 = kpar2 + kz * kz
-    if k2 == 0:
-        raise ValueError("TM normalisation singular at k.k = 0")
-    norm = kpar * np.sqrt(k2)
-    return np.array([kx * kz, ky * kz, -kpar2], dtype=complex) / norm
+    return np.array(_polarization(pol, complex(k[0]), complex(k[1]), complex(k[2])))
 
 
 def carniglia_mandel_mode(medium: Medium, point: SpectralPoint, r: np.ndarray) -> np.ndarray:
     """Evaluate the mode function of ``point`` at position r (complex 3-vector)."""
     r = np.asarray(r, dtype=float)
-    if not np.isfinite(r).all():
+    x, y, z = r.tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError(f"r must be finite, got {r!r}")
     kx, ky = point.kpar
-    kz, kzd = label_wavenumbers(medium, point.side, point.kpar_mag, point.kz)
-    coef = fresnel_coefficients(medium, point.pol, point.kpar_mag, kz, kzd)
-    phase_par = np.exp(1j * (kx * r[0] + ky * r[1]))
-    z = r[2]
+    pol, side = point.pol, point.side
+    kz, kzd = label_wavenumbers(medium, side, point.kpar_mag, point.kz)
+    coef = fresnel_coefficients(medium, pol, point.kpar_mag, kz, kzd)
 
-    def wave(kz_piece: complex) -> np.ndarray:
-        kvec = np.array([kx, ky, kz_piece], dtype=complex)
-        return polarization_vector(point.pol, kvec) * np.exp(1j * kz_piece * z)
+    def wave(amp: complex, kz_piece: complex) -> list[complex]:
+        # amp e(k) e^{i k_z z}, the plane wave without its parallel phase
+        phase = cmath.exp(1j * kz_piece * z)
+        return [amp * (e * phase) for e in _polarization(pol, kx, ky, kz_piece)]
 
-    if point.side is Side.RIGHT:
+    if side is Side.RIGHT:
+        front = _NORM
         if z >= 0.0:
-            val = wave(-kz) + coef.rR * wave(kz)
+            val = [a + b for a, b in zip(wave(1.0, -kz), wave(coef.rR, kz))]
         else:
-            val = coef.tR * wave(-kzd)
-        return _NORM * phase_par * val
-    if z < 0.0:
-        val = wave(kzd) + coef.rL * wave(-kzd)
+            val = wave(coef.tR, -kzd)
     else:
-        val = coef.tL * wave(kz)
-    return _NORM / medium.n * phase_par * val
+        front = _NORM / medium.n
+        if z < 0.0:
+            val = [a + b for a, b in zip(wave(1.0, kzd), wave(coef.rL, -kzd))]
+        else:
+            val = wave(coef.tL, kz)
+    front = front * cmath.exp(1j * (kx * x + ky * y))
+    return np.array([front * v for v in val])
 
 
 def surface_charge_mode(medium: Medium, side: Side, tm: FresnelSet):

@@ -233,11 +233,11 @@ def closed_form_checks(kind: KernelKind, n_values, pairs,
 
 def _mirror_deviation(medium: Medium, pair: PointPair, spec: QuadratureSpec) -> float:
     """The finite-n generalized kernel minus the perfect-reflector image form,
-    against the deviation it must show, (1 - alpha) times the unit image
-    term; relative to the image form's largest entry."""
+    against the deviation it must show, 1 - alpha = 2/(n^2+1) times the unit
+    image term; relative to the image form's largest entry."""
     mirror = assemble_kernel_result(medium, KernelKind.PERFECT_REFLECTOR, pair, spec).tensor
     gen = assemble_kernel_result(medium, KernelKind.GENERALIZED_DELTA, pair, spec).tensor
-    expected = (1.0 - medium.image_strength) * image_grad_grad_tensor(pair, 1.0)
+    expected = medium.transmitted_strength * image_grad_grad_tensor(pair, 1.0)
     return float(np.max(np.abs(gen - mirror - expected))) / float(np.max(np.abs(mirror)))
 
 

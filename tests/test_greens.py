@@ -11,6 +11,7 @@ from halfspace_qed.greens import (
     PointPair,
     electrostatic_green,
     grad_grad_green_tensor,
+    image_grad_grad_tensor,
     image_potential_ves,
 )
 from halfspace_qed.medium import Medium
@@ -209,8 +210,9 @@ def test_image_potential_scaling_and_domain():
 
 def test_coincident_points_rejected():
     p = pair((0.1, 0.2, 0.5), (0.1, 0.2, 0.5))
-    with pytest.raises(ValueError):
-        grad_grad_green_tensor(Medium(2.0), GreenVariant.FREE, p)
+    for variant in (GreenVariant.FREE, GreenVariant.FULL):
+        with pytest.raises(ValueError, match="^coincident points: tensor is singular"):
+            grad_grad_green_tensor(Medium(2.0), variant, p)
 
 
 def test_image_potential_rejects_non_finite_inputs():
@@ -246,3 +248,66 @@ def test_image_potential_is_exact_in_q_squared_over_z0(q, z0):
     med = Medium(2.0)
     expected = -med.image_strength / (16.0 * math.pi) * float(Fraction(q) ** 2 / Fraction(z0))
     assert image_potential_ves(q, med, z0) == pytest.approx(expected, rel=1e-12)
+
+
+def _eye_outer(d):
+    # grad_i grad'_j (1/|d|) from np.eye and np.outer, independent of the
+    # package's scalar closed form
+    s = math.sqrt(float(d @ d))
+    return np.eye(3) / s**3 - 3.0 * np.outer(d, d) / s**5
+
+
+def _reference_tensor(med, variant, p):
+    # strengths 1, alpha and 2/(n^2+1), each term on its own point and sign
+    free = _eye_outer(p.r - p.rprime) / (4 * math.pi)
+    image = -(_eye_outer(p.r - p.image_point) @ np.diag([1.0, 1.0, -1.0])) / (4 * math.pi)
+    transmitted = 2.0 / (med.n**2 + 1.0) * free
+    above = p.r[2] >= 0.0
+    return {GreenVariant.FREE: free,
+            GreenVariant.REFLECTED: med.image_strength * image,
+            GreenVariant.TRANSMITTED: transmitted,
+            GreenVariant.FULL: free + med.image_strength * image if above else transmitted,
+            "image": 0.7 * image}[variant]
+
+
+@pytest.mark.parametrize("n", [1.0, 1.5, 4.0, 40.0, 1e3])
+def test_grad_grad_matches_an_eye_outer_reference(n):
+    # every variant, on its side of the interface, and the image tensor at
+    # seeded pairs above and below, to 1e-14 of the largest entry
+    med, rng = Medium(n), np.random.default_rng(33)
+    for _ in range(40):
+        rp = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.1, 1.5)])
+        r = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
+                      rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.5)])
+        p = PointPair(r, rp)
+        variants = [GreenVariant.FREE, GreenVariant.FULL,
+                    GreenVariant.REFLECTED if r[2] >= 0.0 else GreenVariant.TRANSMITTED]
+        for variant in variants:
+            got, ref = grad_grad_green_tensor(med, variant, p), _reference_tensor(med, variant, p)
+            assert got.shape == (3, 3) and got.dtype == float
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), variant
+        ref = _reference_tensor(med, "image", p)
+        assert np.max(np.abs(image_grad_grad_tensor(p, 0.7) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_image_point_coincidence_is_rejected_by_name():
+    p = pair((0.1, 0.2, -0.5), (0.1, 0.2, 0.5))
+    with pytest.raises(ValueError, match="^field point coincides with the image point"):
+        image_grad_grad_tensor(p, 1.0)
+
+
+@pytest.mark.parametrize("n", [1.5, 1e4, 1e8])
+def test_transmitted_strength_is_two_over_n2_plus_one(n):
+    # 1 - alpha cancelled: about eps n^2/2 relative, exactly 0 from n ~ 1e8
+    med = Medium(n)
+    exact = Fraction(2) / (Fraction(n) ** 2 + 1)
+    strength = med.transmitted_strength
+    assert abs(Fraction(strength) - exact) <= Fraction(math.ulp(float(exact)))
+    # the tensor below the interface carries it: FULL is it times FREE
+    p = pair((0.3, 0.1, -0.6), (0.0, 0.0, 0.7))
+    free = grad_grad_green_tensor(med, GreenVariant.FREE, p)
+    for variant in (GreenVariant.TRANSMITTED, GreenVariant.FULL):
+        got = grad_grad_green_tensor(med, variant, p)
+        assert np.max(np.abs(got - strength * free)) <= 4e-16 * strength * np.max(np.abs(free))
+    green = electrostatic_green(med, GreenVariant.TRANSMITTED, p) * 4 * math.pi * p.separation
+    assert green == pytest.approx(strength, rel=1e-15)

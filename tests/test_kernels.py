@@ -193,6 +193,21 @@ def test_kz_kernel_and_residue_reject_bad_tensor_indices(i, j, name):
         residue_closed_form(med, i, j, 1.0, 0.7, 0.5)
 
 
+@pytest.mark.parametrize("i, j, name", [(True, False, "i"), (0, True, "j"), (False, 0, "i"),
+                                        (np.bool_(True), 0, "i")])
+def test_kz_kernel_and_residue_reject_bool_tensor_indices(i, j, name):
+    # True and False are Integrals equal to 1 and 0: (True, False) once read
+    # the (1, 0) entry, 0j, where a misspelt call deserves an error
+    med = Medium(2.0)
+    with pytest.raises(ValueError, match=f"^{name} must be a tensor index 0, 1 or 2, got "):
+        kz_spectral_kernel(med, Polarization.TM, i, j, 1.0, 0.7, 0.5, SPEC)
+    with pytest.raises(ValueError, match=f"^{name} must be a tensor index 0, 1 or 2, got "):
+        residue_closed_form(med, i, j, 1.0, 0.7, 0.5)
+    # numpy integers are tensor indices
+    assert residue_closed_form(med, np.int64(0), np.int32(2), 1.0, 0.7, 0.5) == \
+        residue_closed_form(med, 0, 2, 1.0, 0.7, 0.5)
+
+
 def test_residue_form_assembles_to_reflected_green_tensor():
     # the closed kappa and azimuth weights of the residue profile
     # pi alpha kappa e^{-kappa (z + z')} [1, -i, i, 1, 0] reproduce -grad grad'

@@ -52,10 +52,13 @@ def test_polarization_transverse_under_plain_dot():
 
 
 def test_polarization_degenerate_rejected():
-    with pytest.raises(ValueError):
-        polarization_vector(Polarization.TM, np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
+    for pol in Polarization:
+        with pytest.raises(ValueError, match="degenerate at k_par = 0"):
+            polarization_vector(pol, np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="singular at k.k = 0"):
         polarization_vector(Polarization.TM, np.array([1.0, 0.0, 1.0j]))
+    with pytest.raises(ValueError, match="pol must be Polarization.TE or Polarization.TM"):
+        polarization_vector("TM", np.array([1.0, 0.0, 1.0]))
 
 
 def test_mode_free_space_limit():
@@ -273,3 +276,49 @@ def test_mode_function_rejects_a_non_finite_position(bad):
         r[axis] = bad
         with pytest.raises(ValueError, match="^r must be finite"):
             carniglia_mandel_mode(Medium(2.0), point, r)
+
+
+def _plane_wave_sum(med, point, r):
+    # the mode as its plane waves, each from polarization_vector and np.exp of
+    # the whole phase k.r, with the Fresnel coefficients written out here
+    kx, ky = point.kpar
+    kz, kzd = label_wavenumbers(med, point.side, point.kpar_mag, point.kz)
+    n = med.n
+    a, b = (n * n, n) if point.pol is Polarization.TM else (1.0, 1.0)
+    den = a * kz + kzd
+    r_right, t_right, t_left = (a * kz - kzd) / den, 2 * b * kz / den, 2 * b * kzd / den
+
+    def wave(k_z):
+        k = np.array([kx, ky, k_z], dtype=complex)
+        return polarization_vector(point.pol, k) * np.exp(1j * (k @ r))
+
+    if point.side is Side.RIGHT:
+        f = wave(-kz) + r_right * wave(kz) if r[2] >= 0.0 else t_right * wave(-kzd)
+    else:
+        f = (wave(kzd) - r_right * wave(-kzd) if r[2] < 0.0 else t_left * wave(kz)) / n
+    return NORM * f
+
+
+@pytest.mark.parametrize("kpar", [(0.6, -0.8), (-0.3, 1.1)])
+@pytest.mark.parametrize("pol", [Polarization.TE, Polarization.TM])
+def test_mode_matches_its_plane_wave_sum_off_axis(kpar, pol):
+    # k_y != 0 (every verify mode has k_par along x): travelling and
+    # evanescent labels of both sides, evaluated above and below the interface
+    med = Medium(1.7)
+    kp = math.hypot(*kpar)
+    gamma = evanescent_threshold(med, kp)
+    gamma_d = kp * math.sqrt(med.n**2 - 1.0)  # the left labels' total-internal-reflection edge
+    labels = [(Side.RIGHT, 0.9 + 0.0j), (Side.RIGHT, 0.4j * gamma), (Side.RIGHT, 1j * gamma),
+              (Side.LEFT, gamma_d + 0.8), (Side.LEFT, 0.5 * gamma_d)]
+    for side, label in labels:
+        point = SpectralPoint(kpar, complex(label), side, pol)
+        for r in ([0.3, -0.7, 0.45], [-0.4, 0.2, 1.3], [0.5, 0.6, -0.35], [-0.1, -0.9, -1.2]):
+            r = np.array(r)
+            got, ref = carniglia_mandel_mode(med, point, r), _plane_wave_sum(med, point, r)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (side, label, r)
+
+
+def test_mode_at_zero_k_par_names_the_degenerate_basis():
+    point = SpectralPoint((0.0, 0.0), 0.8, Side.RIGHT, Polarization.TE)
+    with pytest.raises(ValueError, match="degenerate at k_par = 0"):
+        carniglia_mandel_mode(Medium(2.0), point, np.array([0.1, 0.2, 0.3]))

@@ -270,6 +270,19 @@ def test_cli_kernel_verify(tmp_path, capsys, kind):
     assert "seed" not in reports[0].params  # nothing is sampled
 
 
+def test_cli_kernel_verify_below_at_large_n_prints_its_row(tmp_path, capsys):
+    # at n = 1e8 the transmitted strength 1 - alpha rounded to exactly 0, so
+    # the closed form below the interface read 0 and the relative error
+    # ended in a ZeroDivisionError; 2/(n^2+1) = 2e-16 gives the row, red or not
+    points = tmp_path / "points.csv"
+    points.write_text("x,y,z,xp,yp,zp\n0.3,0.1,-0.6,0,0,0.7\n")
+    code = main(["kernel", "verify", "--kind", "generalized_delta", "--n", "1e8",
+                 "--points", str(points)])
+    reports = from_json(capsys.readouterr().out)
+    assert len(reports) == 1 and reports[0].check_name == "kernel_vs_closed_form"
+    assert math.isfinite(reports[0].abs_err) and code == (0 if reports[0].passed else 1)
+
+
 def test_cli_kernel_verify_bad_header(tmp_path, capsys):
     points = tmp_path / "points.csv"
     points.write_text("a,b,c\n0.4,-0.2,0.8,0.1,0.3,0.5\n")
